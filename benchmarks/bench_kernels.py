@@ -3,7 +3,9 @@
 
 Micro-benchmarks time both backend modules in the same process;
 the end-to-end row re-runs a slice of the randomized theorem suite in a
-subprocess per backend (the kernel choice is fixed at import time).
+subprocess per backend (the kernel choice is fixed at import time).  The
+compiled columns appear only when the ``_fast`` extension is built; each
+end-to-end time is labelled by the backend its subprocess reports.
 
 Usage:  python benchmarks/bench_kernels.py [--trials N]
 """
@@ -121,23 +123,28 @@ def build_workloads():
 
 
 def bench_end_to_end(trials):
-    row = {}
-    for label, env_extra in (("compiled", {}), ("pure", {"HIGGSRES_PURE": "1"})):
+    """[(backend, seconds)] for a slice of the f3 theorem suite, labelled by
+    the backend each subprocess reports; compiled only when ``_fast`` imports."""
+    envs = [{"HIGGSRES_PURE": "1"}] + ([{}] if _fast is not None else [])
+    runs = []
+    for env_extra in envs:
         env = dict(os.environ, **env_extra)
         code = (
             "import time; t0=time.time();"
+            "import higgsres;"
             "from higgsres.scenario import load_scenario;"
             "from higgsres.suites import run_random_suite;"
             f"sc = load_scenario(r'{REPO / 'fixtures' / 'f3.json'}');"
             f"recs = run_random_suite(sc, 1, {trials});"
             "assert all(r.ok for r in recs);"
-            "print(time.time()-t0)"
+            "print(higgsres.KERNEL_BACKEND, time.time()-t0)"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
         )
-        row[label] = float(out.stdout.strip())
-    return row
+        backend, seconds = out.stdout.split()
+        runs.append((backend, float(seconds)))
+    return runs
 
 
 def main():
@@ -162,13 +169,13 @@ def main():
         print(line)
 
     print()
-    e2e = bench_end_to_end(args.trials)
-    name = f"theorem suite ({args.trials} trials, f3)"
-    line = f"{name.ljust(width)}  {e2e['pure']*1e3:9.0f}ms"
-    if "compiled" in e2e:
-        line += f"  {e2e['compiled']*1e3:9.0f}ms  {e2e['pure']/e2e['compiled']:7.2f}x"
-    print(line)
-
+    runs = bench_end_to_end(args.trials)
+    for backend, seconds in runs:
+        name = f"theorem suite f3 x{args.trials}, {backend}"
+        print(f"{name.ljust(width)}  {seconds*1e3:9.0f}ms")
+    times = dict(runs)
+    if "compiled" in times:
+        print(f"end-to-end speedup: {times['pure'] / times['compiled']:.2f}x")
 
 if __name__ == "__main__":
     main()

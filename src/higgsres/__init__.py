@@ -59,6 +59,7 @@ from .lie import (
     pairing,
     torus,
 )
+from .linalg import nullspace
 from .moduli import (
     HiggsPoint,
     ambient_higgs_tangent,
@@ -98,7 +99,6 @@ from .solver import (
     build_higgs_tangent_space,
     build_section_space,
     build_tangent_space,
-    nullspace,
     sample,
     sample_affine,
     sample_vector,

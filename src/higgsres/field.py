@@ -77,10 +77,6 @@ class GaussRat:
     def is_zero(self) -> bool:
         return K.gq_is_zero(self._t)
 
-    def conjugate(self) -> "GaussRat":
-        a, b, d = self._t
-        return GaussRat.from_triple((a, -b, d))
-
     def norm(self) -> Fraction:
         """The field norm a^2 + b^2 (a non-negative rational)."""
         a, b, d = self._t
@@ -537,15 +533,6 @@ class RatFunc:
         vd = next(k for k, t in enumerate(self._d) if not K.gq_is_zero(t))
         return vn - vd
 
-    def valuation_at(self, a: ScalarLike) -> int | None:
-        """ord at the finite point a; None for the zero function."""
-        if not self._n:
-            return None
-        ta = _triple_from(GaussRat(a))
-        if K.gq_is_zero(ta):
-            return self.valuation()
-        return self.shift(a).valuation()
-
     def eval(self, a: ScalarLike) -> GaussRat:
         ta = _triple_from(GaussRat(a))
         dv = K.p_eval(self._d, ta)
@@ -571,16 +558,6 @@ class RatFunc:
         else:
             den = Poly._raw(K.p_mul(den._c, mono))
         return RatFunc(num, den)
-
-    def compose(self, inner: "RatFunc") -> "RatFunc":
-        """General substitution x -> inner(x) via Horner over RatFunc."""
-        num = RatFunc.const(0)
-        for t in reversed(self._n):
-            num = num * inner + GaussRat.from_triple(t)
-        den = RatFunc.const(0)
-        for t in reversed(self._d):
-            den = den * inner + GaussRat.from_triple(t)
-        return num / den
 
     def derivative(self) -> "RatFunc":
         n, d = Poly._raw(list(self._n)), Poly._raw(list(self._d))

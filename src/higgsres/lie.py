@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from . import _kernels as K
 from .errors import (
     DegeneratePairing,
     NotInAlgebra,
@@ -31,6 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .field import GaussRat, RatFunc
+from .linalg import _rows_to_zi, solve_system
 from .matrices import (
     Matrix,
     adjugate,
@@ -50,34 +52,6 @@ from .matrices import (
 
 _ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
-
-
-def _gauss_solve(matrix: list[list[GaussRat]], rhs_width: int):
-    """Row-reduce [A | B] over Q(i) in place; returns pivot column list.
-
-    Tiny systems only (algebra dimension squared); clarity over speed.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    main = cols - rhs_width
-    pivots = []
-    r = 0
-    for c in range(main):
-        piv = next((i for i in range(r, rows) if not matrix[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        matrix[r], matrix[piv] = matrix[piv], matrix[r]
-        inv = matrix[r][c].inverse()
-        matrix[r] = [x * inv for x in matrix[r]]
-        for i in range(rows):
-            if i != r and not matrix[i][c].is_zero():
-                f = matrix[i][c]
-                matrix[i] = [x - f * y for x, y in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
 
 
 class MatrixLieAlgebra:
@@ -104,28 +78,21 @@ class MatrixLieAlgebra:
     def _prepare_solver(self):
         """Find dim independent coordinates and invert that square block."""
         flat = [
-            [b[i][j].constant_value() for b in self.basis]
+            [b[i][j].constant_value()._t for b in self.basis]
             for i in range(self.n)
             for j in range(self.n)
         ]
         # eliminate on the transpose to pick dim independent coordinates
-        work = [list(col) for col in zip(*flat)] if flat else []
-        pivot_cols = _gauss_solve(work, 0) if work else []
+        work = _rows_to_zi([list(col) for col in zip(*flat)], ())
+        pivot_cols = [c for _, c in K.zi_echelon(work, len(flat))]
         if len(pivot_cols) < self.dim:
             raise ValidationError(
                 f"basis of {self.name} is linearly dependent "
                 f"(rank {len(pivot_cols)} < {self.dim})"
             )
         self._pivot_coords = pivot_cols
-        # invert the dim x dim block flat[pivot_cols][:] to solve for coefficients
-        block = [
-            [flat[r][k] for k in range(self.dim)] + _unit_row(self.dim, t)
-            for t, r in enumerate(pivot_cols)
-        ]
-        piv = _gauss_solve(block, self.dim)
-        if len(piv) < self.dim:
-            raise ValidationError(f"basis of {self.name} is linearly dependent")
-        self._solve_inv = [row[self.dim :] for row in block]
+        # those coordinates of the basis form an invertible dim x dim block
+        self._solve_inv = _inverse([flat[r] for r in pivot_cols])
 
     def _check_closure(self):
         self.structure: dict[tuple[int, int], list[GaussRat]] = {}
@@ -151,12 +118,7 @@ class MatrixLieAlgebra:
             for a in range(self.dim)
         ]
         self.gram = g
-        aug = [list(row) + _unit_row(self.dim, k) for k, row in enumerate(g)]
-        piv = _gauss_solve(aug, self.dim)
-        if len(piv) < self.dim:
-            self.gram_inverse = None
-        else:
-            self.gram_inverse = [row[self.dim :] for row in aug]
+        self.gram_inverse = _inverse([[x._t for x in row] for row in g])
 
     # -- queries -----------------------------------------------------------
 
@@ -179,11 +141,15 @@ class MatrixLieAlgebra:
                     acc = acc + vec[r] * c
             coeffs.append(acc)
         # verify: the candidate expansion must reproduce every coordinate
-        recon = zeros(self.n, self.n)
-        for k, c in enumerate(coeffs):
+        return coeffs if mat_eq(self.combination(coeffs), mat) else None
+
+    def combination(self, coeffs: Sequence[RatFunc]) -> Matrix:
+        """The matrix sum_k coeffs[k] basis[k]."""
+        mat = zeros(self.n, self.n)
+        for c, b in zip(coeffs, self.basis):
             if not c.is_zero():
-                recon = _mat_axpy(recon, c, self.basis[k])
-        return coeffs if mat_eq(recon, mat) else None
+                mat = _mat_axpy(mat, c, b)
+        return mat
 
     def element(self, mat) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, mat_from(mat))
@@ -232,8 +198,12 @@ class MatrixLieAlgebra:
         return cls(f"sl{n}", n, basis, labels)
 
 
-def _unit_row(n: int, k: int) -> list[GaussRat]:
-    return [GaussRat(1 if j == k else 0) for j in range(n)]
+def _inverse(matrix: list) -> list[list[GaussRat]] | None:
+    """Inverse of a square matrix of GaussRat triples; None if singular."""
+    n = len(matrix)
+    units = [[K.GQ_ONE if j == k else K.GQ_ZERO for j in range(n)] for k in range(n)]
+    null, columns = solve_system(matrix, n, units)
+    return None if null else [list(row) for row in zip(*columns)]
 
 
 def _mat_axpy(acc: Matrix, c: RatFunc, b: Matrix) -> Matrix:
@@ -453,16 +423,15 @@ def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> Coadjoi
     for lab in algebra.labels:
         v = values.get(lab, _ZERO)
         vec.append(v if isinstance(v, RatFunc) else RatFunc.const(v))
-    mat = zeros(algebra.n, algebra.n)
+    coeffs = []
     for k in range(algebra.dim):
         coeff = _ZERO
         for b in range(algebra.dim):
             gk = algebra.gram_inverse[k][b]
             if not gk.is_zero() and not vec[b].is_zero():
                 coeff = coeff + vec[b] * gk
-        if not coeff.is_zero():
-            mat = _mat_axpy(mat, coeff, algebra.basis[k])
-    return CoadjointElement(algebra, mat)
+        coeffs.append(coeff)
+    return CoadjointElement(algebra, algebra.combination(coeffs))
 
 
 # -- loop-group builders -----------------------------------------------------

@@ -179,6 +179,3 @@ def block_diag(*blocks: Matrix) -> Matrix:
         offset += n
     return tuple(tuple(row) for row in out)
 
-
-def mat_to_text(a: Matrix, var: str = "z") -> list[list[str]]:
-    return [[x.to_text(var) for x in row] for row in a]

@@ -251,27 +251,6 @@ def _check_inputs(curve, n_slots, g, kind) -> None:
         )
 
 
-def validate_y_point(p: YPoint) -> list[HiggsresError]:
-    """All invariant violations of a (possibly hand-built) YPoint."""
-    errors: list[HiggsresError] = []
-    for c in p.s_circ.coords:
-        if not p.curve.is_regular_on_complement(c):
-            errors.append(
-                RegularityViolation("s has a pole away from the marked points")
-            )
-            break
-    expected = derive_s_prime(p.curve, p.rep, p.g, p.s_circ)
-    for i, want in enumerate(expected):
-        if any(a != b for a, b in zip(p.s_prime[i].coords, want.coords)):
-            errors.append(
-                RegularityViolation(f"s'_{i} does not satisfy the transition equation")
-            )
-        order = _vector_pole_order(want)
-        if order:
-            errors.append(IrregularSection(i, order, what="s'"))
-    return errors
-
-
 def make_y_point(curve, rep, g, s_circ) -> YPoint:
     """Derive s'_i, verify every invariant, and return the validated point.
 

@@ -188,19 +188,27 @@ def _parse_suite(block: Any, path: str) -> SuiteRecipe:
         return SuiteRecipe()
     _expect(block, dict, path, "a suite block")
 
+    def integer(key, value, location):
+        if not isinstance(value, int):
+            raise ParseError(f"{key} must be an integer", location)
+        # attempt counts and denominators must be positive, the rest non-negative
+        minimum = 1 if key in ("max_attempts", "max_den", "sample_den") else 0
+        if value < minimum:
+            raise ValidationError(f"{location} must be at least {minimum}, got {value}")
+        return value
+
     def sub(name, cls, defaults):
         b = block.get(name)
         if b is None:
             return cls()
         _expect(b, dict, f"{path}.{name}", "a recipe block")
-        kwargs = {}
-        for key in defaults:
-            if key in b:
-                v = b[key]
-                if not isinstance(v, int):
-                    raise ParseError(f"{key} must be an integer", f"{path}.{name}.{key}")
-                kwargs[key] = v
-        return cls(**kwargs)
+        return cls(
+            **{
+                key: integer(key, b[key], f"{path}.{name}.{key}")
+                for key in defaults
+                if key in b
+            }
+        )
 
     recipe = SuiteRecipe(
         cocycle=sub("cocycle", CocycleRecipe, ("length", "max_exponent", "torus_amplitude", "max_num", "max_den")),
@@ -208,9 +216,7 @@ def _parse_suite(block: Any, path: str) -> SuiteRecipe:
     )
     for key in ("min_section_dim", "max_attempts", "sample_num", "sample_den"):
         if key in block:
-            if not isinstance(block[key], int):
-                raise ParseError(f"{key} must be an integer", f"{path}.{key}")
-            setattr(recipe, key, block[key])
+            setattr(recipe, key, integer(key, block[key], f"{path}.{key}"))
     return recipe
 
 

@@ -1,17 +1,20 @@
 """Exact construction of section/tangent spaces, and seeded sampling.
 
-Regularity of the derived disk data is a finite set of linear conditions
-on the coefficients of a global candidate: every negative-exponent
-Laurent coefficient of the transformed candidate must vanish.  Candidates
-are spanned by monomials
+Sections and Higgs fields are both global sections of a bundle given by
+local transition matrices M_i(u): T_i^-1 rho(g_i)^-1 on the section side,
+T_i^-2 Ad(g_i^-1) on the Higgs side (the coadjoint bundle twisted by K).
+One solver handles both.  Regularity of the transported disk data is a
+finite set of linear conditions on the coefficients of a global
+candidate: every negative-exponent Laurent coefficient of the
+transported candidate must vanish.  Candidates are spanned by monomials
 
     z^t / prod_j (z - a_j)^P        (finite marked points a_j),
 
 with t bounded by deg(denominator) plus the allowed pole order at a
 marked infinity.  The resulting systems are solved exactly over Q(i) by
-fraction-free (Bareiss) elimination over Z[i] with a deterministic pivot
-order; truncation depths are always computed from the pole orders of the
-inputs, never guessed.
+``linalg.solve_system`` (fraction-free elimination with a deterministic
+pivot order); truncation depths are always computed from the pole
+orders of the inputs, never guessed.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
 the path), so identical seeds reproduce identical instances on any
@@ -21,9 +24,8 @@ platform, and per-trial substreams are independent of evaluation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from . import _kernels as K
@@ -39,7 +41,8 @@ from .lie import (
     elementary,
     torus,
 )
-from .matrices import mat_mul
+from .linalg import solve_system
+from .matrices import mat_mul, mat_sub
 from .moduli import HiggsPoint, YPoint
 
 # ---------------------------------------------------------------------------
@@ -147,107 +150,7 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearSystem:
-    """Rows of exact linear conditions over Q(i), with optional right sides.
-
-    ``row_keys`` label the conditions (marked point, component, exponent);
-    ``columns`` label the unknown candidate coefficients.
-    """
-
-    row_keys: list
-    matrix: list
-    columns: list
-    rhs: list = field(default_factory=list)
-
-
-def _rows_to_zi(matrix, rhs_list):
-    """Scale each row [A | b...] by the lcm of denominators: Z[i] pairs."""
-    out = []
-    width = len(rhs_list)
-    for idx, row in enumerate(matrix):
-        full = list(row) + [b[idx] for b in rhs_list]
-        lcm = 1
-        for t in full:
-            d = t[2]
-            if d != 1:
-                lcm = lcm * d // gcd(lcm, d)
-        out.append([(a * (lcm // d), b * (lcm // d)) for (a, b, d) in full])
-    return out, width
-
-
-def solve_system(matrix, ncols: int, rhs_list=()):
-    """Nullspace basis and particular solutions of A x = b over Q(i).
-
-    ``matrix`` is a list of rows of GaussRat triples; ``rhs_list`` a list
-    of right-hand-side columns (triples).  Returns (null_basis, parts)
-    where each basis vector is a list of GaussRat and parts[k] is a
-    particular solution or None when the k-th system is inconsistent.
-    """
-    rhs_list = list(rhs_list)
-    if not matrix:
-        null_basis = [
-            [GaussRat(1 if j == k else 0) for j in range(ncols)] for k in range(ncols)
-        ]
-        return null_basis, [[GaussRat(0)] * ncols for _ in rhs_list]
-    rows, width = _rows_to_zi(matrix, rhs_list)
-    pivots = K.zi_echelon(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    rank = len(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-
-    def entry(r, c) -> GaussRat:
-        a, b = rows[r][c]
-        return GaussRat.from_triple(K.gq_norm(a, b, 1))
-
-    null_basis = []
-    for f in free_cols:
-        vec = [GaussRat(0)] * ncols
-        vec[f] = GaussRat(1)
-        for k in range(rank - 1, -1, -1):
-            r, c = pivots[k]
-            acc = GaussRat(0)
-            for j in range(c + 1, ncols):
-                if not vec[j].is_zero():
-                    acc = acc + entry(r, j) * vec[j]
-            vec[c] = -acc / entry(r, c)
-        null_basis.append(vec)
-
-    parts = []
-    for k in range(len(rhs_list)):
-        bcol = ncols + k
-        consistent = True
-        for r in range(rank, len(rows)):
-            if rows[r][bcol] != (0, 0):
-                consistent = False
-                break
-        if not consistent:
-            parts.append(None)
-            continue
-        vec = [GaussRat(0)] * ncols
-        for t in range(rank - 1, -1, -1):
-            r, c = pivots[t]
-            acc = entry(r, bcol)
-            for j in range(c + 1, ncols):
-                if not vec[j].is_zero():
-                    acc = acc - entry(r, j) * vec[j]
-            vec[c] = acc / entry(r, c)
-        parts.append(vec)
-    return null_basis, parts
-
-
-def nullspace(system: LinearSystem):
-    """Exact nullspace basis of the system's matrix (fraction-free)."""
-    basis, _ = solve_system(system.matrix, len(system.columns))
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# section and tangent spaces
+# sections of twisted bundles
 # ---------------------------------------------------------------------------
 
 
@@ -279,6 +182,86 @@ def _assemble(columns_effects, extra_keys=()):
     return row_keys, matrix
 
 
+def _solve_twisted(curve, cand: CandidateSpace, dim: int, frame, rhs=None):
+    """Global sections of a bundle twisted by local transition matrices.
+
+    ``frame[i][k]`` is the tuple of local coordinates of basis element k
+    transported to disk i (the k-th column of the transition M_i(u)).  A
+    candidate sum_{k,t} c_kt f_t e_k is a section when every transported
+    germ is regular at u = 0.  With ``rhs`` (per disk, germs in the
+    frame's coordinates) the transported candidate must instead have the
+    polar part of rhs[i].
+
+    Returns (basis, particular), each solution given as its dim scalar
+    functions; particular is None for the homogeneous system.  Returns
+    None when the inhomogeneous system has no solution.
+    """
+    pulled = [[curve.chart(i).pull(f) for f in cand.functions] for i in range(curve.n_points)]
+    effects = []
+    for k in range(dim):
+        for t in range(cand.size):
+            eff = {}
+            for i, disk in enumerate(frame):
+                f_loc = pulled[i][t]
+                for row, entry in enumerate(disk[k]):
+                    if entry.is_zero():
+                        continue
+                    for e, triple in _negative_coefficients(f_loc * entry):
+                        key = (i, row, e)
+                        eff[key] = K.gq_add(eff.get(key, K.GQ_ZERO), triple)
+            effects.append({key: v for key, v in eff.items() if not K.gq_is_zero(v)})
+    rhs_effect = {}
+    for i, germs in enumerate(rhs or ()):
+        for row, germ in enumerate(germs):
+            for e, triple in _negative_coefficients(germ):
+                rhs_effect[(i, row, e)] = triple
+    row_keys, matrix = _assemble(effects, rhs_effect.keys())
+    rhs_cols = [] if rhs is None else [[rhs_effect.get(key, K.GQ_ZERO) for key in row_keys]]
+    null_basis, parts = solve_system(matrix, len(effects), rhs_cols)
+    if parts and parts[0] is None:
+        return None
+
+    def combine(vec):
+        out = []
+        for k in range(dim):
+            acc = RatFunc.const(0)
+            for t, f in enumerate(cand.functions):
+                c = vec[k * cand.size + t]
+                if not c.is_zero():
+                    acc = acc + f * c
+            out.append(acc)
+        return out
+
+    particular = combine(parts[0]) if parts else None
+    return [combine(v) for v in null_basis], particular
+
+
+def _section_frame(curve, rep, g):
+    """The columns of T_i^-1 rho(g_i)^-1 at every marked point."""
+    frame = []
+    for i in range(curve.n_points):
+        rg_inv = rep.act_group(g[i].inverse())
+        t_inv = curve.transition(i).inverse()
+        frame.append([tuple(t_inv * row[k] for row in rg_inv) for k in range(rep.space.dim)])
+    return frame
+
+
+def _higgs_frame(curve, algebra, g):
+    """T_i^-2 g_i^-1 b_k g_i, flattened row-major, for every basis element b_k."""
+    frame = []
+    for i in range(curve.n_points):
+        t = curve.transition(i)
+        t2_inv = (t * t).inverse()
+        g_inv = g[i].inverse().mat
+        frame.append(
+            [
+                tuple(t2_inv * e for row in mat_mul(mat_mul(g_inv, b), g[i].mat) for e in row)
+                for b in algebra.basis
+            ]
+        )
+    return frame
+
+
 class SectionSpace:
     """Basis of global sections compatible with the bundle's cocycle."""
 
@@ -295,56 +278,6 @@ class SectionSpace:
         return len(self.basis)
 
 
-def _section_system(curve, rep, g, bounds):
-    """The linear system 'derived disk data is regular' for vector candidates."""
-    cand = candidate_functions(curve, bounds)
-    dim = rep.space.dim
-    # twisted inverse-transition matrix per marked point, in the local variable
-    twisted = []
-    for i in range(curve.n_points):
-        rg_inv = rep.act_group(g[i].inverse())
-        t_inv = curve.transition(i).inverse()
-        twisted.append(
-            tuple(tuple(t_inv * e for e in row) for row in rg_inv)
-        )
-    columns = []
-    effects = []
-    for slot in range(dim):
-        for t, f in enumerate(cand.functions):
-            columns.append((slot, t))
-            eff = {}
-            for i in range(curve.n_points):
-                chart = curve.chart(i)
-                f_loc = chart.pull(f)
-                for r in range(dim):
-                    entry = twisted[i][r][slot]
-                    if entry.is_zero():
-                        continue
-                    for e, triple in _negative_coefficients(f_loc * entry):
-                        eff[(i, r, e)] = K.gq_add(eff.get((i, r, e), K.GQ_ZERO), triple)
-            effects.append({k: v for k, v in eff.items() if not K.gq_is_zero(v)})
-    return cand, columns, effects
-
-
-def _combine(cand, columns, coeff_vec, dim) -> XVector:
-    coords = [RatFunc.const(0)] * dim
-    for (slot, t), c in zip(columns, coeff_vec):
-        if not c.is_zero():
-            coords[slot] = coords[slot] + cand.functions[t] * c
-    return XVector(coords)
-
-
-def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> SectionSpace:
-    """Solve the regularity conditions; every basis vector gives a valid point."""
-    bounds = bounds or SolverBounds()
-    cand, columns, effects = _section_system(curve, rep, g, bounds)
-    row_keys, matrix = _assemble(effects)
-    basis_vecs, _ = solve_system(matrix, len(columns))
-    dim = rep.space.dim
-    basis = [_combine(cand, columns, v, dim) for v in basis_vecs]
-    return SectionSpace(curve, rep, g, bounds, cand, basis)
-
-
 class AffineSpace:
     """particular + span(basis): the solution set of an inhomogeneous system."""
 
@@ -355,6 +288,14 @@ class AffineSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+
+def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> SectionSpace:
+    """Solve the regularity conditions; every basis vector gives a valid point."""
+    bounds = bounds or SolverBounds()
+    cand = candidate_functions(curve, bounds)
+    basis, _ = _solve_twisted(curve, cand, rep.space.dim, _section_frame(curve, rep, g))
+    return SectionSpace(curve, rep, g, bounds, cand, [XVector(s) for s in basis])
 
 
 def build_tangent_space(
@@ -369,88 +310,25 @@ def build_tangent_space(
     """
     bounds = bounds or SolverBounds()
     curve, rep = point.curve, point.rep
-    cand, columns, effects = _section_system(curve, rep, point.g, bounds)
-    rhs_effect = {}
-    for i in range(curve.n_points):
-        action = rep.inf_action(g_dot[i], point.s_prime[i])
-        for r, entry in enumerate(action.coords):
-            for e, triple in _negative_coefficients(entry):
-                rhs_effect[(i, r, e)] = triple
-    row_keys, matrix = _assemble(effects, extra_keys=rhs_effect.keys())
-    rhs = [rhs_effect.get(k, K.GQ_ZERO) for k in row_keys]
-    basis_vecs, parts = solve_system(matrix, len(columns), [rhs])
-    dim = rep.space.dim
-    if parts[0] is None:
+    cand = candidate_functions(curve, bounds)
+    # sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i
+    rhs = [rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(curve.n_points)]
+    solved = _solve_twisted(curve, cand, rep.space.dim, _section_frame(curve, rep, point.g), rhs)
+    if solved is None:
         raise Infeasible(
             "no tangent section cancels the poles of the g_dot action "
             f"within bounds {bounds}; enlarge degree/pole_order"
         )
-    particular = _combine(cand, columns, parts[0], dim)
-    basis = [_combine(cand, columns, v, dim) for v in basis_vecs]
-    return AffineSpace(particular, basis)
-
-
-# ---------------------------------------------------------------------------
-# Higgs-side spaces (same machinery on coadjoint candidates)
-# ---------------------------------------------------------------------------
-
-
-def _higgs_system(curve, algebra, g, bounds):
-    cand = candidate_functions(curve, bounds)
-    n = algebra.n
-    conjugated = []
-    for i in range(curve.n_points):
-        t = curve.transition(i)
-        t2_inv = (t * t).inverse()
-        gi = g[i]
-        mats = []
-        for b in algebra.basis:
-            conj = mat_mul(mat_mul(gi.inverse().mat, b), gi.mat)
-            mats.append(tuple(tuple(t2_inv * e for e in row) for row in conj))
-        conjugated.append(mats)
-    columns = []
-    effects = []
-    for k in range(algebra.dim):
-        for t, f in enumerate(cand.functions):
-            columns.append((k, t))
-            eff = {}
-            for i in range(curve.n_points):
-                chart = curve.chart(i)
-                f_loc = chart.pull(f)
-                base = conjugated[i][k]
-                for r in range(n):
-                    for c in range(n):
-                        if base[r][c].is_zero():
-                            continue
-                        for e, triple in _negative_coefficients(f_loc * base[r][c]):
-                            key = (i, r * n + c, e)
-                            eff[key] = K.gq_add(eff.get(key, K.GQ_ZERO), triple)
-            effects.append({k2: v for k2, v in eff.items() if not K.gq_is_zero(v)})
-    return cand, columns, effects
-
-
-def _combine_higgs(algebra, cand, columns, coeff_vec) -> CoadjointElement:
-    n = algebra.n
-    rows = [[RatFunc.const(0)] * n for _ in range(n)]
-    for (k, t), c in zip(columns, coeff_vec):
-        if c.is_zero():
-            continue
-        scalar = cand.functions[t] * c
-        basis = algebra.basis[k]
-        for r in range(n):
-            for cc in range(n):
-                if not basis[r][cc].is_zero():
-                    rows[r][cc] = rows[r][cc] + scalar * basis[r][cc]
-    return CoadjointElement(algebra, tuple(tuple(row) for row in rows))
+    basis, particular = solved
+    return AffineSpace(XVector(particular), [XVector(s) for s in basis])
 
 
 def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None):
     """Basis of global Higgs fields compatible with the bundle's cocycle."""
     bounds = bounds or SolverBounds()
-    cand, columns, effects = _higgs_system(curve, algebra, g, bounds)
-    row_keys, matrix = _assemble(effects)
-    basis_vecs, _ = solve_system(matrix, len(columns))
-    return [_combine_higgs(algebra, cand, columns, v) for v in basis_vecs]
+    cand = candidate_functions(curve, bounds)
+    basis, _ = _solve_twisted(curve, cand, algebra.dim, _higgs_frame(curve, algebra, g))
+    return [CoadjointElement(algebra, algebra.combination(s)) for s in basis]
 
 
 def build_higgs_tangent_space(
@@ -459,30 +337,24 @@ def build_higgs_tangent_space(
     """Solutions phidot for which the Higgs tangent disk data stays regular."""
     bounds = bounds or SolverBounds()
     curve, algebra = point.curve, point.algebra
-    cand, columns, effects = _higgs_system(curve, algebra, point.g, bounds)
-    n = algebra.n
-    rhs_effect = {}
+    cand = candidate_functions(curve, bounds)
+    # phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i]
+    rhs = []
     for i in range(curve.n_points):
-        comm = mat_mul(point.phi_prime[i].mat, g_dot[i].mat)
-        comm2 = mat_mul(g_dot[i].mat, point.phi_prime[i].mat)
-        for r in range(n):
-            for c in range(n):
-                entry = comm[r][c] - comm2[r][c]
-                for e, triple in _negative_coefficients(entry):
-                    # phidot' = transition(phidot) + [phi', gdot]: the
-                    # transition part must cancel the bracket's poles
-                    rhs_effect[(i, r * n + c, e)] = K.gq_neg(triple)
-    row_keys, matrix = _assemble(effects, extra_keys=rhs_effect.keys())
-    rhs = [rhs_effect.get(k, K.GQ_ZERO) for k in row_keys]
-    basis_vecs, parts = solve_system(matrix, len(columns), [rhs])
-    if parts[0] is None:
+        gdot, phi = g_dot[i].mat, point.phi_prime[i].mat
+        bracket = mat_sub(mat_mul(gdot, phi), mat_mul(phi, gdot))
+        rhs.append(tuple(e for row in bracket for e in row))
+    solved = _solve_twisted(curve, cand, algebra.dim, _higgs_frame(curve, algebra, point.g), rhs)
+    if solved is None:
         raise Infeasible(
             "no global Higgs deformation cancels the bracket poles within "
             f"bounds {bounds}"
         )
-    particular = _combine_higgs(algebra, cand, columns, parts[0])
-    basis = [_combine_higgs(algebra, cand, columns, v) for v in basis_vecs]
-    return AffineSpace(particular, basis)
+    basis, particular = solved
+    return AffineSpace(
+        CoadjointElement(algebra, algebra.combination(particular)),
+        [CoadjointElement(algebra, algebra.combination(s)) for s in basis],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ reject the tuple or the pairing to become nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import Infeasible
 from .field import GQ_ZERO, GaussRat, RatFunc
@@ -38,7 +38,6 @@ from .moduli import (
 )
 from .scenario import Scenario
 from .solver import (
-    GdotRecipe,
     SeedStream,
     build_higgs_field_space,
     build_higgs_tangent_space,
@@ -70,31 +69,26 @@ def _random_bundle(scenario: Scenario, rng: SeedStream):
     ]
 
 
-def _sample_tangent(scenario: Scenario, point: YPoint, rng: SeedStream):
-    """Random tangent: resample g_dot on infeasibility, last resort regular."""
-    suite = scenario.suite
+def _sample_tangent(scenario: Scenario, point, rng: SeedStream, build):
+    """Random g_dot with a feasible tangent space, resampled on Infeasible.
+
+    ``build`` is the tangent-space builder for ``point``.  The last
+    attempt draws a regular g_dot, which is always feasible.  Returns
+    (g_dot, space, the attempt's stream, attempt index).
+    """
+    g_dot_recipe = scenario.suite.g_dot
     for attempt in range(_TANGENT_ATTEMPTS):
         sub = rng.child("attempt", attempt)
-        if attempt < _TANGENT_ATTEMPTS - 1:
-            recipe = suite.g_dot
-        else:
-            recipe = GdotRecipe(
-                terms=suite.g_dot.terms,
-                pole_order=0,
-                degree=suite.g_dot.degree,
-                max_num=suite.g_dot.max_num,
-                max_den=suite.g_dot.max_den,
-            )
+        if attempt == _TANGENT_ATTEMPTS - 1:
+            g_dot_recipe = replace(g_dot_recipe, pole_order=0)
         g_dot = [
-            random_loop_algebra(scenario.rep.algebra, recipe, sub.child("g", i))
+            random_loop_algebra(scenario.rep.algebra, g_dot_recipe, sub.child("g", i))
             for i in range(scenario.curve.n_points)
         ]
         try:
-            space = build_tangent_space(point, g_dot, scenario.bounds)
+            return g_dot, build(point, g_dot, scenario.bounds), sub, attempt
         except Infeasible:
             continue
-        s_dot = sample_affine(space, sub.child("s"), suite.sample_num, suite.sample_den)
-        return make_y_tangent(point, g_dot, s_dot), attempt
     raise AssertionError("unreachable: a regular g_dot is always feasible")
 
 
@@ -121,9 +115,12 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
     tangents = []
     retries = 0
     for j in (1, 2):
-        t, used = _sample_tangent(scenario, point, rng.child("tangent", j))
+        g_dot, tangent_space, sub, used = _sample_tangent(
+            scenario, point, rng.child("tangent", j), build_tangent_space
+        )
+        s_dot = sample_affine(tangent_space, sub.child("s"), suite.sample_num, suite.sample_den)
+        tangents.append(make_y_tangent(point, g_dot, s_dot))
         retries += used
-        tangents.append(t)
     return Instance(point, tangents, space.dim, attempts, retries)
 
 
@@ -154,39 +151,20 @@ def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
 
 
 def scenario_tangents(scenario: Scenario, point: YPoint, rng: SeedStream) -> list:
+    """The tangents described by the scenario's y_tangents blocks."""
+    suite = scenario.suite
     out = []
     for k, spec in enumerate(scenario.y_tangent_specs):
         sub = rng.child("y_tangent", k, spec.get("seed", k))
-        if "g_dot_elements" in spec:
-            g_dot = spec["g_dot_elements"]
-        else:
-            g_dot = None
+        g_dot = spec.get("g_dot_elements")
         if g_dot is None:
-            tangent = None
-            for attempt in range(_TANGENT_ATTEMPTS):
-                asub = sub.child("attempt", attempt)
-                recipe = scenario.suite.g_dot if attempt < _TANGENT_ATTEMPTS - 1 else GdotRecipe(pole_order=0)
-                g_try = [
-                    random_loop_algebra(scenario.rep.algebra, recipe, asub.child("g", i))
-                    for i in range(scenario.curve.n_points)
-                ]
-                try:
-                    space = build_tangent_space(point, g_try, scenario.bounds)
-                except Infeasible:
-                    continue
-                if "s_circ_dot_vector" in spec:
-                    s_dot = spec["s_circ_dot_vector"]
-                else:
-                    s_dot = sample_affine(space, asub.child("s"))
-                tangent = make_y_tangent(point, g_try, s_dot)
-                break
-            out.append(tangent)
-            continue
+            g_dot, space, sub, _ = _sample_tangent(scenario, point, sub, build_tangent_space)
+        elif "s_circ_dot_vector" not in spec:
+            space = build_tangent_space(point, g_dot, scenario.bounds)
         if "s_circ_dot_vector" in spec:
             s_dot = spec["s_circ_dot_vector"]
         else:
-            space = build_tangent_space(point, g_dot, scenario.bounds)
-            s_dot = sample_affine(space, sub.child("s"))
+            s_dot = sample_affine(space, sub.child("s"), suite.sample_num, suite.sample_den)
         out.append(make_y_tangent(point, g_dot, s_dot))
     return out
 
@@ -222,11 +200,12 @@ def scenario_higgs(scenario: Scenario):
 
 def random_higgs_pair(scenario: Scenario, rng: SeedStream):
     """A random Higgs point with two random tangents over the scenario bundle."""
+    suite = scenario.suite
     algebra = scenario.rep.algebra
     bundle = scenario.bundle
     fields = build_higgs_field_space(scenario.curve, algebra, bundle, scenario.bounds)
     if fields:
-        phi = sample_vector(fields, rng.child("phi"))
+        phi = sample_vector(fields, rng.child("phi"), suite.sample_num, suite.sample_den)
     else:
         phi = algebra.coadjoint(
             [[RatFunc.const(0)] * algebra.n for _ in range(algebra.n)]
@@ -234,23 +213,11 @@ def random_higgs_pair(scenario: Scenario, rng: SeedStream):
     point = make_higgs_point(scenario.curve, algebra, bundle, phi)
     tangents = []
     for j in (1, 2):
-        sub = rng.child("tangent", j)
-        for attempt in range(_TANGENT_ATTEMPTS):
-            asub = sub.child("attempt", attempt)
-            recipe = scenario.suite.g_dot if attempt < _TANGENT_ATTEMPTS - 1 else GdotRecipe(pole_order=0)
-            g_dot = [
-                random_loop_algebra(algebra, recipe, asub.child("g", i))
-                for i in range(scenario.curve.n_points)
-            ]
-            try:
-                space = build_higgs_tangent_space(point, g_dot, scenario.bounds)
-            except Infeasible:
-                continue
-            phi_dot = sample_affine(space, asub.child("phi"))
-            tangents.append(make_higgs_tangent(point, g_dot, phi_dot))
-            break
-        else:
-            raise AssertionError("unreachable: a regular g_dot is always feasible")
+        g_dot, space, sub, _ = _sample_tangent(
+            scenario, point, rng.child("tangent", j), build_higgs_tangent_space
+        )
+        phi_dot = sample_affine(space, sub.child("phi"), suite.sample_num, suite.sample_den)
+        tangents.append(make_higgs_tangent(point, g_dot, phi_dot))
     return point, tangents
 
 

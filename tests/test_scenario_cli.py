@@ -5,7 +5,7 @@ import json
 import pytest
 
 from higgsres import ParseError, ValidationError, parse_scenario
-from higgsres.cli import main
+from higgsres.cli import main, run
 from higgsres.scenario import load_scenario
 
 
@@ -253,3 +253,77 @@ def test_cli_reports_are_deterministic(fixtures_dir, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_attempts", 0),
+        ("cocycle.max_num", -1),
+        ("cocycle.max_exponent", -1),
+        ("cocycle.torus_amplitude", -1),
+        ("cocycle.max_den", 0),
+        ("g_dot.max_num", -1),
+        ("g_dot.degree", -1),
+        ("g_dot.max_den", 0),
+        ("sample_num", -1),
+        ("sample_den", 0),
+    ],
+)
+def test_out_of_range_suite_recipe_is_validation_error(tmp_path, fixtures_dir, capsys, field, value):
+    doc = json.loads((fixtures_dir / "f1.json").read_text())
+    block = doc["suite"]
+    *parents, key = field.split(".")
+    for name in parents:
+        block = block[name]
+    block[key] = value
+    path = tmp_path / "bad_suite.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(["random-suite", str(path), "--trials", "1"])
+    assert (code, report) == (3, None)
+    assert f"suite.{field}" in capsys.readouterr().err
+
+# Instances sampled at seed 1, recorded as section_dim/bundle_attempts/
+# tangent_retries per trial.  A refactor of the solver or the suites must
+# keep sampling exactly these instances.
+PINNED_SUITE_RECORDS = {
+    "f1.json": "2/2/1 1/3/5 1/3/0 1/5/0 1/2/1",
+    "f3.json": "4/1/4 4/1/0 4/3/1 2/1/0 4/1/4",
+}
+
+PINNED_CARTAN_TERMS = [
+    ("0", "0", "0", "0"),
+    ("0", "2-6*i", "-2+6*i", "0"),
+    ("16", "0", "16", "0"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUITE_RECORDS))
+def test_random_suite_instances_are_pinned(fixtures_dir, name):
+    from higgsres.suites import run_random_suite
+
+    records = run_random_suite(load_scenario(str(fixtures_dir / name)), 1, 5)
+    got = " ".join(
+        f"{r.section_dim}/{r.bundle_attempts}/{r.tangent_retries}" for r in records
+    )
+    assert got == PINNED_SUITE_RECORDS[name]
+    assert all(r.ok for r in records)
+
+
+def test_higgs_pair_instances_are_pinned(fixtures_dir):
+    from higgsres import cartan_check, format_gauss
+    from higgsres.solver import SeedStream
+    from higgsres.suites import random_higgs_pair
+
+    scenario = load_scenario(str(fixtures_dir / "f2.json"))
+    root = SeedStream("cartan-suite", 1)
+    got = []
+    for t in range(3):
+        point, (t1, t2) = random_higgs_pair(scenario, root.child("trial", t))
+        res = cartan_check(point, t1, t2)
+        assert res.ok
+        got.append(
+            tuple(format_gauss(x) for x in (res.term1, res.term2, res.term3, res.omega_value))
+        )
+    assert got == PINNED_CARTAN_TERMS

@@ -15,11 +15,11 @@ from higgsres import (
     make_y_point,
     make_y_tangent,
 )
+from higgsres.linalg import LinearSystem, nullspace, solve_system
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
     CocycleRecipe,
     GdotRecipe,
-    LinearSystem,
     SeedStream,
     SolverBounds,
     build_higgs_field_space,
@@ -27,12 +27,10 @@ from higgsres.solver import (
     build_section_space,
     build_tangent_space,
     candidate_functions,
-    nullspace,
     random_cocycle,
     random_loop_algebra,
     sample_affine,
     sample_vector,
-    solve_system,
 )
 
 U = RatFunc.x()
