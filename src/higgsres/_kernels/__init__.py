@@ -1,9 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension ``_fast`` is preferred when it importable; the
+The compiled extension ``_fast`` is preferred when it is importable; the
 pure-Python module ``pure`` is the fallback and the reference.  Set the
 environment variable ``HIGGSRES_PURE=1`` to force the fallback (used by
-the benchmark and by the backend-agreement tests).
+``benchmarks/bench_kernels.py`` and by the backend-agreement tests in
+``tests/test_kernels.py``).
 """
 
 import os

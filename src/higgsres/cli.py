@@ -266,6 +266,16 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="higgsres",
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument(
-            "--trials", type=int, default=20, help="number of randomized trials"
+            "--trials", type=_positive_int, default=20, help="number of randomized trials (>= 1)"
         )
         p.add_argument(
             "--format", choices=("text", "json"), default="text", dest="fmt"

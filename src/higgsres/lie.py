@@ -39,6 +39,7 @@ from .matrices import (
     commutator,
     det,
     identity,
+    mat_add,
     mat_eq,
     mat_from,
     mat_is_zero,
@@ -255,129 +256,83 @@ class LoopGroupElement:
         return f"LoopGroupElement(n={self.n})"
 
 
-class LoopAlgebraElement:
+class _SpanElement:
+    """A matrix in the RatFunc-span of an algebra's basis, with its coefficients.
+
+    Arithmetic returns the left operand's class; equality holds only
+    between elements of the same class.
+    """
+
+    __slots__ = ("algebra", "mat", "coeffs")
+    _outside = "matrix outside the span of {}"
+    _label_suffix = ""
+
+    def __init__(self, algebra: MatrixLieAlgebra, mat):
+        self.algebra = algebra
+        self.mat = mat_from(mat)
+        coeffs = algebra.expand_in_basis(self.mat)
+        if coeffs is None:
+            raise NotInAlgebra(self._outside.format(algebra.name))
+        self.coeffs = coeffs
+
+    def _new(self, mat, coeffs):
+        out = type(self).__new__(type(self))
+        out.algebra = self.algebra
+        out.mat = mat
+        out.coeffs = coeffs
+        return out
+
+    def is_zero(self) -> bool:
+        return mat_is_zero(self.mat)
+
+    def __add__(self, other):
+        _same_algebra(self, other)
+        return self._new(
+            mat_add(self.mat, other.mat), [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __sub__(self, other):
+        _same_algebra(self, other)
+        return self._new(
+            mat_sub(self.mat, other.mat), [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __mul__(self, scalar):
+        mat = mat_scale(scalar, self.mat)
+        s = scalar if isinstance(scalar, RatFunc) else RatFunc.const(scalar)
+        return self._new(mat, [s * c for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.algebra is other.algebra and mat_eq(self.mat, other.mat)
+
+    def __repr__(self):
+        terms = [
+            f"({c.to_text('u')})*{lab}{self._label_suffix}"
+            for c, lab in zip(self.coeffs, self.algebra.labels)
+            if not c.is_zero()
+        ]
+        return f"{type(self).__name__}({' + '.join(terms) if terms else '0'})"
+
+
+class LoopAlgebraElement(_SpanElement):
     """An algebra-valued loop: a matrix in the RatFunc-span of the basis."""
 
-    __slots__ = ("algebra", "mat", "coeffs")
-
-    def __init__(self, algebra: MatrixLieAlgebra, mat):
-        self.algebra = algebra
-        self.mat = mat_from(mat)
-        coeffs = algebra.expand_in_basis(self.mat)
-        if coeffs is None:
-            raise NotInAlgebra(f"matrix outside the span of {algebra.name}")
-        self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.mat)
-
-    def __add__(self, other: "LoopAlgebraElement"):
-        _same_algebra(self, other)
-        out = LoopAlgebraElement.__new__(LoopAlgebraElement)
-        out.algebra = self.algebra
-        out.mat = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.mat, other.mat)
-        )
-        out.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __sub__(self, other: "LoopAlgebraElement"):
-        _same_algebra(self, other)
-        out = LoopAlgebraElement.__new__(LoopAlgebraElement)
-        out.algebra = self.algebra
-        out.mat = mat_sub(self.mat, other.mat)
-        out.coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __mul__(self, scalar):
-        out = LoopAlgebraElement.__new__(LoopAlgebraElement)
-        out.algebra = self.algebra
-        out.mat = mat_scale(scalar, self.mat)
-        s = scalar if isinstance(scalar, RatFunc) else RatFunc.const(scalar)
-        out.coeffs = [s * c for c in self.coeffs]
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopAlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and mat_eq(self.mat, other.mat)
-
-    def __repr__(self):
-        terms = [
-            f"({c.to_text('u')})*{lab}"
-            for c, lab in zip(self.coeffs, self.algebra.labels)
-            if not c.is_zero()
-        ]
-        return f"LoopAlgebraElement({' + '.join(terms) if terms else '0'})"
+    __slots__ = ()
 
 
-class CoadjointElement:
+class CoadjointElement(_SpanElement):
     """A dual-space value phi, stored as the matrix M with <phi, x> = tr(M x)."""
 
-    __slots__ = ("algebra", "mat", "coeffs")
-
-    def __init__(self, algebra: MatrixLieAlgebra, mat):
-        self.algebra = algebra
-        self.mat = mat_from(mat)
-        coeffs = algebra.expand_in_basis(self.mat)
-        if coeffs is None:
-            raise NotInAlgebra(
-                f"coadjoint matrix outside the span of {algebra.name} "
-                "(trace-form identification)"
-            )
-        self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return mat_is_zero(self.mat)
-
-    def __add__(self, other: "CoadjointElement"):
-        _same_algebra(self, other)
-        out = CoadjointElement.__new__(CoadjointElement)
-        out.algebra = self.algebra
-        out.mat = tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(self.mat, other.mat)
-        )
-        out.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __sub__(self, other: "CoadjointElement"):
-        _same_algebra(self, other)
-        out = CoadjointElement.__new__(CoadjointElement)
-        out.algebra = self.algebra
-        out.mat = mat_sub(self.mat, other.mat)
-        out.coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return out
-
-    def __mul__(self, scalar):
-        out = CoadjointElement.__new__(CoadjointElement)
-        out.algebra = self.algebra
-        out.mat = mat_scale(scalar, self.mat)
-        s = scalar if isinstance(scalar, RatFunc) else RatFunc.const(scalar)
-        out.coeffs = [s * c for c in self.coeffs]
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
-    def __eq__(self, other):
-        if not isinstance(other, CoadjointElement):
-            return NotImplemented
-        return self.algebra is other.algebra and mat_eq(self.mat, other.mat)
-
-    def __repr__(self):
-        terms = [
-            f"({c.to_text('u')})*{lab}^"
-            for c, lab in zip(self.coeffs, self.algebra.labels)
-            if not c.is_zero()
-        ]
-        return f"CoadjointElement({' + '.join(terms) if terms else '0'})"
+    __slots__ = ()
+    _outside = "coadjoint matrix outside the span of {} (trace-form identification)"
+    _label_suffix = "^"
 
 
 def _same_algebra(a, b):

@@ -59,46 +59,44 @@ def solve_system(matrix, ncols: int, rhs_list=()):
         return null_basis, [[GaussRat(0)] * ncols for _ in rhs_list]
     rows = _rows_to_zi(matrix, rhs_list)
     pivots = K.zi_echelon(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    rank = len(pivots)
+    pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
 
-    def entry(r, c) -> GaussRat:
-        a, b = rows[r][c]
-        return GaussRat.from_triple(K.gq_norm(a, b, 1))
+    def value(pair) -> GaussRat:
+        return GaussRat.from_triple(K.gq_norm(pair[0], pair[1], 1))
+
+    # each pivot row once, last pivot first: (row, pivot column, pivot
+    # value, the nonzero (column, value) entries right of the pivot)
+    reduced = []
+    for r, c in reversed(pivots):
+        row = rows[r]
+        tail = [(j, value(row[j])) for j in range(c + 1, ncols) if row[j] != (0, 0)]
+        reduced.append((r, c, value(row[c]), tail))
 
     null_basis = []
     for f in free_cols:
         vec = [GaussRat(0)] * ncols
         vec[f] = GaussRat(1)
-        for k in range(rank - 1, -1, -1):
-            r, c = pivots[k]
+        for _, c, pivot, tail in reduced:
             acc = GaussRat(0)
-            for j in range(c + 1, ncols):
+            for j, a in tail:
                 if not vec[j].is_zero():
-                    acc = acc + entry(r, j) * vec[j]
-            vec[c] = -acc / entry(r, c)
+                    acc = acc + a * vec[j]
+            vec[c] = -acc / pivot
         null_basis.append(vec)
 
     parts = []
-    for k in range(len(rhs_list)):
-        bcol = ncols + k
-        consistent = True
-        for r in range(rank, len(rows)):
-            if rows[r][bcol] != (0, 0):
-                consistent = False
-                break
-        if not consistent:
+    for bcol in range(ncols, ncols + len(rhs_list)):
+        if any(rows[r][bcol] != (0, 0) for r in range(len(pivots), len(rows))):
             parts.append(None)
             continue
         vec = [GaussRat(0)] * ncols
-        for t in range(rank - 1, -1, -1):
-            r, c = pivots[t]
-            acc = entry(r, bcol)
-            for j in range(c + 1, ncols):
+        for r, c, pivot, tail in reduced:
+            acc = value(rows[r][bcol])
+            for j, a in tail:
                 if not vec[j].is_zero():
-                    acc = acc - entry(r, j) * vec[j]
-            vec[c] = acc / entry(r, c)
+                    acc = acc - a * vec[j]
+            vec[c] = acc / pivot
         parts.append(vec)
     return null_basis, parts
 

@@ -61,9 +61,7 @@ from .lie import (
     bracket,
     pairing,
 )
-from .matrices import Matrix, mat_mul, mat_vec
-
-_ZERO_RF = RatFunc.const(0)
+from .matrices import Matrix, commutator, mat_mul, mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -152,90 +150,62 @@ class HiggsTangent:
 
 
 # ---------------------------------------------------------------------------
-# chart plumbing
+# disk transitions (the solver's frames are built from these too)
 # ---------------------------------------------------------------------------
 
 
-def pull_vector(curve: MarkedCurve, i: int, x: XVector) -> XVector:
-    chart = curve.chart(i)
-    return XVector([chart.pull(c) for c in x.coords])
+def section_transition(curve: MarkedCurve, rep: HamiltonianRep, g, i: int):
+    """(T_i^-1, rho(g_i)^-1): the factors of s'_i = T_i^-1 rho(g_i)^-1 s."""
+    return curve.transition(i).inverse(), rep.act_group(g[i].inverse())
 
 
-def pull_matrix(curve: MarkedCurve, i: int, m: Matrix) -> Matrix:
-    chart = curve.chart(i)
-    return tuple(tuple(chart.pull(e) for e in row) for row in m)
-
-
-def _vector_pole_order(x: XVector) -> int:
-    """Largest pole order among coordinates at u = 0 (0 when regular)."""
-    worst = 0
-    for c in x.coords:
-        v = c.valuation()
-        if v is not None and v < 0:
-            worst = max(worst, -v)
-    return worst
-
-
-def _matrix_pole_order(m: Matrix) -> int:
-    worst = 0
-    for row in m:
-        for e in row:
-            v = e.valuation()
-            if v is not None and v < 0:
-                worst = max(worst, -v)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# derivations of disk data
-# ---------------------------------------------------------------------------
+def higgs_transport(curve: MarkedCurve, g, i: int):
+    """The map M -> T_i^-2 g_i^-1 M g_i on matrices in the chart at point i."""
+    t = curve.transition(i)
+    t2_inv = (t * t).inverse()
+    g_inv, g_mat = g[i].inverse().mat, g[i].mat
+    return lambda m: tuple(
+        tuple(t2_inv * e for e in row) for row in mat_mul(mat_mul(g_inv, m), g_mat)
+    )
 
 
 def derive_s_prime(curve, rep, g, s_circ) -> list[XVector]:
     """s'_i = T_i^-1 rho(g_i)^-1 s at every marked point (no regularity check)."""
     out = []
     for i in range(curve.n_points):
-        s_loc = pull_vector(curve, i, s_circ)
-        rg_inv = rep.act_group(g[i].inverse())
-        t_inv = curve.transition(i).inverse()
-        out.append(XVector([t_inv * c for c in mat_vec(rg_inv, s_loc.coords)]))
+        chart = curve.chart(i)
+        s_loc = [chart.pull(c) for c in s_circ.coords]
+        t_inv, rg_inv = section_transition(curve, rep, g, i)
+        out.append(XVector([t_inv * c for c in mat_vec(rg_inv, s_loc)]))
     return out
 
 
 def derive_s_prime_dot(base: YPoint, g_dot, s_circ_dot) -> list[XVector]:
     """sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i."""
-    curve, rep = base.curve, base.rep
-    linear = derive_s_prime(curve, rep, base.g, s_circ_dot)
-    out = []
-    for i in range(curve.n_points):
-        action = rep.inf_action(g_dot[i], base.s_prime[i])
-        out.append(linear[i] - action)
-    return out
+    linear = derive_s_prime(base.curve, base.rep, base.g, s_circ_dot)
+    return [
+        linear[i] - base.rep.inf_action(g_dot[i], base.s_prime[i])
+        for i in range(base.curve.n_points)
+    ]
 
 
 def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
     """phi'_i = T_i^-2 g_i^-1 phi g_i at every marked point."""
     out = []
     for i in range(curve.n_points):
-        m_loc = pull_matrix(curve, i, phi_circ.mat)
-        gi = g[i]
-        conj = mat_mul(mat_mul(gi.inverse().mat, m_loc), gi.mat)
-        t = curve.transition(i)
-        t2_inv = (t * t).inverse()
-        out.append(CoadjointElement(algebra, tuple(tuple(t2_inv * e for e in row) for row in conj)))
+        chart = curve.chart(i)
+        m_loc = tuple(tuple(chart.pull(e) for e in row) for row in phi_circ.mat)
+        out.append(CoadjointElement(algebra, higgs_transport(curve, g, i)(m_loc)))
     return out
 
 
 def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[CoadjointElement]:
     """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i]."""
     linear = derive_phi_prime(base.curve, base.algebra, base.g, phi_circ_dot)
-    out = []
-    for i in range(base.curve.n_points):
-        comm = mat_mul(base.phi_prime[i].mat, g_dot[i].mat)
-        comm2 = mat_mul(g_dot[i].mat, base.phi_prime[i].mat)
-        br = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(comm, comm2))
-        out.append(linear[i] + CoadjointElement(base.algebra, br))
-    return out
+    return [
+        linear[i] + CoadjointElement(base.algebra, commutator(base.phi_prime[i].mat, g_dot[i].mat))
+        for i in range(base.curve.n_points)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +213,45 @@ def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[Coadjoin
 # ---------------------------------------------------------------------------
 
 
-def _check_inputs(curve, n_slots, g, kind) -> None:
+def _entries(m: Matrix) -> list[RatFunc]:
+    return [e for row in m for e in row]
+
+
+def _pole_order(entries) -> int:
+    """Largest pole order among the entries at u = 0 (0 when all are regular)."""
+    worst = 0
+    for e in entries:
+        v = e.valuation()
+        if v is not None and v < 0:
+            worst = max(worst, -v)
+    return worst
+
+
+def _off_point_pole(curve: MarkedCurve, entries) -> bool:
+    return not all(curve.is_regular_on_complement(e) for e in entries)
+
+
+def _check_global(curve, g, kind, entries, what, mismatch=None) -> None:
+    """The checks on global data, in order: one ``kind`` per marked point,
+    the caller's size ``mismatch`` message (None when sizes agree), and
+    ``what`` (given by its entries) regular away from the marked points."""
     if len(g) != curve.n_points:
         raise ShapeError(
             f"expected one {kind} per marked point "
             f"({curve.n_points}), got {len(g)}"
         )
+    if mismatch:
+        raise ShapeError(mismatch)
+    if _off_point_pole(curve, entries):
+        raise RegularityViolation(f"{what} has a pole away from the marked points")
+
+
+def _check_disks(disk_entries, what) -> None:
+    """Every disk value (given by its entries) is regular at u = 0."""
+    for i, entries in enumerate(disk_entries):
+        order = _pole_order(entries)
+        if order:
+            raise IrregularSection(i, order, what=what)
 
 
 def make_y_point(curve, rep, g, s_circ) -> YPoint:
@@ -256,51 +259,35 @@ def make_y_point(curve, rep, g, s_circ) -> YPoint:
 
     Assumes the curve and representation have already been validated.
     """
-    _check_inputs(curve, curve.n_points, g, "transition matrix")
-    if len(s_circ) != rep.space.dim:
-        raise ShapeError("section length does not match the space dimension")
-    for c in s_circ.coords:
-        if not curve.is_regular_on_complement(c):
-            raise RegularityViolation(
-                "s has a pole away from the marked points"
-            )
-    s_prime = []
-    for i, si in enumerate(derive_s_prime(curve, rep, g, s_circ)):
-        order = _vector_pole_order(si)
-        if order:
-            raise IrregularSection(i, order, what="s'")
-        s_prime.append(si)
+    mismatch = (
+        "section length does not match the space dimension"
+        if len(s_circ) != rep.space.dim
+        else None
+    )
+    _check_global(curve, g, "transition matrix", s_circ.coords, "s", mismatch)
+    s_prime = derive_s_prime(curve, rep, g, s_circ)
+    _check_disks([s.coords for s in s_prime], "s'")
     return YPoint(curve, rep, g, s_circ, s_prime)
 
 
 def make_y_tangent(base: YPoint, g_dot, s_circ_dot) -> YTangent:
     """Derive sdot'_i, verify regularity, and return the validated tangent."""
-    _check_inputs(base.curve, base.curve.n_points, g_dot, "algebra element")
-    if len(s_circ_dot) != base.rep.space.dim:
-        raise ShapeError("tangent section length does not match the space dimension")
-    for c in s_circ_dot.coords:
-        if not base.curve.is_regular_on_complement(c):
-            raise RegularityViolation(
-                "sdot has a pole away from the marked points"
-            )
-    s_prime_dot = []
-    for i, si in enumerate(derive_s_prime_dot(base, g_dot, s_circ_dot)):
-        order = _vector_pole_order(si)
-        if order:
-            raise IrregularSection(i, order, what="sdot'")
-        s_prime_dot.append(si)
+    mismatch = (
+        "tangent section length does not match the space dimension"
+        if len(s_circ_dot) != base.rep.space.dim
+        else None
+    )
+    _check_global(base.curve, g_dot, "algebra element", s_circ_dot.coords, "sdot", mismatch)
+    s_prime_dot = derive_s_prime_dot(base, g_dot, s_circ_dot)
+    _check_disks([s.coords for s in s_prime_dot], "sdot'")
     return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
 
 
 def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
     """All invariant violations of a (possibly corrupted) YTangent."""
     errors: list[HiggsresError] = []
-    for c in t.s_circ_dot.coords:
-        if not t.base.curve.is_regular_on_complement(c):
-            errors.append(
-                RegularityViolation("sdot has a pole away from the marked points")
-            )
-            break
+    if _off_point_pole(t.base.curve, t.s_circ_dot.coords):
+        errors.append(RegularityViolation("sdot has a pole away from the marked points"))
     expected = derive_s_prime_dot(t.base, t.g_dot, t.s_circ_dot)
     for i, want in enumerate(expected):
         if any(a != b for a, b in zip(t.s_prime_dot[i].coords, want.coords)):
@@ -309,7 +296,7 @@ def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
                     f"sdot'_{i} does not satisfy the deformation equation"
                 )
             )
-        order = _vector_pole_order(t.s_prime_dot[i])
+        order = _pole_order(t.s_prime_dot[i].coords)
         if order:
             errors.append(IrregularSection(i, order, what="sdot'"))
     return errors
@@ -322,19 +309,9 @@ def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
 
 def make_higgs_point(curve, algebra, g, phi_circ) -> HiggsPoint:
     """Derive phi'_i, verify regularity, and return the validated point."""
-    _check_inputs(curve, curve.n_points, g, "transition matrix")
-    for row in phi_circ.mat:
-        for e in row:
-            if not curve.is_regular_on_complement(e):
-                raise RegularityViolation(
-                    "phi has a pole away from the marked points"
-                )
-    phi_prime = []
-    for i, pi in enumerate(derive_phi_prime(curve, algebra, g, phi_circ)):
-        order = _matrix_pole_order(pi.mat)
-        if order:
-            raise IrregularSection(i, order, what="phi'")
-        phi_prime.append(pi)
+    _check_global(curve, g, "transition matrix", _entries(phi_circ.mat), "phi")
+    phi_prime = derive_phi_prime(curve, algebra, g, phi_circ)
+    _check_disks([_entries(p.mat) for p in phi_prime], "phi'")
     return HiggsPoint(curve, algebra, g, phi_circ, phi_prime)
 
 
@@ -351,37 +328,22 @@ def ambient_higgs_tangent(
     obstructs the lift), yet the tautological pairing of that data is
     perfectly well defined on the ambient space and equals -1/2.
     """
-    _check_inputs(base.curve, base.curve.n_points, g_dot, "algebra element")
-    if len(phi_prime_dot) != base.curve.n_points:
-        raise ShapeError("one disk value per marked point is required")
-    for row in phi_circ_dot.mat:
-        for e in row:
-            if not base.curve.is_regular_on_complement(e):
-                raise RegularityViolation(
-                    "phidot has a pole away from the marked points"
-                )
-    for i, pi in enumerate(phi_prime_dot):
-        order = _matrix_pole_order(pi.mat)
-        if order:
-            raise IrregularSection(i, order, what="phidot'")
+    curve = base.curve
+    mismatch = (
+        "one disk value per marked point is required"
+        if len(phi_prime_dot) != curve.n_points
+        else None
+    )
+    _check_global(curve, g_dot, "algebra element", _entries(phi_circ_dot.mat), "phidot", mismatch)
+    _check_disks([_entries(p.mat) for p in phi_prime_dot], "phidot'")
     return HiggsTangent(base, list(g_dot), phi_circ_dot, list(phi_prime_dot))
 
 
 def make_higgs_tangent(base: HiggsPoint, g_dot, phi_circ_dot) -> HiggsTangent:
     """Derive phidot'_i, verify regularity, and return the validated tangent."""
-    _check_inputs(base.curve, base.curve.n_points, g_dot, "algebra element")
-    for row in phi_circ_dot.mat:
-        for e in row:
-            if not base.curve.is_regular_on_complement(e):
-                raise RegularityViolation(
-                    "phidot has a pole away from the marked points"
-                )
-    phi_prime_dot = []
-    for i, pi in enumerate(derive_phi_prime_dot(base, g_dot, phi_circ_dot)):
-        order = _matrix_pole_order(pi.mat)
-        if order:
-            raise IrregularSection(i, order, what="phidot'")
-        phi_prime_dot.append(pi)
+    _check_global(base.curve, g_dot, "algebra element", _entries(phi_circ_dot.mat), "phidot")
+    phi_prime_dot = derive_phi_prime_dot(base, g_dot, phi_circ_dot)
+    _check_disks([_entries(p.mat) for p in phi_prime_dot], "phidot'")
     return HiggsTangent(base, g_dot, phi_circ_dot, phi_prime_dot)
 
 

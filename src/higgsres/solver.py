@@ -42,8 +42,8 @@ from .lie import (
     torus,
 )
 from .linalg import solve_system
-from .matrices import mat_mul, mat_sub
-from .moduli import HiggsPoint, YPoint
+from .matrices import commutator
+from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
 
 # ---------------------------------------------------------------------------
 # deterministic splittable randomness
@@ -240,8 +240,7 @@ def _section_frame(curve, rep, g):
     """The columns of T_i^-1 rho(g_i)^-1 at every marked point."""
     frame = []
     for i in range(curve.n_points):
-        rg_inv = rep.act_group(g[i].inverse())
-        t_inv = curve.transition(i).inverse()
+        t_inv, rg_inv = section_transition(curve, rep, g, i)
         frame.append([tuple(t_inv * row[k] for row in rg_inv) for k in range(rep.space.dim)])
     return frame
 
@@ -250,15 +249,8 @@ def _higgs_frame(curve, algebra, g):
     """T_i^-2 g_i^-1 b_k g_i, flattened row-major, for every basis element b_k."""
     frame = []
     for i in range(curve.n_points):
-        t = curve.transition(i)
-        t2_inv = (t * t).inverse()
-        g_inv = g[i].inverse().mat
-        frame.append(
-            [
-                tuple(t2_inv * e for row in mat_mul(mat_mul(g_inv, b), g[i].mat) for e in row)
-                for b in algebra.basis
-            ]
-        )
+        transport = higgs_transport(curve, g, i)
+        frame.append([tuple(e for row in transport(b) for e in row) for b in algebra.basis])
     return frame
 
 
@@ -339,11 +331,10 @@ def build_higgs_tangent_space(
     curve, algebra = point.curve, point.algebra
     cand = candidate_functions(curve, bounds)
     # phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i]
-    rhs = []
-    for i in range(curve.n_points):
-        gdot, phi = g_dot[i].mat, point.phi_prime[i].mat
-        bracket = mat_sub(mat_mul(gdot, phi), mat_mul(phi, gdot))
-        rhs.append(tuple(e for row in bracket for e in row))
+    rhs = [
+        tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
+        for i in range(curve.n_points)
+    ]
     solved = _solve_twisted(curve, cand, algebra.dim, _higgs_frame(curve, algebra, point.g), rhs)
     if solved is None:
         raise Infeasible(

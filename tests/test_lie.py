@@ -3,6 +3,7 @@
 import pytest
 
 from higgsres import (
+    CoadjointElement,
     DegeneratePairing,
     LoopAlgebraElement,
     LoopGroupElement,
@@ -151,3 +152,53 @@ def test_membership_checks(sl2):
         LoopAlgebraElement(sl2, mat_from([[1, 0], [0, 1]]))  # nonzero trace
     with pytest.raises(ShapeError):
         pairing(sl2.coadjoint(sl2.basis[0]), MatrixLieAlgebra.sl(3).basis_element("E12"))
+
+
+# ---------------------------------------------------------------------------
+# span elements: algebra values and dual (coadjoint) values
+# ---------------------------------------------------------------------------
+
+
+def test_algebra_and_coadjoint_values_never_compare_equal(sl2):
+    xi, phi = sl2.element(sl2.basis[0]), sl2.coadjoint(sl2.basis[0])
+    assert xi.mat == phi.mat
+    assert xi != phi and phi != xi
+    assert xi == sl2.element(sl2.basis[0]) and phi == sl2.coadjoint(sl2.basis[0])
+
+
+@pytest.mark.parametrize("make", ["element", "coadjoint"])
+def test_span_arithmetic_keeps_the_class(sl2, make):
+    x = getattr(sl2, make)(sl2.basis[0])
+    y = getattr(sl2, make)(sl2.basis[1])
+    cls = type(x)
+    results = {
+        "x + y": (x + y, [[1, 1], [0, -1]]),
+        "x - y": (x - y, [[-1, 1], [0, 1]]),
+        "u * x": (U * x, [[0, U], [0, 0]]),
+        "x * 3": (x * 3, [[0, 3], [0, 0]]),
+        "-x": (-x, [[0, -1], [0, 0]]),
+    }
+    for label, (value, mat) in results.items():
+        assert type(value) is cls, label
+        assert value.mat == mat_from(mat), label
+        assert value == cls(sl2, mat_from(mat)), label
+    assert [c.to_text("u") for c in (U * x).coeffs] == ["u", "0", "0"]
+
+
+def test_span_element_reprs(sl2):
+    assert repr(sl2.element([[1, U], [0, -1]])) == "LoopAlgebraElement((u)*E + (1)*H)"
+    assert repr(sl2.coadjoint([[1, U], [0, -1]])) == "CoadjointElement((u)*E^ + (1)*H^)"
+    assert repr(sl2.zero_element()) == "LoopAlgebraElement(0)"
+    assert repr(sl2.coadjoint([[0, 0], [0, 0]])) == "CoadjointElement(0)"
+
+
+def test_span_membership_messages(sl2):
+    identity = mat_from([[1, 0], [0, 1]])
+    with pytest.raises(NotInAlgebra) as err:
+        LoopAlgebraElement(sl2, identity)
+    assert str(err.value) == "matrix outside the span of sl2"
+    with pytest.raises(NotInAlgebra) as err:
+        CoadjointElement(sl2, identity)
+    assert str(err.value) == (
+        "coadjoint matrix outside the span of sl2 (trace-form identification)"
+    )

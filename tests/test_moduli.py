@@ -1,6 +1,7 @@
 """Section/Higgs cocycle data, the residue pairings, and the vanishing."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,11 @@ from higgsres import (
     GaussRat,
     IrregularSection,
     LoopGroupElement,
+    MatrixLieAlgebra,
+    Poly,
     RatFunc,
+    RegularityViolation,
+    ShapeError,
     XVector,
     ambient_higgs_tangent,
     builtin_rep,
@@ -382,3 +387,124 @@ def test_constant_gauge_invariance(curve_one_point, rep):
         hb1, hb2 = pushforward_tangent(t1b), pushforward_tangent(t2b)
         assert liouville_lambda(hp, ht1) == liouville_lambda(hp2, hb1)
         assert symplectic_omega(hp, ht1, ht2) == symplectic_omega(hp2, hb1, hb2)
+
+
+# ---------------------------------------------------------------------------
+# the error contract of the validating constructors
+# ---------------------------------------------------------------------------
+
+OFF = RatFunc(1, Poly([-1, 1]))  # 1/(z - 1): a pole away from the marked point
+
+
+@pytest.fixture(scope="module")
+def ctx(curve_one_point, rep, twisted_bundle, base_point, zero_higgs_point):
+    sl2, sl3 = rep.algebra, MatrixLieAlgebra.sl(3)
+    return SimpleNamespace(
+        curve=curve_one_point,
+        rep=rep,
+        sl2=sl2,
+        g=twisted_bundle,
+        y=base_point,
+        h=zero_higgs_point,
+        zero=[sl2.zero_element()],
+        phi0=sl2.coadjoint([[0, 0], [0, 0]]),
+        h_mat=sl2.coadjoint([[1, 0], [0, -1]]),
+        h_off=sl2.coadjoint([[OFF, 0], [0, -OFF]]),
+        sl3_zero=sl3.coadjoint([[0] * 3] * 3),
+        sl3_off=sl3.coadjoint([[OFF, 0, 0], [0, -OFF, 0], [0, 0, 0]]),
+    )
+
+
+_G_COUNT = "expected one transition matrix per marked point (1), got 2"
+_GDOT_COUNT = "expected one algebra element per marked point (1), got 0"
+_SIZE = "cannot multiply (2, 2) by (3, 3)"
+
+# (id, call, exception, message, IrregularSection.what); faults are checked
+# in the order: one g per point, sizes, poles off the marked points, disk poles
+CONSTRUCTOR_CASES = [
+    ("y_point-g", lambda c: make_y_point(c.curve, c.rep, c.g * 2, XVector([1, 0])),
+     ShapeError, _G_COUNT, None),
+    ("y_point-length", lambda c: make_y_point(c.curve, c.rep, c.g, XVector([1, 0, 0])),
+     ShapeError, "section length does not match the space dimension", None),
+    ("y_point-off", lambda c: make_y_point(c.curve, c.rep, c.g, XVector([OFF, 0])),
+     RegularityViolation, "s has a pole away from the marked points", None),
+    ("y_point-disk", lambda c: make_y_point(c.curve, c.rep, c.g, XVector([0, 1])),
+     IrregularSection, "s' has a pole of order 2 at marked point #0", "s'"),
+    ("y_point-all", lambda c: make_y_point(c.curve, c.rep, c.g * 2, XVector([OFF, 1, 0])),
+     ShapeError, _G_COUNT, None),
+    ("y_point-all-but-g", lambda c: make_y_point(c.curve, c.rep, c.g, XVector([OFF, 1, 0])),
+     ShapeError, "section length does not match the space dimension", None),
+    ("y_point-off-and-disk", lambda c: make_y_point(c.curve, c.rep, c.g, XVector([OFF, 1])),
+     RegularityViolation, "s has a pole away from the marked points", None),
+    ("y_tangent-g_dot", lambda c: make_y_tangent(c.y, [], XVector([0, 0])),
+     ShapeError, _GDOT_COUNT, None),
+    ("y_tangent-length", lambda c: make_y_tangent(c.y, c.zero, XVector([0, 0, 0])),
+     ShapeError, "tangent section length does not match the space dimension", None),
+    ("y_tangent-off", lambda c: make_y_tangent(c.y, c.zero, XVector([OFF, 0])),
+     RegularityViolation, "sdot has a pole away from the marked points", None),
+    ("y_tangent-disk", lambda c: make_y_tangent(c.y, c.zero, XVector([0, 1])),
+     IrregularSection, "sdot' has a pole of order 2 at marked point #0", "sdot'"),
+    ("y_tangent-all", lambda c: make_y_tangent(c.y, [], XVector([OFF, 1, 0])),
+     ShapeError, _GDOT_COUNT, None),
+    ("y_tangent-all-but-g_dot", lambda c: make_y_tangent(c.y, c.zero, XVector([OFF, 1, 0])),
+     ShapeError, "tangent section length does not match the space dimension", None),
+    ("y_tangent-off-and-disk", lambda c: make_y_tangent(c.y, c.zero, XVector([OFF, 1])),
+     RegularityViolation, "sdot has a pole away from the marked points", None),
+    ("higgs_point-g", lambda c: make_higgs_point(c.curve, c.sl2, c.g * 2, c.phi0),
+     ShapeError, _G_COUNT, None),
+    ("higgs_point-size", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.sl3_zero),
+     ShapeError, _SIZE, None),
+    ("higgs_point-off", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.h_off),
+     RegularityViolation, "phi has a pole away from the marked points", None),
+    ("higgs_point-disk", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.h_mat),
+     IrregularSection, "phi' has a pole of order 2 at marked point #0", "phi'"),
+    ("higgs_point-all", lambda c: make_higgs_point(c.curve, c.sl2, c.g * 2, c.sl3_off),
+     ShapeError, _G_COUNT, None),
+    ("higgs_point-all-but-g", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.sl3_off),
+     RegularityViolation, "phi has a pole away from the marked points", None),
+    ("higgs_point-off-and-disk", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.h_off + c.h_mat),
+     RegularityViolation, "phi has a pole away from the marked points", None),
+    ("higgs_tangent-g_dot", lambda c: make_higgs_tangent(c.h, [], c.phi0),
+     ShapeError, _GDOT_COUNT, None),
+    ("higgs_tangent-size", lambda c: make_higgs_tangent(c.h, c.zero, c.sl3_zero),
+     ShapeError, _SIZE, None),
+    ("higgs_tangent-off", lambda c: make_higgs_tangent(c.h, c.zero, c.h_off),
+     RegularityViolation, "phidot has a pole away from the marked points", None),
+    ("higgs_tangent-disk", lambda c: make_higgs_tangent(c.h, c.zero, c.h_mat),
+     IrregularSection, "phidot' has a pole of order 2 at marked point #0", "phidot'"),
+    ("higgs_tangent-all", lambda c: make_higgs_tangent(c.h, [], c.sl3_off),
+     ShapeError, _GDOT_COUNT, None),
+    ("higgs_tangent-all-but-g_dot", lambda c: make_higgs_tangent(c.h, c.zero, c.sl3_off),
+     RegularityViolation, "phidot has a pole away from the marked points", None),
+    ("higgs_tangent-off-and-disk", lambda c: make_higgs_tangent(c.h, c.zero, c.h_off + c.h_mat),
+     RegularityViolation, "phidot has a pole away from the marked points", None),
+    ("ambient-g_dot", lambda c: ambient_higgs_tangent(c.h, [], c.phi0, [c.phi0]),
+     ShapeError, _GDOT_COUNT, None),
+    ("ambient-disk_count", lambda c: ambient_higgs_tangent(c.h, c.zero, c.phi0, []),
+     ShapeError, "one disk value per marked point is required", None),
+    ("ambient-off", lambda c: ambient_higgs_tangent(c.h, c.zero, c.h_off, [c.phi0]),
+     RegularityViolation, "phidot has a pole away from the marked points", None),
+    ("ambient-disk", lambda c: ambient_higgs_tangent(c.h, c.zero, c.phi0, [U.inverse() * c.h_mat]),
+     IrregularSection, "phidot' has a pole of order 1 at marked point #0", "phidot'"),
+    ("ambient-all", lambda c: ambient_higgs_tangent(c.h, [], c.h_off, []),
+     ShapeError, _GDOT_COUNT, None),
+    ("ambient-all-but-g_dot", lambda c: ambient_higgs_tangent(c.h, c.zero, c.h_off, []),
+     ShapeError, "one disk value per marked point is required", None),
+    ("ambient-off-and-disk",
+     lambda c: ambient_higgs_tangent(c.h, c.zero, c.h_off, [U.inverse() * c.h_mat]),
+     RegularityViolation, "phidot has a pole away from the marked points", None),
+]
+
+
+@pytest.mark.parametrize(
+    "call, exc, message, what",
+    [case[1:] for case in CONSTRUCTOR_CASES],
+    ids=[case[0] for case in CONSTRUCTOR_CASES],
+)
+def test_constructor_error_contract(ctx, call, exc, message, what):
+    with pytest.raises(exc) as err:
+        call(ctx)
+    assert type(err.value) is exc
+    assert str(err.value) == message
+    if what is not None:
+        assert err.value.what == what

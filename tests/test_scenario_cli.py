@@ -237,6 +237,19 @@ def test_cli_corrupt_suite_detects(fixtures_dir, capsys):
     assert "all-corruptions-detected" in out
 
 
+@pytest.mark.parametrize("command", ["random-suite", "corrupt-suite"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_rejects_trials_below_one(fixtures_dir, capsys, command, trials):
+    # no suite may report its checks passed "of 0 trials"
+    with pytest.raises(SystemExit) as exc:
+        main([command, _fixture(fixtures_dir, "f1.json"), "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --trials: must be at least 1, got {trials}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_reports_are_deterministic(fixtures_dir, capsys):
     args = [
         "random-suite",
