@@ -75,7 +75,7 @@ def cmd_validate(scenario: Scenario, args, report: Report):
         time_ms=elapsed(),
     )
     report.add("bundle-determinants", "pass", detail="det = 1 verified at parse")
-    if scenario.section_spec.get("kind") == "explicit":
+    if scenario.section.vector is not None:
         elapsed = _timer()
         scenario_point(scenario, SeedStream(args.seed))
         report.add("explicit-section", "pass", time_ms=elapsed())
@@ -95,15 +95,15 @@ def cmd_residue_sum(scenario: Scenario, args, report: Report):
         )
 
 
-def _require_higgs(scenario: Scenario, minimum: int, args=None):
+def _require_higgs(scenario: Scenario, minimum: int, args):
     """Higgs data from the scenario's higgs block, or pushed-forward
     section data when the block is absent."""
     point, tangents = scenario_higgs(scenario)
-    if point is None and args is not None:
+    if point is None:
         ypoint, ytangents = _y_instance(scenario, args)
         point = higgs_from_y(ypoint)
         tangents = [pushforward_tangent(t) for t in ytangents]
-    if point is None or len(tangents) < minimum:
+    if len(tangents) < minimum:
         raise ValidationError(
             f"this command needs a 'higgs' block with at least {minimum} tangent(s)"
         )
@@ -138,7 +138,7 @@ def _y_instance(scenario: Scenario, args):
     rng = SeedStream("instance", args.seed)
     point = scenario_point(scenario, rng)
     tangents = scenario_tangents(scenario, point, rng)
-    if len(tangents) < 2 or any(t is None for t in tangents):
+    if len(tangents) < 2:
         raise ValidationError("need two section tangents (y_tangents block)")
     return point, tangents
 

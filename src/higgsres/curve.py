@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .field import RatFunc
+from .field import Poly, RatFunc
 from .residues import INFINITY, LocalChart, OneForm, P1Point, local_coordinate, localize
 
 
@@ -31,6 +31,20 @@ class CurveReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _strip_marked_factors(poly: Poly, points) -> Poly:
+    """poly with every factor (z - a), a a finite marked point, divided out."""
+    for p in points:
+        if p.is_infinity:
+            continue
+        z_minus_a = Poly([-p.value, 1])
+        while poly.degree() >= 1:
+            q, r = divmod(poly, z_minus_a)
+            if not r.is_zero():
+                break
+            poly = q
+    return poly
 
 
 class MarkedCurve:
@@ -71,21 +85,8 @@ class MarkedCurve:
         """True iff f has no poles on P^1 minus the marked points."""
         if f.is_zero():
             return True
-        den = f.den
-        if den.degree() >= 1:
-            remaining = den
-            for p in self.marked_points:
-                if p.is_infinity:
-                    continue
-                a = p.value
-                x_minus_a = remaining.__class__([-a, 1])
-                while remaining.degree() >= 1:
-                    q, r = divmod(remaining, x_minus_a)
-                    if not r.is_zero():
-                        break
-                    remaining = q
-            if remaining.degree() >= 1:
-                return False
+        if _strip_marked_factors(f.den, self.marked_points).degree() >= 1:
+            return False
         if INFINITY not in self.marked_points:
             v = LocalChart(INFINITY).pull(f).valuation()
             if v is not None and v < 0:
@@ -107,17 +108,7 @@ def curve_validate(curve: MarkedCurve) -> CurveReport:
 
     # zeros and poles of alpha away from the marked set
     for poly, what in ((coeff.num, "zero"), (coeff.den, "pole")):
-        remaining = poly
-        for p in curve.marked_points:
-            if p.is_infinity:
-                continue
-            a = p.value
-            x_minus_a = poly.__class__([-a, 1])
-            while remaining.degree() >= 1:
-                q, r = divmod(remaining, x_minus_a)
-                if not r.is_zero():
-                    break
-                remaining = q
+        remaining = _strip_marked_factors(poly, curve.marked_points)
         if remaining.degree() >= 1:
             report.violations.append(
                 f"alpha has a {what} away from the marked points "

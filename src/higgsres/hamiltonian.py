@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
 from .field import GaussRat, RatFunc
-from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, dualize
+from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, dualize, same_algebra
 from .matrices import (
     Matrix,
     block_diag,
@@ -202,7 +202,7 @@ class HamiltonianRep:
 
     def act_algebra(self, xi: LoopAlgebraElement) -> Matrix:
         """rho(xi) extended RatFunc-linearly over the basis expansion."""
-        if xi.algebra.name != self.algebra.name:
+        if not same_algebra(xi.algebra, self.algebra):
             raise NotInAlgebra("element of a different algebra")
         dim = self.space.dim
         out = [[_ZERO] * dim for _ in range(dim)]

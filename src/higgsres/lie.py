@@ -286,13 +286,13 @@ class _SpanElement:
         return mat_is_zero(self.mat)
 
     def __add__(self, other):
-        _same_algebra(self, other)
+        _require_same_algebra(self, other)
         return self._new(
             mat_add(self.mat, other.mat), [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other):
-        _same_algebra(self, other)
+        _require_same_algebra(self, other)
         return self._new(
             mat_sub(self.mat, other.mat), [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -310,7 +310,7 @@ class _SpanElement:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.algebra is other.algebra and mat_eq(self.mat, other.mat)
+        return same_algebra(self.algebra, other.algebra) and mat_eq(self.mat, other.mat)
 
     def __repr__(self):
         terms = [
@@ -335,16 +335,21 @@ class CoadjointElement(_SpanElement):
     _label_suffix = "^"
 
 
-def _same_algebra(a, b):
+def same_algebra(a: MatrixLieAlgebra, b: MatrixLieAlgebra) -> bool:
+    """Distinct algebra objects of the same name and size are the same algebra."""
+    return a is b or (a.name == b.name and a.n == b.n)
+
+
+def _require_same_algebra(a, b):
     if a.algebra.n != b.algebra.n:
         raise ShapeError("algebra elements of different sizes")
-    if a.algebra is not b.algebra and a.algebra.name != b.algebra.name:
+    if not same_algebra(a.algebra, b.algebra):
         raise ShapeError("elements of different algebras")
 
 
 def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
     """The commutator [x, y] = xy - yx."""
-    _same_algebra(x, y)
+    _require_same_algebra(x, y)
     if shape(x.mat) != shape(y.mat):
         raise ShapeError("bracket of differently sized matrices")
     return LoopAlgebraElement(x.algebra, commutator(x.mat, y.mat))

@@ -10,25 +10,23 @@ seeds), optional Higgs data for the cotangent-side commands, optional
 All rationals are strings in the expression grammar of the field module,
 so exactness survives serialization.  Parse errors carry a JSON-path
 location; validation (curve invariants, representation identities,
-determinant-1 bundles) happens before any computation.
+determinant-1 bundles) happens before any computation.  Only this module
+reads the JSON: each point-keyed block goes through ``_per_point``, and the
+result is typed data (``SectionData``, ``YTangentData``, ``HiggsData``).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from .curve import MarkedCurve, curve_validate
-from .errors import (
-    HiggsresError,
-    NotInAlgebra,
-    ParseError,
-    ValidationError,
-)
+from .errors import HiggsresError, ParseError, ValidationError
 from .field import RatFunc, parse_ratfunc
 from .hamiltonian import HamiltonianRep, builtin_rep, rep_validate, XVector
-from .lie import LoopAlgebraElement, LoopGroupElement, elementary, torus
+from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, elementary, torus
 from .residues import OneForm, P1Point
 from .solver import CocycleRecipe, GdotRecipe, SolverBounds
 
@@ -46,6 +44,41 @@ class SuiteRecipe:
 
 
 @dataclass
+class SectionData:
+    """Explicit coordinates, or (vector None) solved and sampled from ("section", seed)."""
+
+    vector: XVector | None = None
+    seed: Any = 0
+
+
+@dataclass
+class YTangentData:
+    """A y_tangents entry; what it leaves out is sampled from ("y_tangent", k, seed)."""
+
+    seed: Any
+    g_dot: list | None = None
+    s_circ_dot: XVector | None = None
+
+
+@dataclass
+class HiggsTangentData:
+    """A higgs.tangents entry; ambient tangents give phi_prime_dot, the rest derive it."""
+
+    g_dot: list
+    phi_circ_dot: CoadjointElement
+    phi_prime_dot: list | None = None
+
+
+@dataclass
+class HiggsData:
+    """The higgs block, with its bundle override or else the scenario's bundle."""
+
+    phi_circ: CoadjointElement
+    bundle: list
+    tangents: list
+
+
+@dataclass
 class Scenario:
     """A parsed and validated scenario, ready for command dispatch."""
 
@@ -53,13 +86,21 @@ class Scenario:
     rep: HamiltonianRep
     curve: MarkedCurve
     bundle: list
-    section_spec: dict
-    y_tangent_specs: list
+    section: SectionData
+    y_tangents: list
     bounds: SolverBounds
     suite: SuiteRecipe
-    higgs_spec: dict | None
+    higgs: HiggsData | None
     forms: list
-    raw: dict
+
+
+@contextmanager
+def _invalid(where: str = ""):
+    """Report a domain error raised while building parsed data as invalid."""
+    try:
+        yield
+    except HiggsresError as exc:
+        raise ValidationError(f"{where}{exc}") from None
 
 
 def _expect(obj: Any, types, path: str, what: str):
@@ -84,6 +125,27 @@ def _parse_point(text: Any, path: str) -> P1Point:
         raise ParseError("bad point coordinate", location=f"{path}, {exc.location}") from None
 
 
+def _per_point(mapping: Any, points: list, path: str, what: str) -> list:
+    """The (value, location) of each marked point's entry in a point-keyed block.
+
+    A key may spell its point any way ``P1Point.parse`` accepts; every
+    key must name a marked point, and each marked point needs exactly one.
+    """
+    _expect(mapping, dict, path, f"a point->{what} mapping")
+    found = {}
+    for key, value in mapping.items():
+        point = _parse_point(key, f"{path}[{key!r}]")
+        if point not in points:
+            raise ParseError(f"{key!r} is not a marked point", path)
+        if point in found:
+            raise ParseError(f"two keys for the point {point}", path)
+        found[point] = (value, f"{path}[{key!r}]")
+    for point in points:
+        if point not in found:
+            raise ParseError(f"missing {what} for point {str(point)!r}", path)
+    return [found[point] for point in points]
+
+
 def _parse_matrix(rows: Any, n: int, var: str, path: str) -> list:
     _expect(rows, list, path, f"a {n}x{n} matrix of strings")
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
@@ -91,6 +153,27 @@ def _parse_matrix(rows: Any, n: int, var: str, path: str) -> list:
     return [
         [_parse_rf(rows[i][j], var, f"{path}[{i}][{j}]") for j in range(n)]
         for i in range(n)
+    ]
+
+
+def _parse_vector(coords: Any, dim: int, path: str) -> XVector:
+    _expect(coords, list, path, "a list of strings")
+    if len(coords) != dim:
+        raise ParseError(f"expected {dim} coordinates", path)
+    return XVector([_parse_rf(c, "z", f"{path}[{k}]") for k, c in enumerate(coords)])
+
+
+def _parse_element(cls, rows: Any, algebra, var: str, path: str):
+    """A matrix block as a LoopAlgebraElement or CoadjointElement of ``algebra``."""
+    mat = _parse_matrix(rows, algebra.n, var, path)
+    with _invalid(f"{path}: "):
+        return cls(algebra, mat)
+
+
+def _parse_g_dot(block: Any, curve: MarkedCurve, algebra, path: str) -> list:
+    return [
+        _parse_element(LoopAlgebraElement, rows, algebra, "u", where)
+        for rows, where in _per_point(block, curve.marked_points, path, "g_dot matrix")
     ]
 
 
@@ -103,17 +186,12 @@ def _parse_curve(block: Any, path: str) -> MarkedCurve:
         _parse_point(p, f"{path}.marked_points[{k}]") for k, p in enumerate(pts_raw)
     ]
     alpha = OneForm(_parse_rf(block.get("alpha"), "z", f"{path}.alpha"))
-    trans_raw = _expect(block.get("transitions"), dict, f"{path}.transitions", "a point->T mapping")
-    transitions = []
-    for k, p in enumerate(points):
-        key = pts_raw[k]
-        if key not in trans_raw:
-            raise ParseError(f"missing transition for point {key!r}", f"{path}.transitions")
-        transitions.append(_parse_rf(trans_raw[key], "u", f"{path}.transitions[{key!r}]"))
-    try:
+    transitions = [
+        _parse_rf(text, "u", where)
+        for text, where in _per_point(block.get("transitions"), points, f"{path}.transitions", "transition")
+    ]
+    with _invalid():
         return MarkedCurve(points, alpha, transitions)
-    except HiggsresError as exc:
-        raise ValidationError(str(exc)) from None
 
 
 def _parse_word_factor(factor: Any, n: int, path: str) -> LoopGroupElement:
@@ -123,10 +201,8 @@ def _parse_word_factor(factor: Any, n: int, path: str) -> LoopGroupElement:
         exps = _expect(factor.get("exponents"), list, f"{path}.exponents", "a list of ints")
         if len(exps) != n or not all(isinstance(e, int) for e in exps):
             raise ParseError(f"expected {n} integer exponents", f"{path}.exponents")
-        try:
+        with _invalid():
             return torus(n, exps)
-        except HiggsresError as exc:
-            raise ValidationError(str(exc)) from None
     if kind == "elementary":
         j = factor.get("j")
         k = factor.get("k")
@@ -144,29 +220,17 @@ def _parse_bundle(block: Any, curve: MarkedCurve, n: int, path: str) -> list:
     kind = block.get("kind", "explicit")
     out = []
     if kind == "explicit":
-        mats = _expect(block.get("matrices"), dict, f"{path}.matrices", "a point->matrix mapping")
-        for k, p in enumerate(curve.marked_points):
-            key = str(p)
-            if key not in mats:
-                raise ParseError(f"missing bundle matrix for point {key!r}", f"{path}.matrices")
-            rows = _parse_matrix(mats[key], n, "u", f"{path}.matrices[{key!r}]")
-            try:
+        for rows, where in _per_point(block.get("matrices"), curve.marked_points, f"{path}.matrices", "bundle matrix"):
+            rows = _parse_matrix(rows, n, "u", where)
+            with _invalid(f"{where}: "):
                 out.append(LoopGroupElement(rows))
-            except HiggsresError as exc:
-                raise ValidationError(
-                    f"bundle matrix at {key}: {exc}"
-                ) from None
         return out
     if kind == "word":
-        words = _expect(block.get("words"), dict, f"{path}.words", "a point->factor-list mapping")
-        for p in curve.marked_points:
-            key = str(p)
-            if key not in words:
-                raise ParseError(f"missing bundle word for point {key!r}", f"{path}.words")
-            factors = _expect(words[key], list, f"{path}.words[{key!r}]", "a list of factors")
+        for factors, where in _per_point(block.get("words"), curve.marked_points, f"{path}.words", "bundle word"):
+            _expect(factors, list, where, "a list of factors")
             g = LoopGroupElement.identity(n)
             for t, f in enumerate(factors):
-                g = g * _parse_word_factor(f, n, f"{path}.words[{key!r}][{t}]")
+                g = g * _parse_word_factor(f, n, f"{where}[{t}]")
             out.append(g)
         return out
     raise ParseError("bundle kind must be 'explicit' or 'word'", f"{path}.kind")
@@ -237,6 +301,8 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
         n = int(alg_name[2:])
     except ValueError:
         raise ParseError("explicit representation needs algebra 'slN'", f"{path}.algebra") from None
+    if n < 2:
+        raise ValidationError(f"{path}.algebra: rank must be at least 2, got {alg_name!r}")
     algebra = _sl(n)
     omega_rows = _expect(block.get("omega"), list, f"{path}.omega", "an omega matrix")
     dim = len(omega_rows)
@@ -245,20 +311,69 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
         for j, e in enumerate(row):
             if not e.is_constant():
                 raise ParseError("omega entries must be constants", f"{path}.omega[{i}][{j}]")
-    try:
+    with _invalid(f"{path}.omega: "):
         space = SymplecticSpace(mat_from(omega))
-    except HiggsresError as exc:
-        raise ValidationError(f"{path}.omega: {exc}") from None
     rho_block = _expect(block.get("rho"), dict, f"{path}.rho", "a label->matrix mapping")
     rho = {}
     for lab in algebra.labels:
         if lab not in rho_block:
             raise ParseError(f"missing rho matrix for basis element {lab!r}", f"{path}.rho")
         rho[lab] = mat_from(_parse_matrix(rho_block[lab], dim, "z", f"{path}.rho[{lab!r}]"))
-    try:
+    with _invalid(f"{path}: "):
         return HamiltonianRep(algebra, space, rho, kind="explicit", name=block.get("name", f"{alg_name}-explicit"))
-    except HiggsresError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parse_section(block: Any, dim: int) -> SectionData:
+    _expect(block, dict, "section", "a section block")
+    kind = block.get("kind")
+    if kind == "explicit":
+        return SectionData(vector=_parse_vector(block.get("coords"), dim, "section.coords"))
+    if kind != "solve":
+        raise ParseError("section kind must be 'solve' or 'explicit'", "section.kind")
+    return SectionData(seed=block.get("seed", 0))
+
+
+def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> list:
+    _expect(blocks, list, "y_tangents", "a list of tangent blocks")
+    out = []
+    for k, block in enumerate(blocks):
+        path = f"y_tangents[{k}]"
+        _expect(block, dict, path, "a tangent block")
+        tangent = YTangentData(seed=block.get("seed", k))
+        if block.get("g_dot") is not None:
+            tangent.g_dot = _parse_g_dot(block["g_dot"], curve, rep.algebra, f"{path}.g_dot")
+        if block.get("s_circ_dot") is not None:
+            tangent.s_circ_dot = _parse_vector(block["s_circ_dot"], rep.space.dim, f"{path}.s_circ_dot")
+        out.append(tangent)
+    return out
+
+
+def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> HiggsData | None:
+    if block is None:
+        return None
+    _expect(block, dict, "higgs", "a higgs block")
+    phi_circ = _parse_element(CoadjointElement, block.get("phi_circ"), algebra, "z", "higgs.phi_circ")
+    if "bundle" in block:
+        bundle = _parse_bundle(block["bundle"], curve, algebra.n, "higgs.bundle")
+    tangents = []
+    blocks = _expect(block.get("tangents", []), list, "higgs.tangents", "a list of higgs tangent blocks")
+    for k, tb in enumerate(blocks):
+        path = f"higgs.tangents[{k}]"
+        _expect(tb, dict, path, "a higgs tangent block")
+        tangent = HiggsTangentData(
+            _parse_g_dot(tb.get("g_dot"), curve, algebra, f"{path}.g_dot"),
+            _parse_element(CoadjointElement, tb.get("phi_circ_dot"), algebra, "z", f"{path}.phi_circ_dot"),
+        )
+        if tb.get("ambient"):
+            # disk values given explicitly: ambient-space tangent data
+            tangent.phi_prime_dot = [
+                _parse_element(CoadjointElement, rows, algebra, "u", where)
+                for rows, where in _per_point(
+                    tb.get("phi_prime_dot"), curve.marked_points, f"{path}.phi_prime_dot", "phi_prime_dot matrix"
+                )
+            ]
+        tangents.append(tangent)
+    return HiggsData(phi_circ, bundle, tangents)
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -284,10 +399,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     rep_block = raw.get("representation", "sl2-standard")
     if isinstance(rep_block, str):
-        try:
+        with _invalid():
             rep = builtin_rep(rep_block)
-        except HiggsresError as exc:
-            raise ValidationError(str(exc)) from None
     elif isinstance(rep_block, dict):
         rep = _parse_explicit_rep(rep_block, "representation")
     else:
@@ -310,115 +423,22 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     bounds = _parse_bounds(raw.get("bounds"), "bounds")
     suite = _parse_suite(raw.get("suite"), "suite")
 
-    section_spec = raw.get("section", {"kind": "solve", "seed": 0})
-    _expect(section_spec, dict, "section", "a section block")
-    if section_spec.get("kind") not in ("solve", "explicit"):
-        raise ParseError("section kind must be 'solve' or 'explicit'", "section.kind")
-    if section_spec.get("kind") == "explicit":
-        coords = _expect(section_spec.get("coords"), list, "section.coords", "a list of strings")
-        if len(coords) != rep.space.dim:
-            raise ParseError(
-                f"expected {rep.space.dim} coordinates", "section.coords"
-            )
-        section_spec = dict(section_spec)
-        section_spec["vector"] = XVector(
-            [_parse_rf(c, "z", f"section.coords[{k}]") for k, c in enumerate(coords)]
-        )
-
-    tangent_specs = raw.get("y_tangents", [
-        {"kind": "random", "seed": 1},
-        {"kind": "random", "seed": 2},
-    ])
-    _expect(tangent_specs, list, "y_tangents", "a list of tangent blocks")
-    parsed_tangents = []
-    for k, spec in enumerate(tangent_specs):
-        path = f"y_tangents[{k}]"
-        _expect(spec, dict, path, "a tangent block")
-        out = dict(spec)
-        if "g_dot" in spec and isinstance(spec["g_dot"], dict) and "kind" not in spec["g_dot"]:
-            mats = {}
-            for p in curve.marked_points:
-                key = str(p)
-                if key not in spec["g_dot"]:
-                    raise ParseError(f"missing g_dot matrix for {key!r}", f"{path}.g_dot")
-                rows = _parse_matrix(spec["g_dot"][key], rep.algebra.n, "u", f"{path}.g_dot[{key!r}]")
-                try:
-                    mats[key] = LoopAlgebraElement(rep.algebra, rows)
-                except NotInAlgebra as exc:
-                    raise ValidationError(f"{path}.g_dot[{key!r}]: {exc}") from None
-            out["g_dot_elements"] = [mats[str(p)] for p in curve.marked_points]
-        if "s_circ_dot" in spec and isinstance(spec["s_circ_dot"], list):
-            coords = spec["s_circ_dot"]
-            if len(coords) != rep.space.dim:
-                raise ParseError(f"expected {rep.space.dim} coordinates", f"{path}.s_circ_dot")
-            out["s_circ_dot_vector"] = XVector(
-                [_parse_rf(c, "z", f"{path}.s_circ_dot[{j}]") for j, c in enumerate(coords)]
-            )
-        parsed_tangents.append(out)
-
-    higgs_spec = None
-    if raw.get("higgs") is not None:
-        hb = _expect(raw["higgs"], dict, "higgs", "a higgs block")
-        n = rep.algebra.n
-        higgs_spec = {
-            "phi_circ": _parse_matrix(hb.get("phi_circ"), n, "z", "higgs.phi_circ"),
-            "tangents": [],
-        }
-        if "bundle" in hb:
-            higgs_spec["bundle"] = _parse_bundle(hb["bundle"], curve, n, "higgs.bundle")
-        for k, tb in enumerate(hb.get("tangents", [])):
-            path = f"higgs.tangents[{k}]"
-            _expect(tb, dict, path, "a higgs tangent block")
-            gdots = _expect(tb.get("g_dot"), dict, f"{path}.g_dot", "a point->matrix mapping")
-            g_dot = []
-            for p in curve.marked_points:
-                key = str(p)
-                if key not in gdots:
-                    raise ParseError(f"missing g_dot matrix for {key!r}", f"{path}.g_dot")
-                rows = _parse_matrix(gdots[key], n, "u", f"{path}.g_dot[{key!r}]")
-                try:
-                    g_dot.append(LoopAlgebraElement(rep.algebra, rows))
-                except NotInAlgebra as exc:
-                    raise ValidationError(f"{path}.g_dot[{key!r}]: {exc}") from None
-            phi_dot = _parse_matrix(tb.get("phi_circ_dot"), n, "z", f"{path}.phi_circ_dot")
-            parsed = {"g_dot": g_dot, "phi_circ_dot": phi_dot}
-            if tb.get("ambient"):
-                # disk values given explicitly: ambient-space tangent data
-                pp = _expect(
-                    tb.get("phi_prime_dot"), dict,
-                    f"{path}.phi_prime_dot", "a point->matrix mapping",
-                )
-                prime = []
-                for p in curve.marked_points:
-                    key = str(p)
-                    if key not in pp:
-                        raise ParseError(
-                            f"missing phi_prime_dot matrix for {key!r}",
-                            f"{path}.phi_prime_dot",
-                        )
-                    prime.append(
-                        _parse_matrix(pp[key], n, "u", f"{path}.phi_prime_dot[{key!r}]")
-                    )
-                parsed["ambient"] = True
-                parsed["phi_prime_dot"] = prime
-            higgs_spec["tangents"].append(parsed)
-
-    forms = []
-    for k, f in enumerate(raw.get("forms", [])):
-        forms.append(OneForm(_parse_rf(f, "z", f"forms[{k}]")))
-
     return Scenario(
         name=name,
         rep=rep,
         curve=curve,
         bundle=bundle,
-        section_spec=section_spec,
-        y_tangent_specs=parsed_tangents,
+        section=_parse_section(raw.get("section", {"kind": "solve"}), rep.space.dim),
+        y_tangents=_parse_y_tangents(
+            raw.get("y_tangents", [{"seed": 1}, {"seed": 2}]), curve, rep
+        ),
         bounds=bounds,
         suite=suite,
-        higgs_spec=higgs_spec,
-        forms=forms,
-        raw=raw,
+        higgs=_parse_higgs(raw.get("higgs"), curve, rep.algebra, bundle),
+        forms=[
+            OneForm(_parse_rf(f, "z", f"forms[{k}]"))
+            for k, f in enumerate(_expect(raw.get("forms", []), list, "forms", "a list of 1-form strings"))
+        ],
     )
 
 

@@ -131,10 +131,8 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
 
 def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
     """The point described by the scenario's bundle/section blocks."""
-    spec = scenario.section_spec
-    if spec.get("kind") == "explicit":
-        s_circ = spec["vector"]
-    else:
+    s_circ = scenario.section.vector
+    if s_circ is None:
         space = build_section_space(
             scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
         )
@@ -143,7 +141,7 @@ def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
         else:
             s_circ = sample_vector(
                 space,
-                rng.child("section", spec.get("seed", 0)),
+                rng.child("section", scenario.section.seed),
                 scenario.suite.sample_num,
                 scenario.suite.sample_den,
             )
@@ -154,16 +152,14 @@ def scenario_tangents(scenario: Scenario, point: YPoint, rng: SeedStream) -> lis
     """The tangents described by the scenario's y_tangents blocks."""
     suite = scenario.suite
     out = []
-    for k, spec in enumerate(scenario.y_tangent_specs):
-        sub = rng.child("y_tangent", k, spec.get("seed", k))
-        g_dot = spec.get("g_dot_elements")
+    for k, tangent in enumerate(scenario.y_tangents):
+        sub = rng.child("y_tangent", k, tangent.seed)
+        g_dot, s_dot = tangent.g_dot, tangent.s_circ_dot
         if g_dot is None:
             g_dot, space, sub, _ = _sample_tangent(scenario, point, sub, build_tangent_space)
-        elif "s_circ_dot_vector" not in spec:
+        elif s_dot is None:
             space = build_tangent_space(point, g_dot, scenario.bounds)
-        if "s_circ_dot_vector" in spec:
-            s_dot = spec["s_circ_dot_vector"]
-        else:
+        if s_dot is None:
             s_dot = sample_affine(space, sub.child("s"), suite.sample_num, suite.sample_den)
         out.append(make_y_tangent(point, g_dot, s_dot))
     return out
@@ -171,30 +167,16 @@ def scenario_tangents(scenario: Scenario, point: YPoint, rng: SeedStream) -> lis
 
 def scenario_higgs(scenario: Scenario):
     """The Higgs point and tangents pinned by the scenario's higgs block."""
-    hs = scenario.higgs_spec
-    if hs is None:
+    higgs = scenario.higgs
+    if higgs is None:
         return None, []
-    algebra = scenario.rep.algebra
-    bundle = hs.get("bundle", scenario.bundle)
-    phi = algebra.coadjoint(hs["phi_circ"])
-    point = make_higgs_point(scenario.curve, algebra, bundle, phi)
-    tangents = []
-    for tb in hs["tangents"]:
-        if tb.get("ambient"):
-            tangents.append(
-                ambient_higgs_tangent(
-                    point,
-                    tb["g_dot"],
-                    algebra.coadjoint(tb["phi_circ_dot"]),
-                    [algebra.coadjoint(m) for m in tb["phi_prime_dot"]],
-                )
-            )
-        else:
-            tangents.append(
-                make_higgs_tangent(
-                    point, tb["g_dot"], algebra.coadjoint(tb["phi_circ_dot"])
-                )
-            )
+    point = make_higgs_point(scenario.curve, scenario.rep.algebra, higgs.bundle, higgs.phi_circ)
+    tangents = [
+        make_higgs_tangent(point, t.g_dot, t.phi_circ_dot)
+        if t.phi_prime_dot is None
+        else ambient_higgs_tangent(point, t.g_dot, t.phi_circ_dot, t.phi_prime_dot)
+        for t in higgs.tangents
+    ]
     return point, tangents
 
 

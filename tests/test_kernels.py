@@ -1,19 +1,53 @@
-"""Backend agreement: the compiled kernels must match the pure reference."""
+"""Backend agreement: the compiled kernels must match the pure reference.
+
+The compiled tests build the committed ``_fast.c`` into a temporary
+directory (never into the source tree, which would switch every later run
+to the compiled backend) and skip where no C compiler or ``Python.h`` is
+available.
+"""
+
+import importlib.util
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import pytest
 
 from higgsres._kernels import pure
-
-try:
-    from higgsres._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(
-    _fast is None, reason="compiled kernel backend not built"
-)
-
 from higgsres.solver import SeedStream
+
+PACKAGE = pathlib.Path(pure.__file__).resolve().parent.parent
+FAST_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+
+
+@pytest.fixture(scope="session")
+def fast_so(tmp_path_factory):
+    """Path of the compiled kernel module built from ``_fast.c``."""
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    include = pathlib.Path(sysconfig.get_paths()["include"])
+    if compiler is None or not (include / "Python.h").is_file():
+        pytest.skip("no C compiler or Python.h to build the compiled kernels")
+    so = tmp_path_factory.mktemp("fast") / f"_fast{FAST_SUFFIX}"
+    build = subprocess.run(
+        [compiler, "-O0", "-shared", "-fPIC", f"-I{include}",
+         str(PACKAGE / "_kernels" / "_fast.c"), "-o", str(so)],
+        capture_output=True,
+    )
+    if build.returncode != 0:
+        pytest.skip(f"building _fast.c failed: {build.stderr.decode()[-300:]}")
+    return so
+
+
+@pytest.fixture(scope="session")
+def _fast(fast_so):
+    spec = importlib.util.spec_from_file_location("higgsres._kernels._fast", fast_so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
 
 
 def _random_triple(rng):
@@ -24,8 +58,7 @@ def _random_poly(rng, max_len=6):
     return pure.p_norm([_random_triple(rng) for _ in range(rng.randint(0, max_len))])
 
 
-@needs_compiled
-def test_scalar_ops_agree():
+def test_scalar_ops_agree(_fast):
     rng = SeedStream("kernel-scalars")
     for _ in range(300):
         x, y = _random_triple(rng), _random_triple(rng)
@@ -38,8 +71,7 @@ def test_scalar_ops_agree():
             assert pure.gq_inv(x) == _fast.gq_inv(x)
 
 
-@needs_compiled
-def test_poly_ops_agree():
+def test_poly_ops_agree(_fast):
     rng = SeedStream("kernel-polys")
     for _ in range(120):
         p, q = _random_poly(rng), _random_poly(rng)
@@ -57,8 +89,7 @@ def test_poly_ops_agree():
             assert pure.p_series_div(p, q, n) == _fast.p_series_div(p, q, n)
 
 
-@needs_compiled
-def test_echelon_agrees_and_is_sound():
+def test_echelon_agrees_and_is_sound(_fast):
     rng = SeedStream("kernel-echelon")
     for _ in range(40):
         nrows, ncols = rng.randint(1, 6), rng.randint(2, 6)
@@ -91,16 +122,21 @@ def test_pure_divexact_round_trip():
         assert pure.zi_divexact(prod, y) == x
 
 
-@needs_compiled
-def test_backends_produce_identical_reports(fixtures_dir):
-    import os
-    import subprocess
-    import sys
-
+def test_backends_produce_identical_reports(fixtures_dir, fast_so, tmp_path):
+    # the CLI run from a copy of the package with the compiled module beside pure.py
+    copy = tmp_path / "higgsres"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    shutil.copy(fast_so, copy / "_kernels" / fast_so.name)
+    env = {key: value for key, value in os.environ.items() if key != "HIGGSRES_PURE"}
+    env["PYTHONPATH"] = str(tmp_path)
+    script = (
+        "import sys, higgsres, higgsres.cli; print(higgsres.KERNEL_BACKEND); "
+        "sys.exit(higgsres.cli.main(sys.argv[1:]))"
+    )
     cmd = [
         sys.executable,
-        "-m",
-        "higgsres.cli",
+        "-c",
+        script,
         "random-suite",
         str(fixtures_dir / "f1.json"),
         "--seed",
@@ -110,7 +146,8 @@ def test_backends_produce_identical_reports(fixtures_dir):
         "--format",
         "json",
     ]
-    compiled = subprocess.run(cmd, capture_output=True, check=True)
-    env = dict(os.environ, HIGGSRES_PURE="1")
-    fallback = subprocess.run(cmd, capture_output=True, check=True, env=env)
-    assert compiled.stdout == fallback.stdout
+    compiled = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    fallback = subprocess.run(cmd, capture_output=True, check=True, env=dict(env, HIGGSRES_PURE="1"))
+    backend, report = compiled.stdout.split(b"\n", 1)
+    assert backend == b"compiled"
+    assert fallback.stdout == b"pure\n" + report

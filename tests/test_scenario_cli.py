@@ -340,3 +340,38 @@ def test_higgs_pair_instances_are_pinned(fixtures_dir):
             tuple(format_gauss(x) for x in (res.term1, res.term2, res.term3, res.omega_value))
         )
     assert got == PINNED_CARTAN_TERMS
+
+
+SL2_DIAG = [["1/u", "0"], ["0", "u"]]
+SL2_ZERO = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize(
+    "keys, value, code, where",
+    [
+        (("forms",), 5, 2, "forms"),
+        (("higgs", "tangents"), 5, 2, "higgs.tangents"),
+        (("representation",), dict(EXPLICIT_REP, algebra="sl0"), 3, "representation.algebra"),
+        (("representation",), dict(EXPLICIT_REP, algebra="sl1"), 3, "representation.algebra"),
+        (("representation",), dict(EXPLICIT_REP, algebra="sl-2"), 3, "representation.algebra"),
+        # a key must name a marked point, and only one key may name it
+        (("bundle", "matrices", "0"), SL2_DIAG, 2, "bundle.matrices"),
+        (("bundle", "matrices", "oo"), SL2_DIAG, 2, "bundle.matrices"),
+        (("curve", "transitions", "1/2"), "u", 2, "curve.transitions"),
+        (("curve", "transitions", "x"), "u", 2, "curve.transitions['x']"),
+        (("higgs", "tangents", 0, "g_dot", "infinity"), SL2_ZERO, 2, "higgs.tangents[0].g_dot"),
+        (("y_tangents", 0, "g_dot"), {"inf": SL2_ZERO, "i": SL2_ZERO}, 2, "y_tangents[0].g_dot"),
+    ],
+)
+def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):
+    doc = json.loads((fixtures_dir / "f1.json").read_text())
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == (code, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert where in captured.err and "Traceback" not in captured.err
