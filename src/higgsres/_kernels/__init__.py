@@ -3,8 +3,7 @@
 The compiled extension ``_fast`` is preferred when it is importable; the
 pure-Python module ``pure`` is the fallback and the reference.  Set the
 environment variable ``HIGGSRES_PURE=1`` to force the fallback (used by
-``benchmarks/bench_kernels.py`` and by the backend-agreement tests in
-``tests/test_kernels.py``).
+the backend-agreement tests in ``tests/test_kernels.py``).
 """
 
 import os

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .field import GaussRat, RatFunc
-from .linalg import _rows_to_zi, solve_system
+from .linalg import _row_to_zi, solve_system
 from .matrices import (
     Matrix,
     adjugate,
@@ -84,7 +84,7 @@ class MatrixLieAlgebra:
             for j in range(self.n)
         ]
         # eliminate on the transpose to pick dim independent coordinates
-        work = _rows_to_zi([list(col) for col in zip(*flat)], ())
+        work = [_row_to_zi(col)[1] for col in zip(*flat)]
         pivot_cols = [c for _, c in K.zi_echelon(work, len(flat))]
         if len(pivot_cols) < self.dim:
             raise ValidationError(
@@ -217,7 +217,7 @@ def _mat_axpy(acc: Matrix, c: RatFunc, b: Matrix) -> Matrix:
 class LoopGroupElement:
     """An n x n matrix of rational functions with determinant 1."""
 
-    __slots__ = ("mat", "n")
+    __slots__ = ("mat", "n", "_inverse")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -225,6 +225,7 @@ class LoopGroupElement:
         if n != m:
             raise ShapeError("group element must be square")
         self.n = n
+        self._inverse = None
         if check and det(self.mat) != _ONE:
             raise ValidationError("loop group element has determinant != 1")
 
@@ -238,14 +239,20 @@ class LoopGroupElement:
         out = LoopGroupElement.__new__(LoopGroupElement)
         out.mat = mat_mul(self.mat, other.mat)
         out.n = self.n
+        out._inverse = None
         return out
 
     def inverse(self) -> "LoopGroupElement":
-        # det = 1, so the inverse is the adjugate
-        out = LoopGroupElement.__new__(LoopGroupElement)
-        out.mat = adjugate(self.mat)
-        out.n = self.n
-        return out
+        """g^-1, computed once; its own inverse is this element."""
+        inv = self._inverse
+        if inv is None:
+            # det = 1, so the inverse is the adjugate
+            inv = LoopGroupElement.__new__(LoopGroupElement)
+            inv.mat = adjugate(self.mat)
+            inv.n = self.n
+            inv._inverse = self
+            self._inverse = inv
+        return inv
 
     def __eq__(self, other):
         if not isinstance(other, LoopGroupElement):

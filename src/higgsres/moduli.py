@@ -70,16 +70,21 @@ from .matrices import Matrix, commutator, mat_mul, mat_vec
 
 
 class YPoint:
-    """A section-stack point (g_i, s, s'_i) with derived, validated disk data."""
+    """A section-stack point (g_i, s, s'_i) with derived, validated disk data.
 
-    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime")
+    ``system`` is the solver's factored section system of the bundle g,
+    kept for the tangent solves at this point (None until one is built).
+    """
 
-    def __init__(self, curve, rep, g, s_circ, s_prime):
+    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime", "system")
+
+    def __init__(self, curve, rep, g, s_circ, s_prime, system=None):
         self.curve: MarkedCurve = curve
         self.rep: HamiltonianRep = rep
         self.g: list[LoopGroupElement] = g
         self.s_circ: XVector = s_circ
         self.s_prime: list[XVector] = s_prime
+        self.system = system
 
     def __eq__(self, other):
         if not isinstance(other, YPoint):
@@ -110,16 +115,21 @@ class YTangent:
 
 
 class HiggsPoint:
-    """A cotangent-stack point (g_i, phi, phi'_i) with derived disk data."""
+    """A cotangent-stack point (g_i, phi, phi'_i) with derived disk data.
 
-    __slots__ = ("curve", "algebra", "g", "phi_circ", "phi_prime")
+    ``system`` is the solver's factored Higgs-field system of the bundle
+    g, kept for the tangent solves at this point (None until one is built).
+    """
 
-    def __init__(self, curve, algebra, g, phi_circ, phi_prime):
+    __slots__ = ("curve", "algebra", "g", "phi_circ", "phi_prime", "system")
+
+    def __init__(self, curve, algebra, g, phi_circ, phi_prime, system=None):
         self.curve: MarkedCurve = curve
         self.algebra: MatrixLieAlgebra = algebra
         self.g: list[LoopGroupElement] = g
         self.phi_circ: CoadjointElement = phi_circ
         self.phi_prime: list[CoadjointElement] = phi_prime
+        self.system = system
 
     def __eq__(self, other):
         if not isinstance(other, HiggsPoint):
@@ -254,10 +264,11 @@ def _check_disks(disk_entries, what) -> None:
             raise IrregularSection(i, order, what=what)
 
 
-def make_y_point(curve, rep, g, s_circ) -> YPoint:
+def make_y_point(curve, rep, g, s_circ, system=None) -> YPoint:
     """Derive s'_i, verify every invariant, and return the validated point.
 
     Assumes the curve and representation have already been validated.
+    ``system``, when given, is the section system the solver built for g.
     """
     mismatch = (
         "section length does not match the space dimension"
@@ -267,7 +278,7 @@ def make_y_point(curve, rep, g, s_circ) -> YPoint:
     _check_global(curve, g, "transition matrix", s_circ.coords, "s", mismatch)
     s_prime = derive_s_prime(curve, rep, g, s_circ)
     _check_disks([s.coords for s in s_prime], "s'")
-    return YPoint(curve, rep, g, s_circ, s_prime)
+    return YPoint(curve, rep, g, s_circ, s_prime, system)
 
 
 def make_y_tangent(base: YPoint, g_dot, s_circ_dot) -> YTangent:
@@ -307,12 +318,15 @@ def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
     return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
 
 
-def make_higgs_point(curve, algebra, g, phi_circ) -> HiggsPoint:
-    """Derive phi'_i, verify regularity, and return the validated point."""
+def make_higgs_point(curve, algebra, g, phi_circ, system=None) -> HiggsPoint:
+    """Derive phi'_i, verify regularity, and return the validated point.
+
+    ``system``, when given, is the Higgs-field system the solver built for g.
+    """
     _check_global(curve, g, "transition matrix", _entries(phi_circ.mat), "phi")
     phi_prime = derive_phi_prime(curve, algebra, g, phi_circ)
     _check_disks([_entries(p.mat) for p in phi_prime], "phi'")
-    return HiggsPoint(curve, algebra, g, phi_circ, phi_prime)
+    return HiggsPoint(curve, algebra, g, phi_circ, phi_prime, system)
 
 
 def ambient_higgs_tangent(

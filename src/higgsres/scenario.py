@@ -48,14 +48,14 @@ class SectionData:
     """Explicit coordinates, or (vector None) solved and sampled from ("section", seed)."""
 
     vector: XVector | None = None
-    seed: Any = 0
+    seed: int = 0
 
 
 @dataclass
 class YTangentData:
     """A y_tangents entry; what it leaves out is sampled from ("y_tangent", k, seed)."""
 
-    seed: Any
+    seed: int
     g_dot: list | None = None
     s_circ_dot: XVector | None = None
 
@@ -101,6 +101,17 @@ def _invalid(where: str = ""):
         yield
     except HiggsresError as exc:
         raise ValidationError(f"{where}{exc}") from None
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect_int(value: Any, path: str) -> int:
+    if not _is_int(value):
+        raise ParseError("expected an integer", location=path)
+    return value
 
 
 def _expect(obj: Any, types, path: str, what: str):
@@ -199,14 +210,14 @@ def _parse_word_factor(factor: Any, n: int, path: str) -> LoopGroupElement:
     kind = factor.get("type")
     if kind == "torus":
         exps = _expect(factor.get("exponents"), list, f"{path}.exponents", "a list of ints")
-        if len(exps) != n or not all(isinstance(e, int) for e in exps):
+        if len(exps) != n or not all(_is_int(e) for e in exps):
             raise ParseError(f"expected {n} integer exponents", f"{path}.exponents")
         with _invalid():
             return torus(n, exps)
     if kind == "elementary":
-        j = factor.get("j")
-        k = factor.get("k")
-        if not (isinstance(j, int) and isinstance(k, int) and 1 <= j <= n and 1 <= k <= n and j != k):
+        j = _expect_int(factor.get("j"), f"{path}.j")
+        k = _expect_int(factor.get("k"), f"{path}.k")
+        if not (1 <= j <= n and 1 <= k <= n and j != k):
             raise ParseError(f"need distinct 1-based indices j, k <= {n}", path)
         coeff = _parse_rf(factor.get("coeff"), "u", f"{path}.coeff")
         return elementary(n, j, k, coeff)
@@ -240,11 +251,13 @@ def _parse_bounds(block: Any, path: str) -> SolverBounds:
     if block is None:
         return SolverBounds()
     _expect(block, dict, path, "a bounds block")
-    degree = block.get("degree", SolverBounds.degree)
-    pole = block.get("pole_order", SolverBounds.pole_order)
-    if not (isinstance(degree, int) and isinstance(pole, int) and degree >= 0 and pole >= 0):
-        raise ParseError("bounds must be non-negative integers", path)
-    return SolverBounds(degree=degree, pole_order=pole)
+    values = {}
+    for key in ("degree", "pole_order"):
+        value = block.get(key, getattr(SolverBounds, key))
+        if not (_is_int(value) and value >= 0):
+            raise ParseError("bounds must be non-negative integers", f"{path}.{key}")
+        values[key] = value
+    return SolverBounds(**values)
 
 
 def _parse_suite(block: Any, path: str) -> SuiteRecipe:
@@ -253,7 +266,7 @@ def _parse_suite(block: Any, path: str) -> SuiteRecipe:
     _expect(block, dict, path, "a suite block")
 
     def integer(key, value, location):
-        if not isinstance(value, int):
+        if not _is_int(value):
             raise ParseError(f"{key} must be an integer", location)
         # attempt counts and denominators must be positive, the rest non-negative
         minimum = 1 if key in ("max_attempts", "max_den", "sample_den") else 0
@@ -330,7 +343,7 @@ def _parse_section(block: Any, dim: int) -> SectionData:
         return SectionData(vector=_parse_vector(block.get("coords"), dim, "section.coords"))
     if kind != "solve":
         raise ParseError("section kind must be 'solve' or 'explicit'", "section.kind")
-    return SectionData(seed=block.get("seed", 0))
+    return SectionData(seed=_expect_int(block.get("seed", 0), "section.seed"))
 
 
 def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> list:
@@ -339,7 +352,7 @@ def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> l
     for k, block in enumerate(blocks):
         path = f"y_tangents[{k}]"
         _expect(block, dict, path, "a tangent block")
-        tangent = YTangentData(seed=block.get("seed", k))
+        tangent = YTangentData(seed=_expect_int(block.get("seed", k), f"{path}.seed"))
         if block.get("g_dot") is not None:
             tangent.g_dot = _parse_g_dot(block["g_dot"], curve, rep.algebra, f"{path}.g_dot")
         if block.get("s_circ_dot") is not None:

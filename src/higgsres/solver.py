@@ -11,10 +11,19 @@ transported candidate must vanish.  Candidates are spanned by monomials
     z^t / prod_j (z - a_j)^P        (finite marked points a_j),
 
 with t bounded by deg(denominator) plus the allowed pole order at a
-marked infinity.  The resulting systems are solved exactly over Q(i) by
-``linalg.solve_system`` (fraction-free elimination with a deterministic
-pivot order); truncation depths are always computed from the pole
+marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
+
+Factor once, then solve many: a ``TwistedSystem`` assembles the
+conditions of one bundle and eliminates them once, exactly over Q(i)
+(``linalg.Elimination``: fraction-free, deterministic pivot order).
+That gives the sections, a cokernel basis and the row operations.  The
+point built from a section or Higgs-field space keeps the system, and
+every tangent solve at that point (a right-hand side ``b`` made of the
+polar parts of the g_dot action) goes through ``linalg.solve_system``
+against the stored elimination: ``b`` is infeasible when one of its
+polar coefficients lies in no row of the system or a cokernel vector
+does not annihilate it, and otherwise only ``b`` is reduced.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
 the path), so identical seeds reproduce identical instances on any
@@ -41,7 +50,7 @@ from .lie import (
     elementary,
     torus,
 )
-from .linalg import solve_system
+from .linalg import Elimination, solve_system
 from .matrices import commutator
 from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
 
@@ -168,9 +177,9 @@ def _negative_coefficients(f: RatFunc):
     return out
 
 
-def _assemble(columns_effects, extra_keys=()):
+def _assemble(columns_effects):
     """Build (row_keys, matrix) from per-column {row_key: triple} dicts."""
-    keys = set(extra_keys)
+    keys = set()
     for eff in columns_effects:
         keys.update(eff)
     row_keys = sorted(keys)
@@ -182,58 +191,86 @@ def _assemble(columns_effects, extra_keys=()):
     return row_keys, matrix
 
 
-def _solve_twisted(curve, cand: CandidateSpace, dim: int, frame, rhs=None):
-    """Global sections of a bundle twisted by local transition matrices.
+class TwistedSystem:
+    """The regularity conditions of one twisted bundle, assembled and factored once.
 
     ``frame[i][k]`` is the tuple of local coordinates of basis element k
     transported to disk i (the k-th column of the transition M_i(u)).  A
-    candidate sum_{k,t} c_kt f_t e_k is a section when every transported
-    germ is regular at u = 0.  With ``rhs`` (per disk, germs in the
-    frame's coordinates) the transported candidate must instead have the
-    polar part of rhs[i].
-
-    Returns (basis, particular), each solution given as its dim scalar
-    functions; particular is None for the homogeneous system.  Returns
-    None when the inhomogeneous system has no solution.
+    candidate sum_{k,t} c_kt f_t e_k is a global section when every
+    transported germ is regular at u = 0: one linear condition per polar
+    coefficient, keyed (disk, coordinate, exponent): ``matrix`` has one
+    row per key of ``row_keys``.  ``basis`` holds the sections, each as
+    its dim scalar functions.  ``particular`` solves for a candidate with
+    prescribed polar parts against the stored elimination, reducing only
+    the right-hand side.
     """
-    pulled = [[curve.chart(i).pull(f) for f in cand.functions] for i in range(curve.n_points)]
-    effects = []
-    for k in range(dim):
-        for t in range(cand.size):
-            eff = {}
-            for i, disk in enumerate(frame):
-                f_loc = pulled[i][t]
-                for row, entry in enumerate(disk[k]):
-                    if entry.is_zero():
-                        continue
-                    for e, triple in _negative_coefficients(f_loc * entry):
-                        key = (i, row, e)
-                        eff[key] = K.gq_add(eff.get(key, K.GQ_ZERO), triple)
-            effects.append({key: v for key, v in eff.items() if not K.gq_is_zero(v)})
-    rhs_effect = {}
-    for i, germs in enumerate(rhs or ()):
-        for row, germ in enumerate(germs):
-            for e, triple in _negative_coefficients(germ):
-                rhs_effect[(i, row, e)] = triple
-    row_keys, matrix = _assemble(effects, rhs_effect.keys())
-    rhs_cols = [] if rhs is None else [[rhs_effect.get(key, K.GQ_ZERO) for key in row_keys]]
-    null_basis, parts = solve_system(matrix, len(effects), rhs_cols)
-    if parts and parts[0] is None:
-        return None
 
-    def combine(vec):
-        out = []
+    __slots__ = (
+        "candidates", "dim", "frame", "row_keys", "matrix", "_row_index", "elimination", "basis"
+    )
+
+    def __init__(self, curve: MarkedCurve, candidates: CandidateSpace, dim: int, frame):
+        self.candidates = candidates
+        self.dim = dim
+        self.frame = frame
+        pulled = [
+            [curve.chart(i).pull(f) for f in candidates.functions] for i in range(curve.n_points)
+        ]
+        effects = []
         for k in range(dim):
+            for t in range(candidates.size):
+                eff = {}
+                for i, disk in enumerate(frame):
+                    f_loc = pulled[i][t]
+                    for row, entry in enumerate(disk[k]):
+                        if entry.is_zero():
+                            continue
+                        for e, triple in _negative_coefficients(f_loc * entry):
+                            key = (i, row, e)
+                            eff[key] = K.gq_add(eff.get(key, K.GQ_ZERO), triple)
+                effects.append({key: v for key, v in eff.items() if not K.gq_is_zero(v)})
+        self.row_keys, self.matrix = _assemble(effects)
+        self._row_index = {key: r for r, key in enumerate(self.row_keys)}
+        self.elimination = Elimination(self.matrix, len(effects))
+        null_basis, _ = solve_system(self.elimination, len(effects))
+        self.basis = [self._combine(v) for v in null_basis]
+
+    @property
+    def bounds(self) -> SolverBounds:
+        return self.candidates.bounds
+
+    def _combine(self, vec) -> list:
+        functions = self.candidates.functions
+        out = []
+        for k in range(self.dim):
             acc = RatFunc.const(0)
-            for t, f in enumerate(cand.functions):
-                c = vec[k * cand.size + t]
+            for t, f in enumerate(functions):
+                c = vec[k * len(functions) + t]
                 if not c.is_zero():
                     acc = acc + f * c
             out.append(acc)
         return out
 
-    particular = combine(parts[0]) if parts else None
-    return [combine(v) for v in null_basis], particular
+    def particular(self, rhs):
+        """The candidate whose transport has the polar part of rhs[i] in disk i.
+
+        ``rhs[i]`` holds germs in the frame's coordinates.  Returns the
+        solution with free coefficients 0 as its dim scalar functions, or
+        None when there is none: some polar coefficient of rhs lies in no
+        row of the system, or rhs fails the cokernel test.
+        """
+        b = [K.GQ_ZERO] * len(self.row_keys)
+        for i, germs in enumerate(rhs):
+            for row, germ in enumerate(germs):
+                for e, triple in _negative_coefficients(germ):
+                    r = self._row_index.get((i, row, e))
+                    if r is None:
+                        # past the rows of A: a zero row of A
+                        b.append(triple)
+                    else:
+                        b[r] = triple
+        _, parts = solve_system(self.elimination, self.elimination.ncols, [b])
+        return None if parts[0] is None else self._combine(parts[0])
 
 
 def _section_frame(curve, rep, g):
@@ -254,16 +291,24 @@ def _higgs_frame(curve, algebra, g):
     return frame
 
 
-class SectionSpace:
-    """Basis of global sections compatible with the bundle's cocycle."""
+def _section_system(curve, rep, g, bounds) -> TwistedSystem:
+    return TwistedSystem(
+        curve, candidate_functions(curve, bounds), rep.space.dim, _section_frame(curve, rep, g)
+    )
 
-    def __init__(self, curve, rep, g, bounds, candidates, basis):
-        self.curve = curve
-        self.rep = rep
-        self.g = g
-        self.bounds = bounds
-        self.candidates = candidates
-        self.basis: list[XVector] = basis
+
+def _higgs_system(curve, algebra, g, bounds) -> TwistedSystem:
+    return TwistedSystem(
+        curve, candidate_functions(curve, bounds), algebra.dim, _higgs_frame(curve, algebra, g)
+    )
+
+
+class SectionSpace:
+    """Basis of the global sections (or Higgs fields) of one bundle, and its system."""
+
+    def __init__(self, system: TwistedSystem, basis: list):
+        self.system = system
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -284,10 +329,8 @@ class AffineSpace:
 
 def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> SectionSpace:
     """Solve the regularity conditions; every basis vector gives a valid point."""
-    bounds = bounds or SolverBounds()
-    cand = candidate_functions(curve, bounds)
-    basis, _ = _solve_twisted(curve, cand, rep.space.dim, _section_frame(curve, rep, g))
-    return SectionSpace(curve, rep, g, bounds, cand, [XVector(s) for s in basis])
+    system = _section_system(curve, rep, g, bounds or SolverBounds())
+    return SectionSpace(system, [XVector(s) for s in system.basis])
 
 
 def build_tangent_space(
@@ -298,53 +341,61 @@ def build_tangent_space(
     The homogeneous part coincides with the section space of the bundle;
     the inhomogeneity comes from the infinitesimal action of g_dot on the
     disk sections.  Raises Infeasible when the action introduces poles
-    that no candidate within the bounds can cancel.
+    that no candidate within the bounds can cancel.  The point's section
+    system is reused, and built and kept on a point that has none for
+    these bounds.
     """
     bounds = bounds or SolverBounds()
     curve, rep = point.curve, point.rep
-    cand = candidate_functions(curve, bounds)
+    system = point.system
+    if system is None or system.bounds != bounds:
+        system = point.system = _section_system(curve, rep, point.g, bounds)
     # sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i
     rhs = [rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(curve.n_points)]
-    solved = _solve_twisted(curve, cand, rep.space.dim, _section_frame(curve, rep, point.g), rhs)
-    if solved is None:
+    particular = system.particular(rhs)
+    if particular is None:
         raise Infeasible(
             "no tangent section cancels the poles of the g_dot action "
             f"within bounds {bounds}; enlarge degree/pole_order"
         )
-    basis, particular = solved
-    return AffineSpace(XVector(particular), [XVector(s) for s in basis])
+    return AffineSpace(XVector(particular), [XVector(s) for s in system.basis])
 
 
-def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None):
+def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None) -> SectionSpace:
     """Basis of global Higgs fields compatible with the bundle's cocycle."""
-    bounds = bounds or SolverBounds()
-    cand = candidate_functions(curve, bounds)
-    basis, _ = _solve_twisted(curve, cand, algebra.dim, _higgs_frame(curve, algebra, g))
-    return [CoadjointElement(algebra, algebra.combination(s)) for s in basis]
+    system = _higgs_system(curve, algebra, g, bounds or SolverBounds())
+    return SectionSpace(
+        system, [CoadjointElement(algebra, algebra.combination(s)) for s in system.basis]
+    )
 
 
 def build_higgs_tangent_space(
     point: HiggsPoint, g_dot, bounds: SolverBounds | None = None
 ) -> AffineSpace:
-    """Solutions phidot for which the Higgs tangent disk data stays regular."""
+    """Solutions phidot for which the Higgs tangent disk data stays regular.
+
+    The point's Higgs-field system is reused, and built and kept on a
+    point that has none for these bounds.
+    """
     bounds = bounds or SolverBounds()
     curve, algebra = point.curve, point.algebra
-    cand = candidate_functions(curve, bounds)
+    system = point.system
+    if system is None or system.bounds != bounds:
+        system = point.system = _higgs_system(curve, algebra, point.g, bounds)
     # phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i]
     rhs = [
         tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
         for i in range(curve.n_points)
     ]
-    solved = _solve_twisted(curve, cand, algebra.dim, _higgs_frame(curve, algebra, point.g), rhs)
-    if solved is None:
+    particular = system.particular(rhs)
+    if particular is None:
         raise Infeasible(
             "no global Higgs deformation cancels the bracket poles within "
             f"bounds {bounds}"
         )
-    basis, particular = solved
     return AffineSpace(
         CoadjointElement(algebra, algebra.combination(particular)),
-        [CoadjointElement(algebra, algebra.combination(s)) for s in basis],
+        [CoadjointElement(algebra, algebra.combination(s)) for s in system.basis],
     )
 
 

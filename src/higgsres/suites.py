@@ -111,7 +111,7 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
         s_circ = sample_vector(space, rng.child("section"), suite.sample_num, suite.sample_den)
     else:
         s_circ = XVector.zero(scenario.rep.space.dim)
-    point = make_y_point(scenario.curve, scenario.rep, bundle, s_circ)
+    point = make_y_point(scenario.curve, scenario.rep, bundle, s_circ, space.system)
     tangents = []
     retries = 0
     for j in (1, 2):
@@ -132,6 +132,7 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
 def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
     """The point described by the scenario's bundle/section blocks."""
     s_circ = scenario.section.vector
+    system = None
     if s_circ is None:
         space = build_section_space(
             scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
@@ -145,7 +146,8 @@ def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
                 scenario.suite.sample_num,
                 scenario.suite.sample_den,
             )
-    return make_y_point(scenario.curve, scenario.rep, scenario.bundle, s_circ)
+        system = space.system
+    return make_y_point(scenario.curve, scenario.rep, scenario.bundle, s_circ, system)
 
 
 def scenario_tangents(scenario: Scenario, point: YPoint, rng: SeedStream) -> list:
@@ -186,13 +188,13 @@ def random_higgs_pair(scenario: Scenario, rng: SeedStream):
     algebra = scenario.rep.algebra
     bundle = scenario.bundle
     fields = build_higgs_field_space(scenario.curve, algebra, bundle, scenario.bounds)
-    if fields:
+    if fields.dim:
         phi = sample_vector(fields, rng.child("phi"), suite.sample_num, suite.sample_den)
     else:
         phi = algebra.coadjoint(
             [[RatFunc.const(0)] * algebra.n for _ in range(algebra.n)]
         )
-    point = make_higgs_point(scenario.curve, algebra, bundle, phi)
+    point = make_higgs_point(scenario.curve, algebra, bundle, phi, fields.system)
     tangents = []
     for j in (1, 2):
         g_dot, space, sub, _ = _sample_tangent(

@@ -346,6 +346,10 @@ SL2_DIAG = [["1/u", "0"], ["0", "u"]]
 SL2_ZERO = [["0", "0"], ["0", "0"]]
 
 
+def word_bundle(factor):
+    return {"kind": "word", "words": {"inf": [factor]}}
+
+
 @pytest.mark.parametrize(
     "keys, value, code, where",
     [
@@ -361,6 +365,23 @@ SL2_ZERO = [["0", "0"], ["0", "0"]]
         (("curve", "transitions", "x"), "u", 2, "curve.transitions['x']"),
         (("higgs", "tangents", 0, "g_dot", "infinity"), SL2_ZERO, 2, "higgs.tangents[0].g_dot"),
         (("y_tangents", 0, "g_dot"), {"inf": SL2_ZERO, "i": SL2_ZERO}, 2, "y_tangents[0].g_dot"),
+        # JSON booleans are not integers
+        (("bounds", "degree"), True, 2, "bounds.degree"),
+        (("bounds", "pole_order"), False, 2, "bounds.pole_order"),
+        (("suite", "max_attempts"), True, 2, "suite.max_attempts"),
+        (("suite", "cocycle", "length"), True, 2, "suite.cocycle.length"),
+        (("bundle",), word_bundle({"type": "torus", "exponents": [True, -1]}), 2,
+         "bundle.words['inf'][0].exponents"),
+        (("bundle",), word_bundle({"type": "elementary", "j": True, "k": 2, "coeff": "u"}), 2,
+         "bundle.words['inf'][0].j"),
+        (("bundle",), word_bundle({"type": "elementary", "j": 2, "k": True, "coeff": "u"}), 2,
+         "bundle.words['inf'][0].k"),
+        # seeds name sampling streams: only integers
+        (("section", "seed"), "5", 2, "section.seed"),
+        (("section", "seed"), 5.0, 2, "section.seed"),
+        (("section", "seed"), True, 2, "section.seed"),
+        (("y_tangents", 0, "seed"), "1", 2, "y_tangents[0].seed"),
+        (("y_tangents", 1, "seed"), 2.0, 2, "y_tangents[1].seed"),
     ],
 )
 def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):

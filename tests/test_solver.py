@@ -16,6 +16,8 @@ from higgsres import (
     make_y_tangent,
 )
 from higgsres.linalg import LinearSystem, nullspace, solve_system
+from higgsres.lie import elementary, torus
+from higgsres.matrices import commutator, identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
     CocycleRecipe,
@@ -26,6 +28,7 @@ from higgsres.solver import (
     build_higgs_tangent_space,
     build_section_space,
     build_tangent_space,
+    _negative_coefficients,
     candidate_functions,
     random_cocycle,
     random_loop_algebra,
@@ -222,8 +225,8 @@ def test_sampling_empty_space_raises(curve_one_point, rep_sl2):
 def test_higgs_field_space_matches_transition(curve_one_point, twisted_bundle):
     sl2 = builtin_rep("sl2-standard").algebra
     fields = build_higgs_field_space(curve_one_point, sl2, twisted_bundle, BOUNDS)
-    assert len(fields) >= 1
-    for phi in fields:
+    assert fields.dim >= 1
+    for phi in fields.basis:
         # every basis field must produce regular disk data
         make_higgs_point(curve_one_point, sl2, twisted_bundle, phi)
 
@@ -242,3 +245,161 @@ def test_higgs_tangent_space_solutions_are_valid(curve_one_point, twisted_bundle
             continue
         phi_dot = sample_affine(space, sub.child("phi"))
         make_higgs_tangent(point, g_dot, phi_dot)  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# factor once, solve many: the per-bundle system against a one-shot solve
+# ---------------------------------------------------------------------------
+
+
+def _one_shot(system, rhs):
+    """Solve [A | b] in one go, as a fresh system: A gets a zero row for
+    each polar coefficient of rhs it has no row for.  Returns (matrix, b,
+    null basis, particular or None, whether rhs had such a row)."""
+    effect = {}
+    for i, germs in enumerate(rhs):
+        for row, germ in enumerate(germs):
+            for e, triple in _negative_coefficients(germ):
+                effect[(i, row, e)] = triple
+    ncols = system.elimination.ncols
+    rows = dict(zip(system.row_keys, system.matrix))
+    keys = sorted(set(rows) | set(effect))
+    zero = _triple(0)
+    matrix = [rows.get(k, [zero] * ncols) for k in keys]
+    b = [effect.get(k, zero) for k in keys]
+    null, parts = solve_system(matrix, ncols, [b])
+    return matrix, b, null, parts[0], not set(effect) <= set(rows)
+
+
+def _rank(matrix) -> int:
+    """Rank by plain Gaussian elimination over Q(i), independent of linalg."""
+    rows = [[GaussRat.from_triple(t) for t in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if not rows[r][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][c].is_zero():
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _apply(matrix, vec):
+    return [
+        sum((GaussRat.from_triple(t) * v for t, v in zip(row, vec)), GaussRat(0))
+        for row in matrix
+    ]
+
+
+def _random_point(side, rep, curve, bounds, rng):
+    """A point over a random bundle, carrying the system its space built."""
+    algebra = rep.algebra
+    g = [random_cocycle(algebra.n, CocycleRecipe(), rng.child("g", i)) for i in range(curve.n_points)]
+    if side == "section":
+        space = build_section_space(curve, rep, g, bounds)
+        s = sample_vector(space, rng.child("s")) if space.dim else XVector.zero(rep.space.dim)
+        return make_y_point(curve, rep, g, s, space.system), space.system
+    space = build_higgs_field_space(curve, algebra, g, bounds)
+    if space.dim:
+        phi = sample_vector(space, rng.child("phi"))
+    else:
+        phi = algebra.coadjoint([[0] * algebra.n for _ in range(algebra.n)])
+    return make_higgs_point(curve, algebra, g, phi, space.system), space.system
+
+
+def _tangent_rhs(side, point, g_dot):
+    """The prescribed polar data of the tangent system at each disk."""
+    n = point.curve.n_points
+    if side == "section":
+        return [point.rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(n)]
+    return [
+        tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "side, build, reps, bounds",
+    [
+        ("section", build_tangent_space, ("sl2-standard", "sl3-cotangent"), BOUNDS),
+        # tighter bounds, so that some bracket poles lie in no row of A
+        ("higgs", build_higgs_tangent_space, ("sl2-standard", "sl3-cotangent"), SolverBounds(2, 2)),
+    ],
+)
+def test_factor_once_matches_one_shot_solve(
+    curve_one_point, curve_two_points, side, build, reps, bounds
+):
+    kinds = {"feasible": 0, "extra polar row": 0, "cokernel": 0}
+    for rep_name in reps:
+        rep = builtin_rep(rep_name)
+        for curve in (curve_one_point, curve_two_points):
+            rng = SeedStream("factor-once", side, rep_name, curve.n_points)
+            for b in range(3):
+                point, system = _random_point(side, rep, curve, bounds, rng.child("bundle", b))
+                for d in range(6):
+                    sub = rng.child("bundle", b, "g_dot", d)
+                    g_dot = [
+                        random_loop_algebra(rep.algebra, GdotRecipe(pole_order=3), sub.child(i))
+                        for i in range(curve.n_points)
+                    ]
+                    rhs = _tangent_rhs(side, point, g_dot)
+                    matrix, vector, null, part, extra = _one_shot(system, rhs)
+                    assert system.elimination.null_basis == null
+                    assert system.basis == [system._combine(v) for v in null]
+                    assert system.particular(rhs) == (None if part is None else system._combine(part))
+                    try:
+                        build(point, g_dot, bounds)
+                        feasible = True
+                    except Infeasible:
+                        feasible = False
+                    assert point.system is system
+                    assert feasible == (part is not None)
+                    if feasible:
+                        assert _apply(matrix, part) == [GaussRat.from_triple(t) for t in vector]
+                        kinds["feasible"] += 1
+                    elif extra:
+                        kinds["extra polar row"] += 1
+                    else:
+                        # every polar row is a row of A: b is outside its column space
+                        full = [row + [t] for row, t in zip(matrix, vector)]
+                        assert _rank(full) == _rank(matrix) + 1
+                        kinds["cokernel"] += 1
+                for v in null:
+                    assert all(x.is_zero() for x in _apply(system.matrix, v))
+    assert all(kinds.values()), kinds
+
+
+def test_tangent_builder_keeps_one_system_per_bounds(f1_point, rep_sl2):
+    point = make_y_point(f1_point.curve, rep_sl2, f1_point.g, f1_point.s_circ)
+    assert point.system is None
+    g_dot = [rep_sl2.algebra.basis_element("F")]
+    build_tangent_space(point, g_dot, BOUNDS)
+    system = point.system
+    assert system is not None and system.bounds == BOUNDS
+    build_tangent_space(point, g_dot, BOUNDS)
+    assert point.system is system
+    build_tangent_space(point, g_dot, SolverBounds(degree=2, pole_order=0))
+    assert point.system.bounds == SolverBounds(degree=2, pole_order=0)
+
+
+def _group_elements():
+    c = GaussRat(Fraction(1, 2), 1) * U
+    t = torus(3, [1, 1, -2])
+    e = elementary(3, 1, 3, c)
+    f = elementary(3, 2, 1, U ** -1)
+    return {"torus": t, "elementary": e, "product": t * e * f * torus(3, [-1, 0, 1])}
+
+
+@pytest.mark.parametrize("name", ["torus", "elementary", "product"])
+def test_inverse_is_computed_once_and_knows_its_inverse(name):
+    g = _group_elements()[name]
+    inv = g.inverse()
+    assert g.inverse() is inv
+    assert inv.inverse() is g
+    one = LoopGroupElement.identity(3)
+    assert g * inv == one and inv * g == one
+    assert (g * inv).mat == identity(3)
