@@ -10,7 +10,6 @@ fallback; ``higgsres.KERNEL_BACKEND`` tells which one is active.
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .curve import CurveReport, MarkedCurve, curve_validate
 from .errors import (
-    DegeneratePairing,
     EmptySpace,
     EquivarianceBroken,
     HiggsresError,
@@ -59,7 +58,6 @@ from .lie import (
     pairing,
     torus,
 )
-from .linalg import nullspace
 from .moduli import (
     HiggsPoint,
     ambient_higgs_tangent,

@@ -1,20 +1,13 @@
 """Kernel backend selection.
 
-The compiled extension ``_fast`` is preferred when it is importable; the
-pure-Python module ``pure`` is the fallback and the reference.  Set the
-environment variable ``HIGGSRES_PURE=1`` to force the fallback (used by
-the backend-agreement tests in ``tests/test_kernels.py``).
+The compiled extension ``_fast`` is used when it is importable; the
+pure-Python module ``pure`` is the fallback and the reference.
 """
 
-import os
-
-if os.environ.get("HIGGSRES_PURE"):
+try:
+    from . import _fast as impl  # type: ignore[attr-defined]
+except ImportError:
     from . import pure as impl
-else:
-    try:
-        from . import _fast as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as impl
 
 BACKEND = impl.BACKEND
 

@@ -20,11 +20,7 @@ class ShapeError(HiggsresError):
 
 
 class NotInAlgebra(HiggsresError):
-    """A matrix does not lie in the coefficient span of the algebra basis."""
-
-
-class DegeneratePairing(HiggsresError):
-    """The trace-form Gram matrix of the algebra is singular."""
+    """A matrix does not lie in the span of the algebra basis (its trace is not 0)."""
 
 
 class UnsupportedDenominator(HiggsresError):

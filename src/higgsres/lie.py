@@ -1,10 +1,12 @@
-"""Matrix Lie algebras and loop-group elements over the rational-function field.
+"""sl_n and loop-group elements over the rational-function field.
 
-The algebra is given by an explicit matrix basis; closure under the
-commutator and linear independence are verified exactly at construction
-by solving small linear systems over Q(i).  The dual space is identified
-with the algebra through the trace form of the defining representation,
-which turns the coadjoint action into literal conjugation:
+The only algebra is sl_n with its standard basis: raising E_jk (j < k),
+Cartan H_j = e_jj - e_(j+1)(j+1) and lowering F_jk (j > k).  Coordinates,
+span membership and duals are read off the matrix in closed form.  A
+matrix lies in the span exactly when its trace is 0.  The dual space is
+identified with the algebra through the trace form of the defining
+representation, which turns the coadjoint action into literal
+conjugation:
 
     transition conventions (pinned once, globally):
         sections     s'   = T^-1 rho(g)^-1 s
@@ -16,26 +18,19 @@ by the test suite.
 
 Loop-group elements are matrices of rational functions in the local disk
 coordinate with determinant identically 1; loop-algebra and coadjoint
-elements must lie in the RatFunc-span of the basis (checked by an exact
-linear solve through a precomputed pivot inverse).
+elements are traceless matrices of rational functions.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from . import _kernels as K
-from .errors import (
-    DegeneratePairing,
-    NotInAlgebra,
-    ShapeError,
-    ValidationError,
-)
+from .errors import NotInAlgebra, ShapeError, ValidationError
 from .field import GaussRat, RatFunc
-from .linalg import _row_to_zi, solve_system
 from .matrices import (
     Matrix,
     adjugate,
+    as_entry,
     commutator,
     det,
     identity,
@@ -56,70 +51,46 @@ _ONE = RatFunc.const(1)
 
 
 class MatrixLieAlgebra:
-    """A matrix Lie algebra with an explicit basis and trace-form pairing."""
+    """sl_n with its standard basis and the trace-form pairing.
 
-    def __init__(self, name: str, n: int, basis: Sequence, labels: Sequence[str]):
-        if len(basis) != len(labels):
-            raise ValidationError("basis and labels differ in length")
-        self.name = name
+    Build it with ``MatrixLieAlgebra.sl(n)``.  The basis is ordered
+    raising E_jk (j < k), Cartan H_j, lowering F_jk (j > k), each family
+    row by row.  For sl2 the order is (E, H, F) with E = E_12,
+    H = diag(1, -1), F = E_21.
+    """
+
+    def __init__(self, n: int):
+        self.name = f"sl{n}"
         self.n = n
-        self.labels = list(labels)
-        self.basis: list[Matrix] = [mat_from(b) for b in basis]
-        for b in self.basis:
-            if shape(b) != (n, n):
-                raise ShapeError(f"basis matrix is not {n}x{n}")
-        self.dim = len(self.basis)
+        self._upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        self._lower = [(j, k) for j in range(n) for k in range(j)]
+
+        def label(family, j, k):
+            return family if n == 2 else f"{family}{j + 1}{k + 1}"
+
+        self.labels = (
+            [label("E", j, k) for j, k in self._upper]
+            + ["H" if n == 2 else f"H{j + 1}" for j in range(n - 1)]
+            + [label("F", j, k) for j, k in self._lower]
+        )
+        self.dim = len(self.labels)
         self._index = {lab: k for k, lab in enumerate(self.labels)}
-        self._prepare_solver()
-        self._check_closure()
-        self._prepare_gram()
-
-    # -- construction-time validation ------------------------------------
-
-    def _prepare_solver(self):
-        """Find dim independent coordinates and invert that square block."""
-        flat = [
-            [b[i][j].constant_value()._t for b in self.basis]
-            for i in range(self.n)
-            for j in range(self.n)
-        ]
-        # eliminate on the transpose to pick dim independent coordinates
-        work = [_row_to_zi(col)[1] for col in zip(*flat)]
-        pivot_cols = [c for _, c in K.zi_echelon(work, len(flat))]
-        if len(pivot_cols) < self.dim:
-            raise ValidationError(
-                f"basis of {self.name} is linearly dependent "
-                f"(rank {len(pivot_cols)} < {self.dim})"
-            )
-        self._pivot_coords = pivot_cols
-        # those coordinates of the basis form an invertible dim x dim block
-        self._solve_inv = _inverse([flat[r] for r in pivot_cols])
-
-    def _check_closure(self):
+        self.basis: list[Matrix] = []
+        for k in range(self.dim):
+            coeffs = [_ZERO] * self.dim
+            coeffs[k] = _ONE
+            self.basis.append(self.combination(coeffs))
         self.structure: dict[tuple[int, int], list[GaussRat]] = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
                 br = commutator(self.basis[a], self.basis[b])
-                coeffs = self.expand_in_basis(br)
-                if coeffs is None:
-                    raise ValidationError(
-                        f"[{self.labels[a]}, {self.labels[b]}] is outside the "
-                        f"span of the {self.name} basis"
-                    )
-                consts = [c.constant_value() for c in coeffs]
+                consts = [c.constant_value() for c in self.expand_in_basis(br)]
                 self.structure[(a, b)] = consts
                 self.structure[(b, a)] = [-c for c in consts]
 
-    def _prepare_gram(self):
-        g = [
-            [
-                mat_trace(mat_mul(self.basis[a], self.basis[b])).constant_value()
-                for b in range(self.dim)
-            ]
-            for a in range(self.dim)
-        ]
-        self.gram = g
-        self.gram_inverse = _inverse([[x._t for x in row] for row in g])
+    @classmethod
+    def sl(cls, n: int) -> "MatrixLieAlgebra":
+        return cls(n)
 
     # -- queries -----------------------------------------------------------
 
@@ -129,28 +100,46 @@ class MatrixLieAlgebra:
         return self._index[label]
 
     def expand_in_basis(self, mat: Matrix) -> list[RatFunc] | None:
-        """Coefficients of mat in the basis, or None if outside the span."""
-        if shape(mat) != (self.n, self.n):
-            raise ShapeError(f"expected a {self.n}x{self.n} matrix")
-        vec = [mat[i][j] for i in range(self.n) for j in range(self.n)]
-        coeffs = []
-        for k in range(self.dim):
-            acc = _ZERO
-            for t, r in enumerate(self._pivot_coords):
-                c = self._solve_inv[k][t]
-                if not c.is_zero() and not vec[r].is_zero():
-                    acc = acc + vec[r] * c
-            coeffs.append(acc)
-        # verify: the candidate expansion must reproduce every coordinate
-        return coeffs if mat_eq(self.combination(coeffs), mat) else None
+        """Coefficients of mat in the basis, or None if its trace is not 0.
 
-    def combination(self, coeffs: Sequence[RatFunc]) -> Matrix:
-        """The matrix sum_k coeffs[k] basis[k]."""
-        mat = zeros(self.n, self.n)
-        for c, b in zip(coeffs, self.basis):
-            if not c.is_zero():
-                mat = _mat_axpy(mat, c, b)
-        return mat
+        E_jk and F_jk read entry (j, k); H_j reads d_0 + ... + d_j, the
+        partial sums of the diagonal, whose last one is the trace.
+        """
+        n = self.n
+        if shape(mat) != (n, n):
+            raise ShapeError(f"expected a {n}x{n} matrix")
+        partial = [mat[0][0]]
+        for j in range(1, n):
+            partial.append(partial[-1] + mat[j][j])
+        if not partial.pop().is_zero():
+            return None
+        return (
+            [mat[j][k] for j, k in self._upper]
+            + partial
+            + [mat[j][k] for j, k in self._lower]
+        )
+
+    def combination(self, coeffs: Sequence) -> Matrix:
+        """The matrix sum_k coeffs[k] basis[k].
+
+        Off-diagonal coefficients are entries; the diagonal is
+        d_j = c(H_j) - c(H_(j-1)), with c(H_-1) = c(H_(n-1)) = 0.
+        """
+        n = self.n
+        rows = [[_ZERO] * n for _ in range(n)]
+        offdiag, cartan = self._split([as_entry(c) for c in coeffs])
+        for (j, k), c in offdiag:
+            rows[j][k] = c
+        cartan = [_ZERO, *cartan, _ZERO]
+        for j in range(n):
+            rows[j][j] = cartan[j + 1] - cartan[j]
+        return tuple(tuple(row) for row in rows)
+
+    def _split(self, vec: list):
+        """((entry (j, k), value) for each E and F slot of vec, the H slots of vec)."""
+        e = len(self._upper)
+        f = e + self.n - 1
+        return zip(self._upper + self._lower, vec[:e] + vec[f:]), vec[e:f]
 
     def element(self, mat) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, mat_from(mat))
@@ -166,52 +155,6 @@ class MatrixLieAlgebra:
 
     def __repr__(self):
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
-
-    # -- standard families ---------------------------------------------------
-
-    @classmethod
-    def sl(cls, n: int) -> "MatrixLieAlgebra":
-        """sl_n with basis: raising E_jk (j<k), Cartan H_j, lowering F_jk (j>k).
-
-        For sl2 the order is (E, H, F) with E = E_12, H = diag(1, -1),
-        F = E_21.
-        """
-        basis = []
-        labels = []
-
-        def unit(j, k):
-            return [[1 if (r, c) == (j, k) else 0 for c in range(n)] for r in range(n)]
-
-        for j in range(n):
-            for k in range(j + 1, n):
-                basis.append(unit(j, k))
-                labels.append("E" if n == 2 else f"E{j + 1}{k + 1}")
-        for j in range(n - 1):
-            h = [[0] * n for _ in range(n)]
-            h[j][j] = 1
-            h[j + 1][j + 1] = -1
-            basis.append(h)
-            labels.append("H" if n == 2 else f"H{j + 1}")
-        for j in range(n):
-            for k in range(j):
-                basis.append(unit(j, k))
-                labels.append("F" if n == 2 else f"F{j + 1}{k + 1}")
-        return cls(f"sl{n}", n, basis, labels)
-
-
-def _inverse(matrix: list) -> list[list[GaussRat]] | None:
-    """Inverse of a square matrix of GaussRat triples; None if singular."""
-    n = len(matrix)
-    units = [[K.GQ_ONE if j == k else K.GQ_ZERO for j in range(n)] for k in range(n)]
-    null, columns = solve_system(matrix, n, units)
-    return None if null else [list(row) for row in zip(*columns)]
-
-
-def _mat_axpy(acc: Matrix, c: RatFunc, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + c * y if not y.is_zero() else x for x, y in zip(ra, rb))
-        for ra, rb in zip(acc, b)
-    )
 
 
 class LoopGroupElement:
@@ -264,29 +207,31 @@ class LoopGroupElement:
 
 
 class _SpanElement:
-    """A matrix in the RatFunc-span of an algebra's basis, with its coefficients.
+    """A matrix in the RatFunc-span of an algebra's basis.
 
     Arithmetic returns the left operand's class; equality holds only
     between elements of the same class.
     """
 
-    __slots__ = ("algebra", "mat", "coeffs")
+    __slots__ = ("algebra", "mat")
     _outside = "matrix outside the span of {}"
     _label_suffix = ""
 
     def __init__(self, algebra: MatrixLieAlgebra, mat):
         self.algebra = algebra
         self.mat = mat_from(mat)
-        coeffs = algebra.expand_in_basis(self.mat)
-        if coeffs is None:
+        if algebra.expand_in_basis(self.mat) is None:
             raise NotInAlgebra(self._outside.format(algebra.name))
-        self.coeffs = coeffs
 
-    def _new(self, mat, coeffs):
+    @property
+    def coeffs(self) -> list[RatFunc]:
+        """The coefficients of the matrix in the algebra's basis."""
+        return self.algebra.expand_in_basis(self.mat)
+
+    def _new(self, mat):
         out = type(self).__new__(type(self))
         out.algebra = self.algebra
         out.mat = mat
-        out.coeffs = coeffs
         return out
 
     def is_zero(self) -> bool:
@@ -294,20 +239,14 @@ class _SpanElement:
 
     def __add__(self, other):
         _require_same_algebra(self, other)
-        return self._new(
-            mat_add(self.mat, other.mat), [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._new(mat_add(self.mat, other.mat))
 
     def __sub__(self, other):
         _require_same_algebra(self, other)
-        return self._new(
-            mat_sub(self.mat, other.mat), [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._new(mat_sub(self.mat, other.mat))
 
     def __mul__(self, scalar):
-        mat = mat_scale(scalar, self.mat)
-        s = scalar if isinstance(scalar, RatFunc) else RatFunc.const(scalar)
-        return self._new(mat, [s * c for c in self.coeffs])
+        return self._new(mat_scale(scalar, self.mat))
 
     __rmul__ = __mul__
 
@@ -378,27 +317,27 @@ def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> Coadjoin
 
 
 def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:
-    """The unique span element M with tr(M xi_a) = values[a] for each basis label.
+    """The traceless M with tr(M xi_a) = values[a] for each basis label.
 
-    Solves through the inverse Gram matrix of the trace form; raises
-    DegeneratePairing if that form is singular (impossible for sl_n, but
-    guards misuse on user-provided algebras).
+    tr(M E_jk) = M[k][j], and the same for F_jk.  The diagonal follows
+    from h_j = tr(M H_j) = d_j - d_(j+1) and trace 0:
+    d_0 = sum_j (n-1-j) h_j / n.
     """
-    if algebra.gram_inverse is None:
-        raise DegeneratePairing(f"trace form of {algebra.name} is degenerate")
-    vec = []
-    for lab in algebra.labels:
-        v = values.get(lab, _ZERO)
-        vec.append(v if isinstance(v, RatFunc) else RatFunc.const(v))
-    coeffs = []
-    for k in range(algebra.dim):
-        coeff = _ZERO
-        for b in range(algebra.dim):
-            gk = algebra.gram_inverse[k][b]
-            if not gk.is_zero() and not vec[b].is_zero():
-                coeff = coeff + vec[b] * gk
-        coeffs.append(coeff)
-    return CoadjointElement(algebra, algebra.combination(coeffs))
+    n = algebra.n
+    rows = [[_ZERO] * n for _ in range(n)]
+    offdiag, h = algebra._split([as_entry(values.get(lab, _ZERO)) for lab in algebra.labels])
+    for (j, k), v in offdiag:
+        rows[k][j] = v
+    d = _ZERO
+    for j, hj in enumerate(h):
+        if not hj.is_zero():
+            d = d + hj * (n - 1 - j)
+    d = d / n
+    for j in range(n):
+        rows[j][j] = d
+        if j < n - 1 and not h[j].is_zero():
+            d = d - h[j]
+    return CoadjointElement(algebra, tuple(tuple(row) for row in rows))
 
 
 # -- loop-group builders -----------------------------------------------------

@@ -11,25 +11,10 @@ exact back-substitution over Q(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import _kernels as K
 from .field import GaussRat
-
-
-@dataclass
-class LinearSystem:
-    """Rows of exact linear conditions over Q(i), with optional right sides.
-
-    ``row_keys`` label the conditions (marked point, component, exponent);
-    ``columns`` label the unknown candidate coefficients.
-    """
-
-    row_keys: list
-    matrix: list
-    columns: list
-    rhs: list = field(default_factory=list)
 
 
 def _row_to_zi(row):
@@ -146,21 +131,13 @@ class Elimination:
         return vec
 
 
-def solve_system(matrix, ncols: int, rhs_list=()):
+def solve_system(elimination: Elimination, ncols: int, rhs_list=()):
     """Nullspace basis and particular solutions of A x = b over Q(i).
 
-    ``matrix`` is a list of rows of GaussRat triples, eliminated here, or
-    an ``Elimination`` of them; ``rhs_list`` a list of right-hand-side
-    columns (triples, see ``Elimination.solve``).  Returns (null_basis,
-    parts) where each basis vector is a list of GaussRat and parts[k] is
-    the particular solution with free coordinates 0, or None when the
-    k-th system is inconsistent.
+    ``elimination`` is the ``Elimination`` of A and ``ncols`` its column
+    count; ``rhs_list`` a list of right-hand-side columns (triples, see
+    ``Elimination.solve``).  Returns (null_basis, parts) where each basis
+    vector is a list of GaussRat and parts[k] is the particular solution
+    with free coordinates 0, or None when the k-th system is inconsistent.
     """
-    elim = matrix if isinstance(matrix, Elimination) else Elimination(matrix, ncols)
-    return elim.null_basis, [elim.solve(b) for b in rhs_list]
-
-
-def nullspace(system: LinearSystem):
-    """Exact nullspace basis of the system's matrix (fraction-free)."""
-    basis, _ = solve_system(system.matrix, len(system.columns))
-    return basis
+    return elimination.null_basis, [elimination.solve(b) for b in rhs_list]

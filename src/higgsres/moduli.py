@@ -502,9 +502,9 @@ def identity_check(p: YPoint, t1: YTangent, t2: YTangent) -> IdentityReport:
     for i in range(curve.n_points):
         a_i = curve.alpha_local(i)
         chart = curve.chart(i)
-        lhs = rep.space.pair(t1.s_prime_dot[i], t2.s_prime_dot[i]) - chart.pull(
-            omega_circ
-        ) * a_i
+        disk = rep.space.pair(t1.s_prime_dot[i], t2.s_prime_dot[i])
+        alpha_form = chart.pull(omega_circ) * a_i
+        lhs = disk - alpha_form
         act1 = rep.inf_action(t1.g_dot[i], p.s_prime[i])
         act2 = rep.inf_action(t2.g_dot[i], p.s_prime[i])
         mu_prime = rep.moment(p.s_prime[i])
@@ -515,12 +515,9 @@ def identity_check(p: YPoint, t1: YTangent, t2: YTangent) -> IdentityReport:
         )
         report.residuals.append(lhs - rhs)
 
-        disk = rep.space.pair(t1.s_prime_dot[i], t2.s_prime_dot[i])
         v = disk.valuation()
         report.disk_regular.append(v is None or v >= 0)
         report.disk_residues.append(disk.laurent_coefficient(-1))
-
-        alpha_form = chart.pull(omega_circ) * a_i
         report.alpha_residues.append(alpha_form.laurent_coefficient(-1))
     return report
 

@@ -123,12 +123,15 @@ def test_pure_divexact_round_trip():
 
 
 def test_backends_produce_identical_reports(fixtures_dir, fast_so, tmp_path):
-    # the CLI run from a copy of the package with the compiled module beside pure.py
-    copy = tmp_path / "higgsres"
-    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    shutil.copy(fast_so, copy / "_kernels" / fast_so.name)
-    env = {key: value for key, value in os.environ.items() if key != "HIGGSRES_PURE"}
-    env["PYTHONPATH"] = str(tmp_path)
+    # the CLI run from two copies of the package: one with the compiled
+    # module beside pure.py, one without it
+    def package_copy(name, so=None):
+        root = tmp_path / name
+        shutil.copytree(PACKAGE, root / "higgsres", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        if so is not None:
+            shutil.copy(so, root / "higgsres" / "_kernels" / so.name)
+        return dict(os.environ, PYTHONPATH=str(root))
+
     script = (
         "import sys, higgsres, higgsres.cli; print(higgsres.KERNEL_BACKEND); "
         "sys.exit(higgsres.cli.main(sys.argv[1:]))"
@@ -146,8 +149,8 @@ def test_backends_produce_identical_reports(fixtures_dir, fast_so, tmp_path):
         "--format",
         "json",
     ]
-    compiled = subprocess.run(cmd, capture_output=True, check=True, env=env)
-    fallback = subprocess.run(cmd, capture_output=True, check=True, env=dict(env, HIGGSRES_PURE="1"))
+    compiled = subprocess.run(cmd, capture_output=True, check=True, env=package_copy("compiled", fast_so))
+    fallback = subprocess.run(cmd, capture_output=True, check=True, env=package_copy("pure"))
     backend, report = compiled.stdout.split(b"\n", 1)
     assert backend == b"compiled"
     assert fallback.stdout == b"pure\n" + report

@@ -15,7 +15,7 @@ from higgsres import (
     make_y_point,
     make_y_tangent,
 )
-from higgsres.linalg import LinearSystem, nullspace, solve_system
+from higgsres.linalg import Elimination
 from higgsres.lie import elementary, torus
 from higgsres.matrices import commutator, identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
@@ -51,13 +51,12 @@ def _triple(x) -> tuple:
 
 def test_nullspace_of_identity_is_empty():
     matrix = [[_triple(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    basis, _ = solve_system(matrix, 3)
-    assert basis == []
+    assert Elimination(matrix, 3).null_basis == []
 
 
 def test_nullspace_of_zero_matrix_is_full():
     matrix = [[_triple(0)] * 4 for _ in range(2)]
-    basis, _ = solve_system(matrix, 4)
+    basis = Elimination(matrix, 4).null_basis
     assert len(basis) == 4
     for k, vec in enumerate(basis):
         assert vec[k] == GaussRat(1)
@@ -78,7 +77,7 @@ def test_nullspace_vectors_satisfy_system():
                     for j in range(4)
                 ]
             )
-        basis, _ = solve_system(matrix, 4)
+        basis = Elimination(matrix, 4).null_basis
         # rank + nullity = 4
         pivot_count = 4 - len(basis)
         assert pivot_count <= 3
@@ -90,26 +89,17 @@ def test_nullspace_vectors_satisfy_system():
                 assert acc.is_zero()
 
 
-def test_nullspace_accepts_linear_system_wrapper():
-    matrix = [[_triple(1), _triple(2)]]
-    system = LinearSystem(row_keys=["r"], matrix=matrix, columns=["a", "b"])
-    basis = nullspace(system)
-    assert len(basis) == 1
-    assert basis[0][0] + 2 * basis[0][1] == GaussRat(0)
-
-
 def test_affine_solutions_verified():
     rng = SeedStream("affine")
     matrix = [[_triple(1), _triple(1)], [_triple(0), _triple(1)]]
     rhs = [_triple(3), _triple(1)]
-    basis, parts = solve_system(matrix, 2, [rhs])
-    assert basis == []
-    assert parts[0] == [GaussRat(2), GaussRat(1)]
+    elimination = Elimination(matrix, 2)
+    assert elimination.null_basis == []
+    assert elimination.solve(rhs) == [GaussRat(2), GaussRat(1)]
     # inconsistent system
     matrix2 = [[_triple(1), _triple(1)], [_triple(2), _triple(2)]]
     rhs2 = [_triple(0), _triple(1)]
-    _, parts2 = solve_system(matrix2, 2, [rhs2])
-    assert parts2[0] is None
+    assert Elimination(matrix2, 2).solve(rhs2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +257,8 @@ def _one_shot(system, rhs):
     zero = _triple(0)
     matrix = [rows.get(k, [zero] * ncols) for k in keys]
     b = [effect.get(k, zero) for k in keys]
-    null, parts = solve_system(matrix, ncols, [b])
-    return matrix, b, null, parts[0], not set(effect) <= set(rows)
+    elimination = Elimination(matrix, ncols)
+    return matrix, b, elimination.null_basis, elimination.solve(b), not set(effect) <= set(rows)
 
 
 def _rank(matrix) -> int:
