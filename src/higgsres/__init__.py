@@ -3,11 +3,10 @@ section data on the projective line.
 
 Everything is computed over the Gaussian rationals with canonical-form
 rational functions, so every identity check is an exact equality.  The
-hot arithmetic kernels have a compiled backend with a pure-Python
-fallback; ``higgsres.KERNEL_BACKEND`` tells which one is active.
+arithmetic kernels are pure Python (``higgsres._kernels``);
+``KERNEL_BACKEND`` names them in benchmark output.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .curve import CurveReport, MarkedCurve, curve_validate
 from .errors import (
     EmptySpace,
@@ -103,3 +102,5 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "pure"

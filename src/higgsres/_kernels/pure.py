@@ -1,12 +1,11 @@
-"""Pure-Python arithmetic kernels over the Gaussian rationals.
+"""Arithmetic kernels over the Gaussian rationals, in pure Python.
 
 These functions are the hot inner loops of the library: scalar arithmetic
 in Q(i), dense polynomial arithmetic over Q(i), truncated power-series
-division, and fraction-free row echelon over Z[i].  The compiled backend
-``higgsres._kernels._fast`` implements the identical API; both must
-return bit-identical results.
+division, and fraction-free row echelon over Z[i].  They are the only
+arithmetic backend; every result is exact.
 
-Representations (plain tuples/lists so both backends interoperate):
+Representations (plain tuples and lists):
 
   scalar   (a, b, d)  ints, meaning (a + b*i)/d with d > 0, gcd(a, b, d) = 1
   poly     list of scalars, index = exponent, no trailing zeros; zero = []
@@ -20,8 +19,6 @@ Fraction normalizations.
 from __future__ import annotations
 
 from math import gcd
-
-BACKEND = "pure"
 
 GQ_ZERO = (0, 0, 1)
 GQ_ONE = (1, 0, 1)
@@ -181,8 +178,28 @@ def p_monic(p):
     return out, lead
 
 
+def _low_order(p, cap):
+    """Exponent of the lowest nonzero coefficient of p, capped at cap.
+
+    The zero polynomial has infinite order, so it gives cap.
+    """
+    for j in range(min(len(p), cap)):
+        if p[j][0] != 0 or p[j][1] != 0:
+            return j
+    return cap
+
+
 def p_gcd(p, q):
-    """Monic gcd over Q(i) via the Euclidean algorithm."""
+    """Monic gcd over Q(i).
+
+    A monomial argument ``c*x^k`` gives ``x^j`` directly, with ``j`` the
+    order of the other argument at 0 capped at ``k``; every other input
+    goes through the Euclidean algorithm.
+    """
+    for m, other in ((q, p), (p, q)):
+        k = len(m) - 1
+        if k >= 0 and _low_order(m, k) == k:
+            return [GQ_ZERO] * _low_order(other, k) + [GQ_ONE]
     a, b = list(p), list(q)
     while b:
         a, b = b, p_divmod(a, b)[1]

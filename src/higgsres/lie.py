@@ -23,6 +23,7 @@ elements are traceless matrices of rational functions.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
@@ -80,17 +81,26 @@ class MatrixLieAlgebra:
             coeffs = [_ZERO] * self.dim
             coeffs[k] = _ONE
             self.basis.append(self.combination(coeffs))
-        self.structure: dict[tuple[int, int], list[GaussRat]] = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                br = commutator(self.basis[a], self.basis[b])
-                consts = [c.constant_value() for c in self.expand_in_basis(br)]
-                self.structure[(a, b)] = consts
-                self.structure[(b, a)] = [-c for c in consts]
 
     @classmethod
     def sl(cls, n: int) -> "MatrixLieAlgebra":
         return cls(n)
+
+    @cached_property
+    def structure(self) -> dict[tuple[int, int], list[GaussRat]]:
+        """Structure constants: ``structure[(a, b)]`` expands [e_a, e_b].
+
+        About ``dim^2 / 2`` commutators, so they are computed on first
+        read only.
+        """
+        out: dict[tuple[int, int], list[GaussRat]] = {}
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
+                br = commutator(self.basis[a], self.basis[b])
+                consts = [c.constant_value() for c in self.expand_in_basis(br)]
+                out[(a, b)] = consts
+                out[(b, a)] = [-c for c in consts]
+        return out
 
     # -- queries -----------------------------------------------------------
 

@@ -142,14 +142,23 @@ def test_rat_normalize_monic_denominator():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(gauss, min_size=1, max_size=5), st.lists(gauss, min_size=1, max_size=5))
-def test_gcd_matches_naive(ca, cb):
+@given(
+    st.lists(gauss, min_size=1, max_size=5),
+    st.lists(gauss, min_size=1, max_size=5),
+    nonzero_gauss,
+    st.integers(0, 4),
+    st.integers(0, 3),
+)
+def test_gcd_matches_naive(ca, cb, c, k, shift):
     a, b = Poly(ca), Poly(cb)
-    if a.is_zero() or b.is_zero():
-        return
-    got = a.gcd(b)
-    want = _naive_gcd(_to_pairs(a), _to_pairs(b))
-    assert _to_pairs(got) == want
+    if not (a.is_zero() or b.is_zero()):
+        assert _to_pairs(a.gcd(b)) == _naive_gcd(_to_pairs(a), _to_pairs(b))
+    # a monomial c*z^k against a general, a z^shift-divisible and a zero
+    # partner, in both argument orders
+    mono = Poly([0] * k + [c])
+    for other in (a, Poly([0] * shift + ca), Poly([])):
+        for x, y in ((mono, other), (other, mono)):
+            assert _to_pairs(x.gcd(y)) == _naive_gcd(_to_pairs(x), _to_pairs(y))
 
 
 @settings(max_examples=100, deadline=None)

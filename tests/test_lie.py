@@ -40,6 +40,15 @@ def test_sl2_defining_relations(sl2):
     assert bracket(H, F) == (-2) * F
 
 
+def test_structure_constants_computed_on_first_read():
+    # building or parsing sl12 needs none of its ~10^4 commutators
+    assert "structure" not in vars(MatrixLieAlgebra.sl(12))
+    alg = MatrixLieAlgebra.sl(2)
+    assert "structure" not in vars(alg)
+    assert alg.structure[(0, 2)] == [0, 1, 0]  # [E, F] = H
+    assert "structure" in vars(alg)
+
+
 def test_bracket_with_loop_coefficients(sl2):
     # oracle: plain matrix multiply of the two factors
     E, F = sl2.basis_element("E"), sl2.basis_element("F")

@@ -1,0 +1,163 @@
+"""Laurent expansions, residues and residue sums against a sympy oracle.
+
+Each seeded random form is ``P(z) / (c * prod (z - r)^m) dz`` with
+distinct Gaussian-rational roots ``r``, so its denominator splits over
+Q(i).  The numerator degree reaches past the denominator degree, so many
+forms also have a pole at infinity.  higgsres and sympy build the form
+from the same raw data, each with its own arithmetic.  The oracle shares
+no code with ``higgsres``:
+
+- a Laurent expansion at 0 strips the valuations and multiplies by the
+  inverse of the denominator modulo ``u^n`` (sympy's extended Euclid over
+  QQ_I);
+- the residue at a finite root of multiplicity ``m`` is the derivative
+  formula ``D^(m-1)[(z - r)^m f](r) / (m-1)!``;
+- the residue at infinity is ``-b / lead(Q)``, where ``P = A*Q + B`` and
+  ``b`` is the coefficient of ``z^(deg Q - 1)`` in ``B``.
+"""
+
+import random
+from fractions import Fraction
+
+import sympy
+
+from higgsres import (
+    INFINITY,
+    GaussRat,
+    OneForm,
+    P1Point,
+    Poly,
+    RatFunc,
+    laurent_expand,
+    localize,
+    residue,
+    residue_sum,
+)
+
+z = sympy.symbols("z")
+TERMS = 4
+ROOTS = [
+    GaussRat(0),
+    GaussRat(1),
+    GaussRat(-2),
+    GaussRat(0, 1),
+    GaussRat(Fraction(-1, 2), 1),
+    GaussRat(Fraction(1, 3), Fraction(-2, 3)),
+]
+
+
+def _random_gauss(rng, nonzero=False):
+    while True:
+        g = GaussRat(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+        if not (nonzero and g.is_zero()):
+            return g
+
+
+def _sym(g: GaussRat):
+    return sympy.Rational(g.re.numerator, g.re.denominator) + sympy.I * sympy.Rational(
+        g.im.numerator, g.im.denominator
+    )
+
+
+def _random_form(rng):
+    """(form, sympy numerator, sympy denominator, {root: multiplicity})."""
+    roots = {r: rng.randint(1, 3) for r in rng.sample(ROOTS, rng.randint(1, 3))}
+    lead = _random_gauss(rng, nonzero=True)
+    deg_den = sum(roots.values())
+    num = [_random_gauss(rng) for _ in range(rng.randint(1, deg_den + 3))]
+    num[-1] = _random_gauss(rng, nonzero=True)
+    den = Poly([lead])
+    den_sym = _qq_i(_sym(lead))
+    for r, m in roots.items():
+        den = den * Poly([-r, 1]) ** m
+        den_sym *= _qq_i(z - _sym(r)) ** m
+    num_sym = _qq_i(sum(_sym(c) * z**k for k, c in enumerate(num)))
+    return OneForm(RatFunc(Poly(num), den)), num_sym, den_sym, roots
+
+
+def _qq_i(expr):
+    return sympy.Poly(expr, z, domain="QQ_I")
+
+
+def _order(p):
+    return min(k for (k,) in p.monoms())
+
+
+def oracle_laurent(num, den, shift, n):
+    """(valuation, first n coefficients) of z^shift * num/den at z = 0."""
+    vn, vd = _order(num), _order(den)
+    num = num.exquo(_qq_i(z**vn))
+    den = den.exquo(_qq_i(z**vd))
+    modulus = _qq_i(z**n)
+    series = (num * sympy.invert(den, modulus)).rem(modulus)
+    return shift + vn - vd, [series.nth(k) for k in range(n)]
+
+
+def oracle_laurent_at(num, den, point, n):
+    """The expansion of num/den dz in the chart at point (u = z - a or 1/z)."""
+    if point.is_infinity:
+        # -f(1/u) / u^2 = -u^(deg den - deg num - 2) rev(num) / rev(den)
+        rev_num = -sympy.Poly(num.all_coeffs()[::-1], z, domain="QQ_I")
+        rev_den = sympy.Poly(den.all_coeffs()[::-1], z, domain="QQ_I")
+        return oracle_laurent(rev_num, rev_den, den.degree() - num.degree() - 2, n)
+    a = _sym(point.value)
+    return oracle_laurent(num.shift(a), den.shift(a), 0, n)
+
+
+def oracle_residue_finite(num, den, r, m):
+    """D^(m-1)[num/rest](r) / (m-1)!, with rest = den / (z - r)^m."""
+    a, b = num, den.exquo(_qq_i(z - r) ** m)
+    for _ in range(m - 1):
+        a, b = a.diff(z) * b - a * b.diff(z), b * b
+    return sympy.expand_complex(a.eval(r) / b.eval(r) / sympy.factorial(m - 1))
+
+
+def oracle_residue_infinity(num, den):
+    """-b / lead(den), b the z^(deg den - 1) coefficient of num mod den."""
+    if den.degree() < 1:
+        return 0
+    return sympy.expand_complex(-num.rem(den).nth(den.degree() - 1) / den.LC())
+
+
+def _forms(count):
+    rng = random.Random("residue-oracle")
+    return [_random_form(rng) for _ in range(count)]
+
+
+FORMS = _forms(40)
+
+
+def test_laurent_expand_matches_sympy():
+    for form, num, den, roots in FORMS:
+        points = [P1Point.finite(r) for r in roots]
+        points += [P1Point.finite(GaussRat(3, -1)), INFINITY]
+        for point in points:
+            series = laurent_expand(localize(form, point), TERMS)
+            start, coeffs = oracle_laurent_at(num, den, point, TERMS)
+            assert series.start_exponent == start
+            assert series.truncation_order == start + TERMS - 1
+            got = [_sym(series.coefficient(start + k)) for k in range(TERMS)]
+            assert [sympy.expand_complex(g - w) for g, w in zip(got, coeffs)] == [0] * TERMS
+
+
+def test_residue_matches_sympy():
+    at_infinity = 0
+    for form, num, den, roots in FORMS:
+        for r, m in roots.items():
+            want = oracle_residue_finite(num, den, _sym(r), m)
+            assert _sym(residue(form, P1Point.finite(r))) - want == 0
+        want = oracle_residue_infinity(num, den)
+        assert _sym(residue(form, INFINITY)) - want == 0
+        at_infinity += want != 0
+    assert at_infinity > 0  # the seeded forms do exercise poles at infinity
+
+
+def test_residue_sum_matches_sympy():
+    for form, num, den, roots in FORMS:
+        want = oracle_residue_infinity(num, den)
+        want += sum(oracle_residue_finite(num, den, _sym(r), m) for r, m in roots.items())
+        assert sympy.expand_complex(want) == 0
+        assert _sym(residue_sum(form)) == 0

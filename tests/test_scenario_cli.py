@@ -1,6 +1,7 @@
 """Scenario parsing, validation errors, CLI dispatch, and report formats."""
 
 import json
+import random
 
 import pytest
 
@@ -358,6 +359,8 @@ def word_bundle(factor):
         (("representation",), dict(EXPLICIT_REP, algebra="sl0"), 3, "representation.algebra"),
         (("representation",), dict(EXPLICIT_REP, algebra="sl1"), 3, "representation.algebra"),
         (("representation",), dict(EXPLICIT_REP, algebra="sl-2"), 3, "representation.algebra"),
+        # the missing rho is found before any structure constant of sl9 is built
+        (("representation",), dict(EXPLICIT_REP, algebra="sl9", rho={}), 2, "representation.rho"),
         # a key must name a marked point, and only one key may name it
         (("bundle", "matrices", "0"), SL2_DIAG, 2, "bundle.matrices"),
         (("bundle", "matrices", "oo"), SL2_DIAG, 2, "bundle.matrices"),
@@ -396,3 +399,44 @@ def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert where in captured.err and "Traceback" not in captured.err
+
+
+PROBE_VALUES = [5, "x", [], {}, None, True, -1, "1/0", [[]], 2.5]
+
+
+def _value_paths(node, path=()):
+    """Key path of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("fixture", ["f1.json", "lambda.json"])
+def test_type_mutations_exit_cleanly(tmp_path, fixtures_dir, capsys, fixture):
+    # every value of the fixture in turn is replaced by an ill-typed one
+    # (a seeded 3 of the 10 per value; all 10 take about 13 s); every run
+    # must end in exit 0, 2 or 3 without a traceback, never in exit 1
+    original = (fixtures_dir / fixture).read_text()
+    rng = random.Random(fixture)
+    path = tmp_path / "mutated.json"
+    failures = []
+    for where in _value_paths(json.loads(original)):
+        for value in rng.sample(PROBE_VALUES, 3):
+            doc = json.loads(original)
+            block = doc
+            for key in where[:-1]:
+                block = block[key]
+            block[where[-1]] = value
+            path.write_text(json.dumps(doc))
+            for command in ("validate", "lambda"):
+                code, _ = run([command, str(path)])
+                err = capsys.readouterr().err
+                if code not in (0, 2, 3) or "Traceback" in err:
+                    failures.append((where, value, command, code))
+    assert failures == []
