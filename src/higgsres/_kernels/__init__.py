@@ -30,4 +30,5 @@ from .pure import (
     p_shift,
     p_sub,
     zi_echelon,
+    zi_replay,
 )

@@ -2,7 +2,8 @@
 
 These functions are the hot inner loops of the library: scalar arithmetic
 in Q(i), dense polynomial arithmetic over Q(i), truncated power-series
-division, and fraction-free row echelon over Z[i].  They are the only
+division, and fraction-free row echelon over Z[i] with the replay of its
+steps on further columns.  They are the only
 arithmetic backend; every result is exact.
 
 Representations (plain tuples and lists):
@@ -269,13 +270,18 @@ def zi_echelon(rows, npivot):
     Pivots are searched left to right in the first ``npivot`` columns only
     (trailing columns are carried along, e.g. right-hand sides).  Pivot rows
     are taken in order of first nonzero entry: deterministic output for
-    deterministic input.  Returns the list of (row, col) pivot positions.
+    deterministic input.  Returns the steps, one per pivot, in order:
+    ``(row, col, swap, pivot, multipliers)``, where ``rows[swap]`` was
+    swapped into ``rows[row]`` (``swap == row`` for none), ``pivot`` is
+    ``rows[row][col]`` and ``multipliers`` are the entries of column
+    ``col`` below it, before they were eliminated.  ``zi_replay`` applies
+    the steps to one more column.
     """
     m = len(rows)
     if m == 0:
         return []
     ncols = len(rows[0])
-    pivots = []
+    steps = []
     prev = (1, 0)
     r = 0
     for col in range(npivot):
@@ -291,6 +297,7 @@ def zi_echelon(rows, npivot):
             rows[r], rows[piv] = rows[piv], rows[r]
         pr = rows[r]
         pc = pr[col]
+        multipliers = [rows[i][col] for i in range(r + 1, m)]
         for i in range(r + 1, m):
             ri = rows[i]
             ric = ri[col]
@@ -319,9 +326,41 @@ def zi_echelon(rows, npivot):
                         (num[1] * prev[0] - num[0] * prev[1]) // n,
                     )
             ri[col] = (0, 0)
-        pivots.append((r, col))
+        steps.append((r, col, piv, pc, multipliers))
         prev = pc
         r += 1
         if r == m:
             break
-    return pivots
+    return steps
+
+
+def zi_replay(steps, column):
+    """Apply the steps of ``zi_echelon`` to one Z[i] column, in place.
+
+    ``column`` has one entry per row of the eliminated matrix and ends as
+    it would have, had it been carried along as a trailing column: the
+    same swaps and the same Bareiss updates, every division exact.
+    """
+    prev = (1, 0)
+    for r, _, swap, pc, multipliers in steps:
+        if swap != r:
+            column[r], column[swap] = column[swap], column[r]
+        x = column[r]
+        x_zero = x[0] == 0 and x[1] == 0
+        n = prev[0] * prev[0] + prev[1] * prev[1]
+        for i, mul in enumerate(multipliers, r + 1):
+            e = column[i]
+            if e[0] == 0 and e[1] == 0 and (x_zero or (mul[0] == 0 and mul[1] == 0)):
+                continue
+            num = (
+                pc[0] * e[0] - pc[1] * e[1] - mul[0] * x[0] + mul[1] * x[1],
+                pc[0] * e[1] + pc[1] * e[0] - mul[0] * x[1] - mul[1] * x[0],
+            )
+            if prev == (1, 0):
+                column[i] = num
+            else:
+                column[i] = (
+                    (num[0] * prev[0] + num[1] * prev[1]) // n,
+                    (num[1] * prev[0] - num[0] * prev[1]) // n,
+                )
+        prev = pc

@@ -390,7 +390,11 @@ class RatFunc:
             self._n, self._d = [], [K.GQ_ONE]
             return
         g = K.p_gcd(n, d)
-        if len(g) > 1:
+        j = len(g) - 1
+        if j and not any(c[0] or c[1] for c in g[:j]):
+            # g = u^j: drop the low j coefficients, all zero
+            n, d = n[j:], d[j:]
+        elif j:
             n = K.p_divmod(n, g)[0]
             d = K.p_divmod(d, g)[0]
         d, lead = K.p_monic(d)

@@ -1,12 +1,12 @@
 """Exact linear algebra over Q(i): the one eliminator of the package.
 
 Systems are given as rows of GaussRat triples.  Each row is scaled to
-Z[i] by the lcm of its denominators and eliminated fraction-free
-(Bareiss, ``_kernels.zi_echelon``) with a deterministic pivot order,
-beside an identity block that records the row operations.  One
-``Elimination`` then serves any number of right-hand sides: a cokernel
-test decides consistency, and only the right side is reduced before the
-exact back-substitution over Q(i).
+Z[i] by the lcm of its denominators and the matrix alone is eliminated
+fraction-free (Bareiss, ``_kernels.zi_echelon``) with a deterministic
+pivot order; the kernel returns its steps.  One ``Elimination`` then
+serves any number of right-hand sides: the steps are replayed on the
+scaled right side (``_kernels.zi_replay``), whose entries past the rank
+decide consistency, before the exact back-substitution over Q(i).
 """
 
 from __future__ import annotations
@@ -34,51 +34,44 @@ def _value(pair) -> GaussRat:
 class Elimination:
     """One fraction-free elimination of a matrix A, kept for many right sides.
 
-    The rows of A, scaled to Z[i], are eliminated beside an identity
-    block, so every echelon row also carries its Z[i] combination of the
-    rows of A (the row scales folded in).  The rows of rank give the
-    back-substitution; the others, whose A part vanished, are a basis of
-    the cokernel: a right side is consistent exactly when each of them
-    annihilates it.  ``len()`` is the row count of A.
+    The rows of A, scaled to Z[i], are eliminated alone, and the kernel's
+    steps (row swaps, pivots and the multipliers below each pivot) are
+    kept.  A right side is scaled the same way and the steps are replayed
+    on it, as if it had been a column of the elimination: it is
+    consistent exactly when its entries past the rank vanish, and then
+    the rows of rank give the back-substitution.  ``len()`` is the row
+    count of A.
     """
 
-    __slots__ = ("nrows", "ncols", "null_basis", "_reduced", "_cokernel")
+    __slots__ = ("nrows", "ncols", "null_basis", "_scales", "_steps", "_reduced")
 
     def __init__(self, matrix, ncols: int):
-        m = len(matrix)
-        self.nrows = m
+        self.nrows = len(matrix)
         self.ncols = ncols
         rows = []
-        scales = []
-        for r, row in enumerate(matrix):
+        self._scales = []
+        for row in matrix:
             scale, zi = _row_to_zi(row)
-            unit = [(0, 0)] * m
-            unit[r] = (1, 0)
-            rows.append(zi + unit)
-            scales.append(scale)
-        pivots = K.zi_echelon(rows, ncols)
+            rows.append(zi)
+            self._scales.append(scale)
+        self._steps = K.zi_echelon(rows, ncols)
 
-        def transform(row):
-            return [(a * s, b * s) for (a, b), s in zip(row[ncols:], scales)]
-
-        # each pivot row once, last pivot first: (pivot column, pivot
-        # value, the nonzero (column, value) entries right of the pivot,
-        # the row's combination of the rows of A)
+        # each pivot row once, last pivot first: (row, pivot column, pivot
+        # value, the nonzero (column, value) entries right of the pivot)
         self._reduced = []
-        for r, c in reversed(pivots):
+        for r, c, *_ in reversed(self._steps):
             row = rows[r]
             tail = [(j, _value(row[j])) for j in range(c + 1, ncols) if row[j] != (0, 0)]
-            self._reduced.append((c, _value(row[c]), tail, transform(row)))
-        self._cokernel = [transform(rows[r]) for r in range(len(pivots), m)]
+            self._reduced.append((r, c, _value(row[c]), tail))
 
-        pivot_cols = {c for _, c in pivots}
+        pivot_cols = {c for _, c, *_ in self._steps}
         self.null_basis = []
         for f in range(ncols):
             if f in pivot_cols:
                 continue
             vec = [GaussRat(0)] * ncols
             vec[f] = GaussRat(1)
-            for c, pivot, tail, _ in self._reduced:
+            for _, c, pivot, tail in self._reduced:
                 acc = GaussRat(0)
                 for j, a in tail:
                     if not vec[j].is_zero():
@@ -98,31 +91,22 @@ class Elimination:
         m = self.nrows
         if any(t[0] or t[1] for t in rhs[m:]):
             return None
-        # clear the denominators of the right side once: rhs = bz / den
+        # clear the denominators of the right side once: rhs = column / den,
+        # with each entry also scaled like its row of A
         den = 1
         for t in rhs[:m]:
             if (t[0] or t[1]) and t[2] != 1:
                 den = den * t[2] // gcd(den, t[2])
-        bz = [
-            (k, t[0] * (den // t[2]), t[1] * (den // t[2]))
-            for k, t in enumerate(rhs[:m])
-            if t[0] or t[1]
+        column = [
+            (t[0] * (den // t[2]) * s, t[1] * (den // t[2]) * s)
+            for t, s in zip(rhs[:m], self._scales)
         ]
-
-        def dot(combination):
-            re = im = 0
-            for k, x, y in bz:
-                a, b = combination[k]
-                if a or b:
-                    re += a * x - b * y
-                    im += a * y + b * x
-            return re, im
-
-        if any(dot(y) != (0, 0) for y in self._cokernel):
+        K.zi_replay(self._steps, column)
+        if any(x != (0, 0) for x in column[len(self._steps):]):
             return None
         vec = [GaussRat(0)] * self.ncols
-        for c, pivot, tail, combination in self._reduced:
-            re, im = dot(combination)
+        for r, c, pivot, tail in self._reduced:
+            re, im = column[r]
             acc = GaussRat.from_triple(K.gq_norm(re, im, den))
             for j, a in tail:
                 if not vec[j].is_zero():

@@ -14,16 +14,23 @@ with t bounded by deg(denominator) plus the allowed pole order at a
 marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
 
+Assembly reads the system off one Laurent expansion per frame entry:
+with h = pull_i(1/D) * entry, the candidate z^t contributes (u + a)^t h
+at a finite point a, whose polar coefficients are binomial combinations
+of the window of h from ord_0 h to u^-1, and u^-t h at infinity, a
+shifted window of h up to u^(size-2).
+
 Factor once, then solve many: a ``TwistedSystem`` assembles the
 conditions of one bundle and eliminates them once, exactly over Q(i)
-(``linalg.Elimination``: fraction-free, deterministic pivot order).
-That gives the sections, a cokernel basis and the row operations.  The
-point built from a section or Higgs-field space keeps the system, and
-every tangent solve at that point (a right-hand side ``b`` made of the
-polar parts of the g_dot action) goes through ``linalg.solve_system``
-against the stored elimination: ``b`` is infeasible when one of its
-polar coefficients lies in no row of the system or a cokernel vector
-does not annihilate it, and otherwise only ``b`` is reduced.
+(``linalg.Elimination``: fraction-free, deterministic pivot order, the
+steps kept).  That gives the sections.  The point built from a section
+or Higgs-field space keeps the system, and every tangent solve at that
+point (a right-hand side ``b`` made of the polar parts of the g_dot
+action) goes through ``linalg.solve_system`` against the stored
+elimination: ``b`` is infeasible when one of its polar coefficients
+lies in no row of the system or when, after the elimination steps are
+replayed on it, an entry past the rank is nonzero; otherwise the
+reduced ``b`` is back-substituted.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
 the path), so identical seeds reproduce identical instances on any
@@ -163,32 +170,60 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
 # ---------------------------------------------------------------------------
 
 
-def _negative_coefficients(f: RatFunc):
-    """[(exponent, coeff triple)] for all exponents < 0 of the germ f."""
-    v = f.valuation()
-    if v is None or v >= 0:
-        return []
-    series = laurent_expand(f, -v)
-    out = []
-    for e in range(v, 0):
-        c = series.coefficient(e)
-        if not c.is_zero():
-            out.append((e, c._t))
-    return out
+def _window(h: RatFunc, top: int):
+    """(ord_0 h, the coefficient triples of h for exponents ord_0 h .. top),
+    or None when h has no coefficient that low (h = 0 included)."""
+    v = h.valuation()
+    if v is None or v > top:
+        return None
+    series = laurent_expand(h, top - v + 1)
+    return v, [series.coefficient(e)._t for e in range(v, top + 1)]
 
 
-def _assemble(columns_effects):
-    """Build (row_keys, matrix) from per-column {row_key: triple} dicts."""
-    keys = set()
-    for eff in columns_effects:
-        keys.update(eff)
-    row_keys = sorted(keys)
-    index = {k: i for i, k in enumerate(row_keys)}
-    matrix = [[K.GQ_ZERO] * len(columns_effects) for _ in row_keys]
-    for col, eff in enumerate(columns_effects):
-        for key, t in eff.items():
-            matrix[index[key]][col] = t
-    return row_keys, matrix
+def _shift_powers(a: GaussRat, size: int) -> list:
+    """[(j, C(t,j) a^(t-j)) for the nonzero terms] of (u + a)^t, t < size."""
+    a = a._t
+    powers = []
+    poly = [K.GQ_ONE]
+    for _ in range(size):
+        powers.append([(j, c) for j, c in enumerate(poly) if not K.gq_is_zero(c)])
+        # poly <- poly * (u + a)
+        shifted = [K.GQ_ZERO] + poly
+        poly = [K.gq_add(K.gq_mul(a, c), lower) for c, lower in zip(poly + [K.GQ_ZERO], shifted)]
+    return powers
+
+
+def _finite_columns(lo: int, window: list, powers: list):
+    """(t, e, coefficient) of the polar part of (u + a)^t h, h = sum window[m] u^(lo+m).
+
+    The window runs to u^-1, so it holds every coefficient of h that
+    reaches a negative exponent: the coefficient at lo + m is
+    sum_j C(t,j) a^(t-j) window[m - j].
+    """
+    for t, terms in enumerate(powers):
+        for m in range(len(window)):
+            acc = K.GQ_ZERO
+            for j, c in terms:
+                if j > m:
+                    break
+                x = window[m - j]
+                if not K.gq_is_zero(x):
+                    acc = K.gq_add(acc, K.gq_mul(c, x))
+            if not K.gq_is_zero(acc):
+                yield t, lo + m, acc
+
+
+def _infinite_columns(lo: int, window: list, size: int):
+    """(t, e, coefficient) of the polar part of u^-t h, h = sum window[s] u^(lo+s).
+
+    The window runs to u^(size-2), the highest exponent that the largest
+    shift t = size - 1 brings below 0.
+    """
+    for t in range(size):
+        for s in range(t - lo):
+            x = window[s]
+            if not K.gq_is_zero(x):
+                yield t, lo + s - t, x
 
 
 class TwistedSystem:
@@ -202,7 +237,9 @@ class TwistedSystem:
     row per key of ``row_keys``.  ``basis`` holds the sections, each as
     its dim scalar functions.  ``particular`` solves for a candidate with
     prescribed polar parts against the stored elimination, reducing only
-    the right-hand side.
+    the right-hand side.  Column k * size + t belongs to the candidate
+    f_t e_k; since f_t = z^t f_0, each frame entry is expanded once and
+    every t is read off that expansion.
     """
 
     __slots__ = (
@@ -213,26 +250,36 @@ class TwistedSystem:
         self.candidates = candidates
         self.dim = dim
         self.frame = frame
-        pulled = [
-            [curve.chart(i).pull(f) for f in candidates.functions] for i in range(curve.n_points)
-        ]
-        effects = []
-        for k in range(dim):
-            for t in range(candidates.size):
-                eff = {}
-                for i, disk in enumerate(frame):
-                    f_loc = pulled[i][t]
-                    for row, entry in enumerate(disk[k]):
-                        if entry.is_zero():
-                            continue
-                        for e, triple in _negative_coefficients(f_loc * entry):
-                            key = (i, row, e)
-                            eff[key] = K.gq_add(eff.get(key, K.GQ_ZERO), triple)
-                effects.append({key: v for key, v in eff.items() if not K.gq_is_zero(v)})
-        self.row_keys, self.matrix = _assemble(effects)
+        size = candidates.size
+        ncols = dim * size
+        # functions[0] = 1/D: h = pull_i(1/D) * entry, read off per point
+        rows = {}
+        for i, disk in enumerate(frame):
+            point = curve.marked_points[i]
+            base = curve.chart(i).pull(candidates.functions[0])
+            top = size - 2 if point.is_infinity else -1
+            powers = None if point.is_infinity else _shift_powers(point.value, size)
+            for k, entries in enumerate(disk):
+                for row, entry in enumerate(entries):
+                    if entry.is_zero():
+                        continue
+                    window = _window(base * entry, top)
+                    if window is None:
+                        continue
+                    if powers is None:
+                        columns = _infinite_columns(*window, size)
+                    else:
+                        columns = _finite_columns(*window, powers)
+                    for t, e, triple in columns:
+                        key = (i, row, e)
+                        if key not in rows:
+                            rows[key] = [K.GQ_ZERO] * ncols
+                        rows[key][k * size + t] = triple
+        self.row_keys = sorted(rows)
+        self.matrix = [rows[key] for key in self.row_keys]
         self._row_index = {key: r for r, key in enumerate(self.row_keys)}
-        self.elimination = Elimination(self.matrix, len(effects))
-        null_basis, _ = solve_system(self.elimination, len(effects))
+        self.elimination = Elimination(self.matrix, ncols)
+        null_basis, _ = solve_system(self.elimination, ncols)
         self.basis = [self._combine(v) for v in null_basis]
 
     @property
@@ -257,12 +304,18 @@ class TwistedSystem:
         ``rhs[i]`` holds germs in the frame's coordinates.  Returns the
         solution with free coefficients 0 as its dim scalar functions, or
         None when there is none: some polar coefficient of rhs lies in no
-        row of the system, or rhs fails the cokernel test.
+        row of the system, or rhs is not in the column space of A.
         """
         b = [K.GQ_ZERO] * len(self.row_keys)
         for i, germs in enumerate(rhs):
             for row, germ in enumerate(germs):
-                for e, triple in _negative_coefficients(germ):
+                window = _window(germ, -1)
+                if window is None:
+                    continue
+                lo, coefficients = window
+                for e, triple in enumerate(coefficients, lo):
+                    if K.gq_is_zero(triple):
+                        continue
                     r = self._row_index.get((i, row, e))
                     if r is None:
                         # past the rows of A: a zero row of A

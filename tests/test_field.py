@@ -74,6 +74,15 @@ def test_parse_error_position():
 # ---------------------------------------------------------------------------
 
 
+def _cdiv(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
 def _naive_gcd(p, q):
     """Monic gcd of coefficient lists of (re, im) Fraction pairs."""
 
@@ -83,13 +92,6 @@ def _naive_gcd(p, q):
     def is_zero(f):
         return not f
 
-    def cdiv(x, y):
-        n = y[0] * y[0] + y[1] * y[1]
-        return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
-
-    def cmul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
     def trim(f):
         while f and f[-1] == (Fraction(0), Fraction(0)):
             f.pop()
@@ -98,10 +100,10 @@ def _naive_gcd(p, q):
     def mod(a, b):
         a = list(a)
         while degree(a) >= degree(b) and a:
-            f = cdiv(a[-1], b[-1])
+            f = _cdiv(a[-1], b[-1])
             shift = degree(a) - degree(b)
             for k, c in enumerate(b):
-                prod = cmul(f, c)
+                prod = _cmul(f, c)
                 a[shift + k] = (a[shift + k][0] - prod[0], a[shift + k][1] - prod[1])
             trim(a)
         return a
@@ -111,8 +113,22 @@ def _naive_gcd(p, q):
         a, b = b, mod(a, b)
     if a:
         lead = a[-1]
-        a = [cdiv(c, lead) for c in a]
+        a = [_cdiv(c, lead) for c in a]
     return a
+
+
+def _naive_quotient(a, b):
+    """a / b by schoolbook long division; b must divide a."""
+    a = list(a)
+    quot = [(Fraction(0), Fraction(0))] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = _cdiv(a[shift + len(b) - 1], b[-1])
+        quot[shift] = f
+        for k, c in enumerate(b):
+            prod = _cmul(f, c)
+            a[shift + k] = (a[shift + k][0] - prod[0], a[shift + k][1] - prod[1])
+    assert all(c == (0, 0) for c in a)
+    return quot
 
 
 def _to_pairs(poly: Poly):
@@ -159,6 +175,27 @@ def test_gcd_matches_naive(ca, cb, c, k, shift):
     for other in (a, Poly([0] * shift + ca), Poly([])):
         for x, y in ((mono, other), (other, mono)):
             assert _to_pairs(x.gcd(y)) == _naive_gcd(_to_pairs(x), _to_pairs(y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(gauss, min_size=1, max_size=4),
+    st.lists(gauss, min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_monomial_gcd_reduction_matches_naive(cn, cd, j, k):
+    # n*z^j / d*z^k: the gcd is z^min(j, k) times gcd(n, d), so both the
+    # dropped-coefficient path and Euclid's are exercised
+    if Poly(cn).is_zero() or Poly(cd).is_zero():
+        return
+    num, den = _to_pairs(Poly([0] * j + cn)), _to_pairs(Poly([0] * k + cd))
+    g = _naive_gcd(num, den)
+    num, den = _naive_quotient(num, g), _naive_quotient(den, g)
+    lead = den[-1]
+    f = RatFunc(Poly([0] * j + cn), Poly([0] * k + cd))
+    assert _to_pairs(f.num) == [_cdiv(c, lead) for c in num]
+    assert _to_pairs(f.den) == [_cdiv(c, lead) for c in den]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,20 +1,28 @@
 """Exact linear solves, candidate spaces, and seeded sampling."""
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from higgsres import (
+    INFINITY,
     EmptySpace,
     GaussRat,
     Infeasible,
     LoopGroupElement,
+    MarkedCurve,
+    OneForm,
+    P1Point,
     RatFunc,
     XVector,
     builtin_rep,
+    laurent_expand,
     make_y_point,
     make_y_tangent,
 )
+from higgsres import _kernels as K
 from higgsres.linalg import Elimination
 from higgsres.lie import elementary, torus
 from higgsres.matrices import commutator, identity
@@ -24,11 +32,13 @@ from higgsres.solver import (
     GdotRecipe,
     SeedStream,
     SolverBounds,
+    TwistedSystem,
+    _higgs_frame,
+    _section_frame,
     build_higgs_field_space,
     build_higgs_tangent_space,
     build_section_space,
     build_tangent_space,
-    _negative_coefficients,
     candidate_functions,
     random_cocycle,
     random_loop_algebra,
@@ -42,6 +52,40 @@ BOUNDS = SolverBounds(degree=4, pole_order=4)
 
 def _triple(x) -> tuple:
     return GaussRat(x)._t
+
+
+def _rank(matrix) -> int:
+    """Rank by plain Gaussian elimination over Q(i), independent of linalg."""
+    rows = [[GaussRat.from_triple(t) for t in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if not rows[r][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][c].is_zero():
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _polar(h):
+    """[(exponent, triple)] of the nonzero coefficients of h below u^0."""
+    v = h.valuation()
+    if v is None or v >= 0:
+        return []
+    series = laurent_expand(h, -v)
+    coefficients = [(e, series.coefficient(e)) for e in range(v, 0)]
+    return [(e, c._t) for e, c in coefficients if not c.is_zero()]
+
+
+def _apply(matrix, vec):
+    return [
+        sum((GaussRat.from_triple(t) * v for t, v in zip(row, vec)), GaussRat(0))
+        for row in matrix
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +146,67 @@ def test_affine_solutions_verified():
     assert Elimination(matrix2, 2).solve(rhs2) is None
 
 
+def _pivot_columns(matrix, ncols):
+    """The columns whose rank profile steps up, by ``_rank`` of each prefix."""
+    ranks = [_rank([row[: j + 1] for row in matrix]) for j in range(ncols)]
+    return [j for j in range(ncols) if ranks[j] > (ranks[j - 1] if j else 0)]
+
+
+def _replay_case(rng, m, n):
+    """A random m x n Q(i) matrix with zero leading runs (forced row swaps
+    and zero multipliers), a repeated row (a cokernel) and non-unit pivots."""
+    rows = []
+    for _ in range(m):
+        lead = rng.randint(0, n - 1)
+        rows.append([GaussRat(0)] * lead + [rng.gauss(5, 4) for _ in range(n - lead)])
+    if m > 1 and rng.randint(0, 2):
+        r, s = rng.randint(0, m - 1), rng.randint(0, m - 1)
+        c = rng.nonzero_gauss(3, 2)
+        rows[r] = [c * x for x in rows[s]]
+    return [[x._t for x in row] for row in rows]
+
+
+def test_replay_solves_exactly_when_consistent():
+    """Elimination.solve against ranks of [A | b] from an independent
+    Gaussian elimination: a solution of A x = b with free coordinates 0
+    exactly when rank([A | b]) = rank(A), None otherwise."""
+    rng = SeedStream("replay-oracle")
+    kinds = {"consistent": 0, "inconsistent": 0, "swap": 0, "zero multiplier": 0}
+    for trial in range(60):
+        sub = rng.child(trial)
+        m, n = sub.randint(1, 6), sub.randint(1, 5)
+        matrix = _replay_case(sub, m, n)
+        elimination = Elimination(matrix, n)
+        free = set(range(n)) - set(_pivot_columns(matrix, n))
+        # the kernel's own steps, only to show the cases are exercised
+        scale = lcm(*(t[2] for row in matrix for t in row))
+        zi = [[(t[0] * (scale // t[2]), t[1] * (scale // t[2])) for t in row] for row in matrix]
+        steps = K.zi_echelon(zi, n)
+        kinds["swap"] += any(r != swap for r, _, swap, _, _ in steps)
+        kinds["zero multiplier"] += any((0, 0) in mults for *_, mults in steps)
+        for d in range(4):
+            if d % 2:
+                x0 = [sub.gauss(3, 3) for _ in range(n)]
+                rhs = [x._t for x in _apply(matrix, x0)]
+            else:
+                rhs = [sub.gauss(4, 3)._t for _ in range(m)]
+            consistent = _rank([row + [t] for row, t in zip(matrix, rhs)]) == _rank(matrix)
+            x = elimination.solve(rhs)
+            # a zero row of A past its rows changes nothing; a nonzero one is inconsistent
+            assert elimination.solve(rhs + [_triple(0)]) == x
+            assert elimination.solve(rhs + [_triple(1)]) is None
+            if not consistent:
+                assert x is None
+                kinds["inconsistent"] += 1
+                continue
+            assert x is not None
+            assert _apply(matrix, x) == [GaussRat.from_triple(t) for t in rhs]
+            assert all(x[j].is_zero() for j in free)
+            kinds["consistent"] += 1
+    assert all(kinds.values()), kinds
+    assert min(kinds["consistent"], kinds["inconsistent"]) >= 40, kinds
+
+
 # ---------------------------------------------------------------------------
 # section spaces
 # ---------------------------------------------------------------------------
@@ -148,6 +253,57 @@ def test_every_sampled_section_is_valid(curve_two_points):
             continue
         s = sample_vector(space, sub.child("s"))
         make_y_point(curve_two_points, rep, g, s)  # must not raise
+
+
+def _per_candidate_assembly(curve, candidates, dim, frame):
+    """The system's (row_keys, matrix) the slow way: pull every candidate to
+    every disk, multiply it by every frame entry and expand the product."""
+    size, zero = candidates.size, _triple(0)
+    rows = {}
+    for i, disk in enumerate(frame):
+        for t, f in enumerate(candidates.functions):
+            f_loc = curve.chart(i).pull(f)
+            for k, entries in enumerate(disk):
+                for row, entry in enumerate(entries):
+                    for e, triple in _polar(f_loc * entry):
+                        rows.setdefault((i, row, e), {})[k * size + t] = triple
+    keys = sorted(rows)
+    return keys, [[rows[key].get(col, zero) for col in range(dim * size)] for key in keys]
+
+
+def _marked(*points):
+    """P^1 marked at points; assembly reads only the charts, so T_i = u."""
+    pts = [INFINITY if p == "inf" else P1Point.finite(p) for p in points]
+    return MarkedCurve(pts, OneForm(RatFunc.const(-1)), [U] * len(pts))
+
+
+def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_two_points):
+    half = GaussRat(Fraction(-1, 2))
+    curves = [
+        curve_one_point,
+        curve_two_points,
+        _marked(1, "inf"),
+        _marked(GaussRat(0, 1), half, "inf"),
+        _marked(half),
+    ]
+    bounds = SolverBounds(degree=3, pole_order=2)
+    rng = SeedStream("window-assembly")
+    reps = ("sl2-standard", "sl3-cotangent")
+    for (c, curve), rep_name in itertools.product(enumerate(curves), reps):
+        rep = builtin_rep(rep_name)
+        candidates = candidate_functions(curve, bounds)
+        for b in range(2):
+            sub = rng.child(c, rep_name, b)
+            n = rep.algebra.n
+            g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
+            for dim, frame in (
+                (rep.space.dim, _section_frame(curve, rep, g)),
+                (rep.algebra.dim, _higgs_frame(curve, rep.algebra, g)),
+            ):
+                system = TwistedSystem(curve, candidates, dim, frame)
+                want = _per_candidate_assembly(curve, candidates, dim, frame)
+                assert (system.row_keys, system.matrix) == want
+                assert system.row_keys
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +405,7 @@ def _one_shot(system, rhs):
     effect = {}
     for i, germs in enumerate(rhs):
         for row, germ in enumerate(germs):
-            for e, triple in _negative_coefficients(germ):
+            for e, triple in _polar(germ):
                 effect[(i, row, e)] = triple
     ncols = system.elimination.ncols
     rows = dict(zip(system.row_keys, system.matrix))
@@ -259,30 +415,6 @@ def _one_shot(system, rhs):
     b = [effect.get(k, zero) for k in keys]
     elimination = Elimination(matrix, ncols)
     return matrix, b, elimination.null_basis, elimination.solve(b), not set(effect) <= set(rows)
-
-
-def _rank(matrix) -> int:
-    """Rank by plain Gaussian elimination over Q(i), independent of linalg."""
-    rows = [[GaussRat.from_triple(t) for t in row] for row in matrix]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if not rows[r][c].is_zero():
-                f = rows[r][c] / rows[rank][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _apply(matrix, vec):
-    return [
-        sum((GaussRat.from_triple(t) * v for t, v in zip(row, vec)), GaussRat(0))
-        for row in matrix
-    ]
 
 
 def _random_point(side, rep, curve, bounds, rng):
