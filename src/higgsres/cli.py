@@ -35,7 +35,7 @@ from .moduli import (
     pushforward_tangent,
     symplectic_omega,
 )
-from .report import Report
+from .report import STATS_COLUMNS, Report
 from .residues import residue_sum
 from .scenario import Scenario, load_scenario
 from .solver import SeedStream
@@ -204,6 +204,13 @@ def cmd_check_cartan(scenario: Scenario, args, report: Report):
         )
 
 
+def _trial_stats(records) -> list:
+    return [
+        {"trial": rec.index, **{name: getattr(rec, name) for name in STATS_COLUMNS}}
+        for rec in records
+    ]
+
+
 def cmd_random_suite(scenario: Scenario, args, report: Report):
     elapsed = _timer()
     records = run_random_suite(scenario, args.seed, args.trials)
@@ -231,6 +238,8 @@ def cmd_random_suite(scenario: Scenario, args, report: Report):
         "all-identities-hold",
         "pass" if all(r.identity_ok for r in records) else "fail",
     )
+    if args.stats:
+        report.stats = _trial_stats(records)
 
 
 def cmd_corrupt_suite(scenario: Scenario, args, report: Report):
@@ -250,6 +259,8 @@ def cmd_corrupt_suite(scenario: Scenario, args, report: Report):
         detail=f"of {len(records)} trials",
         time_ms=elapsed(),
     )
+    if args.stats:
+        report.stats = _trial_stats(records)
 
 
 _COMMANDS = {
@@ -297,6 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="include wall-clock timings (makes output nondeterministic)",
         )
+        if name in ("random-suite", "corrupt-suite"):
+            p.add_argument(
+                "--stats",
+                action="store_true",
+                help="append per-trial section dimensions, bundle attempts and "
+                "tangent retries, with totals",
+            )
     return parser
 
 

@@ -16,6 +16,17 @@ point is used anywhere.
 
 Values are immutable after construction and all operations are pure.
 
+Laurent polynomials n/u^k (constants and polynomials are k = 0) are
+closed under the ring operations, and every chart germ at 0 or infinity
+is one.  ``RatFunc`` arithmetic on two of them skips the general
+normalisation (a gcd, a product of denominators, a monic rescale): a
+product is n1*n2 over u^(k1+k2), a sum pads the numerator with the
+smaller k by |k1 - k2| zeros, and both then strip the min(ord_0 n, k)
+low zeros that u^k shares with n.  Division and inversion by a monomial
+c*u^m, the chart pull at infinity and reading one Laurent coefficient
+take the same short cut.  The canonical form is unique, so both paths
+give identical values.
+
 The textual encoding of Gaussian rationals ("p/q", "p/q+r/s*i") and the
 small expression grammar used for rational functions in scenario files
 are implemented at the bottom of the module.
@@ -376,6 +387,11 @@ class RatFunc:
     The representation is canonical, so ``==`` is exact function equality.
     The variable is positional: values do not remember a variable name,
     and call sites must not mix germs written in different coordinates.
+
+    When both operands have a denominator u^k (a Laurent polynomial), the
+    operators build the reduced result directly from the numerators (see
+    ``_laurent``); every other operand goes through ``__init__``, which
+    divides by the gcd and makes the denominator monic.
     """
 
     __slots__ = ("_n", "_d")
@@ -391,7 +407,7 @@ class RatFunc:
             return
         g = K.p_gcd(n, d)
         j = len(g) - 1
-        if j and not any(c[0] or c[1] for c in g[:j]):
+        if j and _u_power(g) == j:
             # g = u^j: drop the low j coefficients, all zero
             n, d = n[j:], d[j:]
         elif j:
@@ -449,6 +465,16 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._n:
+            return self
+        if not self._n:
+            return o
+        k1 = _u_power(self._d)
+        if k1 >= 0:
+            k2 = _u_power(o._d)
+            if k2 >= 0:
+                n1, n2, k = _pad(self._n, k1, o._n, k2)
+                return _laurent(K.p_add(n1, n2), k)
         if self._d == o._d:
             return RatFunc(Poly._raw(K.p_add(self._n, o._n)), Poly._raw(self._d))
         n = K.p_add(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
@@ -460,6 +486,16 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._n:
+            return self
+        if not self._n:
+            return -o
+        k1 = _u_power(self._d)
+        if k1 >= 0:
+            k2 = _u_power(o._d)
+            if k2 >= 0:
+                n1, n2, k = _pad(self._n, k1, o._n, k2)
+                return _laurent(K.p_sub(n1, n2), k)
         if self._d == o._d:
             return RatFunc(Poly._raw(K.p_sub(self._n, o._n)), Poly._raw(self._d))
         n = K.p_sub(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
@@ -475,6 +511,15 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self._n:
+            return self
+        if not o._n:
+            return o
+        k1 = _u_power(self._d)
+        if k1 >= 0:
+            k2 = _u_power(o._d)
+            if k2 >= 0:
+                return _laurent(K.p_mul(self._n, o._n), k1 + k2)
         return RatFunc(
             Poly._raw(K.p_mul(self._n, o._n)), Poly._raw(K.p_mul(self._d, o._d))
         )
@@ -487,6 +532,8 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if _u_power(o._n) >= 0 and _u_power(o._d) >= 0:
+            return self * o.inverse()
         return RatFunc(
             Poly._raw(K.p_mul(self._n, o._d)), Poly._raw(K.p_mul(self._d, o._n))
         )
@@ -503,6 +550,12 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise NotInvertible("inverse of the zero rational function")
+        m, k = _u_power(self._n), _u_power(self._d)
+        if m >= 0 and k >= 0:
+            # c*u^m / u^k with min(m, k) = 0 inverts to c^-1*u^k / u^m
+            return RatFunc._raw(
+                [K.GQ_ZERO] * k + [K.gq_inv(self._n[m])], [K.GQ_ZERO] * m + [K.GQ_ONE]
+            )
         return RatFunc(Poly._raw(list(self._d)), Poly._raw(list(self._n)))
 
     def __pow__(self, n: int):
@@ -554,6 +607,13 @@ class RatFunc:
         if not self._n:
             return RatFunc._raw([], [K.GQ_ONE])
         dn, dd = len(self._n) - 1, len(self._d) - 1
+        k = _u_power(self._d)
+        if k >= 0:
+            # n(1/u) * u^k = rev(n) * u^(k - deg n), and rev(n)(0) = lead(n) != 0
+            rev = K.p_norm(self._n[::-1])
+            if k >= dn:
+                return RatFunc._raw([K.GQ_ZERO] * (k - dn) + rev, [K.GQ_ONE])
+            return RatFunc._raw(rev, [K.GQ_ZERO] * (dn - k) + [K.GQ_ONE])
         num = Poly._raw(list(self._n)).reversed()
         den = Poly._raw(list(self._d)).reversed()
         mono = [K.GQ_ZERO] * abs(dd - dn) + [K.GQ_ONE]
@@ -569,6 +629,11 @@ class RatFunc:
 
     def laurent_coefficient(self, k: int) -> GaussRat:
         """The coefficient of x^k in the expansion at 0; exact."""
+        m = _u_power(self._d)
+        if m >= 0:
+            # n/u^m: the coefficient of x^k is n[k + m]
+            j = k + m
+            return GaussRat.from_triple(self._n[j]) if 0 <= j < len(self._n) else GQ_ZERO
         v = self.valuation()
         if v is None or k < v:
             return GQ_ZERO
@@ -592,6 +657,39 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_text('z')!r})"
+
+
+def _u_power(d: list) -> int:
+    """k when the polynomial d is a monomial c*u^k, else -1.
+
+    On a monic denominator this tells a Laurent polynomial n/u^k.
+    """
+    k = len(d) - 1
+    for j in range(k):
+        if d[j][0] or d[j][1]:
+            return -1
+    return k
+
+
+def _pad(n1: list, k1: int, n2: list, k2: int) -> tuple:
+    """n1/u^k1 and n2/u^k2 as numerators over the larger power of u."""
+    if k1 < k2:
+        return [K.GQ_ZERO] * (k2 - k1) + n1, n2, k2
+    if k2 < k1:
+        return n1, [K.GQ_ZERO] * (k1 - k2) + n2, k1
+    return n1, n2, k1
+
+
+def _laurent(n: list, k: int) -> RatFunc:
+    """The canonical form of n/u^k: drop the low zeros u^k shares with n."""
+    if not n:
+        return RatFunc._raw([], [K.GQ_ONE])
+    if k:
+        j = 0
+        while j < k and not (n[j][0] or n[j][1]):
+            j += 1
+        n, k = n[j:], k - j
+    return RatFunc._raw(n, [K.GQ_ZERO] * k + [K.GQ_ONE])
 
 
 def _as_poly(value) -> Poly:

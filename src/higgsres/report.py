@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+STATS_COLUMNS = ("section_dim", "bundle_attempts", "tangent_retries")
+
 
 @dataclass
 class Check:
@@ -28,6 +30,8 @@ class Report:
     seed: int | None = None
     checks: list = field(default_factory=list)
     show_timing: bool = False
+    # per-trial {"trial": index, <STATS_COLUMNS>: count}; None prints no block
+    stats: list | None = None
 
     def add(self, name, status, value="", detail="", time_ms=None) -> Check:
         check = Check(name, status, str(value), detail, time_ms)
@@ -48,6 +52,9 @@ class Report:
             out[c.status] = out.get(c.status, 0) + 1
         return out
 
+    def stats_total(self) -> dict:
+        return {name: sum(row[name] for row in self.stats) for name in STATS_COLUMNS}
+
     def to_json(self) -> str:
         payload = {
             "command": self.command,
@@ -66,6 +73,8 @@ class Report:
                 for c in self.checks
             ],
         }
+        if self.stats is not None:
+            payload["stats"] = {"trials": self.stats, "total": self.stats_total()}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
@@ -86,4 +95,16 @@ class Report:
             f"verdict: {self.verdict} "
             f"({counts['pass']} pass, {counts['fail']} fail, {counts['info']} info)"
         )
+        if self.stats is not None:
+            lines.extend(self._stats_lines())
         return "\n".join(lines) + "\n"
+
+    def _stats_lines(self) -> list:
+        header = ("trial",) + STATS_COLUMNS
+        rows = [(f"{r['trial']:03d}", *(str(r[c]) for c in STATS_COLUMNS)) for r in self.stats]
+        total = self.stats_total()
+        rows.append(("total", *(str(total[c]) for c in STATS_COLUMNS)))
+        out = [f"stats ({len(self.stats)} trials):", "  " + "  ".join(header)]
+        for row in rows:
+            out.append("  " + "  ".join(cell.rjust(len(h)) for cell, h in zip(row, header)))
+        return out

@@ -262,6 +262,9 @@ class CorruptRecord:
     violations: int
     omega: GaussRat
     detected: bool
+    section_dim: int
+    bundle_attempts: int
+    tangent_retries: int
 
 
 def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
@@ -295,6 +298,9 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
                 violations=len(violations),
                 omega=omega,
                 detected=bool(violations) or not omega.is_zero(),
+                section_dim=inst.section_dim,
+                bundle_attempts=inst.bundle_attempts,
+                tangent_retries=inst.tangent_retries,
             )
         )
     return records

@@ -1,5 +1,6 @@
 """Exact field arithmetic: Q(i), polynomials, rational functions, jets."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,130 @@ def test_laurent_multiplicative(na, da, nb, db):
     # compare on the window both sides certify
     for k in range(direct.start_exponent, prod.truncation_order + 1):
         assert direct.coefficient(k) == prod.coefficient(k)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on Laurent polynomials n/u^k; oracle: the general formula
+# num/den of the result, reduced by schoolbook gcd and long division
+# ---------------------------------------------------------------------------
+
+_ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == _ZERO_PAIR:
+        a.pop()
+    return a
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [_ZERO_PAIR] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            p = _cmul(x, y)
+            out[j + k] = (out[j + k][0] + p[0], out[j + k][1] + p[1])
+    return _trim(out)
+
+
+def _pcombine(a, b, sign):
+    n = max(len(a), len(b))
+    a, b = a + [_ZERO_PAIR] * (n - len(a)), b + [_ZERO_PAIR] * (n - len(b))
+    return _trim([(x[0] + sign * y[0], x[1] + sign * y[1]) for x, y in zip(a, b)])
+
+
+def _naive_reduce(num, den):
+    """(num, den) of num/den reduced, with a monic denominator."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return [], [(Fraction(1), Fraction(0))]
+    g = _naive_gcd(num, den)
+    num, den = _naive_quotient(num, g), _naive_quotient(den, g)
+    lead = den[-1]
+    return [_cdiv(c, lead) for c in num], [_cdiv(c, lead) for c in den]
+
+
+def _pairs(f: RatFunc):
+    return _to_pairs(f.num), _to_pairs(f.den)
+
+
+def _gauss_list(rng, size):
+    return [GaussRat(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(size)]
+
+
+def _operand(rng) -> RatFunc:
+    """Zero, a monomial c*u^m/u^k, a Laurent polynomial n/u^k (k = 0..4,
+    with low zeros in n when k = 0) or a function with a denominator that
+    is not a power of u."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return RatFunc.const(0)
+    if kind == 1:
+        den = Poly(_gauss_list(rng, rng.randint(1, 3)) + [1]) + Poly.x() ** rng.randint(0, 2)
+        den = den if den.valuation() == 0 else den + 1
+        return RatFunc(Poly(_gauss_list(rng, rng.randint(1, 4))), den)
+    k = rng.randint(0, 4)
+    if kind == 2:
+        coeffs = [0] * rng.randint(0, 3) + [GaussRat(rng.randint(1, 3), rng.randint(-2, 2))]
+    elif k == 0:
+        coeffs = [0] * rng.randint(0, 2) + _gauss_list(rng, rng.randint(1, 4))
+    else:
+        coeffs = _gauss_list(rng, rng.randint(1, 5))
+    return RatFunc(Poly(coeffs), Poly([0] * k + [1]))
+
+
+def _naive_power(f, p):
+    n, d = _pairs(f)
+    if p < 0:
+        n, d, p = d, n, -p
+    acc_n, acc_d = [(Fraction(1), Fraction(0))], [(Fraction(1), Fraction(0))]
+    for _ in range(p):
+        acc_n, acc_d = _pmul(acc_n, n), _pmul(acc_d, d)
+    return _naive_reduce(acc_n, acc_d)
+
+
+def _naive_invert_variable(f):
+    # f(1/x) = x^deg(d) rev(n) / (x^deg(n) rev(d)), with full-degree reversals
+    n, d = _pairs(f)
+    if not n:
+        return _pairs(f)
+    shift = [_ZERO_PAIR] * (len(d) - 1)
+    return _naive_reduce(shift + n[::-1], [_ZERO_PAIR] * (len(n) - 1) + d[::-1])
+
+
+def test_laurent_path_matches_general_formula():
+    rng = random.Random(20261018)
+    kinds = {"laurent": 0, "general": 0, "zero": 0}
+    for _ in range(150):
+        f, g = _operand(rng), _operand(rng)
+        for h in (f, g):
+            if h.is_zero():
+                kinds["zero"] += 1
+            elif all(c == _ZERO_PAIR for c in _to_pairs(h.den)[:-1]):
+                kinds["laurent"] += 1
+            else:
+                kinds["general"] += 1
+        (n1, d1), (n2, d2) = _pairs(f), _pairs(g)
+        assert _pairs(f * g) == _naive_reduce(_pmul(n1, n2), _pmul(d1, d2))
+        cross = _pmul(n1, d2), _pmul(n2, d1)
+        assert _pairs(f + g) == _naive_reduce(_pcombine(*cross, 1), _pmul(d1, d2))
+        assert _pairs(f - g) == _naive_reduce(_pcombine(*cross, -1), _pmul(d1, d2))
+        assert _pairs(f.invert_variable()) == _naive_invert_variable(f)
+        for p in (rng.randint(-3, -1), 0, rng.randint(1, 3)):
+            if p >= 0 or not f.is_zero():
+                assert _pairs(f**p) == _naive_power(f, p)
+        if not g.is_zero():
+            assert _pairs(f / g) == _naive_reduce(_pmul(n1, d2), _pmul(d1, n2))
+            assert _pairs(g.inverse()) == _naive_reduce(d2, n2)
+        for k in range(-6, 4):
+            v = f.valuation()
+            if v is None or k < v:
+                assert f.laurent_coefficient(k) == GaussRat(0)
+            else:
+                assert f.laurent_coefficient(k) == laurent_expand(f, k - v + 1).coefficient(k)
+    assert min(kinds.values()) >= 25, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,25 @@ Two changes of cocycle act on the solution spaces in a known way:
 The spans are compared by a rank test written here, and rho(k) is built
 here from k, so the oracle shares no code with the solver beyond the
 systems it checks.
+
+On the Higgs side the same polynomial change g_i -> g_i h_i, with
+gdot_i -> h_i^-1 gdot_i h_i, conjugates every disk value by h_i, so the
+residue pairings (lambda, Omega and the three cartan_check terms) are
+unchanged.
 """
 
 import pytest
 
 from higgsres import GaussRat, RatFunc, SolverBounds, builtin_rep, load_scenario
-from higgsres.lie import elementary
+from higgsres.lie import LoopAlgebraElement, elementary, pairing
+from higgsres.matrices import mat_mul
+from higgsres.moduli import (
+    cartan_check,
+    liouville_lambda,
+    make_higgs_point,
+    make_higgs_tangent,
+    symplectic_omega,
+)
 from higgsres.solver import (
     CocycleRecipe,
     SeedStream,
@@ -25,6 +38,7 @@ from higgsres.solver import (
     build_section_space,
     random_cocycle,
 )
+from higgsres.suites import random_higgs_pair
 
 BOUNDS = SolverBounds(degree=4, pole_order=4)
 BUNDLES = 4
@@ -154,3 +168,49 @@ def test_constant_gauge_moves_sections_by_rho(curves, curve_name, rep_name):
         assert _same_span(moved, after)
         dims.append(len(after))
     assert any(dims), dims
+
+
+def _gauged_higgs_pair(point, tangents, h):
+    """The same Higgs data over the cocycle g_i h_i: phi and phidot are
+    kept, gdot_i becomes h_i^-1 gdot_i h_i, and the disk values are
+    derived again."""
+    g = [g_i * h_i for g_i, h_i in zip(point.g, h)]
+    gauged = make_higgs_point(point.curve, point.algebra, g, point.phi_circ)
+
+    def conjugate(x, h_i):
+        return LoopAlgebraElement(x.algebra, mat_mul(mat_mul(h_i.inverse().mat, x.mat), h_i.mat))
+
+    return gauged, [
+        make_higgs_tangent(
+            gauged, [conjugate(x, h_i) for x, h_i in zip(t.g_dot, h)], t.phi_circ_dot
+        )
+        for t in tangents
+    ]
+
+
+def test_polynomial_gauge_keeps_higgs_pairings(fixtures_dir):
+    scenario = load_scenario(str(fixtures_dir / "f2.json"))
+    n = scenario.rep.algebra.n
+    rng = SeedStream("gauge-oracle", "higgs")
+    jet_nonzero = moved = lambda_integrands = 0
+    for trial in range(8):
+        point, tangents = random_higgs_pair(scenario, rng.child("pair", trial))
+        h = [_polynomial_gauge(n, rng.child("h", trial, i)) for i in range(len(point.g))]
+        gauged, gauged_tangents = _gauged_higgs_pair(point, tangents, h)
+        moved += any(a.mat != b.mat for a, b in zip(point.phi_prime, gauged.phi_prime))
+        for before, after in zip(tangents, gauged_tangents):
+            assert liouville_lambda(point, before) == liouville_lambda(gauged, after)
+            # lambda is zero on these pairs; its integrands are not
+            for i, phi in enumerate(point.phi_prime):
+                integrand = pairing(phi, before.g_dot[i])
+                assert integrand == pairing(gauged.phi_prime[i], after.g_dot[i])
+                lambda_integrands += not integrand.is_zero()
+        assert symplectic_omega(point, *tangents) == symplectic_omega(gauged, *gauged_tangents)
+        report = cartan_check(point, *tangents)
+        gauged_report = cartan_check(gauged, *gauged_tangents)
+        terms = (report.term1, report.term2, report.term3)
+        assert terms == (gauged_report.term1, gauged_report.term2, gauged_report.term3)
+        assert report.ok and gauged_report.ok
+        jet_nonzero += not (report.term1.is_zero() and report.term2.is_zero())
+    # the disk data really changed, and some pair pins a non-zero jet term
+    assert moved and jet_nonzero and lambda_integrands, (moved, jet_nonzero, lambda_integrands)

@@ -238,6 +238,59 @@ def test_cli_corrupt_suite_detects(fixtures_dir, capsys):
     assert "all-corruptions-detected" in out
 
 
+# the --stats block of f1 at seed 1 (20 trials): per-trial counts the
+# default report does not print, appended after the verdict line
+F1_SEED1_STATS = """\
+stats (20 trials):
+  trial  section_dim  bundle_attempts  tangent_retries
+    000            2                2                1
+    001            1                3                5
+    002            1                3                0
+    003            1                5                0
+    004            1                2                1
+    005            2                3                1
+    006            1                2                2
+    007            1                1                0
+    008            1                1                0
+    009            1                1                1
+    010            1                1                0
+    011            1                1                0
+    012            1                3                0
+    013            1                1                1
+    014            1                2                1
+    015            1                1                0
+    016            1                1                0
+    017            1                2                6
+    018            1                3                0
+    019            1                1                0
+  total           22               39               19
+"""
+
+
+def test_cli_random_suite_stats_block_f1_seed1(fixtures_dir, capsys):
+    args = ["random-suite", _fixture(fixtures_dir, "f1.json"), "--seed", "1"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--stats"]) == 0
+    assert capsys.readouterr().out == plain + F1_SEED1_STATS
+
+
+@pytest.mark.parametrize("command", ["random-suite", "corrupt-suite"])
+def test_cli_stats_json_adds_only_the_stats_key(fixtures_dir, capsys, command):
+    args = [command, _fixture(fixtures_dir, "f3.json"), "--seed", "1", "--trials", "3"]
+    assert main(args + ["--format", "json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(args + ["--format", "json", "--stats"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    stats = payload.pop("stats")
+    assert payload == plain
+    rows = stats["trials"]
+    assert [row["trial"] for row in rows] == [0, 1, 2]
+    columns = ("section_dim", "bundle_attempts", "tangent_retries")
+    assert stats["total"] == {c: sum(row[c] for row in rows) for c in columns}
+    assert all(row["section_dim"] >= 1 and row["bundle_attempts"] >= 1 for row in rows)
+
+
 @pytest.mark.parametrize("command", ["random-suite", "corrupt-suite"])
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_cli_rejects_trials_below_one(fixtures_dir, capsys, command, trials):
