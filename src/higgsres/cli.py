@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--stats",
                 action="store_true",
-                help="append per-trial section dimensions, bundle attempts and "
-                "tangent retries, with totals",
+                help="append per-trial section dimensions, bundle attempts, tangent "
+                "retries and section-system rows, columns and rank, with totals",
             )
     return parser
 

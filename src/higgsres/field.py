@@ -854,11 +854,12 @@ class Jet2:
     __slots__ = ("v", "d1", "d2", "d12")
 
     def __init__(self, v, d1=0, d2=0, d12=0):
+        # only the int default is replaced: a RatFunc tested != 0 coerces the 0
         zero = v - v
         self.v = v
-        self.d1 = d1 if d1 != 0 else zero
-        self.d2 = d2 if d2 != 0 else zero
-        self.d12 = d12 if d12 != 0 else zero
+        self.d1 = zero if type(d1) is int and not d1 else d1
+        self.d2 = zero if type(d2) is int and not d2 else d2
+        self.d12 = zero if type(d12) is int and not d12 else d12
 
     @classmethod
     def lift1(cls, value, direction) -> "Jet2":

@@ -12,6 +12,12 @@ respect to the pinned transition conventions, the moment condition, and
 degree-2 homogeneity are all verified by the test suite rather than
 assumed.
 
+omega, each rho(xi_a) and Q_a = rho(xi_a)^T omega are kept as their
+non-zero entries (i, j, c): omega(u, v) = sum c u_i v_j over omega, and
+<dmu_x(v), xi_a> = sum c x_i v_j, <mu(x), xi_a> = 1/2 sum c x_i x_j over
+Q_a.  Q_a is not folded by symmetry: it is symmetric only for rho(xi_a)
+in sp(omega), and rep_validate reports an explicit rho outside it.
+
 Built-in representations:
 
     sl2-standard        C^2, omega = [[0,1],[-1,0]]
@@ -44,12 +50,25 @@ from .matrices import (
     mat_neg,
     mat_sub,
     mat_transpose,
-    mat_vec,
     shape,
 )
 
 _ZERO = RatFunc.const(0)
 _HALF = RatFunc.const(GaussRat.from_triple((1, 0, 2)))
+
+
+def _sparse(m: Matrix) -> tuple:
+    """The non-zero entries (i, j, c) of m."""
+    return tuple((i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if not c.is_zero())
+
+
+def _bilinear(entries: tuple, u: tuple, v: tuple) -> RatFunc:
+    """sum c u_i v_j over the entries (i, j, c) of a sparse form."""
+    acc = _ZERO
+    for i, j, c in entries:
+        if not (u[i].is_zero() or v[j].is_zero()):
+            acc = acc + c * u[i] * v[j]
+    return acc
 
 
 class XVector:
@@ -122,6 +141,7 @@ class SymplecticSpace:
             raise ValidationError("omega is not antisymmetric")
         if det(self.omega).is_zero():
             raise ValidationError("omega is singular")
+        self._entries = _sparse(self.omega)
 
     @classmethod
     def standard(cls, m: int) -> "SymplecticSpace":
@@ -138,16 +158,15 @@ class SymplecticSpace:
             rows[n + k][k] = -1
         return cls(rows)
 
+    def check(self, *vectors: XVector):
+        """Raise ShapeError unless every vector has the space's dimension."""
+        if any(len(v) != self.dim for v in vectors):
+            raise ShapeError("vector length does not match the space dimension")
+
     def pair(self, u: XVector, v: XVector) -> RatFunc:
         """omega(u, v) with RatFunc coordinates."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ShapeError("vector length does not match the space dimension")
-        ov = mat_vec(self.omega, v.coords)
-        acc = _ZERO
-        for a, b in zip(u.coords, ov):
-            if not (a.is_zero() or b.is_zero()):
-                acc = acc + a * b
-        return acc
+        self.check(u, v)
+        return _bilinear(self._entries, u.coords, v.coords)
 
     def __repr__(self):
         return f"SymplecticSpace(dim={self.dim})"
@@ -197,24 +216,13 @@ class HamiltonianRep:
         for lab, m in self.rho.items():
             if shape(m) != (space.dim, space.dim):
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
+        # per basis label: the entries of rho(xi_a) and of Q_a = rho(xi_a)^T omega
+        self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
+        self._forms = {
+            lab: _sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels
+        }
 
-    # -- group/algebra action ---------------------------------------------
-
-    def act_algebra(self, xi: LoopAlgebraElement) -> Matrix:
-        """rho(xi) extended RatFunc-linearly over the basis expansion."""
-        if not same_algebra(xi.algebra, self.algebra):
-            raise NotInAlgebra("element of a different algebra")
-        dim = self.space.dim
-        out = [[_ZERO] * dim for _ in range(dim)]
-        for c, lab in zip(xi.coeffs, self.algebra.labels):
-            if c.is_zero():
-                continue
-            m = self.rho[lab]
-            for i in range(dim):
-                for j in range(dim):
-                    if not m[i][j].is_zero():
-                        out[i][j] = out[i][j] + c * m[i][j]
-        return tuple(tuple(row) for row in out)
+    # -- group action ------------------------------------------------------
 
     def act_group(self, g: LoopGroupElement) -> Matrix:
         """rho(g) for the structural representation kinds."""
@@ -233,23 +241,28 @@ class HamiltonianRep:
     # -- operations ----------------------------------------------------------
 
     def inf_action(self, xi: LoopAlgebraElement, x: XVector) -> XVector:
-        """The infinitesimal action rho(xi) x."""
-        return XVector(mat_vec(self.act_algebra(xi), x.coords))
+        """The infinitesimal action rho(xi) x = sum_a xi_a rho(xi_a) x."""
+        if not same_algebra(xi.algebra, self.algebra):
+            raise NotInAlgebra("element of a different algebra")
+        self.space.check(x)
+        xs = x.coords
+        out = [_ZERO] * self.space.dim
+        for c, entries in zip(xi.coeffs, self._rho):
+            if c.is_zero():
+                continue
+            for i, j, r in entries:
+                if not xs[j].is_zero():
+                    out[i] = out[i] + c * r * xs[j]
+        return XVector(out)
 
     def moment(self, x: XVector) -> CoadjointElement:
-        """mu(x), defined by <mu(x), xi> = 1/2 omega(rho(xi) x, x)."""
-        values = {}
-        for lab in self.algebra.labels:
-            rx = XVector(mat_vec(self.rho[lab], x.coords))
-            values[lab] = _HALF * self.space.pair(rx, x)
-        return dualize(self.algebra, values)
+        """mu(x) = 1/2 dmu_x(x), so <mu(x), xi_a> = 1/2 x^T Q_a x."""
+        return self.dmoment(x, x) * _HALF
 
     def dmoment(self, x: XVector, v: XVector) -> CoadjointElement:
-        """dmu_x(v), defined by <dmu_x(v), xi> = omega(rho(xi) x, v)."""
-        values = {}
-        for lab in self.algebra.labels:
-            rx = XVector(mat_vec(self.rho[lab], x.coords))
-            values[lab] = self.space.pair(rx, v)
+        """dmu_x(v), defined by <dmu_x(v), xi_a> = x^T Q_a v."""
+        self.space.check(x, v)
+        values = {lab: _bilinear(q, x.coords, v.coords) for lab, q in self._forms.items()}
         return dualize(self.algebra, values)
 
     def __repr__(self):

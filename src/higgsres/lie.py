@@ -42,7 +42,6 @@ from .matrices import (
     mat_mul,
     mat_scale,
     mat_sub,
-    mat_trace,
     shape,
     zeros,
 )
@@ -312,10 +311,11 @@ def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
 
 
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
-    """<phi, xi> = tr(phi.mat xi.mat)."""
+    """<phi, xi> = tr(phi.mat xi.mat), summed as phi[i][k] xi[k][i] (n^2 products, not n^3)."""
     if shape(phi.mat) != shape(xi.mat):
         raise ShapeError("pairing of differently sized matrices")
-    return mat_trace(mat_mul(phi.mat, xi.mat))
+    pairs = zip(phi.mat, zip(*xi.mat))
+    return sum((x * y for row, col in pairs for x, y in zip(row, col)), _ZERO)
 
 
 def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> CoadjointElement:

@@ -103,13 +103,6 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else a
 
 
-def mat_trace(a: Matrix) -> RatFunc:
-    acc = _ZERO
-    for j in range(len(a)):
-        acc = acc + a[j][j]
-    return acc
-
-
 def mat_is_zero(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 

@@ -54,11 +54,9 @@ from .lie import (
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
-    elementary,
-    torus,
 )
 from .linalg import Elimination, solve_system
-from .matrices import commutator
+from .matrices import commutator, identity
 from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
 
 # ---------------------------------------------------------------------------
@@ -285,6 +283,12 @@ class TwistedSystem:
     @property
     def bounds(self) -> SolverBounds:
         return self.candidates.bounds
+
+    @property
+    def counts(self) -> dict:
+        """The rows, columns and rank of the system's matrix."""
+        e = self.elimination
+        return {"rows": e.nrows, "cols": e.ncols, "rank": e.ncols - len(self.basis)}
 
     def _combine(self, vec) -> list:
         functions = self.candidates.functions
@@ -524,9 +528,13 @@ class GdotRecipe:
 
 
 def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupElement:
-    """A short word in elementary and torus generators (det = 1 by construction)."""
+    """A short word in elementary and torus generators (det = 1 by construction).
+
+    Each generator right-multiplies the word as a column operation:
+    diag(u^e) scales column k by u^e_k, I + c E_jk adds c col_j to col_k.
+    """
     u = RatFunc.x()
-    word = LoopGroupElement.identity(n)
+    rows = [list(row) for row in identity(n)]
     has_torus = False
     for step in range(recipe.length):
         kind = rng.choice(["torus", "elementary", "elementary"])
@@ -534,20 +542,27 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
             has_torus = True
             exps = [rng.randint(-recipe.torus_amplitude, recipe.torus_amplitude) for _ in range(n - 1)]
             exps.append(-sum(exps))
-            word = word * torus(n, exps)
+            _scale_columns(rows, exps)
         else:
             j = rng.randint(1, n)
             k = rng.randint(1, n - 1)
             if k >= j:
                 k += 1
             m = rng.randint(-recipe.max_exponent, recipe.max_exponent)
-            c = rng.nonzero_gauss(recipe.max_num, recipe.max_den)
-            word = word * elementary(n, j, k, c * u ** m)
+            c = rng.nonzero_gauss(recipe.max_num, recipe.max_den) * u ** m
+            for row in rows:
+                row[k - 1] = row[k - 1] + c * row[j - 1]
     if not has_torus:
         # guarantee a nontrivial twist so section spaces are interesting
-        exps = [1] + [0] * (n - 2) + [-1]
-        word = word * torus(n, exps)
-    return word
+        _scale_columns(rows, [1] + [0] * (n - 2) + [-1])
+    return LoopGroupElement(rows, check=False)
+
+
+def _scale_columns(rows: list, exponents: Sequence[int]):
+    """Right-multiply rows by diag(u^e_1, ..., u^e_n), in place."""
+    powers = [RatFunc.x() ** e for e in exponents]
+    for row in rows:
+        row[:] = [x * p if e else x for x, p, e in zip(row, powers, exponents)]
 
 
 def random_loop_algebra(
@@ -555,10 +570,10 @@ def random_loop_algebra(
 ) -> LoopAlgebraElement:
     """A random span combination with monomial RatFunc coefficients."""
     u = RatFunc.x()
-    acc = algebra.zero_element()
+    coeffs = [RatFunc.const(0)] * algebra.dim
     for _ in range(recipe.terms):
         k = rng.randint(0, algebra.dim - 1)
         m = rng.randint(-recipe.pole_order, recipe.degree)
         c = rng.nonzero_gauss(recipe.max_num, recipe.max_den)
-        acc = acc + (c * u ** m) * algebra.basis_element(algebra.labels[k])
-    return acc
+        coeffs[k] = coeffs[k] + c * u ** m
+    return algebra.element(algebra.combination(coeffs))

@@ -222,6 +222,9 @@ class TrialRecord:
     alpha_residue_sum: GaussRat = GQ_ZERO
     disk_ok: bool = False
     residual_texts: list = field(default_factory=list)
+    rows: int = 0
+    cols: int = 0
+    rank: int = 0
 
     @property
     def ok(self) -> bool:
@@ -239,6 +242,7 @@ def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
             section_dim=inst.section_dim,
             bundle_attempts=inst.bundle_attempts,
             tangent_retries=inst.tangent_retries,
+            **inst.point.system.counts,
         )
         t1, t2 = inst.tangents
         rec.pullback = pullback_omega(inst.point, t1, t2)
@@ -265,6 +269,9 @@ class CorruptRecord:
     section_dim: int
     bundle_attempts: int
     tangent_retries: int
+    rows: int
+    cols: int
+    rank: int
 
 
 def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
@@ -301,6 +308,7 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
                 section_dim=inst.section_dim,
                 bundle_attempts=inst.bundle_attempts,
                 tangent_retries=inst.tangent_retries,
+                **inst.point.system.counts,
             )
         )
     return records

@@ -202,7 +202,7 @@ def test_span_membership_messages(sl2):
 
 def test_one_notion_of_same_algebra():
     # distinct objects of one algebra compare, add and act alike
-    from higgsres import builtin_rep
+    from higgsres import XVector, builtin_rep
 
     a, b = MatrixLieAlgebra.sl(2), MatrixLieAlgebra.sl(2)
     x, y = a.element(a.basis[0]), b.element(b.basis[0])
@@ -210,11 +210,13 @@ def test_one_notion_of_same_algebra():
     assert x == y and (x - y).is_zero()
     assert bracket(x, y).is_zero()
     rep = builtin_rep("sl2-standard")
-    assert rep.act_algebra(y) == rep.act_algebra(rep.algebra.element(rep.algebra.basis[0]))
+    e2 = XVector.unit(2, 1)
+    own = rep.algebra.element(rep.algebra.basis[0])
+    assert rep.inf_action(y, e2) == rep.inf_action(own, e2) == XVector.unit(2, 0)
     c = MatrixLieAlgebra.sl(3)
     z = c.element(c.basis[0])
     assert x != z and z != x
     with pytest.raises(ShapeError):
         x + z
     with pytest.raises(NotInAlgebra):
-        rep.act_algebra(z)
+        rep.inf_action(z, e2)
