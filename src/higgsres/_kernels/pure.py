@@ -2,15 +2,17 @@
 
 These functions are the hot inner loops of the library: scalar arithmetic
 in Q(i), dense polynomial arithmetic over Q(i), truncated power-series
-division, and fraction-free row echelon over Z[i] with the replay of its
-steps on further columns.  They are the only
-arithmetic backend; every result is exact.
+division, and sparse Gauss-Jordan elimination over Q(i) with the replay
+of its steps on further columns.  They are the only arithmetic backend;
+every result is exact.
 
-Representations (plain tuples and lists):
+Representations (plain tuples, lists and dicts):
 
   scalar   (a, b, d)  ints, meaning (a + b*i)/d with d > 0, gcd(a, b, d) = 1
   poly     list of scalars, index = exponent, no trailing zeros; zero = []
-  zi       (a, b)     a Gaussian integer a + b*i, used by the echelon kernel
+  sparse   dict {index: scalar} of the non-zero entries of a row or column,
+           used by the echelon kernel: the systems it is given are mostly
+           zero, so it works on their non-zeros alone
 
 The scalar representation keeps one shared denominator per coefficient,
 so each ring operation needs a single 3-way gcd instead of per-component
@@ -250,117 +252,86 @@ def p_series_div(num, den, n):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free echelon over Z[i]
+# sparse Gauss-Jordan echelon over Q(i)
 # ---------------------------------------------------------------------------
 
 
-def zi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def zi_divexact(x, y):
-    """Exact Gaussian-integer division; quotient must be integral."""
-    n = y[0] * y[0] + y[1] * y[1]
-    return ((x[0] * y[0] + x[1] * y[1]) // n, (x[1] * y[0] - x[0] * y[1]) // n)
-
-
 def zi_echelon(rows, npivot):
-    """In-place Bareiss echelon of a Z[i] matrix; entries are (a, b) pairs.
+    """Sparse Gauss-Jordan elimination of a Q(i) matrix, in place.
 
-    Pivots are searched left to right in the first ``npivot`` columns only
-    (trailing columns are carried along, e.g. right-hand sides).  Pivot rows
-    are taken in order of first nonzero entry: deterministic output for
-    deterministic input.  Returns the steps, one per pivot, in order:
-    ``(row, col, swap, pivot, multipliers)``, where ``rows[swap]`` was
-    swapped into ``rows[row]`` (``swap == row`` for none), ``pivot`` is
-    ``rows[row][col]`` and ``multipliers`` are the entries of column
-    ``col`` below it, before they were eliminated.  ``zi_replay`` applies
-    the steps to one more column.
+    ``rows`` holds dense rows of scalars, one entry per column.  Each is
+    replaced by the dict ``{column: scalar}`` of the non-zeros of its
+    reduced row.  Columns are taken left to right in the first ``npivot``
+    only (trailing columns are carried along, e.g. right-hand sides).  The
+    pivot of a column is the first unused row, in row order, with a
+    non-zero there; it is scaled to a leading 1 and the column is cleared
+    from every other row, above and below.  Returns the steps, one per
+    pivot, in order: ``(row, col, inv, targets)``, where ``inv`` is the
+    inverse of the pivot and ``targets`` the ``(row, factor)`` pairs of
+    the rows the column was cleared from, each factor that row's entry in
+    the column when the pivot was taken.  ``zi_replay`` applies the steps
+    to one more column.
+
+    The name predates the move from fraction-free Bareiss over Z[i]; it
+    is kept because callers outside the package (the benchmark's tracer,
+    for one) look the kernel up by it, and ``zi_replay`` keeps the name
+    that pairs with it.
     """
     m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
+    sparse = [{j: t for j, t in enumerate(row) if t[0] or t[1]} for row in rows]
+    used = [False] * m
     steps = []
-    prev = (1, 0)
-    r = 0
     for col in range(npivot):
-        piv = -1
-        for i in range(r, m):
-            e = rows[i][col]
-            if e[0] != 0 or e[1] != 0:
-                piv = i
-                break
+        hits = [i for i in range(m) if col in sparse[i]]
+        piv = next((i for i in hits if not used[i]), -1)
         if piv < 0:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pc = pr[col]
-        multipliers = [rows[i][col] for i in range(r + 1, m)]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            ric = ri[col]
-            if ric[0] == 0 and ric[1] == 0:
-                # Uniform Bareiss update degenerates to pc*e/prev; it must
-                # still be applied so later exact divisions stay exact.
-                for j in range(col + 1, ncols):
-                    e = ri[j]
-                    if e[0] != 0 or e[1] != 0:
-                        if prev == (1, 0):
-                            ri[j] = zi_mul(pc, e)
-                        else:
-                            ri[j] = zi_divexact(zi_mul(pc, e), prev)
+        used[piv] = True
+        pr = sparse[piv]
+        inv = gq_inv(pr[col])
+        if inv != GQ_ONE:
+            for j, t in pr.items():
+                pr[j] = gq_mul(inv, t)
+        pr[col] = GQ_ONE
+        targets = []
+        for i in hits:
+            if i == piv:
                 continue
-            for j in range(col + 1, ncols):
-                num = (
-                    pc[0] * ri[j][0] - pc[1] * ri[j][1] - ric[0] * pr[j][0] + ric[1] * pr[j][1],
-                    pc[0] * ri[j][1] + pc[1] * ri[j][0] - ric[0] * pr[j][1] - ric[1] * pr[j][0],
-                )
-                if prev == (1, 0):
-                    ri[j] = num
+            ri = sparse[i]
+            f = ri.pop(col)
+            targets.append((i, f))
+            for j, t in pr.items():
+                if j == col:
+                    continue
+                e = ri.get(j)
+                x = gq_neg(gq_mul(f, t)) if e is None else gq_sub(e, gq_mul(f, t))
+                if x[0] or x[1]:
+                    ri[j] = x
                 else:
-                    n = prev[0] * prev[0] + prev[1] * prev[1]
-                    ri[j] = (
-                        (num[0] * prev[0] + num[1] * prev[1]) // n,
-                        (num[1] * prev[0] - num[0] * prev[1]) // n,
-                    )
-            ri[col] = (0, 0)
-        steps.append((r, col, piv, pc, multipliers))
-        prev = pc
-        r += 1
-        if r == m:
-            break
+                    del ri[j]
+        steps.append((piv, col, inv, targets))
+    rows[:] = sparse
     return steps
 
 
 def zi_replay(steps, column):
-    """Apply the steps of ``zi_echelon`` to one Z[i] column, in place.
+    """Apply the steps of ``zi_echelon`` to one more column, in place.
 
-    ``column`` has one entry per row of the eliminated matrix and ends as
-    it would have, had it been carried along as a trailing column: the
-    same swaps and the same Bareiss updates, every division exact.
+    ``column`` is the dict ``{row: scalar}`` of its non-zeros and ends as
+    it would have, had it been carried along as a trailing column.  A
+    step whose pivot row is zero in the column leaves it alone, so only
+    the pivots the column reaches cost any work.
     """
-    prev = (1, 0)
-    for r, _, swap, pc, multipliers in steps:
-        if swap != r:
-            column[r], column[swap] = column[swap], column[r]
-        x = column[r]
-        x_zero = x[0] == 0 and x[1] == 0
-        n = prev[0] * prev[0] + prev[1] * prev[1]
-        for i, mul in enumerate(multipliers, r + 1):
-            e = column[i]
-            if e[0] == 0 and e[1] == 0 and (x_zero or (mul[0] == 0 and mul[1] == 0)):
-                continue
-            num = (
-                pc[0] * e[0] - pc[1] * e[1] - mul[0] * x[0] + mul[1] * x[1],
-                pc[0] * e[1] + pc[1] * e[0] - mul[0] * x[1] - mul[1] * x[0],
-            )
-            if prev == (1, 0):
-                column[i] = num
+    for r, _, inv, targets in steps:
+        x = column.get(r)
+        if x is None:
+            continue
+        x = gq_mul(inv, x)
+        column[r] = x
+        for i, f in targets:
+            e = column.get(i)
+            y = gq_neg(gq_mul(f, x)) if e is None else gq_sub(e, gq_mul(f, x))
+            if y[0] or y[1]:
+                column[i] = y
             else:
-                column[i] = (
-                    (num[0] * prev[0] + num[1] * prev[1]) // n,
-                    (num[1] * prev[0] - num[0] * prev[1]) // n,
-                )
-        prev = pc
+                del column[i]

@@ -185,6 +185,9 @@ GQ_ZERO = GaussRat.from_triple(K.GQ_ZERO)
 GQ_ONE = GaussRat.from_triple(K.GQ_ONE)
 GQ_I = GaussRat.from_triple(K.GQ_I)
 
+# the scalar operands RatFunc multiplies and divides by without a p_mul
+_SCALARS = (int, Fraction, GaussRat)
+
 
 class Poly:
     """Dense polynomial over Q(i); coefficient list carries no trailing zeros."""
@@ -508,6 +511,8 @@ class RatFunc:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._scaled(_triple_from(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -527,6 +532,11 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            t = _triple_from(other)
+            if K.gq_is_zero(t):
+                raise ZeroDivisionError("division by zero rational function")
+            return self._scaled(K.gq_inv(t))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -544,6 +554,14 @@ class RatFunc:
             return NotImplemented
         return o / self
 
+    def _scaled(self, t: tuple) -> "RatFunc":
+        """self times the scalar t: c*n/d is reduced when n/d is and c != 0."""
+        if not self._n:
+            return self
+        if K.gq_is_zero(t):
+            return RatFunc._raw([], [K.GQ_ONE])
+        return RatFunc._raw(K.p_scale(t, self._n), list(self._d))
+
     def __neg__(self):
         return RatFunc._raw(K.p_neg(self._n), list(self._d))
 
@@ -559,6 +577,13 @@ class RatFunc:
         return RatFunc(Poly._raw(list(self._d)), Poly._raw(list(self._n)))
 
     def __pow__(self, n: int):
+        m, k = _u_power(self._n), _u_power(self._d)
+        if m >= 0 and k >= 0:
+            # (c*u^m / u^k)^n = c^n*u^(mn) / u^(kn), with min(m, k) = 0
+            c = (GaussRat.from_triple(self._n[m]) ** n)._t
+            if n < 0:
+                m, k, n = k, m, -n
+            return RatFunc._raw([K.GQ_ZERO] * (m * n) + [c], [K.GQ_ZERO] * (k * n) + [K.GQ_ONE])
         if n < 0:
             return self.inverse() ** (-n)
         acc = RatFunc.const(1)

@@ -1,83 +1,65 @@
 """Exact linear algebra over Q(i): the one eliminator of the package.
 
-Systems are given as rows of GaussRat triples.  Each row is scaled to
-Z[i] by the lcm of its denominators and the matrix alone is eliminated
-fraction-free (Bareiss, ``_kernels.zi_echelon``) with a deterministic
-pivot order; the kernel returns its steps.  One ``Elimination`` then
-serves any number of right-hand sides: the steps are replayed on the
-scaled right side (``_kernels.zi_replay``), whose entries past the rank
-decide consistency, before the exact back-substitution over Q(i).
+Systems are given as dense rows of GaussRat triples.  The matrix alone is
+brought to reduced row echelon form by sparse Gauss-Jordan elimination on
+its non-zeros (``_kernels.zi_echelon``), with a deterministic pivot
+order; the kernel returns its steps.  The null basis is read off the
+reduced rows.  One ``Elimination`` then serves any number of right-hand
+sides: the steps are replayed on the non-zeros of the right side
+(``_kernels.zi_replay``), whose entries outside the pivot rows decide
+consistency, and the solution is read off the pivot rows.
+
+The pivot columns are the leftmost column basis of A, whichever row
+serves as a pivot.  Given them, the null vector with a unit free
+coordinate and the solution with every free coordinate 0 are unique, so
+neither depends on the elimination order.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import _kernels as K
 from .field import GaussRat
 
-
-def _row_to_zi(row):
-    """(lcm of the row's denominators, the row scaled by it as Z[i] pairs)."""
-    lcm = 1
-    for t in row:
-        d = t[2]
-        if d != 1:
-            lcm = lcm * d // gcd(lcm, d)
-    return lcm, [(a * (lcm // d), b * (lcm // d)) for (a, b, d) in row]
-
-
-def _value(pair) -> GaussRat:
-    return GaussRat.from_triple(K.gq_norm(pair[0], pair[1], 1))
+_ZERO = GaussRat(0)
+_ONE = GaussRat(1)
 
 
 class Elimination:
-    """One fraction-free elimination of a matrix A, kept for many right sides.
+    """One Gauss-Jordan elimination of a matrix A, kept for many right sides.
 
-    The rows of A, scaled to Z[i], are eliminated alone, and the kernel's
-    steps (row swaps, pivots and the multipliers below each pivot) are
-    kept.  A right side is scaled the same way and the steps are replayed
-    on it, as if it had been a column of the elimination: it is
-    consistent exactly when its entries past the rank vanish, and then
-    the rows of rank give the back-substitution.  ``len()`` is the row
-    count of A.
+    The rows of A are eliminated alone, and the kernel's steps (per pivot:
+    its row, column and inverse, and the rows cleared with their factors)
+    are kept.  A right side is replayed through the steps as if it had
+    been a column of the elimination: it is consistent exactly when it
+    ends zero outside the pivot rows, and then the pivot rows give the
+    solution.  ``len()`` is the row count of A.
     """
 
-    __slots__ = ("nrows", "ncols", "null_basis", "_scales", "_steps", "_reduced")
+    __slots__ = ("nrows", "ncols", "null_basis", "_steps", "_pivot_rows")
 
     def __init__(self, matrix, ncols: int):
         self.nrows = len(matrix)
         self.ncols = ncols
-        rows = []
-        self._scales = []
-        for row in matrix:
-            scale, zi = _row_to_zi(row)
-            rows.append(zi)
-            self._scales.append(scale)
+        # the kernel replaces each row of this copy by its reduced row
+        rows = list(matrix)
         self._steps = K.zi_echelon(rows, ncols)
+        # pivot row -> pivot column
+        self._pivot_rows = {r: c for r, c, *_ in self._steps}
 
-        # each pivot row once, last pivot first: (row, pivot column, pivot
-        # value, the nonzero (column, value) entries right of the pivot)
-        self._reduced = []
-        for r, c, *_ in reversed(self._steps):
-            row = rows[r]
-            tail = [(j, _value(row[j])) for j in range(c + 1, ncols) if row[j] != (0, 0)]
-            self._reduced.append((r, c, _value(row[c]), tail))
-
-        pivot_cols = {c for _, c, *_ in self._steps}
-        self.null_basis = []
+        # the null vector of free column f has 1 at f and, at each pivot
+        # column, minus the pivot row's entry in column f; a reduced pivot
+        # row is zero in every other pivot column
+        pivot_cols = set(self._pivot_rows.values())
+        basis = {}
         for f in range(ncols):
-            if f in pivot_cols:
-                continue
-            vec = [GaussRat(0)] * ncols
-            vec[f] = GaussRat(1)
-            for _, c, pivot, tail in self._reduced:
-                acc = GaussRat(0)
-                for j, a in tail:
-                    if not vec[j].is_zero():
-                        acc = acc + a * vec[j]
-                vec[c] = -acc / pivot
-            self.null_basis.append(vec)
+            if f not in pivot_cols:
+                basis[f] = [_ZERO] * ncols
+                basis[f][f] = _ONE
+        for r, c in self._pivot_rows.items():
+            for f, t in rows[r].items():
+                if f != c:
+                    basis[f][c] = GaussRat.from_triple(K.gq_neg(t))
+        self.null_basis = list(basis.values())
 
     def __len__(self) -> int:
         return self.nrows
@@ -91,27 +73,14 @@ class Elimination:
         m = self.nrows
         if any(t[0] or t[1] for t in rhs[m:]):
             return None
-        # clear the denominators of the right side once: rhs = column / den,
-        # with each entry also scaled like its row of A
-        den = 1
-        for t in rhs[:m]:
-            if (t[0] or t[1]) and t[2] != 1:
-                den = den * t[2] // gcd(den, t[2])
-        column = [
-            (t[0] * (den // t[2]) * s, t[1] * (den // t[2]) * s)
-            for t, s in zip(rhs[:m], self._scales)
-        ]
+        column = {i: t for i, t in enumerate(rhs[:m]) if t[0] or t[1]}
         K.zi_replay(self._steps, column)
-        if any(x != (0, 0) for x in column[len(self._steps):]):
+        pivot_rows = self._pivot_rows
+        if any(i not in pivot_rows for i in column):
             return None
-        vec = [GaussRat(0)] * self.ncols
-        for r, c, pivot, tail in self._reduced:
-            re, im = column[r]
-            acc = GaussRat.from_triple(K.gq_norm(re, im, den))
-            for j, a in tail:
-                if not vec[j].is_zero():
-                    acc = acc - a * vec[j]
-            vec[c] = acc / pivot
+        vec = [_ZERO] * self.ncols
+        for r, t in column.items():
+            vec[pivot_rows[r]] = GaussRat.from_triple(t)
         return vec
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-STATS_COLUMNS = ("section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank")
+STATS_COLUMNS = (
+    "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros"
+)
 
 
 @dataclass

@@ -22,15 +22,16 @@ shifted window of h up to u^(size-2).
 
 Factor once, then solve many: a ``TwistedSystem`` assembles the
 conditions of one bundle and eliminates them once, exactly over Q(i)
-(``linalg.Elimination``: fraction-free, deterministic pivot order, the
-steps kept).  That gives the sections.  The point built from a section
-or Higgs-field space keeps the system, and every tangent solve at that
-point (a right-hand side ``b`` made of the polar parts of the g_dot
-action) goes through ``linalg.solve_system`` against the stored
-elimination: ``b`` is infeasible when one of its polar coefficients
-lies in no row of the system or when, after the elimination steps are
-replayed on it, an entry past the rank is nonzero; otherwise the
-reduced ``b`` is back-substituted.
+(``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros,
+deterministic pivot order, the steps kept).  That gives the sections.
+The point built from a section or Higgs-field space keeps the system,
+and every tangent solve at that point (a right-hand side ``b`` made of
+the polar parts of the g_dot action) goes through
+``linalg.solve_system`` against the stored elimination: ``b`` is
+infeasible when one of its polar coefficients lies in no row of the
+system or when, after the elimination steps are replayed on its
+non-zeros, an entry outside the pivot rows is nonzero; otherwise the
+solution is read off the pivot rows.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
 the path), so identical seeds reproduce identical instances on any
@@ -286,9 +287,14 @@ class TwistedSystem:
 
     @property
     def counts(self) -> dict:
-        """The rows, columns and rank of the system's matrix."""
+        """The rows, columns, rank and non-zero entries of the system's matrix."""
         e = self.elimination
-        return {"rows": e.nrows, "cols": e.ncols, "rank": e.ncols - len(self.basis)}
+        return {
+            "rows": e.nrows,
+            "cols": e.ncols,
+            "rank": e.ncols - len(self.basis),
+            "nonzeros": sum(1 for row in self.matrix for t in row if t[0] or t[1]),
+        }
 
     def _combine(self, vec) -> list:
         functions = self.candidates.functions

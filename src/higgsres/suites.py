@@ -225,6 +225,7 @@ class TrialRecord:
     rows: int = 0
     cols: int = 0
     rank: int = 0
+    nonzeros: int = 0
 
     @property
     def ok(self) -> bool:
@@ -272,6 +273,7 @@ class CorruptRecord:
     rows: int
     cols: int
     rank: int
+    nonzeros: int
 
 
 def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:

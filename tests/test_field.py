@@ -416,6 +416,66 @@ def test_laurent_path_matches_general_formula():
     assert min(kinds.values()) >= 25, kinds
 
 
+def _square_and_multiply(f, n):
+    """``RatFunc.__pow__`` as it was before its monomial short cut."""
+    if n < 0:
+        return _square_and_multiply(f.inverse(), -n)
+    acc = RatFunc.const(1)
+    base = f
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
+def test_monomial_power_matches_square_and_multiply():
+    u = Poly.x()
+    bases = [
+        RatFunc(u),
+        RatFunc(Poly([0, 0, 0, GaussRat(2, -1)])),  # c*u^3
+        RatFunc(Poly([GaussRat(Fraction(-1, 3))])),  # a constant
+        RatFunc(1, u**2),  # u^-2
+        RatFunc(GaussRat(3, 1), u**4),  # c*u^-4
+        RatFunc(u + 1, u**2),  # Laurent, not a monomial
+        RatFunc(u - 2, u + GaussRat(0, 1)),  # no power of u below
+    ]
+    for f in bases:
+        for n in range(-6, 7):
+            assert f**n == _square_and_multiply(f, n)
+    assert RatFunc.const(0) ** 0 == RatFunc.const(1)
+    with pytest.raises(NotInvertible):
+        RatFunc.const(0) ** -1
+
+
+def test_scalar_operand_matches_const_product():
+    """``f * c``, ``c * f`` and ``f / c`` for a scalar c equal the products
+    with ``RatFunc.const(c)``, on Laurent and non-Laurent operands."""
+    rng = random.Random(20261018)
+    scalars = [0, 1, -1, 3, Fraction(-2, 3), GaussRat(0), GaussRat(1), GaussRat(0, -1)]
+    kinds = {"laurent": 0, "general": 0, "zero": 0}
+    for _ in range(80):
+        f = _operand(rng)
+        if f.is_zero():
+            kinds["zero"] += 1
+        elif all(c == _ZERO_PAIR for c in _to_pairs(f.den)[:-1]):
+            kinds["laurent"] += 1
+        else:
+            kinds["general"] += 1
+        extra = GaussRat(Fraction(rng.randint(-7, 7), rng.randint(1, 7)), rng.randint(-3, 3))
+        for c in scalars + [extra]:
+            const = RatFunc.const(c)
+            assert f * c == f * const
+            assert c * f == const * f
+            if const.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    f / c
+            else:
+                assert f / c == f / const
+    assert min(kinds.values()) >= 5, kinds
+
+
 # ---------------------------------------------------------------------------
 # two-parameter jets; oracle: bivariate partial derivatives
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The gcd and the scalar and polynomial operations are checked against
 independent oracles in ``test_field.py``; here the echelon kernel is
-checked for echelon shape, its steps for replay, and the exact
-Gaussian-integer division for round trips.
+checked for reduced echelon shape, for its pivot columns against an
+independent rank computation, and its steps for replay.
 """
+
+from test_solver import _pivot_columns
 
 from higgsres._kernels import pure
 from higgsres.solver import SeedStream
@@ -12,50 +14,40 @@ from higgsres.solver import SeedStream
 
 def test_echelon_shape():
     rng = SeedStream("kernel-echelon")
-    swaps = 0
+    kinds = {"pivot out of row order": 0, "cleared above": 0, "trailing": 0}
     for trial in range(80):
         nrows, ncols = rng.randint(1, 6), rng.randint(2, 6)
         npivot = rng.randint(1, ncols)  # trailing columns carried along
-        rows = [
-            [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
+        rows = [[rng.gauss(6, 3)._t for _ in range(ncols)] for _ in range(nrows)]
         if trial >= 40:
-            # half the entries zero: row swaps and zero multipliers
-            rows = [[e if rng.randint(0, 1) else (0, 0) for e in row] for row in rows]
+            # half the entries zero: pivots out of row order, zero factors
+            rows = [[t if rng.randint(0, 1) else pure.GQ_ZERO for t in row] for row in rows]
         original = [list(row) for row in rows]
         steps = pure.zi_echelon(rows, npivot)
         pivots = [(r, c) for r, c, *_ in steps]
-        # pivots step down and right; below each pivot the column is zero
-        assert [r for r, _ in pivots] == list(range(len(pivots)))
-        assert [c for _, c in pivots] == sorted({c for _, c in pivots})
+        # the pivot columns are the leftmost column basis of the searched columns
+        assert [c for _, c in pivots] == _pivot_columns([row[:npivot] for row in original], npivot)
+        assert len({r for r, _ in pivots}) == len(pivots)
+        # reduced echelon: each pivot column is the unit vector of its pivot row
         for r, c in pivots:
-            assert c < npivot
-            assert rows[r][c] != (0, 0)
-            for i in range(r + 1, nrows):
-                assert rows[i][c] == (0, 0)
-        # rows past the last pivot are zero in every pivot-searched column
-        for row in rows[len(pivots):]:
-            assert row[:npivot] == [(0, 0)] * npivot
-        # replaying the steps on any original column gives the column the
-        # elimination left: the swaps, pivots and multipliers are all kept
-        for r, c, swap, pivot, multipliers in steps:
-            assert r <= swap < nrows and pivot == rows[r][c]
-            assert len(multipliers) == nrows - r - 1
-            swaps += swap != r
+            for i in range(nrows):
+                assert rows[i].get(c) == (pure.GQ_ONE if i == r else None)
+        # rows that serve no pivot are zero in every searched column
+        pivot_rows = {r for r, _ in pivots}
+        for i in range(nrows):
+            if i not in pivot_rows:
+                assert all(j >= npivot for j in rows[i])
+        for k, (r, c, inv, targets) in enumerate(steps):
+            assert all(i != r and not pure.gq_is_zero(f) for i, f in targets)
+            kinds["pivot out of row order"] += k > 0 and r < steps[k - 1][0]
+            kinds["cleared above"] += any(i in {s[0] for s in steps[:k]} for i, _ in targets)
+        kinds["trailing"] += any(j >= npivot for row in rows for j in row)
+        # replaying the steps on any original column, trailing ones
+        # included, gives the column the elimination left
         for j in range(ncols):
-            column = [row[j] for row in original]
+            column = {i: row[j] for i, row in enumerate(original) if not pure.gq_is_zero(row[j])}
             pure.zi_replay(steps, column)
-            assert column == [row[j] for row in rows]
-    assert swaps
-
-
-def test_pure_divexact_round_trip():
-    rng = SeedStream("kernel-divexact")
-    for _ in range(100):
-        x = (rng.randint(-30, 30), rng.randint(-30, 30))
-        y = (rng.randint(-9, 9), rng.randint(-9, 9))
-        if y == (0, 0):
-            continue
-        prod = pure.zi_mul(x, y)
-        assert pure.zi_divexact(prod, y) == x
+            assert column == {i: row[j] for i, row in enumerate(rows) if j in row}
+        # the entries left are non-zero scalars in normal form
+        assert all(t != pure.GQ_ZERO and pure.gq_norm(*t) == t for row in rows for t in row.values())
+    assert all(kinds.values()), kinds

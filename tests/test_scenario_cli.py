@@ -240,31 +240,31 @@ def test_cli_corrupt_suite_detects(fixtures_dir, capsys):
 
 # the --stats block of f1 at seed 1 (20 trials): per-trial counts the
 # default report does not print, appended after the verdict line; rows,
-# cols and rank are those of the accepted bundle's section system
+# cols, rank and nonzeros are those of the accepted bundle's section system
 F1_SEED1_STATS = """\
 stats (20 trials):
-  trial  section_dim  bundle_attempts  tangent_retries  rows  cols  rank
-    000            2                2                1    12    14    12
-    001            1                3                5    14    14    13
-    002            1                3                0    14    14    13
-    003            1                5                0    14    14    13
-    004            1                2                1    14    14    13
-    005            2                3                1    14    14    12
-    006            1                2                2    13    14    13
-    007            1                1                0    14    14    13
-    008            1                1                0    14    14    13
-    009            1                1                1    14    14    13
-    010            1                1                0    13    14    13
-    011            1                1                0    16    14    13
-    012            1                3                0    15    14    13
-    013            1                1                1    15    14    13
-    014            1                2                1    14    14    13
-    015            1                1                0    14    14    13
-    016            1                1                0    15    14    13
-    017            1                2                6    14    14    13
-    018            1                3                0    16    14    13
-    019            1                1                0    18    14    13
-  total           22               39               19   287   280   258
+  trial  section_dim  bundle_attempts  tangent_retries  rows  cols  rank  nonzeros
+    000            2                2                1    12    14    12        12
+    001            1                3                5    14    14    13        24
+    002            1                3                0    14    14    13        26
+    003            1                5                0    14    14    13        26
+    004            1                2                1    14    14    13        26
+    005            2                3                1    14    14    12        16
+    006            1                2                2    13    14    13        13
+    007            1                1                0    14    14    13        20
+    008            1                1                0    14    14    13        20
+    009            1                1                1    14    14    13        20
+    010            1                1                0    13    14    13        26
+    011            1                1                0    16    14    13        27
+    012            1                3                0    15    14    13        20
+    013            1                1                1    15    14    13        40
+    014            1                2                1    14    14    13        20
+    015            1                1                0    14    14    13        26
+    016            1                1                0    15    14    13        20
+    017            1                2                6    14    14    13        19
+    018            1                3                0    16    14    13        20
+    019            1                1                0    18    14    13        33
+  total           22               39               19   287   280   258       454
 """
 
 
@@ -287,11 +287,15 @@ def test_cli_stats_json_adds_only_the_stats_key(fixtures_dir, capsys, command):
     assert payload == plain
     rows = stats["trials"]
     assert [row["trial"] for row in rows] == [0, 1, 2]
-    columns = ("section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank")
+    columns = (
+        "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros"
+    )
     assert stats["total"] == {c: sum(row[c] for row in rows) for c in columns}
     assert all(row["section_dim"] >= 1 and row["bundle_attempts"] >= 1 for row in rows)
     # rank-nullity: the sections are the null space of the section system
     assert all(row["rank"] + row["section_dim"] == row["cols"] for row in rows)
+    # a system of rank r has at least r non-zeros and at most rows * cols
+    assert all(row["rank"] <= row["nonzeros"] <= row["rows"] * row["cols"] for row in rows)
 
 
 @pytest.mark.parametrize("command", ["random-suite", "corrupt-suite"])
