@@ -19,6 +19,7 @@ from .pure import (
     gq_sub,
     p_add,
     p_divmod,
+    p_dot,
     p_eval,
     p_gcd,
     p_monic,

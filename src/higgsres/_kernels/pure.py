@@ -1,7 +1,8 @@
 """Arithmetic kernels over the Gaussian rationals, in pure Python.
 
 These functions are the hot inner loops of the library: scalar arithmetic
-in Q(i), dense polynomial arithmetic over Q(i), truncated power-series
+in Q(i), dense polynomial arithmetic over Q(i) (sums of products of
+Laurent polynomials n/x^k included), truncated power-series
 division, and sparse Gauss-Jordan elimination over Q(i) with the replay
 of its steps on further columns.  They are the only arithmetic backend;
 every result is exact.
@@ -16,7 +17,10 @@ Representations (plain tuples, lists and dicts):
 
 The scalar representation keeps one shared denominator per coefficient,
 so each ring operation needs a single 3-way gcd instead of per-component
-Fraction normalizations.
+Fraction normalizations, and none when both denominators are 1, the
+common case.  A product with a one-term polynomial is a scale, and
+``p_dot`` adds a whole sum of products into one numerator, summing its
+coefficients unreduced and normalising each once.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ GQ_I = (0, 1, 1)
 
 
 def gq_norm(a, b, d):
+    if d == 1:
+        return (a, b, 1) if a or b else GQ_ZERO
     if d == 0:
         raise ZeroDivisionError("zero denominator in Gaussian rational")
     if a == 0 and b == 0:
@@ -50,6 +56,9 @@ def gq_add(x, y):
     a1, b1, d1 = x
     a2, b2, d2 = y
     if d1 == d2:
+        if d1 == 1:
+            a, b = a1 + a2, b1 + b2
+            return (a, b, 1) if a or b else GQ_ZERO
         return gq_norm(a1 + a2, b1 + b2, d1)
     return gq_norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
@@ -70,7 +79,10 @@ def gq_neg(x):
 def gq_mul(x, y):
     a1, b1, d1 = x
     a2, b2, d2 = y
-    return gq_norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+    if d == 1:
+        return (a, b, 1) if a or b else GQ_ZERO
+    return gq_norm(a, b, d)
 
 
 def gq_inv(x):
@@ -138,13 +150,50 @@ def p_scale(c, p):
 def p_mul(p, q):
     if not p or not q:
         return []
-    out = [GQ_ZERO] * (len(p) + len(q) - 1)
-    for j, cj in enumerate(p):
-        if gq_is_zero(cj):
-            continue
-        for k, ck in enumerate(q):
-            out[j + k] = gq_add(out[j + k], gq_mul(cj, ck))
-    return p_norm(out)
+    if len(p) == 1 or len(q) == 1:
+        # a scale: Q(i) has no zero divisors, so the last product is non-zero
+        c, q = (p[0], q) if len(p) == 1 else (q[0], p)
+        return list(q) if c == GQ_ONE else [gq_mul(c, x) for x in q]
+    return p_dot([(GQ_ONE, p, q, 0)])[0]
+
+
+def p_dot(terms):
+    """The sum of c*p*q/x^k over the terms (c, p, q, k), as (numerator, K).
+
+    ``terms`` is a non-empty list; c is a scalar, p and q are non-zero
+    polynomials and k >= 0.  K is the largest k, and each product is
+    added into one numerator over x^K, shifted up by K - k.  The
+    coefficients are summed as unreduced (a, b, d) and normalised once
+    at the end, so a sum pays one gcd per coefficient, and none where
+    every denominator is 1.  The numerator has no trailing zeros; its
+    low zeros, which x^K may share, are left to the caller.
+    """
+    top = size = 0
+    for _, p, q, k in terms:
+        if k > top:
+            size += k - top
+            top = k
+        size = max(size, len(p) + len(q) - 1 + top - k)
+    re, im, den = [0] * size, [0] * size, [1] * size
+    for c, p, q, k in terms:
+        if c != GQ_ONE:
+            p = [gq_mul(c, x) for x in p]
+        for i, (a1, b1, d1) in enumerate(p, top - k):
+            if not (a1 or b1):
+                continue
+            for j, (a2, b2, d2) in enumerate(q, i):
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                e = den[j]
+                if e == d:
+                    re[j] += a
+                    im[j] += b
+                else:
+                    re[j] = re[j] * d + a * e
+                    im[j] = im[j] * d + b * e
+                    den[j] = e * d
+    while size and not (re[size - 1] or im[size - 1]):
+        size -= 1
+    return [gq_norm(re[j], im[j], den[j]) for j in range(size)], top
 
 
 def p_divmod(p, q):

@@ -54,7 +54,8 @@ class MarkedCurve:
         self.marked_points: list[P1Point] = list(marked_points)
         if not self.marked_points:
             raise ValidationError("at least one marked point is required")
-        if len({hash(p) for p in self.marked_points}) != len(self.marked_points):
+        points = self.marked_points
+        if any(p == q for k, p in enumerate(points) for q in points[:k]):
             raise ValidationError("marked points must be distinct")
         self.alpha: OneForm = alpha if isinstance(alpha, OneForm) else OneForm(alpha)
         if isinstance(transitions, dict):

@@ -18,14 +18,17 @@ Values are immutable after construction and all operations are pure.
 
 Laurent polynomials n/u^k (constants and polynomials are k = 0) are
 closed under the ring operations, and every chart germ at 0 or infinity
-is one.  ``RatFunc`` arithmetic on two of them skips the general
-normalisation (a gcd, a product of denominators, a monic rescale): a
-product is n1*n2 over u^(k1+k2), a sum pads the numerator with the
-smaller k by |k1 - k2| zeros, and both then strip the min(ord_0 n, k)
-low zeros that u^k shares with n.  Division and inversion by a monomial
-c*u^m, the chart pull at infinity and reading one Laurent coefficient
-take the same short cut.  The canonical form is unique, so both paths
-give identical values.
+is one.  Each ``RatFunc`` stores that k (or -1) when it is built, so no
+operation scans a denominator to find it.  Arithmetic on two of them
+skips the general normalisation (a gcd, a product of denominators, a
+monic rescale): a product is n1*n2 over u^(k1+k2), a sum pads the
+numerator with the smaller k by |k1 - k2| zeros, and both then strip
+the min(ord_0 n, k) low zeros that u^k shares with n.  ``dot`` sums
+many products at once: it adds each into one numerator over the largest
+power of u and reduces once.  Division and inversion by a monomial
+c*u^m, the chart pull at infinity and reading Laurent coefficients
+(a slice of n) take the same short cut.  The canonical form is unique,
+so both paths give identical values.
 
 The textual encoding of Gaussian rationals ("p/q", "p/q+r/s*i") and the
 small expression grammar used for rational functions in scenario files
@@ -394,10 +397,12 @@ class RatFunc:
     When both operands have a denominator u^k (a Laurent polynomial), the
     operators build the reduced result directly from the numerators (see
     ``_laurent``); every other operand goes through ``__init__``, which
-    divides by the gcd and makes the denominator monic.
+    divides by the gcd and makes the denominator monic.  ``_k`` is that k,
+    or -1 when the denominator is not a power of u; it is set with ``_n``
+    and ``_d`` and never changes.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_n", "_d", "_k")
 
     def __init__(self, num, den=1):
         num = num if isinstance(num, Poly) else _as_poly(num)
@@ -406,7 +411,7 @@ class RatFunc:
             raise ZeroDenominator("rational function with zero denominator")
         n, d = num._c, den._c
         if not n:
-            self._n, self._d = [], [K.GQ_ONE]
+            self._n, self._d, self._k = [], [K.GQ_ONE], 0
             return
         g = K.p_gcd(n, d)
         j = len(g) - 1
@@ -419,12 +424,12 @@ class RatFunc:
         d, lead = K.p_monic(d)
         if lead != K.GQ_ONE:
             n = K.p_scale(K.gq_inv(lead), n)
-        self._n, self._d = n, d
+        self._n, self._d, self._k = n, d, _u_power(d)
 
     @classmethod
     def _raw(cls, n: list, d: list) -> "RatFunc":
         self = object.__new__(cls)
-        self._n, self._d = n, d
+        self._n, self._d, self._k = n, d, _u_power(d) if len(d) > 1 else 0
         return self
 
     @classmethod
@@ -456,28 +461,26 @@ class RatFunc:
         return GQ_ZERO if not self._n else GaussRat.from_triple(self._n[0])
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
+        if type(other) is RatFunc:
             return other
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, _SCALARS):
             return RatFunc.const(other)
         if isinstance(other, Poly):
             return RatFunc._raw(list(other._c), [K.GQ_ONE])
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o._n:
             return self
         if not self._n:
             return o
-        k1 = _u_power(self._d)
-        if k1 >= 0:
-            k2 = _u_power(o._d)
-            if k2 >= 0:
-                n1, n2, k = _pad(self._n, k1, o._n, k2)
-                return _laurent(K.p_add(n1, n2), k)
+        k1, k2 = self._k, o._k
+        if k1 >= 0 and k2 >= 0:
+            n1, n2, k = _pad(self._n, k1, o._n, k2)
+            return _laurent(K.p_add(n1, n2), k)
         if self._d == o._d:
             return RatFunc(Poly._raw(K.p_add(self._n, o._n)), Poly._raw(self._d))
         n = K.p_add(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
@@ -486,19 +489,17 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o._n:
             return self
         if not self._n:
             return -o
-        k1 = _u_power(self._d)
-        if k1 >= 0:
-            k2 = _u_power(o._d)
-            if k2 >= 0:
-                n1, n2, k = _pad(self._n, k1, o._n, k2)
-                return _laurent(K.p_sub(n1, n2), k)
+        k1, k2 = self._k, o._k
+        if k1 >= 0 and k2 >= 0:
+            n1, n2, k = _pad(self._n, k1, o._n, k2)
+            return _laurent(K.p_sub(n1, n2), k)
         if self._d == o._d:
             return RatFunc(Poly._raw(K.p_sub(self._n, o._n)), Poly._raw(self._d))
         n = K.p_sub(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
@@ -511,20 +512,21 @@ class RatFunc:
         return o - self
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is RatFunc:
+            o = other
+        elif isinstance(other, _SCALARS):
             return self._scaled(_triple_from(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if not self._n:
             return self
         if not o._n:
             return o
-        k1 = _u_power(self._d)
-        if k1 >= 0:
-            k2 = _u_power(o._d)
-            if k2 >= 0:
-                return _laurent(K.p_mul(self._n, o._n), k1 + k2)
+        k1, k2 = self._k, o._k
+        if k1 >= 0 and k2 >= 0:
+            return _laurent(K.p_mul(self._n, o._n), k1 + k2)
         return RatFunc(
             Poly._raw(K.p_mul(self._n, o._n)), Poly._raw(K.p_mul(self._d, o._d))
         )
@@ -532,17 +534,20 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is RatFunc:
+            o = other
+        elif isinstance(other, _SCALARS):
             t = _triple_from(other)
             if K.gq_is_zero(t):
                 raise ZeroDivisionError("division by zero rational function")
             return self._scaled(K.gq_inv(t))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        if _u_power(o._n) >= 0 and _u_power(o._d) >= 0:
+        if o._k >= 0 and _u_power(o._n) >= 0:
             return self * o.inverse()
         return RatFunc(
             Poly._raw(K.p_mul(self._n, o._d)), Poly._raw(K.p_mul(self._d, o._n))
@@ -559,7 +564,7 @@ class RatFunc:
         if not self._n:
             return self
         if K.gq_is_zero(t):
-            return RatFunc._raw([], [K.GQ_ONE])
+            return _ZERO
         return RatFunc._raw(K.p_scale(t, self._n), list(self._d))
 
     def __neg__(self):
@@ -568,7 +573,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise NotInvertible("inverse of the zero rational function")
-        m, k = _u_power(self._n), _u_power(self._d)
+        m, k = _u_power(self._n), self._k
         if m >= 0 and k >= 0:
             # c*u^m / u^k with min(m, k) = 0 inverts to c^-1*u^k / u^m
             return RatFunc._raw(
@@ -577,7 +582,7 @@ class RatFunc:
         return RatFunc(Poly._raw(list(self._d)), Poly._raw(list(self._n)))
 
     def __pow__(self, n: int):
-        m, k = _u_power(self._n), _u_power(self._d)
+        m, k = _u_power(self._n), self._k
         if m >= 0 and k >= 0:
             # (c*u^m / u^k)^n = c^n*u^(mn) / u^(kn), with min(m, k) = 0
             c = (GaussRat.from_triple(self._n[m]) ** n)._t
@@ -612,6 +617,8 @@ class RatFunc:
         if not self._n:
             return None
         vn = next(k for k, t in enumerate(self._n) if not K.gq_is_zero(t))
+        if self._k >= 0:
+            return vn - self._k
         vd = next(k for k, t in enumerate(self._d) if not K.gq_is_zero(t))
         return vn - vd
 
@@ -630,9 +637,9 @@ class RatFunc:
     def invert_variable(self) -> "RatFunc":
         """Substitute x -> 1/x (the chart move for the point at infinity)."""
         if not self._n:
-            return RatFunc._raw([], [K.GQ_ONE])
+            return self
         dn, dd = len(self._n) - 1, len(self._d) - 1
-        k = _u_power(self._d)
+        k = self._k
         if k >= 0:
             # n(1/u) * u^k = rev(n) * u^(k - deg n), and rev(n)(0) = lead(n) != 0
             rev = K.p_norm(self._n[::-1])
@@ -654,16 +661,30 @@ class RatFunc:
 
     def laurent_coefficient(self, k: int) -> GaussRat:
         """The coefficient of x^k in the expansion at 0; exact."""
-        m = _u_power(self._d)
-        if m >= 0:
-            # n/u^m: the coefficient of x^k is n[k + m]
-            j = k + m
-            return GaussRat.from_triple(self._n[j]) if 0 <= j < len(self._n) else GQ_ZERO
+        return GaussRat.from_triple(self.coefficients(k, k)[0])
+
+    def coefficients(self, lo: int, top: int) -> list:
+        """The coefficients of x^lo .. x^top in the expansion at 0, as
+        scalar triples; exact.
+
+        On n/u^k the coefficient of x^e is n[e + k], so the window is a
+        slice of the numerator, padded with zeros where it runs past
+        either end.  Any other function is expanded with
+        ``laurent_expand`` from its order at 0.
+        """
+        k = self._k
+        if k >= 0:
+            n = self._n
+            a, b = lo + k, top + k + 1
+            if 0 <= a and b <= len(n):
+                return n[a:b]
+            zero = K.GQ_ZERO
+            return [n[j] if 0 <= j < len(n) else zero for j in range(a, b)]
         v = self.valuation()
-        if v is None or k < v:
-            return GQ_ZERO
-        series = laurent_expand(self, k - v + 1)
-        return series.coefficient(k)
+        if v > top:
+            return [K.GQ_ZERO] * (top - lo + 1)
+        series = laurent_expand(self, top - v + 1)
+        return [series.coefficient(e)._t for e in range(lo, top + 1)]
 
     def __str__(self):
         return self.to_text("z")
@@ -708,13 +729,42 @@ def _pad(n1: list, k1: int, n2: list, k2: int) -> tuple:
 def _laurent(n: list, k: int) -> RatFunc:
     """The canonical form of n/u^k: drop the low zeros u^k shares with n."""
     if not n:
-        return RatFunc._raw([], [K.GQ_ONE])
+        return _ZERO
     if k:
         j = 0
         while j < k and not (n[j][0] or n[j][1]):
             j += 1
         n, k = n[j:], k - j
     return RatFunc._raw(n, [K.GQ_ZERO] * k + [K.GQ_ONE])
+
+
+_ZERO = RatFunc._raw([], [K.GQ_ONE])
+
+
+def dot(terms) -> RatFunc:
+    """The sum of c*x*y over the terms (c, x, y): x and y are RatFunc, c
+    is a GaussRat or a RatFunc.
+
+    When every non-zero term has Laurent factors and a scalar c, the
+    products are added into one numerator over the largest power of u by
+    the ``p_dot`` kernel and reduced once; otherwise the terms are summed
+    with the operators.  Both give the value the operators would.  A sum
+    with no non-zero term is the shared zero.
+    """
+    items = []
+    laurent = True
+    for c, x, y in terms:
+        if x._n and y._n:
+            items.append((c, x, y))
+            laurent = laurent and x._k >= 0 and y._k >= 0 and type(c) is GaussRat
+    if not items:
+        return _ZERO
+    if laurent:
+        return _laurent(*K.p_dot([(c._t, x._n, y._n, x._k + y._k) for c, x, y in items]))
+    acc = _ZERO
+    for c, x, y in items:
+        acc = acc + x * y * c
+    return acc
 
 
 def _as_poly(value) -> Poly:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
-from .field import GaussRat, RatFunc
+from .field import GaussRat, RatFunc, dot
 from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, dualize, same_algebra
 from .matrices import (
     Matrix,
@@ -58,17 +58,18 @@ _HALF = RatFunc.const(GaussRat.from_triple((1, 0, 2)))
 
 
 def _sparse(m: Matrix) -> tuple:
-    """The non-zero entries (i, j, c) of m."""
-    return tuple((i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if not c.is_zero())
+    """The non-zero entries (i, j, c) of m, a constant c as its GaussRat."""
+    return tuple(
+        (i, j, c.constant_value() if c.is_constant() else c)
+        for i, row in enumerate(m)
+        for j, c in enumerate(row)
+        if not c.is_zero()
+    )
 
 
 def _bilinear(entries: tuple, u: tuple, v: tuple) -> RatFunc:
     """sum c u_i v_j over the entries (i, j, c) of a sparse form."""
-    acc = _ZERO
-    for i, j, c in entries:
-        if not (u[i].is_zero() or v[j].is_zero()):
-            acc = acc + c * u[i] * v[j]
-    return acc
+    return dot((c, u[i], v[j]) for i, j, c in entries)
 
 
 class XVector:
@@ -246,14 +247,13 @@ class HamiltonianRep:
             raise NotInAlgebra("element of a different algebra")
         self.space.check(x)
         xs = x.coords
-        out = [_ZERO] * self.space.dim
+        terms = [[] for _ in range(self.space.dim)]
         for c, entries in zip(xi.coeffs, self._rho):
             if c.is_zero():
                 continue
             for i, j, r in entries:
-                if not xs[j].is_zero():
-                    out[i] = out[i] + c * r * xs[j]
-        return XVector(out)
+                terms[i].append((r, c, xs[j]))
+        return XVector([dot(t) for t in terms])
 
     def moment(self, x: XVector) -> CoadjointElement:
         """mu(x) = 1/2 dmu_x(x), so <mu(x), xi_a> = 1/2 x^T Q_a x."""

@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
-from .field import GaussRat, RatFunc
+from .field import GQ_ONE, GaussRat, RatFunc, dot
 from .matrices import (
     Matrix,
     adjugate,
@@ -315,7 +315,7 @@ def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
     if shape(phi.mat) != shape(xi.mat):
         raise ShapeError("pairing of differently sized matrices")
     pairs = zip(phi.mat, zip(*xi.mat))
-    return sum((x * y for row, col in pairs for x, y in zip(row, col)), _ZERO)
+    return dot((GQ_ONE, x, y) for row, col in pairs for x, y in zip(row, col))
 
 
 def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> CoadjointElement:

@@ -7,10 +7,11 @@ expansion for determinants and cofactor adjugates are perfectly adequate.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import ShapeError
-from .field import RatFunc
+from .field import GQ_ONE, RatFunc, dot
 
 Matrix = tuple
 
@@ -72,31 +73,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if k != k2:
         raise ShapeError(f"cannot multiply {shape(a)} by {shape(b)}")
     bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = _ZERO
-            for x, y in zip(row, col):
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    return tuple(tuple(dot(zip(repeat(GQ_ONE), row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Sequence[RatFunc]) -> tuple:
     n, k = shape(a)
     if k != len(v):
         raise ShapeError(f"cannot apply {shape(a)} to a vector of length {len(v)}")
-    out = []
-    for row in a:
-        acc = _ZERO
-        for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
+    return tuple(dot(zip(repeat(GQ_ONE), row, v)) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -114,7 +98,21 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba, each entry one sum of products with the ba terms negated."""
+    n, m = shape(a)
+    if m != shape(b)[0]:
+        raise ShapeError(f"cannot multiply {shape(a)} by {shape(b)}")
+    if shape(b) != (n, m) or n != m:
+        raise ShapeError(f"commutator of {shape(a)} and {shape(b)}: not square of one size")
+    acols, bcols = tuple(zip(*a)), tuple(zip(*b))
+    neg = -GQ_ONE
+    return tuple(
+        tuple(
+            dot(chain(zip(repeat(GQ_ONE), ra, bc), zip(repeat(neg), rb, ac)))
+            for ac, bc in zip(acols, bcols)
+        )
+        for ra, rb in zip(a, b)
+    )
 
 
 def _minor(a: Matrix, i: int, j: int) -> Matrix:

@@ -48,7 +48,7 @@ from typing import Sequence
 from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
-from .field import GaussRat, Poly, RatFunc, laurent_expand
+from .field import GaussRat, Poly, RatFunc
 from .hamiltonian import XVector
 from .lie import (
     CoadjointElement,
@@ -68,21 +68,25 @@ from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
 class SeedStream:
     """Counter-based deterministic random stream, splittable by path.
 
-    Values are derived from SHA-256 of (path, counter), so child streams
-    are independent of the order in which they are consumed.
+    Values are derived from SHA-256 of repr((path, counter)), so child
+    streams are independent of the order in which they are consumed.  The
+    hash of the prefix "(" + repr(path) + ", " is taken once, and each
+    draw hashes only the counter and ")" into a copy of it.
     """
 
     def __init__(self, *path):
         self._path = path
         self._counter = 0
+        self._prefix = hashlib.sha256(f"({path!r}, ".encode())
 
     def child(self, *label) -> "SeedStream":
         return SeedStream(*self._path, *label)
 
     def _next(self) -> int:
-        key = repr((self._path, self._counter)).encode()
+        h = self._prefix.copy()
+        h.update(f"{self._counter!r})".encode())
         self._counter += 1
-        return int.from_bytes(hashlib.sha256(key).digest(), "big")
+        return int.from_bytes(h.digest(), "big")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-enough integer in [lo, hi] (modulo bias is irrelevant here)."""
@@ -97,9 +101,12 @@ class SeedStream:
         return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
 
     def gauss(self, max_num: int = 3, max_den: int = 2, imaginary: bool = True) -> GaussRat:
-        re = self.fraction(max_num, max_den)
-        im = self.fraction(max_num, max_den) if imaginary and self.randint(0, 2) == 0 else 0
-        return GaussRat(re, im)
+        """(a/d) + (b/e)*i, drawn in the order a, d, [imaginary?, b, e]."""
+        a, d = self.randint(-max_num, max_num), self.randint(1, max_den)
+        b, e = 0, 1
+        if imaginary and self.randint(0, 2) == 0:
+            b, e = self.randint(-max_num, max_num), self.randint(1, max_den)
+        return GaussRat.from_triple(K.gq_norm(a * e, b * d, d * e))
 
     def nonzero_gauss(self, max_num: int = 3, max_den: int = 2) -> GaussRat:
         while True:
@@ -175,8 +182,7 @@ def _window(h: RatFunc, top: int):
     v = h.valuation()
     if v is None or v > top:
         return None
-    series = laurent_expand(h, top - v + 1)
-    return v, [series.coefficient(e)._t for e in range(v, top + 1)]
+    return v, h.coefficients(v, top)
 
 
 def _shift_powers(a: GaussRat, size: int) -> list:

@@ -109,3 +109,12 @@ def test_transition_consistency_survives_renormalization(curve_one_point):
 def test_distinct_marked_points_required():
     with pytest.raises(ValidationError):
         MarkedCurve([INFINITY, INFINITY], OneForm(RatFunc.const(-1)), [U, U])
+
+
+def test_marked_points_compared_by_value_not_hash():
+    # hash(-1) == hash(-2) in CPython, so a hash set would call them equal
+    points = [P1Point.finite(-1), P1Point.finite(-2), INFINITY]
+    curve = MarkedCurve(points, OneForm(RatFunc.const(-1)), [U, U, U])
+    assert curve.marked_points == points
+    with pytest.raises(ValidationError, match="distinct"):
+        MarkedCurve(points + [P1Point.finite(GaussRat(-2))], OneForm(RatFunc.const(-1)), [U] * 4)

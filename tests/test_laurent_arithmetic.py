@@ -1,0 +1,392 @@
+"""The Laurent-native RatFunc arithmetic against the code it replaced.
+
+``field.dot`` is checked against the sequential sum ``acc = acc + c*x*y``,
+and each routine that now sums through it against its former loop body,
+the pole-order slot ``_k`` against ``_u_power(_d)`` after every way a
+RatFunc is built, the scalar and polynomial fast paths of the kernels
+against their earlier bodies (kept here as oracles), the coefficient
+window of ``solver._window`` against the ``laurent_expand`` path, and
+``SeedStream``'s cached-prefix hashing against hashing ``repr((path,
+counter))`` per draw.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+from test_field import _operand
+from test_sparse_forms import REPS
+
+from higgsres import GaussRat, HamiltonianRep, Poly, RatFunc, ShapeError, XVector, builtin_rep, laurent_expand
+from higgsres import field, hamiltonian
+from higgsres._kernels import pure
+from higgsres.field import GQ_ONE, _u_power, dot
+from higgsres.lie import pairing
+from higgsres.matrices import commutator, mat_mul, mat_scale, mat_sub, mat_vec
+from higgsres.solver import SeedStream, _window
+
+U = Poly.x()
+ZERO = RatFunc.const(0)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the bodies the fast paths replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_gq_add(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        return pure.gq_norm(a1 + a2, b1 + b2, d1)
+    return pure.gq_norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _old_gq_mul(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    return pure.gq_norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def _old_p_mul(p, q):
+    if not p or not q:
+        return []
+    out = [pure.GQ_ZERO] * (len(p) + len(q) - 1)
+    for j, cj in enumerate(p):
+        if pure.gq_is_zero(cj):
+            continue
+        for k, ck in enumerate(q):
+            out[j + k] = _old_gq_add(out[j + k], _old_gq_mul(cj, ck))
+    return pure.p_norm(out)
+
+
+def _old_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in bt:
+            acc = ZERO
+            for x, y in zip(row, col):
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _old_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = ZERO
+        for x, y in zip(row, v):
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
+
+
+def _old_pairing(phi, xi):
+    pairs = zip(phi.mat, zip(*xi.mat))
+    return sum((x * y for row, col in pairs for x, y in zip(row, col)), ZERO)
+
+
+def _old_bilinear(entries, u, v):
+    acc = ZERO
+    for i, j, c in entries:
+        if not (u[i].is_zero() or v[j].is_zero()):
+            acc = acc + c * u[i] * v[j]
+    return acc
+
+
+def _old_inf_action(rep, xi, x):
+    xs = x.coords
+    out = [ZERO] * rep.space.dim
+    for c, entries in zip(xi.coeffs, rep._rho):
+        if c.is_zero():
+            continue
+        for i, j, r in entries:
+            if not xs[j].is_zero():
+                out[i] = out[i] + c * r * xs[j]
+    return XVector(out)
+
+
+def _old_window(h, top):
+    v = h.valuation()
+    if v is None or v > top:
+        return None
+    series = laurent_expand(h, top - v + 1)
+    return v, [series.coefficient(e)._t for e in range(v, top + 1)]
+
+
+class _OldSeedStream(SeedStream):
+    """``SeedStream`` drawing by hashing ``repr((path, counter))`` whole,
+    and building ``gauss`` from two ``Fraction``s."""
+
+    def child(self, *label):
+        return _OldSeedStream(*self._path, *label)
+
+    def _next(self):
+        key = repr((self._path, self._counter)).encode()
+        self._counter += 1
+        return int.from_bytes(hashlib.sha256(key).digest(), "big")
+
+    def gauss(self, max_num=3, max_den=2, imaginary=True):
+        re = self.fraction(max_num, max_den)
+        im = self.fraction(max_num, max_den) if imaginary and self.randint(0, 2) == 0 else 0
+        return GaussRat(re, im)
+
+
+def _triple(rng, dens=(1, 1, 1, 2, 3, 6)):
+    return pure.gq_norm(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice(dens))
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_fast_paths_match_old_bodies():
+    rng = random.Random(20261018)
+    zeros = 0
+    for _ in range(3000):
+        x, y = _triple(rng), _triple(rng)
+        assert pure.gq_mul(x, y) == _old_gq_mul(x, y)
+        assert pure.gq_add(x, y) == _old_gq_add(x, y)
+        neg = pure.gq_neg(x)
+        assert pure.gq_add(x, neg) == pure.GQ_ZERO == _old_gq_add(x, neg)
+        zeros += pure.gq_add(x, y) == pure.GQ_ZERO or pure.gq_mul(x, y) == pure.GQ_ZERO
+    assert zeros >= 100
+    for t in (x, pure.GQ_ZERO, (3, 0, 1), (0, -2, 1)):
+        assert pure.gq_norm(*t) == t
+    assert pure.gq_norm(0, 0, 1) is pure.GQ_ZERO
+
+
+def test_p_mul_matches_old_body():
+    rng = random.Random(20261019)
+    kinds = {"one-term": 0, "general": 0, "cancel": 0}
+    for _ in range(800):
+        p = pure.p_norm([_triple(rng) for _ in range(rng.randint(0, 4))])
+        q = pure.p_norm([_triple(rng) for _ in range(rng.randint(0, 4))])
+        if rng.randrange(4) == 0 and q:
+            # (x - a)(x + a) style products: interior coefficients cancel
+            p = [q[0], pure.GQ_ONE]
+            q = [pure.gq_neg(q[0]), pure.GQ_ONE]
+            kinds["cancel"] += 1
+        kinds["one-term" if min(len(p), len(q)) == 1 else "general"] += 1
+        assert pure.p_mul(p, q) == _old_p_mul(p, q)
+        assert pure.p_mul(p, q) == pure.p_norm(pure.p_mul(p, q))
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_p_dot_matches_shifted_products():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            p = pure.p_norm([_triple(rng) for _ in range(rng.randint(1, 4))]) or [pure.GQ_ONE]
+            q = pure.p_norm([_triple(rng) for _ in range(rng.randint(1, 4))]) or [pure.GQ_ONE]
+            terms.append((rng.choice([pure.GQ_ONE, _triple(rng)]), p, q, rng.randint(0, 3)))
+        top = max(k for *_, k in terms)
+        want = []
+        for c, p, q, k in terms:
+            want = pure.p_add(want, [pure.GQ_ZERO] * (top - k) + pure.p_scale(c, _old_p_mul(p, q)))
+        assert pure.p_dot(terms) == (want, top)
+
+
+# ---------------------------------------------------------------------------
+# RatFunc: the pole-order slot and dot
+# ---------------------------------------------------------------------------
+
+
+def _k_ok(f: RatFunc) -> RatFunc:
+    assert f._k == _u_power(f._d)
+    return f
+
+
+def _finite_germ(rng) -> RatFunc:
+    """A germ with a pole at a finite non-zero point, not a Laurent polynomial."""
+    a = GaussRat(rng.randint(1, 3), rng.randint(-2, 2))
+    return RatFunc(Poly([rng.randint(-3, 3) or 1, rng.randint(-2, 2)]), (U - a) ** rng.randint(1, 2))
+
+
+def test_pole_order_slot_after_every_construction():
+    rng = random.Random(20261021)
+    built = [
+        RatFunc(U + 1, U**3),
+        RatFunc(Poly([0, 0, 2]), U**2),
+        RatFunc(0, U),
+        RatFunc(U, U - 1),
+        RatFunc.const(Fraction(-2, 3)),
+        RatFunc.const(0),
+        RatFunc.x(),
+    ]
+    for _ in range(60):
+        built.append(_operand(rng))
+        built.append(_finite_germ(rng))
+    scalars = [3, Fraction(1, 2), GaussRat(0, -1), GaussRat(0)]
+    for f in built:
+        _k_ok(f)
+        _k_ok(-f)
+        _k_ok(f.shift(GaussRat(1, -1)))
+        _k_ok(f.invert_variable())
+        for c in scalars:
+            _k_ok(f * c)
+            if c != 0:
+                _k_ok(f / c)
+        for n in (-2, 0, 3):
+            if n >= 0 or not f.is_zero():
+                _k_ok(f**n)
+        if not f.is_zero():
+            _k_ok(f.inverse())
+        g = rng.choice(built)
+        _k_ok(f + g)
+        _k_ok(f - g)
+        _k_ok(f * g)
+        _k_ok(dot([(GQ_ONE, f, g), (GaussRat(2), g, g)]))
+
+
+def _sequential(terms):
+    acc = RatFunc.const(0)
+    for c, x, y in terms:
+        acc = acc + c * x * y
+    return acc
+
+
+def test_dot_matches_sequential_sum():
+    rng = random.Random(20261022)
+    kinds = {"laurent": 0, "mixed k": 0, "cancel": 0, "zero": 0, "non-laurent": 0, "ratfunc c": 0}
+    for _ in range(300):
+        kind = rng.randrange(6)
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            c = rng.choice([GQ_ONE, GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))])
+            x, y = _operand(rng), _operand(rng)
+            if kind == 4:
+                x = _finite_germ(rng)
+            if kind == 5:
+                c = _operand(rng)
+            terms.append((c, x, y))
+        if kind == 2 and terms:
+            # each product and its negation: the sum cancels to zero
+            terms += [(c, -x, y) for c, x, y in terms]
+        if kind == 3:
+            terms = [(GQ_ONE, RatFunc.const(0), _operand(rng)), (GaussRat(2), _operand(rng), RatFunc.const(0))]
+        got = _k_ok(dot(terms))
+        assert got == _sequential(terms)
+        assert (got.num, got.den) == (_sequential(terms).num, _sequential(terms).den)
+        live = [(c, x, y) for c, x, y in terms if not (x.is_zero() or y.is_zero())]
+        if not live:
+            assert got is field._ZERO
+            kinds["zero"] += 1
+        elif kind == 2:
+            assert got.is_zero()
+            kinds["cancel"] += 1
+        elif any(x._k < 0 or y._k < 0 for _, x, y in live):
+            kinds["non-laurent"] += 1
+        elif any(isinstance(c, RatFunc) for c, _, _ in live):
+            kinds["ratfunc c"] += 1
+        elif len({x._k + y._k for _, x, y in live}) > 1:
+            kinds["mixed k"] += 1
+        else:
+            kinds["laurent"] += 1
+    assert dot([]) is field._ZERO
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _entry(rng) -> RatFunc:
+    return _finite_germ(rng) if rng.randrange(10) == 0 else _operand(rng)
+
+
+def test_matrix_products_match_old_loops():
+    rng = random.Random(20261024)
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        a, b = ([[_entry(rng) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+        v = [_entry(rng) for _ in range(n)]
+        assert mat_mul(a, b) == _old_mat_mul(a, b)
+        assert mat_vec(a, v) == _old_mat_vec(a, v)
+        assert commutator(a, b) == mat_sub(_old_mat_mul(a, b), _old_mat_mul(b, a))
+    square, wide = ((ZERO,) * 2,) * 2, ((ZERO,) * 3,) * 2
+    with pytest.raises(ShapeError, match="cannot multiply"):
+        commutator(square, ((ZERO,) * 3,) * 3)
+    with pytest.raises(ShapeError, match="not square"):
+        commutator(wide, tuple(zip(*wide)))
+
+
+def _z_dependent_rep():
+    """sl2-standard with rho scaled by 1 + z: form entries that are not constant."""
+    base = builtin_rep("sl2-standard")
+    rho = {lab: mat_scale(RatFunc(U + 1), m) for lab, m in base.rho.items()}
+    return HamiltonianRep(base.algebra, base.space, rho)
+
+
+@pytest.mark.parametrize("name", sorted(REPS) + ["z-dependent"])
+def test_forms_and_pairing_match_old_loops(name):
+    rep = _z_dependent_rep() if name == "z-dependent" else REPS[name]()
+    algebra = rep.algebra
+    rng = random.Random(name)
+    if name == "z-dependent":
+        assert any(isinstance(c, RatFunc) for entries in rep._rho for _, _, c in entries)
+    for _ in range(3):
+        x, y = (XVector([_entry(rng) for _ in range(rep.space.dim)]) for _ in range(2))
+        coeffs = [_entry(rng) for _ in range(algebra.dim)]
+        xi = algebra.element(algebra.combination(coeffs))
+        phi = algebra.coadjoint(algebra.combination(coeffs[::-1]))
+        for q in [rep.space._entries, *rep._forms.values()]:
+            assert hamiltonian._bilinear(q, x.coords, y.coords) == _old_bilinear(q, x.coords, y.coords)
+        assert rep.inf_action(xi, x) == _old_inf_action(rep, xi, x)
+        assert pairing(phi, xi) == _old_pairing(phi, xi)
+
+
+# ---------------------------------------------------------------------------
+# coefficient windows
+# ---------------------------------------------------------------------------
+
+
+def test_window_slice_matches_laurent_expand():
+    rng = random.Random(20261023)
+    germs = [
+        RatFunc.const(0),
+        RatFunc(U**3 + 1, U**2),  # windows past the end of the numerator
+        RatFunc(Poly([0, 0, 0, 1])),  # v = 3 > top for top < 3
+        RatFunc(1, U - 1),  # a germ at a finite non-zero point
+        RatFunc(U + 2, (U - GaussRat(0, 1)) * U**2),
+    ]
+    germs += [_operand(rng) for _ in range(80)] + [_finite_germ(rng) for _ in range(20)]
+    kinds = {"none": 0, "past end": 0, "non-laurent": 0}
+    for h in germs:
+        for top in range(-4, 6):
+            window = _window(h, top)
+            assert window == _old_window(h, top)
+            if window is None:
+                kinds["none"] += 1
+                continue
+            v, coefficients = window
+            kinds["past end"] += h._k >= 0 and top + h._k >= len(h._n)
+            kinds["non-laurent"] += h._k < 0
+            for lo in (v - 2, v, top):
+                assert h.coefficients(lo, top) == [h.laurent_coefficient(e)._t for e in range(lo, top + 1)]
+    assert min(kinds.values()) >= 10, kinds
+    assert RatFunc.const(0).coefficients(-2, 1) == [pure.GQ_ZERO] * 4
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", [("a",), ("random-suite", 1, "trial", 7, "bundle"), (1, "x", (2, 3), "deep", 5)])
+def test_seed_stream_draws_match_old_body(path):
+    new, old = SeedStream(*path), _OldSeedStream(*path)
+    for depth in range(3):
+        for _ in range(40):
+            assert new.randint(-10**6, 10**6) == old.randint(-10**6, 10**6)
+            assert new.gauss() == old.gauss()
+            assert new.gauss(5, 4, imaginary=False) == old.gauss(5, 4, imaginary=False)
+            assert new.nonzero_gauss(2, 1) == old.nonzero_gauss(2, 1)
+            g = new.gauss(7, 6)
+            assert g == old.gauss(7, 6) and pure.gq_norm(*g._t) == g._t
+        new, old = new.child("level", depth), old.child("level", depth)
