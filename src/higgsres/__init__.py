@@ -26,23 +26,17 @@ from .errors import (
 from .field import (
     GaussRat,
     Jet2,
-    LaurentSeries,
     Poly,
     RatFunc,
     format_gauss,
-    laurent_expand,
     parse_gauss,
     parse_ratfunc,
-    rat_normalize,
 )
 from .hamiltonian import (
     HamiltonianRep,
     SymplecticSpace,
     XVector,
     builtin_rep,
-    dmoment,
-    inf_action,
-    moment,
     rep_validate,
 )
 from .lie import (

@@ -6,7 +6,6 @@ pairings) is expressed in terms of four value types defined here:
   GaussRat      a + b*i with a, b arbitrary-precision rationals
   Poly          dense polynomial over GaussRat, no trailing zeros
   RatFunc       reduced num/den pair with monic denominator
-  LaurentSeries truncated expansion at 0 of a rational germ
   Jet2          v + e1*d1 + e2*d2 + e1*e2*d12 with e1^2 = e2^2 = 0
 
 The canonical forms make equality syntactic: two rational functions are
@@ -38,7 +37,7 @@ are implemented at the bottom of the module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from . import _kernels as K
 from .errors import NotInvertible, ParseError, ZeroDenominator
@@ -90,11 +89,6 @@ class GaussRat:
 
     def is_zero(self) -> bool:
         return K.gq_is_zero(self._t)
-
-    def norm(self) -> Fraction:
-        """The field norm a^2 + b^2 (a non-negative rational)."""
-        a, b, d = self._t
-        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussRat":
         if self.is_zero():
@@ -218,22 +212,12 @@ class Poly:
     def coeffs(self) -> tuple:
         return tuple(GaussRat.from_triple(t) for t in self._c)
 
-    def coeff(self, k: int) -> GaussRat:
-        if 0 <= k < len(self._c):
-            return GaussRat.from_triple(self._c[k])
-        return GQ_ZERO
-
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
         return len(self._c) - 1
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def leading(self) -> GaussRat:
-        if not self._c:
-            return GQ_ZERO
-        return GaussRat.from_triple(self._c[-1])
 
     def valuation(self) -> int | None:
         """Order of vanishing at 0; None for the zero polynomial."""
@@ -306,10 +290,6 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         return Poly._raw(K.p_gcd(self._c, other._c))
-
-    def monic(self) -> tuple["Poly", GaussRat]:
-        m, lead = K.p_monic(self._c)
-        return Poly._raw(m), GaussRat.from_triple(lead)
 
     def eval(self, c: ScalarLike) -> GaussRat:
         return GaussRat.from_triple(K.p_eval(self._c, _triple_from(GaussRat(c))))
@@ -669,22 +649,29 @@ class RatFunc:
 
         On n/u^k the coefficient of x^e is n[e + k], so the window is a
         slice of the numerator, padded with zeros where it runs past
-        either end.  Any other function is expanded with
-        ``laurent_expand`` from its order at 0.
+        either end.  Any other n/d is u^(vn - vd) * (n/u^vn) / (d/u^vd),
+        with vn and vd the low orders of n and d; the window is read off
+        one power series division of the two unit-led tails, from the
+        order at 0 up to x^top, with zeros below that order.
         """
         k = self._k
+        n = self._n
         if k >= 0:
-            n = self._n
             a, b = lo + k, top + k + 1
             if 0 <= a and b <= len(n):
                 return n[a:b]
             zero = K.GQ_ZERO
             return [n[j] if 0 <= j < len(n) else zero for j in range(a, b)]
-        v = self.valuation()
+        d = self._d
+        vn = next(j for j, t in enumerate(n) if not K.gq_is_zero(t))
+        vd = next(j for j, t in enumerate(d) if not K.gq_is_zero(t))
+        v = vn - vd
         if v > top:
             return [K.GQ_ZERO] * (top - lo + 1)
-        series = laurent_expand(self, top - v + 1)
-        return [series.coefficient(e)._t for e in range(lo, top + 1)]
+        series = K.p_series_div(n[vn:], d[vd:], top - v + 1)
+        if lo < v:
+            return [K.GQ_ZERO] * (v - lo) + series
+        return series[lo - v:]
 
     def __str__(self):
         return self.to_text("z")
@@ -775,146 +762,6 @@ def _as_poly(value) -> Poly:
     if isinstance(value, (list, tuple)):
         return Poly(value)
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
-
-
-def rat_normalize(num, den) -> RatFunc:
-    """Canonical form of num/den: reduced, monic denominator.
-
-    Raises ZeroDenominator when den is identically zero.  Equal fractions
-    always produce identical representations.
-    """
-    return RatFunc(num, den)
-
-
-class LaurentSeries:
-    """Truncated Laurent expansion: coefficients for exponents
-    start_exponent .. truncation_order inclusive.
-
-    The leading stored coefficient is nonzero unless the expanded germ is
-    zero to the stated order, in which case the coefficient list is empty.
-    """
-
-    __slots__ = ("start_exponent", "coeffs", "truncation_order")
-
-    def __init__(self, start_exponent: int, coeffs: Sequence[GaussRat], truncation_order: int):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            start_exponent += 1
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
-            start_exponent = 0
-        self.start_exponent = start_exponent
-        self.coeffs = tuple(coeffs)
-        self.truncation_order = truncation_order
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> GaussRat:
-        if k > self.truncation_order:
-            raise ValueError(f"exponent {k} beyond truncation order {self.truncation_order}")
-        idx = k - self.start_exponent
-        if not self.coeffs or idx < 0 or idx >= len(self.coeffs):
-            return GQ_ZERO
-        return self.coeffs[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.start_exponent == other.start_exponent
-            and self.coeffs == other.coeffs
-            and self.truncation_order == other.truncation_order
-        )
-
-    def __hash__(self):
-        return hash((self.start_exponent, self.coeffs, self.truncation_order))
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        trunc = min(self.truncation_order, other.truncation_order)
-        if self.is_zero() and other.is_zero():
-            return LaurentSeries(0, (), trunc)
-        starts = [s.start_exponent for s in (self, other) if not s.is_zero()]
-        start = min(starts)
-        out = []
-        for k in range(start, trunc + 1):
-            a = self.coefficient(k) if k <= self.truncation_order else GQ_ZERO
-            b = other.coefficient(k) if k <= other.truncation_order else GQ_ZERO
-            out.append(a + b)
-        return LaurentSeries(start, out, trunc)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.is_zero() or other.is_zero():
-            # truncation of a product with an (apparent) zero is unbounded;
-            # keep the min of the partners' windows as a safe statement
-            return LaurentSeries(0, (), min(self.truncation_order, other.truncation_order))
-        start = self.start_exponent + other.start_exponent
-        trunc = min(
-            self.truncation_order + other.start_exponent,
-            other.truncation_order + self.start_exponent,
-        )
-        n = trunc - start + 1
-        out = [GQ_ZERO] * n
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(other.coeffs):
-                if j + k < n:
-                    out[j + k] = out[j + k] + a * b
-        return LaurentSeries(start, out, trunc)
-
-    def __str__(self):
-        return self.to_text("u")
-
-    def to_text(self, var: str) -> str:
-        if not self.coeffs:
-            return f"O({var}^{self.truncation_order + 1})"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            k = self.start_exponent + j
-            txt = format_gauss(c)
-            if k == 0:
-                parts.append(txt)
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                if txt == "1":
-                    parts.append(mono)
-                elif txt == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{txt}*{mono}")
-        body = parts[0]
-        for term in parts[1:]:
-            body += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return f"{body} + O({var}^{self.truncation_order + 1})"
-
-    def __repr__(self):
-        return f"LaurentSeries({self.to_text('u')!r})"
-
-
-def laurent_expand(f: RatFunc, n_terms: int) -> LaurentSeries:
-    """Exact expansion of f at 0 with n_terms coefficients.
-
-    The first exponent is ord_0(num) - ord_0(den); for the zero function
-    the coefficient list is empty.
-    """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
-    if f.is_zero():
-        return LaurentSeries(0, (), n_terms - 1)
-    vn = next(k for k, t in enumerate(f._n) if not K.gq_is_zero(t))
-    vd = next(k for k, t in enumerate(f._d) if not K.gq_is_zero(t))
-    start = vn - vd
-    num = f._n[vn:]
-    den = f._d[vd:]
-    coeffs = K.p_series_div(num, den, n_terms)
-    return LaurentSeries(
-        start, [GaussRat.from_triple(t) for t in coeffs], start + n_terms - 1
-    )
 
 
 class Jet2:

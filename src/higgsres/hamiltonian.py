@@ -269,18 +269,6 @@ class HamiltonianRep:
         return f"HamiltonianRep({self.name!r}, dim={self.space.dim})"
 
 
-def inf_action(rep: HamiltonianRep, xi: LoopAlgebraElement, x: XVector) -> XVector:
-    return rep.inf_action(xi, x)
-
-
-def moment(rep: HamiltonianRep, x: XVector) -> CoadjointElement:
-    return rep.moment(x)
-
-
-def dmoment(rep: HamiltonianRep, x: XVector, v: XVector) -> CoadjointElement:
-    return rep.dmoment(x, v)
-
-
 def rep_validate(rep: HamiltonianRep) -> RepReport:
     """Check the Hamiltonian hypotheses; violations are reported, not raised."""
     report = RepReport()

@@ -3,8 +3,10 @@
 A global form is coeff(z) dz.  Localizing at a point rewrites it as
 h(u) du in the local coordinate u, with u = z - a at a finite point a
 and u = 1/z at infinity (where dz = -u^-2 du picks up the Jacobian).
-Residues are read off from the truncated Laurent expansion of h: a
-single code path covers every point, including infinity.
+The residue is the coefficient of u^-1 in h, read by
+``RatFunc.laurent_coefficient`` (a slice of the numerator when h is a
+Laurent polynomial n/u^k, else one power series division up to u^-1):
+a single code path covers every point, including infinity.
 
 The global statement driving all the symplectic identities downstream
 is that the residues of a rational 1-form sum to zero over its poles.
@@ -192,7 +194,7 @@ def residue_sum(form: OneForm) -> GaussRat:
     """Sum of residues over every pole of the form (always zero).
 
     The zero value is computed, not assumed: each pole's residue is
-    extracted from the local Laurent expansion and the exact sum is
+    read off the localized coefficient at u^-1 and the exact sum is
     returned, so a nonzero result would expose an arithmetic bug.
     """
     total = GQ_ZERO

@@ -48,7 +48,7 @@ from typing import Sequence
 from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
-from .field import GaussRat, Poly, RatFunc
+from .field import GaussRat, Poly, RatFunc, dot
 from .hamiltonian import XVector
 from .lie import (
     CoadjointElement,
@@ -59,6 +59,8 @@ from .lie import (
 from .linalg import Elimination, solve_system
 from .matrices import commutator, identity
 from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
+
+_ONE = RatFunc.const(1)
 
 # ---------------------------------------------------------------------------
 # deterministic splittable randomness
@@ -234,8 +236,9 @@ def _infinite_columns(lo: int, window: list, size: int):
 class TwistedSystem:
     """The regularity conditions of one twisted bundle, assembled and factored once.
 
-    ``frame[i][k]`` is the tuple of local coordinates of basis element k
-    transported to disk i (the k-th column of the transition M_i(u)).  A
+    The argument ``frame[i][k]`` is the tuple of local coordinates of
+    basis element k transported to disk i (the k-th column of the
+    transition M_i(u)); it is read during assembly and not kept.  A
     candidate sum_{k,t} c_kt f_t e_k is a global section when every
     transported germ is regular at u = 0: one linear condition per polar
     coefficient, keyed (disk, coordinate, exponent): ``matrix`` has one
@@ -247,14 +250,11 @@ class TwistedSystem:
     every t is read off that expansion.
     """
 
-    __slots__ = (
-        "candidates", "dim", "frame", "row_keys", "matrix", "_row_index", "elimination", "basis"
-    )
+    __slots__ = ("candidates", "dim", "row_keys", "matrix", "_row_index", "elimination", "basis")
 
     def __init__(self, curve: MarkedCurve, candidates: CandidateSpace, dim: int, frame):
         self.candidates = candidates
         self.dim = dim
-        self.frame = frame
         size = candidates.size
         ncols = dim * size
         # functions[0] = 1/D: h = pull_i(1/D) * entry, read off per point
@@ -304,14 +304,11 @@ class TwistedSystem:
 
     def _combine(self, vec) -> list:
         functions = self.candidates.functions
+        size = len(functions)
         out = []
         for k in range(self.dim):
-            acc = RatFunc.const(0)
-            for t, f in enumerate(functions):
-                c = vec[k * len(functions) + t]
-                if not c.is_zero():
-                    acc = acc + f * c
-            out.append(acc)
+            coords = vec[k * size:(k + 1) * size]
+            out.append(dot((c, f, _ONE) for c, f in zip(coords, functions) if not c.is_zero()))
         return out
 
     def particular(self, rhs):

@@ -6,6 +6,7 @@ The randomized theorem/identity suites share one set of 600 instances
 (3 fixtures x 4 seeds x 50 trials), built once per session.
 """
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,11 +26,8 @@ from higgsres import (
     builtin_rep,
     cartan_check,
     coadjoint_transition,
-    dmoment,
-    inf_action,
     liouville_lambda,
     make_higgs_point,
-    moment,
     pairing,
     residue_sum,
     symplectic_omega,
@@ -48,7 +46,7 @@ from higgsres.solver import (
 )
 from higgsres.suites import random_higgs_pair, run_corrupt_suite, run_random_suite
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 
 SUITE_FIXTURES = ("f1.json", "f2.json", "f3.json")
 SUITE_SEEDS = (1, 2, 3, 4)
@@ -140,14 +138,14 @@ def test_acceptance_04_hamiltonian_identities(rep_name):
         v = XVector([RatFunc.const(sub.gauss(2, 2)) for _ in range(dim)])
         t = sub.nonzero_gauss(3, 2)
 
-        mu = moment(rep, x)
+        mu = rep.moment(x)
         # equivariance
-        lhs = moment(rep, XVector(mat_vec(rep.act_group(g.inverse()), x.coords)))
+        lhs = rep.moment(XVector(mat_vec(rep.act_group(g.inverse()), x.coords)))
         if lhs != coadjoint_transition(g, mu):
             ok = False
         # moment condition
         if pairing(mu, bracket(xi, eta)) != rep.space.pair(
-            inf_action(rep, xi, x), inf_action(rep, eta, x)
+            rep.inf_action(xi, x), rep.inf_action(eta, x)
         ):
             ok = False
         # omega invariance
@@ -157,10 +155,10 @@ def test_acceptance_04_hamiltonian_identities(rep_name):
         ) != rep.space.pair(x, v):
             ok = False
         # homogeneity
-        if moment(rep, t * x) != (t * t) * mu:
+        if rep.moment(t * x) != (t * t) * mu:
             ok = False
         # dmoment equals the jet derivative of moment along x + e1 v
-        dm = dmoment(rep, x, v)
+        dm = rep.dmoment(x, v)
         jets = [Jet2.lift1(a, b) for a, b in zip(x.coords, v.coords)]
         half = Jet2(RatFunc.const(GaussRat(Fraction(1, 2))))
         for lab in alg.labels:
@@ -214,7 +212,7 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
         vals[lab] = Fraction(1, 2) * omega2(cols, (1, 0))
     assert vals == {"E": 0, "H": 0, "F": Fraction(-1, 2)}
     # trace-form solve: <mu, F> = -1/2 forces the E-coefficient -1/2
-    mu = moment(rep, XVector.unit(2, 0))
+    mu = rep.moment(XVector.unit(2, 0))
     if mu != GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0]):
         ok = False
 
@@ -280,13 +278,16 @@ def test_acceptance_07_negative_control():
 def test_acceptance_08_deterministic_reports():
     """Identical (scenario, seed) produce byte-identical JSON reports."""
     ok = True
+    # the child imports higgsres from this checkout, as the test process does
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     for args in (
         ["random-suite", str(FIXTURES / "f1.json"), "--seed", "5", "--trials", "4"],
         ["check-theorem", str(FIXTURES / "f2.json"), "--seed", "1"],
     ):
         cmd = [sys.executable, "-m", "higgsres.cli", *args, "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         if first.stdout != second.stdout or not first.stdout:
             ok = False
     _announce(8, "byte-identical JSON reports", ok)

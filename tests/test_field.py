@@ -16,10 +16,8 @@ from higgsres import (
     RatFunc,
     ZeroDenominator,
     format_gauss,
-    laurent_expand,
     parse_gauss,
     parse_ratfunc,
-    rat_normalize,
 )
 
 small_fractions = st.fractions(
@@ -136,24 +134,24 @@ def _to_pairs(poly: Poly):
     return [(c.re, c.im) for c in poly.coeffs]
 
 
-def test_rat_normalize_cancels_common_factor():
+def test_ratfunc_cancels_common_factor():
     z = Poly.x()
-    assert rat_normalize(z * z - 1, z - 1) == RatFunc(z + 1)
+    assert RatFunc(z * z - 1, z - 1) == RatFunc(z + 1)
 
 
-def test_rat_normalize_zero():
+def test_ratfunc_zero_numerator():
     z = Poly.x()
-    f = rat_normalize(Poly([]), z ** 3)
+    f = RatFunc(Poly([]), z ** 3)
     assert f.is_zero() and f.den == Poly([1])
 
 
-def test_rat_normalize_monic_denominator():
+def test_ratfunc_monic_denominator():
     # oracle: gcd(2z+2, 4) = 1 by an independent schoolbook routine,
     # so the reduced form is (2z+2)/4 scaled to a monic denominator
     z = Poly.x()
     num, den = 2 * z + 2, Poly([4])
     assert _naive_gcd(_to_pairs(num), _to_pairs(den)) == [(Fraction(1), Fraction(0))]
-    f = rat_normalize(num, den)
+    f = RatFunc(num, den)
     assert f.den == Poly([1])
     assert f.num == Poly([Fraction(1, 2), Fraction(1, 2)])
 
@@ -210,11 +208,11 @@ def test_normalize_idempotent_and_representation_unique(na, da, ma):
     mul = Poly(ma)
     if den.is_zero() or mul.is_zero():
         return
-    f = rat_normalize(Poly(na), den)
+    f = RatFunc(Poly(na), den)
     # same fraction through a different representative
-    g = rat_normalize(Poly(na) * mul, den * mul)
+    g = RatFunc(Poly(na) * mul, den * mul)
     assert f == g
-    assert rat_normalize(f.num, f.den) == f
+    assert RatFunc(f.num, f.den) == f
 
 
 def test_zero_denominator_raises():
@@ -228,9 +226,9 @@ def test_zero_denominator_raises():
 
 
 def _naive_series(num, den, n):
-    """Long division of Fraction lists (rational coefficients only)."""
+    """Long division of coefficient lists (Fraction or GaussRat), den[0] != 0."""
     out = []
-    num = list(num) + [Fraction(0)] * n
+    num = list(num) + [0] * n
     for k in range(n):
         c = num[k] / den[0]
         out.append(c)
@@ -240,30 +238,69 @@ def _naive_series(num, den, n):
     return out
 
 
+def _naive_window(f, lo, top):
+    """The coefficients of u^lo .. u^top of f at 0, as GaussRat: strip the
+    low zeros of num and den, then long-divide the remaining tails."""
+    zero = GaussRat(0)
+    n, d = f.num.coeffs, f.den.coeffs
+    if not n:
+        return [zero] * (top - lo + 1)
+    vn = next(j for j, c in enumerate(n) if not c.is_zero())
+    vd = next(j for j, c in enumerate(d) if not c.is_zero())
+    v = vn - vd
+    series = _naive_series(n[vn:], d[vd:], max(top - v + 1, 0))
+    return [series[e - v] if e >= v else zero for e in range(lo, top + 1)]
+
+
+def _window(f, lo, top):
+    return [GaussRat.from_triple(t) for t in f.coefficients(lo, top)]
+
+
 def test_laurent_simple_pole_expansion():
     u = Poly.x()
     f = RatFunc(1, u * (1 - u))
-    series = laurent_expand(f, 3)
     # oracle: 1/(u(1-u)) = u^-1 * 1/(1-u); long-divide 1 by (1-u)
     want = _naive_series([Fraction(1)], [Fraction(1), Fraction(-1)], 3)
-    assert series.start_exponent == -1
-    assert series.truncation_order == 1
-    assert [c.re for c in series.coeffs] == want
-    assert [c.im for c in series.coeffs] == [0, 0, 0]
+    assert f.valuation() == -1
+    assert _window(f, -1, 1) == want
+    assert [c.im for c in _window(f, -1, 1)] == [0, 0, 0]
 
 
 def test_laurent_trivial_cases():
     u = Poly.x()
-    one_over_u = laurent_expand(RatFunc(1, u), 2)
-    assert one_over_u.start_exponent == -1
-    assert one_over_u.coefficient(-1) == GaussRat(1)
-    assert one_over_u.coefficient(0) == GaussRat(0)
-    poly_series = laurent_expand(RatFunc(u + u * u), 5)
-    assert poly_series.start_exponent == 1
-    assert poly_series.coefficient(1) == GaussRat(1)
-    assert poly_series.coefficient(2) == GaussRat(1)
-    zero = laurent_expand(RatFunc(0), 4)
-    assert zero.is_zero() and zero.coeffs == ()
+    one_over_u = RatFunc(1, u)
+    assert one_over_u.valuation() == -1
+    assert _window(one_over_u, -2, 0) == [0, 1, 0]
+    poly = RatFunc(u + u * u)
+    assert poly.valuation() == 1
+    assert _window(poly, 0, 3) == [0, 1, 1, 0]
+    zero = RatFunc(0)
+    assert zero.valuation() is None
+    assert _window(zero, -1, 2) == [0] * 4
+
+
+def test_non_laurent_window_edges():
+    """The series-division window of n/d with d not a power of u: starting
+    below the order v at 0, lying wholly below it, one coefficient, and a
+    denominator with low order vd > 0."""
+    u = Poly.x()
+    i = GaussRat(0, 1)
+    germs = [
+        (RatFunc(1, u - 1), 0),
+        (RatFunc(u ** 3, u - 1), 3),
+        (RatFunc(u + 2, (u - i) * u * u), -2),  # vd = 2
+        (RatFunc(u * u + i, u * (u * u + 1) * (u - 2)), -1),  # vd = 1
+    ]
+    for f, v in germs:
+        assert f._k < 0 and f.valuation() == v
+        for lo, top in ((v - 3, v + 2), (v - 3, v - 1), (v, v), (v - 1, v - 1), (v + 2, v + 2)):
+            assert _window(f, lo, top) == _naive_window(f, lo, top), (f, lo, top)
+    # 1/(u - i) = i/(1 + i u) = i + u - i u^2 + ..., so
+    # (u + 2)/((u - i) u^2) = 2i u^-2 + (2 + i) u^-1 + (1 - 2i) + ...
+    f = germs[2][0]
+    assert _window(f, -3, 0) == [0, 2 * i, 2 + i, 1 - 2 * i]
+    assert f.laurent_coefficient(-1) == 2 + i
+    assert f.coefficients(1, 0) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,22 +311,23 @@ def test_laurent_trivial_cases():
     st.lists(gauss, min_size=1, max_size=4),
 )
 def test_laurent_multiplicative(na, da, nb, db):
+    """The window of fa*fb is the Cauchy product of the windows of fa and fb."""
     fa_den, fb_den = Poly(da), Poly(db)
     if fa_den.is_zero() or fb_den.is_zero():
         return
     fa = RatFunc(Poly(na), fa_den)
     fb = RatFunc(Poly(nb), fb_den)
-    n_terms = 5
-    sa = laurent_expand(fa, n_terms)
-    sb = laurent_expand(fb, n_terms)
-    prod = sa * sb
-    direct = laurent_expand(fa * fb, n_terms)
     if fa.is_zero() or fb.is_zero():
-        assert direct.is_zero()
+        assert (fa * fb).is_zero()
         return
-    # compare on the window both sides certify
-    for k in range(direct.start_exponent, prod.truncation_order + 1):
-        assert direct.coefficient(k) == prod.coefficient(k)
+    n_terms = 5
+    va, vb = fa.valuation(), fb.valuation()
+    wa = _window(fa, va, va + n_terms - 1)
+    wb = _window(fb, vb, vb + n_terms - 1)
+    assert not wa[0].is_zero() and not wb[0].is_zero()
+    cauchy = [sum((wa[j] * wb[m - j] for j in range(m + 1)), GaussRat(0)) for m in range(n_terms)]
+    assert (fa * fb).valuation() == va + vb
+    assert _window(fa * fb, va + vb, va + vb + n_terms - 1) == cauchy
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +450,7 @@ def test_laurent_path_matches_general_formula():
             if v is None or k < v:
                 assert f.laurent_coefficient(k) == GaussRat(0)
             else:
-                assert f.laurent_coefficient(k) == laurent_expand(f, k - v + 1).coefficient(k)
+                assert f.laurent_coefficient(k) == _naive_window(f, k, k)[0]
     assert min(kinds.values()) >= 25, kinds
 
 

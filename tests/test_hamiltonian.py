@@ -14,9 +14,6 @@ from higgsres import (
     bracket,
     builtin_rep,
     coadjoint_transition,
-    dmoment,
-    inf_action,
-    moment,
     pairing,
     rep_validate,
 )
@@ -59,9 +56,9 @@ def test_inf_action_base_cases():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
     e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
-    assert inf_action(rep, sl2.basis_element("F"), e1) == e2
-    assert inf_action(rep, sl2.basis_element("E"), e1).is_zero()
-    assert inf_action(rep, U * sl2.basis_element("H"), e1) == U * e1
+    assert rep.inf_action(sl2.basis_element("F"), e1) == e2
+    assert rep.inf_action(sl2.basis_element("E"), e1).is_zero()
+    assert rep.inf_action(U * sl2.basis_element("H"), e1) == U * e1
 
 
 def test_moment_of_first_unit_vector():
@@ -84,31 +81,31 @@ def test_moment_of_first_unit_vector():
     c = {"E": basis_vals["F"], "H": basis_vals["H"] / 2, "F": basis_vals["E"]}
     assert c == {"E": Fraction(-1, 2), "H": 0, "F": 0}
     # so mu(e1) = -1/2 E as a trace-form matrix
-    mu = moment(rep, e1)
+    mu = rep.moment(e1)
     assert mu == GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
 
 
 def test_moment_degenerate_cases(rep):
     zero = XVector.zero(rep.space.dim)
-    assert moment(rep, zero).is_zero()
+    assert rep.moment(zero).is_zero()
     rng = SeedStream("moment-scale", rep.name)
     x = _random_vector(rep, rng)
     t = rng.nonzero_gauss(3, 2)
-    assert moment(rep, t * x) == (t * t) * moment(rep, x)
+    assert rep.moment(t * x) == (t * t) * rep.moment(x)
 
 
 def test_dmoment_euler_identity(rep):
     rng = SeedStream("euler", rep.name)
     x = _random_vector(rep, rng)
-    assert dmoment(rep, x, x) == 2 * moment(rep, x)
-    assert dmoment(rep, XVector.zero(rep.space.dim), x).is_zero()
+    assert rep.dmoment(x, x) == 2 * rep.moment(x)
+    assert rep.dmoment(XVector.zero(rep.space.dim), x).is_zero()
 
 
 def test_dmoment_of_unit_vectors_matches_bilinear_oracle():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
     e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
-    got = dmoment(rep, e1, e2)
+    got = rep.dmoment(e1, e2)
     # oracle: omega(rho(xi) e1, e2) on the basis: E -> 0, H -> 1, F -> -...
     # rho(E)e1 = 0; rho(H)e1 = e1, omega(e1, e2) = 1; rho(F)e1 = e2, omega(e2,e2)=0
     for lab, want in (("E", 0), ("H", 1), ("F", 0)):
@@ -122,8 +119,8 @@ def test_equivariance(rep):
         sub = rng.child(trial)
         g = random_cocycle(n, CocycleRecipe(), sub.child("g"))
         x = _random_vector(rep, sub.child("x"))
-        lhs = moment(rep, XVector(mat_vec(rep.act_group(g.inverse()), x.coords)))
-        rhs = coadjoint_transition(g, moment(rep, x))
+        lhs = rep.moment(XVector(mat_vec(rep.act_group(g.inverse()), x.coords)))
+        rhs = coadjoint_transition(g, rep.moment(x))
         assert lhs == rhs
 
 
@@ -134,8 +131,8 @@ def test_moment_condition(rep):
         x = _random_vector(rep, sub.child("x"))
         xi = random_loop_algebra(rep.algebra, GdotRecipe(), sub.child("xi"))
         eta = random_loop_algebra(rep.algebra, GdotRecipe(), sub.child("eta"))
-        lhs = pairing(moment(rep, x), bracket(xi, eta))
-        rhs = rep.space.pair(inf_action(rep, xi, x), inf_action(rep, eta, x))
+        lhs = pairing(rep.moment(x), bracket(xi, eta))
+        rhs = rep.space.pair(rep.inf_action(xi, x), rep.inf_action(eta, x))
         assert lhs == rhs
 
 
@@ -161,7 +158,7 @@ def test_dmoment_is_jet_derivative_of_moment(rep):
     v = _random_vector(rep, rng.child("v"))
     jet_coords = [Jet2.lift1(a, b) for a, b in zip(x.coords, v.coords)]
     half = GaussRat(Fraction(1, 2))
-    dm = dmoment(rep, x, v)
+    dm = rep.dmoment(x, v)
     omega = rep.space.omega
     dim = rep.space.dim
     for lab in rep.algebra.labels:

@@ -5,9 +5,9 @@ and each routine that now sums through it against its former loop body,
 the pole-order slot ``_k`` against ``_u_power(_d)`` after every way a
 RatFunc is built, the scalar and polynomial fast paths of the kernels
 against their earlier bodies (kept here as oracles), the coefficient
-window of ``solver._window`` against the ``laurent_expand`` path, and
-``SeedStream``'s cached-prefix hashing against hashing ``repr((path,
-counter))`` per draw.
+window of ``solver._window`` against long division of the germ's
+coefficients, and ``SeedStream``'s cached-prefix hashing against hashing
+``repr((path, counter))`` per draw.
 """
 
 import hashlib
@@ -15,10 +15,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_field import _operand
+from test_field import _naive_window, _operand
 from test_sparse_forms import REPS
 
-from higgsres import GaussRat, HamiltonianRep, Poly, RatFunc, ShapeError, XVector, builtin_rep, laurent_expand
+from higgsres import GaussRat, HamiltonianRep, Poly, RatFunc, ShapeError, XVector, builtin_rep
 from higgsres import field, hamiltonian
 from higgsres._kernels import pure
 from higgsres.field import GQ_ONE, _u_power, dot
@@ -116,8 +116,7 @@ def _old_window(h, top):
     v = h.valuation()
     if v is None or v > top:
         return None
-    series = laurent_expand(h, top - v + 1)
-    return v, [series.coefficient(e)._t for e in range(v, top + 1)]
+    return v, [c._t for c in _naive_window(h, v, top)]
 
 
 class _OldSeedStream(SeedStream):
@@ -346,7 +345,7 @@ def test_forms_and_pairing_match_old_loops(name):
 # ---------------------------------------------------------------------------
 
 
-def test_window_slice_matches_laurent_expand():
+def test_window_slice_matches_series_division():
     rng = random.Random(20261023)
     germs = [
         RatFunc.const(0),

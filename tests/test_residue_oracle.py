@@ -28,7 +28,6 @@ from higgsres import (
     P1Point,
     Poly,
     RatFunc,
-    laurent_expand,
     localize,
     residue,
     residue_sum,
@@ -130,17 +129,24 @@ def _forms(count):
 FORMS = _forms(40)
 
 
-def test_laurent_expand_matches_sympy():
+def test_laurent_window_matches_sympy():
+    """valuation() and the coefficients() window, from one below the order
+    at 0, of every localized form; most germs at finite non-zero points are
+    not Laurent polynomials and take the series-division path."""
+    non_laurent = 0
     for form, num, den, roots in FORMS:
         points = [P1Point.finite(r) for r in roots]
         points += [P1Point.finite(GaussRat(3, -1)), INFINITY]
         for point in points:
-            series = laurent_expand(localize(form, point), TERMS)
+            h = localize(form, point)
             start, coeffs = oracle_laurent_at(num, den, point, TERMS)
-            assert series.start_exponent == start
-            assert series.truncation_order == start + TERMS - 1
-            got = [_sym(series.coefficient(start + k)) for k in range(TERMS)]
-            assert [sympy.expand_complex(g - w) for g, w in zip(got, coeffs)] == [0] * TERMS
+            assert h.valuation() == start
+            window = h.coefficients(start - 1, start + TERMS - 1)
+            got = [_sym(GaussRat.from_triple(t)) for t in window]
+            assert got[0] == 0
+            assert [sympy.expand_complex(g - w) for g, w in zip(got[1:], coeffs)] == [0] * TERMS
+            non_laurent += h._k < 0
+    assert non_laurent > len(FORMS)
 
 
 def test_residue_matches_sympy():

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from test_field import _naive_window
 
 from higgsres import (
     INFINITY,
@@ -17,7 +18,6 @@ from higgsres import (
     RatFunc,
     XVector,
     builtin_rep,
-    laurent_expand,
     make_y_point,
     make_y_tangent,
 )
@@ -75,8 +75,7 @@ def _polar(h):
     v = h.valuation()
     if v is None or v >= 0:
         return []
-    series = laurent_expand(h, -v)
-    coefficients = [(e, series.coefficient(e)) for e in range(v, 0)]
+    coefficients = zip(range(v, 0), _naive_window(h, v, -1))
     return [(e, c._t) for e, c in coefficients if not c.is_zero()]
 
 
@@ -278,6 +277,18 @@ def _marked(*points):
     return MarkedCurve(pts, OneForm(RatFunc.const(-1)), [U] * len(pts))
 
 
+def _combine_by_loop(functions, dim, vec):
+    """Each coordinate sum_t vec[k*size + t] f_t as a running sum acc + f * c."""
+    size = len(functions)
+    out = []
+    for k in range(dim):
+        acc = RatFunc.const(0)
+        for t, f in enumerate(functions):
+            acc = acc + f * vec[k * size + t]
+        out.append(acc)
+    return out
+
+
 def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_two_points):
     half = GaussRat(Fraction(-1, 2))
     curves = [
@@ -305,6 +316,11 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
                 want = _per_candidate_assembly(curve, candidates, dim, frame)
                 assert (system.row_keys, system.matrix) == want
                 assert system.row_keys
+                functions = candidates.functions
+                null = system.elimination.null_basis
+                assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
+                vec = [sub.gauss() for _ in range(dim * len(functions))]
+                assert system._combine(vec) == _combine_by_loop(functions, dim, vec)
 
 
 # ---------------------------------------------------------------------------
