@@ -18,6 +18,7 @@ it is part of the curve description rather than derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError
 from .field import Poly, RatFunc
@@ -48,7 +49,13 @@ def _strip_marked_factors(poly: Poly, points) -> Poly:
 
 
 class MarkedCurve:
-    """P^1 with marked points, the trivializing form alpha, and twists T_i."""
+    """P^1 with marked points, the trivializing form alpha, and twists T_i.
+
+    The chart constants T_i^-1, T_i^-2 and a_i(u) are computed on first
+    read and kept; ``candidate_spaces`` holds the solver's candidate
+    space for each ``SolverBounds`` value, built on first use.  A curve
+    is not mutated after construction, so neither goes stale.
+    """
 
     def __init__(self, marked_points, alpha, transitions):
         self.marked_points: list[P1Point] = list(marked_points)
@@ -67,6 +74,7 @@ class MarkedCurve:
         self.transitions = [
             t if isinstance(t, RatFunc) else RatFunc(t) for t in self.transitions
         ]
+        self.candidate_spaces: dict = {}
 
     @property
     def n_points(self) -> int:
@@ -78,9 +86,23 @@ class MarkedCurve:
     def transition(self, i: int) -> RatFunc:
         return self.transitions[i]
 
+    @cached_property
+    def transition_inverses(self) -> list:
+        """T_i^-1 at every marked point."""
+        return [t.inverse() for t in self.transitions]
+
+    @cached_property
+    def transition_inverse_squares(self) -> list:
+        """T_i^-2 at every marked point."""
+        return [t * t for t in self.transition_inverses]
+
+    @cached_property
+    def _alpha_locals(self) -> list:
+        return [localize(self.alpha, p) for p in self.marked_points]
+
     def alpha_local(self, i: int) -> RatFunc:
         """The coefficient a_i(u) with alpha = a_i(u) du at marked point i."""
-        return localize(self.alpha, self.marked_points[i])
+        return self._alpha_locals[i]
 
     def is_regular_on_complement(self, f: RatFunc) -> bool:
         """True iff f has no poles on P^1 minus the marked points."""

@@ -376,8 +376,10 @@ class RatFunc:
 
     When both operands have a denominator u^k (a Laurent polynomial), the
     operators build the reduced result directly from the numerators (see
-    ``_laurent``); every other operand goes through ``__init__``, which
-    divides by the gcd and makes the denominator monic.  ``_k`` is that k,
+    ``_laurent``), and a product with a constant scales the other
+    operand's numerator.  Every other sum, product or quotient goes
+    through ``__init__``, which divides by the gcd and makes the
+    denominator monic.  ``_k`` is that k,
     or -1 when the denominator is not a power of u; it is set with ``_n``
     and ``_d`` and never changes.
     """
@@ -420,6 +422,13 @@ class RatFunc:
     @classmethod
     def x(cls) -> "RatFunc":
         return cls._raw([K.GQ_ZERO, K.GQ_ONE], [K.GQ_ONE])
+
+    @classmethod
+    def monomial(cls, c: "GaussRat", m: int) -> "RatFunc":
+        """c * x^m for a non-zero c and any integer m."""
+        if m >= 0:
+            return cls._raw([K.GQ_ZERO] * m + [c._t], [K.GQ_ONE])
+        return cls._raw([c._t], [K.GQ_ZERO] * -m + [K.GQ_ONE])
 
     @property
     def num(self) -> Poly:
@@ -507,6 +516,11 @@ class RatFunc:
         k1, k2 = self._k, o._k
         if k1 >= 0 and k2 >= 0:
             return _laurent(K.p_mul(self._n, o._n), k1 + k2)
+        # a constant factor scales the reduced other operand
+        if k2 == 0 and len(o._n) == 1:
+            return self._scaled(o._n[0])
+        if k1 == 0 and len(self._n) == 1:
+            return o._scaled(self._n[0])
         return RatFunc(
             Poly._raw(K.p_mul(self._n, o._n)), Poly._raw(K.p_mul(self._d, o._d))
         )

@@ -23,6 +23,7 @@ elements are traceless matrices of rational functions.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -151,13 +152,13 @@ class MatrixLieAlgebra:
         return zip(self._upper + self._lower, vec[:e] + vec[f:]), vec[e:f]
 
     def element(self, mat) -> "LoopAlgebraElement":
-        return LoopAlgebraElement(self, mat_from(mat))
+        return LoopAlgebraElement(self, mat)
 
     def basis_element(self, label: str) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, self.basis[self.label_index(label)])
 
     def coadjoint(self, mat) -> "CoadjointElement":
-        return CoadjointElement(self, mat_from(mat))
+        return CoadjointElement(self, mat)
 
     def zero_element(self) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, zeros(self.n, self.n))
@@ -338,11 +339,7 @@ def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> Coadjoi
     offdiag, h = algebra._split([as_entry(values.get(lab, _ZERO)) for lab in algebra.labels])
     for (j, k), v in offdiag:
         rows[k][j] = v
-    d = _ZERO
-    for j, hj in enumerate(h):
-        if not hj.is_zero():
-            d = d + hj * (n - 1 - j)
-    d = d / n
+    d = dot((GaussRat(Fraction(n - 1 - j, n)), hj, _ONE) for j, hj in enumerate(h))
     for j in range(n):
         rows[j][j] = d
         if j < n - 1 and not h[j].is_zero():

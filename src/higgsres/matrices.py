@@ -26,7 +26,7 @@ def as_entry(value) -> RatFunc:
 
 
 def mat_from(rows: Sequence[Sequence]) -> Matrix:
-    out = tuple(tuple(as_entry(e) for e in row) for row in rows)
+    out = tuple(tuple(e if type(e) is RatFunc else as_entry(e) for e in row) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise ShapeError("ragged matrix")
     return out

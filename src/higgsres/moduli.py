@@ -166,13 +166,12 @@ class HiggsTangent:
 
 def section_transition(curve: MarkedCurve, rep: HamiltonianRep, g, i: int):
     """(T_i^-1, rho(g_i)^-1): the factors of s'_i = T_i^-1 rho(g_i)^-1 s."""
-    return curve.transition(i).inverse(), rep.act_group(g[i].inverse())
+    return curve.transition_inverses[i], rep.act_group(g[i].inverse())
 
 
 def higgs_transport(curve: MarkedCurve, g, i: int):
     """The map M -> T_i^-2 g_i^-1 M g_i on matrices in the chart at point i."""
-    t = curve.transition(i)
-    t2_inv = (t * t).inverse()
+    t2_inv = curve.transition_inverse_squares[i]
     g_inv, g_mat = g[i].inverse().mat, g[i].mat
     return lambda m: tuple(
         tuple(t2_inv * e for e in row) for row in mat_mul(mat_mul(g_inv, m), g_mat)

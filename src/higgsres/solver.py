@@ -132,10 +132,16 @@ class SolverBounds:
 
 @dataclass
 class CandidateSpace:
-    """Monomial scalar candidates for functions regular away from marked points."""
+    """Monomial scalar candidates for functions regular away from marked points.
 
-    functions: list
+    ``disks[i]`` is what assembly reads at marked point i: the pulled
+    base pull_i(1/D) = pull_i(functions[0]), the top exponent of the
+    windows, and the shift powers of ``_shift_powers`` (None at infinity).
+    """
+
+    functions: tuple
     bounds: SolverBounds
+    disks: tuple
 
     @property
     def size(self) -> int:
@@ -154,7 +160,11 @@ class CandidateSpace:
 
 
 def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSpace:
-    """The monomial basis z^t / prod (z - a_j)^pole_order."""
+    """The monomial basis z^t / prod (z - a_j)^pole_order, built once per
+    curve and bounds and kept in ``curve.candidate_spaces``."""
+    space = curve.candidate_spaces.get(bounds)
+    if space is not None:
+        return space
     den = Poly([1])
     for p in curve.marked_points:
         if p.is_infinity:
@@ -170,7 +180,16 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
     for _ in range(t_max + 1):
         functions.append(RatFunc(mono, den))
         mono = mono * x
-    return CandidateSpace(functions, bounds)
+    size = len(functions)
+    disks = []
+    for i, p in enumerate(curve.marked_points):
+        base = curve.chart(i).pull(functions[0])
+        if p.is_infinity:
+            disks.append((base, size - 2, None))
+        else:
+            disks.append((base, -1, _shift_powers(p.value, size)))
+    space = curve.candidate_spaces[bounds] = CandidateSpace(tuple(functions), bounds, tuple(disks))
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +266,8 @@ class TwistedSystem:
     prescribed polar parts against the stored elimination, reducing only
     the right-hand side.  Column k * size + t belongs to the candidate
     f_t e_k; since f_t = z^t f_0, each frame entry is expanded once and
-    every t is read off that expansion.
+    every t is read off that expansion.  What assembly needs of ``curve``
+    at each disk comes with ``candidates`` (``candidate_functions``).
     """
 
     __slots__ = ("candidates", "dim", "row_keys", "matrix", "_row_index", "elimination", "basis")
@@ -257,13 +277,9 @@ class TwistedSystem:
         self.dim = dim
         size = candidates.size
         ncols = dim * size
-        # functions[0] = 1/D: h = pull_i(1/D) * entry, read off per point
+        # h = pull_i(1/D) * entry, read off per point
         rows = {}
-        for i, disk in enumerate(frame):
-            point = curve.marked_points[i]
-            base = curve.chart(i).pull(candidates.functions[0])
-            top = size - 2 if point.is_infinity else -1
-            powers = None if point.is_infinity else _shift_powers(point.value, size)
+        for i, (disk, (base, top, powers)) in enumerate(zip(frame, candidates.disks)):
             for k, entries in enumerate(disk):
                 for row, entry in enumerate(entries):
                     if entry.is_zero():
@@ -542,7 +558,6 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
     Each generator right-multiplies the word as a column operation:
     diag(u^e) scales column k by u^e_k, I + c E_jk adds c col_j to col_k.
     """
-    u = RatFunc.x()
     rows = [list(row) for row in identity(n)]
     has_torus = False
     for step in range(recipe.length):
@@ -558,7 +573,7 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
             if k >= j:
                 k += 1
             m = rng.randint(-recipe.max_exponent, recipe.max_exponent)
-            c = rng.nonzero_gauss(recipe.max_num, recipe.max_den) * u ** m
+            c = RatFunc.monomial(rng.nonzero_gauss(recipe.max_num, recipe.max_den), m)
             for row in rows:
                 row[k - 1] = row[k - 1] + c * row[j - 1]
     if not has_torus:
@@ -569,7 +584,7 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
 
 def _scale_columns(rows: list, exponents: Sequence[int]):
     """Right-multiply rows by diag(u^e_1, ..., u^e_n), in place."""
-    powers = [RatFunc.x() ** e for e in exponents]
+    powers = [RatFunc.monomial(GaussRat(1), e) for e in exponents]
     for row in rows:
         row[:] = [x * p if e else x for x, p, e in zip(row, powers, exponents)]
 
@@ -578,11 +593,10 @@ def random_loop_algebra(
     algebra: MatrixLieAlgebra, recipe: GdotRecipe, rng: SeedStream
 ) -> LoopAlgebraElement:
     """A random span combination with monomial RatFunc coefficients."""
-    u = RatFunc.x()
     coeffs = [RatFunc.const(0)] * algebra.dim
     for _ in range(recipe.terms):
         k = rng.randint(0, algebra.dim - 1)
         m = rng.randint(-recipe.pole_order, recipe.degree)
         c = rng.nonzero_gauss(recipe.max_num, recipe.max_den)
-        coeffs[k] = coeffs[k] + c * u ** m
+        coeffs[k] = coeffs[k] + RatFunc.monomial(c, m)
     return algebra.element(algebra.combination(coeffs))

@@ -1,5 +1,7 @@
 """Marked-curve invariants and the square-root transition relation."""
 
+from fractions import Fraction
+
 import pytest
 
 from higgsres import (
@@ -13,6 +15,7 @@ from higgsres import (
     ValidationError,
     curve_validate,
     local_coordinate,
+    localize,
     residue,
 )
 from higgsres.solver import SeedStream
@@ -118,3 +121,20 @@ def test_marked_points_compared_by_value_not_hash():
     assert curve.marked_points == points
     with pytest.raises(ValidationError, match="distinct"):
         MarkedCurve(points + [P1Point.finite(GaussRat(-2))], OneForm(RatFunc.const(-1)), [U] * 4)
+
+
+def test_chart_constants_equal_fresh_computations(curve_one_point, curve_two_points):
+    half = P1Point.finite(Fraction(-1, 2))
+    # alpha = dz/(z + 1/2)^2 is 1/u^2 at -1/2 and has order 0 at infinity
+    curve_half = MarkedCurve([half], OneForm(RatFunc(1, (Z + Fraction(1, 2)) ** 2)), [U])
+    assert curve_validate(curve_half).ok
+    for curve in (curve_one_point, curve_two_points, curve_half):
+        for i, p in enumerate(curve.marked_points):
+            t = curve.transition(i)
+            assert curve.transition_inverses[i] == t.inverse()
+            assert curve.transition_inverse_squares[i] == (t * t).inverse()
+            assert curve.alpha_local(i) == localize(curve.alpha, p)
+        # computed on first read, then kept
+        assert curve.transition_inverses is curve.transition_inverses
+        assert curve.transition_inverse_squares is curve.transition_inverse_squares
+        assert curve.alpha_local(0) is curve.alpha_local(0)

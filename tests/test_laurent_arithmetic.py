@@ -246,6 +246,25 @@ def test_pole_order_slot_after_every_construction():
         _k_ok(dot([(GQ_ONE, f, g), (GaussRat(2), g, g)]))
 
 
+def test_product_with_a_constant_scales_without_a_gcd(monkeypatch):
+    rng = random.Random(20261101)
+    cases = []
+    for _ in range(100):
+        f = _finite_germ(rng) if rng.randrange(2) else _operand(rng)
+        c = RatFunc.const(GaussRat(rng.randint(-3, 3), rng.randint(-2, 2)))
+        cases.append((f, c, RatFunc(f.num * c.num, f.den)))
+    monkeypatch.setattr(field.K, "p_gcd", None)
+    for f, c, want in cases:
+        assert _k_ok(f * c) == want
+        assert _k_ok(c * f) == want
+
+
+def test_monomial_equals_scaled_power():
+    for c in (GaussRat(1), GaussRat(-2, 1), GaussRat(Fraction(1, 3), -1)):
+        for m in range(-3, 4):
+            assert _k_ok(RatFunc.monomial(c, m)) == c * RatFunc.x() ** m
+
+
 def _sequential(terms):
     acc = RatFunc.const(0)
     for c, x, y in terms:

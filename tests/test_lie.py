@@ -8,6 +8,7 @@ from higgsres import (
     LoopGroupElement,
     MatrixLieAlgebra,
     NotInAlgebra,
+    Poly,
     RatFunc,
     ShapeError,
     ValidationError,
@@ -126,6 +127,41 @@ def test_dualize_round_trip(sl2):
     phi = sl2.coadjoint(raw.mat)
     values = {lab: pairing(phi, sl2.basis_element(lab)) for lab in sl2.labels}
     assert dualize(sl2, values) == phi
+
+
+def _dualize_by_loop(algebra, values):
+    """dualize's former body: d_0 as a running sum of h_j * (n-1-j), divided by n."""
+    n = algebra.n
+    zero = RatFunc.const(0)
+    rows = [[zero] * n for _ in range(n)]
+    offdiag, h = algebra._split([values.get(lab, zero) for lab in algebra.labels])
+    for (j, k), v in offdiag:
+        rows[k][j] = v
+    d = zero
+    for j, hj in enumerate(h):
+        if not hj.is_zero():
+            d = d + hj * (n - 1 - j)
+    d = d / n
+    for j in range(n):
+        rows[j][j] = d
+        if j < n - 1:
+            d = d - h[j]
+    return CoadjointElement(algebra, rows)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dualize_matches_running_sum(n):
+    algebra = MatrixLieAlgebra.sl(n)
+    rng = SeedStream("dualize-loop", n)
+    pole = RatFunc(1, Poly([-1, 1]))
+    for trial in range(20):
+        values = {}
+        for lab in algebra.labels:
+            kind = rng.randint(0, 3)
+            if kind:
+                c = rng.nonzero_gauss()
+                values[lab] = pole * c if kind == 1 else RatFunc.monomial(c, rng.randint(-2, 2))
+        assert dualize(algebra, values) == _dualize_by_loop(algebra, values)
 
 
 def test_group_element_determinant_enforced():

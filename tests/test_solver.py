@@ -15,11 +15,15 @@ from higgsres import (
     MarkedCurve,
     OneForm,
     P1Point,
+    Poly,
     RatFunc,
     XVector,
     builtin_rep,
+    identity_check,
+    load_scenario,
     make_y_point,
     make_y_tangent,
+    pullback_omega,
 )
 from higgsres import _kernels as K
 from higgsres.linalg import Elimination
@@ -34,6 +38,7 @@ from higgsres.solver import (
     TwistedSystem,
     _higgs_frame,
     _section_frame,
+    _shift_powers,
     build_higgs_field_space,
     build_higgs_tangent_space,
     build_section_space,
@@ -44,6 +49,7 @@ from higgsres.solver import (
     sample_affine,
     sample_vector,
 )
+from higgsres.suites import build_instance
 
 U = RatFunc.x()
 BOUNDS = SolverBounds(degree=4, pole_order=4)
@@ -321,6 +327,85 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
                 assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
                 assert system._combine(vec) == _combine_by_loop(functions, dim, vec)
+
+
+def _fresh_candidates(curve, bounds):
+    """(functions, per-disk data) built the way every system build once did."""
+    den = Poly([1])
+    for p in curve.marked_points:
+        if not p.is_infinity:
+            den = den * Poly([-p.value, 1]) ** bounds.pole_order
+    t_max = den.degree() + (bounds.degree if INFINITY in curve.marked_points else 0)
+    functions = tuple(RatFunc(Poly.x() ** t, den) for t in range(t_max + 1))
+    size = len(functions)
+    disks = []
+    for i, p in enumerate(curve.marked_points):
+        base = curve.chart(i).pull(functions[0])
+        top = size - 2 if p.is_infinity else -1
+        disks.append((base, top, None if p.is_infinity else _shift_powers(p.value, size)))
+    return functions, tuple(disks)
+
+
+def test_candidate_space_built_once_per_curve_and_bounds(curve_one_point, curve_two_points):
+    half = GaussRat(Fraction(-1, 2))
+    curves = [curve_one_point, curve_two_points, _marked(1, "inf"), _marked(GaussRat(0, 1), half, "inf")]
+    for curve in curves:
+        spaces = {}
+        for bounds in (SolverBounds(3, 2), SolverBounds(2, 3)):
+            spaces[bounds] = candidate_functions(curve, bounds)
+            equal = SolverBounds(bounds.degree, bounds.pole_order)
+            assert candidate_functions(curve, equal) is spaces[bounds]
+            assert (spaces[bounds].functions, spaces[bounds].disks) == _fresh_candidates(curve, bounds)
+        assert spaces[SolverBounds(3, 2)] is not spaces[SolverBounds(2, 3)]
+    # the space belongs to the curve, not to its points
+    bounds = SolverBounds(3, 2)
+    assert candidate_functions(_marked(1, "inf"), bounds) is not candidate_functions(_marked(1, "inf"), bounds)
+
+
+def _count_gcds(monkeypatch):
+    calls = [0]
+    p_gcd = K.p_gcd
+
+    def counted(a, b):
+        calls[0] += 1
+        return p_gcd(a, b)
+
+    monkeypatch.setattr(K, "p_gcd", counted)
+    return calls
+
+
+def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
+    """A non-Laurent candidate times the constant 1 in ``field.dot`` is a scale, not a gcd."""
+    curve = _marked(1, "inf")
+    rep = builtin_rep("sl3-cotangent")
+    rng = SeedStream("combine-gcds")
+    g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
+    candidates = candidate_functions(curve, SolverBounds(3, 2))
+    dim = rep.space.dim
+    system = TwistedSystem(curve, candidates, dim, _section_frame(curve, rep, g))
+    vec = [rng.gauss() for _ in range(dim * candidates.size)]
+    calls = _count_gcds(monkeypatch)
+    combined = system._combine(vec)
+    by_dot = calls[0]
+    by_loop = _combine_by_loop(candidates.functions, dim, vec)
+    assert combined == by_loop
+    assert 0 < by_dot <= calls[0] - by_dot
+
+
+def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
+    scenario = load_scenario(str(fixtures_dir / "f1.json"))
+    rng = SeedStream("warm-trial")
+
+    def trial(t):
+        inst = build_instance(scenario, rng.child(t))
+        t1, t2 = inst.tangents
+        assert pullback_omega(inst.point, t1, t2).is_zero()
+        assert identity_check(inst.point, t1, t2).ok
+
+    trial(0)
+    calls = _count_gcds(monkeypatch)
+    trial(1)
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
