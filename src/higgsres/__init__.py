@@ -58,8 +58,6 @@ from .moduli import (
     YPoint,
     YTangent,
     cartan_check,
-    gauge_transform_y_point,
-    gauge_transform_y_tangent,
     higgs_from_y,
     identity_check,
     liouville_lambda,
@@ -90,7 +88,6 @@ from .solver import (
     build_higgs_tangent_space,
     build_section_space,
     build_tangent_space,
-    sample,
     sample_affine,
     sample_vector,
 )

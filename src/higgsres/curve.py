@@ -75,6 +75,7 @@ class MarkedCurve:
             t if isinstance(t, RatFunc) else RatFunc(t) for t in self.transitions
         ]
         self.candidate_spaces: dict = {}
+        self._zero_marked = any(not p.is_infinity and p.value.is_zero() for p in points)
 
     @property
     def n_points(self) -> int:
@@ -105,10 +106,16 @@ class MarkedCurve:
         return self._alpha_locals[i]
 
     def is_regular_on_complement(self, f: RatFunc) -> bool:
-        """True iff f has no poles on P^1 minus the marked points."""
+        """True iff f has no poles on P^1 minus the marked points.
+
+        A denominator z^k (``f._k``) has no finite pole but 0, so it
+        needs no stripping when k = 0 or 0 is marked.
+        """
         if f.is_zero():
             return True
-        if _strip_marked_factors(f.den, self.marked_points).degree() >= 1:
+        k = f._k
+        finite_ok = k == 0 or (k > 0 and self._zero_marked)
+        if not finite_ok and _strip_marked_factors(f.den, self.marked_points).degree() >= 1:
             return False
         if INFINITY not in self.marked_points:
             v = LocalChart(INFINITY).pull(f).valuation()

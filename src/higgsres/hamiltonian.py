@@ -17,6 +17,8 @@ non-zero entries (i, j, c): omega(u, v) = sum c u_i v_j over omega, and
 <dmu_x(v), xi_a> = sum c x_i v_j, <mu(x), xi_a> = 1/2 sum c x_i x_j over
 Q_a.  Q_a is not folded by symmetry: it is symmetric only for rho(xi_a)
 in sp(omega), and rep_validate reports an explicit rho outside it.
+``dmoment_values`` and ``moment_values`` return these pairings in label
+order; ``dmoment`` and ``moment`` dualize them into coadjoint values.
 
 Built-in representations:
 
@@ -54,7 +56,7 @@ from .matrices import (
 )
 
 _ZERO = RatFunc.const(0)
-_HALF = RatFunc.const(GaussRat.from_triple((1, 0, 2)))
+_HALF = GaussRat.from_triple((1, 0, 2))
 
 
 def _sparse(m: Matrix) -> tuple:
@@ -217,7 +219,7 @@ class HamiltonianRep:
         for lab, m in self.rho.items():
             if shape(m) != (space.dim, space.dim):
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
-        # per basis label: the entries of rho(xi_a) and of Q_a = rho(xi_a)^T omega
+        # per basis label, in label order: the entries of rho(xi_a) and of Q_a = rho(xi_a)^T omega
         self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
         self._forms = {
             lab: _sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels
@@ -255,15 +257,25 @@ class HamiltonianRep:
                 terms[i].append((r, c, xs[j]))
         return XVector([dot(t) for t in terms])
 
+    def dmoment_values(self, x: XVector, v: XVector) -> list[RatFunc]:
+        """<dmu_x(v), xi_a> = x^T Q_a v for each basis label, in label order."""
+        self.space.check(x, v)
+        return [_bilinear(q, x.coords, v.coords) for q in self._forms.values()]
+
+    def moment_values(self, x: XVector) -> list[RatFunc]:
+        """<mu(x), xi_a> = 1/2 x^T Q_a x for each basis label, in label order."""
+        return [c * _HALF for c in self.dmoment_values(x, x)]
+
     def moment(self, x: XVector) -> CoadjointElement:
-        """mu(x) = 1/2 dmu_x(x), so <mu(x), xi_a> = 1/2 x^T Q_a x."""
-        return self.dmoment(x, x) * _HALF
+        """mu(x), the coadjoint value with the pairings ``moment_values(x)``."""
+        return self._dualize(self.moment_values(x))
 
     def dmoment(self, x: XVector, v: XVector) -> CoadjointElement:
-        """dmu_x(v), defined by <dmu_x(v), xi_a> = x^T Q_a v."""
-        self.space.check(x, v)
-        values = {lab: _bilinear(q, x.coords, v.coords) for lab, q in self._forms.items()}
-        return dualize(self.algebra, values)
+        """dmu_x(v), the coadjoint value with the pairings ``dmoment_values(x, v)``."""
+        return self._dualize(self.dmoment_values(x, v))
+
+    def _dualize(self, values: list) -> CoadjointElement:
+        return dualize(self.algebra, dict(zip(self.algebra.labels, values)))
 
     def __repr__(self):
         return f"HamiltonianRep({self.name!r}, dim={self.space.dim})"

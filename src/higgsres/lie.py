@@ -347,6 +347,21 @@ def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> Coadjoi
     return CoadjointElement(algebra, tuple(tuple(row) for row in rows))
 
 
+def dual_values(algebra: MatrixLieAlgebra, mat: Matrix) -> list[RatFunc]:
+    """tr(mat xi_a) for each basis label, in label order: the inverse of dualize.
+
+    tr(M E_jk) = M[k][j], the same for F_jk, and tr(M H_j) = M[j][j] -
+    M[j+1][j+1].  dualize(algebra, values) is traceless, so it gives mat
+    back from these values exactly when mat is traceless.
+    """
+    diagonal = [mat[j][j] for j in range(algebra.n)]
+    return (
+        [mat[k][j] for j, k in algebra._upper]
+        + [a - b for a, b in zip(diagonal, diagonal[1:])]
+        + [mat[k][j] for j, k in algebra._lower]
+    )
+
+
 # -- loop-group builders -----------------------------------------------------
 
 

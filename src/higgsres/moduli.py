@@ -37,6 +37,15 @@ lambda with two-parameter jets.
 Disk objects are rational germs; regularity at u = 0 is an exact
 valuation check, and all the equalities below are syntactic equalities
 of reduced rational functions.
+
+Each disk value is formed once, on the object it belongs to.  A YPoint
+keeps s'_i, the solver's section system of its bundle, and mu(s'_i) as
+its pairings with the basis (formed on first read); a YTangent keeps
+sdot'_i and rho(gdot_i) s'_i; a HiggsPoint phi'_i and a HiggsTangent
+phidot'_i.  The pushforward and ``identity_check`` read these values
+instead of recomputing them, and the pushforward compares each direct
+moment image with the transported one through their pairings with the
+basis, which determine a traceless matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from .errors import (
     RegularityViolation,
     ShapeError,
 )
-from .field import GQ_ZERO, GaussRat, Jet2, RatFunc
+from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot
 from .hamiltonian import HamiltonianRep, XVector
 from .lie import (
     CoadjointElement,
@@ -59,6 +68,7 @@ from .lie import (
     LoopGroupElement,
     MatrixLieAlgebra,
     bracket,
+    dual_values,
     pairing,
 )
 from .matrices import Matrix, commutator, mat_mul, mat_vec
@@ -74,9 +84,12 @@ class YPoint:
 
     ``system`` is the solver's factored section system of the bundle g,
     kept for the tangent solves at this point (None until one is built).
+    ``mu_prime[i]`` is mu(s'_i) as its pairings <mu(s'_i), xi_a> in label
+    order (``HamiltonianRep.moment_values``), formed on first read and
+    then shared by the pushforward and the identity check.
     """
 
-    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime", "system")
+    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime", "system", "_mu_prime")
 
     def __init__(self, curve, rep, g, s_circ, s_prime, system=None):
         self.curve: MarkedCurve = curve
@@ -85,6 +98,13 @@ class YPoint:
         self.s_circ: XVector = s_circ
         self.s_prime: list[XVector] = s_prime
         self.system = system
+        self._mu_prime = None
+
+    @property
+    def mu_prime(self) -> list[list[RatFunc]]:
+        if self._mu_prime is None:
+            self._mu_prime = [self.rep.moment_values(s) for s in self.s_prime]
+        return self._mu_prime
 
     def __eq__(self, other):
         if not isinstance(other, YPoint):
@@ -100,15 +120,28 @@ class YPoint:
 
 
 class YTangent:
-    """A first-order deformation (gdot_i, sdot, sdot'_i) of a YPoint."""
+    """A first-order deformation (gdot_i, sdot, sdot'_i) of a YPoint.
 
-    __slots__ = ("base", "g_dot", "s_circ_dot", "s_prime_dot")
+    ``actions[i]`` is rho(gdot_i) s'_i, the disk term of sdot'_i that
+    comes from moving the bundle.  ``make_y_tangent`` forms it once;
+    a tangent built without it forms it from ``base`` and ``g_dot`` on
+    first read.
+    """
 
-    def __init__(self, base, g_dot, s_circ_dot, s_prime_dot):
+    __slots__ = ("base", "g_dot", "s_circ_dot", "s_prime_dot", "_actions")
+
+    def __init__(self, base, g_dot, s_circ_dot, s_prime_dot, actions=None):
         self.base: YPoint = base
         self.g_dot: list[LoopAlgebraElement] = g_dot
         self.s_circ_dot: XVector = s_circ_dot
         self.s_prime_dot: list[XVector] = s_prime_dot
+        self._actions = actions
+
+    @property
+    def actions(self) -> list[XVector]:
+        if self._actions is None:
+            self._actions = disk_actions(self.base, self.g_dot)
+        return self._actions
 
     def __repr__(self):
         return f"YTangent(base={self.base!r})"
@@ -189,13 +222,16 @@ def derive_s_prime(curve, rep, g, s_circ) -> list[XVector]:
     return out
 
 
-def derive_s_prime_dot(base: YPoint, g_dot, s_circ_dot) -> list[XVector]:
-    """sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i."""
+def disk_actions(base: YPoint, g_dot) -> list[XVector]:
+    """rho(gdot_i) s'_i at every marked point."""
+    return [base.rep.inf_action(g_dot[i], base.s_prime[i]) for i in range(base.curve.n_points)]
+
+
+def derive_s_prime_dot(base: YPoint, actions, s_circ_dot) -> list[XVector]:
+    """sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i, given the
+    ``actions`` rho(gdot_i) s'_i."""
     linear = derive_s_prime(base.curve, base.rep, base.g, s_circ_dot)
-    return [
-        linear[i] - base.rep.inf_action(g_dot[i], base.s_prime[i])
-        for i in range(base.curve.n_points)
-    ]
+    return [lin - act for lin, act in zip(linear, actions)]
 
 
 def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
@@ -288,9 +324,10 @@ def make_y_tangent(base: YPoint, g_dot, s_circ_dot) -> YTangent:
         else None
     )
     _check_global(base.curve, g_dot, "algebra element", s_circ_dot.coords, "sdot", mismatch)
-    s_prime_dot = derive_s_prime_dot(base, g_dot, s_circ_dot)
+    actions = disk_actions(base, g_dot)
+    s_prime_dot = derive_s_prime_dot(base, actions, s_circ_dot)
     _check_disks([s.coords for s in s_prime_dot], "sdot'")
-    return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
+    return YTangent(base, g_dot, s_circ_dot, s_prime_dot, actions)
 
 
 def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
@@ -298,7 +335,7 @@ def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
     errors: list[HiggsresError] = []
     if _off_point_pole(t.base.curve, t.s_circ_dot.coords):
         errors.append(RegularityViolation("sdot has a pole away from the marked points"))
-    expected = derive_s_prime_dot(t.base, t.g_dot, t.s_circ_dot)
+    expected = derive_s_prime_dot(t.base, t.actions, t.s_circ_dot)
     for i, want in enumerate(expected):
         if any(a != b for a, b in zip(t.s_prime_dot[i].coords, want.coords)):
             errors.append(
@@ -313,7 +350,10 @@ def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
 
 
 def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
-    """Build a tangent without validation (negative-control suites only)."""
+    """Build a tangent without validation (negative-control suites only).
+
+    Its ``actions`` are formed from ``base`` and ``g_dot`` on first read.
+    """
     return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
 
 
@@ -370,15 +410,16 @@ def higgs_from_y(p: YPoint) -> HiggsPoint:
 
     The disk data mu(s'_i) must coincide with the coadjoint transition of
     mu(s); both are computed and compared, so a convention bug inside the
-    library would surface here as EquivarianceBroken.
+    library would surface here as EquivarianceBroken.  They are compared
+    in coordinates: ``p.mu_prime[i]`` against the pairings of the
+    transported value with the basis (``dual_values``), which determine
+    a traceless matrix.
     """
-    rep = p.rep
-    algebra = rep.algebra
-    phi_circ = rep.moment(p.s_circ)
+    algebra = p.rep.algebra
+    phi_circ = p.rep.moment(p.s_circ)
     point = make_higgs_point(p.curve, algebra, p.g, phi_circ)
-    for i in range(p.curve.n_points):
-        direct = rep.moment(p.s_prime[i])
-        if direct != point.phi_prime[i]:
+    for i, direct in enumerate(p.mu_prime):
+        if direct != dual_values(algebra, point.phi_prime[i].mat):
             raise EquivarianceBroken(
                 f"mu(s'_{i}) differs from the transition of mu(s)"
             )
@@ -395,8 +436,8 @@ def _pushforward_tangent_at(t: YTangent, h: HiggsPoint) -> HiggsTangent:
     phi_circ_dot = rep.dmoment(t.base.s_circ, t.s_circ_dot)
     tangent = make_higgs_tangent(h, t.g_dot, phi_circ_dot)
     for i in range(t.base.curve.n_points):
-        direct = rep.dmoment(t.base.s_prime[i], t.s_prime_dot[i])
-        if direct != tangent.phi_prime_dot[i]:
+        direct = rep.dmoment_values(t.base.s_prime[i], t.s_prime_dot[i])
+        if direct != dual_values(rep.algebra, tangent.phi_prime_dot[i].mat):
             raise EquivarianceBroken(
                 f"dmu(sdot'_{i}) differs from the derived Higgs tangent"
             )
@@ -408,7 +449,8 @@ def _pushforward_tangent_at(t: YTangent, h: HiggsPoint) -> HiggsTangent:
 # ---------------------------------------------------------------------------
 
 
-def _check_based(p: HiggsPoint, t: HiggsTangent) -> None:
+def _check_based(p, t) -> None:
+    """Raise ShapeError unless the tangent t (Y or Higgs side) is based at p."""
     if t.base is not p and t.base != p:
         raise ShapeError("tangent is not based at the given point")
 
@@ -442,6 +484,8 @@ def pullback_omega(p: YPoint, t1: YTangent, t2: YTangent) -> GaussRat:
 
     Exactly zero on every valid input; the value is computed, never assumed.
     """
+    _check_based(p, t1)
+    _check_based(p, t2)
     h = higgs_from_y(p)
     h1 = _pushforward_tangent_at(t1, h)
     h2 = _pushforward_tangent_at(t2, h)
@@ -493,24 +537,29 @@ class IdentityReport:
 
 
 def identity_check(p: YPoint, t1: YTangent, t2: YTangent) -> IdentityReport:
-    """Exact residuals of the per-point identity behind the vanishing proof."""
+    """Exact residuals of the per-point identity behind the vanishing proof.
+
+    t1 and t2 must be tangents at p; rho(gdot_i) s'_i is read off their
+    ``actions`` and mu(s'_i) off ``p.mu_prime``, paired with the bracket
+    through its coordinates.
+    """
+    _check_based(p, t1)
+    _check_based(p, t2)
     rep = p.rep
     curve = p.curve
     report = IdentityReport()
     omega_circ = rep.space.pair(t1.s_circ_dot, t2.s_circ_dot)
-    for i in range(curve.n_points):
+    for i, mu_prime in enumerate(p.mu_prime):
         a_i = curve.alpha_local(i)
         chart = curve.chart(i)
         disk = rep.space.pair(t1.s_prime_dot[i], t2.s_prime_dot[i])
         alpha_form = chart.pull(omega_circ) * a_i
         lhs = disk - alpha_form
-        act1 = rep.inf_action(t1.g_dot[i], p.s_prime[i])
-        act2 = rep.inf_action(t2.g_dot[i], p.s_prime[i])
-        mu_prime = rep.moment(p.s_prime[i])
+        bracket_coeffs = bracket(t1.g_dot[i], t2.g_dot[i]).coeffs
         rhs = (
-            -rep.space.pair(t1.s_prime_dot[i], act2)
-            + rep.space.pair(t2.s_prime_dot[i], act1)
-            - pairing(mu_prime, bracket(t1.g_dot[i], t2.g_dot[i]))
+            -rep.space.pair(t1.s_prime_dot[i], t2.actions[i])
+            + rep.space.pair(t2.s_prime_dot[i], t1.actions[i])
+            - dot((GQ_ONE, m, c) for m, c in zip(mu_prime, bracket_coeffs))
         )
         report.residuals.append(lhs - rhs)
 
@@ -593,29 +642,3 @@ def cartan_check(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> CartanRep
     report.omega_value = symplectic_omega(p, t1, t2)
     return report
 
-
-# ---------------------------------------------------------------------------
-# constant gauge transport
-# ---------------------------------------------------------------------------
-
-
-def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
-    """Conjugate all data by a constant group element (g_i -> h g_i h^-1)."""
-    hinv = h.inverse()
-    g_new = [h * gi * hinv for gi in p.g]
-    rho_h = p.rep.act_group(h)
-    s_new = XVector(mat_vec(rho_h, p.s_circ.coords))
-    return make_y_point(p.curve, p.rep, g_new, s_new)
-
-
-def gauge_transform_y_tangent(t: YTangent, p_new: YPoint, h: LoopGroupElement) -> YTangent:
-    hinv = h.inverse()
-    g_dot_new = [
-        LoopAlgebraElement(
-            gd.algebra, mat_mul(mat_mul(h.mat, gd.mat), hinv.mat)
-        )
-        for gd in t.g_dot
-    ]
-    rho_h = t.base.rep.act_group(h)
-    s_dot_new = XVector(mat_vec(rho_h, t.s_circ_dot.coords))
-    return make_y_tangent(p_new, g_dot_new, s_dot_new)

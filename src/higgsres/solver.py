@@ -266,13 +266,13 @@ class TwistedSystem:
     prescribed polar parts against the stored elimination, reducing only
     the right-hand side.  Column k * size + t belongs to the candidate
     f_t e_k; since f_t = z^t f_0, each frame entry is expanded once and
-    every t is read off that expansion.  What assembly needs of ``curve``
-    at each disk comes with ``candidates`` (``candidate_functions``).
+    every t is read off that expansion.  What assembly needs of the
+    curve at each disk comes with ``candidates`` (``candidate_functions``).
     """
 
     __slots__ = ("candidates", "dim", "row_keys", "matrix", "_row_index", "elimination", "basis")
 
-    def __init__(self, curve: MarkedCurve, candidates: CandidateSpace, dim: int, frame):
+    def __init__(self, candidates: CandidateSpace, dim: int, frame):
         self.candidates = candidates
         self.dim = dim
         size = candidates.size
@@ -374,15 +374,13 @@ def _higgs_frame(curve, algebra, g):
 
 
 def _section_system(curve, rep, g, bounds) -> TwistedSystem:
-    return TwistedSystem(
-        curve, candidate_functions(curve, bounds), rep.space.dim, _section_frame(curve, rep, g)
-    )
+    frame = _section_frame(curve, rep, g)
+    return TwistedSystem(candidate_functions(curve, bounds), rep.space.dim, frame)
 
 
 def _higgs_system(curve, algebra, g, bounds) -> TwistedSystem:
-    return TwistedSystem(
-        curve, candidate_functions(curve, bounds), algebra.dim, _higgs_frame(curve, algebra, g)
-    )
+    frame = _higgs_frame(curve, algebra, g)
+    return TwistedSystem(candidate_functions(curve, bounds), algebra.dim, frame)
 
 
 class SectionSpace:
@@ -510,19 +508,6 @@ def sample_affine(space: AffineSpace, rng: SeedStream, max_num: int = 2, max_den
             if not c.is_zero():
                 out = out + c * b
     return out
-
-
-def sample(space, seed, max_num: int = 2, max_den: int = 2):
-    """Deterministic pseudo-random element of a solution space.
-
-    ``space`` is a linear space (anything with a ``basis``, or a bare
-    basis list) or an AffineSpace; ``seed`` an integer or a SeedStream.
-    The same seed always yields the same element.
-    """
-    rng = seed if isinstance(seed, SeedStream) else SeedStream("sample", seed)
-    if isinstance(space, AffineSpace):
-        return sample_affine(space, rng, max_num, max_den)
-    return sample_vector(space, rng, max_num, max_den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""Test-only builders: constant gauge transport of section data, and seeded sampling."""
+
+from __future__ import annotations
+
+from higgsres.hamiltonian import XVector
+from higgsres.lie import LoopAlgebraElement, LoopGroupElement
+from higgsres.matrices import mat_mul, mat_vec
+from higgsres.moduli import YPoint, YTangent, make_y_point, make_y_tangent
+from higgsres.solver import AffineSpace, SeedStream, sample_affine, sample_vector
+
+
+def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
+    """Conjugate all data by a constant group element (g_i -> h g_i h^-1)."""
+    hinv = h.inverse()
+    g_new = [h * gi * hinv for gi in p.g]
+    rho_h = p.rep.act_group(h)
+    s_new = XVector(mat_vec(rho_h, p.s_circ.coords))
+    return make_y_point(p.curve, p.rep, g_new, s_new)
+
+
+def gauge_transform_y_tangent(t: YTangent, p_new: YPoint, h: LoopGroupElement) -> YTangent:
+    hinv = h.inverse()
+    g_dot_new = [
+        LoopAlgebraElement(
+            gd.algebra, mat_mul(mat_mul(h.mat, gd.mat), hinv.mat)
+        )
+        for gd in t.g_dot
+    ]
+    rho_h = t.base.rep.act_group(h)
+    s_dot_new = XVector(mat_vec(rho_h, t.s_circ_dot.coords))
+    return make_y_tangent(p_new, g_dot_new, s_dot_new)
+
+
+def sample(space, seed, max_num: int = 2, max_den: int = 2):
+    """Deterministic pseudo-random element of a solution space.
+
+    ``space`` is a linear space (anything with a ``basis``, or a bare
+    basis list) or an AffineSpace; ``seed`` an integer or a SeedStream.
+    The same seed always yields the same element.
+    """
+    rng = seed if isinstance(seed, SeedStream) else SeedStream("sample", seed)
+    if isinstance(space, AffineSpace):
+        return sample_affine(space, rng, max_num, max_den)
+    return sample_vector(space, rng, max_num, max_den)

@@ -18,6 +18,8 @@ from higgsres import (
     localize,
     residue,
 )
+from higgsres.curve import _strip_marked_factors
+from higgsres.residues import LocalChart
 from higgsres.solver import SeedStream
 
 U = RatFunc.x()
@@ -138,3 +140,44 @@ def test_chart_constants_equal_fresh_computations(curve_one_point, curve_two_poi
         assert curve.transition_inverses is curve.transition_inverses
         assert curve.transition_inverse_squares is curve.transition_inverse_squares
         assert curve.alpha_local(0) is curve.alpha_local(0)
+
+
+def _regular_by_strip(curve, f):
+    """is_regular_on_complement's former body: strip the marked factors of every denominator."""
+    if f.is_zero():
+        return True
+    if _strip_marked_factors(f.den, curve.marked_points).degree() >= 1:
+        return False
+    if INFINITY not in curve.marked_points:
+        v = LocalChart(INFINITY).pull(f).valuation()
+        if v is not None and v < 0:
+            return False
+    return True
+
+
+def test_regular_on_complement_matches_the_strip_path():
+    def marked(*points):
+        pts = [INFINITY if p == "inf" else P1Point.finite(p) for p in points]
+        return MarkedCurve(pts, OneForm(RatFunc.const(-1)), [U] * len(pts))
+
+    curves = [marked("inf"), marked(0, "inf"), marked(1, "inf"), marked(Fraction(-1, 2))]
+    # z - a for a = 0, 1, -1/2, 2
+    factors = {0: Z, 1: Z - 1, Fraction(-1, 2): Z + Fraction(1, 2), 2: Z - 2}
+    rng = SeedStream("regular-on-complement")
+    seen = set()
+    for c, curve in enumerate(curves):
+        marked_factors = [factors[p.value] for p in curve.marked_points if not p.is_infinity]
+        for trial in range(40):
+            sub = rng.child(c, trial)
+            num = Poly([sub.nonzero_gauss(2, 2) for _ in range(sub.randint(1, 4))])
+            # z^k times nothing, powers of every factor, or powers of the marked ones
+            chosen = [[], list(factors.values()), marked_factors][sub.randint(0, 2)]
+            den = Z ** sub.randint(0, 3)
+            for factor in chosen:
+                den = den * factor ** sub.randint(0, 2)
+            f = RatFunc(num, den)
+            got = curve.is_regular_on_complement(f)
+            assert got == _regular_by_strip(curve, f)
+            seen.add((f._k >= 0, got))
+    # Laurent and not, regular and not, all occur
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

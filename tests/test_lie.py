@@ -18,7 +18,8 @@ from higgsres import (
     pairing,
     torus,
 )
-from higgsres.matrices import det, mat_from, mat_mul
+from higgsres.lie import dual_values
+from higgsres.matrices import det, mat_eq, mat_from, mat_mul
 from higgsres.solver import CocycleRecipe, GdotRecipe, SeedStream, random_cocycle, random_loop_algebra
 
 U = RatFunc.x()
@@ -162,6 +163,47 @@ def test_dualize_matches_running_sum(n):
                 c = rng.nonzero_gauss()
                 values[lab] = pole * c if kind == 1 else RatFunc.monomial(c, rng.randint(-2, 2))
         assert dualize(algebra, values) == _dualize_by_loop(algebra, values)
+
+
+def _entry(rng):
+    """Zero, a Laurent monomial c u^m, or c / (u - 1), which is not Laurent."""
+    kind = rng.randint(0, 3)
+    if not kind:
+        return RatFunc.const(0)
+    c = rng.nonzero_gauss()
+    return RatFunc(1, Poly([-1, 1])) * c if kind == 1 else RatFunc.monomial(c, rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dual_values_inverts_dualize(n):
+    algebra = MatrixLieAlgebra.sl(n)
+    rng = SeedStream("dual-values", n)
+    for trial in range(10):
+        values = [_entry(rng) for _ in algebra.labels]
+        phi = dualize(algebra, dict(zip(algebra.labels, values)))
+        assert dual_values(algebra, phi.mat) == values
+        # and on traceless matrices the other way round
+        mat = algebra.combination([_entry(rng) for _ in algebra.labels])
+        back = dualize(algebra, dict(zip(algebra.labels, dual_values(algebra, mat))))
+        assert mat_eq(back.mat, mat)
+        # the pairings of each basis element, read by the trace
+        for lab, v in zip(algebra.labels, dual_values(algebra, mat)):
+            assert v == pairing(algebra.coadjoint(mat), algebra.basis_element(lab))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_with_trace_is_not_dualized_from_any_values(n):
+    algebra = MatrixLieAlgebra.sl(n)
+    rng = SeedStream("dual-values-trace", n)
+    for trial in range(5):
+        rows = [list(row) for row in algebra.combination([_entry(rng) for _ in algebra.labels])]
+        rows[trial % n][trial % n] = rows[trial % n][trial % n] + rng.nonzero_gauss() * U ** -1
+        mat = tuple(tuple(row) for row in rows)
+        assert algebra.expand_in_basis(mat) is None
+        # dualize lands on traceless matrices, so its nearest try differs from mat
+        back = dualize(algebra, dict(zip(algebra.labels, dual_values(algebra, mat))))
+        assert algebra.expand_in_basis(back.mat) is not None
+        assert not mat_eq(back.mat, mat)
 
 
 def test_group_element_determinant_enforced():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from helpers import gauge_transform_y_point, gauge_transform_y_tangent
 
 from higgsres import (
     GaussRat,
@@ -19,11 +20,10 @@ from higgsres import (
     builtin_rep,
     cartan_check,
     elementary,
-    gauge_transform_y_point,
-    gauge_transform_y_tangent,
     higgs_from_y,
     identity_check,
     liouville_lambda,
+    load_scenario,
     make_higgs_point,
     make_higgs_tangent,
     make_y_point,
@@ -46,6 +46,7 @@ from higgsres.solver import (
     sample_affine,
     sample_vector,
 )
+from higgsres.suites import build_instance
 
 U = RatFunc.x()
 HALF = GaussRat(Fraction(1, 2))
@@ -312,6 +313,34 @@ def test_identity_detects_corruption(base_point, rep):
     assert validate_y_tangent(bad)
     report = identity_check(base_point, bad, t2)
     assert not report.ok
+
+
+def test_unchecked_tangent_forms_the_validated_actions(fixtures_dir):
+    scenario = load_scenario(str(fixtures_dir / "f3.json"))
+    one = RatFunc.const(1)
+    nonzero = 0
+    for trial in range(2):
+        inst = build_instance(scenario, SeedStream("unchecked-actions").child(trial))
+        for t in inst.tangents:
+            # the corruption leaves base and g_dot, so the actions, as they are
+            bad = [XVector([c + one for c in v.coords]) for v in t.s_prime_dot]
+            for s_prime_dot in (t.s_prime_dot, bad):
+                raw = unchecked_y_tangent(t.base, t.g_dot, t.s_circ_dot, s_prime_dot)
+                assert raw.actions == t.actions
+            nonzero += sum(not a.is_zero() for a in t.actions)
+    assert nonzero >= 4
+
+
+def test_section_checks_reject_tangents_of_another_point(fixtures_dir):
+    scenario = load_scenario(str(fixtures_dir / "f3.json"))
+    rng = SeedStream("foreign-tangents")
+    a, b = build_instance(scenario, rng.child(0)), build_instance(scenario, rng.child(1))
+    assert identity_check(a.point, *a.tangents).ok
+    for tangents in (b.tangents, (a.tangents[0], b.tangents[1])):
+        with pytest.raises(ShapeError, match="not based"):
+            identity_check(a.point, *tangents)
+        with pytest.raises(ShapeError, match="not based"):
+            pullback_omega(a.point, *tangents)
 
 
 def test_cartan_reference_terms(zero_higgs_point, rep):

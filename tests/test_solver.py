@@ -4,12 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import sample
 from test_field import _naive_window
 
 from higgsres import (
     INFINITY,
     EmptySpace,
     GaussRat,
+    HamiltonianRep,
     Infeasible,
     LoopGroupElement,
     MarkedCurve,
@@ -318,7 +320,7 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
                 (rep.space.dim, _section_frame(curve, rep, g)),
                 (rep.algebra.dim, _higgs_frame(curve, rep.algebra, g)),
             ):
-                system = TwistedSystem(curve, candidates, dim, frame)
+                system = TwistedSystem(candidates, dim, frame)
                 want = _per_candidate_assembly(curve, candidates, dim, frame)
                 assert (system.row_keys, system.matrix) == want
                 assert system.row_keys
@@ -382,7 +384,7 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
     candidates = candidate_functions(curve, SolverBounds(3, 2))
     dim = rep.space.dim
-    system = TwistedSystem(curve, candidates, dim, _section_frame(curve, rep, g))
+    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g))
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
     combined = system._combine(vec)
@@ -406,6 +408,45 @@ def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
     calls = _count_gcds(monkeypatch)
     trial(1)
     assert calls[0] == 0
+
+
+def _record_calls(monkeypatch, name):
+    """The argument tuples of every call of HamiltonianRep.<name>."""
+    calls = []
+    method = getattr(HamiltonianRep, name)
+
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(HamiltonianRep, name, recorded)
+    return calls
+
+
+def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
+    """rho(gdot_i) s'_i is formed by the tangent solve and make_y_tangent
+    only, and mu(s'_i) once per point, however many checks read them."""
+    scenario = load_scenario(str(fixtures_dir / "f3.json"))
+    rng = SeedStream("disk-values")
+    build_instance(scenario, rng.child(0))
+    actions = _record_calls(monkeypatch, "inf_action")
+    moments = _record_calls(monkeypatch, "dmoment_values")
+    inst = build_instance(scenario, rng.child(1))
+    p, (t1, t2) = inst.point, inst.tangents
+    n = scenario.curve.n_points
+    solves = 2 + inst.tangent_retries
+    assert inst.tangent_retries  # an infeasible solve is counted too
+    assert len(actions) == n * (solves + 2)
+    for t in (t1, t2):
+        for i in range(n):
+            key = (t.g_dot[i], p.s_prime[i])
+            assert sum(a is key[0] and x is key[1] for a, x in actions) == 2
+    assert not moments
+    assert pullback_omega(p, t1, t2).is_zero()
+    assert identity_check(p, t1, t2).ok
+    assert len(actions) == n * (solves + 2)
+    for s in p.s_prime:
+        assert sum(x is s and v is s for x, v in moments) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +496,14 @@ def test_sampling_determinism_and_nonzero(f1_point, rep_sl2):
     assert s1 == s2
     assert not s1.is_zero()
     assert s1 != sample_vector(space, SeedStream(43)) or True  # different seed may collide
+
+
+def test_sample_dispatches_on_the_space(f1_point, rep_sl2):
+    space = build_section_space(f1_point.curve, rep_sl2, f1_point.g, BOUNDS)
+    assert sample(space, 7) == sample_vector(space, SeedStream("sample", 7))
+    assert sample(space.basis, SeedStream(3)) == sample_vector(space.basis, SeedStream(3))
+    tangents = build_tangent_space(f1_point, [rep_sl2.algebra.basis_element("F")], BOUNDS)
+    assert sample(tangents, 7) == sample_affine(tangents, SeedStream("sample", 7))
 
 
 def test_sampling_empty_space_raises(curve_one_point, rep_sl2):

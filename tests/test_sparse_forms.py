@@ -215,6 +215,28 @@ def test_sparse_forms_match_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(REPS))
+def test_moment_values_are_half_the_dmoment_values(name):
+    rep = REPS[name]()
+    algebra = rep.algebra
+    half = GaussRat(1) / 2
+    nonzero = 0
+    for trial in range(8):
+        rng = SeedStream("moment-values", name, trial)
+        laurent = trial % 2 == 0
+        x, v = _vector(rep, rng, laurent), _vector(rep, rng, laurent)
+        values = rep.moment_values(x)
+        assert values == [c * half for c in rep.dmoment_values(x, x)]
+        assert rep.moment(x) == dualize(algebra, dict(zip(algebra.labels, values)))
+        dvalues = rep.dmoment_values(x, v)
+        assert rep.dmoment(x, v) == dualize(algebra, dict(zip(algebra.labels, dvalues)))
+        # <dmu_x(v), xi_a> = omega(rho(xi_a) x, v), densely
+        for lab, got in zip(algebra.labels, dvalues):
+            assert got == dense_pair(rep.space, XVector(mat_vec(rep.rho[lab], x.coords)), v)
+        nonzero += any(not c.is_zero() for c in values)
+    assert nonzero >= 4
+
+
+@pytest.mark.parametrize("name", sorted(REPS))
 def test_sparse_forms_keep_their_errors(name):
     rep = REPS[name]()
     dim = rep.space.dim
