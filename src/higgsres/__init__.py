@@ -26,7 +26,6 @@ from .errors import (
 from .field import (
     GaussRat,
     Jet2,
-    Poly,
     RatFunc,
     format_gauss,
     parse_gauss,
@@ -45,7 +44,6 @@ from .lie import (
     LoopGroupElement,
     MatrixLieAlgebra,
     bracket,
-    coadjoint_transition,
     dualize,
     elementary,
     pairing,

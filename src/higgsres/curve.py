@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _kernels as K
 from .errors import ValidationError
-from .field import Poly, RatFunc
+from .field import RatFunc
 from .residues import INFINITY, LocalChart, OneForm, P1Point, local_coordinate, localize
 
 
@@ -34,15 +35,16 @@ class CurveReport:
         return not self.violations
 
 
-def _strip_marked_factors(poly: Poly, points) -> Poly:
-    """poly with every factor (z - a), a a finite marked point, divided out."""
+def _strip_marked_factors(poly: list, points) -> list:
+    """The kernel polynomial poly with every factor (z - a), a a finite
+    marked point, divided out."""
     for p in points:
         if p.is_infinity:
             continue
-        z_minus_a = Poly([-p.value, 1])
-        while poly.degree() >= 1:
-            q, r = divmod(poly, z_minus_a)
-            if not r.is_zero():
+        z_minus_a = [K.gq_neg(p.value._t), K.GQ_ONE]
+        while len(poly) > 1:
+            q, r = K.p_divmod(poly, z_minus_a)
+            if r:
                 break
             poly = q
     return poly
@@ -115,7 +117,7 @@ class MarkedCurve:
             return True
         k = f._k
         finite_ok = k == 0 or (k > 0 and self._zero_marked)
-        if not finite_ok and _strip_marked_factors(f.den, self.marked_points).degree() >= 1:
+        if not finite_ok and len(_strip_marked_factors(f._d, self.marked_points)) > 1:
             return False
         if INFINITY not in self.marked_points:
             v = LocalChart(INFINITY).pull(f).valuation()
@@ -137,12 +139,12 @@ def curve_validate(curve: MarkedCurve) -> CurveReport:
         return report
 
     # zeros and poles of alpha away from the marked set
-    for poly, what in ((coeff.num, "zero"), (coeff.den, "pole")):
-        remaining = _strip_marked_factors(poly, curve.marked_points)
-        if remaining.degree() >= 1:
+    for poly, what in ((coeff._n, "zero"), (coeff._d, "pole")):
+        degree = len(_strip_marked_factors(poly, curve.marked_points)) - 1
+        if degree >= 1:
             report.violations.append(
                 f"alpha has a {what} away from the marked points "
-                f"(unaccounted factor of degree {remaining.degree()})"
+                f"(unaccounted factor of degree {degree})"
             )
     if INFINITY not in curve.marked_points:
         v = localize(curve.alpha, INFINITY).valuation()

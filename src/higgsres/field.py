@@ -1,12 +1,15 @@
-"""Exact arithmetic foundation: Q(i), polynomials, rational functions.
+"""Exact arithmetic foundation: Q(i) and rational functions over it.
 
 Everything downstream (residues, Lie brackets, moment maps, the symplectic
-pairings) is expressed in terms of four value types defined here:
+pairings) is expressed in terms of three value types defined here:
 
   GaussRat      a + b*i with a, b arbitrary-precision rationals
-  Poly          dense polynomial over GaussRat, no trailing zeros
-  RatFunc       reduced num/den pair with monic denominator
+  RatFunc       reduced num/den pair with monic denominator; a
+                polynomial is one with denominator 1
   Jet2          v + e1*d1 + e2*d2 + e1*e2*d12 with e1^2 = e2^2 = 0
+
+Numerators and denominators are dense kernel coefficient lists, low to
+high with no trailing zeros (see ``_kernels``).
 
 The canonical forms make equality syntactic: two rational functions are
 equal iff their reduced representations coincide, so every identity check
@@ -37,7 +40,7 @@ are implemented at the bottom of the module.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from . import _kernels as K
 from .errors import NotInvertible, ParseError, ZeroDenominator
@@ -186,193 +189,14 @@ GQ_I = GaussRat.from_triple(K.GQ_I)
 _SCALARS = (int, Fraction, GaussRat)
 
 
-class Poly:
-    """Dense polynomial over Q(i); coefficient list carries no trailing zeros."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        self._c = K.p_norm([_triple_from(GaussRat(c)) for c in coeffs])
-
-    @classmethod
-    def _raw(cls, kcoeffs: list) -> "Poly":
-        self = object.__new__(cls)
-        self._c = kcoeffs
-        return self
-
-    @classmethod
-    def const(cls, c: ScalarLike) -> "Poly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(GaussRat.from_triple(t) for t in self._c)
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial mapped to -1."""
-        return len(self._c) - 1
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def valuation(self) -> int | None:
-        """Order of vanishing at 0; None for the zero polynomial."""
-        for k, t in enumerate(self._c):
-            if not K.gq_is_zero(t):
-                return k
-        return None
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other._c
-        if isinstance(other, (int, Fraction, GaussRat)):
-            t = _triple_from(GaussRat(other))
-            return [] if K.gq_is_zero(t) else [t]
-        return None
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return Poly._raw(K.p_add(self._c, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return Poly._raw(K.p_sub(self._c, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return Poly._raw(K.p_sub(c, self._c))
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly._raw(K.p_mul(self._c, other._c))
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return Poly._raw(K.p_scale(_triple_from(GaussRat(other)), self._c))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Poly._raw(K.p_neg(self._c))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        acc = Poly._raw([K.GQ_ONE])
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def __divmod__(self, other: "Poly"):
-        q, r = K.p_divmod(self._c, other._c)
-        return Poly._raw(q), Poly._raw(r)
-
-    def __floordiv__(self, other: "Poly"):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly"):
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "Poly") -> "Poly":
-        return Poly._raw(K.p_gcd(self._c, other._c))
-
-    def eval(self, c: ScalarLike) -> GaussRat:
-        return GaussRat.from_triple(K.p_eval(self._c, _triple_from(GaussRat(c))))
-
-    def shift(self, t: ScalarLike) -> "Poly":
-        """Coefficients of p(x + t)."""
-        return Poly._raw(K.p_shift(self._c, _triple_from(GaussRat(t))))
-
-    def reversed(self, degree: int | None = None) -> "Poly":
-        """x^degree * p(1/x); degree defaults to deg p."""
-        d = self.degree() if degree is None else degree
-        if d < self.degree():
-            raise ValueError("reversal degree below polynomial degree")
-        out = [K.GQ_ZERO] * (d + 1)
-        for k, t in enumerate(self._c):
-            out[d - k] = t
-        return Poly._raw(K.p_norm(out))
-
-    def derivative(self) -> "Poly":
-        out = []
-        for k in range(1, len(self._c)):
-            out.append(K.gq_mul((k, 0, 1), self._c[k]))
-        return Poly._raw(K.p_norm(out))
-
-    def __eq__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return self._c == c
-
-    def __hash__(self):
-        return hash(tuple(self._c))
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __str__(self):
-        return self.to_text("z")
-
-    def to_text(self, var: str) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for k in range(len(self._c) - 1, -1, -1):
-            t = self._c[k]
-            if K.gq_is_zero(t):
-                continue
-            g = GaussRat.from_triple(t)
-            txt = format_gauss(g)
-            needs_parens = ("+" in txt[1:]) or ("-" in txt[1:])
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = var
-            else:
-                mono = f"{var}^{k}"
-            if mono:
-                if txt == "1":
-                    term = mono
-                elif txt == "-1":
-                    term = f"-{mono}"
-                elif needs_parens:
-                    term = f"({txt})*{mono}"
-                else:
-                    term = f"{txt}*{mono}"
-            else:
-                term = txt
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
-
-    def __repr__(self):
-        return f"Poly({self.to_text('z')!r})"
-
-
 class RatFunc:
     """A reduced rational function num/den with monic denominator.
 
     The representation is canonical, so ``==`` is exact function equality.
     The variable is positional: values do not remember a variable name,
     and call sites must not mix germs written in different coordinates.
+    ``num`` and ``den`` are each a scalar or a coefficient sequence, low
+    to high: ``RatFunc([c0, c1])`` is the polynomial c0 + c1*x.
 
     When both operands have a denominator u^k (a Laurent polynomial), the
     operators build the reduced result directly from the numerators (see
@@ -387,11 +211,9 @@ class RatFunc:
     __slots__ = ("_n", "_d", "_k")
 
     def __init__(self, num, den=1):
-        num = num if isinstance(num, Poly) else _as_poly(num)
-        den = den if isinstance(den, Poly) else _as_poly(den)
-        if den.is_zero():
+        n, d = _kernel_coeffs(num), _kernel_coeffs(den)
+        if not d:
             raise ZeroDenominator("rational function with zero denominator")
-        n, d = num._c, den._c
         if not n:
             self._n, self._d, self._k = [], [K.GQ_ONE], 0
             return
@@ -431,12 +253,14 @@ class RatFunc:
         return cls._raw([c._t], [K.GQ_ZERO] * -m + [K.GQ_ONE])
 
     @property
-    def num(self) -> Poly:
-        return Poly._raw(list(self._n))
+    def num(self) -> tuple:
+        """The numerator's coefficients as GaussRat, low to high."""
+        return tuple(GaussRat.from_triple(t) for t in self._n)
 
     @property
-    def den(self) -> Poly:
-        return Poly._raw(list(self._d))
+    def den(self) -> tuple:
+        """The monic denominator's coefficients as GaussRat, low to high."""
+        return tuple(GaussRat.from_triple(t) for t in self._d)
 
     def is_zero(self) -> bool:
         return not self._n
@@ -454,8 +278,6 @@ class RatFunc:
             return other
         if isinstance(other, _SCALARS):
             return RatFunc.const(other)
-        if isinstance(other, Poly):
-            return RatFunc._raw(list(other._c), [K.GQ_ONE])
         return None
 
     def __add__(self, other):
@@ -471,9 +293,9 @@ class RatFunc:
             n1, n2, k = _pad(self._n, k1, o._n, k2)
             return _laurent(K.p_add(n1, n2), k)
         if self._d == o._d:
-            return RatFunc(Poly._raw(K.p_add(self._n, o._n)), Poly._raw(self._d))
+            return RatFunc(K.p_add(self._n, o._n), self._d)
         n = K.p_add(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
-        return RatFunc(Poly._raw(n), Poly._raw(K.p_mul(self._d, o._d)))
+        return RatFunc(n, K.p_mul(self._d, o._d))
 
     __radd__ = __add__
 
@@ -490,9 +312,9 @@ class RatFunc:
             n1, n2, k = _pad(self._n, k1, o._n, k2)
             return _laurent(K.p_sub(n1, n2), k)
         if self._d == o._d:
-            return RatFunc(Poly._raw(K.p_sub(self._n, o._n)), Poly._raw(self._d))
+            return RatFunc(K.p_sub(self._n, o._n), self._d)
         n = K.p_sub(K.p_mul(self._n, o._d), K.p_mul(o._n, self._d))
-        return RatFunc(Poly._raw(n), Poly._raw(K.p_mul(self._d, o._d)))
+        return RatFunc(n, K.p_mul(self._d, o._d))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -521,9 +343,7 @@ class RatFunc:
             return self._scaled(o._n[0])
         if k1 == 0 and len(self._n) == 1:
             return o._scaled(self._n[0])
-        return RatFunc(
-            Poly._raw(K.p_mul(self._n, o._n)), Poly._raw(K.p_mul(self._d, o._d))
-        )
+        return RatFunc(K.p_mul(self._n, o._n), K.p_mul(self._d, o._d))
 
     __rmul__ = __mul__
 
@@ -543,9 +363,7 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         if o._k >= 0 and _u_power(o._n) >= 0:
             return self * o.inverse()
-        return RatFunc(
-            Poly._raw(K.p_mul(self._n, o._d)), Poly._raw(K.p_mul(self._d, o._n))
-        )
+        return RatFunc(K.p_mul(self._n, o._d), K.p_mul(self._d, o._n))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -573,7 +391,7 @@ class RatFunc:
             return RatFunc._raw(
                 [K.GQ_ZERO] * k + [K.gq_inv(self._n[m])], [K.GQ_ZERO] * m + [K.GQ_ONE]
             )
-        return RatFunc(Poly._raw(list(self._d)), Poly._raw(list(self._n)))
+        return RatFunc(self._d, self._n)
 
     def __pow__(self, n: int):
         m, k = _u_power(self._n), self._k
@@ -640,18 +458,12 @@ class RatFunc:
             if k >= dn:
                 return RatFunc._raw([K.GQ_ZERO] * (k - dn) + rev, [K.GQ_ONE])
             return RatFunc._raw(rev, [K.GQ_ZERO] * (dn - k) + [K.GQ_ONE])
-        num = Poly._raw(list(self._n)).reversed()
-        den = Poly._raw(list(self._d)).reversed()
-        mono = [K.GQ_ZERO] * abs(dd - dn) + [K.GQ_ONE]
+        # n(1/u) / d(1/u) = u^(dd - dn) * rev(n) / rev(d)
+        num, den = K.p_norm(self._n[::-1]), K.p_norm(self._d[::-1])
+        shift = [K.GQ_ZERO] * abs(dd - dn)
         if dd >= dn:
-            num = Poly._raw(K.p_mul(num._c, mono))
-        else:
-            den = Poly._raw(K.p_mul(den._c, mono))
-        return RatFunc(num, den)
-
-    def derivative(self) -> "RatFunc":
-        n, d = Poly._raw(list(self._n)), Poly._raw(list(self._d))
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
+            return RatFunc(shift + num, den)
+        return RatFunc(num, shift + den)
 
     def laurent_coefficient(self, k: int) -> GaussRat:
         """The coefficient of x^k in the expansion at 0; exact."""
@@ -691,12 +503,11 @@ class RatFunc:
         return self.to_text("z")
 
     def to_text(self, var: str) -> str:
-        num = Poly._raw(list(self._n))
+        ntxt = _poly_text(self._n, var)
         if self._d == [K.GQ_ONE]:
-            return num.to_text(var)
-        ntxt = num.to_text(var)
-        dtxt = Poly._raw(list(self._d)).to_text(var)
-        if len(num._c) > 1 or ("+" in ntxt[1:]) or ("-" in ntxt[1:]):
+            return ntxt
+        dtxt = _poly_text(self._d, var)
+        if len(self._n) > 1 or ("+" in ntxt[1:]) or ("-" in ntxt[1:]):
             ntxt = f"({ntxt})"
         if len(self._d) > 1:
             dtxt = f"({dtxt})"
@@ -704,6 +515,52 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.to_text('z')!r})"
+
+
+def _kernel_coeffs(value) -> list:
+    """The kernel coefficient list of a polynomial given as a scalar or as
+    a sequence, low to high, of scalars or kernel triples."""
+    if isinstance(value, _SCALARS):
+        t = _triple_from(value)
+        return [] if K.gq_is_zero(t) else [t]
+    if isinstance(value, (list, tuple)):
+        return K.p_norm([c if type(c) is tuple else _triple_from(c) for c in value])
+    raise TypeError(f"cannot interpret {value!r} as a polynomial")
+
+
+def _poly_text(coeffs: list, var: str) -> str:
+    """The kernel polynomial coeffs as text in var, highest power first."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        t = coeffs[k]
+        if K.gq_is_zero(t):
+            continue
+        txt = format_gauss(GaussRat.from_triple(t))
+        needs_parens = ("+" in txt[1:]) or ("-" in txt[1:])
+        if k == 0:
+            mono = ""
+        elif k == 1:
+            mono = var
+        else:
+            mono = f"{var}^{k}"
+        if mono:
+            if txt == "1":
+                term = mono
+            elif txt == "-1":
+                term = f"-{mono}"
+            elif needs_parens:
+                term = f"({txt})*{mono}"
+            else:
+                term = f"{txt}*{mono}"
+        else:
+            term = txt
+        parts.append(term)
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
 
 
 def _u_power(d: list) -> int:
@@ -766,16 +623,6 @@ def dot(terms) -> RatFunc:
     for c, x, y in items:
         acc = acc + x * y * c
     return acc
-
-
-def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction, GaussRat)):
-        return Poly([value])
-    if isinstance(value, (list, tuple)):
-        return Poly(value)
-    raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
 class Jet2:

@@ -44,7 +44,6 @@ from .matrices import (
     mat_scale,
     mat_sub,
     shape,
-    zeros,
 )
 
 _ZERO = RatFunc.const(0)
@@ -75,7 +74,6 @@ class MatrixLieAlgebra:
             + [label("F", j, k) for j, k in self._lower]
         )
         self.dim = len(self.labels)
-        self._index = {lab: k for k, lab in enumerate(self.labels)}
         self.basis: list[Matrix] = []
         for k in range(self.dim):
             coeffs = [_ZERO] * self.dim
@@ -103,11 +101,6 @@ class MatrixLieAlgebra:
         return out
 
     # -- queries -----------------------------------------------------------
-
-    def label_index(self, label: str) -> int:
-        if label not in self._index:
-            raise KeyError(f"{self.name} has no basis element {label!r}")
-        return self._index[label]
 
     def expand_in_basis(self, mat: Matrix) -> list[RatFunc] | None:
         """Coefficients of mat in the basis, or None if its trace is not 0.
@@ -154,14 +147,8 @@ class MatrixLieAlgebra:
     def element(self, mat) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, mat)
 
-    def basis_element(self, label: str) -> "LoopAlgebraElement":
-        return LoopAlgebraElement(self, self.basis[self.label_index(label)])
-
     def coadjoint(self, mat) -> "CoadjointElement":
         return CoadjointElement(self, mat)
-
-    def zero_element(self) -> "LoopAlgebraElement":
-        return LoopAlgebraElement(self, zeros(self.n, self.n))
 
     def __repr__(self):
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
@@ -317,14 +304,6 @@ def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
         raise ShapeError("pairing of differently sized matrices")
     pairs = zip(phi.mat, zip(*xi.mat))
     return dot((GQ_ONE, x, y) for row, col in pairs for x, y in zip(row, col))
-
-
-def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> CoadjointElement:
-    """g^-1 phi g (the pinned transition convention for dual values)."""
-    if g.n != phi.algebra.n:
-        raise ShapeError("group element and coadjoint value sizes differ")
-    ginv = g.inverse()
-    return CoadjointElement(phi.algebra, mat_mul(mat_mul(ginv.mat, phi.mat), g.mat))
 
 
 def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:

@@ -175,12 +175,12 @@ def form_poles(form: OneForm) -> list[P1Point]:
     if coeff.is_zero():
         return poles
     den = coeff.den
-    if den.degree() >= 1:
+    if len(den) > 1:
         roots, cofactor = gaussian_rational_roots(den)
-        if cofactor.degree() >= 1:
+        if len(cofactor) > 1:
             raise UnsupportedDenominator(
                 "denominator does not split into linear factors over Q(i): "
-                f"left irreducible cofactor of degree {cofactor.degree()}"
+                f"left irreducible cofactor of degree {len(cofactor) - 1}"
             )
         for r, _mult in roots:
             poles.append(P1Point.finite(r))

@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .field import GaussRat, Poly
+from . import _kernels as K
+from .field import GaussRat
 
 ZI = tuple  # Gaussian integer as an (a, b) int pair
 
@@ -211,16 +212,13 @@ _UNITS = (
 )
 
 
-def _integerize(p: Poly) -> list[ZI]:
-    """Scale p by a positive rational so all coefficients land in Z[i]."""
+def _integerize(p: list) -> list[ZI]:
+    """Scale the kernel polynomial p by a positive rational so all
+    coefficients land in Z[i] with no common integer factor."""
     lcm = 1
-    for c in p.coeffs:
-        for f in (c.re, c.im):
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    out = []
-    for c in p.coeffs:
-        re, im = c.re * lcm, c.im * lcm
-        out.append((int(re), int(im)))
+    for _, _, d in p:
+        lcm = lcm * d // gcd(lcm, d)
+    out = [(a * (lcm // d), b * (lcm // d)) for a, b, d in p]
     content = 0
     for a, b in out:
         content = gcd(content, gcd(a, b))
@@ -229,21 +227,25 @@ def _integerize(p: Poly) -> list[ZI]:
     return out
 
 
-def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussRat, int]], Poly]:
-    """All Q(i) roots of p with multiplicities, plus the unsplit cofactor.
+def gaussian_rational_roots(coeffs) -> tuple[list[tuple[GaussRat, int]], tuple]:
+    """All Q(i) roots of a polynomial with multiplicities, plus the
+    unsplit cofactor.
 
-    The cofactor is constant exactly when p splits into linear factors
-    over Q(i).  p must be nonzero.
+    The polynomial and the cofactor are coefficient sequences, low to
+    high; the cofactor is a tuple of GaussRat, of length 1 exactly when
+    the polynomial splits into linear factors over Q(i).  The polynomial
+    must be nonzero.
     """
-    if p.is_zero():
+    p = K.p_norm([GaussRat(c)._t for c in coeffs])
+    if not p:
         raise ValueError("roots of the zero polynomial")
     roots: list[tuple[GaussRat, int]] = []
-    val = p.valuation()
+    val = next(k for k, t in enumerate(p) if not K.gq_is_zero(t))
     if val:
         roots.append((GaussRat(0), val))
-        p = Poly(p.coeffs[val:])
-    if p.degree() < 1:
-        return roots, p
+        p = p[val:]
+    if len(p) < 2:
+        return roots, tuple(GaussRat.from_triple(t) for t in p)
     zi_coeffs = _integerize(p)
     trailing = zi_coeffs[0]
     leading = zi_coeffs[-1]
@@ -259,14 +261,13 @@ def gaussian_rational_roots(p: Poly) -> tuple[list[tuple[GaussRat, int]], Poly]:
                 if r._t not in seen:
                     seen.add(r._t)
                     candidates.append(r)
-    x = Poly.x()
     for r in candidates:
-        if p.degree() < 1:
+        if len(p) < 2:
             break
         mult = 0
-        while p.degree() >= 1 and p.eval(r).is_zero():
-            p = (p // (x - r))
+        while len(p) > 1 and K.gq_is_zero(K.p_eval(p, r._t)):
+            p = K.p_divmod(p, [K.gq_neg(r._t), K.GQ_ONE])[0]
             mult += 1
         if mult:
             roots.append((r, mult))
-    return roots, p
+    return roots, tuple(GaussRat.from_triple(t) for t in p)

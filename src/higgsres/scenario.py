@@ -268,8 +268,9 @@ def _parse_suite(block: Any, path: str) -> SuiteRecipe:
     def integer(key, value, location):
         if not _is_int(value):
             raise ParseError(f"{key} must be an integer", location)
-        # attempt counts and denominators must be positive, the rest non-negative
-        minimum = 1 if key in ("max_attempts", "max_den", "sample_den") else 0
+        # attempt counts, denominators and the numerator bound of the
+        # non-zero draws must be positive, the rest non-negative
+        minimum = 1 if key in ("max_attempts", "max_den", "max_num", "sample_den") else 0
         if value < minimum:
             raise ValidationError(f"{location} must be at least {minimum}, got {value}")
         return value

@@ -48,7 +48,7 @@ from typing import Sequence
 from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
-from .field import GaussRat, Poly, RatFunc, dot
+from .field import GaussRat, RatFunc, dot
 from .hamiltonian import XVector
 from .lie import (
     CoadjointElement,
@@ -147,17 +147,6 @@ class CandidateSpace:
     def size(self) -> int:
         return len(self.functions)
 
-    def monomial_vectors(self, dim: int) -> list:
-        """The monomial XVector basis (unit slot times scalar candidate),
-        in the column order used by the linear systems."""
-        out = []
-        for slot in range(dim):
-            for f in self.functions:
-                coords = [RatFunc.const(0)] * dim
-                coords[slot] = f
-                out.append(XVector(coords))
-        return out
-
 
 def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSpace:
     """The monomial basis z^t / prod (z - a_j)^pole_order, built once per
@@ -165,21 +154,15 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
     space = curve.candidate_spaces.get(bounds)
     if space is not None:
         return space
-    den = Poly([1])
+    den = [K.GQ_ONE]
     for p in curve.marked_points:
-        if p.is_infinity:
-            continue
-        factor = Poly([-p.value, 1]) ** bounds.pole_order
-        den = den * factor
-    t_max = den.degree()
+        if not p.is_infinity:
+            for _ in range(bounds.pole_order):
+                den = K.p_mul(den, [K.gq_neg(p.value._t), K.GQ_ONE])
+    t_max = len(den) - 1
     if any(p.is_infinity for p in curve.marked_points):
         t_max += bounds.degree
-    x = Poly.x()
-    functions = []
-    mono = Poly([1])
-    for _ in range(t_max + 1):
-        functions.append(RatFunc(mono, den))
-        mono = mono * x
+    functions = [RatFunc([K.GQ_ZERO] * t + [K.GQ_ONE], den) for t in range(t_max + 1)]
     size = len(functions)
     disks = []
     for i, p in enumerate(curve.marked_points):

@@ -20,10 +20,7 @@ from .errors import Infeasible
 from .field import GQ_ZERO, GaussRat, RatFunc
 from .hamiltonian import XVector
 from .moduli import (
-    HiggsPoint,
-    HiggsTangent,
     YPoint,
-    YTangent,
     ambient_higgs_tangent,
     higgs_from_y,
     identity_check,
@@ -298,8 +295,16 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
         violations = validate_y_tangent(corrupted)
         # evaluate the pairing on the corrupted data without re-validation
         h = higgs_from_y(inst.point)
-        h1 = _raw_pushforward(corrupted, h)
-        h2 = _raw_pushforward(t2, h)
+        rep = inst.point.rep
+        h1, h2 = (
+            ambient_higgs_tangent(
+                h,
+                y.g_dot,
+                rep.dmoment(y.base.s_circ, y.s_circ_dot),
+                [rep.dmoment(s, sd) for s, sd in zip(y.base.s_prime, y.s_prime_dot)],
+            )
+            for y in (corrupted, t2)
+        )
         omega = symplectic_omega(h, h1, h2)
         records.append(
             CorruptRecord(
@@ -315,17 +320,3 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
         )
     return records
 
-
-def _raw_pushforward(t: YTangent, h: HiggsPoint) -> HiggsTangent:
-    """dmu-image of tangent data without the cocycle consistency re-check.
-
-    Only the corrupt suite uses this: corrupted data must still be
-    evaluated to show the pairing detects it.
-    """
-    rep = t.base.rep
-    phi_circ_dot = rep.dmoment(t.base.s_circ, t.s_circ_dot)
-    phi_prime_dot = [
-        rep.dmoment(t.base.s_prime[i], t.s_prime_dot[i])
-        for i in range(t.base.curve.n_points)
-    ]
-    return HiggsTangent(h, t.g_dot, phi_circ_dot, phi_prime_dot)

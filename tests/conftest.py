@@ -11,7 +11,6 @@ from higgsres import (
     MarkedCurve,
     OneForm,
     P1Point,
-    Poly,
     RatFunc,
     builtin_rep,
     torus,
@@ -39,7 +38,7 @@ def curve_two_points() -> MarkedCurve:
 
     return MarkedCurve(
         [P1Point.finite(0), INFINITY],
-        OneForm(RatFunc(1, Poly([0, 0, 1]))),
+        OneForm(RatFunc(1, [0, 0, 1])),
         {P1Point.finite(0): RatFunc.x(), INFINITY: RatFunc.const(GaussRat(0, 1))},
     )
 

@@ -1,12 +1,16 @@
-"""Test-only builders: constant gauge transport of section data, and seeded sampling."""
+"""Test-only builders: constant gauge transport of section data, seeded
+sampling, named Lie-algebra elements, monomial candidate vectors and the
+coadjoint transition."""
 
 from __future__ import annotations
 
+from higgsres.errors import ShapeError
+from higgsres.field import RatFunc
 from higgsres.hamiltonian import XVector
-from higgsres.lie import LoopAlgebraElement, LoopGroupElement
-from higgsres.matrices import mat_mul, mat_vec
+from higgsres.lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra
+from higgsres.matrices import mat_mul, mat_vec, zeros
 from higgsres.moduli import YPoint, YTangent, make_y_point, make_y_tangent
-from higgsres.solver import AffineSpace, SeedStream, sample_affine, sample_vector
+from higgsres.solver import AffineSpace, CandidateSpace, SeedStream, sample_affine, sample_vector
 
 
 def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
@@ -42,3 +46,37 @@ def sample(space, seed, max_num: int = 2, max_den: int = 2):
     if isinstance(space, AffineSpace):
         return sample_affine(space, rng, max_num, max_den)
     return sample_vector(space, rng, max_num, max_den)
+
+
+def label_index(algebra: MatrixLieAlgebra, label: str) -> int:
+    if label not in algebra.labels:
+        raise KeyError(f"{algebra.name} has no basis element {label!r}")
+    return algebra.labels.index(label)
+
+
+def basis_element(algebra: MatrixLieAlgebra, label: str) -> LoopAlgebraElement:
+    return LoopAlgebraElement(algebra, algebra.basis[label_index(algebra, label)])
+
+
+def zero_element(algebra: MatrixLieAlgebra) -> LoopAlgebraElement:
+    return LoopAlgebraElement(algebra, zeros(algebra.n, algebra.n))
+
+
+def monomial_vectors(space: CandidateSpace, dim: int) -> list:
+    """The monomial XVector basis (unit slot times scalar candidate),
+    in the column order used by the linear systems."""
+    out = []
+    for slot in range(dim):
+        for f in space.functions:
+            coords = [RatFunc.const(0)] * dim
+            coords[slot] = f
+            out.append(XVector(coords))
+    return out
+
+
+def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> CoadjointElement:
+    """g^-1 phi g (the pinned transition convention for dual values)."""
+    if g.n != phi.algebra.n:
+        raise ShapeError("group element and coadjoint value sizes differ")
+    ginv = g.inverse()
+    return CoadjointElement(phi.algebra, mat_mul(mat_mul(ginv.mat, phi.mat), g.mat))

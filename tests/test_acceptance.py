@@ -12,20 +12,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import basis_element, coadjoint_transition, zero_element
 
 from higgsres import (
     GaussRat,
     Jet2,
     LoopGroupElement,
     OneForm,
-    Poly,
     RatFunc,
     XVector,
     ambient_higgs_tangent,
     bracket,
     builtin_rep,
     cartan_check,
-    coadjoint_transition,
     liouville_lambda,
     make_higgs_point,
     pairing,
@@ -107,7 +106,7 @@ def test_acceptance_03_residue_theorem():
             for k in range(1, sub.randint(1, 2) + 1):
                 c = sub.gauss(3, 2)
                 if not c.is_zero():
-                    coeff = coeff + RatFunc(Poly([c]), Poly([-r, 1]) ** k)
+                    coeff = coeff + RatFunc(c) / RatFunc([-r, 1]) ** k
         if coeff.is_zero():
             continue
         if not residue_sum(OneForm(coeff)).is_zero():
@@ -176,7 +175,7 @@ def test_acceptance_04_hamiltonian_identities(rep_name):
                         if not omega_row[j].is_zero():
                             col = col + Jet2(omega_row[j]) * jets[j]
                     acc = acc + row * col
-            if (half * acc).d1 != pairing(dm, alg.basis_element(lab)):
+            if (half * acc).d1 != pairing(dm, basis_element(alg, lab)):
                 ok = False
     _announce(4, f"hamiltonian identities [{rep_name}]", ok)
 
@@ -222,9 +221,9 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
     hp = make_higgs_point(curve_one_point, sl2, bundle, zero)
     from higgsres import make_higgs_tangent
 
-    t1 = make_higgs_tangent(hp, [U.inverse() * sl2.basis_element("F")], zero)
-    t2 = make_higgs_tangent(hp, [sl2.zero_element()], sl2.coadjoint(sl2.basis[0]))
-    trace_ef = pairing(sl2.coadjoint(sl2.basis[0]), sl2.basis_element("F"))
+    t1 = make_higgs_tangent(hp, [U.inverse() * basis_element(sl2, "F")], zero)
+    t2 = make_higgs_tangent(hp, [zero_element(sl2)], sl2.coadjoint(sl2.basis[0]))
+    trace_ef = pairing(sl2.coadjoint(sl2.basis[0]), basis_element(sl2, "F"))
     assert trace_ef == RatFunc.const(1)
     oracle_omega = -(U.inverse() * trace_ef).laurent_coefficient(-1)
     assert oracle_omega == GaussRat(-1)
@@ -236,7 +235,7 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
     phi = GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
     lp = make_higgs_point(curve_one_point, sl2, bundle, phi)
     lt = ambient_higgs_tangent(
-        lp, [U.inverse() * sl2.basis_element("F")], zero, [zero]
+        lp, [U.inverse() * basis_element(sl2, "F")], zero, [zero]
     )
     oracle_lambda = (
         GaussRat(Fraction(-1, 2)) * (U.inverse() * trace_ef).laurent_coefficient(-1)

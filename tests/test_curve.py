@@ -10,7 +10,6 @@ from higgsres import (
     MarkedCurve,
     OneForm,
     P1Point,
-    Poly,
     RatFunc,
     ValidationError,
     curve_validate,
@@ -23,20 +22,20 @@ from higgsres.residues import LocalChart
 from higgsres.solver import SeedStream
 
 U = RatFunc.x()
-Z = Poly.x()
+Z = RatFunc.x()
 
 
 def test_one_point_curve_valid(curve_one_point):
     report = curve_validate(curve_one_point)
     assert report.ok, report.violations
     # alpha = -dz localizes to +u^-2 du at infinity, matching T = u
-    assert curve_one_point.alpha_local(0) == RatFunc(1, Poly([0, 0, 1]))
+    assert curve_one_point.alpha_local(0) == RatFunc(1, [0, 0, 1])
 
 
 def test_imaginary_branch_is_valid():
     # alpha = dz with T = i*u: (i*u)^-2 = -u^-2 over Q(i)
     curve = MarkedCurve(
-        [INFINITY], OneForm(RatFunc.const(1)), [RatFunc(Poly([GaussRat(0, 1)])) * U]
+        [INFINITY], OneForm(RatFunc.const(1)), [RatFunc(GaussRat(0, 1)) * U]
     )
     assert curve_validate(curve).ok
 
@@ -47,7 +46,7 @@ def test_both_transition_branches_valid(curve_one_point):
 
 
 def test_vanishing_alpha_rejected():
-    curve = MarkedCurve([INFINITY], OneForm(RatFunc(Z)), [U])
+    curve = MarkedCurve([INFINITY], OneForm(Z), [U])
     report = curve_validate(curve)
     assert not report.ok
     assert any("zero" in v for v in report.violations)
@@ -61,10 +60,10 @@ def test_wrong_transition_rejected(curve_one_point):
 
 def test_unmarked_infinity_needs_order_zero():
     # marked {0} only: alpha = dz/z^2 has order 0 at the unmarked infinity
-    good = MarkedCurve([P1Point.finite(0)], OneForm(RatFunc(1, Z * Z)), [U])
+    good = MarkedCurve([P1Point.finite(0)], OneForm(1 / (Z * Z)), [U])
     assert curve_validate(good).ok
     # alpha = dz/z leaves a simple pole at the unmarked infinity
-    bad = MarkedCurve([P1Point.finite(0)], OneForm(RatFunc(1, Z)), [U])
+    bad = MarkedCurve([P1Point.finite(0)], OneForm(1 / Z), [U])
     report = curve_validate(bad)
     assert any("inf" in v for v in report.violations)
 
@@ -72,15 +71,15 @@ def test_unmarked_infinity_needs_order_zero():
 def test_two_point_curve_valid(curve_two_points):
     report = curve_validate(curve_two_points)
     assert report.ok, report.violations
-    assert curve_two_points.alpha_local(0) == RatFunc(1, Poly([0, 0, 1]))
+    assert curve_two_points.alpha_local(0) == RatFunc(1, [0, 0, 1])
     assert curve_two_points.alpha_local(1) == RatFunc.const(-1)
 
 
 def test_local_coordinate_descriptor():
     chart = local_coordinate(P1Point.finite(3))
-    assert chart.pull(RatFunc(Z)) == RatFunc(Z + 3)
-    assert local_coordinate(INFINITY).pull(RatFunc(Z)) == RatFunc(1, Z)
-    assert local_coordinate(P1Point.finite(0)).pull(RatFunc(Z)) == RatFunc(Z)
+    assert chart.pull(Z) == Z + 3
+    assert local_coordinate(INFINITY).pull(Z) == 1 / Z
+    assert local_coordinate(P1Point.finite(0)).pull(Z) == Z
 
 
 def test_residue_theorem_for_twisted_forms(curve_two_points):
@@ -93,7 +92,7 @@ def test_residue_theorem_for_twisted_forms(curve_two_points):
         h = RatFunc.const(0)
         for k in range(-2, 3):
             c = sub.gauss(2, 2)
-            h = h + RatFunc(Poly([c])) * (RatFunc(Z) ** k if k >= 0 else RatFunc(1, Z ** (-k)))
+            h = h + RatFunc(c) * Z**k
         form = OneForm(h * curve_two_points.alpha.coeff)
         if form.coeff.is_zero():
             continue
@@ -106,7 +105,8 @@ def test_residue_theorem_for_twisted_forms(curve_two_points):
 def test_transition_consistency_survives_renormalization(curve_one_point):
     # the same transition written with a removable factor
     t = curve_one_point.transition(0)
-    messy = RatFunc(t.num * Poly([2, 1]), t.den * Poly([2, 1]))
+    assert (t.num, t.den) == ((0, 1), (1,))
+    messy = RatFunc([0, 2, 1], [2, 1])  # u as (2u + u^2)/(2 + u)
     curve = MarkedCurve([INFINITY], curve_one_point.alpha, [messy])
     assert curve_validate(curve).ok
 
@@ -128,7 +128,7 @@ def test_marked_points_compared_by_value_not_hash():
 def test_chart_constants_equal_fresh_computations(curve_one_point, curve_two_points):
     half = P1Point.finite(Fraction(-1, 2))
     # alpha = dz/(z + 1/2)^2 is 1/u^2 at -1/2 and has order 0 at infinity
-    curve_half = MarkedCurve([half], OneForm(RatFunc(1, (Z + Fraction(1, 2)) ** 2)), [U])
+    curve_half = MarkedCurve([half], OneForm(1 / (Z + Fraction(1, 2)) ** 2), [U])
     assert curve_validate(curve_half).ok
     for curve in (curve_one_point, curve_two_points, curve_half):
         for i, p in enumerate(curve.marked_points):
@@ -146,7 +146,7 @@ def _regular_by_strip(curve, f):
     """is_regular_on_complement's former body: strip the marked factors of every denominator."""
     if f.is_zero():
         return True
-    if _strip_marked_factors(f.den, curve.marked_points).degree() >= 1:
+    if len(_strip_marked_factors(f._d, curve.marked_points)) > 1:
         return False
     if INFINITY not in curve.marked_points:
         v = LocalChart(INFINITY).pull(f).valuation()
@@ -169,13 +169,13 @@ def test_regular_on_complement_matches_the_strip_path():
         marked_factors = [factors[p.value] for p in curve.marked_points if not p.is_infinity]
         for trial in range(40):
             sub = rng.child(c, trial)
-            num = Poly([sub.nonzero_gauss(2, 2) for _ in range(sub.randint(1, 4))])
+            num = RatFunc([sub.nonzero_gauss(2, 2) for _ in range(sub.randint(1, 4))])
             # z^k times nothing, powers of every factor, or powers of the marked ones
             chosen = [[], list(factors.values()), marked_factors][sub.randint(0, 2)]
             den = Z ** sub.randint(0, 3)
             for factor in chosen:
                 den = den * factor ** sub.randint(0, 2)
-            f = RatFunc(num, den)
+            f = num / den
             got = curve.is_regular_on_complement(f)
             assert got == _regular_by_strip(curve, f)
             seen.add((f._k >= 0, got))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import basis_element, coadjoint_transition
 
 from higgsres import (
     GaussRat,
@@ -13,7 +14,6 @@ from higgsres import (
     XVector,
     bracket,
     builtin_rep,
-    coadjoint_transition,
     pairing,
     rep_validate,
 )
@@ -56,9 +56,9 @@ def test_inf_action_base_cases():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
     e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
-    assert rep.inf_action(sl2.basis_element("F"), e1) == e2
-    assert rep.inf_action(sl2.basis_element("E"), e1).is_zero()
-    assert rep.inf_action(U * sl2.basis_element("H"), e1) == U * e1
+    assert rep.inf_action(basis_element(sl2, "F"), e1) == e2
+    assert rep.inf_action(basis_element(sl2, "E"), e1).is_zero()
+    assert rep.inf_action(U * basis_element(sl2, "H"), e1) == U * e1
 
 
 def test_moment_of_first_unit_vector():
@@ -109,7 +109,7 @@ def test_dmoment_of_unit_vectors_matches_bilinear_oracle():
     # oracle: omega(rho(xi) e1, e2) on the basis: E -> 0, H -> 1, F -> -...
     # rho(E)e1 = 0; rho(H)e1 = e1, omega(e1, e2) = 1; rho(F)e1 = e2, omega(e2,e2)=0
     for lab, want in (("E", 0), ("H", 1), ("F", 0)):
-        assert pairing(got, sl2.basis_element(lab)) == RatFunc.const(want)
+        assert pairing(got, basis_element(sl2, lab)) == RatFunc.const(want)
 
 
 def test_equivariance(rep):
@@ -173,7 +173,7 @@ def test_dmoment_is_jet_derivative_of_moment(rep):
                 if not omega[i][j].is_zero():
                     total = total + rx[i] * Jet2(omega[i][j]) * jet_coords[j]
         value = Jet2(RatFunc.const(half)) * total
-        assert value.d1 == pairing(dm, rep.algebra.basis_element(lab))
+        assert value.d1 == pairing(dm, basis_element(rep.algebra, lab))
 
 
 def test_standard_rep_rejected_for_higher_rank():

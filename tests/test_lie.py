@@ -1,6 +1,7 @@
 """Lie algebra structure, pairings, and transition actions."""
 
 import pytest
+from helpers import basis_element, coadjoint_transition, zero_element
 
 from higgsres import (
     CoadjointElement,
@@ -8,12 +9,10 @@ from higgsres import (
     LoopGroupElement,
     MatrixLieAlgebra,
     NotInAlgebra,
-    Poly,
     RatFunc,
     ShapeError,
     ValidationError,
     bracket,
-    coadjoint_transition,
     dualize,
     pairing,
     torus,
@@ -36,7 +35,7 @@ def sl3():
 
 
 def test_sl2_defining_relations(sl2):
-    E, H, F = (sl2.basis_element(l) for l in "EHF")
+    E, H, F = (basis_element(sl2, l) for l in "EHF")
     assert bracket(E, F) == H
     assert bracket(H, E) == 2 * E
     assert bracket(H, F) == (-2) * F
@@ -53,18 +52,18 @@ def test_structure_constants_computed_on_first_read():
 
 def test_bracket_with_loop_coefficients(sl2):
     # oracle: plain matrix multiply of the two factors
-    E, F = sl2.basis_element("E"), sl2.basis_element("F")
+    E, F = basis_element(sl2, "E"), basis_element(sl2, "F")
     x, y = U * E, U.inverse() * F
     direct = mat_mul(x.mat, y.mat), mat_mul(y.mat, x.mat)
     want = tuple(
         tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(direct[0], direct[1])
     )
     assert bracket(x, y).mat == want
-    assert bracket(x, y) == sl2.basis_element("H")
+    assert bracket(x, y) == basis_element(sl2, "H")
 
 
 def test_trace_pairing_values(sl2):
-    E, H, F = (sl2.basis_element(l) for l in "EHF")
+    E, H, F = (basis_element(sl2, l) for l in "EHF")
     cE, cH = sl2.coadjoint(sl2.basis[0]), sl2.coadjoint(sl2.basis[1])
     assert pairing(cE, F) == RatFunc.const(1)
     assert pairing(cH, H) == RatFunc.const(2)
@@ -119,14 +118,14 @@ def test_dualize_solves_gram_system(sl3):
     values = {lab: RatFunc.const(rng.gauss(3, 2)) for lab in sl3.labels}
     phi = dualize(sl3, values)
     for lab in sl3.labels:
-        assert pairing(phi, sl3.basis_element(lab)) == values[lab]
+        assert pairing(phi, basis_element(sl3, lab)) == values[lab]
 
 
 def test_dualize_round_trip(sl2):
     rng = SeedStream("dualize-rt")
     raw = random_loop_algebra(sl2, GdotRecipe(), rng)
     phi = sl2.coadjoint(raw.mat)
-    values = {lab: pairing(phi, sl2.basis_element(lab)) for lab in sl2.labels}
+    values = {lab: pairing(phi, basis_element(sl2, lab)) for lab in sl2.labels}
     assert dualize(sl2, values) == phi
 
 
@@ -154,7 +153,7 @@ def _dualize_by_loop(algebra, values):
 def test_dualize_matches_running_sum(n):
     algebra = MatrixLieAlgebra.sl(n)
     rng = SeedStream("dualize-loop", n)
-    pole = RatFunc(1, Poly([-1, 1]))
+    pole = RatFunc(1, [-1, 1])
     for trial in range(20):
         values = {}
         for lab in algebra.labels:
@@ -171,7 +170,7 @@ def _entry(rng):
     if not kind:
         return RatFunc.const(0)
     c = rng.nonzero_gauss()
-    return RatFunc(1, Poly([-1, 1])) * c if kind == 1 else RatFunc.monomial(c, rng.randint(-2, 2))
+    return RatFunc(1, [-1, 1]) * c if kind == 1 else RatFunc.monomial(c, rng.randint(-2, 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -188,7 +187,7 @@ def test_dual_values_inverts_dualize(n):
         assert mat_eq(back.mat, mat)
         # the pairings of each basis element, read by the trace
         for lab, v in zip(algebra.labels, dual_values(algebra, mat)):
-            assert v == pairing(algebra.coadjoint(mat), algebra.basis_element(lab))
+            assert v == pairing(algebra.coadjoint(mat), basis_element(algebra, lab))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -225,7 +224,7 @@ def test_membership_checks(sl2):
     with pytest.raises(NotInAlgebra):
         LoopAlgebraElement(sl2, mat_from([[1, 0], [0, 1]]))  # nonzero trace
     with pytest.raises(ShapeError):
-        pairing(sl2.coadjoint(sl2.basis[0]), MatrixLieAlgebra.sl(3).basis_element("E12"))
+        pairing(sl2.coadjoint(sl2.basis[0]), basis_element(MatrixLieAlgebra.sl(3), "E12"))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def test_span_arithmetic_keeps_the_class(sl2, make):
 def test_span_element_reprs(sl2):
     assert repr(sl2.element([[1, U], [0, -1]])) == "LoopAlgebraElement((u)*E + (1)*H)"
     assert repr(sl2.coadjoint([[1, U], [0, -1]])) == "CoadjointElement((u)*E^ + (1)*H^)"
-    assert repr(sl2.zero_element()) == "LoopAlgebraElement(0)"
+    assert repr(zero_element(sl2)) == "LoopAlgebraElement(0)"
     assert repr(sl2.coadjoint([[0, 0], [0, 0]])) == "CoadjointElement(0)"
 
 

@@ -26,7 +26,6 @@ from higgsres import (
     GaussRat,
     OneForm,
     P1Point,
-    Poly,
     RatFunc,
     localize,
     residue,
@@ -68,13 +67,13 @@ def _random_form(rng):
     deg_den = sum(roots.values())
     num = [_random_gauss(rng) for _ in range(rng.randint(1, deg_den + 3))]
     num[-1] = _random_gauss(rng, nonzero=True)
-    den = Poly([lead])
+    den = RatFunc(lead)
     den_sym = _qq_i(_sym(lead))
     for r, m in roots.items():
-        den = den * Poly([-r, 1]) ** m
+        den = den * RatFunc([-r, 1]) ** m
         den_sym *= _qq_i(z - _sym(r)) ** m
     num_sym = _qq_i(sum(_sym(c) * z**k for k, c in enumerate(num)))
-    return OneForm(RatFunc(Poly(num), den)), num_sym, den_sym, roots
+    return OneForm(RatFunc(num) / den), num_sym, den_sym, roots
 
 
 def _qq_i(expr):

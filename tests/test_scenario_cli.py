@@ -335,10 +335,12 @@ def test_cli_reports_are_deterministic(fixtures_dir, capsys):
     [
         ("max_attempts", 0),
         ("cocycle.max_num", -1),
+        ("cocycle.max_num", 0),
         ("cocycle.max_exponent", -1),
         ("cocycle.torus_amplitude", -1),
         ("cocycle.max_den", 0),
         ("g_dot.max_num", -1),
+        ("g_dot.max_num", 0),
         ("g_dot.degree", -1),
         ("g_dot.max_den", 0),
         ("sample_num", -1),
