@@ -71,7 +71,6 @@ from .residues import (
     INFINITY,
     OneForm,
     P1Point,
-    local_coordinate,
     localize,
     residue,
     residue_sum,

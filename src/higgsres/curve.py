@@ -23,7 +23,7 @@ from functools import cached_property
 from . import _kernels as K
 from .errors import ValidationError
 from .field import RatFunc
-from .residues import INFINITY, LocalChart, OneForm, P1Point, local_coordinate, localize
+from .residues import INFINITY, LocalChart, OneForm, P1Point, localize
 
 
 @dataclass
@@ -84,7 +84,7 @@ class MarkedCurve:
         return len(self.marked_points)
 
     def chart(self, i: int) -> LocalChart:
-        return local_coordinate(self.marked_points[i])
+        return LocalChart(self.marked_points[i])
 
     def transition(self, i: int) -> RatFunc:
         return self.transitions[i]

@@ -843,6 +843,8 @@ class _ExprParser:
         if self.take("^"):
             neg = self.take("-")
             n = self.integer()
+            if neg and value.is_zero():
+                raise self.error("division by zero")
             return value ** (-n if neg else n)
         return value
 

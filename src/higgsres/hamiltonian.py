@@ -137,8 +137,8 @@ class SymplecticSpace:
     def __init__(self, omega):
         self.omega: Matrix = mat_from(omega)
         n, m = shape(self.omega)
-        if n != m or n % 2:
-            raise ValidationError("omega must be square of even size")
+        if n != m or n % 2 or n == 0:
+            raise ValidationError("omega must be square of even, non-zero size")
         self.dim = n
         if not mat_eq(mat_transpose(self.omega), mat_neg(self.omega)):
             raise ValidationError("omega is not antisymmetric")

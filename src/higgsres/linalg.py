@@ -5,9 +5,10 @@ brought to reduced row echelon form by sparse Gauss-Jordan elimination on
 its non-zeros (``_kernels.zi_echelon``), with a deterministic pivot
 order; the kernel returns its steps.  The null basis is read off the
 reduced rows.  One ``Elimination`` then serves any number of right-hand
-sides: the steps are replayed on the non-zeros of the right side
-(``_kernels.zi_replay``), whose entries outside the pivot rows decide
-consistency, and the solution is read off the pivot rows.
+sides, each given sparse as the dict ``{row: triple}`` of its non-zeros:
+the steps are replayed on it (``_kernels.zi_replay``), its entries
+outside the pivot rows decide consistency, and the solution is read off
+the pivot rows.
 
 The pivot columns are the leftmost column basis of A, whichever row
 serves as a pivot.  Given them, the null vector with a unit free
@@ -64,16 +65,16 @@ class Elimination:
     def __len__(self) -> int:
         return self.nrows
 
-    def solve(self, rhs):
-        """The solution of A x = rhs with every free coordinate 0, or None.
+    def solve(self, column):
+        """The solution of A x = b with every free coordinate 0, or None.
 
-        ``rhs`` holds GaussRat triples; entries past the rows of A stand
-        for zero rows of A, so a nonzero one makes the system inconsistent.
+        ``column`` is the dict ``{row: triple}`` of the non-zeros of b and
+        is left as it is.  A key at or past the row count stands for a
+        zero row of A, so it makes the system inconsistent.
         """
-        m = self.nrows
-        if any(t[0] or t[1] for t in rhs[m:]):
+        if any(i >= self.nrows for i in column):
             return None
-        column = {i: t for i, t in enumerate(rhs[:m]) if t[0] or t[1]}
+        column = dict(column)
         K.zi_replay(self._steps, column)
         pivot_rows = self._pivot_rows
         if any(i not in pivot_rows for i in column):
@@ -88,7 +89,7 @@ def solve_system(elimination: Elimination, ncols: int, rhs_list=()):
     """Nullspace basis and particular solutions of A x = b over Q(i).
 
     ``elimination`` is the ``Elimination`` of A and ``ncols`` its column
-    count; ``rhs_list`` a list of right-hand-side columns (triples, see
+    count; ``rhs_list`` a list of sparse right-hand-side columns (see
     ``Elimination.solve``).  Returns (null_basis, parts) where each basis
     vector is a list of GaussRat and parts[k] is the particular solution
     with free coordinates 0, or None when the k-th system is inconsistent.

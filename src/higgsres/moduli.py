@@ -82,7 +82,7 @@ from .matrices import Matrix, commutator, mat_mul, mat_vec
 class YPoint:
     """A section-stack point (g_i, s, s'_i) with derived, validated disk data.
 
-    ``system`` is the solver's factored section system of the bundle g,
+    ``system`` is the section space of the bundle g (``solver.TwistedSystem``),
     kept for the tangent solves at this point (None until one is built).
     ``mu_prime[i]`` is mu(s'_i) as its pairings <mu(s'_i), xi_a> in label
     order (``HamiltonianRep.moment_values``), formed on first read and
@@ -150,8 +150,9 @@ class YTangent:
 class HiggsPoint:
     """A cotangent-stack point (g_i, phi, phi'_i) with derived disk data.
 
-    ``system`` is the solver's factored Higgs-field system of the bundle
-    g, kept for the tangent solves at this point (None until one is built).
+    ``system`` is the Higgs-field space of the bundle g (a
+    ``solver.TwistedSystem``), kept for the tangent solves at this point
+    (None until one is built).
     """
 
     __slots__ = ("curve", "algebra", "g", "phi_circ", "phi_prime", "system")
@@ -303,7 +304,7 @@ def make_y_point(curve, rep, g, s_circ, system=None) -> YPoint:
     """Derive s'_i, verify every invariant, and return the validated point.
 
     Assumes the curve and representation have already been validated.
-    ``system``, when given, is the section system the solver built for g.
+    ``system``, when given, is the section space the solver built for g.
     """
     mismatch = (
         "section length does not match the space dimension"
@@ -360,7 +361,7 @@ def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
 def make_higgs_point(curve, algebra, g, phi_circ, system=None) -> HiggsPoint:
     """Derive phi'_i, verify regularity, and return the validated point.
 
-    ``system``, when given, is the Higgs-field system the solver built for g.
+    ``system``, when given, is the Higgs-field space the solver built for g.
     """
     _check_global(curve, g, "transition matrix", _entries(phi_circ.mat), "phi")
     phi_prime = derive_phi_prime(curve, algebra, g, phi_circ)
@@ -527,12 +528,16 @@ class IdentityReport:
         return total
 
     @property
+    def disk_ok(self) -> bool:
+        """Every disk term is regular and has zero residue."""
+        return all(self.disk_regular) and all(r.is_zero() for r in self.disk_residues)
+
+    @property
     def ok(self) -> bool:
         return (
             all(r.is_zero() for r in self.residuals)
             and self.alpha_residue_sum.is_zero()
-            and all(self.disk_regular)
-            and all(r.is_zero() for r in self.disk_residues)
+            and self.disk_ok
         )
 
 

@@ -101,14 +101,6 @@ class LocalChart:
             return -RatFunc(1, [0, 0, 1])
         return RatFunc.const(1)
 
-    @property
-    def var(self) -> str:
-        return "u"
-
-
-def local_coordinate(p: P1Point) -> LocalChart:
-    return LocalChart(p)
-
 
 class OneForm:
     """A rational 1-form coeff(z) dz on the projective line."""

@@ -413,7 +413,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     rep_block = raw.get("representation", "sl2-standard")
     if isinstance(rep_block, str):
-        with _invalid():
+        with _invalid("representation: "):
             rep = builtin_rep(rep_block)
     elif isinstance(rep_block, dict):
         rep = _parse_explicit_rep(rep_block, "representation")

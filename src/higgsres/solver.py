@@ -20,17 +20,18 @@ at a finite point a, whose polar coefficients are binomial combinations
 of the window of h from ord_0 h to u^-1, and u^-t h at infinity, a
 shifted window of h up to u^(size-2).
 
-Factor once, then solve many: a ``TwistedSystem`` assembles the
-conditions of one bundle and eliminates them once, exactly over Q(i)
-(``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros,
-deterministic pivot order, the steps kept).  That gives the sections.
-The point built from a section or Higgs-field space keeps the system,
-and every tangent solve at that point (a right-hand side ``b`` made of
-the polar parts of the g_dot action) goes through
-``linalg.solve_system`` against the stored elimination: ``b`` is
-infeasible when one of its polar coefficients lies in no row of the
-system or when, after the elimination steps are replayed on its
-non-zeros, an entry outside the pivot rows is nonzero; otherwise the
+Factor once, then solve many: a ``TwistedSystem`` is the section space
+of one bundle.  It assembles the conditions (``assemble``) and
+eliminates them once, exactly over Q(i) (``linalg.Elimination``: sparse
+Gauss-Jordan on the non-zeros, deterministic pivot order, the steps
+kept); its basis holds the sections as values of the bundle's side,
+formed once.  The point built from a section or Higgs-field space keeps
+the system, and every tangent solve at that point goes through
+``linalg.solve_system`` against the stored elimination.  Its right-hand
+side is the sparse column ``{row: triple}`` of the polar coefficients of
+the g_dot action; it is infeasible when one of them lies in no row of
+the system or when, after the elimination steps are replayed on the
+column, an entry outside the pivot rows is nonzero; otherwise the
 solution is read off the pivot rows.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
@@ -102,11 +103,11 @@ class SeedStream:
     def fraction(self, max_num: int = 3, max_den: int = 2) -> Fraction:
         return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
 
-    def gauss(self, max_num: int = 3, max_den: int = 2, imaginary: bool = True) -> GaussRat:
+    def gauss(self, max_num: int = 3, max_den: int = 2) -> GaussRat:
         """(a/d) + (b/e)*i, drawn in the order a, d, [imaginary?, b, e]."""
         a, d = self.randint(-max_num, max_num), self.randint(1, max_den)
         b, e = 0, 1
-        if imaginary and self.randint(0, 2) == 0:
+        if self.randint(0, 2) == 0:
             b, e = self.randint(-max_num, max_num), self.randint(1, max_den)
         return GaussRat.from_triple(K.gq_norm(a * e, b * d, d * e))
 
@@ -235,56 +236,73 @@ def _infinite_columns(lo: int, window: list, size: int):
                 yield t, lo + s - t, x
 
 
-class TwistedSystem:
-    """The regularity conditions of one twisted bundle, assembled and factored once.
+def assemble(candidates: CandidateSpace, dim: int, frame):
+    """(row keys, dense rows, non-zero count) of the regularity conditions.
 
-    The argument ``frame[i][k]`` is the tuple of local coordinates of
-    basis element k transported to disk i (the k-th column of the
-    transition M_i(u)); it is read during assembly and not kept.  A
+    ``frame[i][k]`` is the tuple of local coordinates of basis element k
+    transported to disk i (the k-th column of the transition M_i(u)).  A
     candidate sum_{k,t} c_kt f_t e_k is a global section when every
     transported germ is regular at u = 0: one linear condition per polar
-    coefficient, keyed (disk, coordinate, exponent): ``matrix`` has one
-    row per key of ``row_keys``.  ``basis`` holds the sections, each as
-    its dim scalar functions.  ``particular`` solves for a candidate with
+    coefficient, keyed (disk, coordinate, exponent), the keys sorted.
+    Column k * size + t belongs to the candidate f_t e_k; since
+    f_t = z^t f_0, each frame entry is expanded once and every t is read
+    off that expansion.  What assembly needs of the curve at each disk
+    comes with ``candidates`` (``candidate_functions``).
+    """
+    size = candidates.size
+    ncols = dim * size
+    # h = pull_i(1/D) * entry, read off per point
+    rows = {}
+    nonzeros = 0
+    for i, (disk, (base, top, powers)) in enumerate(zip(frame, candidates.disks)):
+        for k, entries in enumerate(disk):
+            for row, entry in enumerate(entries):
+                if entry.is_zero():
+                    continue
+                window = _window(base * entry, top)
+                if window is None:
+                    continue
+                if powers is None:
+                    columns = _infinite_columns(*window, size)
+                else:
+                    columns = _finite_columns(*window, powers)
+                for t, e, triple in columns:
+                    key = (i, row, e)
+                    if key not in rows:
+                        rows[key] = [K.GQ_ZERO] * ncols
+                    rows[key][k * size + t] = triple
+                    nonzeros += 1
+    keys = sorted(rows)
+    return keys, [rows[key] for key in keys], nonzeros
+
+
+class TwistedSystem:
+    """The global sections of one twisted bundle: its regularity conditions
+    (``assemble``), eliminated once, and the basis they leave.
+
+    ``value`` turns ``ncoords`` scalar functions into a section value
+    (``XVector`` on the section side, a coadjoint element on the Higgs
+    side).  ``basis`` holds the sections as values, formed once, and
+    ``dim`` is their number.  ``particular`` solves for a candidate with
     prescribed polar parts against the stored elimination, reducing only
-    the right-hand side.  Column k * size + t belongs to the candidate
-    f_t e_k; since f_t = z^t f_0, each frame entry is expanded once and
-    every t is read off that expansion.  What assembly needs of the
-    curve at each disk comes with ``candidates`` (``candidate_functions``).
+    the right-hand side.
     """
 
-    __slots__ = ("candidates", "dim", "row_keys", "matrix", "_row_index", "elimination", "basis")
+    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "basis", "nonzeros")
 
-    def __init__(self, candidates: CandidateSpace, dim: int, frame):
+    def __init__(self, candidates: CandidateSpace, ncoords: int, frame, value):
         self.candidates = candidates
-        self.dim = dim
-        size = candidates.size
-        ncols = dim * size
-        # h = pull_i(1/D) * entry, read off per point
-        rows = {}
-        for i, (disk, (base, top, powers)) in enumerate(zip(frame, candidates.disks)):
-            for k, entries in enumerate(disk):
-                for row, entry in enumerate(entries):
-                    if entry.is_zero():
-                        continue
-                    window = _window(base * entry, top)
-                    if window is None:
-                        continue
-                    if powers is None:
-                        columns = _infinite_columns(*window, size)
-                    else:
-                        columns = _finite_columns(*window, powers)
-                    for t, e, triple in columns:
-                        key = (i, row, e)
-                        if key not in rows:
-                            rows[key] = [K.GQ_ZERO] * ncols
-                        rows[key][k * size + t] = triple
-        self.row_keys = sorted(rows)
-        self.matrix = [rows[key] for key in self.row_keys]
-        self._row_index = {key: r for r, key in enumerate(self.row_keys)}
-        self.elimination = Elimination(self.matrix, ncols)
-        null_basis, _ = solve_system(self.elimination, ncols)
+        self.ncoords = ncoords
+        self._value = value
+        keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame)
+        self._row_index = {key: r for r, key in enumerate(keys)}
+        self.elimination = Elimination(matrix, ncoords * candidates.size)
+        null_basis, _ = solve_system(self.elimination, self.elimination.ncols)
         self.basis = [self._combine(v) for v in null_basis]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
     @property
     def bounds(self) -> SolverBounds:
@@ -297,28 +315,29 @@ class TwistedSystem:
         return {
             "rows": e.nrows,
             "cols": e.ncols,
-            "rank": e.ncols - len(self.basis),
-            "nonzeros": sum(1 for row in self.matrix for t in row if t[0] or t[1]),
+            "rank": e.ncols - self.dim,
+            "nonzeros": self.nonzeros,
         }
 
-    def _combine(self, vec) -> list:
+    def _combine(self, vec):
         functions = self.candidates.functions
         size = len(functions)
         out = []
-        for k in range(self.dim):
+        for k in range(self.ncoords):
             coords = vec[k * size:(k + 1) * size]
             out.append(dot((c, f, _ONE) for c, f in zip(coords, functions) if not c.is_zero()))
-        return out
+        return self._value(out)
 
     def particular(self, rhs):
         """The candidate whose transport has the polar part of rhs[i] in disk i.
 
         ``rhs[i]`` holds germs in the frame's coordinates.  Returns the
-        solution with free coefficients 0 as its dim scalar functions, or
-        None when there is none: some polar coefficient of rhs lies in no
-        row of the system, or rhs is not in the column space of A.
+        solution with free coefficients 0 as a value, or None when there
+        is none: some polar coefficient of rhs lies in no row of the
+        system, or rhs is not in the column space of A.
         """
-        b = [K.GQ_ZERO] * len(self.row_keys)
+        nrows = self.elimination.nrows
+        column = {}
         for i, germs in enumerate(rhs):
             for row, germ in enumerate(germs):
                 window = _window(germ, -1)
@@ -326,15 +345,10 @@ class TwistedSystem:
                     continue
                 lo, coefficients = window
                 for e, triple in enumerate(coefficients, lo):
-                    if K.gq_is_zero(triple):
-                        continue
-                    r = self._row_index.get((i, row, e))
-                    if r is None:
-                        # past the rows of A: a zero row of A
-                        b.append(triple)
-                    else:
-                        b[r] = triple
-        _, parts = solve_system(self.elimination, self.elimination.ncols, [b])
+                    if not K.gq_is_zero(triple):
+                        # a key past the rows of A stands for a zero row of A
+                        column[self._row_index.get((i, row, e), nrows)] = triple
+        _, parts = solve_system(self.elimination, self.elimination.ncols, [column])
         return None if parts[0] is None else self._combine(parts[0])
 
 
@@ -356,28 +370,6 @@ def _higgs_frame(curve, algebra, g):
     return frame
 
 
-def _section_system(curve, rep, g, bounds) -> TwistedSystem:
-    frame = _section_frame(curve, rep, g)
-    return TwistedSystem(candidate_functions(curve, bounds), rep.space.dim, frame)
-
-
-def _higgs_system(curve, algebra, g, bounds) -> TwistedSystem:
-    frame = _higgs_frame(curve, algebra, g)
-    return TwistedSystem(candidate_functions(curve, bounds), algebra.dim, frame)
-
-
-class SectionSpace:
-    """Basis of the global sections (or Higgs fields) of one bundle, and its system."""
-
-    def __init__(self, system: TwistedSystem, basis: list):
-        self.system = system
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 class AffineSpace:
     """particular + span(basis): the solution set of an inhomogeneous system."""
 
@@ -390,10 +382,27 @@ class AffineSpace:
         return len(self.basis)
 
 
-def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> SectionSpace:
+def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
+    """particular + span(basis) for the prescribed polar data ``rhs``.
+
+    The point's space is reused, and ``build(curve, side, g, bounds)``
+    builds and keeps one on a point that has none for these bounds.
+    Raises Infeasible when no candidate within the bounds cancels the poles.
+    """
+    bounds = bounds or SolverBounds()
+    system = point.system
+    if system is None or system.bounds != bounds:
+        system = point.system = build(point.curve, side, point.g, bounds)
+    particular = system.particular(rhs)
+    if particular is None:
+        raise Infeasible(f"{failure} within bounds {bounds}; enlarge degree/pole_order")
+    return AffineSpace(particular, system.basis)
+
+
+def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Solve the regularity conditions; every basis vector gives a valid point."""
-    system = _section_system(curve, rep, g, bounds or SolverBounds())
-    return SectionSpace(system, [XVector(s) for s in system.basis])
+    candidates = candidate_functions(curve, bounds or SolverBounds())
+    return TwistedSystem(candidates, rep.space.dim, _section_frame(curve, rep, g), XVector)
 
 
 def build_tangent_space(
@@ -403,63 +412,35 @@ def build_tangent_space(
 
     The homogeneous part coincides with the section space of the bundle;
     the inhomogeneity comes from the infinitesimal action of g_dot on the
-    disk sections.  Raises Infeasible when the action introduces poles
-    that no candidate within the bounds can cancel.  The point's section
-    system is reused, and built and kept on a point that has none for
-    these bounds.
+    disk sections.
     """
-    bounds = bounds or SolverBounds()
-    curve, rep = point.curve, point.rep
-    system = point.system
-    if system is None or system.bounds != bounds:
-        system = point.system = _section_system(curve, rep, point.g, bounds)
     # sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i
-    rhs = [rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(curve.n_points)]
-    particular = system.particular(rhs)
-    if particular is None:
-        raise Infeasible(
-            "no tangent section cancels the poles of the g_dot action "
-            f"within bounds {bounds}; enlarge degree/pole_order"
-        )
-    return AffineSpace(XVector(particular), [XVector(s) for s in system.basis])
+    rhs = [point.rep.inf_action(g_dot[i], s).coords for i, s in enumerate(point.s_prime)]
+    failure = "no tangent section cancels the poles of the g_dot action"
+    return _tangent_space(point, build_section_space, point.rep, rhs, bounds, failure)
 
 
-def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None) -> SectionSpace:
+def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Basis of global Higgs fields compatible with the bundle's cocycle."""
-    system = _higgs_system(curve, algebra, g, bounds or SolverBounds())
-    return SectionSpace(
-        system, [CoadjointElement(algebra, algebra.combination(s)) for s in system.basis]
+    return TwistedSystem(
+        candidate_functions(curve, bounds or SolverBounds()),
+        algebra.dim,
+        _higgs_frame(curve, algebra, g),
+        lambda coords: CoadjointElement(algebra, algebra.combination(coords)),
     )
 
 
 def build_higgs_tangent_space(
     point: HiggsPoint, g_dot, bounds: SolverBounds | None = None
 ) -> AffineSpace:
-    """Solutions phidot for which the Higgs tangent disk data stays regular.
-
-    The point's Higgs-field system is reused, and built and kept on a
-    point that has none for these bounds.
-    """
-    bounds = bounds or SolverBounds()
-    curve, algebra = point.curve, point.algebra
-    system = point.system
-    if system is None or system.bounds != bounds:
-        system = point.system = _higgs_system(curve, algebra, point.g, bounds)
+    """Solutions phidot for which the Higgs tangent disk data stays regular."""
     # phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i]
     rhs = [
-        tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
-        for i in range(curve.n_points)
+        tuple(e for row in commutator(g_dot[i].mat, phi.mat) for e in row)
+        for i, phi in enumerate(point.phi_prime)
     ]
-    particular = system.particular(rhs)
-    if particular is None:
-        raise Infeasible(
-            "no global Higgs deformation cancels the bracket poles within "
-            f"bounds {bounds}"
-        )
-    return AffineSpace(
-        CoadjointElement(algebra, algebra.combination(particular)),
-        [CoadjointElement(algebra, algebra.combination(s)) for s in system.basis],
-    )
+    failure = "no global Higgs deformation cancels the bracket poles"
+    return _tangent_space(point, build_higgs_field_space, point.algebra, rhs, bounds, failure)
 
 
 # ---------------------------------------------------------------------------

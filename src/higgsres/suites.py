@@ -108,7 +108,7 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
         s_circ = sample_vector(space, rng.child("section"), suite.sample_num, suite.sample_den)
     else:
         s_circ = XVector.zero(scenario.rep.space.dim)
-    point = make_y_point(scenario.curve, scenario.rep, bundle, s_circ, space.system)
+    point = make_y_point(scenario.curve, scenario.rep, bundle, s_circ, space)
     tangents = []
     retries = 0
     for j in (1, 2):
@@ -129,7 +129,7 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
 def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
     """The point described by the scenario's bundle/section blocks."""
     s_circ = scenario.section.vector
-    system = None
+    space = None
     if s_circ is None:
         space = build_section_space(
             scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
@@ -143,8 +143,7 @@ def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
                 scenario.suite.sample_num,
                 scenario.suite.sample_den,
             )
-        system = space.system
-    return make_y_point(scenario.curve, scenario.rep, scenario.bundle, s_circ, system)
+    return make_y_point(scenario.curve, scenario.rep, scenario.bundle, s_circ, space)
 
 
 def scenario_tangents(scenario: Scenario, point: YPoint, rng: SeedStream) -> list:
@@ -191,7 +190,7 @@ def random_higgs_pair(scenario: Scenario, rng: SeedStream):
         phi = algebra.coadjoint(
             [[RatFunc.const(0)] * algebra.n for _ in range(algebra.n)]
         )
-    point = make_higgs_point(scenario.curve, algebra, bundle, phi, fields.system)
+    point = make_higgs_point(scenario.curve, algebra, bundle, phi, fields)
     tangents = []
     for j in (1, 2):
         g_dot, space, sub, _ = _sample_tangent(
@@ -247,9 +246,7 @@ def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
         ident = identity_check(inst.point, t1, t2)
         rec.residuals_zero = all(r.is_zero() for r in ident.residuals)
         rec.alpha_residue_sum = ident.alpha_residue_sum
-        rec.disk_ok = all(ident.disk_regular) and all(
-            r.is_zero() for r in ident.disk_residues
-        )
+        rec.disk_ok = ident.disk_ok
         rec.identity_ok = ident.ok
         if not ident.ok:
             # keep the offending intermediate values for the report

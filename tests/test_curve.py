@@ -13,7 +13,6 @@ from higgsres import (
     RatFunc,
     ValidationError,
     curve_validate,
-    local_coordinate,
     localize,
     residue,
 )
@@ -76,10 +75,10 @@ def test_two_point_curve_valid(curve_two_points):
 
 
 def test_local_coordinate_descriptor():
-    chart = local_coordinate(P1Point.finite(3))
+    chart = LocalChart(P1Point.finite(3))
     assert chart.pull(Z) == Z + 3
-    assert local_coordinate(INFINITY).pull(Z) == 1 / Z
-    assert local_coordinate(P1Point.finite(0)).pull(Z) == Z
+    assert LocalChart(INFINITY).pull(Z) == 1 / Z
+    assert LocalChart(P1Point.finite(0)).pull(Z) == Z
 
 
 def test_residue_theorem_for_twisted_forms(curve_two_points):

@@ -68,6 +68,14 @@ def test_parse_error_position():
     assert "column" in err.value.location
 
 
+@pytest.mark.parametrize("text, column", [("0^-1", 5), ("(z-z)^-2", 9), ("1 + 3*(0)^-1", 13)])
+def test_negative_power_of_zero_is_division_by_zero(text, column):
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_ratfunc(text)
+    assert err.value.location == f"column {column}"
+    assert parse_ratfunc("(z-z)^2").is_zero() and parse_ratfunc("0^0") == 1
+
+
 # ---------------------------------------------------------------------------
 # rational normalization; oracle: schoolbook gcd over complex Fractions
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ def _polynomial_gauge(n, rng):
 
 def _null_bases(curve, rep, g):
     return (
-        build_section_space(curve, rep, g, BOUNDS).system.elimination.null_basis,
-        build_higgs_field_space(curve, rep.algebra, g, BOUNDS).system.elimination.null_basis,
+        build_section_space(curve, rep, g, BOUNDS).elimination.null_basis,
+        build_higgs_field_space(curve, rep.algebra, g, BOUNDS).elimination.null_basis,
     )
 
 
@@ -153,8 +153,8 @@ def test_constant_gauge_moves_sections_by_rho(curves, curve_name, rep_name):
     for b, g in _bundles(curve, n, (curve_name, rep_name)):
         element, k, k_inv = _constant(n, SeedStream("gauge-oracle", "k", curve_name, rep_name, b))
         kg = [element * g_i for g_i in g]
-        before = build_section_space(curve, rep, g, BOUNDS).system
-        after = build_section_space(curve, rep, kg, BOUNDS).system.elimination.null_basis
+        before = build_section_space(curve, rep, g, BOUNDS)
+        after = build_section_space(curve, rep, kg, BOUNDS).elimination.null_basis
         # coefficient index slot * size + t: rho(k) acts on the slots
         size, rho = before.candidates.size, _rho(rep_name, k, k_inv)
         moved = [

@@ -17,6 +17,7 @@ from higgsres import (
     pairing,
     rep_validate,
 )
+from higgsres.hamiltonian import SymplecticSpace
 from higgsres.matrices import mat_from, mat_vec
 from higgsres.solver import CocycleRecipe, GdotRecipe, SeedStream, random_cocycle, random_loop_algebra
 
@@ -179,3 +180,11 @@ def test_dmoment_is_jet_derivative_of_moment(rep):
 def test_standard_rep_rejected_for_higher_rank():
     with pytest.raises(ValidationError):
         builtin_rep("sl3-standard")
+
+
+def test_zero_dimensional_symplectic_space_rejected():
+    # no section of a 0-dimensional space can fail a check
+    with pytest.raises(ValidationError, match="non-zero size"):
+        SymplecticSpace([])
+    with pytest.raises(ValidationError, match="non-zero size"):
+        builtin_rep("sl2-standard-x0")

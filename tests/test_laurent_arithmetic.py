@@ -131,9 +131,9 @@ class _OldSeedStream(SeedStream):
         self._counter += 1
         return int.from_bytes(hashlib.sha256(key).digest(), "big")
 
-    def gauss(self, max_num=3, max_den=2, imaginary=True):
+    def gauss(self, max_num=3, max_den=2):
         re = self.fraction(max_num, max_den)
-        im = self.fraction(max_num, max_den) if imaginary and self.randint(0, 2) == 0 else 0
+        im = self.fraction(max_num, max_den) if self.randint(0, 2) == 0 else 0
         return GaussRat(re, im)
 
 
@@ -403,7 +403,6 @@ def test_seed_stream_draws_match_old_body(path):
         for _ in range(40):
             assert new.randint(-10**6, 10**6) == old.randint(-10**6, 10**6)
             assert new.gauss() == old.gauss()
-            assert new.gauss(5, 4, imaginary=False) == old.gauss(5, 4, imaginary=False)
             assert new.nonzero_gauss(2, 1) == old.nonzero_gauss(2, 1)
             g = new.gauss(7, 6)
             assert g == old.gauss(7, 6) and pure.gq_norm(*g._t) == g._t

@@ -31,7 +31,7 @@ from higgsres import (
     pushforward_tangent,
     symplectic_omega,
 )
-from higgsres.moduli import unchecked_y_tangent, validate_y_tangent
+from higgsres.moduli import IdentityReport, unchecked_y_tangent, validate_y_tangent
 from higgsres.solver import (
     CocycleRecipe,
     GdotRecipe,
@@ -294,6 +294,21 @@ def test_identity_residuals_vanish(base_point, rep):
     assert report.ok
     assert all(r.is_zero() for r in report.residuals)
     assert report.alpha_residue_sum.is_zero()
+    assert report.disk_ok
+
+
+def test_identity_report_disk_ok_needs_regular_disks_with_zero_residues():
+    zero, one = GaussRat(0), GaussRat(1)
+    residuals, alpha = [RatFunc.const(0)] * 2, [zero, zero]
+    for regular, residues, want in [
+        ([True, True], [zero, zero], True),
+        ([True, False], [zero, zero], False),
+        ([True, True], [zero, one], False),
+        ([], [], True),
+    ]:
+        report = IdentityReport(residuals, alpha, regular, residues)
+        assert report.disk_ok is want
+        assert report.ok is want
 
 
 def test_identity_detects_corruption(base_point, rep):

@@ -13,11 +13,11 @@ from higgsres import (
     P1Point,
     RatFunc,
     UnsupportedDenominator,
-    local_coordinate,
     localize,
     residue,
     residue_sum,
 )
+from higgsres.residues import LocalChart
 from higgsres.roots import gaussian_rational_roots
 from higgsres.solver import SeedStream
 
@@ -139,11 +139,11 @@ def test_unsupported_denominator():
 
 
 def test_local_coordinate_descriptors():
-    chart = local_coordinate(P1Point.finite(GaussRat(3)))
+    chart = LocalChart(P1Point.finite(GaussRat(3)))
     assert chart.pull(Z) == Z + 3
-    chart_inf = local_coordinate(INFINITY)
+    chart_inf = LocalChart(INFINITY)
     assert chart_inf.pull(Z) == 1 / Z
-    chart0 = local_coordinate(P1Point.finite(0))
+    chart0 = LocalChart(P1Point.finite(0))
     assert chart0.pull(Z) == Z
 
 

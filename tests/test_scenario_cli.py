@@ -421,6 +421,12 @@ def word_bundle(factor):
         (("representation",), dict(EXPLICIT_REP, algebra="sl0"), 3, "representation.algebra"),
         (("representation",), dict(EXPLICIT_REP, algebra="sl1"), 3, "representation.algebra"),
         (("representation",), dict(EXPLICIT_REP, algebra="sl-2"), 3, "representation.algebra"),
+        # a 0-dimensional symplectic space has only zero sections
+        (("representation",), "sl2-standard-x0", 3, "representation"),
+        (("representation",), dict(EXPLICIT_REP, omega=[]), 3, "representation.omega"),
+        # a negative power of zero divides by zero
+        (("curve", "alpha"), "0^-1", 2, "curve.alpha, column 5"),
+        (("forms",), ["1/z", "z*(z-z)^-2"], 2, "forms[1], column 11"),
         # the missing rho is found before any structure constant of sl9 is built
         (("representation",), dict(EXPLICIT_REP, algebra="sl9", rho={}), 2, "representation.rho"),
         # a key must name a marked point, and only one key may name it
@@ -461,6 +467,18 @@ def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert where in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "random-suite", "check-theorem", "omega"])
+def test_zero_copies_of_the_standard_rep_fail_every_command(tmp_path, fixtures_dir, capsys, command):
+    doc = json.loads((fixtures_dir / "f1.json").read_text())
+    doc["representation"] = "sl2-standard-x0"
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "representation: omega must be square of even, non-zero size" in captured.err
 
 
 PROBE_VALUES = [5, "x", [], {}, None, True, -1, "1/0", [[]], 2.5]

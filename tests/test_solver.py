@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from helpers import basis_element, monomial_vectors, sample, zero_element
 from test_field import _naive_window
+from test_sparse_elimination import _column
 
 from higgsres import (
     INFINITY,
@@ -40,6 +41,7 @@ from higgsres.solver import (
     _higgs_frame,
     _section_frame,
     _shift_powers,
+    assemble,
     build_higgs_field_space,
     build_higgs_tangent_space,
     build_section_space,
@@ -141,13 +143,16 @@ def test_nullspace_vectors_satisfy_system():
 def test_affine_solutions_verified():
     rng = SeedStream("affine")
     matrix = [[_triple(1), _triple(1)], [_triple(0), _triple(1)]]
-    rhs = [_triple(3), _triple(1)]
+    rhs = {0: _triple(3), 1: _triple(1)}
     elimination = Elimination(matrix, 2)
     assert elimination.null_basis == []
     assert elimination.solve(rhs) == [GaussRat(2), GaussRat(1)]
+    # a key past the last row stands for a zero row of A
+    assert elimination.solve({**rhs, 2: _triple(1)}) is None
+    assert elimination.solve({5: _triple(1)}) is None
     # inconsistent system
     matrix2 = [[_triple(1), _triple(1)], [_triple(2), _triple(2)]]
-    rhs2 = [_triple(0), _triple(1)]
+    rhs2 = {1: _triple(1)}
     assert Elimination(matrix2, 2).solve(rhs2) is None
 
 
@@ -198,10 +203,11 @@ def test_replay_solves_exactly_when_consistent():
             else:
                 rhs = [sub.gauss(4, 3)._t for _ in range(m)]
             consistent = _rank([row + [t] for row, t in zip(matrix, rhs)]) == _rank(matrix)
-            x = elimination.solve(rhs)
-            # a zero row of A past its rows changes nothing; a nonzero one is inconsistent
-            assert elimination.solve(rhs + [_triple(0)]) == x
-            assert elimination.solve(rhs + [_triple(1)]) is None
+            column = _column(rhs)
+            x = elimination.solve(column)
+            # a key past the rows of A stands for a zero row of A: inconsistent
+            assert elimination.solve({**column, m: _triple(1)}) is None
+            assert elimination.solve({**column, m + 2: _triple(1)}) is None
             if not consistent:
                 assert x is None
                 kinds["inconsistent"] += 1
@@ -263,8 +269,8 @@ def test_every_sampled_section_is_valid(curve_two_points):
 
 
 def _per_candidate_assembly(curve, candidates, dim, frame):
-    """The system's (row_keys, matrix) the slow way: pull every candidate to
-    every disk, multiply it by every frame entry and expand the product."""
+    """The system's (row keys, dense rows) the slow way: pull every candidate
+    to every disk, multiply it by every frame entry and expand the product."""
     size, zero = candidates.size, _triple(0)
     rows = {}
     for i, disk in enumerate(frame):
@@ -319,13 +325,18 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
                 (rep.space.dim, _section_frame(curve, rep, g)),
                 (rep.algebra.dim, _higgs_frame(curve, rep.algebra, g)),
             ):
-                system = TwistedSystem(candidates, dim, frame)
+                keys, rows, nonzeros = assemble(candidates, dim, frame)
                 want = _per_candidate_assembly(curve, candidates, dim, frame)
-                assert (system.row_keys, system.matrix) == want
-                assert system.row_keys
+                assert (keys, rows) == want
+                assert keys
+                assert nonzeros == sum(1 for row in rows for t in row if not K.gq_is_zero(t))
+                system = TwistedSystem(candidates, dim, frame, list)
+                assert system.counts["rows"] == len(keys)
+                assert system.counts["nonzeros"] == nonzeros
                 functions = candidates.functions
                 null = system.elimination.null_basis
                 assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
+                assert system.dim == len(null)
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
                 assert system._combine(vec) == _combine_by_loop(functions, dim, vec)
 
@@ -383,7 +394,7 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
     candidates = candidate_functions(curve, SolverBounds(3, 2))
     dim = rep.space.dim
-    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g))
+    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g), list)
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
     combined = system._combine(vec)
@@ -548,39 +559,46 @@ def test_higgs_tangent_space_solutions_are_valid(curve_one_point, twisted_bundle
 # ---------------------------------------------------------------------------
 
 
-def _one_shot(system, rhs):
-    """Solve [A | b] in one go, as a fresh system: A gets a zero row for
-    each polar coefficient of rhs it has no row for.  Returns (matrix, b,
-    null basis, particular or None, whether rhs had such a row)."""
+def _one_shot(system, rows, rhs):
+    """Solve [A | b] in one go, as a fresh system: A (the system's assembled
+    ``rows``, by key) gets a zero row for each polar coefficient of rhs it
+    has no row for.  Returns (matrix, dense b, null basis, particular or
+    None, whether rhs had such a row)."""
     effect = {}
     for i, germs in enumerate(rhs):
         for row, germ in enumerate(germs):
             for e, triple in _polar(germ):
                 effect[(i, row, e)] = triple
     ncols = system.elimination.ncols
-    rows = dict(zip(system.row_keys, system.matrix))
     keys = sorted(set(rows) | set(effect))
     zero = _triple(0)
     matrix = [rows.get(k, [zero] * ncols) for k in keys]
     b = [effect.get(k, zero) for k in keys]
     elimination = Elimination(matrix, ncols)
-    return matrix, b, elimination.null_basis, elimination.solve(b), not set(effect) <= set(rows)
+    part = elimination.solve(_column(b))
+    return matrix, b, elimination.null_basis, part, not set(effect) <= set(rows)
 
 
 def _random_point(side, rep, curve, bounds, rng):
-    """A point over a random bundle, carrying the system its space built."""
+    """A point over a random bundle, carrying the space it was sampled
+    from, and that space's assembled rows by key."""
     algebra = rep.algebra
     g = [random_cocycle(algebra.n, CocycleRecipe(), rng.child("g", i)) for i in range(curve.n_points)]
     if side == "section":
         space = build_section_space(curve, rep, g, bounds)
         s = sample_vector(space, rng.child("s")) if space.dim else XVector.zero(rep.space.dim)
-        return make_y_point(curve, rep, g, s, space.system), space.system
-    space = build_higgs_field_space(curve, algebra, g, bounds)
-    if space.dim:
-        phi = sample_vector(space, rng.child("phi"))
+        point = make_y_point(curve, rep, g, s, space)
+        frame = _section_frame(curve, rep, g)
     else:
-        phi = algebra.coadjoint([[0] * algebra.n for _ in range(algebra.n)])
-    return make_higgs_point(curve, algebra, g, phi, space.system), space.system
+        space = build_higgs_field_space(curve, algebra, g, bounds)
+        if space.dim:
+            phi = sample_vector(space, rng.child("phi"))
+        else:
+            phi = algebra.coadjoint([[0] * algebra.n for _ in range(algebra.n)])
+        point = make_higgs_point(curve, algebra, g, phi, space)
+        frame = _higgs_frame(curve, algebra, g)
+    keys, rows, _ = assemble(space.candidates, space.ncoords, frame)
+    return point, space, dict(zip(keys, rows))
 
 
 def _tangent_rhs(side, point, g_dot):
@@ -611,7 +629,7 @@ def test_factor_once_matches_one_shot_solve(
         for curve in (curve_one_point, curve_two_points):
             rng = SeedStream("factor-once", side, rep_name, curve.n_points)
             for b in range(3):
-                point, system = _random_point(side, rep, curve, bounds, rng.child("bundle", b))
+                point, system, rows = _random_point(side, rep, curve, bounds, rng.child("bundle", b))
                 for d in range(6):
                     sub = rng.child("bundle", b, "g_dot", d)
                     g_dot = [
@@ -619,17 +637,21 @@ def test_factor_once_matches_one_shot_solve(
                         for i in range(curve.n_points)
                     ]
                     rhs = _tangent_rhs(side, point, g_dot)
-                    matrix, vector, null, part, extra = _one_shot(system, rhs)
+                    matrix, vector, null, part, extra = _one_shot(system, rows, rhs)
                     assert system.elimination.null_basis == null
                     assert system.basis == [system._combine(v) for v in null]
                     assert system.particular(rhs) == (None if part is None else system._combine(part))
                     try:
-                        build(point, g_dot, bounds)
+                        space = build(point, g_dot, bounds)
                         feasible = True
                     except Infeasible:
                         feasible = False
                     assert point.system is system
                     assert feasible == (part is not None)
+                    if feasible:
+                        # the tangent space shares the basis values of the point's space
+                        assert space.basis is system.basis
+                        assert space.particular == system._combine(part)
                     if feasible:
                         assert _apply(matrix, part) == [GaussRat.from_triple(t) for t in vector]
                         kinds["feasible"] += 1
@@ -641,7 +663,7 @@ def test_factor_once_matches_one_shot_solve(
                         assert _rank(full) == _rank(matrix) + 1
                         kinds["cokernel"] += 1
                 for v in null:
-                    assert all(x.is_zero() for x in _apply(system.matrix, v))
+                    assert all(x.is_zero() for x in _apply(list(rows.values()), v))
     assert all(kinds.values()), kinds
 
 

@@ -204,14 +204,31 @@ class DenseElimination:
 ZERO = K.GQ_ZERO
 
 
-def _compare(matrix, ncols, rhs_list, kinds=None):
-    """Null basis and every solve of both eliminators agree; returns the
-    number of inconsistent right sides."""
+def _column(rhs):
+    """The sparse column {row: triple} of a dense right side; an entry past
+    the rows of A keeps its index, past the last row."""
+    return {i: t for i, t in enumerate(rhs) if not K.gq_is_zero(t)}
+
+
+def _dense(column, nrows):
+    """The dense right side of a sparse column, long enough for every key."""
+    rhs = [ZERO] * max([nrows, *(i + 1 for i in column)])
+    for i, t in column.items():
+        rhs[i] = t
+    return rhs
+
+
+def _compare(matrix, ncols, rhs_list):
+    """Null basis and every solve of both eliminators agree, the sparse one
+    given each dense right side as its column; returns the number of
+    inconsistent right sides."""
     sparse, dense = Elimination(matrix, ncols), DenseElimination(matrix, ncols)
     assert sparse.null_basis == dense.null_basis
     infeasible = 0
     for rhs in rhs_list:
-        x = sparse.solve(rhs)
+        column = _column(rhs)
+        x = sparse.solve(column)
+        assert column == _column(rhs)  # the caller's column is left as it is
         assert x == dense.solve(rhs)
         infeasible += x is None
     return infeasible
@@ -321,7 +338,7 @@ def test_degenerate_shapes_match_dense():
 
 
 class _Recording(Elimination):
-    """An Elimination that records its matrix and every right side."""
+    """An Elimination that records its matrix and every right side, dense."""
 
     __slots__ = ("log",)
     records = []
@@ -331,9 +348,9 @@ class _Recording(Elimination):
         self.log = (matrix, ncols, [])
         _Recording.records.append(self.log)
 
-    def solve(self, rhs):
-        self.log[2].append(list(rhs))
-        return super().solve(rhs)
+    def solve(self, column):
+        self.log[2].append(_dense(column, self.nrows))
+        return super().solve(column)
 
 
 @pytest.mark.parametrize(
