@@ -27,7 +27,8 @@ monic rescale): a product is n1*n2 over u^(k1+k2), a sum pads the
 numerator with the smaller k by |k1 - k2| zeros, and both then strip
 the min(ord_0 n, k) low zeros that u^k shares with n.  ``dot`` sums
 many products at once: it adds each into one numerator over the largest
-power of u and reduces once.  Division and inversion by a monomial
+power of u and reduces once, and a single product with a one-coefficient
+factor is a scale of the other factor.  Division and inversion by a monomial
 c*u^m, the chart pull at infinity and reading Laurent coefficients
 (a slice of n) take the same short cut.  The canonical form is unique,
 so both paths give identical values.
@@ -424,6 +425,16 @@ class RatFunc:
     def __bool__(self):
         return bool(self._n)
 
+    def as_monomial(self) -> tuple | None:
+        """(c, m) with self = c*x^m, c a non-zero scalar triple, or None
+        when self is not such a monomial (the zero function included)."""
+        if not self._n or self._k < 0:
+            return None
+        j = _u_power(self._n)
+        if j < 0:
+            return None
+        return self._n[j], j - self._k
+
     def valuation(self) -> int | None:
         """ord at 0 (negative for a pole); None for the zero function."""
         if not self._n:
@@ -603,10 +614,14 @@ def dot(terms) -> RatFunc:
     """The sum of c*x*y over the terms (c, x, y): x and y are RatFunc, c
     is a GaussRat or a RatFunc.
 
-    When every non-zero term has Laurent factors and a scalar c, the
-    products are added into one numerator over the largest power of u by
-    the ``p_dot`` kernel and reduced once; otherwise the terms are summed
-    with the operators.  Both give the value the operators would.  A sum
+    A sum with one non-zero term whose c is a scalar and one of whose
+    factors has a single coefficient, a*u^-k, is the other factor's
+    numerator scaled by a*c, over u^k times its denominator; that takes
+    one ``p_scale`` when k = 0 or the other factor is Laurent.  When
+    every non-zero term has Laurent factors and a scalar c, the products
+    are added into one numerator over the largest power of u by the
+    ``p_dot`` kernel and reduced once; otherwise the terms are summed
+    with the operators.  All give the value the operators would.  A sum
     with no non-zero term is the shared zero.
     """
     items = []
@@ -617,12 +632,34 @@ def dot(terms) -> RatFunc:
             laurent = laurent and x._k >= 0 and y._k >= 0 and type(c) is GaussRat
     if not items:
         return _ZERO
+    if len(items) == 1 and type(items[0][0]) is GaussRat:
+        c, x, y = items[0]
+        scaled = _scaled_product(c._t, x, y)
+        if scaled is None:
+            scaled = _scaled_product(c._t, y, x)
+        if scaled is not None:
+            return scaled
     if laurent:
         return _laurent(*K.p_dot([(c._t, x._n, y._n, x._k + y._k) for c, x, y in items]))
     acc = _ZERO
     for c, x, y in items:
         acc = acc + x * y * c
     return acc
+
+
+def _scaled_product(c: tuple, s: RatFunc, o: RatFunc) -> RatFunc | None:
+    """c*s*o for a single-coefficient Laurent s = a*u^-k, as a*c times o,
+    or None when s is not one or the product needs a gcd (k > 0 and o is
+    not Laurent)."""
+    if len(s._n) != 1 or s._k < 0 or (s._k and o._k < 0):
+        return None
+    scale = K.gq_mul(c, s._n[0])
+    if K.gq_is_zero(scale):
+        return _ZERO
+    n = K.p_scale(scale, o._n)
+    if o._k < 0:
+        return RatFunc._raw(n, list(o._d))
+    return _laurent(n, s._k + o._k)
 
 
 class Jet2:

@@ -155,9 +155,14 @@ class MatrixLieAlgebra:
 
 
 class LoopGroupElement:
-    """An n x n matrix of rational functions with determinant 1."""
+    """An n x n matrix of rational functions with determinant 1.
 
-    __slots__ = ("mat", "n", "_inverse")
+    Its inverse and the conjugates g^-1 b_k g of the sl_n basis are
+    formed on first use and kept; products and inverses start with
+    neither.
+    """
+
+    __slots__ = ("mat", "n", "_inverse", "_conjugated")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -166,6 +171,7 @@ class LoopGroupElement:
             raise ShapeError("group element must be square")
         self.n = n
         self._inverse = None
+        self._conjugated = None
         if check and det(self.mat) != _ONE:
             raise ValidationError("loop group element has determinant != 1")
 
@@ -180,6 +186,7 @@ class LoopGroupElement:
         out.mat = mat_mul(self.mat, other.mat)
         out.n = self.n
         out._inverse = None
+        out._conjugated = None
         return out
 
     def inverse(self) -> "LoopGroupElement":
@@ -191,8 +198,25 @@ class LoopGroupElement:
             inv.mat = adjugate(self.mat)
             inv.n = self.n
             inv._inverse = self
+            inv._conjugated = None
             self._inverse = inv
         return inv
+
+    def conjugated_basis(self, algebra: MatrixLieAlgebra) -> tuple:
+        """g^-1 b_k g for each basis element b_k of sl_n, computed once.
+
+        The basis of sl_n is the same for every ``MatrixLieAlgebra`` of
+        this n, so the one tuple serves them all.
+        """
+        if algebra.n != self.n:
+            raise ShapeError(f"conjugating sl{algebra.n} by an {self.n}x{self.n} element")
+        conjugated = self._conjugated
+        if conjugated is None:
+            g_inv = self.inverse().mat
+            conjugated = self._conjugated = tuple(
+                mat_mul(mat_mul(g_inv, b), self.mat) for b in algebra.basis
+            )
+        return conjugated
 
     def __eq__(self, other):
         if not isinstance(other, LoopGroupElement):

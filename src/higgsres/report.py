@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+# residue_points: the marked points where omega(sdot_1, sdot_2) alpha has a
+# non-zero residue, i.e. where the residue theorem's cancellation is tested
 STATS_COLUMNS = (
-    "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros"
+    "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros",
+    "residue_points",
 )
 
 

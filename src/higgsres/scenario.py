@@ -167,11 +167,23 @@ def _parse_matrix(rows: Any, n: int, var: str, path: str) -> list:
     ]
 
 
-def _parse_vector(coords: Any, dim: int, path: str) -> XVector:
+def _require_regular(f: RatFunc, curve: MarkedCurve, path: str) -> RatFunc:
+    """f, a global function of z, when it has no pole off the marked points."""
+    if not curve.is_regular_on_complement(f):
+        raise ValidationError(f"{path}: has a pole away from the marked points")
+    return f
+
+
+def _parse_vector(coords: Any, dim: int, curve: MarkedCurve, path: str) -> XVector:
+    """Global coordinates in z, each regular away from the marked points."""
     _expect(coords, list, path, "a list of strings")
     if len(coords) != dim:
         raise ParseError(f"expected {dim} coordinates", path)
-    return XVector([_parse_rf(c, "z", f"{path}[{k}]") for k, c in enumerate(coords)])
+    out = []
+    for k, c in enumerate(coords):
+        where = f"{path}[{k}]"
+        out.append(_require_regular(_parse_rf(c, "z", where), curve, where))
+    return XVector(out)
 
 
 def _parse_element(cls, rows: Any, algebra, var: str, path: str):
@@ -179,6 +191,15 @@ def _parse_element(cls, rows: Any, algebra, var: str, path: str):
     mat = _parse_matrix(rows, algebra.n, var, path)
     with _invalid(f"{path}: "):
         return cls(algebra, mat)
+
+
+def _parse_global_element(rows: Any, algebra, curve: MarkedCurve, path: str) -> CoadjointElement:
+    """A coadjoint matrix in z whose entries are regular away from the marked points."""
+    element = _parse_element(CoadjointElement, rows, algebra, "z", path)
+    for i, row in enumerate(element.mat):
+        for j, e in enumerate(row):
+            _require_regular(e, curve, f"{path}[{i}][{j}]")
+    return element
 
 
 def _parse_g_dot(block: Any, curve: MarkedCurve, algebra, path: str) -> list:
@@ -212,7 +233,7 @@ def _parse_word_factor(factor: Any, n: int, path: str) -> LoopGroupElement:
         exps = _expect(factor.get("exponents"), list, f"{path}.exponents", "a list of ints")
         if len(exps) != n or not all(_is_int(e) for e in exps):
             raise ParseError(f"expected {n} integer exponents", f"{path}.exponents")
-        with _invalid():
+        with _invalid(f"{path}.exponents: "):
             return torus(n, exps)
     if kind == "elementary":
         j = _expect_int(factor.get("j"), f"{path}.j")
@@ -337,11 +358,11 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
         return HamiltonianRep(algebra, space, rho, kind="explicit", name=block.get("name", f"{alg_name}-explicit"))
 
 
-def _parse_section(block: Any, dim: int) -> SectionData:
+def _parse_section(block: Any, dim: int, curve: MarkedCurve) -> SectionData:
     _expect(block, dict, "section", "a section block")
     kind = block.get("kind")
     if kind == "explicit":
-        return SectionData(vector=_parse_vector(block.get("coords"), dim, "section.coords"))
+        return SectionData(vector=_parse_vector(block.get("coords"), dim, curve, "section.coords"))
     if kind != "solve":
         raise ParseError("section kind must be 'solve' or 'explicit'", "section.kind")
     return SectionData(seed=_expect_int(block.get("seed", 0), "section.seed"))
@@ -357,7 +378,7 @@ def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> l
         if block.get("g_dot") is not None:
             tangent.g_dot = _parse_g_dot(block["g_dot"], curve, rep.algebra, f"{path}.g_dot")
         if block.get("s_circ_dot") is not None:
-            tangent.s_circ_dot = _parse_vector(block["s_circ_dot"], rep.space.dim, f"{path}.s_circ_dot")
+            tangent.s_circ_dot = _parse_vector(block["s_circ_dot"], rep.space.dim, curve, f"{path}.s_circ_dot")
         out.append(tangent)
     return out
 
@@ -366,7 +387,7 @@ def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> Higgs
     if block is None:
         return None
     _expect(block, dict, "higgs", "a higgs block")
-    phi_circ = _parse_element(CoadjointElement, block.get("phi_circ"), algebra, "z", "higgs.phi_circ")
+    phi_circ = _parse_global_element(block.get("phi_circ"), algebra, curve, "higgs.phi_circ")
     if "bundle" in block:
         bundle = _parse_bundle(block["bundle"], curve, algebra.n, "higgs.bundle")
     tangents = []
@@ -376,7 +397,7 @@ def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> Higgs
         _expect(tb, dict, path, "a higgs tangent block")
         tangent = HiggsTangentData(
             _parse_g_dot(tb.get("g_dot"), curve, algebra, f"{path}.g_dot"),
-            _parse_element(CoadjointElement, tb.get("phi_circ_dot"), algebra, "z", f"{path}.phi_circ_dot"),
+            _parse_global_element(tb.get("phi_circ_dot"), algebra, curve, f"{path}.phi_circ_dot"),
         )
         if tb.get("ambient"):
             # disk values given explicitly: ambient-space tangent data
@@ -442,7 +463,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         rep=rep,
         curve=curve,
         bundle=bundle,
-        section=_parse_section(raw.get("section", {"kind": "solve"}), rep.space.dim),
+        section=_parse_section(raw.get("section", {"kind": "solve"}), rep.space.dim, curve),
         y_tangents=_parse_y_tangents(
             raw.get("y_tangents", [{"seed": 1}, {"seed": 2}]), curve, rep
         ),

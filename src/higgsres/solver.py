@@ -14,11 +14,17 @@ with t bounded by deg(denominator) plus the allowed pole order at a
 marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
 
-Assembly reads the system off one Laurent expansion per frame entry:
-with h = pull_i(1/D) * entry, the candidate z^t contributes (u + a)^t h
-at a finite point a, whose polar coefficients are binomial combinations
-of the window of h from ord_0 h to u^-1, and u^-t h at infinity, a
-shifted window of h up to u^(size-2).
+Assembly reads the system off one Laurent expansion per frame entry.
+The frames are untwisted (the columns of rho(g_i)^-1, or g_i^-1 b_k g_i,
+which each group element forms once), and the twist T_i^-w, of weight
+w = 1 or 2, is folded into the disk base B = pull_i(1/D) * T_i^-w of the
+candidate space.  With h = B * entry, the candidate z^t contributes
+(u + a)^t h at a finite point a, whose polar coefficients are binomial
+combinations of the window of h from ord_0 h to u^-1, and u^-t h at
+infinity, a shifted window of h up to u^(size-2).  Most entries are
+monomials c*u^m, whose columns are c times those of u^m * B: the
+candidate space keeps them in a table per (point, weight, exponent),
+so such an entry costs one scale per column and no expansion.
 
 Factor once, then solve many: a ``TwistedSystem`` is the section space
 of one bundle.  It assembles the conditions (``assemble``) and
@@ -42,14 +48,14 @@ platform, and per-trial substreams are independent of evaluation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
-from .field import GaussRat, RatFunc, dot
+from .field import GQ_ONE, GaussRat, RatFunc, dot
 from .hamiltonian import XVector
 from .lie import (
     CoadjointElement,
@@ -59,7 +65,7 @@ from .lie import (
 )
 from .linalg import Elimination, solve_system
 from .matrices import commutator, identity
-from .moduli import HiggsPoint, YPoint, higgs_transport, section_transition
+from .moduli import HiggsPoint, YPoint
 
 _ONE = RatFunc.const(1)
 
@@ -135,18 +141,33 @@ class SolverBounds:
 class CandidateSpace:
     """Monomial scalar candidates for functions regular away from marked points.
 
-    ``disks[i]`` is what assembly reads at marked point i: the pulled
-    base pull_i(1/D) = pull_i(functions[0]), the top exponent of the
-    windows, and the shift powers of ``_shift_powers`` (None at infinity).
+    ``disks[i]`` is what assembly reads at marked point i: the twisted
+    bases ``{w: pull_i(1/D) * T_i^-w}`` for the twist weights w = 1
+    (sections) and w = 2 (Higgs fields), the top exponent of the
+    windows, and the shift powers of ``_shift_powers`` (None at
+    infinity).  ``tables`` holds, under the key (i, w, m), the polar
+    columns of u^m times the twisted base, built on first use by
+    ``monomial_columns``; it grows only with the exponents m that occur.
     """
 
     functions: tuple
     bounds: SolverBounds
     disks: tuple
+    tables: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.functions)
+
+    def monomial_columns(self, i: int, weight: int, m: int) -> tuple:
+        """The polar columns (t, e, coefficient) of u^m * pull_i(1/D) * T_i^-weight."""
+        key = (i, weight, m)
+        columns = self.tables.get(key)
+        if columns is None:
+            bases, top, powers = self.disks[i]
+            h = bases[weight] * RatFunc.monomial(GQ_ONE, m)
+            columns = self.tables[key] = tuple(_polar_columns(h, top, powers, self.size))
+        return columns
 
 
 def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSpace:
@@ -168,10 +189,14 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
     disks = []
     for i, p in enumerate(curve.marked_points):
         base = curve.chart(i).pull(functions[0])
+        bases = {
+            1: base * curve.transition_inverses[i],
+            2: base * curve.transition_inverse_squares[i],
+        }
         if p.is_infinity:
-            disks.append((base, size - 2, None))
+            disks.append((bases, size - 2, None))
         else:
-            disks.append((base, -1, _shift_powers(p.value, size)))
+            disks.append((bases, -1, _shift_powers(p.value, size)))
     space = curve.candidate_spaces[bounds] = CandidateSpace(tuple(functions), bounds, tuple(disks))
     return space
 
@@ -236,42 +261,58 @@ def _infinite_columns(lo: int, window: list, size: int):
                 yield t, lo + s - t, x
 
 
-def assemble(candidates: CandidateSpace, dim: int, frame):
+def _polar_columns(h: RatFunc, top: int, powers, size: int):
+    """(t, e, coefficient) of the polar part of candidate t's column
+    z^t * D * h at the disk: (u + a)^t h at a finite point (``powers``),
+    u^-t h at infinity (``powers`` None)."""
+    window = _window(h, top)
+    if window is None:
+        return ()
+    if powers is None:
+        return _infinite_columns(*window, size)
+    return _finite_columns(*window, powers)
+
+
+def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
     """(row keys, dense rows, non-zero count) of the regularity conditions.
 
-    ``frame[i][k]`` is the tuple of local coordinates of basis element k
-    transported to disk i (the k-th column of the transition M_i(u)).  A
-    candidate sum_{k,t} c_kt f_t e_k is a global section when every
-    transported germ is regular at u = 0: one linear condition per polar
-    coefficient, keyed (disk, coordinate, exponent), the keys sorted.
-    Column k * size + t belongs to the candidate f_t e_k; since
-    f_t = z^t f_0, each frame entry is expanded once and every t is read
-    off that expansion.  What assembly needs of the curve at each disk
-    comes with ``candidates`` (``candidate_functions``).
+    ``frame[i][k]`` is the tuple of untwisted local coordinates of basis
+    element k transported to disk i (the k-th column of rho(g_i)^-1, or
+    g_i^-1 b_k g_i flattened); the bundle's twist is T_i^-weight, folded
+    into the disk's base.  A candidate sum_{k,t} c_kt f_t e_k is a global
+    section when every transported germ is regular at u = 0: one linear
+    condition per polar coefficient, keyed (disk, coordinate, exponent),
+    the keys sorted.  Column k * size + t belongs to the candidate
+    f_t e_k.  A monomial entry c*u^m reads its columns from the space's
+    table for (disk, weight, m), scaled by c; any other entry is
+    multiplied by the twisted base and expanded once, and every t is
+    read off that expansion (f_t = z^t f_0).
     """
     size = candidates.size
     ncols = dim * size
-    # h = pull_i(1/D) * entry, read off per point
     rows = {}
     nonzeros = 0
-    for i, (disk, (base, top, powers)) in enumerate(zip(frame, candidates.disks)):
+    for i, (disk, (bases, top, powers)) in enumerate(zip(frame, candidates.disks)):
+        base = bases[weight]
         for k, entries in enumerate(disk):
+            offset = k * size
             for row, entry in enumerate(entries):
                 if entry.is_zero():
                     continue
-                window = _window(base * entry, top)
-                if window is None:
-                    continue
-                if powers is None:
-                    columns = _infinite_columns(*window, size)
+                monomial = entry.as_monomial()
+                if monomial is None:
+                    c, columns = K.GQ_ONE, tuple(_polar_columns(base * entry, top, powers, size))
                 else:
-                    columns = _finite_columns(*window, powers)
+                    c, m = monomial
+                    columns = candidates.monomial_columns(i, weight, m)
+                unit = c == K.GQ_ONE
                 for t, e, triple in columns:
                     key = (i, row, e)
-                    if key not in rows:
-                        rows[key] = [K.GQ_ZERO] * ncols
-                    rows[key][k * size + t] = triple
-                    nonzeros += 1
+                    cells = rows.get(key)
+                    if cells is None:
+                        cells = rows[key] = [K.GQ_ZERO] * ncols
+                    cells[offset + t] = triple if unit else K.gq_mul(c, triple)
+                nonzeros += len(columns)
     keys = sorted(rows)
     return keys, [rows[key] for key in keys], nonzeros
 
@@ -280,21 +321,22 @@ class TwistedSystem:
     """The global sections of one twisted bundle: its regularity conditions
     (``assemble``), eliminated once, and the basis they leave.
 
-    ``value`` turns ``ncoords`` scalar functions into a section value
-    (``XVector`` on the section side, a coadjoint element on the Higgs
-    side).  ``basis`` holds the sections as values, formed once, and
-    ``dim`` is their number.  ``particular`` solves for a candidate with
+    ``frame`` and ``weight`` are the untwisted transition columns and the
+    twist weight that ``assemble`` reads.  ``value`` turns ``ncoords``
+    scalar functions into a section value (``XVector`` on the section
+    side, a coadjoint element on the Higgs side).  ``basis`` holds the
+    sections as values, formed once, and ``dim`` is their number.  ``particular`` solves for a candidate with
     prescribed polar parts against the stored elimination, reducing only
     the right-hand side.
     """
 
     __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "basis", "nonzeros")
 
-    def __init__(self, candidates: CandidateSpace, ncoords: int, frame, value):
+    def __init__(self, candidates: CandidateSpace, ncoords: int, frame, weight: int, value):
         self.candidates = candidates
         self.ncoords = ncoords
         self._value = value
-        keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame)
+        keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame, weight)
         self._row_index = {key: r for r, key in enumerate(keys)}
         self.elimination = Elimination(matrix, ncoords * candidates.size)
         null_basis, _ = solve_system(self.elimination, self.elimination.ncols)
@@ -352,22 +394,21 @@ class TwistedSystem:
         return None if parts[0] is None else self._combine(parts[0])
 
 
-def _section_frame(curve, rep, g):
-    """The columns of T_i^-1 rho(g_i)^-1 at every marked point."""
+def _section_frame(rep, g):
+    """The columns of rho(g_i)^-1 at every marked point (twist weight 1)."""
     frame = []
-    for i in range(curve.n_points):
-        t_inv, rg_inv = section_transition(curve, rep, g, i)
-        frame.append([tuple(t_inv * row[k] for row in rg_inv) for k in range(rep.space.dim)])
+    for g_i in g:
+        rg_inv = rep.act_group(g_i.inverse())
+        frame.append([tuple(row[k] for row in rg_inv) for k in range(rep.space.dim)])
     return frame
 
 
-def _higgs_frame(curve, algebra, g):
-    """T_i^-2 g_i^-1 b_k g_i, flattened row-major, for every basis element b_k."""
-    frame = []
-    for i in range(curve.n_points):
-        transport = higgs_transport(curve, g, i)
-        frame.append([tuple(e for row in transport(b) for e in row) for b in algebra.basis])
-    return frame
+def _higgs_frame(algebra, g):
+    """g_i^-1 b_k g_i, flattened row-major, for every basis element b_k
+    (twist weight 2); each g_i forms its conjugates once."""
+    return [
+        [tuple(e for row in m for e in row) for m in g_i.conjugated_basis(algebra)] for g_i in g
+    ]
 
 
 class AffineSpace:
@@ -402,7 +443,7 @@ def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
 def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Solve the regularity conditions; every basis vector gives a valid point."""
     candidates = candidate_functions(curve, bounds or SolverBounds())
-    return TwistedSystem(candidates, rep.space.dim, _section_frame(curve, rep, g), XVector)
+    return TwistedSystem(candidates, rep.space.dim, _section_frame(rep, g), 1, XVector)
 
 
 def build_tangent_space(
@@ -425,7 +466,8 @@ def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = Non
     return TwistedSystem(
         candidate_functions(curve, bounds or SolverBounds()),
         algebra.dim,
-        _higgs_frame(curve, algebra, g),
+        _higgs_frame(algebra, g),
+        2,
         lambda coords: CoadjointElement(algebra, algebra.combination(coords)),
     )
 

@@ -222,6 +222,7 @@ class TrialRecord:
     cols: int = 0
     rank: int = 0
     nonzeros: int = 0
+    residue_points: int = 0
 
     @property
     def ok(self) -> bool:
@@ -246,6 +247,7 @@ def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
         ident = identity_check(inst.point, t1, t2)
         rec.residuals_zero = all(r.is_zero() for r in ident.residuals)
         rec.alpha_residue_sum = ident.alpha_residue_sum
+        rec.residue_points = _nonzero_count(ident.alpha_residues)
         rec.disk_ok = ident.disk_ok
         rec.identity_ok = ident.ok
         if not ident.ok:
@@ -268,6 +270,12 @@ class CorruptRecord:
     cols: int
     rank: int
     nonzeros: int
+    residue_points: int
+
+
+def _nonzero_count(residues) -> int:
+    """The marked points whose residue of omega(sdot_1, sdot_2) alpha is not 0."""
+    return sum(1 for r in residues if not r.is_zero())
 
 
 def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
@@ -313,6 +321,7 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
                 bundle_attempts=inst.bundle_attempts,
                 tangent_retries=inst.tangent_retries,
                 **inst.point.system.counts,
+                residue_points=_nonzero_count(identity_check(inst.point, t1, t2).alpha_residues),
             )
         )
     return records

@@ -15,10 +15,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_field import _naive_window, _operand
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_field import _naive_window, _operand, nonzero_gauss
 from test_sparse_forms import REPS
 
 from higgsres import GaussRat, HamiltonianRep, RatFunc, ShapeError, XVector, builtin_rep
+from higgsres import _kernels as kernels
 from higgsres import field, hamiltonian
 from higgsres._kernels import pure
 from higgsres.field import GQ_ONE, _u_power, dot
@@ -311,6 +314,34 @@ def test_dot_matches_sequential_sum():
             kinds["laurent"] += 1
     assert dot([]) is field._ZERO
     assert min(kinds.values()) >= 10, kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([GaussRat(0), GQ_ONE, GaussRat(Fraction(-2, 3), 1)]) | nonzero_gauss,
+    nonzero_gauss,
+    st.integers(0, 4),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_one_term_dot_is_a_scale(c, a, k, seed, swap):
+    """One term with a single-coefficient factor a*u^-k is a scale of the
+    other factor, with no p_dot, whenever k = 0 or the other is Laurent."""
+    single = RatFunc(a, [0] * k + [1])
+    other = _operand(random.Random(seed))
+    if random.Random(seed).randrange(4) == 0:
+        other = _finite_germ(random.Random(seed))
+    x, y = (other, single) if swap else (single, other)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "p_dot", lambda terms: calls.append(terms) or pure.p_dot(terms))
+        got = _k_ok(dot([(c, x, y)]))
+    want = x * y * c
+    assert (got.num, got.den) == (want.num, want.den)
+    if c.is_zero() or other.is_zero():
+        assert got is field._ZERO
+    if k == 0 or other._k >= 0:
+        assert not calls
 
 
 def _entry(rng) -> RatFunc:

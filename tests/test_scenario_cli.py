@@ -240,31 +240,33 @@ def test_cli_corrupt_suite_detects(fixtures_dir, capsys):
 
 # the --stats block of f1 at seed 1 (20 trials): per-trial counts the
 # default report does not print, appended after the verdict line; rows,
-# cols, rank and nonzeros are those of the accepted bundle's section system
+# cols, rank and nonzeros are those of the accepted bundle's section system,
+# and residue_points is 0 on f1's one marked point, where a residue of
+# omega(sdot_1, sdot_2) alpha must vanish by itself
 F1_SEED1_STATS = """\
 stats (20 trials):
-  trial  section_dim  bundle_attempts  tangent_retries  rows  cols  rank  nonzeros
-    000            2                2                1    12    14    12        12
-    001            1                3                5    14    14    13        24
-    002            1                3                0    14    14    13        26
-    003            1                5                0    14    14    13        26
-    004            1                2                1    14    14    13        26
-    005            2                3                1    14    14    12        16
-    006            1                2                2    13    14    13        13
-    007            1                1                0    14    14    13        20
-    008            1                1                0    14    14    13        20
-    009            1                1                1    14    14    13        20
-    010            1                1                0    13    14    13        26
-    011            1                1                0    16    14    13        27
-    012            1                3                0    15    14    13        20
-    013            1                1                1    15    14    13        40
-    014            1                2                1    14    14    13        20
-    015            1                1                0    14    14    13        26
-    016            1                1                0    15    14    13        20
-    017            1                2                6    14    14    13        19
-    018            1                3                0    16    14    13        20
-    019            1                1                0    18    14    13        33
-  total           22               39               19   287   280   258       454
+  trial  section_dim  bundle_attempts  tangent_retries  rows  cols  rank  nonzeros  residue_points
+    000            2                2                1    12    14    12        12               0
+    001            1                3                5    14    14    13        24               0
+    002            1                3                0    14    14    13        26               0
+    003            1                5                0    14    14    13        26               0
+    004            1                2                1    14    14    13        26               0
+    005            2                3                1    14    14    12        16               0
+    006            1                2                2    13    14    13        13               0
+    007            1                1                0    14    14    13        20               0
+    008            1                1                0    14    14    13        20               0
+    009            1                1                1    14    14    13        20               0
+    010            1                1                0    13    14    13        26               0
+    011            1                1                0    16    14    13        27               0
+    012            1                3                0    15    14    13        20               0
+    013            1                1                1    15    14    13        40               0
+    014            1                2                1    14    14    13        20               0
+    015            1                1                0    14    14    13        26               0
+    016            1                1                0    15    14    13        20               0
+    017            1                2                6    14    14    13        19               0
+    018            1                3                0    16    14    13        20               0
+    019            1                1                0    18    14    13        33               0
+  total           22               39               19   287   280   258       454               0
 """
 
 
@@ -288,9 +290,12 @@ def test_cli_stats_json_adds_only_the_stats_key(fixtures_dir, capsys, command):
     rows = stats["trials"]
     assert [row["trial"] for row in rows] == [0, 1, 2]
     columns = (
-        "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros"
+        "section_dim", "bundle_attempts", "tangent_retries", "rows", "cols", "rank", "nonzeros",
+        "residue_points",
     )
     assert stats["total"] == {c: sum(row[c] for row in rows) for c in columns}
+    # the residues at f3's two marked points sum to zero: none or both are non-zero
+    assert all(row["residue_points"] in (0, 2) for row in rows)
     assert all(row["section_dim"] >= 1 and row["bundle_attempts"] >= 1 for row in rows)
     # rank-nullity: the sections are the null space of the section system
     assert all(row["rank"] + row["section_dim"] == row["cols"] for row in rows)
@@ -409,6 +414,16 @@ SL2_DIAG = [["1/u", "0"], ["0", "u"]]
 SL2_ZERO = [["0", "0"], ["0", "0"]]
 
 
+# global data with a pole at z = 0, which f1 does not mark: (keys, value, key named)
+POLES_OFF_THE_MARKED_POINTS = [
+    (("section",), {"kind": "explicit", "coords": ["1/z", "0"]}, "section.coords[0]"),
+    (("y_tangents", 0, "s_circ_dot"), ["0", "1/z"], "y_tangents[0].s_circ_dot[1]"),
+    (("higgs", "phi_circ"), [["0", "1/z"], ["0", "0"]], "higgs.phi_circ[0][1]"),
+    (("higgs", "tangents", 1, "phi_circ_dot"), [["0", "0"], ["1/z", "0"]],
+     "higgs.tangents[1].phi_circ_dot[1][0]"),
+]
+
+
 def word_bundle(factor):
     return {"kind": "word", "words": {"inf": [factor]}}
 
@@ -453,6 +468,11 @@ def word_bundle(factor):
         (("section", "seed"), True, 2, "section.seed"),
         (("y_tangents", 0, "seed"), "1", 2, "y_tangents[0].seed"),
         (("y_tangents", 1, "seed"), 2.0, 2, "y_tangents[1].seed"),
+        # a torus factor of determinant u^2
+        (("bundle",), word_bundle({"type": "torus", "exponents": [1, 1]}), 3,
+         "bundle.words['inf'][0].exponents: torus exponents must sum to zero"),
+        *((keys, value, 3, where + ": has a pole away from the marked points")
+          for keys, value, where in POLES_OFF_THE_MARKED_POINTS),
     ],
 )
 def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):
@@ -479,6 +499,24 @@ def test_zero_copies_of_the_standard_rep_fail_every_command(tmp_path, fixtures_d
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "representation: omega must be square of even, non-zero size" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "check-theorem", "random-suite", "omega"])
+@pytest.mark.parametrize("keys, value, where", POLES_OFF_THE_MARKED_POINTS)
+def test_pole_off_the_marked_points_fails_every_command(
+    tmp_path, fixtures_dir, capsys, command, keys, value, where
+):
+    doc = json.loads((fixtures_dir / "f1.json").read_text())
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == (3, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{where}: has a pole away from the marked points" in captured.err
 
 
 PROBE_VALUES = [5, "x", [], {}, None, True, -1, "1/0", [[]], 2.5]

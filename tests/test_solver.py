@@ -19,6 +19,7 @@ from higgsres import (
     OneForm,
     P1Point,
     RatFunc,
+    ShapeError,
     XVector,
     builtin_rep,
     identity_check,
@@ -29,9 +30,9 @@ from higgsres import (
 )
 from higgsres import _kernels as K
 from higgsres.linalg import Elimination
-from higgsres.lie import elementary, torus
+from higgsres.lie import MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import commutator, identity
-from higgsres.moduli import make_higgs_point, make_higgs_tangent
+from higgsres.moduli import higgs_transport, make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
     CocycleRecipe,
     GdotRecipe,
@@ -268,14 +269,16 @@ def test_every_sampled_section_is_valid(curve_two_points):
         make_y_point(curve_two_points, rep, g, s)  # must not raise
 
 
-def _per_candidate_assembly(curve, candidates, dim, frame):
+def _per_candidate_assembly(curve, candidates, dim, frame, weight):
     """The system's (row keys, dense rows) the slow way: pull every candidate
-    to every disk, multiply it by every frame entry and expand the product."""
+    to every disk, multiply it by the twist T_i^-weight and every frame
+    entry, and expand the product."""
     size, zero = candidates.size, _triple(0)
     rows = {}
     for i, disk in enumerate(frame):
+        twist = curve.transition(i) ** -weight
         for t, f in enumerate(candidates.functions):
-            f_loc = curve.chart(i).pull(f)
+            f_loc = curve.chart(i).pull(f) * twist
             for k, entries in enumerate(disk):
                 for row, entry in enumerate(entries):
                     for e, triple in _polar(f_loc * entry):
@@ -284,10 +287,11 @@ def _per_candidate_assembly(curve, candidates, dim, frame):
     return keys, [[rows[key].get(col, zero) for col in range(dim * size)] for key in keys]
 
 
-def _marked(*points):
-    """P^1 marked at points; assembly reads only the charts, so T_i = u."""
+def _marked(*points, transitions=None):
+    """P^1 marked at points; assembly reads only the charts and the T_i,
+    so T_i = u unless ``transitions`` are given."""
     pts = [INFINITY if p == "inf" else P1Point.finite(p) for p in points]
-    return MarkedCurve(pts, OneForm(RatFunc.const(-1)), [U] * len(pts))
+    return MarkedCurve(pts, OneForm(RatFunc.const(-1)), transitions or [U] * len(pts))
 
 
 def _combine_by_loop(functions, dim, vec):
@@ -300,6 +304,30 @@ def _combine_by_loop(functions, dim, vec):
             acc = acc + f * vec[k * size + t]
         out.append(acc)
     return out
+
+
+def _check_assembly(curve, candidates, dim, frame, weight):
+    """assemble and TwistedSystem against the per-candidate oracle; returns
+    the system."""
+    keys, rows, nonzeros = assemble(candidates, dim, frame, weight)
+    assert (keys, rows) == _per_candidate_assembly(curve, candidates, dim, frame, weight)
+    assert keys
+    assert nonzeros == sum(1 for row in rows for t in row if not K.gq_is_zero(t))
+    system = TwistedSystem(candidates, dim, frame, weight, list)
+    assert system.counts["rows"] == len(keys)
+    assert system.counts["nonzeros"] == nonzeros
+    return system
+
+
+def _check_tables(curve, candidates):
+    """Every table entry (i, w, m) holds the polar columns of
+    u^m * pull_i(1/D) * T_i^-w, read off the oracle's expansion."""
+    for (i, w, m), columns in candidates.tables.items():
+        frame = [[(RatFunc.const(0),)]] * curve.n_points
+        frame[i] = [(U**m,)]
+        keys, rows = _per_candidate_assembly(curve, candidates, 1, frame, w)
+        assert sorted((t, e, x) for (_, _, e), row in zip(keys, rows) for t, x in enumerate(row)
+                      if not K.gq_is_zero(x)) == sorted(columns)
 
 
 def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_two_points):
@@ -321,24 +349,56 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             sub = rng.child(c, rep_name, b)
             n = rep.algebra.n
             g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
-            for dim, frame in (
-                (rep.space.dim, _section_frame(curve, rep, g)),
-                (rep.algebra.dim, _higgs_frame(curve, rep.algebra, g)),
+            for dim, frame, weight in (
+                (rep.space.dim, _section_frame(rep, g), 1),
+                (rep.algebra.dim, _higgs_frame(rep.algebra, g), 2),
             ):
-                keys, rows, nonzeros = assemble(candidates, dim, frame)
-                want = _per_candidate_assembly(curve, candidates, dim, frame)
-                assert (keys, rows) == want
-                assert keys
-                assert nonzeros == sum(1 for row in rows for t in row if not K.gq_is_zero(t))
-                system = TwistedSystem(candidates, dim, frame, list)
-                assert system.counts["rows"] == len(keys)
-                assert system.counts["nonzeros"] == nonzeros
+                system = _check_assembly(curve, candidates, dim, frame, weight)
                 functions = candidates.functions
                 null = system.elimination.null_basis
                 assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
                 assert system.dim == len(null)
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
                 assert system._combine(vec) == _combine_by_loop(functions, dim, vec)
+        _check_tables(curve, candidates)
+        assert {w for _, w, _ in candidates.tables} == {1, 2}
+
+
+def _frame_entries():
+    """Monomials with c = 1 and c != 1, negative, zero and large positive m,
+    zero, and entries that are not monomials (Laurent or not)."""
+    c = GaussRat(Fraction(-2, 3), 1)
+    return [
+        (U**-3, c * U**-2, RatFunc.const(c)),
+        (RatFunc.const(0), U**2, c * U**40),
+        (U**2 + U**-1, RatFunc(1, [-3, 1]), c * U**-1),
+    ]
+
+
+def test_assembly_tables_serve_any_monomial_and_any_base():
+    half = GaussRat(Fraction(-1, 2))
+    curves = [
+        _marked("inf"),
+        _marked(1, "inf"),
+        _marked(GaussRat(0, 1), half, "inf"),
+        _marked(half),
+        # non-monomial transitions: the twisted bases are not Laurent
+        _marked(0, "inf", transitions=[U * (U - 1), GaussRat(0, 1) * (1 - U) / U]),
+        _marked(1, transitions=[U * (U + 1)]),
+    ]
+    for curve in curves:
+        candidates = candidate_functions(curve, SolverBounds(degree=3, pole_order=2))
+        frame = [_frame_entries() for _ in range(curve.n_points)]
+        for weight in (1, 2):
+            _check_assembly(curve, candidates, 3, frame, weight)
+        _check_tables(curve, candidates)
+        # u^40 is regular on every disk: an entry with no polar columns
+        assert all(candidates.tables[(i, w, 40)] == () for i in range(curve.n_points) for w in (1, 2))
+        # one entry per (disk, weight, exponent of a monomial entry)
+        monomials = {-3, -2, 0, 2, 40, -1}
+        assert set(candidates.tables) == {
+            (i, w, m) for i in range(curve.n_points) for w in (1, 2) for m in monomials
+        }
 
 
 def _fresh_candidates(curve, bounds):
@@ -353,8 +413,9 @@ def _fresh_candidates(curve, bounds):
     disks = []
     for i, p in enumerate(curve.marked_points):
         base = curve.chart(i).pull(functions[0])
+        bases = {w: base * curve.transition(i) ** -w for w in (1, 2)}
         top = size - 2 if p.is_infinity else -1
-        disks.append((base, top, None if p.is_infinity else _shift_powers(p.value, size)))
+        disks.append((bases, top, None if p.is_infinity else _shift_powers(p.value, size)))
     return functions, tuple(disks)
 
 
@@ -394,7 +455,7 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
     candidates = candidate_functions(curve, SolverBounds(3, 2))
     dim = rep.space.dim
-    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g), list)
+    system = TwistedSystem(candidates, dim, _section_frame(rep, g), 1, list)
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
     combined = system._combine(vec)
@@ -588,7 +649,7 @@ def _random_point(side, rep, curve, bounds, rng):
         space = build_section_space(curve, rep, g, bounds)
         s = sample_vector(space, rng.child("s")) if space.dim else XVector.zero(rep.space.dim)
         point = make_y_point(curve, rep, g, s, space)
-        frame = _section_frame(curve, rep, g)
+        frame, weight = _section_frame(rep, g), 1
     else:
         space = build_higgs_field_space(curve, algebra, g, bounds)
         if space.dim:
@@ -596,8 +657,8 @@ def _random_point(side, rep, curve, bounds, rng):
         else:
             phi = algebra.coadjoint([[0] * algebra.n for _ in range(algebra.n)])
         point = make_higgs_point(curve, algebra, g, phi, space)
-        frame = _higgs_frame(curve, algebra, g)
-    keys, rows, _ = assemble(space.candidates, space.ncoords, frame)
+        frame, weight = _higgs_frame(algebra, g), 2
+    keys, rows, _ = assemble(space.candidates, space.ncoords, frame, weight)
     return point, space, dict(zip(keys, rows))
 
 
@@ -697,3 +758,23 @@ def test_inverse_is_computed_once_and_knows_its_inverse(name):
     one = LoopGroupElement.identity(3)
     assert g * inv == one and inv * g == one
     assert (g * inv).mat == identity(3)
+
+
+@pytest.mark.parametrize("name", ["torus", "elementary", "product"])
+def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
+    g = _group_elements()[name]
+    algebra = MatrixLieAlgebra.sl(3)
+    conjugated = g.conjugated_basis(algebra)
+    assert g.conjugated_basis(algebra) is conjugated
+    assert g.conjugated_basis(MatrixLieAlgebra.sl(3)) is conjugated
+    curve = _marked(1, "inf", transitions=[U * (U - 1), GaussRat(0, 1) * U])
+    for i in range(curve.n_points):
+        transport = higgs_transport(curve, [g] * curve.n_points, i)
+        t2_inv = curve.transition(i) ** -2
+        untwisted = [tuple(tuple(e / t2_inv for e in row) for row in transport(b)) for b in algebra.basis]
+        assert untwisted == list(conjugated)
+    # products and inverses start with nothing cached
+    assert (g * g)._conjugated is None
+    assert g.inverse()._conjugated is None
+    with pytest.raises(ShapeError):
+        g.conjugated_basis(MatrixLieAlgebra.sl(2))
