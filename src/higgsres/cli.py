@@ -335,7 +335,8 @@ def run(argv=None):
         scenario = load_scenario(args.scenario)
         report.scenario = scenario.name
         handler(scenario, args, report)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing file, a directory, an unreadable or non-UTF-8 file
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR, None
     except ParseError as exc:

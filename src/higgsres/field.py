@@ -28,10 +28,11 @@ numerator with the smaller k by |k1 - k2| zeros, and both then strip
 the min(ord_0 n, k) low zeros that u^k shares with n.  ``dot`` sums
 many products at once: it adds each into one numerator over the largest
 power of u and reduces once, and a single product with a one-coefficient
-factor is a scale of the other factor.  Division and inversion by a monomial
-c*u^m, the chart pull at infinity and reading Laurent coefficients
-(a slice of n) take the same short cut.  The canonical form is unique,
-so both paths give identical values.
+factor is a scale of the other factor; ``polar_dot`` reads only the
+coefficients of such a sum below u^0, off windows of the factors.
+Division and inversion by a monomial c*u^m, the chart pull at infinity
+and reading Laurent coefficients (a slice of n) take the same short
+cut.  The canonical form is unique, so both paths give identical values.
 
 The textual encoding of Gaussian rationals ("p/q", "p/q+r/s*i") and the
 small expression grammar used for rational functions in scenario files
@@ -647,6 +648,45 @@ def dot(terms) -> RatFunc:
     return acc
 
 
+def polar_dot(terms) -> dict:
+    """The coefficients {e: triple} at exponents e < 0 of dot(terms), read
+    without forming the sum; an exponent may map to zero.
+
+    The coefficient of u^e in x*y is sum x_p y_q over p + q = e, with p at
+    least ord_0 x and q at least ord_0 y.  So for e < 0 it needs only x's
+    window from ord_0 x to -1 - ord_0 y and y's window from ord_0 y to
+    -1 - ord_0 x, whatever the valuations and whether or not x and y are
+    Laurent.  A RatFunc coefficient c is multiplied into x first.
+    """
+    acc = {}
+    for c, x, y in terms:
+        if not (x._n and y._n):
+            continue
+        if type(c) is not GaussRat:
+            x, c = x * c, GQ_ONE
+            if not x._n:
+                continue
+        vx, vy = x.valuation(), y.valuation()
+        size = -(vx + vy)
+        if size <= 0:
+            continue
+        xs = x.coefficients(vx, -1 - vy)
+        ys = y.coefficients(vy, -1 - vx)
+        scale = c._t
+        for i, a in enumerate(xs):
+            if K.gq_is_zero(a):
+                continue
+            if scale != K.GQ_ONE:
+                a = K.gq_mul(scale, a)
+            for j in range(size - i):
+                b = ys[j]
+                if not K.gq_is_zero(b):
+                    e = j + i - size
+                    p = K.gq_mul(a, b)
+                    acc[e] = K.gq_add(acc[e], p) if e in acc else p
+    return acc
+
+
 def _scaled_product(c: tuple, s: RatFunc, o: RatFunc) -> RatFunc | None:
     """c*s*o for a single-coefficient Laurent s = a*u^-k, as a*c times o,
     or None when s is not one or the product needs a gcd (k > 0 and o is
@@ -674,12 +714,14 @@ class Jet2:
     __slots__ = ("v", "d1", "d2", "d12")
 
     def __init__(self, v, d1=0, d2=0, d12=0):
-        # only the int default is replaced: a RatFunc tested != 0 coerces the 0
-        zero = v - v
         self.v = v
-        self.d1 = zero if type(d1) is int and not d1 else d1
-        self.d2 = zero if type(d2) is int and not d2 else d2
-        self.d12 = zero if type(d12) is int and not d12 else d12
+        if type(d1) is int or type(d2) is int or type(d12) is int:
+            # only the int default is replaced: a RatFunc tested != 0 coerces the 0
+            zero = v - v
+            d1 = zero if type(d1) is int and not d1 else d1
+            d2 = zero if type(d2) is int and not d2 else d2
+            d12 = zero if type(d12) is int and not d12 else d12
+        self.d1, self.d2, self.d12 = d1, d2, d12
 
     @classmethod
     def lift1(cls, value, direction) -> "Jet2":

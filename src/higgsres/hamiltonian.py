@@ -19,6 +19,10 @@ Q_a.  Q_a is not folded by symmetry: it is symmetric only for rho(xi_a)
 in sp(omega), and rep_validate reports an explicit rho outside it.
 ``dmoment_values`` and ``moment_values`` return these pairings in label
 order; ``dmoment`` and ``moment`` dualize them into coadjoint values.
+rho(xi) x is sum r xi_a x_j over the entries (i, j, r) of rho(xi_a) for
+the non-zero coordinates xi_a; ``inf_action_terms`` hands out those
+terms, for a caller that needs only part of the sum (the solver reads
+their polar coefficients).
 
 Built-in representations:
 
@@ -243,8 +247,10 @@ class HamiltonianRep:
 
     # -- operations ----------------------------------------------------------
 
-    def inf_action(self, xi: LoopAlgebraElement, x: XVector) -> XVector:
-        """The infinitesimal action rho(xi) x = sum_a xi_a rho(xi_a) x."""
+    def inf_action_terms(self, xi: LoopAlgebraElement, x: XVector) -> list[list]:
+        """The ``field.dot`` terms (r, xi_a, x_j) of each coordinate of
+        rho(xi) x: one per non-zero coordinate xi_a and entry (i, j, r)
+        of rho(xi_a)."""
         if not same_algebra(xi.algebra, self.algebra):
             raise NotInAlgebra("element of a different algebra")
         self.space.check(x)
@@ -255,7 +261,11 @@ class HamiltonianRep:
                 continue
             for i, j, r in entries:
                 terms[i].append((r, c, xs[j]))
-        return XVector([dot(t) for t in terms])
+        return terms
+
+    def inf_action(self, xi: LoopAlgebraElement, x: XVector) -> XVector:
+        """The infinitesimal action rho(xi) x = sum_a xi_a rho(xi_a) x."""
+        return XVector([dot(t) for t in self.inf_action_terms(xi, x)])
 
     def dmoment_values(self, x: XVector, v: XVector) -> list[RatFunc]:
         """<dmu_x(v), xi_a> = x^T Q_a v for each basis label, in label order."""

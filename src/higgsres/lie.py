@@ -19,6 +19,21 @@ by the test suite.
 Loop-group elements are matrices of rational functions in the local disk
 coordinate with determinant identically 1; loop-algebra and coadjoint
 elements are traceless matrices of rational functions.
+
+Each span element keeps its coordinates next to its matrix: the ones
+its trace check reads off, or the ones it was built from
+(``MatrixLieAlgebra.element_from``).  Each basis element is one or two
+signed matrix units e_rc (``MatrixLieAlgebra.units``), so the Lie-side
+operations are sums over the non-zero coordinates only:
+
+    [e_rc, e_pq] = d_cp e_rq - d_qr e_pc     (``bracket``)
+    [e_rc, M]    = row c of M put in row r,
+                   minus column r of M put in column c   (``ad_terms``)
+    tr(M e_rc)   = M[c][r]                   (``pairing``)
+
+Loop-algebra elements drawn at random have one or two non-zero
+coordinates, so these cost a few products where the dense matrix forms
+cost n^3.  The structure constants are never needed for them.
 """
 
 from __future__ import annotations
@@ -33,7 +48,6 @@ from .matrices import (
     Matrix,
     adjugate,
     as_entry,
-    commutator,
     det,
     identity,
     mat_add,
@@ -48,6 +62,8 @@ from .matrices import (
 
 _ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
+# the GaussRat of a matrix unit's sign, or of a product of two
+_SIGNS = {1: GQ_ONE, -1: -GQ_ONE}
 
 
 class MatrixLieAlgebra:
@@ -74,28 +90,35 @@ class MatrixLieAlgebra:
             + [label("F", j, k) for j, k in self._lower]
         )
         self.dim = len(self.labels)
-        self.basis: list[Matrix] = []
-        for k in range(self.dim):
-            coeffs = [_ZERO] * self.dim
-            coeffs[k] = _ONE
-            self.basis.append(self.combination(coeffs))
+        # the signed matrix units (row, col, sign) of each basis element
+        self.units = tuple(
+            [((j, k, 1),) for j, k in self._upper]
+            + [((j, j, 1), (j + 1, j + 1, -1)) for j in range(n - 1)]
+            + [((j, k, 1),) for j, k in self._lower]
+        )
+        self.basis: list[Matrix] = [self.combination(self._unit_coeffs(k)) for k in range(self.dim)]
 
     @classmethod
     def sl(cls, n: int) -> "MatrixLieAlgebra":
         return cls(n)
 
+    def _unit_coeffs(self, k: int) -> list[RatFunc]:
+        coeffs = [_ZERO] * self.dim
+        coeffs[k] = _ONE
+        return coeffs
+
     @cached_property
     def structure(self) -> dict[tuple[int, int], list[GaussRat]]:
         """Structure constants: ``structure[(a, b)]`` expands [e_a, e_b].
 
-        About ``dim^2 / 2`` commutators, so they are computed on first
-        read only.
+        About ``dim^2 / 2`` brackets, so they are computed on first read
+        only; ``bracket`` itself never reads them.
         """
         out: dict[tuple[int, int], list[GaussRat]] = {}
+        basis = [self.element_from(self._unit_coeffs(k)) for k in range(self.dim)]
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
-                br = commutator(self.basis[a], self.basis[b])
-                consts = [c.constant_value() for c in self.expand_in_basis(br)]
+                consts = [c.constant_value() for c in bracket(basis[a], basis[b]).coeffs]
                 out[(a, b)] = consts
                 out[(b, a)] = [-c for c in consts]
         return out
@@ -128,6 +151,8 @@ class MatrixLieAlgebra:
         Off-diagonal coefficients are entries; the diagonal is
         d_j = c(H_j) - c(H_(j-1)), with c(H_-1) = c(H_(n-1)) = 0.
         """
+        if len(coeffs) != self.dim:
+            raise ShapeError(f"expected {self.dim} coordinates in {self.name}")
         n = self.n
         rows = [[_ZERO] * n for _ in range(n)]
         offdiag, cartan = self._split([as_entry(c) for c in coeffs])
@@ -149,6 +174,15 @@ class MatrixLieAlgebra:
 
     def coadjoint(self, mat) -> "CoadjointElement":
         return CoadjointElement(self, mat)
+
+    def element_from(self, coeffs: Sequence) -> "LoopAlgebraElement":
+        """The loop-algebra element with these coordinates, which it keeps;
+        its matrix is their ``combination``, in the span by construction."""
+        return LoopAlgebraElement._from_coeffs(self, coeffs)
+
+    def coadjoint_from(self, coeffs: Sequence) -> "CoadjointElement":
+        """The coadjoint element whose matrix has these coordinates."""
+        return CoadjointElement._from_coeffs(self, coeffs)
 
     def __repr__(self):
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
@@ -230,30 +264,48 @@ class LoopGroupElement:
 class _SpanElement:
     """A matrix in the RatFunc-span of an algebra's basis.
 
-    Arithmetic returns the left operand's class; equality holds only
-    between elements of the same class.
+    ``coeffs`` are its coordinates in the basis: kept from the trace
+    check of ``__init__`` or from ``_from_coeffs``, and read off the
+    matrix on first use for the results of arithmetic.  Arithmetic
+    returns the left operand's class; equality holds only between
+    elements of the same class.
     """
 
-    __slots__ = ("algebra", "mat")
+    __slots__ = ("algebra", "mat", "_coeffs")
     _outside = "matrix outside the span of {}"
     _label_suffix = ""
 
     def __init__(self, algebra: MatrixLieAlgebra, mat):
         self.algebra = algebra
         self.mat = mat_from(mat)
-        if algebra.expand_in_basis(self.mat) is None:
+        self._coeffs = algebra.expand_in_basis(self.mat)
+        if self._coeffs is None:
             raise NotInAlgebra(self._outside.format(algebra.name))
+
+    @classmethod
+    def _trusted(cls, algebra: MatrixLieAlgebra, mat, coeffs=None):
+        """An element of a matrix known to be in the span (no check)."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out.mat = mat
+        out._coeffs = coeffs
+        return out
+
+    @classmethod
+    def _from_coeffs(cls, algebra: MatrixLieAlgebra, coeffs: Sequence):
+        coeffs = [as_entry(c) for c in coeffs]
+        return cls._trusted(algebra, algebra.combination(coeffs), coeffs)
 
     @property
     def coeffs(self) -> list[RatFunc]:
-        """The coefficients of the matrix in the algebra's basis."""
-        return self.algebra.expand_in_basis(self.mat)
+        """The coefficients of the matrix in the algebra's basis (the kept
+        list: read it, do not change it)."""
+        if self._coeffs is None:
+            self._coeffs = self.algebra.expand_in_basis(self.mat)
+        return self._coeffs
 
     def _new(self, mat):
-        out = type(self).__new__(type(self))
-        out.algebra = self.algebra
-        out.mat = mat
-        return out
+        return self._trusted(self.algebra, mat)
 
     def is_zero(self) -> bool:
         return mat_is_zero(self.mat)
@@ -314,20 +366,85 @@ def _require_same_algebra(a, b):
         raise ShapeError("elements of different algebras")
 
 
+def _from_terms(cls, algebra: MatrixLieAlgebra, terms: dict):
+    """The element of class cls whose matrix entry (r, c) is
+    ``dot(terms[(r, c)])`` (zero where there is no key); the caller
+    knows it is traceless."""
+    n = algebra.n
+    rows = [[_ZERO] * n for _ in range(n)]
+    for (r, c), entry in terms.items():
+        rows[r][c] = dot(entry)
+    return cls._trusted(algebra, tuple(tuple(row) for row in rows))
+
+
 def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
-    """The commutator [x, y] = xy - yx."""
+    """The commutator [x, y] = xy - yx, summed from coordinates.
+
+    Every pair of non-zero coordinates x_a, y_b adds x_a y_b [b_a, b_b],
+    and on matrix units [e_rc, e_pq] = d_cp e_rq - d_qr e_pc.
+    """
     _require_same_algebra(x, y)
-    if shape(x.mat) != shape(y.mat):
-        raise ShapeError("bracket of differently sized matrices")
-    return LoopAlgebraElement(x.algebra, commutator(x.mat, y.mat))
+    units = x.algebra.units
+    ys = [(units[b], yb) for b, yb in enumerate(y.coeffs) if not yb.is_zero()]
+    terms = {}
+    for a, xa in enumerate(x.coeffs):
+        if xa.is_zero():
+            continue
+        for r, c, s in units[a]:
+            for y_units, yb in ys:
+                for p, q, t in y_units:
+                    if c == p:
+                        terms.setdefault((r, q), []).append((_SIGNS[s * t], xa, yb))
+                    if q == r:
+                        terms.setdefault((p, c), []).append((_SIGNS[-s * t], xa, yb))
+    return _from_terms(LoopAlgebraElement, x.algebra, terms)
+
+
+def ad_terms(xi: LoopAlgebraElement, m: Matrix, sign: int = 1) -> dict:
+    """The entries of sign * [xi, M] as ``field.dot`` terms, keyed (row, col).
+
+    Summed over the non-zero coordinates xi_a only: the unit e_rc of b_a
+    puts row c of M into row r, and minus column r of M into column c.
+    Entries with no key are zero.
+    """
+    n = xi.algebra.n
+    if shape(m) != (n, n):
+        raise ShapeError(f"bracket of sl{n} with a {shape(m)} matrix")
+    units = xi.algebra.units
+    terms = {}
+    for a, x in enumerate(xi.coeffs):
+        if x.is_zero():
+            continue
+        for r, c, s in units[a]:
+            plus, minus = _SIGNS[s * sign], _SIGNS[-s * sign]
+            for j, e in enumerate(m[c]):
+                terms.setdefault((r, j), []).append((plus, x, e))
+            for i, row in enumerate(m):
+                terms.setdefault((i, c), []).append((minus, x, row[r]))
+    return terms
+
+
+def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> CoadjointElement:
+    """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of xi."""
+    _require_same_algebra(phi, xi)
+    return _from_terms(CoadjointElement, phi.algebra, ad_terms(xi, phi.mat, -1))
 
 
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
-    """<phi, xi> = tr(phi.mat xi.mat), summed as phi[i][k] xi[k][i] (n^2 products, not n^3)."""
-    if shape(phi.mat) != shape(xi.mat):
-        raise ShapeError("pairing of differently sized matrices")
-    pairs = zip(phi.mat, zip(*xi.mat))
-    return dot((GQ_ONE, x, y) for row, col in pairs for x, y in zip(row, col))
+    """<phi, xi> = tr(phi.mat xi.mat) = sum_a dual_values(phi)[a] xi_a.
+
+    Only the non-zero coordinates xi_a are read, through tr(M e_rc) =
+    M[c][r] on the matrix units of b_a.
+    """
+    _require_same_algebra(phi, xi)
+    m = phi.mat
+    units = xi.algebra.units
+    return dot(
+        (_SIGNS[s], m[c][r], x)
+        for a, x in enumerate(xi.coeffs)
+        if not x.is_zero()
+        for r, c, s in units[a]
+    )
 
 
 def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:

@@ -7,7 +7,7 @@ expansion for determinants and cofactor adjugates are perfectly adequate.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 from .errors import ShapeError
@@ -94,24 +94,6 @@ def mat_is_zero(a: Matrix) -> bool:
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return shape(a) == shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """ab - ba, each entry one sum of products with the ba terms negated."""
-    n, m = shape(a)
-    if m != shape(b)[0]:
-        raise ShapeError(f"cannot multiply {shape(a)} by {shape(b)}")
-    if shape(b) != (n, m) or n != m:
-        raise ShapeError(f"commutator of {shape(a)} and {shape(b)}: not square of one size")
-    acols, bcols = tuple(zip(*a)), tuple(zip(*b))
-    neg = -GQ_ONE
-    return tuple(
-        tuple(
-            dot(chain(zip(repeat(GQ_ONE), ra, bc), zip(repeat(neg), rb, ac)))
-            for ac, bc in zip(acols, bcols)
-        )
-        for ra, rb in zip(a, b)
     )
 
 

@@ -45,7 +45,17 @@ sdot'_i and rho(gdot_i) s'_i; a HiggsPoint phi'_i and a HiggsTangent
 phidot'_i.  The pushforward and ``identity_check`` read these values
 instead of recomputing them, and the pushforward compares each direct
 moment image with the transported one through their pairings with the
-basis, which determine a traceless matrix.
+basis, which determine a traceless matrix.  The tangent solves read
+only the polar coefficients of rho(gdot_i) s'_i and [gdot_i, phi'_i]
+(``solver``); the whole germs are formed here, once per accepted
+tangent.
+
+The Lie side works in sl_n coordinates.  Each gdot_i keeps the few
+non-zero coordinates it was drawn with, and [phi'_i, gdot_i], the
+bracket [gdot_1, gdot_2] and every pairing <phi, gdot> are sums over
+those coordinates and the matrix units of the basis
+(``lie.coadjoint_bracket``, ``lie.bracket``, ``lie.pairing``), not
+dense matrix products.
 """
 
 from __future__ import annotations
@@ -68,10 +78,11 @@ from .lie import (
     LoopGroupElement,
     MatrixLieAlgebra,
     bracket,
+    coadjoint_bracket,
     dual_values,
     pairing,
 )
-from .matrices import Matrix, commutator, mat_mul, mat_vec
+from .matrices import Matrix, mat_mul, mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +257,11 @@ def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
 
 
 def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[CoadjointElement]:
-    """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i]."""
+    """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i], the bracket
+    summed over the non-zero coordinates of gdot_i."""
     linear = derive_phi_prime(base.curve, base.algebra, base.g, phi_circ_dot)
     return [
-        linear[i] + CoadjointElement(base.algebra, commutator(base.phi_prime[i].mat, g_dot[i].mat))
+        linear[i] + coadjoint_bracket(base.phi_prime[i], g_dot[i])
         for i in range(base.curve.n_points)
     ]
 

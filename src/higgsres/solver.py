@@ -35,10 +35,15 @@ formed once.  The point built from a section or Higgs-field space keeps
 the system, and every tangent solve at that point goes through
 ``linalg.solve_system`` against the stored elimination.  Its right-hand
 side is the sparse column ``{row: triple}`` of the polar coefficients of
-the g_dot action; it is infeasible when one of them lies in no row of
-the system or when, after the elimination steps are replayed on the
-column, an entry outside the pivot rows is nonzero; otherwise the
-solution is read off the pivot rows.
+the g_dot action, rho(gdot_i) s'_i or [gdot_i, phi'_i].  Only those
+coefficients are formed: ``field.polar_dot`` reads them off coefficient
+windows of the factors, summed over the non-zero coordinates of gdot_i
+(``HamiltonianRep.inf_action_terms``, ``lie.ad_terms``); the whole germ
+is formed once, for an accepted tangent, by ``moduli``.  A solve is
+infeasible when a polar coefficient lies in no row of the system or
+when, after the elimination steps are replayed on the column, an entry
+outside the pivot rows is nonzero; otherwise the solution is read off
+the pivot rows.
 
 Randomness is supplied by a splittable counter-based stream (SHA-256 of
 the path), so identical seeds reproduce identical instances on any
@@ -55,18 +60,19 @@ from typing import Sequence
 from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
-from .field import GQ_ONE, GaussRat, RatFunc, dot
+from .field import GQ_ONE, GaussRat, RatFunc, dot, polar_dot
 from .hamiltonian import XVector
 from .lie import (
-    CoadjointElement,
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
+    ad_terms,
 )
 from .linalg import Elimination, solve_system
-from .matrices import commutator, identity
+from .matrices import identity
 from .moduli import HiggsPoint, YPoint
 
+_ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
 
 # ---------------------------------------------------------------------------
@@ -325,9 +331,9 @@ class TwistedSystem:
     twist weight that ``assemble`` reads.  ``value`` turns ``ncoords``
     scalar functions into a section value (``XVector`` on the section
     side, a coadjoint element on the Higgs side).  ``basis`` holds the
-    sections as values, formed once, and ``dim`` is their number.  ``particular`` solves for a candidate with
-    prescribed polar parts against the stored elimination, reducing only
-    the right-hand side.
+    sections as values, formed once, and ``dim`` is their number.
+    ``particular`` solves for a candidate with prescribed polar parts
+    against the stored elimination, reducing only the right-hand side.
     """
 
     __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "basis", "nonzeros")
@@ -371,22 +377,20 @@ class TwistedSystem:
         return self._value(out)
 
     def particular(self, rhs):
-        """The candidate whose transport has the polar part of rhs[i] in disk i.
+        """The candidate whose transport has the polar part rhs[i] in disk i.
 
-        ``rhs[i]`` holds germs in the frame's coordinates.  Returns the
-        solution with free coefficients 0 as a value, or None when there
-        is none: some polar coefficient of rhs lies in no row of the
-        system, or rhs is not in the column space of A.
+        ``rhs[i]`` maps a coordinate of the frame (a row) to the polar
+        coefficients ``{e: triple}``, e < 0, prescribed there; zero
+        triples are skipped.  Returns the solution with free coefficients
+        0 as a value, or None when there is none: some polar coefficient
+        of rhs lies in no row of the system, or rhs is not in the column
+        space of A.
         """
         nrows = self.elimination.nrows
         column = {}
-        for i, germs in enumerate(rhs):
-            for row, germ in enumerate(germs):
-                window = _window(germ, -1)
-                if window is None:
-                    continue
-                lo, coefficients = window
-                for e, triple in enumerate(coefficients, lo):
+        for i, disk in enumerate(rhs):
+            for row, coefficients in disk.items():
+                for e, triple in coefficients.items():
                     if not K.gq_is_zero(triple):
                         # a key past the rows of A stands for a zero row of A
                         column[self._row_index.get((i, row, e), nrows)] = triple
@@ -455,10 +459,22 @@ def build_tangent_space(
     the inhomogeneity comes from the infinitesimal action of g_dot on the
     disk sections.
     """
-    # sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i
-    rhs = [point.rep.inf_action(g_dot[i], s).coords for i, s in enumerate(point.s_prime)]
     failure = "no tangent section cancels the poles of the g_dot action"
+    rhs = section_rhs(point, g_dot)
     return _tangent_space(point, build_section_space, point.rep, rhs, bounds, failure)
+
+
+def section_rhs(point: YPoint, g_dot) -> list[dict]:
+    """The polar coefficients of rho(gdot_i) s'_i, per disk and coordinate.
+
+    sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i is regular
+    exactly when the transported sdot has these polar coefficients.
+    """
+    rep = point.rep
+    return [
+        {j: polar_dot(terms) for j, terms in enumerate(rep.inf_action_terms(g_dot[i], s)) if terms}
+        for i, s in enumerate(point.s_prime)
+    ]
 
 
 def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None) -> TwistedSystem:
@@ -468,7 +484,7 @@ def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = Non
         algebra.dim,
         _higgs_frame(algebra, g),
         2,
-        lambda coords: CoadjointElement(algebra, algebra.combination(coords)),
+        algebra.coadjoint_from,
     )
 
 
@@ -476,13 +492,23 @@ def build_higgs_tangent_space(
     point: HiggsPoint, g_dot, bounds: SolverBounds | None = None
 ) -> AffineSpace:
     """Solutions phidot for which the Higgs tangent disk data stays regular."""
-    # phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i]
-    rhs = [
-        tuple(e for row in commutator(g_dot[i].mat, phi.mat) for e in row)
+    failure = "no global Higgs deformation cancels the bracket poles"
+    rhs = higgs_rhs(point, g_dot)
+    return _tangent_space(point, build_higgs_field_space, point.algebra, rhs, bounds, failure)
+
+
+def higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
+    """The polar coefficients of [gdot_i, phi'_i], per disk and entry
+    (row-major, as in the Higgs frame).
+
+    phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i] is regular
+    exactly when the transported phidot has these polar coefficients.
+    """
+    n = point.algebra.n
+    return [
+        {r * n + c: polar_dot(terms) for (r, c), terms in ad_terms(g_dot[i], phi.mat).items()}
         for i, phi in enumerate(point.phi_prime)
     ]
-    failure = "no global Higgs deformation cancels the bracket poles"
-    return _tangent_space(point, build_higgs_field_space, point.algebra, rhs, bounds, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +523,7 @@ def sample_vector(space, rng: SeedStream, max_num: int = 2, max_den: int = 2):
         raise EmptySpace("cannot sample from an empty space")
     coeffs = [rng.gauss(max_num, max_den) for _ in basis]
     if all(c.is_zero() for c in coeffs):
-        coeffs[rng.randint(0, len(coeffs) - 1)] = GaussRat(1)
+        coeffs[rng.randint(0, len(coeffs) - 1)] = GQ_ONE
     acc = None
     for c, b in zip(coeffs, basis):
         term = c * b
@@ -575,7 +601,7 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
 
 def _scale_columns(rows: list, exponents: Sequence[int]):
     """Right-multiply rows by diag(u^e_1, ..., u^e_n), in place."""
-    powers = [RatFunc.monomial(GaussRat(1), e) for e in exponents]
+    powers = [RatFunc.monomial(GQ_ONE, e) for e in exponents]
     for row in rows:
         row[:] = [x * p if e else x for x, p, e in zip(row, powers, exponents)]
 
@@ -583,11 +609,12 @@ def _scale_columns(rows: list, exponents: Sequence[int]):
 def random_loop_algebra(
     algebra: MatrixLieAlgebra, recipe: GdotRecipe, rng: SeedStream
 ) -> LoopAlgebraElement:
-    """A random span combination with monomial RatFunc coefficients."""
-    coeffs = [RatFunc.const(0)] * algebra.dim
+    """A random span combination with monomial RatFunc coefficients,
+    built from its coordinates (``MatrixLieAlgebra.element_from``)."""
+    coeffs = [_ZERO] * algebra.dim
     for _ in range(recipe.terms):
         k = rng.randint(0, algebra.dim - 1)
         m = rng.randint(-recipe.pole_order, recipe.degree)
         c = rng.nonzero_gauss(recipe.max_num, recipe.max_den)
         coeffs[k] = coeffs[k] + RatFunc.monomial(c, m)
-    return algebra.element(algebra.combination(coeffs))
+    return algebra.element_from(coeffs)

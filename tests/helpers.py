@@ -1,14 +1,17 @@
 """Test-only builders: constant gauge transport of section data, seeded
 sampling, named Lie-algebra elements, monomial candidate vectors and the
-coadjoint transition."""
+coadjoint transition; and the dense oracles of the coordinate forms in
+``lie``: the matrix commutator and the trace-form pairing."""
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from higgsres.errors import ShapeError
-from higgsres.field import RatFunc
+from higgsres.field import GQ_ONE, RatFunc, dot
 from higgsres.hamiltonian import XVector
 from higgsres.lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra
-from higgsres.matrices import mat_mul, mat_vec, zeros
+from higgsres.matrices import Matrix, mat_mul, mat_vec, shape, zeros
 from higgsres.moduli import YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import AffineSpace, CandidateSpace, SeedStream, sample_affine, sample_vector
 
@@ -80,3 +83,29 @@ def coadjoint_transition(g: LoopGroupElement, phi: CoadjointElement) -> Coadjoin
         raise ShapeError("group element and coadjoint value sizes differ")
     ginv = g.inverse()
     return CoadjointElement(phi.algebra, mat_mul(mat_mul(ginv.mat, phi.mat), g.mat))
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    """ab - ba, each entry one sum of products with the ba terms negated."""
+    n, m = shape(a)
+    if m != shape(b)[0]:
+        raise ShapeError(f"cannot multiply {shape(a)} by {shape(b)}")
+    if shape(b) != (n, m) or n != m:
+        raise ShapeError(f"commutator of {shape(a)} and {shape(b)}: not square of one size")
+    acols, bcols = tuple(zip(*a)), tuple(zip(*b))
+    neg = -GQ_ONE
+    return tuple(
+        tuple(
+            dot(chain(zip(repeat(GQ_ONE), ra, bc), zip(repeat(neg), rb, ac)))
+            for ac, bc in zip(acols, bcols)
+        )
+        for ra, rb in zip(a, b)
+    )
+
+
+def trace_pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
+    """tr(phi.mat xi.mat), summed as phi[i][k] xi[k][i] over every entry."""
+    if shape(phi.mat) != shape(xi.mat):
+        raise ShapeError("pairing of differently sized matrices")
+    pairs = zip(phi.mat, zip(*xi.mat))
+    return dot((GQ_ONE, x, y) for row, col in pairs for x, y in zip(row, col))

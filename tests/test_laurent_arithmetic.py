@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import commutator
 from test_field import _naive_window, _operand, nonzero_gauss
 from test_sparse_forms import REPS
 
@@ -26,7 +27,7 @@ from higgsres import field, hamiltonian
 from higgsres._kernels import pure
 from higgsres.field import GQ_ONE, _u_power, dot
 from higgsres.lie import pairing
-from higgsres.matrices import commutator, mat_mul, mat_scale, mat_sub, mat_vec
+from higgsres.matrices import mat_mul, mat_scale, mat_sub, mat_vec
 from higgsres.solver import SeedStream, _window
 
 U = RatFunc.x()

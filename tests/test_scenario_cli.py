@@ -412,6 +412,8 @@ def test_higgs_pair_instances_are_pinned(fixtures_dir):
 
 SL2_DIAG = [["1/u", "0"], ["0", "u"]]
 SL2_ZERO = [["0", "0"], ["0", "0"]]
+# a scenario path that names a directory
+A_DIRECTORY = object()
 
 
 # global data with a pole at z = 0, which f1 does not mark: (keys, value, key named)
@@ -473,16 +475,24 @@ def word_bundle(factor):
          "bundle.words['inf'][0].exponents: torus exponents must sum to zero"),
         *((keys, value, 3, where + ": has a pole away from the marked points")
           for keys, value, where in POLES_OFF_THE_MARKED_POINTS),
+        # the scenario path itself cannot be read (no keys: value is the file)
+        ((), A_DIRECTORY, 2, "error: cannot read scenario: [Errno 21] Is a directory"),
+        ((), b'{"name": "f\xe9"}', 2, "error: cannot read scenario: 'utf-8' codec can't decode"),
     ],
 )
 def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):
-    doc = json.loads((fixtures_dir / "f1.json").read_text())
-    block = doc
-    for key in keys[:-1]:
-        block = block[key]
-    block[keys[-1]] = value
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(doc))
+    if value is A_DIRECTORY:
+        path.mkdir()
+    elif not keys:
+        path.write_bytes(value)
+    else:
+        doc = json.loads((fixtures_dir / "f1.json").read_text())
+        block = doc
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path.write_text(json.dumps(doc))
     assert run(["validate", str(path)]) == (code, None)
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, monomial_vectors, sample, zero_element
+from helpers import basis_element, commutator, monomial_vectors, sample, zero_element
 from test_field import _naive_window
 from test_sparse_elimination import _column
 
@@ -31,7 +31,7 @@ from higgsres import (
 from higgsres import _kernels as K
 from higgsres.linalg import Elimination
 from higgsres.lie import MatrixLieAlgebra, elementary, torus
-from higgsres.matrices import commutator, identity
+from higgsres.matrices import identity
 from higgsres.moduli import higgs_transport, make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
     CocycleRecipe,
@@ -48,10 +48,12 @@ from higgsres.solver import (
     build_section_space,
     build_tangent_space,
     candidate_functions,
+    higgs_rhs,
     random_cocycle,
     random_loop_algebra,
     sample_affine,
     sample_vector,
+    section_rhs,
 )
 from higgsres.suites import build_instance
 
@@ -495,27 +497,32 @@ def _record_calls(monkeypatch, name):
 
 
 def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
-    """rho(gdot_i) s'_i is formed by the tangent solve and make_y_tangent
-    only, and mu(s'_i) once per point, however many checks read them."""
+    """rho(gdot_i) s'_i is formed once per accepted tangent, by
+    make_y_tangent (the tangent solves read only its polar coefficients
+    off the terms), and mu(s'_i) once per point, however many checks read
+    them."""
     scenario = load_scenario(str(fixtures_dir / "f3.json"))
     rng = SeedStream("disk-values")
     build_instance(scenario, rng.child(0))
     actions = _record_calls(monkeypatch, "inf_action")
+    terms = _record_calls(monkeypatch, "inf_action_terms")
     moments = _record_calls(monkeypatch, "dmoment_values")
     inst = build_instance(scenario, rng.child(1))
     p, (t1, t2) = inst.point, inst.tangents
     n = scenario.curve.n_points
     solves = 2 + inst.tangent_retries
     assert inst.tangent_retries  # an infeasible solve is counted too
-    assert len(actions) == n * (solves + 2)
+    assert len(actions) == 2 * n
+    assert len(terms) == n * (solves + 2)
     for t in (t1, t2):
         for i in range(n):
             key = (t.g_dot[i], p.s_prime[i])
-            assert sum(a is key[0] and x is key[1] for a, x in actions) == 2
+            assert sum(a is key[0] and x is key[1] for a, x in actions) == 1
+            assert sum(a is key[0] and x is key[1] for a, x in terms) == 2
     assert not moments
     assert pullback_omega(p, t1, t2).is_zero()
     assert identity_check(p, t1, t2).ok
-    assert len(actions) == n * (solves + 2)
+    assert len(actions) == 2 * n
     for s in p.s_prime:
         assert sum(x is s and v is s for x, v in moments) == 1
 
@@ -663,7 +670,8 @@ def _random_point(side, rep, curve, bounds, rng):
 
 
 def _tangent_rhs(side, point, g_dot):
-    """The prescribed polar data of the tangent system at each disk."""
+    """The germs whose polar parts the tangent system prescribes at each
+    disk: rho(gdot_i) s'_i, or [gdot_i, phi'_i] flattened row-major."""
     n = point.curve.n_points
     if side == "section":
         return [point.rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(n)]
@@ -671,6 +679,24 @@ def _tangent_rhs(side, point, g_dot):
         tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
         for i in range(n)
     ]
+
+
+def _polar_rhs(germs):
+    """The input of ``TwistedSystem.particular``: per disk, {row: {e: triple}}
+    of the non-zero polar coefficients of each germ."""
+    return [
+        {row: dict(_polar(germ)) for row, germ in enumerate(disk) if _polar(germ)}
+        for disk in germs
+    ]
+
+
+def _nonzero(rhs):
+    """rhs with its zero coefficients and empty rows dropped."""
+    out = []
+    for disk in rhs:
+        rows = {row: {e: t for e, t in c.items() if not K.gq_is_zero(t)} for row, c in disk.items()}
+        out.append({row: c for row, c in rows.items() if c})
+    return out
 
 
 @pytest.mark.parametrize(
@@ -697,10 +723,13 @@ def test_factor_once_matches_one_shot_solve(
                         random_loop_algebra(rep.algebra, GdotRecipe(pole_order=3), sub.child(i))
                         for i in range(curve.n_points)
                     ]
-                    rhs = _tangent_rhs(side, point, g_dot)
-                    matrix, vector, null, part, extra = _one_shot(system, rows, rhs)
+                    germs = _tangent_rhs(side, point, g_dot)
+                    matrix, vector, null, part, extra = _one_shot(system, rows, germs)
                     assert system.elimination.null_basis == null
                     assert system.basis == [system._combine(v) for v in null]
+                    rhs = _polar_rhs(germs)
+                    builder = section_rhs if side == "section" else higgs_rhs
+                    assert _nonzero(builder(point, g_dot)) == rhs
                     assert system.particular(rhs) == (None if part is None else system._combine(part))
                     try:
                         space = build(point, g_dot, bounds)
@@ -726,6 +755,52 @@ def test_factor_once_matches_one_shot_solve(
                 for v in null:
                     assert all(x.is_zero() for x in _apply(list(rows.values()), v))
     assert all(kinds.values()), kinds
+
+
+def _three_point_curve():
+    """Marked at {0, 1, inf} with T = u(u-1), u(u+1), i(1-u)/u: at the
+    point 1 every germ has a pole off u = 0, so none is Laurent."""
+    alpha = OneForm(RatFunc(1, [0, 0, 1, -2, 1]))  # dz / (z^2 (z-1)^2)
+    transitions = [U * (U - 1), U * (U + 1), GaussRat(0, 1) * (1 - U) / U]
+    return MarkedCurve([P1Point.finite(0), P1Point.finite(1), INFINITY], alpha, transitions)
+
+
+@pytest.mark.parametrize("side", ["section", "higgs"])
+def test_polar_rhs_matches_window_of_the_full_germs(curve_two_points, side):
+    """section_rhs and higgs_rhs read the polar coefficients of
+    rho(gdot_i) s'_i and [gdot_i, phi'_i] off windows of the factors;
+    the oracle forms each germ whole (the dense commutator on the Higgs
+    side) and expands it."""
+    builder = section_rhs if side == "section" else higgs_rhs
+    bounds = SolverBounds(2, 2)
+    finite = nonzero = 0
+    for curve in (curve_two_points, _three_point_curve()):
+        for rep_name in ("sl2-standard", "sl3-cotangent"):
+            rep = builtin_rep(rep_name)
+            algebra = rep.algebra
+            rng = SeedStream("polar-rhs", side, rep_name, curve.n_points)
+            # a bundle with a non-zero section or Higgs field
+            for b in range(8):
+                point, system, _ = _random_point(side, rep, curve, bounds, rng.child("point", b))
+                if system.dim:
+                    break
+            for d in range(4):
+                sub = rng.child("g_dot", d)
+                g_dot = [
+                    random_loop_algebra(algebra, GdotRecipe(terms=2 + d, pole_order=3), sub.child(i))
+                    for i in range(curve.n_points)
+                ]
+                if d == 3:
+                    # a coefficient that is not a Laurent polynomial
+                    coeffs = list(g_dot[0].coeffs)
+                    coeffs[d % algebra.dim] = (U + 2) / (U ** 2 * (U - 3))
+                    g_dot[0] = algebra.element_from(coeffs)
+                germs = _tangent_rhs(side, point, g_dot)
+                assert _nonzero(builder(point, g_dot)) == _polar_rhs(germs)
+                finite += any(g._k < 0 and g.valuation() is not None and g.valuation() < 0
+                              for disk in germs for g in disk)
+                nonzero += any(_polar_rhs(germs))
+    assert finite >= 2 and nonzero >= 8
 
 
 def test_tangent_builder_keeps_one_system_per_bounds(f1_point, rep_sl2):
