@@ -18,7 +18,9 @@ non-zero entries (i, j, c): omega(u, v) = sum c u_i v_j over omega, and
 Q_a.  Q_a is not folded by symmetry: it is symmetric only for rho(xi_a)
 in sp(omega), and rep_validate reports an explicit rho outside it.
 ``dmoment_values`` and ``moment_values`` return these pairings in label
-order; ``dmoment`` and ``moment`` dualize them into coadjoint values.
+order; ``dmoment`` and ``moment`` turn them into the coordinates of
+coadjoint values in closed form (``coadjoint_from_pairings``), with no
+matrix and no trace check.
 rho(xi) x is sum r xi_a x_j over the entries (i, j, r) of rho(xi_a) for
 the non-zero coordinates xi_a; ``inf_action_terms`` hands out those
 terms, for a caller that needs only part of the sum (the solver reads
@@ -43,7 +45,7 @@ from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
 from .field import GaussRat, RatFunc, dot
-from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, dualize, same_algebra
+from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, same_algebra
 from .matrices import (
     Matrix,
     block_diag,
@@ -232,18 +234,28 @@ class HamiltonianRep:
     # -- group action ------------------------------------------------------
 
     def act_group(self, g: LoopGroupElement) -> Matrix:
-        """rho(g) for the structural representation kinds."""
+        """rho(g) for the structural representation kinds.
+
+        A block matrix is formed once per element and kind, and kept in
+        ``g.images`` under (kind, copies).
+        """
         if self.kind == "standard":
             return g.mat
+        key = (self.kind, self.copies)
+        rho = g.images.get(key)
+        if rho is not None:
+            return rho
         if self.kind == "sum":
-            return block_diag(*([g.mat] * self.copies))
-        if self.kind == "cotangent":
-            ginv = g.inverse()
-            return block_diag(g.mat, mat_transpose(ginv.mat))
-        raise ValidationError(
-            f"representation {self.name!r} has no structural group action; "
-            "sections require a built-in representation kind"
-        )
+            rho = block_diag(*([g.mat] * self.copies))
+        elif self.kind == "cotangent":
+            rho = block_diag(g.mat, mat_transpose(g.inverse().mat))
+        else:
+            raise ValidationError(
+                f"representation {self.name!r} has no structural group action; "
+                "sections require a built-in representation kind"
+            )
+        g.images[key] = rho
+        return rho
 
     # -- operations ----------------------------------------------------------
 
@@ -278,14 +290,11 @@ class HamiltonianRep:
 
     def moment(self, x: XVector) -> CoadjointElement:
         """mu(x), the coadjoint value with the pairings ``moment_values(x)``."""
-        return self._dualize(self.moment_values(x))
+        return self.algebra.coadjoint_from_pairings(self.moment_values(x))
 
     def dmoment(self, x: XVector, v: XVector) -> CoadjointElement:
         """dmu_x(v), the coadjoint value with the pairings ``dmoment_values(x, v)``."""
-        return self._dualize(self.dmoment_values(x, v))
-
-    def _dualize(self, values: list) -> CoadjointElement:
-        return dualize(self.algebra, dict(zip(self.algebra.labels, values)))
+        return self.algebra.coadjoint_from_pairings(self.dmoment_values(x, v))
 
     def __repr__(self):
         return f"HamiltonianRep({self.name!r}, dim={self.space.dim})"

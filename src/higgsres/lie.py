@@ -20,16 +20,29 @@ Loop-group elements are matrices of rational functions in the local disk
 coordinate with determinant identically 1; loop-algebra and coadjoint
 elements are traceless matrices of rational functions.
 
-Each span element keeps its coordinates next to its matrix: the ones
-its trace check reads off, or the ones it was built from
-(``MatrixLieAlgebra.element_from``).  Each basis element is one or two
-signed matrix units e_rc (``MatrixLieAlgebra.units``), so the Lie-side
-operations are sums over the non-zero coordinates only:
+Each span element keeps its sl_n coordinates: the ones its trace check
+reads off, or the ones it was built from (``MatrixLieAlgebra.element_from``,
+``coadjoint_from``).  Its matrix is formed from them on first read, so a
+value that only takes part in sums, pairings and regularity checks never
+has one.  Each basis element is one or two signed matrix units e_rc
+(``MatrixLieAlgebra.units``), so the Lie-side operations are sums over the
+non-zero coordinates only:
 
     [e_rc, e_pq] = d_cp e_rq - d_qr e_pc     (``bracket``)
     [e_rc, M]    = row c of M put in row r,
                    minus column r of M put in column c   (``ad_terms``)
-    tr(M e_rc)   = M[c][r]                   (``pairing``)
+    tr(b_a b_b)  = 1 for E_jk against F_kj, the Cartan matrix
+                   (2 on, -1 beside the diagonal) on the H_j   (``pairing``)
+
+The pairings tr(M b_a) of a traceless M and its coordinates determine
+each other in closed form (``MatrixLieAlgebra.pairings``,
+``coadjoint_from_pairings``), through that same trace form and the
+inverse Cartan matrix.
+
+A loop-group element keeps g^-1 b_a g per basis index a, formed on first
+use as a sum of outer products of a column of g^-1 and a row of g
+(``LoopGroupElement.conjugate``).  The coadjoint transport of ``moduli``
+reads their coordinates, the Higgs frame of ``solver`` their entries.
 
 Loop-algebra elements drawn at random have one or two non-zero
 coordinates, so these cost a few products where the dense matrix forms
@@ -50,13 +63,9 @@ from .matrices import (
     as_entry,
     det,
     identity,
-    mat_add,
     mat_eq,
     mat_from,
-    mat_is_zero,
     mat_mul,
-    mat_scale,
-    mat_sub,
     shape,
 )
 
@@ -96,6 +105,34 @@ class MatrixLieAlgebra:
             + [((j, j, 1), (j + 1, j + 1, -1)) for j in range(n - 1)]
             + [((j, k, 1),) for j, k in self._lower]
         )
+        e = len(self._upper)
+        index = {jk: a for a, jk in enumerate(self._upper)}
+        index.update((jk, e + n - 1 + a) for a, jk in enumerate(self._lower))
+        # the index of the transposed unit of each E and F (None for H)
+        self._transpose = (
+            [index[(k, j)] for j, k in self._upper]
+            + [None] * (n - 1)
+            + [index[(k, j)] for j, k in self._lower]
+        )
+        # the Gram matrix of the trace form: gram[a] holds (b, tr(b_a b_b)) where it is non-zero
+        self.gram = tuple(
+            ((t, GQ_ONE),)
+            if t is not None
+            else tuple(
+                (e + i, GaussRat(w))
+                for i, w in ((a - e - 1, -1), (a - e, 2), (a - e + 1, -1))
+                if 0 <= i < n - 1
+            )
+            for a, t in enumerate(self._transpose)
+        )
+        # the inverse Cartan matrix, (min(i, j) + 1)(n - 1 - max(i, j))/n, row by H index
+        self._cartan_inverse = {
+            e + j: tuple(
+                (e + i, GaussRat(Fraction((min(i, j) + 1) * (n - 1 - max(i, j)), n)))
+                for i in range(n - 1)
+            )
+            for j in range(n - 1)
+        }
         self.basis: list[Matrix] = [self.combination(self._unit_coeffs(k)) for k in range(self.dim)]
 
     @classmethod
@@ -125,37 +162,57 @@ class MatrixLieAlgebra:
 
     # -- queries -----------------------------------------------------------
 
-    def expand_in_basis(self, mat: Matrix) -> list[RatFunc] | None:
-        """Coefficients of mat in the basis, or None if its trace is not 0.
+    def coordinates(self, mat: Matrix) -> list[RatFunc]:
+        """The coordinates of a matrix known to be traceless.
 
         E_jk and F_jk read entry (j, k); H_j reads d_0 + ... + d_j, the
-        partial sums of the diagonal, whose last one is the trace.
+        partial sums of the diagonal (j < n - 1).
         """
-        n = self.n
-        if shape(mat) != (n, n):
-            raise ShapeError(f"expected a {n}x{n} matrix")
         partial = [mat[0][0]]
-        for j in range(1, n):
+        for j in range(1, self.n - 1):
             partial.append(partial[-1] + mat[j][j])
-        if not partial.pop().is_zero():
-            return None
         return (
             [mat[j][k] for j, k in self._upper]
             + partial
             + [mat[j][k] for j, k in self._lower]
         )
 
-    def combination(self, coeffs: Sequence) -> Matrix:
-        """The matrix sum_k coeffs[k] basis[k].
+    def expand_in_basis(self, mat: Matrix) -> list[RatFunc] | None:
+        """The ``coordinates`` of mat, or None if its trace is not 0 (the
+        last partial sum of the diagonal)."""
+        n = self.n
+        if shape(mat) != (n, n):
+            raise ShapeError(f"expected a {n}x{n} matrix")
+        coeffs = self.coordinates(mat)
+        if not (coeffs[len(self._upper) + n - 2] + mat[n - 1][n - 1]).is_zero():
+            return None
+        return coeffs
 
-        Off-diagonal coefficients are entries; the diagonal is
-        d_j = c(H_j) - c(H_(j-1)), with c(H_-1) = c(H_(n-1)) = 0.
-        """
+    def coordinate_terms(self, terms: Mapping) -> list[list]:
+        """The ``field.dot`` terms of each coordinate of the traceless
+        matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero where
+        there is no key): an E or F coordinate has its entry's terms, H_j
+        the terms of the diagonal entries 0..j together."""
+        out = [terms.get(jk, []) for jk in self._upper]
+        diagonal = []
+        for j in range(self.n - 1):
+            diagonal = diagonal + terms.get((j, j), [])
+            out.append(diagonal)
+        out.extend(terms.get(jk, []) for jk in self._lower)
+        return out
+
+    def combination(self, coeffs: Sequence) -> Matrix:
+        """The matrix sum_k coeffs[k] basis[k]."""
         if len(coeffs) != self.dim:
             raise ShapeError(f"expected {self.dim} coordinates in {self.name}")
+        return self._matrix([as_entry(c) for c in coeffs])
+
+    def _matrix(self, coeffs: list) -> Matrix:
+        """Off-diagonal coefficients are entries; the diagonal is
+        d_j = c(H_j) - c(H_(j-1)), with c(H_-1) = c(H_(n-1)) = 0."""
         n = self.n
         rows = [[_ZERO] * n for _ in range(n)]
-        offdiag, cartan = self._split([as_entry(c) for c in coeffs])
+        offdiag, cartan = self._split(coeffs)
         for (j, k), c in offdiag:
             rows[j][k] = c
         cartan = [_ZERO, *cartan, _ZERO]
@@ -168,6 +225,29 @@ class MatrixLieAlgebra:
         e = len(self._upper)
         f = e + self.n - 1
         return zip(self._upper + self._lower, vec[:e] + vec[f:]), vec[e:f]
+
+    def pairings(self, coeffs: Sequence[RatFunc]) -> list[RatFunc]:
+        """tr(M b_a) for each basis element, in label order, of the matrix
+        M with these coordinates: the F_kj coordinate for E_jk (and the
+        same for F_jk), and 2 c(H_j) - c(H_(j-1)) - c(H_(j+1)) for H_j."""
+        out = [None if t is None else coeffs[t] for t in self._transpose]
+        for a in self._cartan_inverse:
+            out[a] = dot((w, coeffs[b], _ONE) for b, w in self.gram[a])
+        return out
+
+    def coadjoint_from_pairings(self, values: Sequence[RatFunc]) -> "CoadjointElement":
+        """The coadjoint element M with tr(M b_a) = values[a], in label order.
+
+        The inverse of ``pairings``: an E or F coordinate is the pairing
+        with the transposed unit, and the H coordinates are the inverse
+        Cartan matrix applied to the pairings with the H_j.
+        """
+        if len(values) != self.dim:
+            raise ShapeError(f"expected {self.dim} pairings in {self.name}")
+        coeffs = [None if t is None else values[t] for t in self._transpose]
+        for a, row in self._cartan_inverse.items():
+            coeffs[a] = dot((w, values[b], _ONE) for b, w in row)
+        return CoadjointElement._trusted(self, coeffs)
 
     def element(self, mat) -> "LoopAlgebraElement":
         return LoopAlgebraElement(self, mat)
@@ -188,15 +268,26 @@ class MatrixLieAlgebra:
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
 
 
+def _matrix_of_terms(n: int, terms: Mapping) -> Matrix:
+    """The n x n matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero
+    where there is no key)."""
+    rows = [[_ZERO] * n for _ in range(n)]
+    for (r, c), entry in terms.items():
+        rows[r][c] = dot(entry)
+    return tuple(tuple(row) for row in rows)
+
+
 class LoopGroupElement:
     """An n x n matrix of rational functions with determinant 1.
 
-    Its inverse and the conjugates g^-1 b_k g of the sl_n basis are
-    formed on first use and kept; products and inverses start with
-    neither.
+    Its inverse, the conjugates g^-1 b_a g of the sl_n basis
+    (``conjugate``, one per index a) and its images rho(g) under the
+    representation kinds (``images``, kept by
+    ``HamiltonianRep.act_group``) are formed on first use and kept;
+    products and inverses start with none of them.
     """
 
-    __slots__ = ("mat", "n", "_inverse", "_conjugated")
+    __slots__ = ("mat", "n", "_inverse", "_columns", "images")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -205,7 +296,8 @@ class LoopGroupElement:
             raise ShapeError("group element must be square")
         self.n = n
         self._inverse = None
-        self._conjugated = None
+        self._columns = {}
+        self.images = {}
         if check and det(self.mat) != _ONE:
             raise ValidationError("loop group element has determinant != 1")
 
@@ -213,44 +305,57 @@ class LoopGroupElement:
     def identity(cls, n: int) -> "LoopGroupElement":
         return cls(identity(n), check=False)
 
+    @classmethod
+    def _bare(cls, mat, n: int) -> "LoopGroupElement":
+        out = cls.__new__(cls)
+        out.mat = mat
+        out.n = n
+        out._inverse = None
+        out._columns = {}
+        out.images = {}
+        return out
+
     def __mul__(self, other: "LoopGroupElement") -> "LoopGroupElement":
         if not isinstance(other, LoopGroupElement):
             return NotImplemented
-        out = LoopGroupElement.__new__(LoopGroupElement)
-        out.mat = mat_mul(self.mat, other.mat)
-        out.n = self.n
-        out._inverse = None
-        out._conjugated = None
-        return out
+        return LoopGroupElement._bare(mat_mul(self.mat, other.mat), self.n)
 
     def inverse(self) -> "LoopGroupElement":
         """g^-1, computed once; its own inverse is this element."""
         inv = self._inverse
         if inv is None:
             # det = 1, so the inverse is the adjugate
-            inv = LoopGroupElement.__new__(LoopGroupElement)
-            inv.mat = adjugate(self.mat)
-            inv.n = self.n
+            inv = self._inverse = LoopGroupElement._bare(adjugate(self.mat), self.n)
             inv._inverse = self
-            inv._conjugated = None
-            self._inverse = inv
         return inv
 
-    def conjugated_basis(self, algebra: MatrixLieAlgebra) -> tuple:
-        """g^-1 b_k g for each basis element b_k of sl_n, computed once.
+    def conjugate(self, algebra: MatrixLieAlgebra, a: int) -> tuple:
+        """(g^-1 b_a g, its non-zero coordinates as (index, value) pairs),
+        formed on first use for each basis index a and kept.
 
-        The basis of sl_n is the same for every ``MatrixLieAlgebra`` of
-        this n, so the one tuple serves them all.
+        g^-1 e_rc g is the outer product of column r of g^-1 and row c of
+        g, so each entry sums, over the one or two signed units e_rc of
+        b_a, products of non-zero entries only.  The basis of sl_n is the
+        same for every ``MatrixLieAlgebra`` of this n, so the one table
+        serves them all.
         """
         if algebra.n != self.n:
             raise ShapeError(f"conjugating sl{algebra.n} by an {self.n}x{self.n} element")
-        conjugated = self._conjugated
-        if conjugated is None:
-            g_inv = self.inverse().mat
-            conjugated = self._conjugated = tuple(
-                mat_mul(mat_mul(g_inv, b), self.mat) for b in algebra.basis
-            )
-        return conjugated
+        column = self._columns.get(a)
+        if column is None:
+            g, g_inv = self.mat, self.inverse().mat
+            terms = {}
+            for r, c, s in algebra.units[a]:
+                left = [(p, row[r]) for p, row in enumerate(g_inv) if not row[r].is_zero()]
+                sign = _SIGNS[s]
+                for q, y in enumerate(g[c]):
+                    if not y.is_zero():
+                        for p, x in left:
+                            terms.setdefault((p, q), []).append((sign, x, y))
+            mat = _matrix_of_terms(self.n, terms)
+            coords = algebra.coordinates(mat)
+            column = self._columns[a] = (mat, tuple((k, v) for k, v in enumerate(coords) if not v.is_zero()))
+        return column
 
     def __eq__(self, other):
         if not isinstance(other, LoopGroupElement):
@@ -262,64 +367,65 @@ class LoopGroupElement:
 
 
 class _SpanElement:
-    """A matrix in the RatFunc-span of an algebra's basis.
+    """A traceless matrix, held by its coordinates in the algebra's basis.
 
-    ``coeffs`` are its coordinates in the basis: kept from the trace
-    check of ``__init__`` or from ``_from_coeffs``, and read off the
-    matrix on first use for the results of arithmetic.  Arithmetic
-    returns the left operand's class; equality holds only between
-    elements of the same class.
+    ``coeffs`` are kept from the trace check of ``__init__`` or from
+    ``_trusted`` / ``_from_coeffs`` (read them, do not change them); the
+    matrix is the one given to ``__init__``, or formed from them on first
+    read of ``mat``.  Arithmetic and equality work on the coordinates.
+    Arithmetic returns the left operand's class; equality holds only
+    between elements of the same class.
     """
 
-    __slots__ = ("algebra", "mat", "_coeffs")
+    __slots__ = ("algebra", "coeffs", "_mat")
     _outside = "matrix outside the span of {}"
     _label_suffix = ""
 
     def __init__(self, algebra: MatrixLieAlgebra, mat):
         self.algebra = algebra
-        self.mat = mat_from(mat)
-        self._coeffs = algebra.expand_in_basis(self.mat)
-        if self._coeffs is None:
+        self._mat = mat_from(mat)
+        self.coeffs = algebra.expand_in_basis(self._mat)
+        if self.coeffs is None:
             raise NotInAlgebra(self._outside.format(algebra.name))
 
     @classmethod
-    def _trusted(cls, algebra: MatrixLieAlgebra, mat, coeffs=None):
-        """An element of a matrix known to be in the span (no check)."""
+    def _trusted(cls, algebra: MatrixLieAlgebra, coeffs: list):
+        """The element with these coordinates (RatFunc, one per basis element; no check)."""
         out = cls.__new__(cls)
         out.algebra = algebra
-        out.mat = mat
-        out._coeffs = coeffs
+        out.coeffs = coeffs
+        out._mat = None
         return out
 
     @classmethod
     def _from_coeffs(cls, algebra: MatrixLieAlgebra, coeffs: Sequence):
-        coeffs = [as_entry(c) for c in coeffs]
-        return cls._trusted(algebra, algebra.combination(coeffs), coeffs)
+        if len(coeffs) != algebra.dim:
+            raise ShapeError(f"expected {algebra.dim} coordinates in {algebra.name}")
+        return cls._trusted(algebra, [as_entry(c) for c in coeffs])
 
     @property
-    def coeffs(self) -> list[RatFunc]:
-        """The coefficients of the matrix in the algebra's basis (the kept
-        list: read it, do not change it)."""
-        if self._coeffs is None:
-            self._coeffs = self.algebra.expand_in_basis(self.mat)
-        return self._coeffs
+    def mat(self) -> Matrix:
+        if self._mat is None:
+            self._mat = self.algebra._matrix(self.coeffs)
+        return self._mat
 
-    def _new(self, mat):
-        return self._trusted(self.algebra, mat)
+    def _new(self, coeffs):
+        return self._trusted(self.algebra, coeffs)
 
     def is_zero(self) -> bool:
-        return mat_is_zero(self.mat)
+        return all(c.is_zero() for c in self.coeffs)
 
     def __add__(self, other):
         _require_same_algebra(self, other)
-        return self._new(mat_add(self.mat, other.mat))
+        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         _require_same_algebra(self, other)
-        return self._new(mat_sub(self.mat, other.mat))
+        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, scalar):
-        return self._new(mat_scale(scalar, self.mat))
+        scalar = as_entry(scalar)
+        return self._new([scalar * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -329,7 +435,7 @@ class _SpanElement:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return same_algebra(self.algebra, other.algebra) and mat_eq(self.mat, other.mat)
+        return same_algebra(self.algebra, other.algebra) and self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = [
@@ -347,7 +453,8 @@ class LoopAlgebraElement(_SpanElement):
 
 
 class CoadjointElement(_SpanElement):
-    """A dual-space value phi, stored as the matrix M with <phi, x> = tr(M x)."""
+    """A dual-space value phi: the traceless matrix M with <phi, x> = tr(M x),
+    held by its coordinates."""
 
     __slots__ = ()
     _outside = "coadjoint matrix outside the span of {} (trace-form identification)"
@@ -368,13 +475,9 @@ def _require_same_algebra(a, b):
 
 def _from_terms(cls, algebra: MatrixLieAlgebra, terms: dict):
     """The element of class cls whose matrix entry (r, c) is
-    ``dot(terms[(r, c)])`` (zero where there is no key); the caller
-    knows it is traceless."""
-    n = algebra.n
-    rows = [[_ZERO] * n for _ in range(n)]
-    for (r, c), entry in terms.items():
-        rows[r][c] = dot(entry)
-    return cls._trusted(algebra, tuple(tuple(row) for row in rows))
+    ``dot(terms[(r, c)])``, built from its coordinates
+    (``coordinate_terms``); the caller knows it is traceless."""
+    return cls._trusted(algebra, [dot(t) for t in algebra.coordinate_terms(terms)])
 
 
 def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
@@ -431,54 +534,28 @@ def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> Coadjoin
 
 
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
-    """<phi, xi> = tr(phi.mat xi.mat) = sum_a dual_values(phi)[a] xi_a.
+    """<phi, xi> = tr(phi.mat xi.mat) = sum_a,b phi_b xi_a tr(b_a b_b).
 
-    Only the non-zero coordinates xi_a are read, through tr(M e_rc) =
-    M[c][r] on the matrix units of b_a.
+    Read off the coordinates of both, at the non-zero coordinates xi_a
+    only, through the sparse Gram matrix of the trace form
+    (``MatrixLieAlgebra.gram``): no matrix is formed.
     """
     _require_same_algebra(phi, xi)
-    m = phi.mat
-    units = xi.algebra.units
+    c = phi.coeffs
+    gram = xi.algebra.gram
     return dot(
-        (_SIGNS[s], m[c][r], x)
+        (w, c[b], x)
         for a, x in enumerate(xi.coeffs)
         if not x.is_zero()
-        for r, c, s in units[a]
+        for b, w in gram[a]
     )
 
 
 def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:
-    """The traceless M with tr(M xi_a) = values[a] for each basis label.
-
-    tr(M E_jk) = M[k][j], and the same for F_jk.  The diagonal follows
-    from h_j = tr(M H_j) = d_j - d_(j+1) and trace 0:
-    d_0 = sum_j (n-1-j) h_j / n.
-    """
-    n = algebra.n
-    rows = [[_ZERO] * n for _ in range(n)]
-    offdiag, h = algebra._split([as_entry(values.get(lab, _ZERO)) for lab in algebra.labels])
-    for (j, k), v in offdiag:
-        rows[k][j] = v
-    d = dot((GaussRat(Fraction(n - 1 - j, n)), hj, _ONE) for j, hj in enumerate(h))
-    for j in range(n):
-        rows[j][j] = d
-        if j < n - 1 and not h[j].is_zero():
-            d = d - h[j]
-    return CoadjointElement(algebra, tuple(tuple(row) for row in rows))
-
-
-def dual_values(algebra: MatrixLieAlgebra, mat: Matrix) -> list[RatFunc]:
-    """tr(mat xi_a) for each basis label, in label order: the inverse of dualize.
-
-    tr(M E_jk) = M[k][j], the same for F_jk, and tr(M H_j) = M[j][j] -
-    M[j+1][j+1].  dualize(algebra, values) is traceless, so it gives mat
-    back from these values exactly when mat is traceless.
-    """
-    diagonal = [mat[j][j] for j in range(algebra.n)]
-    return (
-        [mat[k][j] for j, k in algebra._upper]
-        + [a - b for a, b in zip(diagonal, diagonal[1:])]
-        + [mat[k][j] for j, k in algebra._lower]
+    """The traceless M with tr(M xi_a) = values[a] for each basis label
+    (missing labels pair to 0): ``coadjoint_from_pairings``."""
+    return algebra.coadjoint_from_pairings(
+        [as_entry(values.get(lab, _ZERO)) for lab in algebra.labels]
     )
 
 

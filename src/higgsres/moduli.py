@@ -50,12 +50,20 @@ only the polar coefficients of rho(gdot_i) s'_i and [gdot_i, phi'_i]
 (``solver``); the whole germs are formed here, once per accepted
 tangent.
 
-The Lie side works in sl_n coordinates.  Each gdot_i keeps the few
-non-zero coordinates it was drawn with, and [phi'_i, gdot_i], the
-bracket [gdot_1, gdot_2] and every pairing <phi, gdot> are sums over
-those coordinates and the matrix units of the basis
-(``lie.coadjoint_bracket``, ``lie.bracket``, ``lie.pairing``), not
-dense matrix products.
+Both sides of the coadjoint data work in sl_n coordinates.  Each gdot_i
+keeps the few non-zero coordinates it was drawn with, and the bracket
+[gdot_1, gdot_2] and every pairing <phi, gdot> are sums over those
+coordinates (``lie.bracket``, ``lie.pairing``).  phi'_i is built from
+its coordinates,
+
+    phi'_i = T_i^-2 sum_a pull_i(phi_a) coords(g_i^-1 b_a g_i),
+
+summed over the non-zero coordinates phi_a only, with the conjugates
+read from g_i's table (``higgs_transport``, ``LoopGroupElement.conjugate``);
+phidot'_i adds the terms of [phi'_i, gdot_i] to the same sums.  So no
+dense matrix product runs and no transported value is checked for trace
+0 again; a matrix is formed only where one is read: by ``lie.ad_terms``
+for the bracket with phi'_i, and by ``cartan_check``'s jets.
 """
 
 from __future__ import annotations
@@ -77,12 +85,11 @@ from .lie import (
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
+    ad_terms,
     bracket,
-    coadjoint_bracket,
-    dual_values,
     pairing,
 )
-from .matrices import Matrix, mat_mul, mat_vec
+from .matrices import mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +217,33 @@ class HiggsTangent:
 
 
 def section_transition(curve: MarkedCurve, rep: HamiltonianRep, g, i: int):
-    """(T_i^-1, rho(g_i)^-1): the factors of s'_i = T_i^-1 rho(g_i)^-1 s."""
+    """(T_i^-1, rho(g_i)^-1): the factors of s'_i = T_i^-1 rho(g_i)^-1 s.
+
+    rho(g_i)^-1 is kept on g_i^-1 (``HamiltonianRep.act_group``), so it is
+    formed once per group element.
+    """
     return curve.transition_inverses[i], rep.act_group(g[i].inverse())
 
 
-def higgs_transport(curve: MarkedCurve, g, i: int):
-    """The map M -> T_i^-2 g_i^-1 M g_i on matrices in the chart at point i."""
+def higgs_transport(curve: MarkedCurve, algebra, g, i: int, phi) -> list[list]:
+    """The ``field.dot`` terms of each coordinate of T_i^-2 g_i^-1 phi g_i.
+
+    phi is given in the global coordinate z.  g_i^-1 phi g_i is
+    sum_a phi_a g_i^-1 b_a g_i, so coordinate k sums
+    T_i^-2 pull_i(phi_a) * coords(g_i^-1 b_a g_i)[k] over the non-zero
+    coordinates phi_a and the non-zero coordinates of each conjugate
+    (``LoopGroupElement.conjugate``).
+    """
+    chart = curve.chart(i)
     t2_inv = curve.transition_inverse_squares[i]
-    g_inv, g_mat = g[i].inverse().mat, g[i].mat
-    return lambda m: tuple(
-        tuple(t2_inv * e for e in row) for row in mat_mul(mat_mul(g_inv, m), g_mat)
-    )
+    terms = [[] for _ in range(algebra.dim)]
+    for a, c in enumerate(phi.coeffs):
+        if c.is_zero():
+            continue
+        x = t2_inv * chart.pull(c)
+        for k, y in g[i].conjugate(algebra, a)[1]:
+            terms[k].append((GQ_ONE, x, y))
+    return terms
 
 
 def derive_s_prime(curve, rep, g, s_circ) -> list[XVector]:
@@ -247,32 +270,30 @@ def derive_s_prime_dot(base: YPoint, actions, s_circ_dot) -> list[XVector]:
 
 
 def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
-    """phi'_i = T_i^-2 g_i^-1 phi g_i at every marked point."""
-    out = []
-    for i in range(curve.n_points):
-        chart = curve.chart(i)
-        m_loc = tuple(tuple(chart.pull(e) for e in row) for row in phi_circ.mat)
-        out.append(CoadjointElement(algebra, higgs_transport(curve, g, i)(m_loc)))
-    return out
+    """phi'_i = T_i^-2 g_i^-1 phi g_i at every marked point, built from
+    its coordinates (``higgs_transport``)."""
+    return [
+        algebra.coadjoint_from([dot(t) for t in higgs_transport(curve, algebra, g, i, phi_circ)])
+        for i in range(curve.n_points)
+    ]
 
 
 def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[CoadjointElement]:
-    """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i], the bracket
-    summed over the non-zero coordinates of gdot_i."""
-    linear = derive_phi_prime(base.curve, base.algebra, base.g, phi_circ_dot)
-    return [
-        linear[i] + coadjoint_bracket(base.phi_prime[i], g_dot[i])
-        for i in range(base.curve.n_points)
-    ]
+    """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i], each
+    coordinate one sum: the transport's terms and the bracket's, summed
+    over the non-zero coordinates of gdot_i (``lie.ad_terms``)."""
+    algebra = base.algebra
+    out = []
+    for i in range(base.curve.n_points):
+        linear = higgs_transport(base.curve, algebra, base.g, i, phi_circ_dot)
+        ad = algebra.coordinate_terms(ad_terms(g_dot[i], base.phi_prime[i].mat, -1))
+        out.append(algebra.coadjoint_from([dot(a + b) for a, b in zip(linear, ad)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # validating constructors
 # ---------------------------------------------------------------------------
-
-
-def _entries(m: Matrix) -> list[RatFunc]:
-    return [e for row in m for e in row]
 
 
 def _pole_order(entries) -> int:
@@ -305,7 +326,9 @@ def _check_global(curve, g, kind, entries, what, mismatch=None) -> None:
 
 
 def _check_disks(disk_entries, what) -> None:
-    """Every disk value (given by its entries) is regular at u = 0."""
+    """Every disk value (given by its entries, or by its sl_n coordinates,
+    an invertible constant-coefficient image of a traceless matrix's
+    entries with the same largest pole order) is regular at u = 0."""
     for i, entries in enumerate(disk_entries):
         order = _pole_order(entries)
         if order:
@@ -370,14 +393,24 @@ def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
     return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
 
 
+def _check_size(algebra, value, what) -> None:
+    """A coadjoint value of another sl_n than the point's is a ShapeError."""
+    if value.algebra.n != algebra.n:
+        raise ShapeError(
+            f"{what} is a coadjoint value of {value.algebra.name}, not of {algebra.name}"
+        )
+
+
 def make_higgs_point(curve, algebra, g, phi_circ, system=None) -> HiggsPoint:
     """Derive phi'_i, verify regularity, and return the validated point.
 
+    Global data and disk values are checked through their coordinates.
     ``system``, when given, is the Higgs-field space the solver built for g.
     """
-    _check_global(curve, g, "transition matrix", _entries(phi_circ.mat), "phi")
+    _check_global(curve, g, "transition matrix", phi_circ.coeffs, "phi")
+    _check_size(algebra, phi_circ, "phi")
     phi_prime = derive_phi_prime(curve, algebra, g, phi_circ)
-    _check_disks([_entries(p.mat) for p in phi_prime], "phi'")
+    _check_disks([p.coeffs for p in phi_prime], "phi'")
     return HiggsPoint(curve, algebra, g, phi_circ, phi_prime, system)
 
 
@@ -400,16 +433,17 @@ def ambient_higgs_tangent(
         if len(phi_prime_dot) != curve.n_points
         else None
     )
-    _check_global(curve, g_dot, "algebra element", _entries(phi_circ_dot.mat), "phidot", mismatch)
-    _check_disks([_entries(p.mat) for p in phi_prime_dot], "phidot'")
+    _check_global(curve, g_dot, "algebra element", phi_circ_dot.coeffs, "phidot", mismatch)
+    _check_disks([p.coeffs for p in phi_prime_dot], "phidot'")
     return HiggsTangent(base, list(g_dot), phi_circ_dot, list(phi_prime_dot))
 
 
 def make_higgs_tangent(base: HiggsPoint, g_dot, phi_circ_dot) -> HiggsTangent:
     """Derive phidot'_i, verify regularity, and return the validated tangent."""
-    _check_global(base.curve, g_dot, "algebra element", _entries(phi_circ_dot.mat), "phidot")
+    _check_global(base.curve, g_dot, "algebra element", phi_circ_dot.coeffs, "phidot")
+    _check_size(base.algebra, phi_circ_dot, "phidot")
     phi_prime_dot = derive_phi_prime_dot(base, g_dot, phi_circ_dot)
-    _check_disks([_entries(p.mat) for p in phi_prime_dot], "phidot'")
+    _check_disks([p.coeffs for p in phi_prime_dot], "phidot'")
     return HiggsTangent(base, g_dot, phi_circ_dot, phi_prime_dot)
 
 
@@ -424,15 +458,15 @@ def higgs_from_y(p: YPoint) -> HiggsPoint:
     The disk data mu(s'_i) must coincide with the coadjoint transition of
     mu(s); both are computed and compared, so a convention bug inside the
     library would surface here as EquivarianceBroken.  They are compared
-    in coordinates: ``p.mu_prime[i]`` against the pairings of the
-    transported value with the basis (``dual_values``), which determine
-    a traceless matrix.
+    as pairings with the basis, which determine a traceless matrix:
+    ``p.mu_prime[i]`` against the pairings read off the transported
+    value's coordinates (``MatrixLieAlgebra.pairings``).
     """
     algebra = p.rep.algebra
     phi_circ = p.rep.moment(p.s_circ)
     point = make_higgs_point(p.curve, algebra, p.g, phi_circ)
     for i, direct in enumerate(p.mu_prime):
-        if direct != dual_values(algebra, point.phi_prime[i].mat):
+        if direct != algebra.pairings(point.phi_prime[i].coeffs):
             raise EquivarianceBroken(
                 f"mu(s'_{i}) differs from the transition of mu(s)"
             )
@@ -450,7 +484,7 @@ def _pushforward_tangent_at(t: YTangent, h: HiggsPoint) -> HiggsTangent:
     tangent = make_higgs_tangent(h, t.g_dot, phi_circ_dot)
     for i in range(t.base.curve.n_points):
         direct = rep.dmoment_values(t.base.s_prime[i], t.s_prime_dot[i])
-        if direct != dual_values(rep.algebra, tangent.phi_prime_dot[i].mat):
+        if direct != rep.algebra.pairings(tangent.phi_prime_dot[i].coeffs):
             raise EquivarianceBroken(
                 f"dmu(sdot'_{i}) differs from the derived Higgs tangent"
             )

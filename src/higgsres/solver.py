@@ -15,11 +15,11 @@ marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
 
 Assembly reads the system off one Laurent expansion per frame entry.
-The frames are untwisted (the columns of rho(g_i)^-1, or g_i^-1 b_k g_i,
-which each group element forms once), and the twist T_i^-w, of weight
-w = 1 or 2, is folded into the disk base B = pull_i(1/D) * T_i^-w of the
-candidate space.  With h = B * entry, the candidate z^t contributes
-(u + a)^t h at a finite point a, whose polar coefficients are binomial
+The frames are untwisted (the columns of rho(g_i)^-1, or the entries of
+g_i^-1 b_k g_i; each group element forms both once), and the twist
+T_i^-w, of weight w = 1 or 2, is folded into the disk base
+B = pull_i(1/D) * T_i^-w of the candidate space.  With h = B * entry,
+the candidate z^t contributes (u + a)^t h at a finite point a, whose polar coefficients are binomial
 combinations of the window of h from ord_0 h to u^-1, and u^-t h at
 infinity, a shifted window of h up to u^(size-2).  Most entries are
 monomials c*u^m, whose columns are c times those of u^m * B: the
@@ -104,9 +104,16 @@ class SeedStream:
         return int.from_bytes(h.digest(), "big")
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform-enough integer in [lo, hi] (modulo bias is irrelevant here)."""
+        """Uniform-enough integer in [lo, hi] (modulo bias is irrelevant here).
+
+        A one-value range advances the counter without hashing: its draw
+        would be discarded, and the draws after it stay the same.
+        """
         if hi < lo:
             raise ValueError("empty range")
+        if hi == lo:
+            self._counter += 1
+            return lo
         return lo + self._next() % (hi - lo + 1)
 
     def choice(self, seq: Sequence):
@@ -399,7 +406,8 @@ class TwistedSystem:
 
 
 def _section_frame(rep, g):
-    """The columns of rho(g_i)^-1 at every marked point (twist weight 1)."""
+    """The columns of rho(g_i)^-1 at every marked point (twist weight 1);
+    each g_i^-1 keeps its rho (``HamiltonianRep.act_group``)."""
     frame = []
     for g_i in g:
         rg_inv = rep.act_group(g_i.inverse())
@@ -409,9 +417,12 @@ def _section_frame(rep, g):
 
 def _higgs_frame(algebra, g):
     """g_i^-1 b_k g_i, flattened row-major, for every basis element b_k
-    (twist weight 2); each g_i forms its conjugates once."""
+    (twist weight 2), read from g_i's table of conjugates
+    (``LoopGroupElement.conjugate``), which the coadjoint transport of
+    ``moduli`` reads too."""
     return [
-        [tuple(e for row in m for e in row) for m in g_i.conjugated_basis(algebra)] for g_i in g
+        [tuple(e for row in g_i.conjugate(algebra, k)[0] for e in row) for k in range(algebra.dim)]
+        for g_i in g
     ]
 
 

@@ -1,10 +1,13 @@
 """Test-only builders: constant gauge transport of section data, seeded
 sampling, named Lie-algebra elements, monomial candidate vectors and the
-coadjoint transition; and the dense oracles of the coordinate forms in
-``lie``: the matrix commutator and the trace-form pairing."""
+coadjoint transition; the dense oracles of the coordinate forms in
+``lie``: the matrix commutator, the trace-form pairing and the pairings
+with the basis read off a matrix; and the always-hashing reference of
+``SeedStream.randint``."""
 
 from __future__ import annotations
 
+import hashlib
 from itertools import chain, repeat
 
 from higgsres.errors import ShapeError
@@ -109,3 +112,27 @@ def trace_pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
         raise ShapeError("pairing of differently sized matrices")
     pairs = zip(phi.mat, zip(*xi.mat))
     return dot((GQ_ONE, x, y) for row, col in pairs for x, y in zip(row, col))
+
+
+def dual_values(algebra: MatrixLieAlgebra, mat: Matrix) -> list[RatFunc]:
+    """tr(mat xi_a) for each basis label, in label order, read off any
+    n x n matrix.
+
+    tr(M E_jk) = M[k][j], the same for F_jk, and tr(M H_j) = M[j][j] -
+    M[j+1][j+1].  dualize(algebra, values) is traceless, so it gives mat
+    back from these values exactly when mat is traceless.
+    """
+    diagonal = [mat[j][j] for j in range(algebra.n)]
+    return (
+        [mat[k][j] for j, k in algebra._upper]
+        + [a - b for a, b in zip(diagonal, diagonal[1:])]
+        + [mat[k][j] for j, k in algebra._lower]
+    )
+
+
+def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:
+    """Draw number ``counter`` of ``SeedStream(*path).randint(lo, hi)``,
+    hashed whole every time, one-value ranges included: lo plus the
+    SHA-256 of repr((path, counter)) modulo the size of the range."""
+    digest = hashlib.sha256(repr((path, counter)).encode()).digest()
+    return lo + int.from_bytes(digest, "big") % (hi - lo + 1)

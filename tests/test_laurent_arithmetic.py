@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import commutator
+from helpers import commutator, hashed_randint
 from test_field import _naive_window, _operand, nonzero_gauss
 from test_sparse_forms import REPS
 
@@ -439,3 +439,21 @@ def test_seed_stream_draws_match_old_body(path):
             g = new.gauss(7, 6)
             assert g == old.gauss(7, 6) and pure.gq_norm(*g._t) == g._t
         new, old = new.child("level", depth), old.child("level", depth)
+
+
+def test_randint_matches_the_always_hashing_reference(monkeypatch):
+    """Mixed ranges, a third of them one value wide: every draw equals the
+    reference that hashes each counter, and only the wider ranges hash."""
+    rng = random.Random("randint-reference")
+    ranges = []
+    for _ in range(300):
+        lo = rng.randint(-9, 9)
+        ranges.append((lo, lo + rng.choice([0, 0, 0, 1, 2, 5, 10**6])))
+    hashes = []
+    monkeypatch.setattr(SeedStream, "_next", lambda self, f=SeedStream._next: hashes.append(1) or f(self))
+    for path in [("a",), ("random-suite", 1, "trial", 7, "bundle")]:
+        stream = SeedStream(*path)
+        draws = [stream.randint(lo, hi) for lo, hi in ranges]
+        assert draws == [hashed_randint(path, k, lo, hi) for k, (lo, hi) in enumerate(ranges)]
+        assert stream.child("next").randint(0, 10) == hashed_randint((*path, "next"), 0, 0, 10)
+    assert len(hashes) == 2 * (sum(lo != hi for lo, hi in ranges) + 1)

@@ -1,7 +1,7 @@
 """Lie algebra structure, pairings, and transition actions."""
 
 import pytest
-from helpers import basis_element, coadjoint_transition, zero_element
+from helpers import basis_element, coadjoint_transition, dual_values, zero_element
 
 from higgsres import (
     CoadjointElement,
@@ -17,7 +17,6 @@ from higgsres import (
     pairing,
     torus,
 )
-from higgsres.lie import dual_values
 from higgsres.matrices import det, mat_eq, mat_from, mat_mul
 from higgsres.solver import CocycleRecipe, GdotRecipe, SeedStream, random_cocycle, random_loop_algebra
 

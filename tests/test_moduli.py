@@ -460,7 +460,7 @@ def ctx(curve_one_point, rep, twisted_bundle, base_point, zero_higgs_point):
 
 _G_COUNT = "expected one transition matrix per marked point (1), got 2"
 _GDOT_COUNT = "expected one algebra element per marked point (1), got 0"
-_SIZE = "cannot multiply (2, 2) by (3, 3)"
+_SIZE = "{} is a coadjoint value of sl3, not of sl2"
 
 # (id, call, exception, message, IrregularSection.what); faults are checked
 # in the order: one g per point, sizes, poles off the marked points, disk poles
@@ -496,7 +496,7 @@ CONSTRUCTOR_CASES = [
     ("higgs_point-g", lambda c: make_higgs_point(c.curve, c.sl2, c.g * 2, c.phi0),
      ShapeError, _G_COUNT, None),
     ("higgs_point-size", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.sl3_zero),
-     ShapeError, _SIZE, None),
+     ShapeError, _SIZE.format("phi"), None),
     ("higgs_point-off", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.h_off),
      RegularityViolation, "phi has a pole away from the marked points", None),
     ("higgs_point-disk", lambda c: make_higgs_point(c.curve, c.sl2, c.g, c.h_mat),
@@ -510,7 +510,7 @@ CONSTRUCTOR_CASES = [
     ("higgs_tangent-g_dot", lambda c: make_higgs_tangent(c.h, [], c.phi0),
      ShapeError, _GDOT_COUNT, None),
     ("higgs_tangent-size", lambda c: make_higgs_tangent(c.h, c.zero, c.sl3_zero),
-     ShapeError, _SIZE, None),
+     ShapeError, _SIZE.format("phidot"), None),
     ("higgs_tangent-off", lambda c: make_higgs_tangent(c.h, c.zero, c.h_off),
      RegularityViolation, "phidot has a pole away from the marked points", None),
     ("higgs_tangent-disk", lambda c: make_higgs_tangent(c.h, c.zero, c.h_mat),

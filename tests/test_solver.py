@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, commutator, monomial_vectors, sample, zero_element
+from helpers import basis_element, coadjoint_transition, commutator, monomial_vectors, sample, zero_element
 from test_field import _naive_window
 from test_sparse_elimination import _column
 
@@ -32,7 +32,7 @@ from higgsres import _kernels as K
 from higgsres.linalg import Elimination
 from higgsres.lie import MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import identity
-from higgsres.moduli import higgs_transport, make_higgs_point, make_higgs_tangent
+from higgsres.moduli import make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
     CocycleRecipe,
     GdotRecipe,
@@ -837,19 +837,23 @@ def test_inverse_is_computed_once_and_knows_its_inverse(name):
 
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])
 def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
+    """Each entry of g's table of conjugates is g^-1 b_a g by the dense
+    oracle, as a matrix (the Higgs frame's entries) and as its non-zero
+    coordinates (the transport's); it is formed once per index."""
     g = _group_elements()[name]
     algebra = MatrixLieAlgebra.sl(3)
-    conjugated = g.conjugated_basis(algebra)
-    assert g.conjugated_basis(algebra) is conjugated
-    assert g.conjugated_basis(MatrixLieAlgebra.sl(3)) is conjugated
-    curve = _marked(1, "inf", transitions=[U * (U - 1), GaussRat(0, 1) * U])
-    for i in range(curve.n_points):
-        transport = higgs_transport(curve, [g] * curve.n_points, i)
-        t2_inv = curve.transition(i) ** -2
-        untwisted = [tuple(tuple(e / t2_inv for e in row) for row in transport(b)) for b in algebra.basis]
-        assert untwisted == list(conjugated)
-    # products and inverses start with nothing cached
-    assert (g * g)._conjugated is None
-    assert g.inverse()._conjugated is None
+    frame = _higgs_frame(algebra, [g])[0]
+    for a, b in enumerate(algebra.basis):
+        column = g.conjugate(algebra, a)
+        assert g.conjugate(algebra, a) is column
+        assert g.conjugate(MatrixLieAlgebra.sl(3), a) is column
+        want = coadjoint_transition(g, algebra.coadjoint(b))
+        assert column[0] == want.mat
+        assert column[1] == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
+        assert frame[a] == tuple(e for row in want.mat for e in row)
+    assert sorted(g._columns) == list(range(algebra.dim))
+    # products and inverses start with an empty table
+    assert (g * g)._columns == {}
+    assert g.inverse()._columns == {}
     with pytest.raises(ShapeError):
-        g.conjugated_basis(MatrixLieAlgebra.sl(2))
+        g.conjugate(MatrixLieAlgebra.sl(2), 0)
