@@ -44,7 +44,6 @@ from .lie import (
     LoopGroupElement,
     MatrixLieAlgebra,
     bracket,
-    dualize,
     elementary,
     pairing,
     torus,

@@ -702,13 +702,19 @@ def _scaled_product(c: tuple, s: RatFunc, o: RatFunc) -> RatFunc | None:
     return _laurent(n, s._k + o._k)
 
 
+# the operands a Jet2 treats as jets with zero e1, e2 and e1*e2 components
+_JET_SCALARS = (int, Fraction, GaussRat, RatFunc)
+
+
 class Jet2:
     """First-order jet in two parameters: v + e1*d1 + e2*d2 + e1*e2*d12.
 
     Components may be any shared commutative ring type supporting the
     Python arithmetic operators (GaussRat or RatFunc here).  e1 and e2
-    square to zero, so products truncate by the Leibniz rule; inversion
-    exists iff the value component is invertible.
+    square to zero, so products truncate by the Leibniz rule; a product
+    with a scalar operand (int, Fraction, GaussRat or RatFunc) scales the
+    four components.  Inversion exists iff the value component is
+    invertible.
     """
 
     __slots__ = ("v", "d1", "d2", "d12")
@@ -717,7 +723,7 @@ class Jet2:
         self.v = v
         if type(d1) is int or type(d2) is int or type(d12) is int:
             # only the int default is replaced: a RatFunc tested != 0 coerces the 0
-            zero = v - v
+            zero = _ZERO if type(v) is RatFunc else v - v
             d1 = zero if type(d1) is int and not d1 else d1
             d2 = zero if type(d2) is int and not d2 else d2
             d12 = zero if type(d12) is int and not d12 else d12
@@ -736,7 +742,7 @@ class Jet2:
     def _coerce(self, other):
         if isinstance(other, Jet2):
             return other
-        if isinstance(other, (int, Fraction, GaussRat, RatFunc)):
+        if isinstance(other, _JET_SCALARS):
             return Jet2(self.v - self.v + other)
         return None
 
@@ -761,15 +767,16 @@ class Jet2:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(
-            self.v * o.v,
-            self.v * o.d1 + self.d1 * o.v,
-            self.v * o.d2 + self.d2 * o.v,
-            self.v * o.d12 + self.d12 * o.v + self.d1 * o.d2 + self.d2 * o.d1,
-        )
+        if isinstance(other, Jet2):
+            return Jet2(
+                self.v * other.v,
+                self.v * other.d1 + self.d1 * other.v,
+                self.v * other.d2 + self.d2 * other.v,
+                self.v * other.d12 + self.d12 * other.v + self.d1 * other.d2 + self.d2 * other.d1,
+            )
+        if isinstance(other, _JET_SCALARS):
+            return Jet2(self.v * other, self.d1 * other, self.d2 * other, self.d12 * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -527,12 +527,6 @@ def ad_terms(xi: LoopAlgebraElement, m: Matrix, sign: int = 1) -> dict:
     return terms
 
 
-def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> CoadjointElement:
-    """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of xi."""
-    _require_same_algebra(phi, xi)
-    return _from_terms(CoadjointElement, phi.algebra, ad_terms(xi, phi.mat, -1))
-
-
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
     """<phi, xi> = tr(phi.mat xi.mat) = sum_a,b phi_b xi_a tr(b_a b_b).
 
@@ -548,14 +542,6 @@ def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
         for a, x in enumerate(xi.coeffs)
         if not x.is_zero()
         for b, w in gram[a]
-    )
-
-
-def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:
-    """The traceless M with tr(M xi_a) = values[a] for each basis label
-    (missing labels pair to 0): ``coadjoint_from_pairings``."""
-    return algebra.coadjoint_from_pairings(
-        [as_entry(values.get(lab, _ZERO)) for lab in algebra.labels]
     )
 
 

@@ -62,8 +62,10 @@ summed over the non-zero coordinates phi_a only, with the conjugates
 read from g_i's table (``higgs_transport``, ``LoopGroupElement.conjugate``);
 phidot'_i adds the terms of [phi'_i, gdot_i] to the same sums.  So no
 dense matrix product runs and no transported value is checked for trace
-0 again; a matrix is formed only where one is read: by ``lie.ad_terms``
-for the bracket with phi'_i, and by ``cartan_check``'s jets.
+0 again; a matrix is formed only where one is read, by ``lie.ad_terms``
+for the bracket with phi'_i.  ``cartan_check``'s jets pair coordinates
+too, over the non-zero coordinates of the fixed gdot_i, and Omega and
+its jet recomputation share one bracket per disk.
 """
 
 from __future__ import annotations
@@ -511,18 +513,25 @@ def liouville_lambda(p: HiggsPoint, t: HiggsTangent) -> GaussRat:
     return total
 
 
+def _omega_disk(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent, i: int):
+    """(the integrand of Omega(t1, t2) at marked point i, its third term
+    <phi'_i, [gdot_1, gdot_2]>), with the bracket formed once."""
+    tautological = pairing(p.phi_prime[i], bracket(t1.g_dot[i], t2.g_dot[i]))
+    integrand = (
+        pairing(t1.phi_prime_dot[i], t2.g_dot[i])
+        - pairing(t2.phi_prime_dot[i], t1.g_dot[i])
+        - tautological
+    )
+    return integrand, tautological
+
+
 def symplectic_omega(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> GaussRat:
     """The canonical pairing of two Higgs tangents (see module docstring)."""
     _check_based(p, t1)
     _check_based(p, t2)
     total = GQ_ZERO
     for i in range(p.curve.n_points):
-        integrand = (
-            pairing(t1.phi_prime_dot[i], t2.g_dot[i])
-            - pairing(t2.phi_prime_dot[i], t1.g_dot[i])
-            - pairing(p.phi_prime[i], bracket(t1.g_dot[i], t2.g_dot[i]))
-        )
-        total = total + integrand.laurent_coefficient(-1)
+        total = total + _omega_disk(p, t1, t2, i)[0].laurent_coefficient(-1)
     return total
 
 
@@ -628,7 +637,7 @@ class CartanReport:
     term1 is the jet derivative along t1 of the residue pairing against the
     (constantly extended) gdot of t2; term2 the symmetric one; term3 the
     tautological form on the bracket direction.  The alternating sum
-    term1 - term2 - term3 must equal the direct Omega evaluation.
+    term1 - term2 - term3 must equal omega_value, ``symplectic_omega``.
     """
 
     term1: GaussRat = GQ_ZERO
@@ -645,51 +654,45 @@ class CartanReport:
         return self.cartan_sum == self.omega_value
 
 
-def _jet_trace_mul(a_rows, b_rows) -> Jet2:
-    n = len(a_rows)
-    acc = None
-    for i in range(n):
-        for k in range(n):
-            term = a_rows[i][k] * b_rows[k][i]
-            acc = term if acc is None else acc + term
+_JET_ZERO = Jet2(RatFunc.const(0))
+
+
+def _jet_pairing(lift, phi, phi_dot, xi) -> Jet2:
+    """<phi + e phi_dot, xi> as a jet, where ``lift`` (``Jet2.lift1`` or
+    ``lift2``) names the direction e.  As in ``lie.pairing``, it sums
+    w * lift(phi_b, phi_dot_b) * xi_a over the non-zero coordinates xi_a
+    and the Gram entries (b, w) of ``gram[a]``; an entry where phi_b and
+    phi_dot_b are both zero adds nothing and is skipped."""
+    p, q = phi.coeffs, phi_dot.coeffs
+    gram = xi.algebra.gram
+    acc = _JET_ZERO
+    for a, x in enumerate(xi.coeffs):
+        if x.is_zero():
+            continue
+        fixed = Jet2(x)
+        for b, w in gram[a]:
+            if not (p[b].is_zero() and q[b].is_zero()):
+                acc = acc + w * lift(p[b], q[b]) * fixed
     return acc
 
 
 def cartan_check(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> CartanReport:
-    """Recompute Omega(t1, t2) as a jet-differentiated exterior derivative."""
+    """Recompute Omega(t1, t2) as a jet-differentiated exterior derivative.
+
+    On each disk term1 and term2 are the e1 and e2 residues of coordinate
+    jet pairings (``_jet_pairing``); term3 and omega_value share one
+    bracket [gdot_1, gdot_2] (``_omega_disk``).  No matrix is formed.
+    """
     _check_based(p, t1)
     _check_based(p, t2)
     report = CartanReport()
-    term1 = term2 = term3 = GQ_ZERO
     for i in range(p.curve.n_points):
-        n = p.algebra.n
-        # deform phi' along t1 in the e1 direction; pair against fixed gdot_2
-        psi1 = [
-            [
-                Jet2.lift1(p.phi_prime[i].mat[r][c], t1.phi_prime_dot[i].mat[r][c])
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        fixed2 = [[Jet2(t2.g_dot[i].mat[r][c]) for c in range(n)] for r in range(n)]
-        term1 = term1 + _jet_trace_mul(psi1, fixed2).d1.laurent_coefficient(-1)
-        # deform phi' along t2 in the e2 direction; pair against fixed gdot_1
-        psi2 = [
-            [
-                Jet2.lift2(p.phi_prime[i].mat[r][c], t2.phi_prime_dot[i].mat[r][c])
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        fixed1 = [[Jet2(t1.g_dot[i].mat[r][c]) for c in range(n)] for r in range(n)]
-        term2 = term2 + _jet_trace_mul(psi2, fixed1).d2.laurent_coefficient(-1)
-        # the tautological form on the bracket direction
-        term3 = term3 + pairing(
-            p.phi_prime[i], bracket(t1.g_dot[i], t2.g_dot[i])
-        ).laurent_coefficient(-1)
-    report.term1 = term1
-    report.term2 = term2
-    report.term3 = term3
-    report.omega_value = symplectic_omega(p, t1, t2)
+        phi = p.phi_prime[i]
+        jet1 = _jet_pairing(Jet2.lift1, phi, t1.phi_prime_dot[i], t2.g_dot[i])
+        jet2 = _jet_pairing(Jet2.lift2, phi, t2.phi_prime_dot[i], t1.g_dot[i])
+        integrand, tautological = _omega_disk(p, t1, t2, i)
+        report.term1 = report.term1 + jet1.d1.laurent_coefficient(-1)
+        report.term2 = report.term2 + jet2.d2.laurent_coefficient(-1)
+        report.term3 = report.term3 + tautological.laurent_coefficient(-1)
+        report.omega_value = report.omega_value + integrand.laurent_coefficient(-1)
     return report
-

@@ -2,20 +2,31 @@
 sampling, named Lie-algebra elements, monomial candidate vectors and the
 coadjoint transition; the dense oracles of the coordinate forms in
 ``lie``: the matrix commutator, the trace-form pairing and the pairings
-with the basis read off a matrix; and the always-hashing reference of
-``SeedStream.randint``."""
+with the basis read off a matrix; the coadjoint bracket and the dual of
+a set of pairings, which the library no longer needs; the dense jet
+recomputation of Omega that ``moduli.cartan_check`` replaced; and the
+always-hashing reference of ``SeedStream.randint``."""
 
 from __future__ import annotations
 
 import hashlib
 from itertools import chain, repeat
+from typing import Mapping
 
 from higgsres.errors import ShapeError
-from higgsres.field import GQ_ONE, RatFunc, dot
+from higgsres.field import GQ_ONE, GQ_ZERO, Jet2, RatFunc, dot
 from higgsres.hamiltonian import XVector
-from higgsres.lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra
-from higgsres.matrices import Matrix, mat_mul, mat_vec, shape, zeros
-from higgsres.moduli import YPoint, YTangent, make_y_point, make_y_tangent
+from higgsres.lie import (
+    CoadjointElement,
+    LoopAlgebraElement,
+    LoopGroupElement,
+    MatrixLieAlgebra,
+    _from_terms,
+    _require_same_algebra,
+    ad_terms,
+)
+from higgsres.matrices import Matrix, as_entry, mat_mul, mat_vec, shape, zeros
+from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import AffineSpace, CandidateSpace, SeedStream, sample_affine, sample_vector
 
 
@@ -128,6 +139,55 @@ def dual_values(algebra: MatrixLieAlgebra, mat: Matrix) -> list[RatFunc]:
         + [a - b for a, b in zip(diagonal, diagonal[1:])]
         + [mat[k][j] for j, k in algebra._lower]
     )
+
+
+def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> CoadjointElement:
+    """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of xi."""
+    _require_same_algebra(phi, xi)
+    return _from_terms(CoadjointElement, phi.algebra, ad_terms(xi, phi.mat, -1))
+
+
+def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:
+    """The traceless M with tr(M xi_a) = values[a] for each basis label
+    (missing labels pair to 0): ``coadjoint_from_pairings``."""
+    return algebra.coadjoint_from_pairings(
+        [as_entry(values.get(lab, RatFunc.const(0))) for lab in algebra.labels]
+    )
+
+
+def _jet_trace_mul(a_rows, b_rows) -> Jet2:
+    """tr(A B) of two n x n Jet2 matrices, over all n^2 products."""
+    n = len(a_rows)
+    acc = None
+    for i in range(n):
+        for k in range(n):
+            term = a_rows[i][k] * b_rows[k][i]
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def dense_cartan_terms(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> tuple:
+    """(term1, term2, term3, omega) of ``moduli.cartan_check`` from dense
+    matrices: term1 and term2 as jet traces of n x n ``Jet2`` matrices
+    (phi' lifted along e1 or e2 against the fixed gdot), term3 and the
+    Omega integrand by the dense commutator and trace pairing."""
+    term1 = term2 = term3 = omega = GQ_ZERO
+    for i in range(p.curve.n_points):
+        phi, g1, g2 = p.phi_prime[i], t1.g_dot[i], t2.g_dot[i]
+        dot1, dot2 = t1.phi_prime_dot[i], t2.phi_prime_dot[i]
+        n = p.algebra.n
+        psi1 = [[Jet2.lift1(phi.mat[r][c], dot1.mat[r][c]) for c in range(n)] for r in range(n)]
+        fixed2 = [[Jet2(g2.mat[r][c]) for c in range(n)] for r in range(n)]
+        term1 = term1 + _jet_trace_mul(psi1, fixed2).d1.laurent_coefficient(-1)
+        psi2 = [[Jet2.lift2(phi.mat[r][c], dot2.mat[r][c]) for c in range(n)] for r in range(n)]
+        fixed1 = [[Jet2(g1.mat[r][c]) for c in range(n)] for r in range(n)]
+        term2 = term2 + _jet_trace_mul(psi2, fixed1).d2.laurent_coefficient(-1)
+        br = LoopAlgebraElement(p.algebra, commutator(g1.mat, g2.mat))
+        tautological = trace_pairing(phi, br)
+        integrand = trace_pairing(dot1, g2) - trace_pairing(dot2, g1) - tautological
+        term3 = term3 + tautological.laurent_coefficient(-1)
+        omega = omega + integrand.laurent_coefficient(-1)
+    return term1, term2, term3, omega
 
 
 def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:

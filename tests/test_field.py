@@ -601,6 +601,48 @@ def test_jet_inverse_of_nilpotent_raises():
         Jet2(GaussRat(0), d1=GaussRat(1)).inverse()
 
 
+def _jet_scalar(kind: str, rng):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "Fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    if kind == "GaussRat":
+        return GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+    return _operand(rng)
+
+
+def _components(jet) -> tuple:
+    return jet.v, jet.d1, jet.d2, jet.d12
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction", "GaussRat", "RatFunc"])
+def test_jet_scalar_product_matches_coerced_leibniz(kind):
+    """A scalar operand scales the four components; the oracle coerces it
+    to the jet (c, 0, 0, 0) and runs the Leibniz product."""
+    rng = random.Random(f"jet-scalar-{kind}")
+    for trial in range(40):
+        if trial % 4 == 3 and kind != "RatFunc":
+            jet = Jet2(*(GaussRat(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)))
+        else:
+            jet = Jet2(*(_operand(rng) for _ in range(4)))
+        c = _jet_scalar(kind, rng)
+        coerced = Jet2(jet.v - jet.v + c)
+        assert _components(jet * c) == _components(jet * coerced)
+        assert _components(c * jet) == _components(coerced * jet)
+
+
+def test_jet_zero_components_of_a_ratfunc_value():
+    """The int defaults of a RatFunc jet are the zero that v - v gave."""
+    rng = random.Random("jet-zero")
+    for _ in range(20):
+        v, d = _operand(rng), _operand(rng)
+        zero = v - v
+        assert _components(Jet2(v)) == (v, zero, zero, zero)
+        assert _components(Jet2.lift1(v, d)) == (v, d, zero, zero)
+        assert _components(Jet2.lift2(v, d)) == (v, zero, d, zero)
+        assert Jet2(v).d1.is_zero() and Jet2(v).d1.den == (GaussRat(1),)
+
+
 class _BiPoly:
     """Tiny bivariate polynomial oracle: {(i, j): GaussRat} in (x, y)."""
 

@@ -1,7 +1,7 @@
 """Lie algebra structure, pairings, and transition actions."""
 
 import pytest
-from helpers import basis_element, coadjoint_transition, dual_values, zero_element
+from helpers import basis_element, coadjoint_transition, dual_values, dualize, zero_element
 
 from higgsres import (
     CoadjointElement,
@@ -13,7 +13,6 @@ from higgsres import (
     ShapeError,
     ValidationError,
     bracket,
-    dualize,
     pairing,
     torus,
 )

@@ -1,7 +1,8 @@
 """The coordinate forms of ``lie`` against the dense matrix oracles.
 
-``bracket``, ``ad_terms`` / ``coadjoint_bracket`` and ``pairing`` sum over
-the non-zero coordinates of an element and the matrix units of its basis;
+``bracket``, ``ad_terms`` (also through ``helpers.coadjoint_bracket``) and
+``pairing`` sum over the non-zero coordinates of an element and the
+matrix units of its basis;
 ``tests/helpers.py`` keeps the dense commutator and the trace-form pairing
 they replaced.  ``field.polar_dot`` reads the polar coefficients of a sum
 of products off coefficient windows; the oracle expands the whole sum.
@@ -10,7 +11,7 @@ of products off coefficient windows; the oracle expands the whole sum.
 import random
 
 import pytest
-from helpers import commutator, trace_pairing
+from helpers import coadjoint_bracket, commutator, trace_pairing
 from test_field import _operand
 
 from higgsres import GaussRat, RatFunc, ShapeError
@@ -21,7 +22,6 @@ from higgsres.lie import (
     MatrixLieAlgebra,
     ad_terms,
     bracket,
-    coadjoint_bracket,
     pairing,
 )
 from higgsres.solver import _window

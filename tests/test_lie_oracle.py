@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from helpers import dualize
 
 from higgsres import (
     CoadjointElement,
@@ -20,7 +21,6 @@ from higgsres import (
     MatrixLieAlgebra,
     NotInAlgebra,
     RatFunc,
-    dualize,
 )
 from higgsres.matrices import mat_from
 

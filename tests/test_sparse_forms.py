@@ -9,7 +9,7 @@ the builders must draw from their stream exactly as before.
 """
 
 import pytest
-from helpers import basis_element, zero_element
+from helpers import basis_element, dualize, zero_element
 
 from higgsres import (
     GaussRat,
@@ -23,7 +23,7 @@ from higgsres import (
     pairing,
     rep_validate,
 )
-from higgsres.lie import LoopGroupElement, MatrixLieAlgebra, dualize, elementary, torus
+from higgsres.lie import LoopGroupElement, MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import mat_from, mat_mul, mat_transpose, mat_vec
 from higgsres.solver import (
     CocycleRecipe,
