@@ -11,9 +11,10 @@ Representations (plain tuples, lists and dicts):
 
   scalar   (a, b, d)  ints, meaning (a + b*i)/d with d > 0, gcd(a, b, d) = 1
   poly     list of scalars, index = exponent, no trailing zeros; zero = []
-  sparse   dict {index: scalar} of the non-zero entries of a row or column,
-           used by the echelon kernel: the systems it is given are mostly
-           zero, so it works on their non-zeros alone
+  sparse   dict {index: scalar} of the non-zero entries of a row or column:
+           the systems are mostly zero, so they are assembled this way
+           and the echelon kernel and its replay work on the non-zeros
+           alone
 
 The scalar representation keeps one shared denominator per coefficient,
 so each ring operation needs a single 3-way gcd instead of per-component
@@ -87,6 +88,9 @@ def gq_mul(x, y):
 
 def gq_inv(x):
     a, b, d = x
+    if d == 1 and a * a + b * b == 1:
+        # a unit of Z[i]: its inverse is its conjugate
+        return (a, -b, 1)
     if a == 0 and b == 0:
         raise ZeroDivisionError("inverse of zero Gaussian rational")
     n = a * a + b * b
@@ -308,58 +312,80 @@ def p_series_div(num, den, n):
 def zi_echelon(rows, npivot):
     """Sparse Gauss-Jordan elimination of a Q(i) matrix, in place.
 
-    ``rows`` holds dense rows of scalars, one entry per column.  Each is
-    replaced by the dict ``{column: scalar}`` of the non-zeros of its
-    reduced row.  Columns are taken left to right in the first ``npivot``
-    only (trailing columns are carried along, e.g. right-hand sides).  The
-    pivot of a column is the first unused row, in row order, with a
-    non-zero there; it is scaled to a leading 1 and the column is cleared
-    from every other row, above and below.  Returns the steps, one per
-    pivot, in order: ``(row, col, inv, targets)``, where ``inv`` is the
-    inverse of the pivot and ``targets`` the ``(row, factor)`` pairs of
-    the rows the column was cleared from, each factor that row's entry in
-    the column when the pivot was taken.  ``zi_replay`` applies the steps
-    to one more column.
+    ``rows`` holds the rows as dicts ``{column: scalar}`` of their
+    non-zeros, and each dict is reduced in place.  Columns are taken left
+    to right in the first ``npivot`` only (trailing columns are carried
+    along, e.g. right-hand sides).  The pivot of a column is the first
+    unused row, in row order, with a non-zero there; it is scaled to a
+    leading 1 and the column is cleared from every other row, above and
+    below.  A column index ``{column: rows with a non-zero there}``,
+    updated as fill-in enters a row or cancels out of it, names those
+    rows, so a column costs only the rows it reaches.  Returns the steps,
+    one per pivot, in order: ``(row, col, inv, targets)``, where ``inv``
+    is the inverse of the pivot and ``targets`` the ``(row, factor)``
+    pairs of the rows the column was cleared from, in row order, each
+    factor that row's entry in the column when the pivot was taken.
+    ``zi_replay`` applies the steps to one more column.
 
     The name predates the move from fraction-free Bareiss over Z[i]; it
     is kept because callers outside the package (the benchmark's tracer,
     for one) look the kernel up by it, and ``zi_replay`` keeps the name
     that pairs with it.
     """
-    m = len(rows)
-    sparse = [{j: t for j, t in enumerate(row) if t[0] or t[1]} for row in rows]
-    used = [False] * m
+    index = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            hits = index.get(j)
+            if hits is None:
+                index[j] = {i}
+            else:
+                hits.add(i)
+    used = set()
     steps = []
-    for col in range(npivot):
-        hits = [i for i in range(m) if col in sparse[i]]
-        piv = next((i for i in hits if not used[i]), -1)
-        if piv < 0:
+    # fill-in enters a row only in the columns of a pivot row, so a column
+    # that no row reaches stays empty and is never visited
+    for col in sorted(index):
+        if col >= npivot:
+            break
+        hits = index.pop(col)
+        if len(hits) > 1:
+            hits = sorted(hits)
+        for piv in hits:
+            if piv not in used:
+                break
+        else:
             continue
-        used[piv] = True
-        pr = sparse[piv]
+        used.add(piv)
+        pr = rows[piv]
         inv = gq_inv(pr[col])
         if inv != GQ_ONE:
             for j, t in pr.items():
                 pr[j] = gq_mul(inv, t)
         pr[col] = GQ_ONE
         targets = []
-        for i in hits:
-            if i == piv:
-                continue
-            ri = sparse[i]
-            f = ri.pop(col)
-            targets.append((i, f))
-            for j, t in pr.items():
-                if j == col:
+        if len(hits) > 1:
+            # an unused row is zero left of col, so every other entry of
+            # the pivot row lies in a column still indexed
+            fill = [(j, t, index[j]) for j, t in pr.items() if j != col]
+            for i in hits:
+                if i == piv:
                     continue
-                e = ri.get(j)
-                x = gq_neg(gq_mul(f, t)) if e is None else gq_sub(e, gq_mul(f, t))
-                if x[0] or x[1]:
-                    ri[j] = x
-                else:
-                    del ri[j]
+                ri = rows[i]
+                f = ri.pop(col)
+                targets.append((i, f))
+                for j, t, column in fill:
+                    e = ri.get(j)
+                    if e is None:
+                        ri[j] = gq_neg(gq_mul(f, t))
+                        column.add(i)
+                        continue
+                    x = gq_sub(e, gq_mul(f, t))
+                    if x[0] or x[1]:
+                        ri[j] = x
+                    else:
+                        del ri[j]
+                        column.discard(i)
         steps.append((piv, col, inv, targets))
-    rows[:] = sparse
     return steps
 
 

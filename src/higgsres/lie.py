@@ -51,6 +51,7 @@ cost n^3.  The structure constants are never needed for them.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -284,10 +285,12 @@ class LoopGroupElement:
     (``conjugate``, one per index a) and its images rho(g) under the
     representation kinds (``images``, kept by
     ``HamiltonianRep.act_group``) are formed on first use and kept;
-    products and inverses start with none of them.
+    products and inverses start with none of them.  An inverse links
+    back to its element weakly, so the two form no reference cycle and
+    are freed as soon as they are unused.
     """
 
-    __slots__ = ("mat", "n", "_inverse", "_columns", "images")
+    __slots__ = ("mat", "n", "_inverse", "_inverse_of", "_columns", "images", "__weakref__")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -295,7 +298,7 @@ class LoopGroupElement:
         if n != m:
             raise ShapeError("group element must be square")
         self.n = n
-        self._inverse = None
+        self._inverse = self._inverse_of = None
         self._columns = {}
         self.images = {}
         if check and det(self.mat) != _ONE:
@@ -310,7 +313,7 @@ class LoopGroupElement:
         out = cls.__new__(cls)
         out.mat = mat
         out.n = n
-        out._inverse = None
+        out._inverse = out._inverse_of = None
         out._columns = {}
         out.images = {}
         return out
@@ -321,12 +324,17 @@ class LoopGroupElement:
         return LoopGroupElement._bare(mat_mul(self.mat, other.mat), self.n)
 
     def inverse(self) -> "LoopGroupElement":
-        """g^-1, computed once; its own inverse is this element."""
+        """g^-1, computed once; while g is alive its inverse is g itself.
+
+        g keeps g^-1, and g^-1 keeps only a weak reference to g.
+        """
         inv = self._inverse
         if inv is None:
-            # det = 1, so the inverse is the adjugate
-            inv = self._inverse = LoopGroupElement._bare(adjugate(self.mat), self.n)
-            inv._inverse = self
+            inv = self._inverse_of and self._inverse_of()
+            if inv is None:
+                # det = 1, so the inverse is the adjugate
+                inv = self._inverse = LoopGroupElement._bare(adjugate(self.mat), self.n)
+                inv._inverse_of = weakref.ref(self)
         return inv
 
     def conjugate(self, algebra: MatrixLieAlgebra, a: int) -> tuple:

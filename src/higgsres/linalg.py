@@ -1,14 +1,16 @@
 """Exact linear algebra over Q(i): the one eliminator of the package.
 
-Systems are given as dense rows of GaussRat triples.  The matrix alone is
-brought to reduced row echelon form by sparse Gauss-Jordan elimination on
-its non-zeros (``_kernels.zi_echelon``), with a deterministic pivot
-order; the kernel returns its steps.  The null basis is read off the
-reduced rows.  One ``Elimination`` then serves any number of right-hand
-sides, each given sparse as the dict ``{row: triple}`` of its non-zeros:
-the steps are replayed on it (``_kernels.zi_replay``), its entries
-outside the pivot rows decide consistency, and the solution is read off
-the pivot rows.
+Systems are given sparse, each row as the dict ``{column: triple}`` of
+its non-zero GaussRat triples.  The matrix alone is brought to reduced
+row echelon form by sparse Gauss-Jordan elimination on those non-zeros
+(``_kernels.zi_echelon``), with a deterministic pivot order; the kernel
+returns its steps.  The null basis is read off the reduced rows.  One
+``Elimination`` then serves any number of right-hand sides, each given
+sparse as the dict ``{row: triple}`` of its non-zeros: the steps are
+replayed on it (``_kernels.zi_replay``), its entries outside the pivot
+rows decide consistency, and the solution is read off the pivot rows.
+Null vectors and solutions are sparse too, as ``{column: GaussRat}``
+dicts of their non-zeros.
 
 The pivot columns are the leftmost column basis of A, whichever row
 serves as a pivot.  Given them, the null vector with a unit free
@@ -21,19 +23,20 @@ from __future__ import annotations
 from . import _kernels as K
 from .field import GaussRat
 
-_ZERO = GaussRat(0)
 _ONE = GaussRat(1)
 
 
 class Elimination:
     """One Gauss-Jordan elimination of a matrix A, kept for many right sides.
 
-    The rows of A are eliminated alone, and the kernel's steps (per pivot:
-    its row, column and inverse, and the rows cleared with their factors)
-    are kept.  A right side is replayed through the steps as if it had
-    been a column of the elimination: it is consistent exactly when it
-    ends zero outside the pivot rows, and then the pivot rows give the
-    solution.  ``len()`` is the row count of A.
+    ``matrix`` is the list of the rows of A as ``{column: triple}`` dicts
+    of their non-zeros, and is left as it is.  The rows are eliminated
+    alone, and the kernel's steps (per pivot: its row, column and inverse,
+    and the rows cleared with their factors) are kept.  A right side is
+    replayed through the steps as if it had been a column of the
+    elimination: it is consistent exactly when it ends zero outside the
+    pivot rows, and then the pivot rows give the solution.  ``len()`` is
+    the row count of A.
     """
 
     __slots__ = ("nrows", "ncols", "null_basis", "_steps", "_pivot_rows")
@@ -41,21 +44,18 @@ class Elimination:
     def __init__(self, matrix, ncols: int):
         self.nrows = len(matrix)
         self.ncols = ncols
-        # the kernel replaces each row of this copy by its reduced row
-        rows = list(matrix)
+        # the kernel reduces these copies of the rows in place
+        rows = [dict(row) for row in matrix]
         self._steps = K.zi_echelon(rows, ncols)
         # pivot row -> pivot column
         self._pivot_rows = {r: c for r, c, *_ in self._steps}
 
         # the null vector of free column f has 1 at f and, at each pivot
         # column, minus the pivot row's entry in column f; a reduced pivot
-        # row is zero in every other pivot column
+        # row is zero in every other pivot column.  The vectors are kept
+        # in ascending free-column order.
         pivot_cols = set(self._pivot_rows.values())
-        basis = {}
-        for f in range(ncols):
-            if f not in pivot_cols:
-                basis[f] = [_ZERO] * ncols
-                basis[f][f] = _ONE
+        basis = {f: {f: _ONE} for f in range(ncols) if f not in pivot_cols}
         for r, c in self._pivot_rows.items():
             for f, t in rows[r].items():
                 if f != c:
@@ -66,7 +66,8 @@ class Elimination:
         return self.nrows
 
     def solve(self, column):
-        """The solution of A x = b with every free coordinate 0, or None.
+        """The solution of A x = b with every free coordinate 0, as the dict
+        ``{column: GaussRat}`` of its non-zeros, or None.
 
         ``column`` is the dict ``{row: triple}`` of the non-zeros of b and
         is left as it is.  A key at or past the row count stands for a
@@ -79,10 +80,7 @@ class Elimination:
         pivot_rows = self._pivot_rows
         if any(i not in pivot_rows for i in column):
             return None
-        vec = [_ZERO] * self.ncols
-        for r, t in column.items():
-            vec[pivot_rows[r]] = GaussRat.from_triple(t)
-        return vec
+        return {pivot_rows[r]: GaussRat.from_triple(t) for r, t in column.items()}
 
 
 def solve_system(elimination: Elimination, ncols: int, rhs_list=()):
@@ -91,7 +89,9 @@ def solve_system(elimination: Elimination, ncols: int, rhs_list=()):
     ``elimination`` is the ``Elimination`` of A and ``ncols`` its column
     count; ``rhs_list`` a list of sparse right-hand-side columns (see
     ``Elimination.solve``).  Returns (null_basis, parts) where each basis
-    vector is a list of GaussRat and parts[k] is the particular solution
-    with free coordinates 0, or None when the k-th system is inconsistent.
+    vector is the dict ``{column: GaussRat}`` of its non-zeros, in
+    ascending order of its free column, and parts[k] is the particular
+    solution with free coordinates 0 in the same form, or None when the
+    k-th system is inconsistent.
     """
     return elimination.null_basis, [elimination.solve(b) for b in rhs_list]

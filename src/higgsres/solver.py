@@ -27,15 +27,16 @@ candidate space keeps them in a table per (point, weight, exponent),
 so such an entry costs one scale per column and no expansion.
 
 Factor once, then solve many: a ``TwistedSystem`` is the section space
-of one bundle.  It assembles the conditions (``assemble``) and
-eliminates them once, exactly over Q(i) (``linalg.Elimination``: sparse
-Gauss-Jordan on the non-zeros, deterministic pivot order, the steps
-kept); its basis holds the sections as values of the bundle's side,
-formed once.  The point built from a section or Higgs-field space keeps
-the system, and every tangent solve at that point goes through
-``linalg.solve_system`` against the stored elimination.  Its right-hand
-side is the sparse column ``{row: triple}`` of the polar coefficients of
-the g_dot action, rho(gdot_i) s'_i or [gdot_i, phi'_i].  Only those
+of one bundle.  It assembles the conditions (``assemble``), each row
+the dict of its non-zeros, and eliminates them once, exactly over Q(i)
+(``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros, a
+deterministic pivot order, the steps kept); its basis holds the
+sections as values of the bundle's side, formed once.  The point built
+from a section or Higgs-field space keeps the system, and every tangent
+solve at that point goes through ``linalg.solve_system`` against the
+stored elimination.  Its right-hand side is the sparse column
+``{row: triple}`` of the polar coefficients of the g_dot action,
+rho(gdot_i) s'_i or [gdot_i, phi'_i].  Only those
 coefficients are formed: ``field.polar_dot`` reads them off coefficient
 windows of the factors, summed over the non-zero coordinates of gdot_i
 (``HamiltonianRep.inf_action_terms``, ``lie.ad_terms``); the whole germ
@@ -287,7 +288,7 @@ def _polar_columns(h: RatFunc, top: int, powers, size: int):
 
 
 def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
-    """(row keys, dense rows, non-zero count) of the regularity conditions.
+    """(row keys, sparse rows, non-zero count) of the regularity conditions.
 
     ``frame[i][k]`` is the tuple of untwisted local coordinates of basis
     element k transported to disk i (the k-th column of rho(g_i)^-1, or
@@ -296,13 +297,13 @@ def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
     section when every transported germ is regular at u = 0: one linear
     condition per polar coefficient, keyed (disk, coordinate, exponent),
     the keys sorted.  Column k * size + t belongs to the candidate
-    f_t e_k.  A monomial entry c*u^m reads its columns from the space's
-    table for (disk, weight, m), scaled by c; any other entry is
-    multiplied by the twisted base and expanded once, and every t is
-    read off that expansion (f_t = z^t f_0).
+    f_t e_k.  Each row is the dict ``{column: triple}`` of its non-zeros,
+    and the non-zero count is the sum of their sizes.  A monomial entry
+    c*u^m reads its columns from the space's table for (disk, weight, m),
+    scaled by c; any other entry is multiplied by the twisted base and
+    expanded once, and every t is read off that expansion (f_t = z^t f_0).
     """
     size = candidates.size
-    ncols = dim * size
     rows = {}
     nonzeros = 0
     for i, (disk, (bases, top, powers)) in enumerate(zip(frame, candidates.disks)):
@@ -323,7 +324,7 @@ def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
                     key = (i, row, e)
                     cells = rows.get(key)
                     if cells is None:
-                        cells = rows[key] = [K.GQ_ZERO] * ncols
+                        cells = rows[key] = {}
                     cells[offset + t] = triple if unit else K.gq_mul(c, triple)
                 nonzeros += len(columns)
     keys = sorted(rows)
@@ -375,13 +376,15 @@ class TwistedSystem:
         }
 
     def _combine(self, vec):
+        """The value of the candidate sum_{k,t} c_kt f_t e_k; ``vec`` is the
+        dict ``{k * size + t: c_kt}`` of its non-zero coefficients, and
+        each coordinate sums its terms in ascending t."""
         functions = self.candidates.functions
-        size = len(functions)
-        out = []
-        for k in range(self.ncoords):
-            coords = vec[k * size:(k + 1) * size]
-            out.append(dot((c, f, _ONE) for c, f in zip(coords, functions) if not c.is_zero()))
-        return self._value(out)
+        terms = [[] for _ in range(self.ncoords)]
+        for column in sorted(vec):
+            k, t = divmod(column, len(functions))
+            terms[k].append((vec[column], functions[t], _ONE))
+        return self._value([dot(coordinate) for coordinate in terms])
 
     def particular(self, rhs):
         """The candidate whose transport has the polar part rhs[i] in disk i.

@@ -4,8 +4,10 @@ coadjoint transition; the dense oracles of the coordinate forms in
 ``lie``: the matrix commutator, the trace-form pairing and the pairings
 with the basis read off a matrix; the coadjoint bracket and the dual of
 a set of pairings, which the library no longer needs; the dense jet
-recomputation of Omega that ``moduli.cartan_check`` replaced; and the
-always-hashing reference of ``SeedStream.randint``."""
+recomputation of Omega that ``moduli.cartan_check`` replaced; the
+always-hashing reference of ``SeedStream.randint``; and the dense forms
+of the solver's sparse systems, with the dense-input echelon kernel as
+the oracle of the indexed one."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import hashlib
 from itertools import chain, repeat
 from typing import Mapping
 
+from higgsres import _kernels as K
 from higgsres.errors import ShapeError
 from higgsres.field import GQ_ONE, GQ_ZERO, Jet2, RatFunc, dot
 from higgsres.hamiltonian import XVector
@@ -25,6 +28,7 @@ from higgsres.lie import (
     _require_same_algebra,
     ad_terms,
 )
+from higgsres.linalg import Elimination
 from higgsres.matrices import Matrix, as_entry, mat_mul, mat_vec, shape, zeros
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import AffineSpace, CandidateSpace, SeedStream, sample_affine, sample_vector
@@ -196,3 +200,109 @@ def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:
     SHA-256 of repr((path, counter)) modulo the size of the range."""
     digest = hashlib.sha256(repr((path, counter)).encode()).digest()
     return lo + int.from_bytes(digest, "big") % (hi - lo + 1)
+
+
+# ---------------------------------------------------------------------------
+# dense systems in the solver's sparse contract
+# ---------------------------------------------------------------------------
+
+
+def sparse_rows(matrix) -> list:
+    """The rows of a dense matrix of triples as dicts ``{column: triple}``
+    of their non-zeros: the rows ``assemble`` gives and ``zi_echelon``
+    and ``Elimination`` take."""
+    return [{j: t for j, t in enumerate(row) if t[0] or t[1]} for row in matrix]
+
+
+def dense_rows(rows, ncols: int) -> list:
+    """Sparse rows back as dense rows of ``ncols`` triples."""
+    out = []
+    for row in rows:
+        dense = [K.GQ_ZERO] * ncols
+        for j, t in row.items():
+            dense[j] = t
+        out.append(dense)
+    return out
+
+
+def sparse_vector(vec) -> dict:
+    """A dense vector of GaussRat as the dict ``{column: GaussRat}`` of its
+    non-zeros: the null vectors and solutions of ``Elimination``."""
+    return {j: x for j, x in enumerate(vec) if not x.is_zero()}
+
+
+def dense_vector(vec, ncols: int):
+    """A ``{column: GaussRat}`` vector as a list of ``ncols`` GaussRat; None
+    (an inconsistent solve) stays None."""
+    if vec is None:
+        return None
+    out = [GQ_ZERO] * ncols
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
+class DenseElimination:
+    """An ``Elimination`` with dense rows in and dense vectors out, for the
+    checks written against dense matrices: ``null_basis`` and ``solve``
+    give lists of GaussRat with one entry per column.  Built from a
+    dense matrix, or ``of`` an existing ``Elimination``."""
+
+    def __init__(self, matrix, ncols: int):
+        self.elimination = Elimination(sparse_rows(matrix), ncols)
+
+    @classmethod
+    def of(cls, elimination: Elimination) -> "DenseElimination":
+        out = cls.__new__(cls)
+        out.elimination = elimination
+        return out
+
+    @property
+    def null_basis(self) -> list:
+        ncols = self.elimination.ncols
+        return [dense_vector(v, ncols) for v in self.elimination.null_basis]
+
+    def solve(self, column):
+        return dense_vector(self.elimination.solve(column), self.elimination.ncols)
+
+
+def dense_zi_echelon(rows, npivot):
+    """``zi_echelon`` as it was on dense rows: the oracle of the indexed
+    kernel.  Each dense row is replaced by the dict of the non-zeros of its
+    reduced row, and the rows of each column are found by testing every
+    row; the steps are returned as the kernel returns them."""
+    m = len(rows)
+    sparse = sparse_rows(rows)
+    used = [False] * m
+    steps = []
+    for col in range(npivot):
+        hits = [i for i in range(m) if col in sparse[i]]
+        piv = next((i for i in hits if not used[i]), -1)
+        if piv < 0:
+            continue
+        used[piv] = True
+        pr = sparse[piv]
+        inv = K.gq_inv(pr[col])
+        if inv != K.GQ_ONE:
+            for j, t in pr.items():
+                pr[j] = K.gq_mul(inv, t)
+        pr[col] = K.GQ_ONE
+        targets = []
+        for i in hits:
+            if i == piv:
+                continue
+            ri = sparse[i]
+            f = ri.pop(col)
+            targets.append((i, f))
+            for j, t in pr.items():
+                if j == col:
+                    continue
+                e = ri.get(j)
+                x = K.gq_neg(K.gq_mul(f, t)) if e is None else K.gq_sub(e, K.gq_mul(f, t))
+                if x[0] or x[1]:
+                    ri[j] = x
+                else:
+                    del ri[j]
+        steps.append((piv, col, inv, targets))
+    rows[:] = sparse
+    return steps

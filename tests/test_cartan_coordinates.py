@@ -8,6 +8,9 @@ matrices of ``Jet2`` and all n^2 products of their trace, with term3
 and Omega by the dense commutator and trace pairing.  Also here: ambient
 sl3 tangents whose gdot has Cartan coordinates (Gram weights 2 and -1),
 and a count guard that no matrix is formed inside ``cartan_check``.
+The value components of the jet pairings, which ``cartan_check`` drops,
+are checked against ``liouville_lambda``, so the jets carry lambda as
+well as its derivative ``Omega = d lambda``.
 """
 
 import random
@@ -20,10 +23,13 @@ from higgsres import (
     RatFunc,
     ambient_higgs_tangent,
     cartan_check,
+    liouville_lambda,
     load_scenario,
     symplectic_omega,
 )
-from higgsres.lie import MatrixLieAlgebra
+from higgsres.field import Jet2
+from higgsres.lie import MatrixLieAlgebra, pairing
+from higgsres.moduli import _jet_pairing
 from higgsres.solver import SeedStream
 from higgsres.suites import random_higgs_pair
 
@@ -152,3 +158,66 @@ def test_cartan_check_forms_no_matrix(fixtures_dir, monkeypatch):
     point, (t1, t2) = pairs[0]
     dense_cartan_terms(point, t1, t2)
     assert calls
+
+
+def _jet_values(point, t1, t2) -> tuple:
+    """(sum_i Res of the value of the e1 jet pairing against gdot_2, the
+    same for the e2 jet pairing against gdot_1): the value components
+    that ``cartan_check`` computes and drops."""
+    along1 = along2 = GaussRat(0)
+    for i in range(point.curve.n_points):
+        phi = point.phi_prime[i]
+        jet1 = _jet_pairing(Jet2.lift1, phi, t1.phi_prime_dot[i], t2.g_dot[i])
+        jet2 = _jet_pairing(Jet2.lift2, phi, t2.phi_prime_dot[i], t1.g_dot[i])
+        along1 = along1 + jet1.v.laurent_coefficient(-1)
+        along2 = along2 + jet2.v.laurent_coefficient(-1)
+    return along1, along2
+
+
+def _residue_pairs(point, rng) -> list:
+    """Two ambient tangents at the point, each with gdot_i = u^-1 b_a at
+    one random disk i and 0 at the others, a drawn among the indices
+    whose b_a pairs with phi'_i at u^0 (gdot_i = 0 when there is none), so
+    lambda reads a non-zero residue that no other disk cancels; each
+    phidot' is regular with random coordinates."""
+    algebra = point.algebra
+    tangents = []
+    for _ in range(2):
+        g_dot, disks = [], []
+        pole = rng.randrange(point.curve.n_points)
+        for i, phi in enumerate(point.phi_prime):
+            coeffs = [ZERO] * algebra.dim
+            live = []
+            for a in range(algebra.dim):
+                unit = [ZERO] * algebra.dim
+                unit[a] = RatFunc.const(1)
+                if not pairing(phi, algebra.element_from(unit)).laurent_coefficient(0).is_zero():
+                    live.append(a)
+            if live and i == pole:
+                coeffs[rng.choice(live)] = U ** -1
+            g_dot.append(algebra.element_from(coeffs))
+            disks.append(
+                algebra.coadjoint_from(
+                    [RatFunc([_gauss(rng), _gauss(rng)]) if rng.randrange(2) else ZERO for _ in range(algebra.dim)]
+                )
+            )
+        tangents.append(_ambient(point, g_dot, disks))
+    return tangents
+
+
+@pytest.mark.parametrize("fixture", ["f1", "f2", "f3"])
+def test_jet_values_are_the_liouville_form(fixtures_dir, fixture):
+    """The value of the e1 jet pairing against gdot_2 sums to lambda(t2),
+    and that of the e2 pairing against gdot_1 to lambda(t1), on seed-1
+    cartan-suite pairs (where lambda is 0) and on ambient pairs whose
+    gdot has a simple pole on a coordinate that phi' pairs with."""
+    pairs = _pairs(fixtures_dir, fixture, 10)
+    rng = random.Random(f"jet-values-{fixture}")
+    ambient = [(point, tuple(_residue_pairs(point, rng))) for point, _ in pairs[:5]]
+    nonzero = 0
+    for point, (t1, t2) in pairs + ambient:
+        values = _jet_values(point, t1, t2)
+        assert values == (liouville_lambda(point, t2), liouville_lambda(point, t1))
+        assert cartan_check(point, t1, t2).ok
+        nonzero += any(not v.is_zero() for v in values)
+    assert nonzero >= 3

@@ -53,6 +53,11 @@ def _old_gq_mul(x, y):
     return pure.gq_norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
+def _old_gq_inv(x):
+    a, b, d = x
+    return pure.gq_norm(d * a, -d * b, a * a + b * b)
+
+
 def _old_p_mul(p, q):
     if not p or not q:
         return []
@@ -152,7 +157,7 @@ def _triple(rng, dens=(1, 1, 1, 2, 3, 6)):
 
 def test_scalar_fast_paths_match_old_bodies():
     rng = random.Random(20261018)
-    zeros = 0
+    zeros = units = 0
     for _ in range(3000):
         x, y = _triple(rng), _triple(rng)
         assert pure.gq_mul(x, y) == _old_gq_mul(x, y)
@@ -160,7 +165,13 @@ def test_scalar_fast_paths_match_old_bodies():
         neg = pure.gq_neg(x)
         assert pure.gq_add(x, neg) == pure.GQ_ZERO == _old_gq_add(x, neg)
         zeros += pure.gq_add(x, y) == pure.GQ_ZERO or pure.gq_mul(x, y) == pure.GQ_ZERO
+        if not pure.gq_is_zero(x):
+            # a unit of Z[i] is inverted by conjugation, any other x through a gcd
+            assert pure.gq_inv(x) == _old_gq_inv(x)
+            assert pure.gq_mul(x, pure.gq_inv(x)) == pure.GQ_ONE
+            units += x[2] == 1 and x[0] ** 2 + x[1] ** 2 == 1
     assert zeros >= 100
+    assert units >= 20
     for t in (x, pure.GQ_ZERO, (3, 0, 1), (0, -2, 1)):
         assert pure.gq_norm(*t) == t
     assert pure.gq_norm(0, 0, 1) is pure.GQ_ZERO

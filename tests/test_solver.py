@@ -1,10 +1,22 @@
 """Exact linear solves, candidate spaces, and seeded sampling."""
 
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, coadjoint_transition, commutator, monomial_vectors, sample, zero_element
+from helpers import (
+    DenseElimination,
+    basis_element,
+    coadjoint_transition,
+    commutator,
+    dense_rows,
+    monomial_vectors,
+    sample,
+    sparse_rows,
+    sparse_vector,
+    zero_element,
+)
 from test_field import _naive_window
 from test_sparse_elimination import _column
 
@@ -29,7 +41,6 @@ from higgsres import (
     pullback_omega,
 )
 from higgsres import _kernels as K
-from higgsres.linalg import Elimination
 from higgsres.lie import MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
@@ -105,12 +116,12 @@ def _apply(matrix, vec):
 
 def test_nullspace_of_identity_is_empty():
     matrix = [[_triple(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert Elimination(matrix, 3).null_basis == []
+    assert DenseElimination(matrix, 3).null_basis == []
 
 
 def test_nullspace_of_zero_matrix_is_full():
     matrix = [[_triple(0)] * 4 for _ in range(2)]
-    basis = Elimination(matrix, 4).null_basis
+    basis = DenseElimination(matrix, 4).null_basis
     assert len(basis) == 4
     for k, vec in enumerate(basis):
         assert vec[k] == GaussRat(1)
@@ -131,7 +142,7 @@ def test_nullspace_vectors_satisfy_system():
                     for j in range(4)
                 ]
             )
-        basis = Elimination(matrix, 4).null_basis
+        basis = DenseElimination(matrix, 4).null_basis
         # rank + nullity = 4
         pivot_count = 4 - len(basis)
         assert pivot_count <= 3
@@ -147,7 +158,7 @@ def test_affine_solutions_verified():
     rng = SeedStream("affine")
     matrix = [[_triple(1), _triple(1)], [_triple(0), _triple(1)]]
     rhs = {0: _triple(3), 1: _triple(1)}
-    elimination = Elimination(matrix, 2)
+    elimination = DenseElimination(matrix, 2)
     assert elimination.null_basis == []
     assert elimination.solve(rhs) == [GaussRat(2), GaussRat(1)]
     # a key past the last row stands for a zero row of A
@@ -156,7 +167,7 @@ def test_affine_solutions_verified():
     # inconsistent system
     matrix2 = [[_triple(1), _triple(1)], [_triple(2), _triple(2)]]
     rhs2 = {1: _triple(1)}
-    assert Elimination(matrix2, 2).solve(rhs2) is None
+    assert DenseElimination(matrix2, 2).solve(rhs2) is None
 
 
 def _pivot_columns(matrix, ncols):
@@ -190,10 +201,10 @@ def test_replay_solves_exactly_when_consistent():
         sub = rng.child(trial)
         m, n = sub.randint(1, 6), sub.randint(1, 5)
         matrix = _replay_case(sub, m, n)
-        elimination = Elimination(matrix, n)
+        elimination = DenseElimination(matrix, n)
         free = set(range(n)) - set(_pivot_columns(matrix, n))
         # the kernel's own steps, only to show the cases are exercised
-        steps = K.zi_echelon(list(matrix), n)
+        steps = K.zi_echelon(sparse_rows(matrix), n)
         pivot_rows = [r for r, *_ in steps]
         kinds["out of row order"] += pivot_rows != sorted(pivot_rows)
         kinds["cleared above"] += any(
@@ -312,9 +323,13 @@ def _check_assembly(curve, candidates, dim, frame, weight):
     """assemble and TwistedSystem against the per-candidate oracle; returns
     the system."""
     keys, rows, nonzeros = assemble(candidates, dim, frame, weight)
-    assert (keys, rows) == _per_candidate_assembly(curve, candidates, dim, frame, weight)
+    ncols = dim * candidates.size
+    oracle = _per_candidate_assembly(curve, candidates, dim, frame, weight)
+    assert (keys, dense_rows(rows, ncols)) == oracle
     assert keys
-    assert nonzeros == sum(1 for row in rows for t in row if not K.gq_is_zero(t))
+    # the rows hold their non-zeros only, and nothing else
+    assert not any(K.gq_is_zero(t) for row in rows for t in row.values())
+    assert nonzeros == sum(len(row) for row in rows)
     system = TwistedSystem(candidates, dim, frame, weight, list)
     assert system.counts["rows"] == len(keys)
     assert system.counts["nonzeros"] == nonzeros
@@ -357,11 +372,11 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             ):
                 system = _check_assembly(curve, candidates, dim, frame, weight)
                 functions = candidates.functions
-                null = system.elimination.null_basis
+                null = DenseElimination.of(system.elimination).null_basis
                 assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
                 assert system.dim == len(null)
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
-                assert system._combine(vec) == _combine_by_loop(functions, dim, vec)
+                assert system._combine(sparse_vector(vec)) == _combine_by_loop(functions, dim, vec)
         _check_tables(curve, candidates)
         assert {w for _, w, _ in candidates.tables} == {1, 2}
 
@@ -460,7 +475,7 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     system = TwistedSystem(candidates, dim, _section_frame(rep, g), 1, list)
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
-    combined = system._combine(vec)
+    combined = system._combine(sparse_vector(vec))
     by_dot = calls[0]
     by_loop = _combine_by_loop(candidates.functions, dim, vec)
     assert combined == by_loop
@@ -639,10 +654,9 @@ def _one_shot(system, rows, rhs):
                 effect[(i, row, e)] = triple
     ncols = system.elimination.ncols
     keys = sorted(set(rows) | set(effect))
-    zero = _triple(0)
-    matrix = [rows.get(k, [zero] * ncols) for k in keys]
-    b = [effect.get(k, zero) for k in keys]
-    elimination = Elimination(matrix, ncols)
+    matrix = dense_rows([rows.get(k, {}) for k in keys], ncols)
+    b = [effect.get(k, _triple(0)) for k in keys]
+    elimination = DenseElimination(matrix, ncols)
     part = elimination.solve(_column(b))
     return matrix, b, elimination.null_basis, part, not set(effect) <= set(rows)
 
@@ -725,12 +739,14 @@ def test_factor_once_matches_one_shot_solve(
                     ]
                     germs = _tangent_rhs(side, point, g_dot)
                     matrix, vector, null, part, extra = _one_shot(system, rows, germs)
-                    assert system.elimination.null_basis == null
-                    assert system.basis == [system._combine(v) for v in null]
+                    assert DenseElimination.of(system.elimination).null_basis == null
+                    assert system.basis == [system._combine(sparse_vector(v)) for v in null]
                     rhs = _polar_rhs(germs)
                     builder = section_rhs if side == "section" else higgs_rhs
                     assert _nonzero(builder(point, g_dot)) == rhs
-                    assert system.particular(rhs) == (None if part is None else system._combine(part))
+                    assert system.particular(rhs) == (
+                        None if part is None else system._combine(sparse_vector(part))
+                    )
                     try:
                         space = build(point, g_dot, bounds)
                         feasible = True
@@ -741,7 +757,7 @@ def test_factor_once_matches_one_shot_solve(
                     if feasible:
                         # the tangent space shares the basis values of the point's space
                         assert space.basis is system.basis
-                        assert space.particular == system._combine(part)
+                        assert space.particular == system._combine(sparse_vector(part))
                     if feasible:
                         assert _apply(matrix, part) == [GaussRat.from_triple(t) for t in vector]
                         kinds["feasible"] += 1
@@ -752,8 +768,9 @@ def test_factor_once_matches_one_shot_solve(
                         full = [row + [t] for row, t in zip(matrix, vector)]
                         assert _rank(full) == _rank(matrix) + 1
                         kinds["cokernel"] += 1
+                dense = dense_rows(rows.values(), system.elimination.ncols)
                 for v in null:
-                    assert all(x.is_zero() for x in _apply(list(rows.values()), v))
+                    assert all(x.is_zero() for x in _apply(dense, v))
     assert all(kinds.values()), kinds
 
 
@@ -833,6 +850,44 @@ def test_inverse_is_computed_once_and_knows_its_inverse(name):
     one = LoopGroupElement.identity(3)
     assert g * inv == one and inv * g == one
     assert (g * inv).mat == identity(3)
+
+
+def test_inverse_links_back_weakly():
+    """g keeps g^-1 and g^-1 only a weak reference to g: once g is gone,
+    g^-1 computes its inverse afresh, and gets the same matrix."""
+    g = _group_elements()["product"]
+    mat, inv = g.mat, g.inverse()
+    del g
+    again = inv.inverse()
+    assert again.mat == mat
+    assert inv.inverse() is again and again.inverse() is inv
+
+
+def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
+    """With the cyclic collector off and every collected object saved, a
+    few seed-1 theorem trials on f1 and f3 leave no LoopGroupElement for
+    it: an element and its inverse are freed by reference counting."""
+    scenarios = [load_scenario(str(fixtures_dir / f)) for f in ("f1.json", "f3.json")]
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for scenario in scenarios:
+            root = SeedStream("random-suite", 1)
+            for t in range(4):
+                g = build_instance(scenario, root.child("trial", t)).point.g
+                # the back-link still answers while the element is alive
+                assert all(g_i.inverse().inverse() is g_i for g_i in g)
+        del g
+        gc.collect()
+        cyclic = [x for x in gc.garbage if isinstance(x, LoopGroupElement)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert cyclic == []
 
 
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])

@@ -1,6 +1,6 @@
 """The sparse Gauss-Jordan eliminator against the dense Bareiss one it replaced.
 
-``DenseElimination`` below is the fraction-free Bareiss elimination over
+``BareissElimination`` below is the fraction-free Bareiss elimination over
 Z[i] that ``linalg.Elimination`` used before: rows scaled to Z[i] by the
 lcm of their denominators, row swaps, the uniform Bareiss update on every
 row below each pivot, the steps replayed on a scaled right side and a
@@ -17,11 +17,19 @@ inconsistent must agree exactly, on:
   of A;
 - the systems and right sides the seed-1 trials of theorem-f1,
   theorem-f3 and cartan-f2 build.
+
+The matrices here are dense; ``helpers.DenseElimination`` hands their
+sparse rows to ``linalg.Elimination`` and reads its null vectors and
+solutions back dense.  Every system of the benchmark's seed-1 trials is
+also eliminated by the dense-input echelon kernel that the indexed one
+replaced (``helpers.dense_zi_echelon``), for the same steps and reduced
+rows.
 """
 
 from math import gcd
 
 import pytest
+from helpers import DenseElimination, dense_rows, dense_zi_echelon
 
 from higgsres import GaussRat, load_scenario, solver, suites
 from higgsres import _kernels as K
@@ -138,7 +146,7 @@ def _value(pair) -> GaussRat:
     return GaussRat.from_triple(K.gq_norm(pair[0], pair[1], 1))
 
 
-class DenseElimination:
+class BareissElimination:
     """The fraction-free elimination ``linalg.Elimination`` used to be."""
 
     def __init__(self, matrix, ncols: int):
@@ -222,7 +230,7 @@ def _compare(matrix, ncols, rhs_list):
     """Null basis and every solve of both eliminators agree, the sparse one
     given each dense right side as its column; returns the number of
     inconsistent right sides."""
-    sparse, dense = Elimination(matrix, ncols), DenseElimination(matrix, ncols)
+    sparse, dense = DenseElimination(matrix, ncols), BareissElimination(matrix, ncols)
     assert sparse.null_basis == dense.null_basis
     infeasible = 0
     for rhs in rhs_list:
@@ -312,7 +320,7 @@ def test_rank_loss_matches_dense():
         # rows in a random order, so pivots are not taken in row order
         order = sorted(range(len(matrix)), key=lambda _: rng.randint(0, 10**6))
         matrix = [matrix[i] for i in order]
-        elimination = Elimination(matrix, ncols)
+        elimination = DenseElimination(matrix, ncols)
         assert len(elimination.null_basis) >= 2
         _compare(matrix, ncols, _right_sides(rng, matrix, ncols))
 
@@ -345,7 +353,7 @@ class _Recording(Elimination):
 
     def __init__(self, matrix, ncols):
         super().__init__(matrix, ncols)
-        self.log = (matrix, ncols, [])
+        self.log = (dense_rows(matrix, ncols), ncols, [])
         _Recording.records.append(self.log)
 
     def solve(self, column):
@@ -372,3 +380,44 @@ def test_workload_seed1_systems_match_dense(fixtures_dir, monkeypatch, fixture, 
     infeasible = sum(_compare(matrix, ncols, sides) for matrix, ncols, sides in records)
     # the retries after an infeasible tangent draw are among them
     assert infeasible
+
+
+@pytest.mark.parametrize(
+    "fixture, stream, trials",
+    [
+        ("f1.json", "random-suite", 50),
+        ("f3.json", "random-suite", 20),
+        ("f2.json", "cartan-suite", 20),
+    ],
+)
+def test_workload_seed1_echelons_match_dense_input_kernel(
+    fixtures_dir, monkeypatch, fixture, stream, trials
+):
+    """Every system of the trials of one traced benchmark round (theorem-f1,
+    theorem-f3, cartan-f2 at seed 1): the indexed kernel on the assembled
+    sparse rows takes the steps of the dense-input oracle on the same rows
+    written dense, and leaves the same reduced rows."""
+    scenario = load_scenario(str(fixtures_dir / fixture))
+    kernel = K.zi_echelon
+    systems = []
+
+    def checked(rows, npivot):
+        # every column is searched: the solver carries no trailing column
+        expected = dense_rows(rows, npivot)
+        expected_steps = dense_zi_echelon(expected, npivot)
+        steps = kernel(rows, npivot)
+        assert steps == expected_steps
+        assert rows == expected
+        systems.append(len(steps))
+        return steps
+
+    monkeypatch.setattr(K, "zi_echelon", checked)
+    root = SeedStream(stream, 1)
+    for t in range(trials):
+        if stream == "random-suite":
+            suites.build_instance(scenario, root.child("trial", t))
+        else:
+            suites.random_higgs_pair(scenario, root.child("trial", t))
+    # the benchmark's traced round counts 97, 28 and 20 eliminations
+    assert len(systems) == {"f1.json": 97, "f3.json": 28, "f2.json": 20}[fixture]
+    assert any(systems)
