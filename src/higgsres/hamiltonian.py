@@ -317,9 +317,7 @@ def rep_validate(rep: HamiltonianRep) -> RepReport:
                 mat_mul(rep.rho[alg.labels[b]], rep.rho[alg.labels[a]]),
             )
             got = [[_ZERO] * rep.space.dim for _ in range(rep.space.dim)]
-            for k, c in enumerate(alg.structure[(a, b)]):
-                if c.is_zero():
-                    continue
+            for k, c in alg.brackets(a, b):
                 mk = rep.rho[alg.labels[k]]
                 for i in range(rep.space.dim):
                     for j in range(rep.space.dim):

@@ -23,30 +23,32 @@ elements are traceless matrices of rational functions.
 Each span element keeps its sl_n coordinates: the ones its trace check
 reads off, or the ones it was built from (``MatrixLieAlgebra.element_from``,
 ``coadjoint_from``).  Its matrix is formed from them on first read, so a
-value that only takes part in sums, pairings and regularity checks never
-has one.  Each basis element is one or two signed matrix units e_rc
-(``MatrixLieAlgebra.units``), so the Lie-side operations are sums over the
-non-zero coordinates only:
+value that only takes part in sums, pairings, brackets and regularity
+checks never has one.  Each basis element is one or two signed matrix
+units e_rc (``MatrixLieAlgebra.units``), so the Lie-side operations are
+sums over the non-zero coordinates only:
 
-    [e_rc, e_pq] = d_cp e_rq - d_qr e_pc     (``bracket``)
-    [e_rc, M]    = row c of M put in row r,
-                   minus column r of M put in column c   (``ad_terms``)
+    [b_a, b_b]   = sum w b_c over the table entries (c, w) of the pair,
+                   from [e_rc, e_pq] = d_cp e_rq - d_qr e_pc
+                   (``MatrixLieAlgebra.brackets``, ``bracket_terms``)
     tr(b_a b_b)  = 1 for E_jk against F_kj, the Cartan matrix
                    (2 on, -1 beside the diagonal) on the H_j   (``pairing``)
 
-The pairings tr(M b_a) of a traceless M and its coordinates determine
-each other in closed form (``MatrixLieAlgebra.pairings``,
-``coadjoint_from_pairings``), through that same trace form and the
-inverse Cartan matrix.
+The bracket table holds the structure constants sparsely, and each pair
+(a, b) is filled on first use, so an algebra whose brackets are never
+read builds none of it.  The pairings tr(M b_a) of a traceless M and its
+coordinates determine each other in closed form
+(``MatrixLieAlgebra.pairings``, ``coadjoint_from_pairings``), through
+that same trace form and the inverse Cartan matrix.
 
-A loop-group element keeps g^-1 b_a g per basis index a, formed on first
-use as a sum of outer products of a column of g^-1 and a row of g
-(``LoopGroupElement.conjugate``).  The coadjoint transport of ``moduli``
-reads their coordinates, the Higgs frame of ``solver`` their entries.
+A loop-group element keeps the non-zero coordinates of g^-1 b_a g per
+basis index a, summed on first use from outer products of a column of
+g^-1 and a row of g (``LoopGroupElement.conjugate``).  The coadjoint
+transport of ``moduli`` and the Higgs frame of ``solver`` both read them.
 
 Loop-algebra elements drawn at random have one or two non-zero
 coordinates, so these cost a few products where the dense matrix forms
-cost n^3.  The structure constants are never needed for them.
+cost n^3.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
-from .field import GQ_ONE, GaussRat, RatFunc, dot
+from .field import GQ_ONE, GQ_ZERO, GaussRat, RatFunc, dot
 from .matrices import (
     Matrix,
     adjugate,
@@ -72,7 +74,7 @@ from .matrices import (
 
 _ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
-# the GaussRat of a matrix unit's sign, or of a product of two
+# the GaussRat of a sign, 1 or -1
 _SIGNS = {1: GQ_ONE, -1: -GQ_ONE}
 
 
@@ -109,6 +111,12 @@ class MatrixLieAlgebra:
         e = len(self._upper)
         index = {jk: a for a, jk in enumerate(self._upper)}
         index.update((jk, e + n - 1 + a) for a, jk in enumerate(self._lower))
+        # the coordinates a matrix unit adds to: its own off the diagonal,
+        # H_j .. H_(n-2) (the partial sums of the diagonal) for e_jj
+        self._slots = {jk: (a,) for jk, a in index.items()}
+        self._slots.update(((j, j), tuple(range(e + j, e + n - 1))) for j in range(n))
+        # the non-zero coordinates of [b_a, b_b] by pair (a, b), filled by ``brackets``
+        self._brackets: dict[tuple[int, int], tuple] = {}
         # the index of the transposed unit of each E and F (None for H)
         self._transpose = (
             [index[(k, j)] for j, k in self._upper]
@@ -147,18 +155,38 @@ class MatrixLieAlgebra:
 
     @cached_property
     def structure(self) -> dict[tuple[int, int], list[GaussRat]]:
-        """Structure constants: ``structure[(a, b)]`` expands [e_a, e_b].
+        """Structure constants: ``structure[(a, b)]`` expands [b_a, b_b]
+        (a != b), read off the bracket table (``brackets``).
 
-        About ``dim^2 / 2`` brackets, so they are computed on first read
-        only; ``bracket`` itself never reads them.
+        About ``dim^2`` pairs, so they are laid out dense on first read
+        only; ``bracket`` reads the sparse table pair by pair.
         """
         out: dict[tuple[int, int], list[GaussRat]] = {}
-        basis = [self.element_from(self._unit_coeffs(k)) for k in range(self.dim)]
         for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                consts = [c.constant_value() for c in bracket(basis[a], basis[b]).coeffs]
-                out[(a, b)] = consts
-                out[(b, a)] = [-c for c in consts]
+            for b in range(self.dim):
+                if a != b:
+                    out[(a, b)] = consts = [GQ_ZERO] * self.dim
+                    for c, w in self.brackets(a, b):
+                        consts[c] = w
+        return out
+
+    def brackets(self, a: int, b: int) -> tuple:
+        """The non-zero coordinates (c, w) of [b_a, b_b], formed on first use
+        for the pair and kept.
+
+        On the signed units of b_a and b_b, [e_rc, e_pq] = d_cp e_rq -
+        d_qr e_pc, and each unit adds to the coordinates it feeds.
+        """
+        out = self._brackets.get((a, b))
+        if out is None:
+            coords = {}
+            for r, c, s in self.units[a]:
+                for p, q, t in self.units[b]:
+                    for k in self._slots[(r, q)] if c == p else ():
+                        coords[k] = coords.get(k, 0) + s * t
+                    for k in self._slots[(p, c)] if q == r else ():
+                        coords[k] = coords.get(k, 0) - s * t
+            out = self._brackets[(a, b)] = tuple((k, GaussRat(w)) for k, w in sorted(coords.items()) if w)
         return out
 
     # -- queries -----------------------------------------------------------
@@ -194,12 +222,10 @@ class MatrixLieAlgebra:
         matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero where
         there is no key): an E or F coordinate has its entry's terms, H_j
         the terms of the diagonal entries 0..j together."""
-        out = [terms.get(jk, []) for jk in self._upper]
-        diagonal = []
-        for j in range(self.n - 1):
-            diagonal = diagonal + terms.get((j, j), [])
-            out.append(diagonal)
-        out.extend(terms.get(jk, []) for jk in self._lower)
+        out = [[] for _ in range(self.dim)]
+        for unit, entry in terms.items():
+            for k in self._slots[unit]:
+                out[k].extend(entry)
         return out
 
     def combination(self, coeffs: Sequence) -> Matrix:
@@ -269,15 +295,6 @@ class MatrixLieAlgebra:
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
 
 
-def _matrix_of_terms(n: int, terms: Mapping) -> Matrix:
-    """The n x n matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero
-    where there is no key)."""
-    rows = [[_ZERO] * n for _ in range(n)]
-    for (r, c), entry in terms.items():
-        rows[r][c] = dot(entry)
-    return tuple(tuple(row) for row in rows)
-
-
 class LoopGroupElement:
     """An n x n matrix of rational functions with determinant 1.
 
@@ -338,14 +355,15 @@ class LoopGroupElement:
         return inv
 
     def conjugate(self, algebra: MatrixLieAlgebra, a: int) -> tuple:
-        """(g^-1 b_a g, its non-zero coordinates as (index, value) pairs),
+        """The non-zero coordinates of g^-1 b_a g as (index, value) pairs,
         formed on first use for each basis index a and kept.
 
         g^-1 e_rc g is the outer product of column r of g^-1 and row c of
         g, so each entry sums, over the one or two signed units e_rc of
-        b_a, products of non-zero entries only.  The basis of sl_n is the
-        same for every ``MatrixLieAlgebra`` of this n, so the one table
-        serves them all.
+        b_a, products of non-zero entries only; each coordinate sums the
+        terms of its entries (``MatrixLieAlgebra.coordinate_terms``), and
+        no matrix is formed.  The basis of sl_n is the same for every
+        ``MatrixLieAlgebra`` of this n, so the one table serves them all.
         """
         if algebra.n != self.n:
             raise ShapeError(f"conjugating sl{algebra.n} by an {self.n}x{self.n} element")
@@ -360,9 +378,8 @@ class LoopGroupElement:
                     if not y.is_zero():
                         for p, x in left:
                             terms.setdefault((p, q), []).append((sign, x, y))
-            mat = _matrix_of_terms(self.n, terms)
-            coords = algebra.coordinates(mat)
-            column = self._columns[a] = (mat, tuple((k, v) for k, v in enumerate(coords) if not v.is_zero()))
+            coords = (dot(t) for t in algebra.coordinate_terms(terms))
+            column = self._columns[a] = tuple((k, v) for k, v in enumerate(coords) if not v.is_zero())
         return column
 
     def __eq__(self, other):
@@ -481,58 +498,28 @@ def _require_same_algebra(a, b):
         raise ShapeError("elements of different algebras")
 
 
-def _from_terms(cls, algebra: MatrixLieAlgebra, terms: dict):
-    """The element of class cls whose matrix entry (r, c) is
-    ``dot(terms[(r, c)])``, built from its coordinates
-    (``coordinate_terms``); the caller knows it is traceless."""
-    return cls._trusted(algebra, [dot(t) for t in algebra.coordinate_terms(terms)])
-
-
-def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
-    """The commutator [x, y] = xy - yx, summed from coordinates.
-
-    Every pair of non-zero coordinates x_a, y_b adds x_a y_b [b_a, b_b],
-    and on matrix units [e_rc, e_pq] = d_cp e_rq - d_qr e_pc.
-    """
+def bracket_terms(x: _SpanElement, y: _SpanElement) -> list[list]:
+    """The ``field.dot`` terms (w, x_a, y_b) of each coordinate of [x, y]:
+    one per pair of non-zero coordinates x_a, y_b and entry (c, w) of
+    the bracket table (``MatrixLieAlgebra.brackets``).  x and y may be
+    loop-algebra or coadjoint values; both are traceless matrices."""
     _require_same_algebra(x, y)
-    units = x.algebra.units
-    ys = [(units[b], yb) for b, yb in enumerate(y.coeffs) if not yb.is_zero()]
-    terms = {}
+    algebra = x.algebra
+    ys = [(b, yb) for b, yb in enumerate(y.coeffs) if not yb.is_zero()]
+    terms = [[] for _ in range(algebra.dim)]
     for a, xa in enumerate(x.coeffs):
         if xa.is_zero():
             continue
-        for r, c, s in units[a]:
-            for y_units, yb in ys:
-                for p, q, t in y_units:
-                    if c == p:
-                        terms.setdefault((r, q), []).append((_SIGNS[s * t], xa, yb))
-                    if q == r:
-                        terms.setdefault((p, c), []).append((_SIGNS[-s * t], xa, yb))
-    return _from_terms(LoopAlgebraElement, x.algebra, terms)
-
-
-def ad_terms(xi: LoopAlgebraElement, m: Matrix, sign: int = 1) -> dict:
-    """The entries of sign * [xi, M] as ``field.dot`` terms, keyed (row, col).
-
-    Summed over the non-zero coordinates xi_a only: the unit e_rc of b_a
-    puts row c of M into row r, and minus column r of M into column c.
-    Entries with no key are zero.
-    """
-    n = xi.algebra.n
-    if shape(m) != (n, n):
-        raise ShapeError(f"bracket of sl{n} with a {shape(m)} matrix")
-    units = xi.algebra.units
-    terms = {}
-    for a, x in enumerate(xi.coeffs):
-        if x.is_zero():
-            continue
-        for r, c, s in units[a]:
-            plus, minus = _SIGNS[s * sign], _SIGNS[-s * sign]
-            for j, e in enumerate(m[c]):
-                terms.setdefault((r, j), []).append((plus, x, e))
-            for i, row in enumerate(m):
-                terms.setdefault((i, c), []).append((minus, x, row[r]))
+        for b, yb in ys:
+            for c, w in algebra.brackets(a, b):
+                terms[c].append((w, xa, yb))
     return terms
+
+
+def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
+    """The commutator [x, y] = xy - yx, summed from coordinates
+    (``bracket_terms``)."""
+    return LoopAlgebraElement._trusted(x.algebra, [dot(t) for t in bracket_terms(x, y)])
 
 
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:

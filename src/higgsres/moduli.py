@@ -60,12 +60,13 @@ its coordinates,
 
 summed over the non-zero coordinates phi_a only, with the conjugates
 read from g_i's table (``higgs_transport``, ``LoopGroupElement.conjugate``);
-phidot'_i adds the terms of [phi'_i, gdot_i] to the same sums.  So no
-dense matrix product runs and no transported value is checked for trace
-0 again; a matrix is formed only where one is read, by ``lie.ad_terms``
-for the bracket with phi'_i.  ``cartan_check``'s jets pair coordinates
-too, over the non-zero coordinates of the fixed gdot_i, and Omega and
-its jet recomputation share one bracket per disk.
+phidot'_i adds the terms of [phi'_i, gdot_i] to the same sums, read from
+the bracket table over the non-zero coordinates of both
+(``lie.bracket_terms``).  So no matrix is formed, no dense product runs
+and no transported value is checked for trace 0 again.
+``cartan_check``'s jets pair coordinates too, over the non-zero
+coordinates of the fixed gdot_i, and Omega and its jet recomputation
+share one bracket per disk.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ from .lie import (
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
-    ad_terms,
     bracket,
+    bracket_terms,
     pairing,
 )
 from .matrices import mat_vec
@@ -243,7 +244,7 @@ def higgs_transport(curve: MarkedCurve, algebra, g, i: int, phi) -> list[list]:
         if c.is_zero():
             continue
         x = t2_inv * chart.pull(c)
-        for k, y in g[i].conjugate(algebra, a)[1]:
+        for k, y in g[i].conjugate(algebra, a):
             terms[k].append((GQ_ONE, x, y))
     return terms
 
@@ -282,13 +283,14 @@ def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
 
 def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[CoadjointElement]:
     """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i], each
-    coordinate one sum: the transport's terms and the bracket's, summed
-    over the non-zero coordinates of gdot_i (``lie.ad_terms``)."""
+    coordinate one sum: the transport's terms and the bracket's, read
+    from the bracket table over the non-zero coordinates of phi'_i and
+    gdot_i (``lie.bracket_terms``)."""
     algebra = base.algebra
     out = []
     for i in range(base.curve.n_points):
         linear = higgs_transport(base.curve, algebra, base.g, i, phi_circ_dot)
-        ad = algebra.coordinate_terms(ad_terms(g_dot[i], base.phi_prime[i].mat, -1))
+        ad = bracket_terms(base.phi_prime[i], g_dot[i])
         out.append(algebra.coadjoint_from([dot(a + b) for a, b in zip(linear, ad)]))
     return out
 

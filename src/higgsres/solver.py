@@ -15,8 +15,9 @@ marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
 
 Assembly reads the system off one Laurent expansion per frame entry.
-The frames are untwisted (the columns of rho(g_i)^-1, or the entries of
-g_i^-1 b_k g_i; each group element forms both once), and the twist
+The frames are untwisted (the columns of rho(g_i)^-1, or the sl_n
+coordinates of g_i^-1 b_k g_i; each group element forms both once), so
+a Higgs-side system has n^2 - 1 rows per disk and exponent, and the twist
 T_i^-w, of weight w = 1 or 2, is folded into the disk base
 B = pull_i(1/D) * T_i^-w of the candidate space.  With h = B * entry,
 the candidate z^t contributes (u + a)^t h at a finite point a, whose polar coefficients are binomial
@@ -39,7 +40,8 @@ stored elimination.  Its right-hand side is the sparse column
 rho(gdot_i) s'_i or [gdot_i, phi'_i].  Only those
 coefficients are formed: ``field.polar_dot`` reads them off coefficient
 windows of the factors, summed over the non-zero coordinates of gdot_i
-(``HamiltonianRep.inf_action_terms``, ``lie.ad_terms``); the whole germ
+(``HamiltonianRep.inf_action_terms``, ``lie.bracket_terms``), per
+coordinate of the frame; the whole germ
 is formed once, for an accepted tangent, by ``moduli``.  A solve is
 infeasible when a polar coefficient lies in no row of the system or
 when, after the elimination steps are replayed on the column, an entry
@@ -63,12 +65,7 @@ from .curve import MarkedCurve
 from .errors import EmptySpace, Infeasible
 from .field import GQ_ONE, GaussRat, RatFunc, dot, polar_dot
 from .hamiltonian import XVector
-from .lie import (
-    LoopAlgebraElement,
-    LoopGroupElement,
-    MatrixLieAlgebra,
-    ad_terms,
-)
+from .lie import LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, bracket_terms
 from .linalg import Elimination, solve_system
 from .matrices import identity
 from .moduli import HiggsPoint, YPoint
@@ -292,16 +289,17 @@ def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
 
     ``frame[i][k]`` is the tuple of untwisted local coordinates of basis
     element k transported to disk i (the k-th column of rho(g_i)^-1, or
-    g_i^-1 b_k g_i flattened); the bundle's twist is T_i^-weight, folded
-    into the disk's base.  A candidate sum_{k,t} c_kt f_t e_k is a global
-    section when every transported germ is regular at u = 0: one linear
-    condition per polar coefficient, keyed (disk, coordinate, exponent),
-    the keys sorted.  Column k * size + t belongs to the candidate
-    f_t e_k.  Each row is the dict ``{column: triple}`` of its non-zeros,
-    and the non-zero count is the sum of their sizes.  A monomial entry
-    c*u^m reads its columns from the space's table for (disk, weight, m),
-    scaled by c; any other entry is multiplied by the twisted base and
-    expanded once, and every t is read off that expansion (f_t = z^t f_0).
+    the sl_n coordinates of g_i^-1 b_k g_i); the bundle's twist is
+    T_i^-weight, folded into the disk's base.  A candidate
+    sum_{k,t} c_kt f_t e_k is a global section when every transported
+    germ is regular at u = 0: one linear condition per polar
+    coefficient, keyed (disk, coordinate, exponent), the keys sorted.
+    Column k * size + t belongs to the candidate f_t e_k.  Each row is
+    the dict ``{column: triple}`` of its non-zeros, and the non-zero
+    count is the sum of their sizes.  A monomial entry c*u^m reads its
+    columns from the space's table for (disk, weight, m), scaled by c;
+    any other entry is multiplied by the twisted base and expanded once,
+    and every t is read off that expansion (f_t = z^t f_0).
     """
     size = candidates.size
     rows = {}
@@ -419,14 +417,17 @@ def _section_frame(rep, g):
 
 
 def _higgs_frame(algebra, g):
-    """g_i^-1 b_k g_i, flattened row-major, for every basis element b_k
+    """The sl_n coordinates of g_i^-1 b_k g_i, for every basis element b_k
     (twist weight 2), read from g_i's table of conjugates
     (``LoopGroupElement.conjugate``), which the coadjoint transport of
-    ``moduli`` reads too."""
-    return [
-        [tuple(e for row in g_i.conjugate(algebra, k)[0] for e in row) for k in range(algebra.dim)]
-        for g_i in g
-    ]
+    ``moduli`` reads too.  They are an invertible constant image of the
+    entries of a traceless matrix, so the rows they give span the same
+    conditions as the entries would, with n^2 - 1 rows in place of n^2."""
+    frame = []
+    for g_i in g:
+        columns = [dict(g_i.conjugate(algebra, k)) for k in range(algebra.dim)]
+        frame.append([tuple(col.get(c, _ZERO) for c in range(algebra.dim)) for col in columns])
+    return frame
 
 
 class AffineSpace:
@@ -512,15 +513,15 @@ def build_higgs_tangent_space(
 
 
 def higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
-    """The polar coefficients of [gdot_i, phi'_i], per disk and entry
-    (row-major, as in the Higgs frame).
+    """The polar coefficients of [gdot_i, phi'_i], per disk and sl_n
+    coordinate (as in the Higgs frame), one ``polar_dot`` per coordinate
+    over the terms of the bracket table (``lie.bracket_terms``).
 
     phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i] is regular
     exactly when the transported phidot has these polar coefficients.
     """
-    n = point.algebra.n
     return [
-        {r * n + c: polar_dot(terms) for (r, c), terms in ad_terms(g_dot[i], phi.mat).items()}
+        {c: polar_dot(terms) for c, terms in enumerate(bracket_terms(g_dot[i], phi)) if terms}
         for i, phi in enumerate(point.phi_prime)
     ]
 

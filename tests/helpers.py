@@ -2,12 +2,14 @@
 sampling, named Lie-algebra elements, monomial candidate vectors and the
 coadjoint transition; the dense oracles of the coordinate forms in
 ``lie``: the matrix commutator, the trace-form pairing and the pairings
-with the basis read off a matrix; the coadjoint bracket and the dual of
-a set of pairings, which the library no longer needs; the dense jet
-recomputation of Omega that ``moduli.cartan_check`` replaced; the
-always-hashing reference of ``SeedStream.randint``; and the dense forms
-of the solver's sparse systems, with the dense-input echelon kernel as
-the oracle of the indexed one."""
+with the basis read off a matrix; the entry form of the bracket
+(``ad_terms``), the coadjoint bracket and the dual of a set of pairings,
+which the library no longer needs; the dense jet recomputation of Omega
+that ``moduli.cartan_check`` replaced; the always-hashing reference of
+``SeedStream.randint``; the Higgs-field system with one row per matrix
+entry, the oracle of the coordinate rows; and the dense forms of the
+solver's sparse systems, with the dense-input echelon kernel as the
+oracle of the indexed one."""
 
 from __future__ import annotations
 
@@ -17,21 +19,28 @@ from typing import Mapping
 
 from higgsres import _kernels as K
 from higgsres.errors import ShapeError
-from higgsres.field import GQ_ONE, GQ_ZERO, Jet2, RatFunc, dot
+from higgsres.field import GQ_ONE, GQ_ZERO, Jet2, RatFunc, dot, polar_dot
 from higgsres.hamiltonian import XVector
 from higgsres.lie import (
     CoadjointElement,
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
-    _from_terms,
     _require_same_algebra,
-    ad_terms,
+    _SIGNS,
 )
 from higgsres.linalg import Elimination
 from higgsres.matrices import Matrix, as_entry, mat_mul, mat_vec, shape, zeros
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
-from higgsres.solver import AffineSpace, CandidateSpace, SeedStream, sample_affine, sample_vector
+from higgsres.solver import (
+    AffineSpace,
+    CandidateSpace,
+    SeedStream,
+    TwistedSystem,
+    candidate_functions,
+    sample_affine,
+    sample_vector,
+)
 
 
 def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
@@ -145,10 +154,37 @@ def dual_values(algebra: MatrixLieAlgebra, mat: Matrix) -> list[RatFunc]:
     )
 
 
+def ad_terms(xi: LoopAlgebraElement, m: Matrix, sign: int = 1) -> dict:
+    """The entries of sign * [xi, M] as ``field.dot`` terms, keyed (row, col).
+
+    Summed over the non-zero coordinates xi_a only: the unit e_rc of b_a
+    puts row c of M into row r, and minus column r of M into column c.
+    Entries with no key are zero.  The entry form of the bracket that
+    ``lie.bracket_terms`` reads from the bracket table.
+    """
+    n = xi.algebra.n
+    if shape(m) != (n, n):
+        raise ShapeError(f"bracket of sl{n} with a {shape(m)} matrix")
+    units = xi.algebra.units
+    terms = {}
+    for a, x in enumerate(xi.coeffs):
+        if x.is_zero():
+            continue
+        for r, c, s in units[a]:
+            plus, minus = _SIGNS[s * sign], _SIGNS[-s * sign]
+            for j, e in enumerate(m[c]):
+                terms.setdefault((r, j), []).append((plus, x, e))
+            for i, row in enumerate(m):
+                terms.setdefault((i, c), []).append((minus, x, row[r]))
+    return terms
+
+
 def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> CoadjointElement:
-    """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of xi."""
+    """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of
+    xi from the entries of phi (``ad_terms``) into coordinates."""
     _require_same_algebra(phi, xi)
-    return _from_terms(CoadjointElement, phi.algebra, ad_terms(xi, phi.mat, -1))
+    terms = phi.algebra.coordinate_terms(ad_terms(xi, phi.mat, -1))
+    return CoadjointElement._trusted(phi.algebra, [dot(t) for t in terms])
 
 
 def dualize(algebra: MatrixLieAlgebra, values: Mapping[str, RatFunc]) -> CoadjointElement:
@@ -200,6 +236,41 @@ def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:
     SHA-256 of repr((path, counter)) modulo the size of the range."""
     digest = hashlib.sha256(repr((path, counter)).encode()).digest()
     return lo + int.from_bytes(digest, "big") % (hi - lo + 1)
+
+
+# ---------------------------------------------------------------------------
+# the Higgs-field system with one row per matrix entry
+# ---------------------------------------------------------------------------
+
+
+def entry_higgs_frame(algebra: MatrixLieAlgebra, g) -> list:
+    """g_i^-1 b_k g_i by the dense oracle, flattened row-major, for every
+    basis element b_k: the Higgs frame with n^2 entry rows per disk and
+    exponent in place of the n^2 - 1 coordinates of ``solver._higgs_frame``."""
+    return [
+        [
+            tuple(e for row in coadjoint_transition(g_i, algebra.coadjoint(b)).mat for e in row)
+            for b in algebra.basis
+        ]
+        for g_i in g
+    ]
+
+
+def entry_higgs_system(curve, algebra: MatrixLieAlgebra, g, bounds) -> TwistedSystem:
+    """``solver.build_higgs_field_space`` on the entry frame."""
+    candidates = candidate_functions(curve, bounds)
+    return TwistedSystem(candidates, algebra.dim, entry_higgs_frame(algebra, g), 2, algebra.coadjoint_from)
+
+
+def entry_higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
+    """The polar coefficients of [gdot_i, phi'_i] per disk and entry,
+    row-major as in ``entry_higgs_frame``: the right sides of
+    ``entry_higgs_system``."""
+    n = point.algebra.n
+    return [
+        {r * n + c: polar_dot(terms) for (r, c), terms in ad_terms(g_dot[i], phi.mat).items()}
+        for i, phi in enumerate(point.phi_prime)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ oracle (``helpers.dense_cartan_terms``) is the former body: n x n
 matrices of ``Jet2`` and all n^2 products of their trace, with term3
 and Omega by the dense commutator and trace pairing.  Also here: ambient
 sl3 tangents whose gdot has Cartan coordinates (Gram weights 2 and -1),
-and a count guard that no matrix is formed inside ``cartan_check``.
+and count guards that no matrix is formed inside ``cartan_check``, nor
+inside ``random_higgs_pair``.
 The value components of the jet pairings, which ``cartan_check`` drops,
 are checked against ``liouville_lambda``, so the jets carry lambda as
 well as its derivative ``Omega = d lambda``.
@@ -16,7 +17,7 @@ well as its derivative ``Omega = d lambda``.
 import random
 
 import pytest
-from helpers import dense_cartan_terms
+from helpers import dense_cartan_terms, entry_higgs_rhs
 
 from higgsres import (
     GaussRat,
@@ -157,6 +158,31 @@ def test_cartan_check_forms_no_matrix(fixtures_dir, monkeypatch):
     # the guard itself counts: the dense oracle reads the matrices
     point, (t1, t2) = pairs[0]
     dense_cartan_terms(point, t1, t2)
+    assert calls
+
+
+def test_higgs_pairs_and_cartan_check_form_no_matrix(fixtures_dir, monkeypatch):
+    """From the Higgs-field system to the jet recomputation, the Higgs
+    side forms no span-element matrix: ``random_higgs_pair`` (frame,
+    point, tangent right sides and tangents) and ``cartan_check`` read
+    coordinates only, over 5 f2 and 3 f3 pairs of the seed-1 stream."""
+    scenarios = {f: load_scenario(fixtures_dir / f"{f}.json") for f in ("f2", "f3")}
+    calls = []
+    matrix = MatrixLieAlgebra._matrix
+
+    def counted(self, coeffs):
+        calls.append(self.name)
+        return matrix(self, coeffs)
+
+    monkeypatch.setattr(MatrixLieAlgebra, "_matrix", counted)
+    root = SeedStream("cartan-suite", 1)
+    for fixture, count in (("f2", 5), ("f3", 3)):
+        for t in range(count):
+            point, (t1, t2) = random_higgs_pair(scenarios[fixture], root.child("trial", t))
+            assert cartan_check(point, t1, t2).ok
+    assert calls == []
+    # the guard itself counts: the entry-row oracle reads the matrices
+    entry_higgs_rhs(point, t1.g_dot)
     assert calls
 
 

@@ -1,17 +1,18 @@
 """The coordinate forms of ``lie`` against the dense matrix oracles.
 
-``bracket``, ``ad_terms`` (also through ``helpers.coadjoint_bracket``) and
-``pairing`` sum over the non-zero coordinates of an element and the
-matrix units of its basis;
+``bracket`` sums over the non-zero coordinates of two elements and the
+bracket table of their basis elements, ``pairing`` over the non-zero
+coordinates of an element and the Gram matrix of the trace form;
 ``tests/helpers.py`` keeps the dense commutator and the trace-form pairing
-they replaced.  ``field.polar_dot`` reads the polar coefficients of a sum
+they replaced, and the entry form ``ad_terms`` of the bracket (also
+through ``helpers.coadjoint_bracket``).  ``field.polar_dot`` reads the polar coefficients of a sum
 of products off coefficient windows; the oracle expands the whole sum.
 """
 
 import random
 
 import pytest
-from helpers import coadjoint_bracket, commutator, trace_pairing
+from helpers import ad_terms, coadjoint_bracket, commutator, trace_pairing
 from test_field import _operand
 
 from higgsres import GaussRat, RatFunc, ShapeError
@@ -20,8 +21,8 @@ from higgsres.field import dot, polar_dot
 from higgsres.lie import (
     LoopAlgebraElement,
     MatrixLieAlgebra,
-    ad_terms,
     bracket,
+    bracket_terms,
     pairing,
 )
 from higgsres.solver import _window
@@ -90,6 +91,8 @@ def test_coordinate_forms_match_dense_oracles(n, sparse):
         assert bracket(y, x) == -xy
 
         assert coadjoint_bracket(phi, x).mat == commutator(phi.mat, x.mat)
+        got = [dot(t) for t in bracket_terms(phi, x)]
+        assert got == algebra.expand_in_basis(commutator(phi.mat, x.mat))
         assert _entries(ad_terms(x, m), n) == commutator(x.mat, m)
         assert _entries(ad_terms(y, m, -1), n) == commutator(m, y.mat)
 
@@ -142,12 +145,30 @@ def test_coordinate_forms_leave_structure_unbuilt():
         assert [RatFunc.const(c) for c in consts] == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bracket_table_matches_dense_commutator(n):
+    """Every pair (a, b) of the bracket table is [b_a, b_b] by the dense
+    commutator: its entries are the non-zero coordinates, in ascending
+    index.  A pair is filled on first read and then kept."""
+    algebra = MatrixLieAlgebra.sl(n)
+    assert algebra._brackets == {}
+    for a, x in enumerate(algebra.basis):
+        for b, y in enumerate(algebra.basis):
+            entries = algebra.brackets(a, b)
+            assert algebra.brackets(a, b) is entries
+            want = algebra.expand_in_basis(commutator(x, y))
+            assert entries == tuple((c, w.constant_value()) for c, w in enumerate(want) if not w.is_zero())
+    assert len(algebra._brackets) == algebra.dim ** 2
+
+
 def test_mixed_sizes_rejected():
     sl2, sl3 = MatrixLieAlgebra.sl(2), MatrixLieAlgebra.sl(3)
     with pytest.raises(ShapeError):
         bracket(sl2.element(sl2.basis[0]), sl3.element(sl3.basis[0]))
     with pytest.raises(ShapeError):
         coadjoint_bracket(sl3.coadjoint(sl3.basis[0]), sl2.element(sl2.basis[0]))
+    with pytest.raises(ShapeError):
+        bracket_terms(sl3.coadjoint(sl3.basis[0]), sl2.element(sl2.basis[0]))
     with pytest.raises(ShapeError):
         ad_terms(sl2.element(sl2.basis[0]), sl3.basis[0])
 

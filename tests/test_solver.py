@@ -11,6 +11,8 @@ from helpers import (
     coadjoint_transition,
     commutator,
     dense_rows,
+    entry_higgs_rhs,
+    entry_higgs_system,
     monomial_vectors,
     sample,
     sparse_rows,
@@ -685,12 +687,14 @@ def _random_point(side, rep, curve, bounds, rng):
 
 def _tangent_rhs(side, point, g_dot):
     """The germs whose polar parts the tangent system prescribes at each
-    disk: rho(gdot_i) s'_i, or [gdot_i, phi'_i] flattened row-major."""
+    disk: rho(gdot_i) s'_i, or the sl_n coordinates of the dense
+    commutator [gdot_i, phi'_i] (the rows of the Higgs frame)."""
     n = point.curve.n_points
     if side == "section":
         return [point.rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(n)]
+    algebra = point.algebra
     return [
-        tuple(e for row in commutator(g_dot[i].mat, point.phi_prime[i].mat) for e in row)
+        tuple(algebra.expand_in_basis(commutator(g_dot[i].mat, point.phi_prime[i].mat)))
         for i in range(n)
     ]
 
@@ -772,6 +776,47 @@ def test_factor_once_matches_one_shot_solve(
                 for v in null:
                     assert all(x.is_zero() for x in _apply(dense, v))
     assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("bounds", [BOUNDS, SolverBounds(2, 2)], ids=["4-4", "2-2"])
+def test_coordinate_rows_match_the_entry_row_oracle(curve_one_point, curve_two_points, bounds):
+    """The Higgs-field system keyed by sl_n coordinates has n^2 - 1 rows
+    per disk and exponent where the oracle keyed by matrix entries has
+    n^2; the coordinates are an invertible constant image of the entries,
+    so both give the same dimension, basis and particular solutions, and
+    the same None where a tangent is infeasible.  Under bounds (2, 2)
+    some polar coefficients of the right side lie in no row."""
+    kinds = {"feasible": 0, "infeasible": 0, "no row": 0}
+    for rep_name in ("sl2-standard", "sl3-cotangent"):
+        rep = builtin_rep(rep_name)
+        algebra = rep.algebra
+        for curve in (curve_one_point, curve_two_points):
+            rng = SeedStream("entry-rows", rep_name, curve.n_points, bounds.degree)
+            for b in range(3):
+                point, system, _ = _random_point("higgs", rep, curve, bounds, rng.child("bundle", b))
+                oracle = entry_higgs_system(curve, algebra, point.g, bounds)
+                assert system.dim == oracle.dim
+                assert system.basis == oracle.basis
+                assert system.counts["rank"] == oracle.counts["rank"]
+                assert system.elimination.nrows < oracle.elimination.nrows
+                for d in range(4):
+                    sub = rng.child("bundle", b, "g_dot", d)
+                    g_dot = [
+                        random_loop_algebra(algebra, GdotRecipe(pole_order=3), sub.child(i))
+                        for i in range(curve.n_points)
+                    ]
+                    rhs = entry_higgs_rhs(point, g_dot)
+                    part = system.particular(higgs_rhs(point, g_dot))
+                    assert part == oracle.particular(rhs)
+                    kinds["feasible" if part is not None else "infeasible"] += 1
+                    kinds["no row"] += any(
+                        (i, row, e) not in oracle._row_index
+                        for i, disk in enumerate(_nonzero(rhs))
+                        for row, coefficients in disk.items()
+                        for e in coefficients
+                    )
+    assert kinds["feasible"] and kinds["infeasible"], kinds
+    assert kinds["no row"] or bounds == BOUNDS, kinds
 
 
 def _three_point_curve():
@@ -893,8 +938,9 @@ def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])
 def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
     """Each entry of g's table of conjugates is g^-1 b_a g by the dense
-    oracle, as a matrix (the Higgs frame's entries) and as its non-zero
-    coordinates (the transport's); it is formed once per index."""
+    oracle, as its non-zero coordinates (the transport's) and as all of
+    its coordinates (the Higgs frame's), which give back the oracle's
+    matrix; it is formed once per index."""
     g = _group_elements()[name]
     algebra = MatrixLieAlgebra.sl(3)
     frame = _higgs_frame(algebra, [g])[0]
@@ -903,9 +949,9 @@ def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
         assert g.conjugate(algebra, a) is column
         assert g.conjugate(MatrixLieAlgebra.sl(3), a) is column
         want = coadjoint_transition(g, algebra.coadjoint(b))
-        assert column[0] == want.mat
-        assert column[1] == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
-        assert frame[a] == tuple(e for row in want.mat for e in row)
+        assert column == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
+        assert frame[a] == tuple(want.coeffs)
+        assert algebra.combination(frame[a]) == want.mat
     assert sorted(g._columns) == list(range(algebra.dim))
     # products and inverses start with an empty table
     assert (g * g)._columns == {}
