@@ -7,6 +7,7 @@ kernels, and none of the calls one kernel makes to another.
 
 from .pure import (
     GQ_I,
+    GQ_MINUS_ONE,
     GQ_ONE,
     GQ_ZERO,
     gq_add,

@@ -30,6 +30,7 @@ from math import gcd
 
 GQ_ZERO = (0, 0, 1)
 GQ_ONE = (1, 0, 1)
+GQ_MINUS_ONE = (-1, 0, 1)
 GQ_I = (0, 1, 1)
 
 
@@ -146,8 +147,11 @@ def p_neg(p):
 
 
 def p_scale(c, p):
+    """c*p; a unit factor 1 or -1 copies or negates p, with no product."""
     if gq_is_zero(c):
         return []
+    if c == GQ_ONE or c == GQ_MINUS_ONE:
+        return p_norm(p if c == GQ_ONE else [(-a, -b, d) for a, b, d in p])
     return p_norm([gq_mul(c, x) for x in p])
 
 
@@ -162,7 +166,8 @@ def p_mul(p, q):
 
 
 def p_dot(terms):
-    """The sum of c*p*q/x^k over the terms (c, p, q, k), as (numerator, K).
+    """The sum of c*p*q/x^k over the terms (c, p, q, k), as (numerator, K);
+    a unit c of 1 or -1 takes no product.
 
     ``terms`` is a non-empty list; c is a scalar, p and q are non-zero
     polynomials and k >= 0.  K is the largest k, and each product is
@@ -181,7 +186,7 @@ def p_dot(terms):
     re, im, den = [0] * size, [0] * size, [1] * size
     for c, p, q, k in terms:
         if c != GQ_ONE:
-            p = [gq_mul(c, x) for x in p]
+            p = [(-a, -b, d) for a, b, d in p] if c == GQ_MINUS_ONE else [gq_mul(c, x) for x in p]
         for i, (a1, b1, d1) in enumerate(p, top - k):
             if not (a1 or b1):
                 continue

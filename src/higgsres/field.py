@@ -687,13 +687,33 @@ def polar_dot(terms) -> dict:
     return acc
 
 
+def residue_dot(terms) -> GaussRat:
+    """The coefficient of u^-1 in dot(terms), read off the factors without
+    forming the sum: for Laurent factors x = n_x/u^kx, y = n_y/u^ky and a
+    scalar c it is c * sum_a n_x[a] n_y[kx + ky - 1 - a]; any other term
+    reads it off ``polar_dot``'s windows."""
+    acc = K.GQ_ZERO
+    for c, x, y in terms:
+        nx, ny = x._n, y._n
+        if not (nx and ny):
+            continue
+        if x._k < 0 or y._k < 0 or type(c) is not GaussRat:
+            acc = K.gq_add(acc, polar_dot(((c, x, y),)).get(-1, K.GQ_ZERO))
+            continue
+        top = x._k + y._k - 1
+        for a in range(max(0, top - len(ny) + 1), min(len(nx), top + 1)):
+            acc = K.gq_add(acc, K.gq_mul(c._t, K.gq_mul(nx[a], ny[top - a])))
+    return GaussRat.from_triple(acc)
+
+
 def _scaled_product(c: tuple, s: RatFunc, o: RatFunc) -> RatFunc | None:
-    """c*s*o for a single-coefficient Laurent s = a*u^-k, as a*c times o,
-    or None when s is not one or the product needs a gcd (k > 0 and o is
-    not Laurent)."""
+    """c*s*o for a single-coefficient Laurent s = a*u^-k, as a*c times o
+    (a unit c of 1 or -1 takes no product), or None when s is not one or
+    the product needs a gcd (k > 0 and o is not Laurent)."""
     if len(s._n) != 1 or s._k < 0 or (s._k and o._k < 0):
         return None
-    scale = K.gq_mul(c, s._n[0])
+    a = s._n[0]
+    scale = a if c == K.GQ_ONE else K.gq_neg(a) if c == K.GQ_MINUS_ONE else K.gq_mul(c, a)
     if K.gq_is_zero(scale):
         return _ZERO
     n = K.p_scale(scale, o._n)

@@ -14,9 +14,10 @@ assumed.
 
 omega, each rho(xi_a) and Q_a = rho(xi_a)^T omega are kept as their
 non-zero entries (i, j, c): omega(u, v) = sum c u_i v_j over omega, and
-<dmu_x(v), xi_a> = sum c x_i v_j, <mu(x), xi_a> = 1/2 sum c x_i x_j over
-Q_a.  Q_a is not folded by symmetry: it is symmetric only for rho(xi_a)
-in sp(omega), and rep_validate reports an explicit rho outside it.
+<dmu_x(v), xi_a> = sum c x_i v_j over Q_a.  <mu(x), xi_a> = 1/2 x^T Q_a x
+is summed over Q_a folded once onto the pairs i <= j (``_folded``): a
+quadratic form sees only the symmetric part of its matrix, so the fold
+is exact also for an explicit rho outside sp(omega), where Q_a is not.
 ``dmoment_values`` and ``moment_values`` return these pairings in label
 order; ``dmoment`` and ``moment`` turn them into the coordinates of
 coadjoint values in closed form (``coadjoint_from_pairings``), with no
@@ -78,6 +79,16 @@ def _sparse(m: Matrix) -> tuple:
 def _bilinear(entries: tuple, u: tuple, v: tuple) -> RatFunc:
     """sum c u_i v_j over the entries (i, j, c) of a sparse form."""
     return dot((c, u[i], v[j]) for i, j, c in entries)
+
+
+def _folded(entries: tuple) -> tuple:
+    """The entries (i, j, c), i <= j, of the quadratic form 1/2 x^T Q x:
+    1/2 Q_ii and 1/2 (Q_ij + Q_ji), non-zero ones only."""
+    halves = {}
+    for i, j, c in entries:
+        key = (min(i, j), max(i, j))
+        halves[key] = halves.get(key, _ZERO) + c * _HALF
+    return tuple((i, j, c.constant_value() if c.is_constant() else c) for (i, j), c in sorted(halves.items()) if c)
 
 
 class XVector:
@@ -225,11 +236,12 @@ class HamiltonianRep:
         for lab, m in self.rho.items():
             if shape(m) != (space.dim, space.dim):
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
-        # per basis label, in label order: the entries of rho(xi_a) and of Q_a = rho(xi_a)^T omega
+        # per label, in label order: the entries of rho(xi_a), Q_a = rho(xi_a)^T omega and its fold
         self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
         self._forms = {
             lab: _sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels
         }
+        self._quadratic = [_folded(q) for q in self._forms.values()]
 
     # -- group action ------------------------------------------------------
 
@@ -285,8 +297,10 @@ class HamiltonianRep:
         return [_bilinear(q, x.coords, v.coords) for q in self._forms.values()]
 
     def moment_values(self, x: XVector) -> list[RatFunc]:
-        """<mu(x), xi_a> = 1/2 x^T Q_a x for each basis label, in label order."""
-        return [c * _HALF for c in self.dmoment_values(x, x)]
+        """<mu(x), xi_a> = 1/2 x^T Q_a x for each basis label, in label
+        order, one sum over the folded form of Q_a (pairs i <= j)."""
+        self.space.check(x)
+        return [_bilinear(q, x.coords, x.coords) for q in self._quadratic]
 
     def moment(self, x: XVector) -> CoadjointElement:
         """mu(x), the coadjoint value with the pairings ``moment_values(x)``."""

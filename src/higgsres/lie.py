@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
-from .field import GQ_ONE, GQ_ZERO, GaussRat, RatFunc, dot
+from .field import GQ_ONE, GaussRat, RatFunc, dot
 from .matrices import (
     Matrix,
     adjugate,
@@ -153,23 +152,6 @@ class MatrixLieAlgebra:
         coeffs[k] = _ONE
         return coeffs
 
-    @cached_property
-    def structure(self) -> dict[tuple[int, int], list[GaussRat]]:
-        """Structure constants: ``structure[(a, b)]`` expands [b_a, b_b]
-        (a != b), read off the bracket table (``brackets``).
-
-        About ``dim^2`` pairs, so they are laid out dense on first read
-        only; ``bracket`` reads the sparse table pair by pair.
-        """
-        out: dict[tuple[int, int], list[GaussRat]] = {}
-        for a in range(self.dim):
-            for b in range(self.dim):
-                if a != b:
-                    out[(a, b)] = consts = [GQ_ZERO] * self.dim
-                    for c, w in self.brackets(a, b):
-                        consts[c] = w
-        return out
-
     def brackets(self, a: int, b: int) -> tuple:
         """The non-zero coordinates (c, w) of [b_a, b_b], formed on first use
         for the pair and kept.
@@ -216,17 +198,6 @@ class MatrixLieAlgebra:
         if not (coeffs[len(self._upper) + n - 2] + mat[n - 1][n - 1]).is_zero():
             return None
         return coeffs
-
-    def coordinate_terms(self, terms: Mapping) -> list[list]:
-        """The ``field.dot`` terms of each coordinate of the traceless
-        matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero where
-        there is no key): an E or F coordinate has its entry's terms, H_j
-        the terms of the diagonal entries 0..j together."""
-        out = [[] for _ in range(self.dim)]
-        for unit, entry in terms.items():
-            for k in self._slots[unit]:
-                out[k].extend(entry)
-        return out
 
     def combination(self, coeffs: Sequence) -> Matrix:
         """The matrix sum_k coeffs[k] basis[k]."""
@@ -359,17 +330,20 @@ class LoopGroupElement:
         formed on first use for each basis index a and kept.
 
         g^-1 e_rc g is the outer product of column r of g^-1 and row c of
-        g, so each entry sums, over the one or two signed units e_rc of
-        b_a, products of non-zero entries only; each coordinate sums the
-        terms of its entries (``MatrixLieAlgebra.coordinate_terms``), and
-        no matrix is formed.  The basis of sl_n is the same for every
-        ``MatrixLieAlgebra`` of this n, so the one table serves them all.
+        g, so each entry is one sum, over the one or two signed units e_rc
+        of b_a, of products of non-zero entries only; entry (n-1, n-1),
+        which no coordinate reads, gets none.  The coordinates are read off
+        the entries (``MatrixLieAlgebra.coordinates``: H_j = H_(j-1) + d_j),
+        so each entry's products are formed once.  The basis of sl_n is the
+        same for every ``MatrixLieAlgebra`` of this n, so the one table
+        serves them all.
         """
         if algebra.n != self.n:
             raise ShapeError(f"conjugating sl{algebra.n} by an {self.n}x{self.n} element")
         column = self._columns.get(a)
         if column is None:
             g, g_inv = self.mat, self.inverse().mat
+            last = (self.n - 1, self.n - 1)
             terms = {}
             for r, c, s in algebra.units[a]:
                 left = [(p, row[r]) for p, row in enumerate(g_inv) if not row[r].is_zero()]
@@ -377,8 +351,12 @@ class LoopGroupElement:
                 for q, y in enumerate(g[c]):
                     if not y.is_zero():
                         for p, x in left:
-                            terms.setdefault((p, q), []).append((sign, x, y))
-            coords = (dot(t) for t in algebra.coordinate_terms(terms))
+                            if (p, q) != last:
+                                terms.setdefault((p, q), []).append((sign, x, y))
+            entries = [[_ZERO] * self.n for _ in range(self.n)]
+            for (p, q), t in terms.items():
+                entries[p][q] = dot(t)
+            coords = algebra.coordinates(entries)
             column = self._columns[a] = tuple((k, v) for k, v in enumerate(coords) if not v.is_zero())
         return column
 
@@ -522,22 +500,23 @@ def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
     return LoopAlgebraElement._trusted(x.algebra, [dot(t) for t in bracket_terms(x, y)])
 
 
+def pairing_terms(phi: CoadjointElement, xi: LoopAlgebraElement) -> list:
+    """The ``field.dot`` terms (w, phi_b, xi_a) of <phi, xi>: one per
+    non-zero coordinate xi_a and Gram entry (b, w) of the trace form
+    (``MatrixLieAlgebra.gram``)."""
+    _require_same_algebra(phi, xi)
+    c = phi.coeffs
+    gram = xi.algebra.gram
+    return [(w, c[b], x) for a, x in enumerate(xi.coeffs) if not x.is_zero() for b, w in gram[a]]
+
+
 def pairing(phi: CoadjointElement, xi: LoopAlgebraElement) -> RatFunc:
     """<phi, xi> = tr(phi.mat xi.mat) = sum_a,b phi_b xi_a tr(b_a b_b).
 
     Read off the coordinates of both, at the non-zero coordinates xi_a
-    only, through the sparse Gram matrix of the trace form
-    (``MatrixLieAlgebra.gram``): no matrix is formed.
+    only (``pairing_terms``): no matrix is formed.
     """
-    _require_same_algebra(phi, xi)
-    c = phi.coeffs
-    gram = xi.algebra.gram
-    return dot(
-        (w, c[b], x)
-        for a, x in enumerate(xi.coeffs)
-        if not x.is_zero()
-        for b, w in gram[a]
-    )
+    return dot(pairing_terms(phi, xi))
 
 
 # -- loop-group builders -----------------------------------------------------

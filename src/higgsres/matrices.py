@@ -2,7 +2,8 @@
 
 Matrices here are tuples of tuples of RatFunc.  Sizes stay tiny (the rank
 of the group plus the dimension of the symplectic space), so Laplace
-expansion for determinants and cofactor adjugates are perfectly adequate.
+expansion for determinants and cofactor adjugates are perfectly adequate;
+``det`` and ``adjugate`` write out the small sizes in closed form.
 """
 
 from __future__ import annotations
@@ -125,11 +126,19 @@ def det(a: Matrix) -> RatFunc:
 
 
 def adjugate(a: Matrix) -> Matrix:
+    """The transposed cofactor matrix, in closed form for n = 2 and n = 3,
+    by minors for n >= 4."""
     n, m = shape(a)
     if n != m:
         raise ShapeError("adjugate of a non-square matrix")
     if n == 1:
         return (( _ONE, ),)
+    if n == 2:
+        return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+    if n == 3:
+        # cofactor (j, i), its sign included: rows j+1, j+2 and columns i+1, i+2, mod 3
+        cyclic = ((1, 2), (2, 0), (0, 1))
+        return tuple(tuple(a[p][s] * a[q][t] - a[p][t] * a[q][s] for p, q in cyclic) for s, t in cyclic)
     out = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

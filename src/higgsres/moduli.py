@@ -53,7 +53,7 @@ tangent.
 Both sides of the coadjoint data work in sl_n coordinates.  Each gdot_i
 keeps the few non-zero coordinates it was drawn with, and the bracket
 [gdot_1, gdot_2] and every pairing <phi, gdot> are sums over those
-coordinates (``lie.bracket``, ``lie.pairing``).  phi'_i is built from
+coordinates (``lie.bracket``, ``lie.pairing_terms``).  phi'_i is built from
 its coordinates,
 
     phi'_i = T_i^-2 sum_a pull_i(phi_a) coords(g_i^-1 b_a g_i),
@@ -66,7 +66,8 @@ the bracket table over the non-zero coordinates of both
 and no transported value is checked for trace 0 again.
 ``cartan_check``'s jets pair coordinates too, over the non-zero
 coordinates of the fixed gdot_i, and Omega and its jet recomputation
-share one bracket per disk.
+share one bracket per disk.  Omega and lambda read each residue off the
+pairings' factors (``field.residue_dot``), forming no integrand.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .errors import (
     RegularityViolation,
     ShapeError,
 )
-from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot
+from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot, residue_dot
 from .hamiltonian import HamiltonianRep, XVector
 from .lie import (
     CoadjointElement,
@@ -90,7 +91,7 @@ from .lie import (
     MatrixLieAlgebra,
     bracket,
     bracket_terms,
-    pairing,
+    pairing_terms,
 )
 from .matrices import mat_vec
 
@@ -507,24 +508,22 @@ def _check_based(p, t) -> None:
 
 
 def liouville_lambda(p: HiggsPoint, t: HiggsTangent) -> GaussRat:
-    """sum_i Res_{u=0} <phi'_i, gdot_i> du."""
+    """sum_i Res_{u=0} <phi'_i, gdot_i> du, read off the factors (``residue_dot``)."""
     _check_based(p, t)
     total = GQ_ZERO
     for i in range(p.curve.n_points):
-        total = total + pairing(p.phi_prime[i], t.g_dot[i]).laurent_coefficient(-1)
+        total = total + residue_dot(pairing_terms(p.phi_prime[i], t.g_dot[i]))
     return total
 
 
 def _omega_disk(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent, i: int):
-    """(the integrand of Omega(t1, t2) at marked point i, its third term
-    <phi'_i, [gdot_1, gdot_2]>), with the bracket formed once."""
-    tautological = pairing(p.phi_prime[i], bracket(t1.g_dot[i], t2.g_dot[i]))
-    integrand = (
-        pairing(t1.phi_prime_dot[i], t2.g_dot[i])
-        - pairing(t2.phi_prime_dot[i], t1.g_dot[i])
-        - tautological
-    )
-    return integrand, tautological
+    """(the residue at marked point i of Omega(t1, t2)'s integrand, that of
+    its third term <phi'_i, [gdot_1, gdot_2]>), read off the pairings'
+    factors (``field.residue_dot``); only the bracket is formed."""
+    tautological = residue_dot(pairing_terms(p.phi_prime[i], bracket(t1.g_dot[i], t2.g_dot[i])))
+    first = residue_dot(pairing_terms(t1.phi_prime_dot[i], t2.g_dot[i]))
+    second = residue_dot(pairing_terms(t2.phi_prime_dot[i], t1.g_dot[i]))
+    return first - second - tautological, tautological
 
 
 def symplectic_omega(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> GaussRat:
@@ -533,7 +532,7 @@ def symplectic_omega(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> Gauss
     _check_based(p, t2)
     total = GQ_ZERO
     for i in range(p.curve.n_points):
-        total = total + _omega_disk(p, t1, t2, i)[0].laurent_coefficient(-1)
+        total = total + _omega_disk(p, t1, t2, i)[0]
     return total
 
 
@@ -682,8 +681,9 @@ def cartan_check(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> CartanRep
     """Recompute Omega(t1, t2) as a jet-differentiated exterior derivative.
 
     On each disk term1 and term2 are the e1 and e2 residues of coordinate
-    jet pairings (``_jet_pairing``); term3 and omega_value share one
-    bracket [gdot_1, gdot_2] (``_omega_disk``).  No matrix is formed.
+    jet pairings (``_jet_pairing``); term3 and omega_value are the
+    residues of ``_omega_disk``, which share one bracket [gdot_1, gdot_2]
+    and form no integrand.  No matrix is formed.
     """
     _check_based(p, t1)
     _check_based(p, t2)
@@ -692,9 +692,9 @@ def cartan_check(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> CartanRep
         phi = p.phi_prime[i]
         jet1 = _jet_pairing(Jet2.lift1, phi, t1.phi_prime_dot[i], t2.g_dot[i])
         jet2 = _jet_pairing(Jet2.lift2, phi, t2.phi_prime_dot[i], t1.g_dot[i])
-        integrand, tautological = _omega_disk(p, t1, t2, i)
+        omega, tautological = _omega_disk(p, t1, t2, i)
         report.term1 = report.term1 + jet1.d1.laurent_coefficient(-1)
         report.term2 = report.term2 + jet2.d2.laurent_coefficient(-1)
-        report.term3 = report.term3 + tautological.laurent_coefficient(-1)
-        report.omega_value = report.omega_value + integrand.laurent_coefficient(-1)
+        report.term3 = report.term3 + tautological
+        report.omega_value = report.omega_value + omega
     return report

@@ -31,8 +31,9 @@ Factor once, then solve many: a ``TwistedSystem`` is the section space
 of one bundle.  It assembles the conditions (``assemble``), each row
 the dict of its non-zeros, and eliminates them once, exactly over Q(i)
 (``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros, a
-deterministic pivot order, the steps kept); its basis holds the
-sections as values of the bundle's side, formed once.  The point built
+deterministic pivot order, the steps kept); it keeps the sections as
+sparse candidate coefficients, and sampling sums coefficients and forms
+one value of the bundle's side per draw.  The point built
 from a section or Higgs-field space keeps the system, and every tangent
 solve at that point goes through ``linalg.solve_system`` against the
 stored elimination.  Its right-hand side is the sparse column
@@ -331,18 +332,19 @@ def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
 
 class TwistedSystem:
     """The global sections of one twisted bundle: its regularity conditions
-    (``assemble``), eliminated once, and the basis they leave.
+    (``assemble``), eliminated once, and the null vectors they leave.
 
     ``frame`` and ``weight`` are the untwisted transition columns and the
     twist weight that ``assemble`` reads.  ``value`` turns ``ncoords``
     scalar functions into a section value (``XVector`` on the section
-    side, a coadjoint element on the Higgs side).  ``basis`` holds the
-    sections as values, formed once, and ``dim`` is their number.
-    ``particular`` solves for a candidate with prescribed polar parts
-    against the stored elimination, reducing only the right-hand side.
+    side, a coadjoint element on the Higgs side).  ``null_vectors`` holds
+    the sections as sparse candidate coefficients, ``dim`` is their
+    number, and ``basis`` forms their values on first read only.
+    ``particular`` solves for the coefficients of a candidate with
+    prescribed polar parts against the stored elimination.
     """
 
-    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "basis", "nonzeros")
+    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "null_vectors", "_basis", "nonzeros")
 
     def __init__(self, candidates: CandidateSpace, ncoords: int, frame, weight: int, value):
         self.candidates = candidates
@@ -351,12 +353,19 @@ class TwistedSystem:
         keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame, weight)
         self._row_index = {key: r for r, key in enumerate(keys)}
         self.elimination = Elimination(matrix, ncoords * candidates.size)
-        null_basis, _ = solve_system(self.elimination, self.elimination.ncols)
-        self.basis = [self._combine(v) for v in null_basis]
+        self.null_vectors, _ = solve_system(self.elimination, self.elimination.ncols)
+        self._basis = None
+
+    @property
+    def basis(self) -> list:
+        """The sections as values, formed on first read and kept."""
+        if self._basis is None:
+            self._basis = [self._combine(v) for v in self.null_vectors]
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.null_vectors)
 
     @property
     def bounds(self) -> SolverBounds:
@@ -390,9 +399,9 @@ class TwistedSystem:
         ``rhs[i]`` maps a coordinate of the frame (a row) to the polar
         coefficients ``{e: triple}``, e < 0, prescribed there; zero
         triples are skipped.  Returns the solution with free coefficients
-        0 as a value, or None when there is none: some polar coefficient
-        of rhs lies in no row of the system, or rhs is not in the column
-        space of A.
+        0 as its coefficients ``{k * size + t: GaussRat}``, or None when
+        there is none: some polar coefficient of rhs lies in no row of
+        the system, or rhs is not in the column space of A.
         """
         nrows = self.elimination.nrows
         column = {}
@@ -403,7 +412,7 @@ class TwistedSystem:
                         # a key past the rows of A stands for a zero row of A
                         column[self._row_index.get((i, row, e), nrows)] = triple
         _, parts = solve_system(self.elimination, self.elimination.ncols, [column])
-        return None if parts[0] is None else self._combine(parts[0])
+        return parts[0]
 
 
 def _section_frame(rep, g):
@@ -431,15 +440,24 @@ def _higgs_frame(algebra, g):
 
 
 class AffineSpace:
-    """particular + span(basis): the solution set of an inhomogeneous system."""
+    """particular + span(basis): the solution set of an inhomogeneous system,
+    held as the ``system`` and the particular solution's ``coefficients``."""
 
-    def __init__(self, particular, basis):
-        self.particular = particular
-        self.basis = basis
+    def __init__(self, system: TwistedSystem, coefficients: dict):
+        self.system = system
+        self.coefficients = coefficients
+
+    @property
+    def particular(self):
+        return self.system._combine(self.coefficients)
+
+    @property
+    def basis(self) -> list:
+        return self.system.basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.system.dim
 
 
 def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
@@ -453,10 +471,10 @@ def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
     system = point.system
     if system is None or system.bounds != bounds:
         system = point.system = build(point.curve, side, point.g, bounds)
-    particular = system.particular(rhs)
-    if particular is None:
+    coefficients = system.particular(rhs)
+    if coefficients is None:
         raise Infeasible(f"{failure} within bounds {bounds}; enlarge degree/pole_order")
-    return AffineSpace(particular, system.basis)
+    return AffineSpace(system, coefficients)
 
 
 def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> TwistedSystem:
@@ -531,14 +549,30 @@ def higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _combined(system: TwistedSystem, acc: dict, draws):
+    """The value of the candidate acc + sum c v over the draws (c, v) of
+    a scalar and a null vector, summed as coefficient triples and formed
+    once (``TwistedSystem._combine``)."""
+    for c, vector in draws:
+        for column, x in vector.items():
+            t = K.gq_mul(c._t, x._t)
+            acc[column] = K.gq_add(acc[column], t) if column in acc else t
+    return system._combine({k: GaussRat.from_triple(t) for k, t in acc.items() if not K.gq_is_zero(t)})
+
+
 def sample_vector(space, rng: SeedStream, max_num: int = 2, max_den: int = 2):
-    """A deterministic pseudo-random combination of the basis (nonzero if possible)."""
-    basis = space.basis if hasattr(space, "basis") else space
+    """A deterministic pseudo-random combination of the basis (nonzero if
+    possible): of a ``TwistedSystem``'s null vectors, formed as one value,
+    or of a plain list of values, summed as values; the draws are the same."""
+    system = space if isinstance(space, TwistedSystem) else None
+    basis = space if system is None else system.null_vectors
     if not basis:
         raise EmptySpace("cannot sample from an empty space")
     coeffs = [rng.gauss(max_num, max_den) for _ in basis]
     if all(c.is_zero() for c in coeffs):
         coeffs[rng.randint(0, len(coeffs) - 1)] = GQ_ONE
+    if system is not None:
+        return _combined(system, {}, zip(coeffs, basis))
     acc = None
     for c, b in zip(coeffs, basis):
         term = c * b
@@ -547,14 +581,11 @@ def sample_vector(space, rng: SeedStream, max_num: int = 2, max_den: int = 2):
 
 
 def sample_affine(space: AffineSpace, rng: SeedStream, max_num: int = 2, max_den: int = 2):
-    """particular + random combination of the homogeneous basis."""
-    out = space.particular
-    if space.basis:
-        for b in space.basis:
-            c = rng.gauss(max_num, max_den)
-            if not c.is_zero():
-                out = out + c * b
-    return out
+    """particular + random combination of the homogeneous basis, formed as
+    one value."""
+    draws = [(rng.gauss(max_num, max_den), v) for v in space.system.null_vectors]
+    particular = {k: c._t for k, c in space.coefficients.items()}
+    return _combined(space.system, particular, [(c, v) for c, v in draws if not c.is_zero()])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ that ``moduli.cartan_check`` replaced; the always-hashing reference of
 ``SeedStream.randint``; the Higgs-field system with one row per matrix
 entry, the oracle of the coordinate rows; and the dense forms of the
 solver's sparse systems, with the dense-input echelon kernel as the
-oracle of the indexed one."""
+oracle of the indexed one.  Also the forms a theorem trial no longer
+takes: Omega by its formed integrand, the adjugate by cofactors and
+sampling summed as values; the dense structure constants; and the
+coordinate terms of a matrix given by its entries' terms."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Mapping
 
 from higgsres import _kernels as K
 from higgsres.errors import ShapeError
-from higgsres.field import GQ_ONE, GQ_ZERO, Jet2, RatFunc, dot, polar_dot
+from higgsres.field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot, polar_dot
 from higgsres.hamiltonian import XVector
 from higgsres.lie import (
     CoadjointElement,
@@ -28,9 +31,11 @@ from higgsres.lie import (
     MatrixLieAlgebra,
     _require_same_algebra,
     _SIGNS,
+    bracket,
+    pairing,
 )
 from higgsres.linalg import Elimination
-from higgsres.matrices import Matrix, as_entry, mat_mul, mat_vec, shape, zeros
+from higgsres.matrices import Matrix, _minor, as_entry, det, mat_mul, mat_vec, shape, zeros
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import (
     AffineSpace,
@@ -179,11 +184,37 @@ def ad_terms(xi: LoopAlgebraElement, m: Matrix, sign: int = 1) -> dict:
     return terms
 
 
+def coordinate_terms(algebra: MatrixLieAlgebra, terms: Mapping) -> list[list]:
+    """The ``field.dot`` terms of each coordinate of the traceless
+    matrix whose entry (r, c) is ``dot(terms[(r, c)])`` (zero where
+    there is no key): an E or F coordinate has its entry's terms, H_j
+    the terms of the diagonal entries 0..j together."""
+    out = [[] for _ in range(algebra.dim)]
+    for unit, entry in terms.items():
+        for k in algebra._slots[unit]:
+            out[k].extend(entry)
+    return out
+
+
+def structure(algebra: MatrixLieAlgebra) -> dict[tuple[int, int], list[GaussRat]]:
+    """The structure constants, dense: ``structure(algebra)[(a, b)]``
+    expands [b_a, b_b] (a != b), read off the bracket table
+    (``MatrixLieAlgebra.brackets``), which it fills for every pair."""
+    out = {}
+    for a in range(algebra.dim):
+        for b in range(algebra.dim):
+            if a != b:
+                out[(a, b)] = consts = [GQ_ZERO] * algebra.dim
+                for c, w in algebra.brackets(a, b):
+                    consts[c] = w
+    return out
+
+
 def coadjoint_bracket(phi: CoadjointElement, xi: LoopAlgebraElement) -> CoadjointElement:
     """[phi, xi] = phi xi - xi phi, summed over the non-zero coordinates of
     xi from the entries of phi (``ad_terms``) into coordinates."""
     _require_same_algebra(phi, xi)
-    terms = phi.algebra.coordinate_terms(ad_terms(xi, phi.mat, -1))
+    terms = coordinate_terms(phi.algebra, ad_terms(xi, phi.mat, -1))
     return CoadjointElement._trusted(phi.algebra, [dot(t) for t in terms])
 
 
@@ -228,6 +259,56 @@ def dense_cartan_terms(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> tup
         term3 = term3 + tautological.laurent_coefficient(-1)
         omega = omega + integrand.laurent_coefficient(-1)
     return term1, term2, term3, omega
+
+
+def omega_by_integrand(p: HiggsPoint, t1: HiggsTangent, t2: HiggsTangent) -> tuple:
+    """(term3, Omega(t1, t2)) of ``moduli.cartan_check`` by the integrand
+    formula that forms each pairing and the per-disk integrand as
+    rational functions and reads their u^-1 coefficients."""
+    term3 = omega = GQ_ZERO
+    for i in range(p.curve.n_points):
+        g1, g2 = t1.g_dot[i], t2.g_dot[i]
+        tautological = pairing(p.phi_prime[i], bracket(g1, g2))
+        integrand = pairing(t1.phi_prime_dot[i], g2) - pairing(t2.phi_prime_dot[i], g1) - tautological
+        term3 = term3 + tautological.laurent_coefficient(-1)
+        omega = omega + integrand.laurent_coefficient(-1)
+    return term3, omega
+
+
+def cofactor_adjugate(a: Matrix) -> Matrix:
+    """The adjugate of a square matrix of size >= 2 by the cofactor
+    expansion: entry (j, i) is (-1)^(i+j) det of the minor without row i
+    and column j."""
+    n = len(a)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            c = det(_minor(a, i, j))
+            out[j][i] = c if (i + j) % 2 == 0 else -c
+    return tuple(tuple(row) for row in out)
+
+
+def value_sample_vector(basis: list, rng: SeedStream, max_num: int = 2, max_den: int = 2):
+    """``solver.sample_vector`` on a list of basis values, summed as values
+    (c_0 b_0 + c_1 b_1 + ...), with the same draws."""
+    coeffs = [rng.gauss(max_num, max_den) for _ in basis]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[rng.randint(0, len(coeffs) - 1)] = GQ_ONE
+    acc = None
+    for c, b in zip(coeffs, basis):
+        acc = c * b if acc is None else acc + c * b
+    return acc
+
+
+def value_sample_affine(particular, basis: list, rng: SeedStream, max_num: int = 2, max_den: int = 2):
+    """``solver.sample_affine`` summed as values: the particular value plus
+    c b for each basis value b whose drawn c is not 0."""
+    out = particular
+    for b in basis:
+        c = rng.gauss(max_num, max_den)
+        if not c.is_zero():
+            out = out + c * b
+    return out
 
 
 def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:

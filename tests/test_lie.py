@@ -1,7 +1,7 @@
 """Lie algebra structure, pairings, and transition actions."""
 
 import pytest
-from helpers import basis_element, coadjoint_transition, dual_values, dualize, zero_element
+from helpers import basis_element, coadjoint_transition, dual_values, dualize, structure, zero_element
 
 from higgsres import (
     CoadjointElement,
@@ -41,11 +41,11 @@ def test_sl2_defining_relations(sl2):
 
 def test_structure_constants_computed_on_first_read():
     # building or parsing sl12 needs none of its ~10^4 commutators
-    assert "structure" not in vars(MatrixLieAlgebra.sl(12))
+    assert not MatrixLieAlgebra.sl(12)._brackets
     alg = MatrixLieAlgebra.sl(2)
-    assert "structure" not in vars(alg)
-    assert alg.structure[(0, 2)] == [0, 1, 0]  # [E, F] = H
-    assert "structure" in vars(alg)
+    assert not alg._brackets
+    assert structure(alg)[(0, 2)] == [0, 1, 0]  # [E, F] = H
+    assert len(alg._brackets) == 6
 
 
 def test_bracket_with_loop_coefficients(sl2):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import dualize
+from helpers import dualize, structure
 
 from higgsres import (
     CoadjointElement,
@@ -141,8 +141,8 @@ def test_structure_constants_match_oracle(n):
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
             want = oracle_coords(basis, basis[a] * basis[b] - basis[b] * basis[a])
-            assert [to_sympy(c) for c in alg.structure[(a, b)]] == want
-            assert [to_sympy(c) for c in alg.structure[(b, a)]] == [-c for c in want]
+            assert [to_sympy(c) for c in structure(alg)[(a, b)]] == want
+            assert [to_sympy(c) for c in structure(alg)[(b, a)]] == [-c for c in want]
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -523,7 +523,8 @@ def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
     build_instance(scenario, rng.child(0))
     actions = _record_calls(monkeypatch, "inf_action")
     terms = _record_calls(monkeypatch, "inf_action_terms")
-    moments = _record_calls(monkeypatch, "dmoment_values")
+    moments = _record_calls(monkeypatch, "moment_values")
+    dmoments = _record_calls(monkeypatch, "dmoment_values")
     inst = build_instance(scenario, rng.child(1))
     p, (t1, t2) = inst.point, inst.tangents
     n = scenario.curve.n_points
@@ -536,12 +537,14 @@ def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
             key = (t.g_dot[i], p.s_prime[i])
             assert sum(a is key[0] and x is key[1] for a, x in actions) == 1
             assert sum(a is key[0] and x is key[1] for a, x in terms) == 2
-    assert not moments
+    assert not moments and not dmoments
     assert pullback_omega(p, t1, t2).is_zero()
     assert identity_check(p, t1, t2).ok
     assert len(actions) == 2 * n
     for s in p.s_prime:
-        assert sum(x is s and v is s for x, v in moments) == 1
+        assert sum(x is s for (x,) in moments) == 1
+    # mu(s'_i) is the folded quadratic form, not dmu_(s'_i)(s'_i) / 2
+    assert not any(x is v for x, v in dmoments)
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +747,13 @@ def test_factor_once_matches_one_shot_solve(
                     germs = _tangent_rhs(side, point, g_dot)
                     matrix, vector, null, part, extra = _one_shot(system, rows, germs)
                     assert DenseElimination.of(system.elimination).null_basis == null
+                    assert system.null_vectors == [sparse_vector(v) for v in null]
                     assert system.basis == [system._combine(sparse_vector(v)) for v in null]
                     rhs = _polar_rhs(germs)
                     builder = section_rhs if side == "section" else higgs_rhs
                     assert _nonzero(builder(point, g_dot)) == rhs
-                    assert system.particular(rhs) == (
-                        None if part is None else system._combine(sparse_vector(part))
-                    )
+                    # the factored solve gives the one-shot solution's coefficients
+                    assert system.particular(rhs) == (None if part is None else sparse_vector(part))
                     try:
                         space = build(point, g_dot, bounds)
                         feasible = True
@@ -761,6 +764,7 @@ def test_factor_once_matches_one_shot_solve(
                     if feasible:
                         # the tangent space shares the basis values of the point's space
                         assert space.basis is system.basis
+                        assert space.coefficients == sparse_vector(part)
                         assert space.particular == system._combine(sparse_vector(part))
                     if feasible:
                         assert _apply(matrix, part) == [GaussRat.from_triple(t) for t in vector]
