@@ -9,7 +9,6 @@ arithmetic kernels are pure Python (``higgsres._kernels``);
 
 from .curve import CurveReport, MarkedCurve, curve_validate
 from .errors import (
-    EmptySpace,
     EquivarianceBroken,
     HiggsresError,
     Infeasible,

@@ -55,10 +55,6 @@ class Infeasible(HiggsresError):
     """An inhomogeneous linear system has no solution within the bounds."""
 
 
-class EmptySpace(HiggsresError):
-    """Sampling was requested from an empty solution space."""
-
-
 class ParseError(HiggsresError):
     """Malformed scenario text; carries a source location."""
 

@@ -446,13 +446,6 @@ class RatFunc:
         vd = next(k for k, t in enumerate(self._d) if not K.gq_is_zero(t))
         return vn - vd
 
-    def eval(self, a: ScalarLike) -> GaussRat:
-        ta = _triple_from(GaussRat(a))
-        dv = K.p_eval(self._d, ta)
-        if K.gq_is_zero(dv):
-            raise ZeroDivisionError("evaluation at a pole")
-        return GaussRat.from_triple(K.gq_div(K.p_eval(self._n, ta), dv))
-
     def shift(self, t: ScalarLike) -> "RatFunc":
         """Substitute x -> x + t (the chart move for a finite point t)."""
         tt = _triple_from(GaussRat(t))

@@ -194,10 +194,9 @@ class SymplecticSpace:
 
 @dataclass
 class RepReport:
-    """Outcome of rep_validate: violated identities plus informational notes."""
+    """Outcome of rep_validate: the violated identities."""
 
     violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -342,10 +341,6 @@ def rep_validate(rep: HamiltonianRep) -> RepReport:
                     f"rho([{alg.labels[a]}, {alg.labels[b]}]) != "
                     f"[rho({alg.labels[a]}), rho({alg.labels[b]})]"
                 )
-    report.notes.append(
-        "scaling action is scalar: omega has weight 2 and commutes with the "
-        "group action identically for a linear representation"
-    )
     return report
 
 

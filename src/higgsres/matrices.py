@@ -33,10 +33,6 @@ def mat_from(rows: Sequence[Sequence]) -> Matrix:
     return out
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return tuple(tuple(_ZERO for _ in range(ncols)) for _ in range(nrows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(_ONE if j == k else _ZERO for k in range(n)) for j in range(n)
@@ -61,11 +57,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = as_entry(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

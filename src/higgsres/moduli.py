@@ -216,7 +216,7 @@ class HiggsTangent:
 
 
 # ---------------------------------------------------------------------------
-# disk transitions (the solver's frames are built from these too)
+# disk transitions (the solver's section frame reads section_transition)
 # ---------------------------------------------------------------------------
 
 

@@ -31,9 +31,13 @@ Factor once, then solve many: a ``TwistedSystem`` is the section space
 of one bundle.  It assembles the conditions (``assemble``), each row
 the dict of its non-zeros, and eliminates them once, exactly over Q(i)
 (``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros, a
-deterministic pivot order, the steps kept); it keeps the sections as
-sparse candidate coefficients, and sampling sums coefficients and forms
-one value of the bundle's side per draw.  The point built
+deterministic pivot order, the steps kept).  Only candidate
+coefficients leave the solver: the sections are sparse null vectors, a
+tangent space is the system and a particular solution's coefficients,
+and the one place that forms a value of the bundle's side is
+``TwistedSystem._combine``, once per sampled vector (``sample_vector``,
+``sample_affine``); a zero-dimensional space samples to the zero value
+and draws nothing.  The point built
 from a section or Higgs-field space keeps the system, and every tangent
 solve at that point goes through ``linalg.solve_system`` against the
 stored elimination.  Its right-hand side is the sparse column
@@ -58,18 +62,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from . import _kernels as K
 from .curve import MarkedCurve
-from .errors import EmptySpace, Infeasible
+from .errors import Infeasible
 from .field import GQ_ONE, GaussRat, RatFunc, dot, polar_dot
 from .hamiltonian import XVector
 from .lie import LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, bracket_terms
 from .linalg import Elimination, solve_system
 from .matrices import identity
-from .moduli import HiggsPoint, YPoint
+from .moduli import HiggsPoint, YPoint, section_transition
 
 _ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
@@ -117,9 +120,6 @@ class SeedStream:
 
     def choice(self, seq: Sequence):
         return seq[self.randint(0, len(seq) - 1)]
-
-    def fraction(self, max_num: int = 3, max_den: int = 2) -> Fraction:
-        return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
 
     def gauss(self, max_num: int = 3, max_den: int = 2) -> GaussRat:
         """(a/d) + (b/e)*i, drawn in the order a, d, [imaginary?, b, e]."""
@@ -337,14 +337,15 @@ class TwistedSystem:
     ``frame`` and ``weight`` are the untwisted transition columns and the
     twist weight that ``assemble`` reads.  ``value`` turns ``ncoords``
     scalar functions into a section value (``XVector`` on the section
-    side, a coadjoint element on the Higgs side).  ``null_vectors`` holds
-    the sections as sparse candidate coefficients, ``dim`` is their
-    number, and ``basis`` forms their values on first read only.
-    ``particular`` solves for the coefficients of a candidate with
-    prescribed polar parts against the stored elimination.
+    side, a coadjoint element on the Higgs side); ``_combine`` is its
+    only caller, and sampling its only user.  ``null_vectors`` holds the
+    sections as sparse candidate coefficients and ``dim`` is their
+    number; no value of them is kept.  ``particular`` solves for the
+    coefficients of a candidate with prescribed polar parts against the
+    stored elimination.
     """
 
-    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "null_vectors", "_basis", "nonzeros")
+    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "null_vectors", "nonzeros")
 
     def __init__(self, candidates: CandidateSpace, ncoords: int, frame, weight: int, value):
         self.candidates = candidates
@@ -354,14 +355,6 @@ class TwistedSystem:
         self._row_index = {key: r for r, key in enumerate(keys)}
         self.elimination = Elimination(matrix, ncoords * candidates.size)
         self.null_vectors, _ = solve_system(self.elimination, self.elimination.ncols)
-        self._basis = None
-
-    @property
-    def basis(self) -> list:
-        """The sections as values, formed on first read and kept."""
-        if self._basis is None:
-            self._basis = [self._combine(v) for v in self.null_vectors]
-        return self._basis
 
     @property
     def dim(self) -> int:
@@ -415,12 +408,12 @@ class TwistedSystem:
         return parts[0]
 
 
-def _section_frame(rep, g):
-    """The columns of rho(g_i)^-1 at every marked point (twist weight 1);
-    each g_i^-1 keeps its rho (``HamiltonianRep.act_group``)."""
+def _section_frame(curve, rep, g):
+    """The columns of rho(g_i)^-1 at every marked point (twist weight 1),
+    the factor of ``moduli.section_transition``."""
     frame = []
-    for g_i in g:
-        rg_inv = rep.act_group(g_i.inverse())
+    for i in range(len(g)):
+        _, rg_inv = section_transition(curve, rep, g, i)
         frame.append([tuple(row[k] for row in rg_inv) for k in range(rep.space.dim)])
     return frame
 
@@ -440,20 +433,13 @@ def _higgs_frame(algebra, g):
 
 
 class AffineSpace:
-    """particular + span(basis): the solution set of an inhomogeneous system,
-    held as the ``system`` and the particular solution's ``coefficients``."""
+    """particular + span(null vectors): the solution set of an
+    inhomogeneous system, held as the ``system`` and the particular
+    solution's ``coefficients``; ``sample_affine`` forms its values."""
 
     def __init__(self, system: TwistedSystem, coefficients: dict):
         self.system = system
         self.coefficients = coefficients
-
-    @property
-    def particular(self):
-        return self.system._combine(self.coefficients)
-
-    @property
-    def basis(self) -> list:
-        return self.system.basis
 
     @property
     def dim(self) -> int:
@@ -461,7 +447,7 @@ class AffineSpace:
 
 
 def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
-    """particular + span(basis) for the prescribed polar data ``rhs``.
+    """particular + span(null vectors) for the prescribed polar data ``rhs``.
 
     The point's space is reused, and ``build(curve, side, g, bounds)``
     builds and keeps one on a point that has none for these bounds.
@@ -480,7 +466,7 @@ def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
 def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Solve the regularity conditions; every basis vector gives a valid point."""
     candidates = candidate_functions(curve, bounds or SolverBounds())
-    return TwistedSystem(candidates, rep.space.dim, _section_frame(rep, g), 1, XVector)
+    return TwistedSystem(candidates, rep.space.dim, _section_frame(curve, rep, g), 1, XVector)
 
 
 def build_tangent_space(
@@ -560,28 +546,22 @@ def _combined(system: TwistedSystem, acc: dict, draws):
     return system._combine({k: GaussRat.from_triple(t) for k, t in acc.items() if not K.gq_is_zero(t)})
 
 
-def sample_vector(space, rng: SeedStream, max_num: int = 2, max_den: int = 2):
-    """A deterministic pseudo-random combination of the basis (nonzero if
-    possible): of a ``TwistedSystem``'s null vectors, formed as one value,
-    or of a plain list of values, summed as values; the draws are the same."""
-    system = space if isinstance(space, TwistedSystem) else None
-    basis = space if system is None else system.null_vectors
-    if not basis:
-        raise EmptySpace("cannot sample from an empty space")
-    coeffs = [rng.gauss(max_num, max_den) for _ in basis]
+def sample_vector(system: TwistedSystem, rng: SeedStream, max_num: int = 2, max_den: int = 2):
+    """A deterministic pseudo-random combination of the system's null
+    vectors, nonzero when the system has any, formed as one value; a
+    zero-dimensional system gives the zero value of its side and draws
+    nothing."""
+    vectors = system.null_vectors
+    if not vectors:
+        return system._combine({})
+    coeffs = [rng.gauss(max_num, max_den) for _ in vectors]
     if all(c.is_zero() for c in coeffs):
         coeffs[rng.randint(0, len(coeffs) - 1)] = GQ_ONE
-    if system is not None:
-        return _combined(system, {}, zip(coeffs, basis))
-    acc = None
-    for c, b in zip(coeffs, basis):
-        term = c * b
-        acc = term if acc is None else acc + term
-    return acc
+    return _combined(system, {}, zip(coeffs, vectors))
 
 
 def sample_affine(space: AffineSpace, rng: SeedStream, max_num: int = 2, max_den: int = 2):
-    """particular + random combination of the homogeneous basis, formed as
+    """particular + random combination of the null vectors, formed as
     one value."""
     draws = [(rng.gauss(max_num, max_den), v) for v in space.system.null_vectors]
     particular = {k: c._t for k, c in space.coefficients.items()}

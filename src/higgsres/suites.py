@@ -104,10 +104,7 @@ def build_instance(scenario: Scenario, rng: SeedStream) -> Instance:
         bundle = candidate
         if space.dim >= suite.min_section_dim:
             break
-    if space.dim:
-        s_circ = sample_vector(space, rng.child("section"), suite.sample_num, suite.sample_den)
-    else:
-        s_circ = XVector.zero(scenario.rep.space.dim)
+    s_circ = sample_vector(space, rng.child("section"), suite.sample_num, suite.sample_den)
     point = make_y_point(scenario.curve, scenario.rep, bundle, s_circ, space)
     tangents = []
     retries = 0
@@ -134,15 +131,12 @@ def scenario_point(scenario: Scenario, rng: SeedStream) -> YPoint:
         space = build_section_space(
             scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
         )
-        if space.dim == 0:
-            s_circ = XVector.zero(scenario.rep.space.dim)
-        else:
-            s_circ = sample_vector(
-                space,
-                rng.child("section", scenario.section.seed),
-                scenario.suite.sample_num,
-                scenario.suite.sample_den,
-            )
+        s_circ = sample_vector(
+            space,
+            rng.child("section", scenario.section.seed),
+            scenario.suite.sample_num,
+            scenario.suite.sample_den,
+        )
     return make_y_point(scenario.curve, scenario.rep, scenario.bundle, s_circ, space)
 
 
@@ -184,12 +178,7 @@ def random_higgs_pair(scenario: Scenario, rng: SeedStream):
     algebra = scenario.rep.algebra
     bundle = scenario.bundle
     fields = build_higgs_field_space(scenario.curve, algebra, bundle, scenario.bounds)
-    if fields.dim:
-        phi = sample_vector(fields, rng.child("phi"), suite.sample_num, suite.sample_den)
-    else:
-        phi = algebra.coadjoint(
-            [[RatFunc.const(0)] * algebra.n for _ in range(algebra.n)]
-        )
+    phi = sample_vector(fields, rng.child("phi"), suite.sample_num, suite.sample_den)
     point = make_higgs_point(scenario.curve, algebra, bundle, phi, fields)
     tangents = []
     for j in (1, 2):

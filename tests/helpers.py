@@ -11,8 +11,11 @@ entry, the oracle of the coordinate rows; and the dense forms of the
 solver's sparse systems, with the dense-input echelon kernel as the
 oracle of the indexed one.  Also the forms a theorem trial no longer
 takes: Omega by its formed integrand, the adjugate by cofactors and
-sampling summed as values; the dense structure constants; and the
-coordinate terms of a matrix given by its entries' terms."""
+sampling summed as values, with the value views of a solver space
+(``basis_values``, ``particular_value``), which the solver no longer
+hands out; the dense structure constants; the coordinate terms of a
+matrix given by its entries' terms; and the matrix builders only tests
+read (``zeros``, ``mat_scale``)."""
 
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from higgsres.lie import (
     pairing,
 )
 from higgsres.linalg import Elimination
-from higgsres.matrices import Matrix, _minor, as_entry, det, mat_mul, mat_vec, shape, zeros
+from higgsres.matrices import Matrix, _minor, as_entry, det, mat_mul, mat_vec, shape
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import (
     AffineSpace,
@@ -73,13 +76,15 @@ def gauge_transform_y_tangent(t: YTangent, p_new: YPoint, h: LoopGroupElement) -
 def sample(space, seed, max_num: int = 2, max_den: int = 2):
     """Deterministic pseudo-random element of a solution space.
 
-    ``space`` is a linear space (anything with a ``basis``, or a bare
-    basis list) or an AffineSpace; ``seed`` an integer or a SeedStream.
-    The same seed always yields the same element.
+    ``space`` is a ``TwistedSystem``, an ``AffineSpace`` or a list of
+    basis values (summed as values, ``value_sample_vector``); ``seed`` an
+    integer or a SeedStream.  The same seed always yields the same element.
     """
     rng = seed if isinstance(seed, SeedStream) else SeedStream("sample", seed)
     if isinstance(space, AffineSpace):
         return sample_affine(space, rng, max_num, max_den)
+    if isinstance(space, list):
+        return value_sample_vector(space, rng, max_num, max_den)
     return sample_vector(space, rng, max_num, max_den)
 
 
@@ -91,6 +96,15 @@ def label_index(algebra: MatrixLieAlgebra, label: str) -> int:
 
 def basis_element(algebra: MatrixLieAlgebra, label: str) -> LoopAlgebraElement:
     return LoopAlgebraElement(algebra, algebra.basis[label_index(algebra, label)])
+
+
+def zeros(nrows: int, ncols: int) -> Matrix:
+    return tuple(tuple(RatFunc.const(0) for _ in range(ncols)) for _ in range(nrows))
+
+
+def mat_scale(c, a: Matrix) -> Matrix:
+    c = as_entry(c)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def zero_element(algebra: MatrixLieAlgebra) -> LoopAlgebraElement:
@@ -286,6 +300,17 @@ def cofactor_adjugate(a: Matrix) -> Matrix:
             c = det(_minor(a, i, j))
             out[j][i] = c if (i + j) % 2 == 0 else -c
     return tuple(tuple(row) for row in out)
+
+
+def basis_values(system: TwistedSystem) -> list:
+    """The values of a system's null vectors, one ``_combine`` each: the
+    ``basis`` view the solver used to keep."""
+    return [system._combine(v) for v in system.null_vectors]
+
+
+def particular_value(space: AffineSpace):
+    """The value of a tangent space's particular solution."""
+    return space.system._combine(space.coefficients)
 
 
 def value_sample_vector(basis: list, rng: SeedStream, max_num: int = 2, max_den: int = 2):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import commutator, hashed_randint
+from helpers import commutator, hashed_randint, mat_scale
 from test_field import _naive_window, _operand, nonzero_gauss
 from test_sparse_forms import REPS
 
@@ -27,7 +27,7 @@ from higgsres import field, hamiltonian
 from higgsres._kernels import pure
 from higgsres.field import GQ_ONE, _u_power, dot
 from higgsres.lie import pairing
-from higgsres.matrices import mat_mul, mat_scale, mat_sub, mat_vec
+from higgsres.matrices import mat_mul, mat_sub, mat_vec
 from higgsres.solver import SeedStream, _window
 
 U = RatFunc.x()
@@ -139,6 +139,9 @@ class _OldSeedStream(SeedStream):
         key = repr((self._path, self._counter)).encode()
         self._counter += 1
         return int.from_bytes(hashlib.sha256(key).digest(), "big")
+
+    def fraction(self, max_num=3, max_den=2):
+        return Fraction(self.randint(-max_num, max_num), self.randint(1, max_den))
 
     def gauss(self, max_num=3, max_den=2):
         re = self.fraction(max_num, max_den)

@@ -8,12 +8,14 @@ import pytest
 from helpers import (
     DenseElimination,
     basis_element,
+    basis_values,
     coadjoint_transition,
     commutator,
     dense_rows,
     entry_higgs_rhs,
     entry_higgs_system,
     monomial_vectors,
+    particular_value,
     sample,
     sparse_rows,
     sparse_vector,
@@ -24,7 +26,6 @@ from test_sparse_elimination import _column
 
 from higgsres import (
     INFINITY,
-    EmptySpace,
     GaussRat,
     HamiltonianRep,
     Infeasible,
@@ -244,7 +245,7 @@ def test_replay_solves_exactly_when_consistent():
 def test_twisted_cocycle_section_dimension(curve_one_point, rep_sl2, twisted_bundle):
     space = build_section_space(curve_one_point, rep_sl2, twisted_bundle, BOUNDS)
     assert space.dim == 1
-    assert space.basis[0] == XVector([1, 0])
+    assert basis_values(space)[0] == XVector([1, 0])
 
 
 def test_trivial_cocycle_has_no_sections(curve_one_point, rep_sl2):
@@ -369,13 +370,13 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             n = rep.algebra.n
             g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
             for dim, frame, weight in (
-                (rep.space.dim, _section_frame(rep, g), 1),
+                (rep.space.dim, _section_frame(curve, rep, g), 1),
                 (rep.algebra.dim, _higgs_frame(rep.algebra, g), 2),
             ):
                 system = _check_assembly(curve, candidates, dim, frame, weight)
                 functions = candidates.functions
                 null = DenseElimination.of(system.elimination).null_basis
-                assert system.basis == [_combine_by_loop(functions, dim, v) for v in null]
+                assert basis_values(system) == [_combine_by_loop(functions, dim, v) for v in null]
                 assert system.dim == len(null)
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
                 assert system._combine(sparse_vector(vec)) == _combine_by_loop(functions, dim, vec)
@@ -474,7 +475,7 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
     candidates = candidate_functions(curve, SolverBounds(3, 2))
     dim = rep.space.dim
-    system = TwistedSystem(candidates, dim, _section_frame(rep, g), 1, list)
+    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g), 1, list)
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
     combined = system._combine(sparse_vector(vec))
@@ -560,7 +561,7 @@ def f1_point(curve_one_point, rep_sl2, twisted_bundle):
 def test_regular_gdot_tangent_space(f1_point, rep_sl2):
     sl2 = rep_sl2.algebra
     space = build_tangent_space(f1_point, [basis_element(sl2, "F")], BOUNDS)
-    assert space.particular.is_zero()
+    assert particular_value(space).is_zero()
     section_space = build_section_space(
         f1_point.curve, rep_sl2, f1_point.g, BOUNDS
     )
@@ -570,19 +571,22 @@ def test_regular_gdot_tangent_space(f1_point, rep_sl2):
 def test_zero_gdot_tangent_space_equals_sections(f1_point, rep_sl2):
     sl2 = rep_sl2.algebra
     space = build_tangent_space(f1_point, [zero_element(sl2)], BOUNDS)
-    assert space.particular.is_zero()
+    assert particular_value(space).is_zero()
     assert space.dim == 1
-    assert space.basis[0] == XVector([1, 0])
+    assert basis_values(space.system)[0] == XVector([1, 0])
 
 
 def test_deep_pole_reported_infeasible(f1_point, rep_sl2):
+    """On a point of its own: each bound change replaces the point's
+    system, which the module's ``f1_point`` keeps for the other tests."""
+    point = make_y_point(f1_point.curve, rep_sl2, f1_point.g, f1_point.s_circ)
     sl2 = rep_sl2.algebra
     g_dot = [(U ** -3) * basis_element(sl2, "F")]
     with pytest.raises(Infeasible):
-        build_tangent_space(f1_point, g_dot, SolverBounds(degree=0, pole_order=0))
+        build_tangent_space(point, g_dot, SolverBounds(degree=0, pole_order=0))
     # the same direction becomes solvable once the bounds grow
-    space = build_tangent_space(f1_point, g_dot, SolverBounds(degree=2, pole_order=0))
-    t = make_y_tangent(f1_point, g_dot, space.particular)
+    space = build_tangent_space(point, g_dot, SolverBounds(degree=2, pole_order=0))
+    t = make_y_tangent(point, g_dot, particular_value(space))
     v = t.s_prime_dot[0].coords[1].valuation()
     assert v is None or v >= 0
 
@@ -599,17 +603,20 @@ def test_sampling_determinism_and_nonzero(f1_point, rep_sl2):
 def test_sample_dispatches_on_the_space(f1_point, rep_sl2):
     space = build_section_space(f1_point.curve, rep_sl2, f1_point.g, BOUNDS)
     assert sample(space, 7) == sample_vector(space, SeedStream("sample", 7))
-    assert sample(space.basis, SeedStream(3)) == sample_vector(space.basis, SeedStream(3))
+    # a list of values is summed as values, with the draws of the coefficient path
+    assert sample(basis_values(space), SeedStream(3)) == sample_vector(space, SeedStream(3))
     tangents = build_tangent_space(f1_point, [basis_element(rep_sl2.algebra, "F")], BOUNDS)
     assert sample(tangents, 7) == sample_affine(tangents, SeedStream("sample", 7))
 
 
-def test_sampling_empty_space_raises(curve_one_point, rep_sl2):
+def test_sampling_empty_space_gives_zero_and_draws_nothing(curve_one_point, rep_sl2):
     space = build_section_space(
         curve_one_point, rep_sl2, [LoopGroupElement.identity(2)], BOUNDS
     )
-    with pytest.raises(EmptySpace):
-        sample_vector(space, SeedStream(1))
+    assert space.dim == 0
+    rng = SeedStream(1)
+    assert sample_vector(space, rng) == XVector.zero(2)
+    assert rng._counter == 0
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +628,7 @@ def test_higgs_field_space_matches_transition(curve_one_point, twisted_bundle):
     sl2 = builtin_rep("sl2-standard").algebra
     fields = build_higgs_field_space(curve_one_point, sl2, twisted_bundle, BOUNDS)
     assert fields.dim >= 1
-    for phi in fields.basis:
+    for phi in basis_values(fields):
         # every basis field must produce regular disk data
         make_higgs_point(curve_one_point, sl2, twisted_bundle, phi)
 
@@ -673,16 +680,11 @@ def _random_point(side, rep, curve, bounds, rng):
     g = [random_cocycle(algebra.n, CocycleRecipe(), rng.child("g", i)) for i in range(curve.n_points)]
     if side == "section":
         space = build_section_space(curve, rep, g, bounds)
-        s = sample_vector(space, rng.child("s")) if space.dim else XVector.zero(rep.space.dim)
-        point = make_y_point(curve, rep, g, s, space)
-        frame, weight = _section_frame(rep, g), 1
+        point = make_y_point(curve, rep, g, sample_vector(space, rng.child("s")), space)
+        frame, weight = _section_frame(curve, rep, g), 1
     else:
         space = build_higgs_field_space(curve, algebra, g, bounds)
-        if space.dim:
-            phi = sample_vector(space, rng.child("phi"))
-        else:
-            phi = algebra.coadjoint([[0] * algebra.n for _ in range(algebra.n)])
-        point = make_higgs_point(curve, algebra, g, phi, space)
+        point = make_higgs_point(curve, algebra, g, sample_vector(space, rng.child("phi")), space)
         frame, weight = _higgs_frame(algebra, g), 2
     keys, rows, _ = assemble(space.candidates, space.ncoords, frame, weight)
     return point, space, dict(zip(keys, rows))
@@ -748,7 +750,7 @@ def test_factor_once_matches_one_shot_solve(
                     matrix, vector, null, part, extra = _one_shot(system, rows, germs)
                     assert DenseElimination.of(system.elimination).null_basis == null
                     assert system.null_vectors == [sparse_vector(v) for v in null]
-                    assert system.basis == [system._combine(sparse_vector(v)) for v in null]
+                    assert basis_values(system) == [system._combine(sparse_vector(v)) for v in null]
                     rhs = _polar_rhs(germs)
                     builder = section_rhs if side == "section" else higgs_rhs
                     assert _nonzero(builder(point, g_dot)) == rhs
@@ -762,10 +764,10 @@ def test_factor_once_matches_one_shot_solve(
                     assert point.system is system
                     assert feasible == (part is not None)
                     if feasible:
-                        # the tangent space shares the basis values of the point's space
-                        assert space.basis is system.basis
+                        # the tangent space shares the point's system
+                        assert space.system is system
                         assert space.coefficients == sparse_vector(part)
-                        assert space.particular == system._combine(sparse_vector(part))
+                        assert particular_value(space) == system._combine(sparse_vector(part))
                     if feasible:
                         assert _apply(matrix, part) == [GaussRat.from_triple(t) for t in vector]
                         kinds["feasible"] += 1
@@ -800,7 +802,7 @@ def test_coordinate_rows_match_the_entry_row_oracle(curve_one_point, curve_two_p
                 point, system, _ = _random_point("higgs", rep, curve, bounds, rng.child("bundle", b))
                 oracle = entry_higgs_system(curve, algebra, point.g, bounds)
                 assert system.dim == oracle.dim
-                assert system.basis == oracle.basis
+                assert basis_values(system) == basis_values(oracle)
                 assert system.counts["rank"] == oracle.counts["rank"]
                 assert system.elimination.nrows < oracle.elimination.nrows
                 for d in range(4):

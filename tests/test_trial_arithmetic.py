@@ -10,10 +10,14 @@ form's (``helpers``: ``cofactor_adjugate``, ``omega_by_integrand``,
 pin that the long forms are not taken.
 """
 
+import json
+
 import pytest
 from helpers import (
+    basis_values,
     cofactor_adjugate,
     omega_by_integrand,
+    particular_value,
     value_sample_affine,
     value_sample_vector,
 )
@@ -31,6 +35,7 @@ from higgsres import (
     identity_check,
     liouville_lambda,
     load_scenario,
+    parse_scenario,
     pullback_omega,
     symplectic_omega,
 )
@@ -226,12 +231,8 @@ def _spaces(scenario, rng):
     g = _random_bundle(scenario, rng.child("bundle"))
     sections = build_section_space(curve, rep, g, bounds)
     fields = build_higgs_field_space(curve, rep.algebra, g, bounds)
-    s = sample_vector(sections, rng.child("s")) if sections.dim else XVector.zero(rep.space.dim)
-    y = make_y_point(curve, rep, g, s, sections)
-    phi = rep.algebra.coadjoint_from([ZERO] * rep.algebra.dim)
-    if fields.dim:
-        phi = sample_vector(fields, rng.child("phi"))
-    h = make_higgs_point(curve, rep.algebra, g, phi, fields)
+    y = make_y_point(curve, rep, g, sample_vector(sections, rng.child("s")), sections)
+    h = make_higgs_point(curve, rep.algebra, g, sample_vector(fields, rng.child("phi")), fields)
     _, y_tangents, _, _ = _sample_tangent(scenario, y, rng.child("y"), build_tangent_space)
     _, h_tangents, _, _ = _sample_tangent(scenario, h, rng.child("h"), build_higgs_tangent_space)
     return sections, fields, y_tangents, h_tangents
@@ -253,12 +254,11 @@ def test_sampling_matches_the_value_sums(fixtures_dir, fixture):
                     if not space.dim:
                         continue
                     got = sample_vector(space, draw.child("c"), max_num)
-                    assert got == value_sample_vector(space.basis, draw.child("c"), max_num)
-                    # a plain list of values is summed as values, with the same draws
-                    assert sample_vector(space.basis, draw.child("c"), max_num) == got
+                    assert got == value_sample_vector(basis_values(space), draw.child("c"), max_num)
                 else:
                     got = sample_affine(space, draw.child("c"), max_num)
-                    want = value_sample_affine(space.particular, space.basis, draw.child("c"), max_num)
+                    basis = basis_values(space.system)
+                    want = value_sample_affine(particular_value(space), basis, draw.child("c"), max_num)
                     assert got == want
                 seen += 1
     assert seen >= 24
@@ -266,7 +266,7 @@ def test_sampling_matches_the_value_sums(fixtures_dir, fixture):
 
 def test_trial_combines_once_per_sampled_vector(fixtures_dir, monkeypatch):
     """A theorem trial forms one value per sampled vector (one section,
-    two tangents) and never the basis values."""
+    two tangents) and no other."""
     scenario = load_scenario(str(fixtures_dir / "f3.json"))
     rng = SeedStream("combine-once")
     build_instance(scenario, rng.child(0))
@@ -284,7 +284,24 @@ def test_trial_combines_once_per_sampled_vector(fixtures_dir, monkeypatch):
     assert identity_check(inst.point, t1, t2).ok
     assert len(calls) == 3
     assert all(system is inst.point.system for system in calls)
-    assert inst.point.system._basis is None
+
+
+def test_random_higgs_pair_on_a_bundle_with_no_higgs_field(fixtures_dir):
+    """f2 without its bundle and higgs blocks has the trivial bundle, whose
+    Higgs-field space is zero-dimensional: phi samples to the zero value,
+    and the pair still passes ``cartan_check`` with every term 0."""
+    raw = json.loads((fixtures_dir / "f2.json").read_text())
+    del raw["bundle"], raw["higgs"]
+    scenario = parse_scenario(json.dumps(raw))
+    algebra = scenario.rep.algebra
+    assert build_higgs_field_space(scenario.curve, algebra, scenario.bundle, scenario.bounds).dim == 0
+    for t in range(3):
+        point, (t1, t2) = random_higgs_pair(scenario, SeedStream("no-higgs-field", t))
+        assert point.phi_circ.is_zero()
+        assert point.phi_circ == algebra.coadjoint_from([0] * algebra.dim)
+        report = cartan_check(point, t1, t2)
+        assert report.ok
+        assert (report.term1, report.term2, report.term3, report.omega_value) == (0, 0, 0, 0)
 
 
 # -- unit scalars ------------------------------------------------------------
