@@ -421,6 +421,10 @@ class RatFunc:
         return self._n == o._n and self._d == o._d
 
     def __hash__(self):
+        # a constant equals its GaussRat value and any equal int or
+        # Fraction, so it hashes as that value, which hashes as they do
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((tuple(self._n), tuple(self._d)))
 
     def __bool__(self):

@@ -37,6 +37,12 @@ class Elimination:
     elimination: it is consistent exactly when it ends zero outside the
     pivot rows, and then the pivot rows give the solution.  ``len()`` is
     the row count of A.
+
+    An elimination is never changed after construction: ``solve`` replays
+    the steps on a copy of its column, and nothing writes to
+    ``null_basis``.  So one elimination may serve several systems with
+    the same matrix (``solver.TwistedSystem`` shares it between the
+    builds of one bundle).
     """
 
     __slots__ = ("nrows", "ncols", "null_basis", "_steps", "_pivot_rows")

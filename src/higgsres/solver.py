@@ -31,7 +31,11 @@ Factor once, then solve many: a ``TwistedSystem`` is the section space
 of one bundle.  It assembles the conditions (``assemble``), each row
 the dict of its non-zeros, and eliminates them once, exactly over Q(i)
 (``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros, a
-deterministic pivot order, the steps kept).  Only candidate
+deterministic pivot order, the steps kept).  The candidate space keeps
+the last system factored at each twist weight, so a build whose frame
+equals the last one's, entry by entry, reuses its rows and elimination:
+a scenario's fixed bundle is assembled and eliminated once per curve,
+bounds and weight, however often its space is built.  Only candidate
 coefficients leave the solver: the sections are sparse null vectors, a
 tangent space is the system and a particular solution's coefficients,
 and the one place that forms a value of the bundle's side is
@@ -160,12 +164,17 @@ class CandidateSpace:
     infinity).  ``tables`` holds, under the key (i, w, m), the polar
     columns of u^m times the twisted base, built on first use by
     ``monomial_columns``; it grows only with the exponents m that occur.
+    ``factored`` holds, per weight w, the last system factored at that
+    weight (``TwistedSystem``): its frame, row index, elimination and
+    non-zero count.  It is one entry per weight, replaced on every
+    system whose frame differs, and is matched by value, never by id.
     """
 
     functions: tuple
     bounds: SolverBounds
     disks: tuple
     tables: dict = field(default_factory=dict)
+    factored: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -343,6 +352,16 @@ class TwistedSystem:
     number; no value of them is kept.  ``particular`` solves for the
     coefficients of a candidate with prescribed polar parts against the
     stored elimination.
+
+    A system whose frame equals, entry by entry (exact ``RatFunc``
+    equality), the frame of the last system of the same weight on the
+    same candidate space (``CandidateSpace.factored``) shares that
+    system's row index and elimination and skips ``assemble`` and the
+    elimination; any other system factors its own and replaces the
+    entry.  The frame's shape carries ``ncoords``.  Sharing is safe
+    because neither is changed after construction: a solve
+    replays the steps on a copy of its column, and nothing writes to the
+    row index or to ``null_vectors`` (the elimination's ``null_basis``).
     """
 
     __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "null_vectors", "nonzeros")
@@ -351,9 +370,14 @@ class TwistedSystem:
         self.candidates = candidates
         self.ncoords = ncoords
         self._value = value
-        keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame, weight)
-        self._row_index = {key: r for r, key in enumerate(keys)}
-        self.elimination = Elimination(matrix, ncoords * candidates.size)
+        last = candidates.factored.get(weight)
+        if last is not None and last[0] == frame:
+            _, self._row_index, self.elimination, self.nonzeros = last
+        else:
+            keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame, weight)
+            self._row_index = {key: r for r, key in enumerate(keys)}
+            self.elimination = Elimination(matrix, ncoords * candidates.size)
+            candidates.factored[weight] = (frame, self._row_index, self.elimination, self.nonzeros)
         self.null_vectors, _ = solve_system(self.elimination, self.elimination.ncols)
 
     @property
@@ -440,10 +464,6 @@ class AffineSpace:
     def __init__(self, system: TwistedSystem, coefficients: dict):
         self.system = system
         self.coefficients = coefficients
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
 
 
 def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:

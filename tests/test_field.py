@@ -189,6 +189,25 @@ def test_ratfunc_zero_numerator():
     assert f.is_zero() and f.den == (1,)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, -3, Fraction(1, 2), GaussRat(Fraction(1, 2), Fraction(1, 3))],
+    ids=["0", "1", "-3", "1/2", "1/2+i/3"],
+)
+def test_constant_ratfunc_hashes_as_its_value(value):
+    """A constant RatFunc equals its value as a GaussRat, and as an int or
+    Fraction when it is real, so it hashes like them and a set dedupes."""
+    f, g = RatFunc.const(value), GaussRat(value)
+    equal = [g, value, RatFunc(value), RatFunc([value, 0], [1])]
+    for other in equal:
+        assert f == other and other == f
+        assert hash(f) == hash(other)
+    assert len({f, *equal}) == 1
+    assert len({value, f}) == 1 and len({f, value}) == 1
+    # a non-constant function with the same numerator hashes apart
+    assert len({f, RatFunc(value, [0, 1])}) == (1 if value == 0 else 2)
+
+
 def test_ratfunc_monic_denominator():
     # oracle: the gcd by an independent schoolbook routine, then both
     # quotients scaled to a monic denominator

@@ -44,7 +44,9 @@ from higgsres import (
     pullback_omega,
 )
 from higgsres import _kernels as K
+from higgsres import solver, suites
 from higgsres.lie import MatrixLieAlgebra, elementary, torus
+from higgsres.linalg import Elimination
 from higgsres.matrices import identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
 from higgsres.solver import (
@@ -565,14 +567,14 @@ def test_regular_gdot_tangent_space(f1_point, rep_sl2):
     section_space = build_section_space(
         f1_point.curve, rep_sl2, f1_point.g, BOUNDS
     )
-    assert space.dim == section_space.dim
+    assert space.system.dim == section_space.dim
 
 
 def test_zero_gdot_tangent_space_equals_sections(f1_point, rep_sl2):
     sl2 = rep_sl2.algebra
     space = build_tangent_space(f1_point, [zero_element(sl2)], BOUNDS)
     assert particular_value(space).is_zero()
-    assert space.dim == 1
+    assert space.system.dim == 1
     assert basis_values(space.system)[0] == XVector([1, 0])
 
 
@@ -882,6 +884,139 @@ def test_tangent_builder_keeps_one_system_per_bounds(f1_point, rep_sl2):
     assert point.system is system
     build_tangent_space(point, g_dot, SolverBounds(degree=2, pole_order=0))
     assert point.system.bounds == SolverBounds(degree=2, pole_order=0)
+
+
+# ---------------------------------------------------------------------------
+# one factored system per bundle: the candidate space's last system per weight
+# ---------------------------------------------------------------------------
+
+
+def _build(side, curve, rep, g, bounds):
+    if side == "section":
+        return build_section_space(curve, rep, g, bounds)
+    return build_higgs_field_space(curve, rep.algebra, g, bounds)
+
+
+def _memo_sides(side, curve, rep, g, system, rng):
+    """Right sides for ``particular``: the polar data of eight random
+    g_dot at a point sampled from the system, poles deep enough that
+    some have no solution, then one with a polar coefficient that lies
+    in no row of any system."""
+    if side == "section":
+        point = make_y_point(curve, rep, g, sample_vector(system, rng.child("s")), system)
+        builder = section_rhs
+    else:
+        point = make_higgs_point(curve, rep.algebra, g, sample_vector(system, rng.child("phi")), system)
+        builder = higgs_rhs
+    sides = []
+    for d in range(8):
+        sub = rng.child("g_dot", d)
+        g_dot = [
+            random_loop_algebra(rep.algebra, GdotRecipe(pole_order=8), sub.child(i))
+            for i in range(curve.n_points)
+        ]
+        sides.append(builder(point, g_dot))
+    sides.append([{0: {-99: K.GQ_ONE}}] + [{}] * (curve.n_points - 1))
+    return sides
+
+
+def _assert_same_system(system, fresh, sides):
+    assert system.null_vectors == fresh.null_vectors
+    assert system.counts == fresh.counts
+    assert [system.particular(b) for b in sides] == [fresh.particular(b) for b in sides]
+
+
+@pytest.mark.parametrize("fixture, side", [("f1.json", "section"), ("f2.json", "higgs")])
+def test_same_bundle_built_twice_shares_one_elimination(fixtures_dir, fixture, side):
+    """The second build of a bundle on one curve reuses the first one's
+    elimination, and answers as a build on a fresh curve object does,
+    feasible and infeasible right sides alike."""
+    scenario = load_scenario(str(fixtures_dir / fixture))
+    other = load_scenario(str(fixtures_dir / fixture))
+    curve, rep, g, bounds = scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
+    first = _build(side, curve, rep, g, bounds)
+    second = _build(side, curve, rep, g, bounds)
+    assert second is not first and second.elimination is first.elimination
+    fresh = _build(side, other.curve, other.rep, other.bundle, other.bounds)
+    assert fresh.elimination is not first.elimination
+    sides = _memo_sides(side, curve, rep, g, second, SeedStream("memo", fixture))
+    feasible = [second.particular(b) is not None for b in sides]
+    assert True in feasible and False in feasible[:-1] and not feasible[-1]
+    _assert_same_system(second, fresh, sides)
+
+
+@pytest.mark.parametrize("side", ["section", "higgs"])
+def test_a_bundle_after_another_factors_again(fixtures_dir, side):
+    """Bundles A, B, A in turn on one two-point curve, B equal to A at
+    disk 0: each build factors its own system, and each equals a build
+    on a fresh curve object; a fourth build of A reuses the third's."""
+    path = str(fixtures_dir / "f2.json")
+    scenario = load_scenario(path)
+    curve, rep, bounds = scenario.curve, scenario.rep, scenario.bounds
+    rng = SeedStream("memo", "a-b-a", side)
+    n = rep.algebra.n
+    a = [random_cocycle(n, CocycleRecipe(), rng.child("g", i)) for i in range(curve.n_points)]
+    b = [a[0], random_cocycle(n, CocycleRecipe(), rng.child("g", "b"))]
+    systems = [_build(side, curve, rep, g, bounds) for g in (a, b, a)]
+    assert len({id(system.elimination) for system in systems}) == 3
+    assert (systems[0].counts, systems[0].null_vectors) != (systems[1].counts, systems[1].null_vectors)
+    sides = _memo_sides(side, curve, rep, a, systems[0], rng.child("sides"))
+    for g, system in zip((a, b, a), systems):
+        _assert_same_system(system, _build(side, load_scenario(path).curve, rep, g, bounds), sides)
+    assert _build(side, curve, rep, a, bounds).elimination is systems[2].elimination
+
+
+def test_section_and_higgs_builds_never_share(fixtures_dir):
+    """Section and Higgs-field builds of one bundle alternate on one curve
+    and bounds: each side keeps its own system, and the two never share."""
+    scenario = load_scenario(str(fixtures_dir / "f2.json"))
+    curve, rep, g, bounds = scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
+    built = [_build(side, curve, rep, g, bounds) for side in ("section", "higgs") * 3]
+    sections, fields = built[0::2], built[1::2]
+    assert all(system.elimination is sections[0].elimination for system in sections)
+    assert all(system.elimination is fields[0].elimination for system in fields)
+    assert sections[0].elimination is not fields[0].elimination
+
+
+@pytest.mark.parametrize("fixture, side", [("f1.json", "section"), ("f2.json", "higgs")])
+def test_tangent_solves_leave_the_shared_elimination_unchanged(fixtures_dir, fixture, side):
+    """Many tangent solves through one system, then a build that shares its
+    elimination: the steps, pivots, null basis and row index still equal
+    those of a build on a fresh curve object."""
+    scenario = load_scenario(str(fixtures_dir / fixture))
+    curve, rep, g, bounds = scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
+    system = _build(side, curve, rep, g, bounds)
+    sides = _memo_sides(side, curve, rep, g, system, SeedStream("memo", "solves", fixture))
+    for _ in range(4):
+        for b in sides:
+            system.particular(b)
+    again = _build(side, curve, rep, g, bounds)
+    assert again.elimination is system.elimination
+    other = load_scenario(str(fixtures_dir / fixture))
+    fresh = _build(side, other.curve, rep, g, bounds)
+    shared, own = system.elimination, fresh.elimination
+    assert shared._steps == own._steps and shared._pivot_rows == own._pivot_rows
+    assert shared.null_basis == own.null_basis and again.null_vectors == own.null_basis
+    assert system._row_index == fresh._row_index
+
+
+def test_random_higgs_pair_factors_the_f2_bundle_once(fixtures_dir, monkeypatch):
+    """20 seed-1 cartan pairs on f2's one bundle construct one elimination."""
+    made = []
+
+    class Counting(Elimination):
+        __slots__ = ()
+
+        def __init__(self, matrix, ncols):
+            super().__init__(matrix, ncols)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "Elimination", Counting)
+    scenario = load_scenario(str(fixtures_dir / "f2.json"))
+    root = SeedStream("cartan-suite", 1)
+    for t in range(20):
+        suites.random_higgs_pair(scenario, root.child("trial", t))
+    assert len(made) == 1
 
 
 def _group_elements():

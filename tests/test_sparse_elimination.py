@@ -396,10 +396,18 @@ def test_workload_seed1_echelons_match_dense_input_kernel(
     """Every system of the trials of one traced benchmark round (theorem-f1,
     theorem-f3, cartan-f2 at seed 1): the indexed kernel on the assembled
     sparse rows takes the steps of the dense-input oracle on the same rows
-    written dense, and leaves the same reduced rows."""
+    written dense, and leaves the same reduced rows.  A build whose frame
+    equals the last one's reuses its elimination, so cartan-f2's one
+    bundle is eliminated once for its 20 builds."""
     scenario = load_scenario(str(fixtures_dir / fixture))
     kernel = K.zi_echelon
     systems = []
+    built = []
+    init = solver.TwistedSystem.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self.elimination)
 
     def checked(rows, npivot):
         # every column is searched: the solver carries no trailing column
@@ -412,12 +420,18 @@ def test_workload_seed1_echelons_match_dense_input_kernel(
         return steps
 
     monkeypatch.setattr(K, "zi_echelon", checked)
+    monkeypatch.setattr(solver.TwistedSystem, "__init__", recorded)
     root = SeedStream(stream, 1)
     for t in range(trials):
         if stream == "random-suite":
             suites.build_instance(scenario, root.child("trial", t))
         else:
             suites.random_higgs_pair(scenario, root.child("trial", t))
-    # the benchmark's traced round counts 97, 28 and 20 eliminations
-    assert len(systems) == {"f1.json": 97, "f3.json": 28, "f2.json": 20}[fixture]
+    # the benchmark's traced round counts 97, 28 and 1 eliminations, for
+    # 97, 28 and 20 systems built
+    assert len(systems) == {"f1.json": 97, "f3.json": 28, "f2.json": 1}[fixture]
+    assert len(built) == {"f1.json": 97, "f3.json": 28, "f2.json": 20}[fixture]
+    assert len({id(e) for e in built}) == len(systems)
+    if fixture == "f2.json":
+        assert sum(e is built[0] for e in built[1:]) == 19
     assert any(systems)
