@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     RegularityViolation,
     ShapeError,
-    UnsupportedDenominator,
     ValidationError,
     ZeroDenominator,
 )

@@ -21,7 +21,6 @@ from .pure import (
     p_add,
     p_divmod,
     p_dot,
-    p_eval,
     p_gcd,
     p_monic,
     p_mul,

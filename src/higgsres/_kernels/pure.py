@@ -267,13 +267,6 @@ def p_gcd(p, q):
     return p_monic(a)[0]
 
 
-def p_eval(p, c):
-    acc = GQ_ZERO
-    for k in range(len(p) - 1, -1, -1):
-        acc = gq_add(gq_mul(acc, c), p[k])
-    return acc
-
-
 def p_shift(p, t):
     """Taylor shift: coefficients of p(x + t)."""
     if gq_is_zero(t):

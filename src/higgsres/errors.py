@@ -23,10 +23,6 @@ class NotInAlgebra(HiggsresError):
     """A matrix does not lie in the span of the algebra basis (its trace is not 0)."""
 
 
-class UnsupportedDenominator(HiggsresError):
-    """A denominator does not split into linear factors over Q(i)."""
-
-
 class IrregularSection(HiggsresError):
     """Derived disk data has a pole at the center of a formal disk."""
 

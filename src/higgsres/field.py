@@ -882,7 +882,8 @@ class _ExprParser:
               atom   = digits ("/" digits)? | "i" | VAR | "(" expr ")"
 
     The single allowed variable name is fixed by the caller; pass None to
-    accept constants only (the Gaussian-rational text encoding).
+    accept constants only (the Gaussian-rational text encoding).  Nesting
+    deeper than the interpreter's recursion limit allows is a ParseError.
     """
 
     def __init__(self, text: str, var: str | None):
@@ -908,7 +909,12 @@ class _ExprParser:
         return False
 
     def parse(self) -> RatFunc:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            # the descent is as deep as the nesting: a ParseError at the
+            # column where the stack ran out, not a traceback
+            raise self.error("expression nested too deeply") from None
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.text[self.pos]!r}")

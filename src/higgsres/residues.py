@@ -10,10 +10,10 @@ a single code path covers every point, including infinity.
 
 The global statement driving all the symplectic identities downstream
 is that the residues of a rational 1-form sum to zero over its poles.
-``residue_sum`` computes that sum honestly: it locates every pole by
-splitting the denominator into linear factors over Q(i) and raises
-``UnsupportedDenominator`` when the denominator does not split (the
-scenario generators only ever emit split denominators).
+``residue_sum`` computes that sum honestly and for every form over Q(i),
+whether or not its denominator splits: the finite part comes from
+Hermite reduction and a trace over Q(i)[z]/(f), with no root located,
+and the residue at infinity from the localized coefficient.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UnsupportedDenominator
+from . import _kernels as K
 from .field import GQ_ZERO, GaussRat, RatFunc, parse_gauss
-from .roots import gaussian_rational_roots
 
 
 class P1Point:
@@ -150,46 +149,111 @@ def residue(form: OneForm, p: P1Point) -> GaussRat:
     return localize(form, p).laurent_coefficient(-1)
 
 
-def order_at(form: OneForm, p: P1Point) -> Optional[int]:
-    """Vanishing order of the localized coefficient (None for the zero form)."""
-    return localize(form, p).valuation()
+# ---------------------------------------------------------------------------
+# the residue theorem, without roots
+# ---------------------------------------------------------------------------
 
 
-def form_poles(form: OneForm) -> list[P1Point]:
-    """All poles of the form over Q(i), including infinity.
+def _derivative(p: list) -> list:
+    """The kernel polynomial p'."""
+    return [K.gq_mul((k, 0, 1), p[k]) for k in range(1, len(p))]
 
-    Raises UnsupportedDenominator when the (reduced) denominator has an
-    irreducible factor of degree > 1 over Q(i): such a form has poles
-    outside Q(i) and its residues cannot be located by this library.
+
+def _inverse_mod(a: list, m: list) -> list:
+    """s with s*a = 1 mod m and deg s < deg m, for a coprime to m (extended Euclid)."""
+    r0, r1, s0, s1 = m, K.p_divmod(a, m)[1], [], [K.GQ_ONE]
+    while len(r1) > 1:
+        q, r = K.p_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, K.p_sub(s0, K.p_mul(q, s1))
+    return K.p_scale(K.gq_inv(r1[0]), s1)
+
+
+def _square_free(p: list) -> list:
+    """Yun's split of a monic p into monic [p_1, p_2, ...], p = prod p_k^k."""
+    dp = _derivative(p)
+    g = K.p_gcd(p, dp)
+    s, y = K.p_divmod(p, g)[0], K.p_divmod(dp, g)[0]
+    factors = []
+    z = K.p_sub(y, _derivative(s))
+    while z:
+        factors.append(K.p_gcd(s, z))
+        s, y = K.p_divmod(s, factors[-1])[0], K.p_divmod(z, factors[-1])[0]
+        z = K.p_sub(y, _derivative(s))
+    return factors + [s]
+
+
+def hermite_reduce(f: RatFunc) -> tuple:
+    """(terms, h) with f = g' + h, g the sum of the terms and h's
+    denominator square-free.
+
+    Hermite reduction, quadratic version (Bronstein, *Symbolic
+    Integration I*, 2.2): each square-free factor v of multiplicity
+    i > 1 is lowered one power at a time by a Bezout step modulo v.
     """
-    poles: list[P1Point] = []
-    coeff = form.coeff
-    if coeff.is_zero():
-        return poles
-    den = coeff.den
-    if len(den) > 1:
-        roots, cofactor = gaussian_rational_roots(den)
-        if len(cofactor) > 1:
-            raise UnsupportedDenominator(
-                "denominator does not split into linear factors over Q(i): "
-                f"left irreducible cofactor of degree {len(cofactor) - 1}"
-            )
-        for r, _mult in roots:
-            poles.append(P1Point.finite(r))
-    v_inf = order_at(form, INFINITY)
-    if v_inf is not None and v_inf < 0:
-        poles.append(INFINITY)
-    return poles
+    terms, a, d = [], f._n, f._d
+    for i, v in enumerate(_square_free(d)[1:], 2):
+        if len(v) < 2:
+            continue
+        powers = [[K.GQ_ONE]]
+        for _ in range(i):
+            powers.append(K.p_mul(powers[-1], v))
+        u = K.p_divmod(d, powers[i])[0]
+        uv1 = K.p_mul(u, _derivative(v))
+        s = _inverse_mod(uv1, v)
+        for j in range(i - 1, 0, -1):
+            # b u v' + c v = -a/j with deg b < deg v, so that
+            # a/(u v^(j+1)) = (b/v^j)' + (-j c - u b')/(u v^j)
+            rhs = K.p_scale((-1, 0, j), a)
+            b = K.p_divmod(K.p_mul(s, rhs), v)[1]
+            c = K.p_divmod(K.p_sub(rhs, K.p_mul(b, uv1)), v)[0]
+            terms.append(RatFunc(b, powers[j]))
+            a = K.p_sub(K.p_scale((-j, 0, 1), c), K.p_mul(u, _derivative(b)))
+        d = K.p_mul(u, v)
+    return terms, RatFunc(a, d)
+
+
+def _trace(g: list, f: list) -> tuple:
+    """The trace of g over Q(i)[z]/(f), f monic and deg g < deg f.
+
+    It is sum_k g_k p_k, where p_k, the k-th power sum of f's roots,
+    follows from Newton's identities: p_k = -(k c_(n-k) + sum_(j<k) c_(n-j) p_(k-j)).
+    """
+    n = len(f) - 1
+    sums = [(n, 0, 1)]
+    for k in range(1, len(g)):
+        acc = K.gq_mul((k, 0, 1), f[n - k])
+        for j in range(1, k):
+            acc = K.gq_add(acc, K.gq_mul(f[n - j], sums[k - j]))
+        sums.append(K.gq_neg(acc))
+    total = K.GQ_ZERO
+    for gk, pk in zip(g, sums):
+        total = K.gq_add(total, K.gq_mul(gk, pk))
+    return total
+
+
+def finite_residue_sum(form: OneForm) -> GaussRat:
+    """The sum of the residues at every finite pole, with no root located.
+
+    Hermite reduction leaves a/f with f square-free (a derivative and a
+    polynomial have no residues), and the residue of a/f at a root r of
+    f is a(r)/f'(r): the sum over the roots is the trace of a/f' mod f.
+    No expansion at infinity is read, so the residue theorem is tested,
+    not assumed.
+    """
+    h = hermite_reduce(form.coeff)[1]
+    f = h._d
+    if len(f) < 2:
+        return GQ_ZERO
+    g = K.p_divmod(K.p_mul(h._n, _inverse_mod(_derivative(f), f)), f)[1]
+    return GaussRat.from_triple(_trace(g, f))
 
 
 def residue_sum(form: OneForm) -> GaussRat:
-    """Sum of residues over every pole of the form (always zero).
+    """Sum of the residues over every pole of the form, infinity included.
 
-    The zero value is computed, not assumed: each pole's residue is
-    read off the localized coefficient at u^-1 and the exact sum is
-    returned, so a nonzero result would expose an arithmetic bug.
+    The zero value is computed, not assumed: the finite part is exact
+    algebra on the numerator and denominator and the residue at infinity
+    is read off the localized coefficient, so a nonzero result would
+    expose an arithmetic bug.
     """
-    total = GQ_ZERO
-    for p in form_poles(form):
-        total = total + residue(form, p)
-    return total
+    return finite_residue_sum(form) + residue(form, INFINITY)

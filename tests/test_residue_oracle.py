@@ -2,10 +2,13 @@
 
 Each seeded random form is ``P(z) / (c * prod (z - r)^m) dz`` with
 distinct Gaussian-rational roots ``r``, so its denominator splits over
-Q(i).  The numerator degree reaches past the denominator degree, so many
-forms also have a pole at infinity.  higgsres and sympy build the form
-from the same raw data, each with its own arithmetic.  The oracle shares
-no code with ``higgsres``:
+Q(i) and every residue can be read at its root.  The numerator degree
+reaches past the denominator degree, so many forms also have a pole at
+infinity.  A second set of forms ``N / D dz`` has a square-free ``D``
+that does not split over Q(i) and ``deg N = deg D - 1``; there only the
+finite residue sum is compared.  higgsres and sympy build each form from
+the same raw data, each with its own arithmetic.  The oracle shares no
+code with ``higgsres``:
 
 - a Laurent expansion at 0 strips the valuations and multiplies by the
   inverse of the denominator modulo ``u^n`` (sympy's extended Euclid over
@@ -13,7 +16,10 @@ no code with ``higgsres``:
 - the residue at a finite root of multiplicity ``m`` is the derivative
   formula ``D^(m-1)[(z - r)^m f](r) / (m-1)!``;
 - the residue at infinity is ``-b / lead(Q)``, where ``P = A*Q + B`` and
-  ``b`` is the coefficient of ``z^(deg Q - 1)`` in ``B``.
+  ``b`` is the coefficient of ``z^(deg Q - 1)`` in ``B``;
+- the finite residue sum of ``N / D`` with ``D`` square-free is
+  ``RootSum(D, r -> N(r) / D'(r))``, which sympy evaluates from the
+  coefficients of ``D`` without locating its roots either.
 """
 
 import random
@@ -31,6 +37,7 @@ from higgsres import (
     residue,
     residue_sum,
 )
+from higgsres.residues import finite_residue_sum
 
 z = sympy.symbols("z")
 TERMS = 4
@@ -166,3 +173,50 @@ def test_residue_sum_matches_sympy():
         want += sum(oracle_residue_finite(num, den, _sym(r), m) for r, m in roots.items())
         assert sympy.expand_complex(want) == 0
         assert _sym(residue_sum(form)) == 0
+
+
+def _irreducible_factor(rng, deg):
+    """A monic sympy factor of degree deg that is irreducible over Q(i)."""
+    while True:
+        p = _qq_i(z**deg + sum(_sym(_random_gauss(rng)) * z**k for k in range(deg)))
+        if [m for _, m in p.factor_list()[1]] == [1]:
+            return p
+
+
+def _non_split_form(rng):
+    """(form, sympy numerator, sympy denominator): D is a monic irreducible
+    factor of degree 2-3 over Q(i), times a second one of degree 2 half
+    of the time (sympy's RootSum takes seconds at degree 6), and
+    deg N = deg D - 1."""
+    den_sym = _irreducible_factor(rng, rng.randint(2, 3))
+    if rng.random() < 0.5:
+        second = _irreducible_factor(rng, 2)
+        if second != den_sym:
+            den_sym *= second
+    num = [_random_gauss(rng) for _ in range(den_sym.degree() - 1)] + [_random_gauss(rng, nonzero=True)]
+    num_sym = _qq_i(sum(_sym(c) * z**k for k, c in enumerate(num)))
+    den = RatFunc([GaussRat(c) for c in _gauss_coeffs(den_sym)])
+    return OneForm(RatFunc(num) / den), num_sym, den_sym
+
+
+def _gauss_coeffs(p):
+    """The coefficients of a sympy QQ_I polynomial as GaussRat, low to high."""
+    out = []
+    for c in reversed(p.all_coeffs()):
+        re, im = sympy.re(c), sympy.im(c)
+        out.append(GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
+    return out
+
+
+def test_finite_residue_sum_of_non_split_forms_matches_root_sum():
+    rng = random.Random("residue-oracle-non-split")
+    r = sympy.symbols("r")
+    for _ in range(6):
+        form, num, den = _non_split_form(rng)
+        assert den.gcd(den.diff(z)).degree() == 0
+        numer, deriv = num.as_expr().subs(z, r), den.diff(z).as_expr().subs(z, r)
+        want = sympy.expand_complex(sympy.RootSum(den.as_expr(), sympy.Lambda(r, numer / deriv)).doit())
+        got = finite_residue_sum(form)
+        assert not got.is_zero()
+        assert sympy.expand_complex(_sym(got) - want) == 0
+        assert residue_sum(form).is_zero()

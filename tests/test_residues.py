@@ -2,27 +2,18 @@
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from higgsres import (
     GaussRat,
     INFINITY,
     OneForm,
     P1Point,
     RatFunc,
-    UnsupportedDenominator,
     localize,
     residue,
     residue_sum,
 )
-from higgsres.residues import LocalChart
-from higgsres.roots import gaussian_rational_roots
+from higgsres.residues import LocalChart, finite_residue_sum, hermite_reduce
 from higgsres.solver import SeedStream
-
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-gauss = st.builds(GaussRat, small_fractions, small_fractions)
 
 Z = RatFunc.x()
 
@@ -106,6 +97,12 @@ def _derivative(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
+def _derivative_of(f: RatFunc) -> RatFunc:
+    """f' by the quotient rule."""
+    n, d = RatFunc(f.num), RatFunc(f.den)
+    return (RatFunc(_derivative(f.num)) * d - n * RatFunc(_derivative(f.den))) / (d * d)
+
+
 def test_residue_of_exact_forms_vanishes():
     # d(h) = h' dz has zero residue everywhere, for rational h
     for trial in range(15):
@@ -113,9 +110,7 @@ def test_residue_of_exact_forms_vanishes():
         num = [rng.gauss(2, 2) for _ in range(rng.randint(1, 3))]
         r1, r2 = rng.gauss(2, 1), rng.gauss(2, 1)
         den = (RatFunc([-r1, 1]) * RatFunc([-r2, 1])).num
-        # h = num/den, and h' by the quotient rule
-        n, d = RatFunc(num), RatFunc(den)
-        form = OneForm((RatFunc(_derivative(num)) * d - n * RatFunc(_derivative(den))) / (d * d))
+        form = OneForm(_derivative_of(RatFunc(num) / RatFunc(den)))
         for p in (P1Point.finite(r1), P1Point.finite(r2), INFINITY):
             assert residue(form, p).is_zero()
         if not form.coeff.is_zero():
@@ -132,10 +127,13 @@ def test_localize_is_linear():
         assert localize(c * f, p) == localize(f, p) * c
 
 
-def test_unsupported_denominator():
-    # z^2 + z + 1 has no roots in Q(i)
-    with pytest.raises(UnsupportedDenominator):
-        residue_sum(OneForm(1 / (Z * Z + Z + 1)))
+def test_residue_sum_of_non_split_denominator():
+    # z^2 + z + 1 has no roots in Q(i); its residues r/(2r + 1) at the
+    # two roots sum to 1, and z/(z^2 + z + 1) ~ 1/z at infinity
+    form = OneForm(Z / (Z * Z + Z + 1))
+    assert residue(form, INFINITY) == GaussRat(-1)
+    assert finite_residue_sum(form) == GaussRat(1)
+    assert residue_sum(form).is_zero()
 
 
 def test_local_coordinate_descriptors():
@@ -148,35 +146,47 @@ def test_local_coordinate_descriptors():
 
 
 # ---------------------------------------------------------------------------
-# root extraction
+# the root-free residue sum
 # ---------------------------------------------------------------------------
 
 
-def test_roots_recovered_with_multiplicity():
-    i = GaussRat(0, 1)
-    half = GaussRat(Fraction(1, 2))
-    p = ((Z - 2) ** 3 * (Z - i) * (Z + half) * GaussRat(2, 1)).num
-    roots, cofactor = gaussian_rational_roots(p)
-    assert len(cofactor) == 1
-    assert dict((str(r), m) for r, m in roots) == {"2": 3, "i": 1, "-1/2": 1}
+def _seeded_form(rng: SeedStream):
+    """N/D over Z[i]: D has 1-3 factors, each of degree 1-3 and power 1-3,
+    and deg N runs from deg D - 3 to deg D + 2, so that most forms have a
+    pole at infinity and many have a polynomial part.  32 of the 40
+    denominators do not split over Q(i)."""
+    den = RatFunc.const(1)
+    for _ in range(rng.randint(1, 3)):
+        factor = [rng.gauss(3, 1) for _ in range(rng.randint(1, 3))] + [rng.nonzero_gauss(3, 1)]
+        den = den * RatFunc(factor) ** rng.randint(1, 3)
+    num = [rng.gauss(3, 1) for _ in range(max(0, len(den.num) + rng.randint(-4, 1)))]
+    return OneForm(RatFunc(num + [rng.nonzero_gauss(3, 1)]) / den)
 
 
-def test_roots_zero_root_and_cofactor():
-    p = (Z ** 2 * (Z * Z + Z + 1)).num
-    roots, cofactor = gaussian_rational_roots(p)
-    assert (GaussRat(0), 2) in roots
-    assert len(cofactor) == 3
+SEEDED_FORMS = [_seeded_form(SeedStream("root-free-sum", trial)) for trial in range(40)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(gauss, min_size=1, max_size=4))
-def test_roots_of_random_split_products(rts):
-    p = RatFunc(1)
-    for r in rts:
-        p = p * RatFunc([-r, 1])
-    roots, cofactor = gaussian_rational_roots(p.num)
-    assert len(cofactor) == 1
-    total = sum(m for _, m in roots)
-    assert total == len(rts)
-    for r, m in roots:
-        assert sum(1 for x in rts if x == r) == m
+def test_finite_residue_sum_cancels_infinity_on_seeded_forms():
+    at_infinity = 0
+    for form in SEEDED_FORMS:
+        inf = residue(form, INFINITY)
+        assert finite_residue_sum(form) == -inf
+        assert residue_sum(form).is_zero()
+        at_infinity += not inf.is_zero()
+    assert at_infinity > 20
+
+
+def test_hermite_reduction_differentiates_back():
+    """f = g' + h on the seeded forms with deg D <= 15 (35 of the 40; summing
+    and differentiating g at degree 19-24 takes seconds a form)."""
+    reduced = 0
+    for form in SEEDED_FORMS:
+        f = form.coeff
+        if len(f.den) > 16:
+            continue
+        terms, h = hermite_reduce(f)
+        assert _derivative_of(sum(terms, RatFunc.const(0))) + h == f
+        # h's denominator is square-free: prime to its derivative
+        assert (RatFunc(_derivative(h.den)) / RatFunc(h.den)).den == h.den
+        reduced += bool(terms)
+    assert reduced > 25

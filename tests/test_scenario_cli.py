@@ -568,3 +568,48 @@ def test_type_mutations_exit_cleanly(tmp_path, fixtures_dir, capsys, fixture):
                 if code not in (0, 2, 3) or "Traceback" in err:
                     failures.append((where, value, command, code))
     assert failures == []
+
+
+def _with(fixtures_dir, tmp_path, keys, value):
+    """f1 with the value at keys replaced, written to a temporary file."""
+    doc = json.loads((fixtures_dir / "f1.json").read_text())
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_residue_sum_of_a_non_split_form(tmp_path, fixtures_dir, capsys):
+    # z^2 + z + 1 has no root in Q(i): the sum is checked, not refused
+    path = _with(fixtures_dir, tmp_path, ("forms",), ["1/(z^2+z+1)"])
+    assert main(["residue-sum", path]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["residue-sum-00", "PASS", "value=0"] in [line[:3] for line in lines]
+
+
+@pytest.mark.parametrize(
+    "command, keys, text, where",
+    [
+        ("residue-sum", ("forms",), ["(" * 250 + "1/z" + ")" * 250], "forms[0], column "),
+        ("validate", ("bundle", "matrices", "inf", 0, 0), "(" * 250 + "1/u" + ")" * 250,
+         "bundle.matrices['inf'][0][0], column "),
+        ("residue-sum", ("forms",), ["-" * 1000 + "1/z"], "forms[0], column "),
+    ],
+    ids=["form-parentheses", "bundle-parentheses", "form-minus-signs"],
+)
+def test_deeply_nested_expression_is_parse_error(tmp_path, fixtures_dir, capsys, command, keys, text, where):
+    path = _with(fixtures_dir, tmp_path, keys, text)
+    assert run([command, path]) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expression nested too deeply (at " + where in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_nested_expression_within_the_stack_still_parses(tmp_path, fixtures_dir, capsys):
+    path = _with(fixtures_dir, tmp_path, ("forms",), ["(" * 200 + "1/z" + ")" * 200])
+    assert main(["residue-sum", path]) == 0
+    assert "residue-sum-00  PASS  value=0" in capsys.readouterr().out
