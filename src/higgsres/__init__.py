@@ -7,7 +7,7 @@ arithmetic kernels are pure Python (``higgsres._kernels``);
 ``KERNEL_BACKEND`` names them in benchmark output.
 """
 
-from .curve import CurveReport, MarkedCurve, curve_validate
+from .curve import MarkedCurve, curve_validate
 from .errors import (
     EquivarianceBroken,
     HiggsresError,

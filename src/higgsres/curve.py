@@ -17,22 +17,12 @@ it is part of the curve description rather than derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import _kernels as K
 from .errors import ValidationError
 from .field import RatFunc
 from .residues import INFINITY, LocalChart, OneForm, P1Point, localize
-
-
-@dataclass
-class CurveReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _strip_marked_factors(poly: list, points) -> list:
@@ -130,19 +120,19 @@ class MarkedCurve:
         return f"MarkedCurve([{pts}])"
 
 
-def curve_validate(curve: MarkedCurve) -> CurveReport:
-    """Exact verification of both curve invariants; failures are reported."""
-    report = CurveReport()
+def curve_validate(curve: MarkedCurve) -> list[str]:
+    """Exact verification of both curve invariants: the violations,
+    reported, not raised; empty when both hold."""
     coeff = curve.alpha.coeff
     if coeff.is_zero():
-        report.violations.append("alpha is identically zero")
-        return report
+        return ["alpha is identically zero"]
+    violations = []
 
     # zeros and poles of alpha away from the marked set
     for poly, what in ((coeff._n, "zero"), (coeff._d, "pole")):
         degree = len(_strip_marked_factors(poly, curve.marked_points)) - 1
         if degree >= 1:
-            report.violations.append(
+            violations.append(
                 f"alpha has a {what} away from the marked points "
                 f"(unaccounted factor of degree {degree})"
             )
@@ -150,16 +140,16 @@ def curve_validate(curve: MarkedCurve) -> CurveReport:
         v = localize(curve.alpha, INFINITY).valuation()
         if v is None or v != 0:
             kind = "pole" if (v is not None and v < 0) else "zero"
-            report.violations.append(f"alpha has a {kind} at the unmarked point inf")
+            violations.append(f"alpha has a {kind} at the unmarked point inf")
 
     # T_i^-2 must match the localized coefficient exactly
     for i, p in enumerate(curve.marked_points):
         t = curve.transition(i)
         if t.is_zero():
-            report.violations.append(f"transition T at {p} is zero")
+            violations.append(f"transition T at {p} is zero")
             continue
         if curve.alpha_local(i) != t.inverse() * t.inverse():
-            report.violations.append(
+            violations.append(
                 f"localized alpha at {p} differs from T^-2"
             )
-    return report
+    return violations

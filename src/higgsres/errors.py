@@ -12,7 +12,7 @@ class ZeroDenominator(HiggsresError):
 
 
 class NotInvertible(HiggsresError):
-    """Inversion of a jet whose value component is zero (hence nilpotent)."""
+    """Inversion of zero, as a Gaussian rational or a rational function."""
 
 
 class ShapeError(HiggsresError):

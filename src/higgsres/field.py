@@ -60,6 +60,19 @@ def _triple_from(value) -> tuple:
     raise TypeError(f"cannot build a Gaussian rational from {value!r}")
 
 
+def _power(x, n: int, one):
+    """x^n by square-and-multiply, with x^-n = (x^-1)^n; ``one`` is x^0."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * x
+        x = x * x
+        n >>= 1
+    return acc
+
+
 class GaussRat:
     """An element a + b*i of Q(i), stored as (a_num, b_num, common_den)."""
 
@@ -151,16 +164,7 @@ class GaussRat:
         return GaussRat.from_triple(K.gq_neg(self._t))
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = GQ_ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self, n, GQ_ONE)
 
     def __eq__(self, other):
         t = self._coerce(other)
@@ -396,23 +400,7 @@ class RatFunc:
         return RatFunc(self._d, self._n)
 
     def __pow__(self, n: int):
-        m, k = _u_power(self._n), self._k
-        if m >= 0 and k >= 0:
-            # (c*u^m / u^k)^n = c^n*u^(mn) / u^(kn), with min(m, k) = 0
-            c = (GaussRat.from_triple(self._n[m]) ** n)._t
-            if n < 0:
-                m, k, n = k, m, -n
-            return RatFunc._raw([K.GQ_ZERO] * (m * n) + [c], [K.GQ_ZERO] * (k * n) + [K.GQ_ONE])
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = RatFunc.const(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self, n, RatFunc.const(1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -730,8 +718,7 @@ class Jet2:
     Python arithmetic operators (GaussRat or RatFunc here).  e1 and e2
     square to zero, so products truncate by the Leibniz rule; a product
     with a scalar operand (int, Fraction, GaussRat or RatFunc) scales the
-    four components.  Inversion exists iff the value component is
-    invertible.
+    four components.
     """
 
     __slots__ = ("v", "d1", "d2", "d12")
@@ -777,12 +764,6 @@ class Jet2:
             return NotImplemented
         return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2, self.d12 - o.d12)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, Jet2):
             return Jet2(
@@ -799,45 +780,6 @@ class Jet2:
 
     def __neg__(self):
         return Jet2(-self.v, -self.d1, -self.d2, -self.d12)
-
-    def inverse(self) -> "Jet2":
-        if hasattr(self.v, "inverse"):
-            iv = self.v.inverse()  # GaussRat/RatFunc raise NotInvertible on zero
-        else:
-            if self.v == 0:
-                raise NotInvertible("jet value component is zero")
-            iv = Fraction(1) / self.v
-        iv2 = iv * iv
-        return Jet2(
-            iv,
-            -(self.d1 * iv2),
-            -(self.d2 * iv2),
-            -(self.d12 * iv2) + (self.d1 * self.d2 + self.d2 * self.d1) * (iv2 * iv),
-        )
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = Jet2(self.v - self.v + 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -27,11 +27,16 @@ the non-zero coordinates xi_a; ``inf_action_terms`` hands out those
 terms, for a caller that needs only part of the sum (the solver reads
 their polar coefficients).
 
-Built-in representations:
+Built-in representations are block sums of the defining representation
+C^N of sl_N and its dual, one N x N diagonal block each
+(``HamiltonianRep.blocks``): rho(xi) is xi on a plain block and -xi^T
+on a dual one, rho(g) is g and g^-T.
 
-    sl2-standard        C^2, omega = [[0,1],[-1,0]]
-    sl2-standard-xK     K copies of the standard sl2 plane, block omega
-    slN-cotangent       C^N + its dual, rho(xi) = diag(xi, -xi^T)
+    sl2-standard        C^2, omega = [[0,1],[-1,0]]; blocks (False,)
+    sl2-standard-xK     K copies of the standard sl2 plane, block omega;
+                        blocks (False,) * K
+    slN-cotangent       C^N + its dual, rho(xi) = diag(xi, -xi^T);
+                        blocks (False, True)
 
 The scaling action used for the weight-2 hypothesis is scalar scaling,
 under which omega (being quadratic) has weight 2 identically and the
@@ -41,7 +46,6 @@ commuting condition is trivial; nothing about it is stored as data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
@@ -192,24 +196,14 @@ class SymplecticSpace:
         return f"SymplecticSpace(dim={self.dim})"
 
 
-@dataclass
-class RepReport:
-    """Outcome of rep_validate: the violated identities."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class HamiltonianRep:
     """An algebra action on a symplectic space, stored on basis elements.
 
-    ``kind`` selects how group elements act, which is required to build
-    section data:  "standard" (rho(g) = g, sl2 only), "sum" (block
-    copies of standard), "cotangent" (diag(g, g^-T)), or "explicit".
-    Explicit representations support all pointwise operations but cannot
+    A built-in representation is given by ``blocks``, one dual flag per
+    n x n diagonal block: rho(xi) and rho(g), which section data needs,
+    are both built from it, a block being xi and g, or -xi^T and g^-T
+    when dual.  ``blocks`` is None for an explicit ``rho`` (a label ->
+    matrix mapping), which supports all pointwise operations but cannot
     transport sections, because a group-level action cannot be derived
     from algebra-level matrices alone.
     """
@@ -218,17 +212,20 @@ class HamiltonianRep:
         self,
         algebra: MatrixLieAlgebra,
         space: SymplecticSpace,
-        rho: dict,
-        kind: str = "explicit",
-        copies: int = 1,
+        rho: dict | None = None,
+        blocks: tuple | None = None,
         name: str | None = None,
     ):
         self.algebra = algebra
         self.space = space
+        self.blocks = blocks
+        if blocks is not None:
+            rho = {
+                lab: block_diag(*(mat_neg(mat_transpose(xi)) if dual else xi for dual in blocks))
+                for lab, xi in zip(algebra.labels, algebra.basis)
+            }
         self.rho = {lab: mat_from(m) for lab, m in rho.items()}
-        self.kind = kind
-        self.copies = copies
-        self.name = name or f"{algebra.name}-{kind}"
+        self.name = name or f"{algebra.name}-explicit"
         missing = [lab for lab in algebra.labels if lab not in self.rho]
         if missing:
             raise ValidationError(f"rho lacks basis elements: {missing}")
@@ -237,35 +234,27 @@ class HamiltonianRep:
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
         # per label, in label order: the entries of rho(xi_a), Q_a = rho(xi_a)^T omega and its fold
         self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
-        self._forms = {
-            lab: _sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels
-        }
-        self._quadratic = [_folded(q) for q in self._forms.values()]
+        self._forms = [_sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels]
+        self._quadratic = [_folded(q) for q in self._forms]
 
     # -- group action ------------------------------------------------------
 
     def act_group(self, g: LoopGroupElement) -> Matrix:
-        """rho(g) for the structural representation kinds.
+        """rho(g), one block g or g^-T per entry of ``blocks``.
 
-        A block matrix is formed once per element and kind, and kept in
-        ``g.images`` under (kind, copies).
+        It is formed once per element and kept in ``g.images`` under
+        ``blocks``; a single block is g.mat itself.
         """
-        if self.kind == "standard":
-            return g.mat
-        key = (self.kind, self.copies)
-        rho = g.images.get(key)
-        if rho is not None:
-            return rho
-        if self.kind == "sum":
-            rho = block_diag(*([g.mat] * self.copies))
-        elif self.kind == "cotangent":
-            rho = block_diag(g.mat, mat_transpose(g.inverse().mat))
-        else:
+        if self.blocks is None:
             raise ValidationError(
                 f"representation {self.name!r} has no structural group action; "
                 "sections require a built-in representation kind"
             )
-        g.images[key] = rho
+        rho = g.images.get(self.blocks)
+        if rho is None:
+            rho = g.images[self.blocks] = block_diag(
+                *(mat_transpose(g.inverse().mat) if dual else g.mat for dual in self.blocks)
+            )
         return rho
 
     # -- operations ----------------------------------------------------------
@@ -293,7 +282,7 @@ class HamiltonianRep:
     def dmoment_values(self, x: XVector, v: XVector) -> list[RatFunc]:
         """<dmu_x(v), xi_a> = x^T Q_a v for each basis label, in label order."""
         self.space.check(x, v)
-        return [_bilinear(q, x.coords, v.coords) for q in self._forms.values()]
+        return [_bilinear(q, x.coords, v.coords) for q in self._forms]
 
     def moment_values(self, x: XVector) -> list[RatFunc]:
         """<mu(x), xi_a> = 1/2 x^T Q_a x for each basis label, in label
@@ -313,16 +302,17 @@ class HamiltonianRep:
         return f"HamiltonianRep({self.name!r}, dim={self.space.dim})"
 
 
-def rep_validate(rep: HamiltonianRep) -> RepReport:
-    """Check the Hamiltonian hypotheses; violations are reported, not raised."""
-    report = RepReport()
+def rep_validate(rep: HamiltonianRep) -> list[str]:
+    """The violated Hamiltonian hypotheses, reported, not raised; empty
+    when every one holds."""
+    violations = []
     alg = rep.algebra
     omega = rep.space.omega
     for lab in alg.labels:
         m = rep.rho[lab]
         cond = mat_add(mat_mul(mat_transpose(m), omega), mat_mul(omega, m))
         if not mat_is_zero(cond):
-            report.violations.append(f"rho({lab}) is not in sp(omega)")
+            violations.append(f"rho({lab}) is not in sp(omega)")
     for a in range(alg.dim):
         for b in range(a + 1, alg.dim):
             want = mat_sub(
@@ -337,11 +327,11 @@ def rep_validate(rep: HamiltonianRep) -> RepReport:
                         if not mk[i][j].is_zero():
                             got[i][j] = got[i][j] + c * mk[i][j]
             if not mat_eq(tuple(tuple(r) for r in got), want):
-                report.violations.append(
+                violations.append(
                     f"rho([{alg.labels[a]}, {alg.labels[b]}]) != "
                     f"[rho({alg.labels[a]}), rho({alg.labels[b]})]"
                 )
-    return report
+    return violations
 
 
 _BUILTIN_STANDARD = re.compile(r"^sl(\d+)-standard(?:-x(\d+))?$")
@@ -370,24 +360,11 @@ def builtin_rep(name: str) -> HamiltonianRep:
                 f"{name!r}: the defining representation of sl{n} is symplectic "
                 "only for n = 2; use the cotangent representation instead"
             )
-        alg = _sl(2)
-        space = SymplecticSpace.standard(copies)
-        rho = {
-            lab: block_diag(*([alg.basis[k]] * copies))
-            for k, lab in enumerate(alg.labels)
-        }
-        kind = "standard" if copies == 1 else "sum"
-        return HamiltonianRep(alg, space, rho, kind=kind, copies=copies, name=name)
+        return HamiltonianRep(_sl(2), SymplecticSpace.standard(copies), blocks=(False,) * copies, name=name)
     m = _BUILTIN_COTANGENT.match(name)
     if m:
         n = int(m.group(1))
         if n < 2:
             raise ValidationError(f"{name!r}: rank must be at least 2")
-        alg = _sl(n)
-        space = SymplecticSpace.cotangent(n)
-        rho = {}
-        for k, lab in enumerate(alg.labels):
-            xi = alg.basis[k]
-            rho[lab] = block_diag(xi, mat_neg(mat_transpose(xi)))
-        return HamiltonianRep(alg, space, rho, kind="cotangent", name=name)
+        return HamiltonianRep(_sl(n), SymplecticSpace.cotangent(n), blocks=(False, True), name=name)
     raise ValidationError(f"unknown representation {name!r}")

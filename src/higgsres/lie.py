@@ -271,11 +271,11 @@ class LoopGroupElement:
 
     Its inverse, the conjugates g^-1 b_a g of the sl_n basis
     (``conjugate``, one per index a) and its images rho(g) under the
-    representation kinds (``images``, kept by
-    ``HamiltonianRep.act_group``) are formed on first use and kept;
-    products and inverses start with none of them.  An inverse links
-    back to its element weakly, so the two form no reference cycle and
-    are freed as soon as they are unused.
+    built-in representations (``images``, kept by
+    ``HamiltonianRep.act_group`` under their block sums) are formed on
+    first use and kept; products and inverses start with none of them.
+    An inverse links back to its element weakly, so the two form no
+    reference cycle and are freed as soon as they are unused.
     """
 
     __slots__ = ("mat", "n", "_inverse", "_inverse_of", "_columns", "images", "__weakref__")
@@ -465,15 +465,14 @@ class CoadjointElement(_SpanElement):
 
 
 def same_algebra(a: MatrixLieAlgebra, b: MatrixLieAlgebra) -> bool:
-    """Distinct algebra objects of the same name and size are the same algebra."""
-    return a is b or (a.name == b.name and a.n == b.n)
+    """Distinct algebra objects of the same size are the same algebra:
+    sl_n is the only Lie algebra."""
+    return a.n == b.n
 
 
 def _require_same_algebra(a, b):
-    if a.algebra.n != b.algebra.n:
-        raise ShapeError("algebra elements of different sizes")
     if not same_algebra(a.algebra, b.algebra):
-        raise ShapeError("elements of different algebras")
+        raise ShapeError("algebra elements of different sizes")
 
 
 def bracket_terms(x: _SpanElement, y: _SpanElement) -> list[list]:

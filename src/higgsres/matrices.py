@@ -139,13 +139,16 @@ def adjugate(a: Matrix) -> Matrix:
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
+    """The block-diagonal matrix of square blocks; a single block is itself."""
+    if any(shape(b)[0] != shape(b)[1] for b in blocks):
+        raise ShapeError("block_diag expects square blocks")
+    if len(blocks) == 1:
+        return blocks[0]
     total = sum(shape(b)[0] for b in blocks)
     out = [[_ZERO] * total for _ in range(total)]
     offset = 0
     for b in blocks:
-        n, m = shape(b)
-        if n != m:
-            raise ShapeError("block_diag expects square blocks")
+        n = shape(b)[0]
         for i in range(n):
             for j in range(n):
                 out[offset + i][offset + j] = b[i][j]

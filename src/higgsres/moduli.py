@@ -92,6 +92,7 @@ from .lie import (
     bracket,
     bracket_terms,
     pairing_terms,
+    same_algebra,
 )
 from .matrices import mat_vec
 
@@ -191,7 +192,7 @@ class HiggsPoint:
         if not isinstance(other, HiggsPoint):
             return NotImplemented
         return (
-            self.algebra.name == other.algebra.name
+            same_algebra(self.algebra, other.algebra)
             and all(a == b for a, b in zip(self.g, other.g))
             and self.phi_circ == other.phi_circ
         )

@@ -13,7 +13,8 @@ is that the residues of a rational 1-form sum to zero over its poles.
 ``residue_sum`` computes that sum honestly and for every form over Q(i),
 whether or not its denominator splits: the finite part comes from
 Hermite reduction and a trace over Q(i)[z]/(f), with no root located,
-and the residue at infinity from the localized coefficient.
+and the residue at infinity from one division of the numerator by the
+denominator.
 """
 
 from __future__ import annotations
@@ -252,8 +253,13 @@ def residue_sum(form: OneForm) -> GaussRat:
     """Sum of the residues over every pole of the form, infinity included.
 
     The zero value is computed, not assumed: the finite part is exact
-    algebra on the numerator and denominator and the residue at infinity
-    is read off the localized coefficient, so a nonzero result would
-    expose an arithmetic bug.
+    algebra on the numerator and denominator, and the residue at infinity
+    is -r_(d-1), where N = Q D + R for the form N/D dz with D monic of
+    degree d (Q dz has no residue at infinity and R/D = r_(d-1)/z +
+    O(z^-2)), so a nonzero result would expose an arithmetic bug.
     """
-    return finite_residue_sum(form) + residue(form, INFINITY)
+    f = form.coeff
+    d = len(f._d) - 1
+    r = K.p_divmod(f._n, f._d)[1]
+    at_infinity = GaussRat.from_triple(K.gq_neg(r[d - 1])) if 0 < len(r) == d else GQ_ZERO
+    return finite_residue_sum(form) + at_infinity

@@ -324,7 +324,7 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
 
     Such representations drive every pointwise and Higgs-side command;
     section transport (the Y-side) additionally needs a group action,
-    which only the built-in kinds provide.
+    which only the built-in block sums provide.
     """
     from .hamiltonian import SymplecticSpace, _sl
     from .matrices import mat_from
@@ -355,7 +355,7 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
             raise ParseError(f"missing rho matrix for basis element {lab!r}", f"{path}.rho")
         rho[lab] = mat_from(_parse_matrix(rho_block[lab], dim, "z", f"{path}.rho[{lab!r}]"))
     with _invalid(f"{path}: "):
-        return HamiltonianRep(algebra, space, rho, kind="explicit", name=block.get("name", f"{alg_name}-explicit"))
+        return HamiltonianRep(algebra, space, rho, name=block.get("name", f"{alg_name}-explicit"))
 
 
 def _parse_section(block: Any, dim: int, curve: MarkedCurve) -> SectionData:
@@ -443,16 +443,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             "representation must be a built-in name or an explicit block",
             "representation",
         )
-    rep_report = rep_validate(rep)
-    if not rep_report.ok:
-        raise ValidationError(
-            "representation fails Hamiltonian identities", rep_report.violations
-        )
+    violations = rep_validate(rep)
+    if violations:
+        raise ValidationError("representation fails Hamiltonian identities", violations)
 
     curve = _parse_curve(raw.get("curve"), "curve")
-    curve_report = curve_validate(curve)
-    if not curve_report.ok:
-        raise ValidationError("curve invariants violated", curve_report.violations)
+    violations = curve_validate(curve)
+    if violations:
+        raise ValidationError("curve invariants violated", violations)
 
     bundle = _parse_bundle(raw.get("bundle"), curve, rep.algebra.n, "bundle")
     bounds = _parse_bounds(raw.get("bounds"), "bounds")

@@ -203,7 +203,7 @@ def test_representation_image_is_formed_once_per_element():
     # products and inverses start with no images
     h = _group_elements(3)["torus"]
     rep.act_group(h)
-    assert list(h.images) == [("cotangent", 1)]
+    assert list(h.images) == [(False, True)]
     assert h.inverse().images == {} and (h * h).images == {}
 
 

@@ -25,8 +25,7 @@ Z = RatFunc.x()
 
 
 def test_one_point_curve_valid(curve_one_point):
-    report = curve_validate(curve_one_point)
-    assert report.ok, report.violations
+    assert curve_validate(curve_one_point) == []
     # alpha = -dz localizes to +u^-2 du at infinity, matching T = u
     assert curve_one_point.alpha_local(0) == RatFunc(1, [0, 0, 1])
 
@@ -36,40 +35,37 @@ def test_imaginary_branch_is_valid():
     curve = MarkedCurve(
         [INFINITY], OneForm(RatFunc.const(1)), [RatFunc(GaussRat(0, 1)) * U]
     )
-    assert curve_validate(curve).ok
+    assert curve_validate(curve) == []
 
 
 def test_both_transition_branches_valid(curve_one_point):
     flipped = MarkedCurve([INFINITY], OneForm(RatFunc.const(-1)), [-U])
-    assert curve_validate(flipped).ok
+    assert curve_validate(flipped) == []
 
 
 def test_vanishing_alpha_rejected():
     curve = MarkedCurve([INFINITY], OneForm(Z), [U])
-    report = curve_validate(curve)
-    assert not report.ok
-    assert any("zero" in v for v in report.violations)
+    violations = curve_validate(curve)
+    assert violations
+    assert any("zero" in v for v in violations)
 
 
 def test_wrong_transition_rejected(curve_one_point):
     curve = MarkedCurve([INFINITY], OneForm(RatFunc.const(-1)), [U * U])
-    report = curve_validate(curve)
-    assert any("T^-2" in v for v in report.violations)
+    assert any("T^-2" in v for v in curve_validate(curve))
 
 
 def test_unmarked_infinity_needs_order_zero():
     # marked {0} only: alpha = dz/z^2 has order 0 at the unmarked infinity
     good = MarkedCurve([P1Point.finite(0)], OneForm(1 / (Z * Z)), [U])
-    assert curve_validate(good).ok
+    assert curve_validate(good) == []
     # alpha = dz/z leaves a simple pole at the unmarked infinity
     bad = MarkedCurve([P1Point.finite(0)], OneForm(1 / Z), [U])
-    report = curve_validate(bad)
-    assert any("inf" in v for v in report.violations)
+    assert any("inf" in v for v in curve_validate(bad))
 
 
 def test_two_point_curve_valid(curve_two_points):
-    report = curve_validate(curve_two_points)
-    assert report.ok, report.violations
+    assert curve_validate(curve_two_points) == []
     assert curve_two_points.alpha_local(0) == RatFunc(1, [0, 0, 1])
     assert curve_two_points.alpha_local(1) == RatFunc.const(-1)
 
@@ -107,7 +103,7 @@ def test_transition_consistency_survives_renormalization(curve_one_point):
     assert (t.num, t.den) == ((0, 1), (1,))
     messy = RatFunc([0, 2, 1], [2, 1])  # u as (2u + u^2)/(2 + u)
     curve = MarkedCurve([INFINITY], curve_one_point.alpha, [messy])
-    assert curve_validate(curve).ok
+    assert curve_validate(curve) == []
 
 
 def test_distinct_marked_points_required():
@@ -128,7 +124,7 @@ def test_chart_constants_equal_fresh_computations(curve_one_point, curve_two_poi
     half = P1Point.finite(Fraction(-1, 2))
     # alpha = dz/(z + 1/2)^2 is 1/u^2 at -1/2 and has order 0 at infinity
     curve_half = MarkedCurve([half], OneForm(1 / (Z + Fraction(1, 2)) ** 2), [U])
-    assert curve_validate(curve_half).ok
+    assert curve_validate(curve_half) == []
     for curve in (curve_one_point, curve_two_points, curve_half):
         for i, p in enumerate(curve.marked_points):
             t = curve.transition(i)

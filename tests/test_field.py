@@ -603,21 +603,10 @@ def test_jet_leibniz_rule():
     assert prod.d12 == one
 
 
-def test_jet_geometric_inverse():
-    one = GaussRat(1)
-    inv = Jet2(one, d1=one).inverse()
-    assert inv.v == one and inv.d1 == -one and inv.d2 == GaussRat(0)
-
-
 def test_jet_nilpotence():
     eps1 = Jet2(GaussRat(0), d1=GaussRat(1))
     sq = eps1 * eps1
     assert sq.v == GaussRat(0) and sq.d1 == GaussRat(0) and sq.d12 == GaussRat(0)
-
-
-def test_jet_inverse_of_nilpotent_raises():
-    with pytest.raises(NotInvertible):
-        Jet2(GaussRat(0), d1=GaussRat(1)).inverse()
 
 
 def _jet_scalar(kind: str, rng):
@@ -705,7 +694,12 @@ def test_jet_matches_partial_derivatives(x0, y0, terms):
     jy = Jet2(y0, d2=GaussRat(1))
     jet = Jet2(GaussRat(0))
     for (i, j), c in poly.terms.items():
-        jet = jet + Jet2(c) * jx ** i * jy ** j
+        term = Jet2(c)
+        for _ in range(i):
+            term = term * jx
+        for _ in range(j):
+            term = term * jy
+        jet = jet + term
     assert jet.v == poly.eval(x0, y0)
     assert jet.d1 == poly.dx().eval(x0, y0)
     assert jet.d2 == poly.dy().eval(x0, y0)

@@ -399,7 +399,7 @@ def test_forms_and_pairing_match_old_loops(name):
         coeffs = [_entry(rng) for _ in range(algebra.dim)]
         xi = algebra.element(algebra.combination(coeffs))
         phi = algebra.coadjoint(algebra.combination(coeffs[::-1]))
-        for q in [rep.space._entries, *rep._forms.values()]:
+        for q in [rep.space._entries, *rep._forms]:
             assert hamiltonian._bilinear(q, x.coords, y.coords) == _old_bilinear(q, x.coords, y.coords)
         assert rep.inf_action(xi, x) == _old_inf_action(rep, xi, x)
         assert pairing(phi, xi) == _old_pairing(phi, xi)

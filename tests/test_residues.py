@@ -35,6 +35,17 @@ def test_residue_base_cases():
 def test_residue_sum_base_cases():
     assert residue_sum(OneForm(1 / (Z * (Z - 1)))).is_zero()
     assert residue_sum(OneForm(1 / (Z * Z))).is_zero()
+    # N/D dz with N = Q D + R, D monic of degree d: a polynomial (d = 0),
+    # an R with no z^(d-1) term, and two whose r_(d-1) is the finite sum
+    i = GaussRat(0, 1)
+    for form, finite in (
+        (OneForm(3 * Z * Z + Z + i), 0),
+        (OneForm((Z * Z * Z * Z + 1) / (Z * Z * Z - 2)), 0),
+        (OneForm(1 / (Z - i)), 1),
+        (OneForm((Z + 2) / (Z * Z + 1)), 1),
+    ):
+        assert finite_residue_sum(form) == GaussRat(finite)
+        assert residue_sum(form).is_zero()
 
 
 def _random_split_form(rng: SeedStream, n_poles: int):

@@ -102,7 +102,7 @@ def test_explicit_representation_accepted():
     doc = json.loads(json.dumps(MINIMAL))
     doc["representation"] = EXPLICIT_REP
     scenario = parse_scenario(json.dumps(doc))
-    assert scenario.rep.kind == "explicit"
+    assert scenario.rep.blocks is None
     assert scenario.rep.space.dim == 2
 
 

@@ -168,9 +168,8 @@ REPS = {
 
 
 def test_oracle_representations_are_what_they_claim():
-    assert rep_validate(REPS["explicit-block"]()).ok
-    bad = rep_validate(REPS["explicit-outside-sp"]())
-    assert any("sp(omega)" in v for v in bad.violations)
+    assert rep_validate(REPS["explicit-block"]()) == []
+    assert any("sp(omega)" in v for v in rep_validate(REPS["explicit-outside-sp"]()))
 
 
 # -- seeded inputs -----------------------------------------------------------
