@@ -43,7 +43,7 @@ def _strip_marked_factors(poly: list, points) -> list:
 class MarkedCurve:
     """P^1 with marked points, the trivializing form alpha, and twists T_i.
 
-    The chart constants T_i^-1, T_i^-2 and a_i(u) are computed on first
+    The twists T_i^-w and the coefficients a_i(u) are computed on first
     read and kept; ``candidate_spaces`` holds the solver's candidate
     space for each ``SolverBounds`` value, built on first use.  A curve
     is not mutated after construction, so neither goes stale.
@@ -67,6 +67,7 @@ class MarkedCurve:
             t if isinstance(t, RatFunc) else RatFunc(t) for t in self.transitions
         ]
         self.candidate_spaces: dict = {}
+        self._twists: dict = {}
         self._zero_marked = any(not p.is_infinity and p.value.is_zero() for p in points)
 
     @property
@@ -79,15 +80,12 @@ class MarkedCurve:
     def transition(self, i: int) -> RatFunc:
         return self.transitions[i]
 
-    @cached_property
-    def transition_inverses(self) -> list:
-        """T_i^-1 at every marked point."""
-        return [t.inverse() for t in self.transitions]
-
-    @cached_property
-    def transition_inverse_squares(self) -> list:
-        """T_i^-2 at every marked point."""
-        return [t * t for t in self.transition_inverses]
+    def twists(self, weight: int) -> list:
+        """T_i^-weight at every marked point (the twist by K^(weight/2)), formed once."""
+        out = self._twists.get(weight)
+        if out is None:
+            out = self._twists[weight] = [t ** -weight for t in self.transitions]
+        return out
 
     @cached_property
     def _alpha_locals(self) -> list:

@@ -27,13 +27,18 @@ the non-zero coordinates xi_a; ``inf_action_terms`` hands out those
 terms, for a caller that needs only part of the sum (the solver reads
 their polar coefficients).
 
+``moduli`` and ``solver`` read a representation's ``dim``, twist
+``weight`` (1: K^(1/2)), ``column``, ``inf_action_terms`` and ``value``,
+which ``lie.Coadjoint`` offers for Higgs fields too.
+
 Built-in representations are block sums of the defining representation
 C^N of sl_N and its dual, one N x N diagonal block each
 (``HamiltonianRep.blocks``): rho(xi) is xi on a plain block and -xi^T
-on a dual one, rho(g) is g and g^-T.
+on a dual one, rho(g)^-1 is g^-1 and g^T, and omega is read off the
+blocks too (``_block_omega``).
 
-    sl2-standard        C^2, omega = [[0,1],[-1,0]]; blocks (False,)
-    sl2-standard-xK     K copies of the standard sl2 plane, block omega;
+    sl2-standard        C^2; blocks (False,)
+    sl2-standard-xK     K copies of the standard sl2 plane;
                         blocks (False,) * K
     slN-cotangent       C^N + its dual, rho(xi) = diag(xi, -xi^T);
                         blocks (False, True)
@@ -50,7 +55,7 @@ from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
 from .field import GaussRat, RatFunc, dot
-from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, same_algebra
+from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, same_algebra, sl
 from .matrices import (
     Matrix,
     block_diag,
@@ -167,21 +172,6 @@ class SymplecticSpace:
             raise ValidationError("omega is singular")
         self._entries = _sparse(self.omega)
 
-    @classmethod
-    def standard(cls, m: int) -> "SymplecticSpace":
-        """Block-diagonal 2x2 form: m planes each with [[0,1],[-1,0]]."""
-        j = mat_from([[0, 1], [-1, 0]])
-        return cls(block_diag(*([j] * m)))
-
-    @classmethod
-    def cotangent(cls, n: int) -> "SymplecticSpace":
-        """The pairing form [[0, I], [-I, 0]] on C^n + (C^n)*."""
-        rows = [[0] * (2 * n) for _ in range(2 * n)]
-        for k in range(n):
-            rows[k][n + k] = 1
-            rows[n + k][k] = -1
-        return cls(rows)
-
     def check(self, *vectors: XVector):
         """Raise ShapeError unless every vector has the space's dimension."""
         if any(len(v) != self.dim for v in vectors):
@@ -200,13 +190,17 @@ class HamiltonianRep:
     """An algebra action on a symplectic space, stored on basis elements.
 
     A built-in representation is given by ``blocks``, one dual flag per
-    n x n diagonal block: rho(xi) and rho(g), which section data needs,
-    are both built from it, a block being xi and g, or -xi^T and g^-T
-    when dual.  ``blocks`` is None for an explicit ``rho`` (a label ->
-    matrix mapping), which supports all pointwise operations but cannot
-    transport sections, because a group-level action cannot be derived
-    from algebra-level matrices alone.
+    n x n diagonal block: rho(xi) and the columns of rho(g)^-1, which
+    section data needs, are both read from it, a block being xi and
+    g^-1, or -xi^T and g^T when dual.  ``blocks`` is None for an
+    explicit ``rho`` (a label -> matrix mapping), which supports all
+    pointwise operations but cannot transport sections, because a
+    group-level action cannot be derived from algebra-level matrices
+    alone.
     """
+
+    weight = 1
+    value = XVector
 
     def __init__(
         self,
@@ -218,6 +212,7 @@ class HamiltonianRep:
     ):
         self.algebra = algebra
         self.space = space
+        self.dim = space.dim
         self.blocks = blocks
         if blocks is not None:
             rho = {
@@ -239,23 +234,29 @@ class HamiltonianRep:
 
     # -- group action ------------------------------------------------------
 
-    def act_group(self, g: LoopGroupElement) -> Matrix:
-        """rho(g), one block g or g^-T per entry of ``blocks``.
-
-        It is formed once per element and kept in ``g.images`` under
-        ``blocks``; a single block is g.mat itself.
-        """
+    def column(self, g: LoopGroupElement, k: int) -> tuple:
+        """The non-zero entries (r, value) of column k of rho(g)^-1: a
+        column of g^-1 on a plain block, a row of g on a dual one, where
+        rho(g)^-1 = g^T.  All columns are formed once per element and
+        kept in ``g.images`` under ``blocks``."""
         if self.blocks is None:
             raise ValidationError(
                 f"representation {self.name!r} has no structural group action; "
                 "sections require a built-in representation kind"
             )
-        rho = g.images.get(self.blocks)
-        if rho is None:
-            rho = g.images[self.blocks] = block_diag(
-                *(mat_transpose(g.inverse().mat) if dual else g.mat for dual in self.blocks)
+        columns = g.images.get(self.blocks)
+        if columns is None:
+            n = self.algebra.n
+            if g.n != n:
+                raise ShapeError(f"acting on sl{n} blocks with an {g.n}x{g.n} element")
+            # the rows of rho(g)^-T, whose blocks are g^-T and g
+            g_inv_t = mat_transpose(g.inverse().mat)
+            columns = g.images[self.blocks] = tuple(
+                tuple((b * n + r, x) for r, x in enumerate((g.mat if dual else g_inv_t)[j]) if not x.is_zero())
+                for b, dual in enumerate(self.blocks)
+                for j in range(n)
             )
-        return rho
+        return columns[k]
 
     # -- operations ----------------------------------------------------------
 
@@ -274,10 +275,6 @@ class HamiltonianRep:
             for i, j, r in entries:
                 terms[i].append((r, c, xs[j]))
         return terms
-
-    def inf_action(self, xi: LoopAlgebraElement, x: XVector) -> XVector:
-        """The infinitesimal action rho(xi) x = sum_a xi_a rho(xi_a) x."""
-        return XVector([dot(t) for t in self.inf_action_terms(xi, x)])
 
     def dmoment_values(self, x: XVector, v: XVector) -> list[RatFunc]:
         """<dmu_x(v), xi_a> = x^T Q_a v for each basis label, in label order."""
@@ -337,13 +334,22 @@ def rep_validate(rep: HamiltonianRep) -> list[str]:
 _BUILTIN_STANDARD = re.compile(r"^sl(\d+)-standard(?:-x(\d+))?$")
 _BUILTIN_COTANGENT = re.compile(r"^sl(\d+)-cotangent$")
 
-_ALGEBRA_CACHE: dict[int, MatrixLieAlgebra] = {}
 
-
-def _sl(n: int) -> MatrixLieAlgebra:
-    if n not in _ALGEBRA_CACHE:
-        _ALGEBRA_CACHE[n] = MatrixLieAlgebra.sl(n)
-    return _ALGEBRA_CACHE[n]
+def _block_omega(n: int, blocks: tuple) -> list:
+    """omega of a block sum of n x n blocks: a dual block pairs with the
+    plain block before it ([[0, I], [-I, 0]] on the two), and a lone
+    plain block, n = 2, is an sl2 plane ([[0, 1], [-1, 0]])."""
+    pairs = []
+    for b, dual in enumerate(blocks):
+        if dual:
+            pairs += [((b - 1) * n + k, b * n + k) for k in range(n)]
+        elif True not in blocks[b + 1 : b + 2]:
+            pairs.append((b * n, b * n + 1))
+    size = n * len(blocks)
+    rows = [[0] * size for _ in range(size)]
+    for p, q in pairs:
+        rows[p][q], rows[q][p] = 1, -1
+    return rows
 
 
 def builtin_rep(name: str) -> HamiltonianRep:
@@ -360,11 +366,13 @@ def builtin_rep(name: str) -> HamiltonianRep:
                 f"{name!r}: the defining representation of sl{n} is symplectic "
                 "only for n = 2; use the cotangent representation instead"
             )
-        return HamiltonianRep(_sl(2), SymplecticSpace.standard(copies), blocks=(False,) * copies, name=name)
-    m = _BUILTIN_COTANGENT.match(name)
-    if m:
+        blocks = (False,) * copies
+    else:
+        m = _BUILTIN_COTANGENT.match(name)
+        if not m:
+            raise ValidationError(f"unknown representation {name!r}")
         n = int(m.group(1))
         if n < 2:
             raise ValidationError(f"{name!r}: rank must be at least 2")
-        return HamiltonianRep(_sl(n), SymplecticSpace.cotangent(n), blocks=(False, True), name=name)
-    raise ValidationError(f"unknown representation {name!r}")
+        blocks = (False, True)
+    return HamiltonianRep(sl(n), SymplecticSpace(_block_omega(n, blocks)), blocks=blocks, name=name)

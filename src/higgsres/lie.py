@@ -43,8 +43,9 @@ that same trace form and the inverse Cartan matrix.
 
 A loop-group element keeps the non-zero coordinates of g^-1 b_a g per
 basis index a, summed on first use from outer products of a column of
-g^-1 and a row of g (``LoopGroupElement.conjugate``).  The coadjoint
-transport of ``moduli`` and the Higgs frame of ``solver`` both read them.
+g^-1 and a row of g (``LoopGroupElement.conjugate``).  They are the
+columns of the coadjoint representation (``Coadjoint``), which the
+transport of ``moduli`` and the frames of ``solver`` read.
 
 Loop-algebra elements drawn at random have one or two non-zero
 coordinates, so these cost a few products where the dense matrix forms
@@ -53,6 +54,7 @@ cost n^3.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from fractions import Fraction
 from typing import Sequence
@@ -266,13 +268,19 @@ class MatrixLieAlgebra:
         return f"MatrixLieAlgebra({self.name!r}, n={self.n}, dim={self.dim})"
 
 
+@functools.cache
+def sl(n: int) -> MatrixLieAlgebra:
+    """The sl_n shared by every representation of this n, built on first use."""
+    return MatrixLieAlgebra.sl(n)
+
+
 class LoopGroupElement:
     """An n x n matrix of rational functions with determinant 1.
 
     Its inverse, the conjugates g^-1 b_a g of the sl_n basis
-    (``conjugate``, one per index a) and its images rho(g) under the
-    built-in representations (``images``, kept by
-    ``HamiltonianRep.act_group`` under their block sums) are formed on
+    (``conjugate``, one per index a) and the columns of rho(g)^-1 under
+    the built-in representations (``images``, kept by
+    ``HamiltonianRep.column`` under their block sums) are formed on
     first use and kept; products and inverses start with none of them.
     An inverse links back to its element weakly, so the two form no
     reference cycle and are freed as soon as they are unused.
@@ -497,6 +505,31 @@ def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
     """The commutator [x, y] = xy - yx, summed from coordinates
     (``bracket_terms``)."""
     return LoopAlgebraElement._trusted(x.algebra, [dot(t) for t in bracket_terms(x, y)])
+
+
+class Coadjoint:
+    """The coadjoint representation of sl_n, with the interface of
+    ``hamiltonian.HamiltonianRep`` that ``moduli`` and ``solver`` read:
+    rho(g)^-1 phi = g^-1 phi g, rho(xi) phi = [xi, phi], and a Higgs
+    field is a section of the coadjoint bundle twisted by K (weight 2).
+    """
+
+    weight = 2
+
+    def __init__(self, algebra: MatrixLieAlgebra):
+        self.algebra = algebra
+        self.dim = algebra.dim
+
+    def column(self, g: LoopGroupElement, k: int) -> tuple:
+        """The non-zero coordinates (r, value) of g^-1 b_k g."""
+        return g.conjugate(self.algebra, k)
+
+    def inf_action_terms(self, xi: LoopAlgebraElement, phi: CoadjointElement) -> list[list]:
+        """The ``field.dot`` terms of each coordinate of [xi, phi]."""
+        return bracket_terms(xi, phi)
+
+    def value(self, coords: Sequence) -> CoadjointElement:
+        return self.algebra.coadjoint_from(coords)
 
 
 def pairing_terms(phi: CoadjointElement, xi: LoopAlgebraElement) -> list:

@@ -68,13 +68,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(dot(zip(repeat(GQ_ONE), row, col)) for col in bt) for row in a)
 
 
-def mat_vec(a: Matrix, v: Sequence[RatFunc]) -> tuple:
-    n, k = shape(a)
-    if k != len(v):
-        raise ShapeError(f"cannot apply {shape(a)} to a vector of length {len(v)}")
-    return tuple(dot(zip(repeat(GQ_ONE), row, v)) for row in a)
-
-
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else a
 

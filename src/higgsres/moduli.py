@@ -8,15 +8,18 @@ regular away from the marked points, and the derived disk data
 
 Tangent data deforms this to first order:
 
-    sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i.
+    sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i,
 
-Higgs data follows the same pattern through the coadjoint transition
+the first-order expansion of the point formula under g -> g exp(t gdot).
+Higgs data is the same rule for the coadjoint representation
+(``lie.Coadjoint``), whose bundle is twisted by K, so w = 2:
 
     phi'_i    = T_i^-2 g_i^-1 phi g_i,
-    phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i],
+    phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i].
 
-where the tangent formula is the first-order expansion of the point
-formula under g -> g exp(t gdot).
+One transport serves both sides (``transport_terms``, ``derive_prime``,
+``derive_prime_dot``, ``disk_actions``), written against the interface
+that ``hamiltonian.HamiltonianRep`` and ``lie.Coadjoint`` share.
 
 On Higgs data two residue pairings are defined per marked point and
 summed: the tautological 1-form
@@ -53,17 +56,18 @@ tangent.
 Both sides of the coadjoint data work in sl_n coordinates.  Each gdot_i
 keeps the few non-zero coordinates it was drawn with, and the bracket
 [gdot_1, gdot_2] and every pairing <phi, gdot> are sums over those
-coordinates (``lie.bracket``, ``lie.pairing_terms``).  phi'_i is built from
-its coordinates,
+coordinates (``lie.bracket``, ``lie.pairing_terms``).  A transported
+value is built from its coordinates,
 
-    phi'_i = T_i^-2 sum_a pull_i(phi_a) coords(g_i^-1 b_a g_i),
+    x'_i = T_i^-w sum_k pull_i(x_k) rho(g_i)^-1 e_k,
 
-summed over the non-zero coordinates phi_a only, with the conjugates
-read from g_i's table (``higgs_transport``, ``LoopGroupElement.conjugate``);
-phidot'_i adds the terms of [phi'_i, gdot_i] to the same sums, read from
-the bracket table over the non-zero coordinates of both
-(``lie.bracket_terms``).  So no matrix is formed, no dense product runs
-and no transported value is checked for trace 0 again.
+summed over the non-zero coordinates x_k only, each column read off g_i
+(``transport_terms``): on the Higgs side from g_i's table of conjugates
+(``LoopGroupElement.conjugate``).  phidot'_i adds the terms of
+-[gdot_i, phi'_i] to the same sums, read from the bracket table over the
+non-zero coordinates of both (``lie.bracket_terms``), and sdot'_i adds
+-rho(gdot_i) s'_i, formed once per tangent.  So no matrix is formed, no
+dense product runs and no transported value is checked for trace 0 again.
 ``cartan_check``'s jets pair coordinates too, over the non-zero
 coordinates of the fixed gdot_i, and Omega and its jet recomputation
 share one bracket per disk.  Omega and lambda read each residue off the
@@ -85,16 +89,17 @@ from .errors import (
 from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot, residue_dot
 from .hamiltonian import HamiltonianRep, XVector
 from .lie import (
+    Coadjoint,
     CoadjointElement,
     LoopAlgebraElement,
     LoopGroupElement,
     MatrixLieAlgebra,
     bracket,
-    bracket_terms,
     pairing_terms,
     same_algebra,
 )
-from .matrices import mat_vec
+
+_ONE = RatFunc.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ class YTangent:
     @property
     def actions(self) -> list[XVector]:
         if self._actions is None:
-            self._actions = disk_actions(self.base, self.g_dot)
+            self._actions = disk_actions(self.base.rep, self.g_dot, self.base.s_prime)
         return self._actions
 
     def __repr__(self):
@@ -173,16 +178,17 @@ class YTangent:
 class HiggsPoint:
     """A cotangent-stack point (g_i, phi, phi'_i) with derived disk data.
 
-    ``system`` is the Higgs-field space of the bundle g (a
-    ``solver.TwistedSystem``), kept for the tangent solves at this point
-    (None until one is built).
+    ``rep`` is the coadjoint representation of ``algebra``.  ``system`` is
+    the Higgs-field space of the bundle g (a ``solver.TwistedSystem``),
+    kept for the tangent solves at this point (None until one is built).
     """
 
-    __slots__ = ("curve", "algebra", "g", "phi_circ", "phi_prime", "system")
+    __slots__ = ("curve", "algebra", "rep", "g", "phi_circ", "phi_prime", "system")
 
     def __init__(self, curve, algebra, g, phi_circ, phi_prime, system=None):
         self.curve: MarkedCurve = curve
         self.algebra: MatrixLieAlgebra = algebra
+        self.rep = Coadjoint(algebra)
         self.g: list[LoopGroupElement] = g
         self.phi_circ: CoadjointElement = phi_circ
         self.phi_prime: list[CoadjointElement] = phi_prime
@@ -217,84 +223,57 @@ class HiggsTangent:
 
 
 # ---------------------------------------------------------------------------
-# disk transitions (the solver's section frame reads section_transition)
+# disk transport (the solver's frames read the same columns)
 # ---------------------------------------------------------------------------
 
 
-def section_transition(curve: MarkedCurve, rep: HamiltonianRep, g, i: int):
-    """(T_i^-1, rho(g_i)^-1): the factors of s'_i = T_i^-1 rho(g_i)^-1 s.
-
-    rho(g_i)^-1 is kept on g_i^-1 (``HamiltonianRep.act_group``), so it is
-    formed once per group element.
-    """
-    return curve.transition_inverses[i], rep.act_group(g[i].inverse())
-
-
-def higgs_transport(curve: MarkedCurve, algebra, g, i: int, phi) -> list[list]:
-    """The ``field.dot`` terms of each coordinate of T_i^-2 g_i^-1 phi g_i.
-
-    phi is given in the global coordinate z.  g_i^-1 phi g_i is
-    sum_a phi_a g_i^-1 b_a g_i, so coordinate k sums
-    T_i^-2 pull_i(phi_a) * coords(g_i^-1 b_a g_i)[k] over the non-zero
-    coordinates phi_a and the non-zero coordinates of each conjugate
-    (``LoopGroupElement.conjugate``).
-    """
+def transport_terms(curve: MarkedCurve, rep, g, i: int, x) -> list[list]:
+    """The ``field.dot`` terms of each coordinate of T_i^-w rho(g_i)^-1 x,
+    w = ``rep.weight``, x given by its coordinates in the global
+    coordinate z: T_i^-w pull_i(x_k) times each non-zero entry of column
+    k of rho(g_i)^-1 (``rep.column``), read for the non-zero x_k only."""
     chart = curve.chart(i)
-    t2_inv = curve.transition_inverse_squares[i]
-    terms = [[] for _ in range(algebra.dim)]
-    for a, c in enumerate(phi.coeffs):
+    twist = curve.twists(rep.weight)[i]
+    terms = [[] for _ in range(rep.dim)]
+    for k, c in enumerate(x):
         if c.is_zero():
             continue
-        x = t2_inv * chart.pull(c)
-        for k, y in g[i].conjugate(algebra, a):
-            terms[k].append((GQ_ONE, x, y))
+        y = twist * chart.pull(c)
+        for r, v in rep.column(g[i], k):
+            terms[r].append((GQ_ONE, y, v))
     return terms
 
 
-def derive_s_prime(curve, rep, g, s_circ) -> list[XVector]:
-    """s'_i = T_i^-1 rho(g_i)^-1 s at every marked point (no regularity check)."""
+def derive_prime(curve, rep, g, x) -> list:
+    """x'_i = T_i^-w rho(g_i)^-1 x at every marked point, x given by its
+    coordinates (no regularity check)."""
+    return [rep.value([dot(t) for t in transport_terms(curve, rep, g, i, x)]) for i in range(curve.n_points)]
+
+
+def disk_actions(rep, g_dot, disk) -> list:
+    """rho(gdot_i) x'_i at every marked point, one value each."""
+    return [rep.value([dot(t) for t in rep.inf_action_terms(g_dot[i], x)]) for i, x in enumerate(disk)]
+
+
+def derive_prime_dot(curve, rep, g, x_dot, actions) -> list:
+    """xdot'_i = T_i^-w rho(g_i)^-1 xdot - rho(gdot_i) x'_i at every marked
+    point, xdot given by its coordinates and ``actions[i]`` by the
+    ``field.dot`` terms of each coordinate of rho(gdot_i) x'_i.  Each
+    coordinate is one sum: the transport's terms and the action's, negated."""
     out = []
     for i in range(curve.n_points):
-        chart = curve.chart(i)
-        s_loc = [chart.pull(c) for c in s_circ.coords]
-        t_inv, rg_inv = section_transition(curve, rep, g, i)
-        out.append(XVector([t_inv * c for c in mat_vec(rg_inv, s_loc)]))
+        terms = transport_terms(curve, rep, g, i, x_dot)
+        for own, action in zip(terms, actions[i]):
+            own.extend((-c, a, b) for c, a, b in action)
+        out.append(rep.value([dot(t) for t in terms]))
     return out
 
 
-def disk_actions(base: YPoint, g_dot) -> list[XVector]:
-    """rho(gdot_i) s'_i at every marked point."""
-    return [base.rep.inf_action(g_dot[i], base.s_prime[i]) for i in range(base.curve.n_points)]
-
-
-def derive_s_prime_dot(base: YPoint, actions, s_circ_dot) -> list[XVector]:
-    """sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i, given the
-    ``actions`` rho(gdot_i) s'_i."""
-    linear = derive_s_prime(base.curve, base.rep, base.g, s_circ_dot)
-    return [lin - act for lin, act in zip(linear, actions)]
-
-
-def derive_phi_prime(curve, algebra, g, phi_circ) -> list[CoadjointElement]:
-    """phi'_i = T_i^-2 g_i^-1 phi g_i at every marked point, built from
-    its coordinates (``higgs_transport``)."""
-    return [
-        algebra.coadjoint_from([dot(t) for t in higgs_transport(curve, algebra, g, i, phi_circ)])
-        for i in range(curve.n_points)
-    ]
-
-
-def derive_phi_prime_dot(base: HiggsPoint, g_dot, phi_circ_dot) -> list[CoadjointElement]:
-    """phidot'_i = T_i^-2 g_i^-1 phidot g_i + [phi'_i, gdot_i], each
-    coordinate one sum: the transport's terms and the bracket's, read
-    from the bracket table over the non-zero coordinates of phi'_i and
-    gdot_i (``lie.bracket_terms``)."""
-    algebra = base.algebra
-    out = []
-    for i in range(base.curve.n_points):
-        linear = higgs_transport(base.curve, algebra, base.g, i, phi_circ_dot)
-        ad = bracket_terms(base.phi_prime[i], g_dot[i])
-        out.append(algebra.coadjoint_from([dot(a + b) for a, b in zip(linear, ad)]))
-    return out
+def _sdot_prime(base: YPoint, actions, s_circ_dot) -> list[XVector]:
+    """sdot'_i, each coordinate of the formed ``actions`` rho(gdot_i) s'_i
+    one term of its sum."""
+    terms = [[[(GQ_ONE, c, _ONE)] for c in action.coords] for action in actions]
+    return derive_prime_dot(base.curve, base.rep, base.g, s_circ_dot.coords, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +332,7 @@ def make_y_point(curve, rep, g, s_circ, system=None) -> YPoint:
         else None
     )
     _check_global(curve, g, "transition matrix", s_circ.coords, "s", mismatch)
-    s_prime = derive_s_prime(curve, rep, g, s_circ)
+    s_prime = derive_prime(curve, rep, g, s_circ.coords)
     _check_disks([s.coords for s in s_prime], "s'")
     return YPoint(curve, rep, g, s_circ, s_prime, system)
 
@@ -366,8 +345,8 @@ def make_y_tangent(base: YPoint, g_dot, s_circ_dot) -> YTangent:
         else None
     )
     _check_global(base.curve, g_dot, "algebra element", s_circ_dot.coords, "sdot", mismatch)
-    actions = disk_actions(base, g_dot)
-    s_prime_dot = derive_s_prime_dot(base, actions, s_circ_dot)
+    actions = disk_actions(base.rep, g_dot, base.s_prime)
+    s_prime_dot = _sdot_prime(base, actions, s_circ_dot)
     _check_disks([s.coords for s in s_prime_dot], "sdot'")
     return YTangent(base, g_dot, s_circ_dot, s_prime_dot, actions)
 
@@ -377,7 +356,7 @@ def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
     errors: list[HiggsresError] = []
     if _off_point_pole(t.base.curve, t.s_circ_dot.coords):
         errors.append(RegularityViolation("sdot has a pole away from the marked points"))
-    expected = derive_s_prime_dot(t.base, t.actions, t.s_circ_dot)
+    expected = _sdot_prime(t.base, t.actions, t.s_circ_dot)
     for i, want in enumerate(expected):
         if any(a != b for a, b in zip(t.s_prime_dot[i].coords, want.coords)):
             errors.append(
@@ -415,7 +394,7 @@ def make_higgs_point(curve, algebra, g, phi_circ, system=None) -> HiggsPoint:
     """
     _check_global(curve, g, "transition matrix", phi_circ.coeffs, "phi")
     _check_size(algebra, phi_circ, "phi")
-    phi_prime = derive_phi_prime(curve, algebra, g, phi_circ)
+    phi_prime = derive_prime(curve, Coadjoint(algebra), g, phi_circ.coeffs)
     _check_disks([p.coeffs for p in phi_prime], "phi'")
     return HiggsPoint(curve, algebra, g, phi_circ, phi_prime, system)
 
@@ -448,7 +427,8 @@ def make_higgs_tangent(base: HiggsPoint, g_dot, phi_circ_dot) -> HiggsTangent:
     """Derive phidot'_i, verify regularity, and return the validated tangent."""
     _check_global(base.curve, g_dot, "algebra element", phi_circ_dot.coeffs, "phidot")
     _check_size(base.algebra, phi_circ_dot, "phidot")
-    phi_prime_dot = derive_phi_prime_dot(base, g_dot, phi_circ_dot)
+    actions = [base.rep.inf_action_terms(xi, phi) for xi, phi in zip(g_dot, base.phi_prime)]
+    phi_prime_dot = derive_prime_dot(base.curve, base.rep, base.g, phi_circ_dot.coeffs, actions)
     _check_disks([p.coeffs for p in phi_prime_dot], "phidot'")
     return HiggsTangent(base, g_dot, phi_circ_dot, phi_prime_dot)
 

@@ -25,8 +25,9 @@ from typing import Any
 from .curve import MarkedCurve, curve_validate
 from .errors import HiggsresError, ParseError, ValidationError
 from .field import RatFunc, parse_ratfunc
-from .hamiltonian import HamiltonianRep, builtin_rep, rep_validate, XVector
-from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, elementary, torus
+from .hamiltonian import HamiltonianRep, SymplecticSpace, builtin_rep, rep_validate, XVector
+from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, elementary, sl, torus
+from .matrices import mat_from
 from .residues import OneForm, P1Point
 from .solver import CocycleRecipe, GdotRecipe, SolverBounds
 
@@ -326,9 +327,6 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
     section transport (the Y-side) additionally needs a group action,
     which only the built-in block sums provide.
     """
-    from .hamiltonian import SymplecticSpace, _sl
-    from .matrices import mat_from
-
     alg_name = block.get("algebra")
     if not (isinstance(alg_name, str) and alg_name.startswith("sl")):
         raise ParseError("explicit representation needs algebra 'slN'", f"{path}.algebra")
@@ -338,7 +336,7 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
         raise ParseError("explicit representation needs algebra 'slN'", f"{path}.algebra") from None
     if n < 2:
         raise ValidationError(f"{path}.algebra: rank must be at least 2, got {alg_name!r}")
-    algebra = _sl(n)
+    algebra = sl(n)
     omega_rows = _expect(block.get("omega"), list, f"{path}.omega", "an omega matrix")
     dim = len(omega_rows)
     omega = _parse_matrix(omega_rows, dim, "z", f"{path}.omega")

@@ -1,9 +1,10 @@
 """Exact construction of section/tangent spaces, and seeded sampling.
 
 Sections and Higgs fields are both global sections of a bundle given by
-local transition matrices M_i(u): T_i^-1 rho(g_i)^-1 on the section side,
-T_i^-2 Ad(g_i^-1) on the Higgs side (the coadjoint bundle twisted by K).
-One solver handles both.  Regularity of the transported disk data is a
+local transition matrices M_i(u) = T_i^-w rho(g_i)^-1: w = 1 and the
+symplectic representation on the section side, w = 2 and the coadjoint
+one (``lie.Coadjoint``) on the Higgs side.  One solver handles both,
+through the representation.  Regularity of the transported disk data is a
 finite set of linear conditions on the coefficients of a global
 candidate: every negative-exponent Laurent coefficient of the
 transported candidate must vanish.  Candidates are spanned by monomials
@@ -15,10 +16,11 @@ marked infinity.  Truncation depths are always computed from the pole
 orders of the inputs, never guessed.
 
 Assembly reads the system off one Laurent expansion per frame entry.
-The frames are untwisted (the columns of rho(g_i)^-1, or the sl_n
-coordinates of g_i^-1 b_k g_i; each group element forms both once), so
-a Higgs-side system has n^2 - 1 rows per disk and exponent, and the twist
-T_i^-w, of weight w = 1 or 2, is folded into the disk base
+The frames are untwisted, the columns of rho(g_i)^-1 (``column``, formed
+once per group element; on the Higgs side the sl_n coordinates of
+g_i^-1 b_k g_i, an invertible constant image of its entries, so a system
+has n^2 - 1 rows per disk and exponent), and the twist T_i^-w is folded
+into the disk base
 B = pull_i(1/D) * T_i^-w of the candidate space.  With h = B * entry,
 the candidate z^t contributes (u + a)^t h at a finite point a, whose polar coefficients are binomial
 combinations of the window of h from ord_0 h to u^-1, and u^-t h at
@@ -45,12 +47,11 @@ and draws nothing.  The point built
 from a section or Higgs-field space keeps the system, and every tangent
 solve at that point goes through ``linalg.solve_system`` against the
 stored elimination.  Its right-hand side is the sparse column
-``{row: triple}`` of the polar coefficients of the g_dot action,
-rho(gdot_i) s'_i or [gdot_i, phi'_i].  Only those
-coefficients are formed: ``field.polar_dot`` reads them off coefficient
-windows of the factors, summed over the non-zero coordinates of gdot_i
-(``HamiltonianRep.inf_action_terms``, ``lie.bracket_terms``), per
-coordinate of the frame; the whole germ
+``{row: triple}`` of the polar coefficients of the g_dot action
+rho(gdot_i) x'_i (``polar_rhs``): rho(gdot_i) s'_i or [gdot_i, phi'_i].
+Only those coefficients are formed: ``field.polar_dot`` reads them off
+coefficient windows of the factors, summed over the non-zero coordinates
+of gdot_i (``inf_action_terms``), per coordinate of the frame; the whole germ
 is formed once, for an accepted tangent, by ``moduli``.  A solve is
 infeasible when a polar coefficient lies in no row of the system or
 when, after the elimination steps are replayed on the column, an entry
@@ -72,11 +73,10 @@ from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import Infeasible
 from .field import GQ_ONE, GaussRat, RatFunc, dot, polar_dot
-from .hamiltonian import XVector
-from .lie import LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, bracket_terms
+from .lie import Coadjoint, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra
 from .linalg import Elimination, solve_system
 from .matrices import identity
-from .moduli import HiggsPoint, YPoint, section_transition
+from .moduli import HiggsPoint, YPoint
 
 _ZERO = RatFunc.const(0)
 _ONE = RatFunc.const(1)
@@ -210,10 +210,7 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
     disks = []
     for i, p in enumerate(curve.marked_points):
         base = curve.chart(i).pull(functions[0])
-        bases = {
-            1: base * curve.transition_inverses[i],
-            2: base * curve.transition_inverse_squares[i],
-        }
+        bases = {w: base * curve.twists(w)[i] for w in (1, 2)}
         if p.is_infinity:
             disks.append((bases, size - 2, None))
         else:
@@ -294,13 +291,13 @@ def _polar_columns(h: RatFunc, top: int, powers, size: int):
     return _finite_columns(*window, powers)
 
 
-def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
+def assemble(candidates: CandidateSpace, frame, weight: int):
     """(row keys, sparse rows, non-zero count) of the regularity conditions.
 
-    ``frame[i][k]`` is the tuple of untwisted local coordinates of basis
-    element k transported to disk i (the k-th column of rho(g_i)^-1, or
-    the sl_n coordinates of g_i^-1 b_k g_i); the bundle's twist is
-    T_i^-weight, folded into the disk's base.  A candidate
+    ``frame[i][k]`` holds the non-zero untwisted local coordinates
+    (row, entry) of basis element k transported to disk i, column k of
+    rho(g_i)^-1 (``column``); the bundle's twist is T_i^-weight, folded
+    into the disk's base.  A candidate
     sum_{k,t} c_kt f_t e_k is a global section when every transported
     germ is regular at u = 0: one linear condition per polar
     coefficient, keyed (disk, coordinate, exponent), the keys sorted.
@@ -318,9 +315,7 @@ def assemble(candidates: CandidateSpace, dim: int, frame, weight: int):
         base = bases[weight]
         for k, entries in enumerate(disk):
             offset = k * size
-            for row, entry in enumerate(entries):
-                if entry.is_zero():
-                    continue
+            for row, entry in entries:
                 monomial = entry.as_monomial()
                 if monomial is None:
                     c, columns = K.GQ_ONE, tuple(_polar_columns(base * entry, top, powers, size))
@@ -343,41 +338,40 @@ class TwistedSystem:
     """The global sections of one twisted bundle: its regularity conditions
     (``assemble``), eliminated once, and the null vectors they leave.
 
-    ``frame`` and ``weight`` are the untwisted transition columns and the
-    twist weight that ``assemble`` reads.  ``value`` turns ``ncoords``
-    scalar functions into a section value (``XVector`` on the section
-    side, a coadjoint element on the Higgs side); ``_combine`` is its
-    only caller, and sampling its only user.  ``null_vectors`` holds the
-    sections as sparse candidate coefficients and ``dim`` is their
-    number; no value of them is kept.  ``particular`` solves for the
-    coefficients of a candidate with prescribed polar parts against the
-    stored elimination.
+    ``assemble`` reads the frame, the columns ``rep.column`` of
+    rho(g_i)^-1, and ``rep.weight``.  ``rep.value`` turns ``rep.dim``
+    scalar functions into a section value (an ``XVector`` or a coadjoint
+    element); ``_combine`` is its only caller, and sampling its only
+    user.  ``null_vectors`` holds the sections as sparse candidate
+    coefficients and ``dim`` is their number; no value of them is kept.
+    ``particular`` solves for the coefficients of a candidate with
+    prescribed polar parts against the stored elimination.
 
     A system whose frame equals, entry by entry (exact ``RatFunc``
     equality), the frame of the last system of the same weight on the
     same candidate space (``CandidateSpace.factored``) shares that
     system's row index and elimination and skips ``assemble`` and the
     elimination; any other system factors its own and replaces the
-    entry.  The frame's shape carries ``ncoords``.  Sharing is safe
-    because neither is changed after construction: a solve
-    replays the steps on a copy of its column, and nothing writes to the
-    row index or to ``null_vectors`` (the elimination's ``null_basis``).
+    entry.  The frame's length per disk carries ``rep.dim``.  Sharing is
+    safe because neither is changed after construction: a solve replays
+    the steps on a copy of its column, and nothing writes to the row
+    index or to ``null_vectors`` (the elimination's ``null_basis``).
     """
 
-    __slots__ = ("candidates", "ncoords", "_value", "_row_index", "elimination", "null_vectors", "nonzeros")
+    __slots__ = ("candidates", "rep", "_row_index", "elimination", "null_vectors", "nonzeros")
 
-    def __init__(self, candidates: CandidateSpace, ncoords: int, frame, weight: int, value):
+    def __init__(self, candidates: CandidateSpace, rep, g):
         self.candidates = candidates
-        self.ncoords = ncoords
-        self._value = value
-        last = candidates.factored.get(weight)
+        self.rep = rep
+        frame = [[rep.column(g_i, k) for k in range(rep.dim)] for g_i in g]
+        last = candidates.factored.get(rep.weight)
         if last is not None and last[0] == frame:
             _, self._row_index, self.elimination, self.nonzeros = last
         else:
-            keys, matrix, self.nonzeros = assemble(candidates, ncoords, frame, weight)
+            keys, matrix, self.nonzeros = assemble(candidates, frame, rep.weight)
             self._row_index = {key: r for r, key in enumerate(keys)}
-            self.elimination = Elimination(matrix, ncoords * candidates.size)
-            candidates.factored[weight] = (frame, self._row_index, self.elimination, self.nonzeros)
+            self.elimination = Elimination(matrix, rep.dim * candidates.size)
+            candidates.factored[rep.weight] = (frame, self._row_index, self.elimination, self.nonzeros)
         self.null_vectors, _ = solve_system(self.elimination, self.elimination.ncols)
 
     @property
@@ -404,11 +398,11 @@ class TwistedSystem:
         dict ``{k * size + t: c_kt}`` of its non-zero coefficients, and
         each coordinate sums its terms in ascending t."""
         functions = self.candidates.functions
-        terms = [[] for _ in range(self.ncoords)]
+        terms = [[] for _ in range(self.rep.dim)]
         for column in sorted(vec):
             k, t = divmod(column, len(functions))
             terms[k].append((vec[column], functions[t], _ONE))
-        return self._value([dot(coordinate) for coordinate in terms])
+        return self.rep.value([dot(coordinate) for coordinate in terms])
 
     def particular(self, rhs):
         """The candidate whose transport has the polar part rhs[i] in disk i.
@@ -432,30 +426,6 @@ class TwistedSystem:
         return parts[0]
 
 
-def _section_frame(curve, rep, g):
-    """The columns of rho(g_i)^-1 at every marked point (twist weight 1),
-    the factor of ``moduli.section_transition``."""
-    frame = []
-    for i in range(len(g)):
-        _, rg_inv = section_transition(curve, rep, g, i)
-        frame.append([tuple(row[k] for row in rg_inv) for k in range(rep.space.dim)])
-    return frame
-
-
-def _higgs_frame(algebra, g):
-    """The sl_n coordinates of g_i^-1 b_k g_i, for every basis element b_k
-    (twist weight 2), read from g_i's table of conjugates
-    (``LoopGroupElement.conjugate``), which the coadjoint transport of
-    ``moduli`` reads too.  They are an invertible constant image of the
-    entries of a traceless matrix, so the rows they give span the same
-    conditions as the entries would, with n^2 - 1 rows in place of n^2."""
-    frame = []
-    for g_i in g:
-        columns = [dict(g_i.conjugate(algebra, k)) for k in range(algebra.dim)]
-        frame.append([tuple(col.get(c, _ZERO) for c in range(algebra.dim)) for col in columns])
-    return frame
-
-
 class AffineSpace:
     """particular + span(null vectors): the solution set of an
     inhomogeneous system, held as the ``system`` and the particular
@@ -466,8 +436,9 @@ class AffineSpace:
         self.coefficients = coefficients
 
 
-def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
-    """particular + span(null vectors) for the prescribed polar data ``rhs``.
+def _tangent_space(point, build, side, disk, g_dot, bounds, failure) -> AffineSpace:
+    """particular + span(null vectors) for the polar data of the g_dot
+    action on the point's ``disk`` values (``polar_rhs``).
 
     The point's space is reused, and ``build(curve, side, g, bounds)``
     builds and keeps one on a point that has none for these bounds.
@@ -477,16 +448,26 @@ def _tangent_space(point, build, side, rhs, bounds, failure) -> AffineSpace:
     system = point.system
     if system is None or system.bounds != bounds:
         system = point.system = build(point.curve, side, point.g, bounds)
-    coefficients = system.particular(rhs)
+    coefficients = system.particular(polar_rhs(point.rep, g_dot, disk))
     if coefficients is None:
         raise Infeasible(f"{failure} within bounds {bounds}; enlarge degree/pole_order")
     return AffineSpace(system, coefficients)
 
 
+def polar_rhs(rep, g_dot, disk) -> list[dict]:
+    """The polar coefficients of rho(gdot_i) x'_i per disk and coordinate,
+    one ``polar_dot`` over the terms of ``rep.inf_action_terms`` each:
+    xdot'_i = T_i^-w rho(g_i)^-1 xdot - rho(gdot_i) x'_i is regular
+    exactly when the transported xdot has these polar coefficients."""
+    return [
+        {r: polar_dot(terms) for r, terms in enumerate(rep.inf_action_terms(g_dot[i], x)) if terms}
+        for i, x in enumerate(disk)
+    ]
+
+
 def build_section_space(curve, rep, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Solve the regularity conditions; every basis vector gives a valid point."""
-    candidates = candidate_functions(curve, bounds or SolverBounds())
-    return TwistedSystem(candidates, rep.space.dim, _section_frame(curve, rep, g), 1, XVector)
+    return TwistedSystem(candidate_functions(curve, bounds or SolverBounds()), rep, g)
 
 
 def build_tangent_space(
@@ -499,32 +480,12 @@ def build_tangent_space(
     disk sections.
     """
     failure = "no tangent section cancels the poles of the g_dot action"
-    rhs = section_rhs(point, g_dot)
-    return _tangent_space(point, build_section_space, point.rep, rhs, bounds, failure)
-
-
-def section_rhs(point: YPoint, g_dot) -> list[dict]:
-    """The polar coefficients of rho(gdot_i) s'_i, per disk and coordinate.
-
-    sdot'_i = T_i^-1 rho(g_i)^-1 sdot - rho(gdot_i) s'_i is regular
-    exactly when the transported sdot has these polar coefficients.
-    """
-    rep = point.rep
-    return [
-        {j: polar_dot(terms) for j, terms in enumerate(rep.inf_action_terms(g_dot[i], s)) if terms}
-        for i, s in enumerate(point.s_prime)
-    ]
+    return _tangent_space(point, build_section_space, point.rep, point.s_prime, g_dot, bounds, failure)
 
 
 def build_higgs_field_space(curve, algebra, g, bounds: SolverBounds | None = None) -> TwistedSystem:
     """Basis of global Higgs fields compatible with the bundle's cocycle."""
-    return TwistedSystem(
-        candidate_functions(curve, bounds or SolverBounds()),
-        algebra.dim,
-        _higgs_frame(algebra, g),
-        2,
-        algebra.coadjoint_from,
-    )
+    return TwistedSystem(candidate_functions(curve, bounds or SolverBounds()), Coadjoint(algebra), g)
 
 
 def build_higgs_tangent_space(
@@ -532,22 +493,7 @@ def build_higgs_tangent_space(
 ) -> AffineSpace:
     """Solutions phidot for which the Higgs tangent disk data stays regular."""
     failure = "no global Higgs deformation cancels the bracket poles"
-    rhs = higgs_rhs(point, g_dot)
-    return _tangent_space(point, build_higgs_field_space, point.algebra, rhs, bounds, failure)
-
-
-def higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
-    """The polar coefficients of [gdot_i, phi'_i], per disk and sl_n
-    coordinate (as in the Higgs frame), one ``polar_dot`` per coordinate
-    over the terms of the bracket table (``lie.bracket_terms``).
-
-    phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i] is regular
-    exactly when the transported phidot has these polar coefficients.
-    """
-    return [
-        {c: polar_dot(terms) for c, terms in enumerate(bracket_terms(g_dot[i], phi)) if terms}
-        for i, phi in enumerate(point.phi_prime)
-    ]
+    return _tangent_space(point, build_higgs_field_space, point.algebra, point.phi_prime, g_dot, bounds, failure)
 
 
 # ---------------------------------------------------------------------------

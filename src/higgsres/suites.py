@@ -203,9 +203,6 @@ class TrialRecord:
     tangent_retries: int
     pullback: GaussRat = GQ_ZERO
     identity_ok: bool = False
-    residuals_zero: bool = False
-    alpha_residue_sum: GaussRat = GQ_ZERO
-    disk_ok: bool = False
     residual_texts: list = field(default_factory=list)
     rows: int = 0
     cols: int = 0
@@ -234,10 +231,7 @@ def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
         t1, t2 = inst.tangents
         rec.pullback = pullback_omega(inst.point, t1, t2)
         ident = identity_check(inst.point, t1, t2)
-        rec.residuals_zero = all(r.is_zero() for r in ident.residuals)
-        rec.alpha_residue_sum = ident.alpha_residue_sum
         rec.residue_points = _nonzero_count(ident.alpha_residues)
-        rec.disk_ok = ident.disk_ok
         rec.identity_ok = ident.ok
         if not ident.ok:
             # keep the offending intermediate values for the report

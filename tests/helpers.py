@@ -1,4 +1,7 @@
-"""Test-only builders: constant gauge transport of section data, seeded
+"""Test-only builders: constant gauge transport of section data, the
+dense image rho(g) and the formed action rho(xi) x of a built-in
+representation, the matrix-vector product, stand-in representations
+that hand ``TwistedSystem`` a frame given entry by entry, seeded
 sampling, named Lie-algebra elements, monomial candidate vectors and the
 coadjoint transition; the dense oracles of the coordinate forms in
 ``lie``: the matrix commutator, the trace-form pairing and the pairings
@@ -38,7 +41,7 @@ from higgsres.lie import (
     pairing,
 )
 from higgsres.linalg import Elimination
-from higgsres.matrices import Matrix, _minor, as_entry, det, mat_mul, mat_vec, shape
+from higgsres.matrices import Matrix, _minor, as_entry, block_diag, det, mat_mul, mat_transpose, shape
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import (
     AffineSpace,
@@ -51,12 +54,55 @@ from higgsres.solver import (
 )
 
 
+def mat_vec(a: Matrix, v) -> tuple:
+    """The product of a matrix and a vector of RatFunc, one ``dot`` per row."""
+    n, k = shape(a)
+    if k != len(v):
+        raise ShapeError(f"cannot apply {shape(a)} to a vector of length {len(v)}")
+    return tuple(dot(zip(repeat(GQ_ONE), row, v)) for row in a)
+
+
+def rho_group(rep, g: LoopGroupElement) -> Matrix:
+    """rho(g) of a built-in representation, dense: one block g, or g^-T
+    on a dual block, per entry of ``rep.blocks``."""
+    return block_diag(*(mat_transpose(g.inverse().mat) if dual else g.mat for dual in rep.blocks))
+
+
+def inf_action(rep, xi: LoopAlgebraElement, x):
+    """rho(xi) x as a value, one ``dot`` per coordinate of the terms
+    ``rep.inf_action_terms`` hands out."""
+    return rep.value([dot(t) for t in rep.inf_action_terms(xi, x)])
+
+
+def sparse_column(entries) -> tuple:
+    """The non-zero entries (row, entry) of a column given entry by entry:
+    the form of a frame column that ``assemble`` reads."""
+    return tuple((r, e) for r, e in enumerate(entries) if not e.is_zero())
+
+
+class FrameRep:
+    """A stand-in representation that hands ``TwistedSystem`` a frame
+    given entry by entry, ``frame[i][k]`` for disk i and basis element k.
+    Build the system over the disk indices, ``TwistedSystem(candidates,
+    FrameRep(frame, weight), range(n))``: ``column(i, k)`` is
+    ``frame[i][k]``'s non-zero entries.  Its values are lists unless
+    ``value`` says otherwise."""
+
+    def __init__(self, frame, weight: int, value=list):
+        self.frame = frame
+        self.weight = weight
+        self.value = value
+        self.dim = len(frame[0])
+
+    def column(self, i: int, k: int) -> tuple:
+        return sparse_column(self.frame[i][k])
+
+
 def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
     """Conjugate all data by a constant group element (g_i -> h g_i h^-1)."""
     hinv = h.inverse()
     g_new = [h * gi * hinv for gi in p.g]
-    rho_h = p.rep.act_group(h)
-    s_new = XVector(mat_vec(rho_h, p.s_circ.coords))
+    s_new = XVector(mat_vec(rho_group(p.rep, h), p.s_circ.coords))
     return make_y_point(p.curve, p.rep, g_new, s_new)
 
 
@@ -68,8 +114,7 @@ def gauge_transform_y_tangent(t: YTangent, p_new: YPoint, h: LoopGroupElement) -
         )
         for gd in t.g_dot
     ]
-    rho_h = t.base.rep.act_group(h)
-    s_dot_new = XVector(mat_vec(rho_h, t.s_circ_dot.coords))
+    s_dot_new = XVector(mat_vec(rho_group(t.base.rep, h), t.s_circ_dot.coords))
     return make_y_tangent(p_new, g_dot_new, s_dot_new)
 
 
@@ -352,7 +397,7 @@ def hashed_randint(path: tuple, counter: int, lo: int, hi: int) -> int:
 def entry_higgs_frame(algebra: MatrixLieAlgebra, g) -> list:
     """g_i^-1 b_k g_i by the dense oracle, flattened row-major, for every
     basis element b_k: the Higgs frame with n^2 entry rows per disk and
-    exponent in place of the n^2 - 1 coordinates of ``solver._higgs_frame``."""
+    exponent in place of the n^2 - 1 coordinates of ``lie.Coadjoint.column``."""
     return [
         [
             tuple(e for row in coadjoint_transition(g_i, algebra.coadjoint(b)).mat for e in row)
@@ -365,7 +410,8 @@ def entry_higgs_frame(algebra: MatrixLieAlgebra, g) -> list:
 def entry_higgs_system(curve, algebra: MatrixLieAlgebra, g, bounds) -> TwistedSystem:
     """``solver.build_higgs_field_space`` on the entry frame."""
     candidates = candidate_functions(curve, bounds)
-    return TwistedSystem(candidates, algebra.dim, entry_higgs_frame(algebra, g), 2, algebra.coadjoint_from)
+    rep = FrameRep(entry_higgs_frame(algebra, g), 2, algebra.coadjoint_from)
+    return TwistedSystem(candidates, rep, range(len(g)))
 
 
 def entry_higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:

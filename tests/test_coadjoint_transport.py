@@ -1,15 +1,15 @@
 """The coadjoint transport in sl_n coordinates against the dense oracle.
 
-``moduli.derive_phi_prime`` and ``derive_phi_prime_dot`` build each disk
-value from its coordinates: the non-zero coordinates of phi, pulled and
-twisted, times the coordinates of the conjugates g_i^-1 b_a g_i kept by
-the group element.  The oracle is ``T_i^-2 g_i^-1 pull(phi) g_i`` by two
-dense matrix products (``helpers.coadjoint_transition``), plus the
-commutator ``[phi'_i, gdot_i]`` for a tangent.  Also here: the closed
-forms between pairings and coordinates, the pole orders read off
-coordinates, the representation images kept per group element, and a
-count guard that the pushforward runs no dense matrix product and no
-trace check.
+``moduli.derive_prime`` and ``derive_prime_dot``, for the coadjoint
+representation (``lie.Coadjoint``), build each disk value from its
+coordinates: the non-zero coordinates of phi, pulled and twisted, times
+the coordinates of the conjugates g_i^-1 b_a g_i kept by the group
+element.  The oracle is ``T_i^-2 g_i^-1 pull(phi) g_i`` by two dense
+matrix products (``helpers.coadjoint_transition``), plus the commutator
+``[phi'_i, gdot_i]`` for a tangent.  Also here: the closed forms between
+pairings and coordinates, the pole orders read off coordinates, the
+columns of rho(g)^-1 kept per group element, and a count guard that the
+pushforward runs no dense matrix product and no trace check.
 """
 
 import random
@@ -21,26 +21,27 @@ from helpers import coadjoint_transition, commutator, dual_values
 from higgsres import (
     INFINITY,
     GaussRat,
+    HamiltonianRep,
     IrregularSection,
     LoopGroupElement,
     MarkedCurve,
     OneForm,
     P1Point,
     RatFunc,
+    ValidationError,
     builtin_rep,
     load_scenario,
     make_higgs_point,
 )
 from higgsres import matrices
-from higgsres.lie import MatrixLieAlgebra, elementary, torus
+from higgsres.lie import Coadjoint, MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import mat_add
 from higgsres.moduli import (
     HiggsPoint,
     ambient_higgs_tangent,
-    derive_phi_prime,
-    derive_phi_prime_dot,
+    derive_prime,
+    derive_prime_dot,
     pullback_omega,
-    section_transition,
 )
 from higgsres.solver import SeedStream
 from higgsres.suites import build_instance
@@ -118,22 +119,23 @@ CASES = [
 )
 def test_coordinate_transport_matches_dense_conjugation(n, name, curve_name, sparse):
     algebra = MatrixLieAlgebra.sl(n)
+    rep = Coadjoint(algebra)
     curve = CURVES[curve_name]()
     g = [_group_elements(n)[name]] * curve.n_points
     rng = random.Random(f"transport-{n}-{name}-{curve_name}-{sparse}")
     for _ in range(3):
         phi = _coadjoint(algebra, rng, sparse)
-        phi_prime = derive_phi_prime(curve, algebra, g, phi)
+        phi_prime = derive_prime(curve, rep, g, phi.coeffs)
         for i, value in enumerate(phi_prime):
             want = _oracle(curve, g, i, phi)
             assert value.mat == want
             assert value.coeffs == algebra.expand_in_basis(want)
-        base = HiggsPoint(curve, algebra, g, phi, phi_prime)
         phi_dot = _coadjoint(algebra, rng, not sparse)
         # 1 and (1+i) u^-1 in the first two coordinates
         coeffs = [RatFunc.monomial(GaussRat(1, k), -k) if k < 2 else ZERO for k in range(algebra.dim)]
         g_dot = [algebra.element_from(coeffs)] * curve.n_points
-        for i, value in enumerate(derive_phi_prime_dot(base, g_dot, phi_dot)):
+        actions = [rep.inf_action_terms(xi, p) for xi, p in zip(g_dot, phi_prime)]
+        for i, value in enumerate(derive_prime_dot(curve, rep, g, phi_dot.coeffs, actions)):
             want = mat_add(_oracle(curve, g, i, phi_dot), commutator(phi_prime[i].mat, g_dot[i].mat))
             assert value.mat == want
 
@@ -186,25 +188,29 @@ def test_irregular_section_order_read_off_coordinates(n, entries, order):
     zero = algebra.coadjoint_from([ZERO] * algebra.dim)
     base = HiggsPoint(curve, algebra, g, zero, [zero])
     g_dot = [algebra.element_from([ZERO] * algebra.dim)]
-    disk = derive_phi_prime(curve, algebra, g, phi)
+    disk = derive_prime(curve, Coadjoint(algebra), g, phi.coeffs)
     with pytest.raises(IrregularSection) as err:
         ambient_higgs_tangent(base, g_dot, zero, disk)
     assert (err.value.order, err.value.what) == (order, "phidot'")
 
 
-def test_representation_image_is_formed_once_per_element():
+def test_representation_columns_are_formed_once_per_element():
+    """The columns of rho(g)^-1 are kept on g under the blocks, for every
+    representation object with those blocks; an explicit representation
+    has none to give."""
     rep = builtin_rep("sl3-cotangent")
     g = _group_elements(3)["product"]
-    curve = _curve_0_inf()
-    _, rho = section_transition(curve, rep, [g, g], 0)
-    assert section_transition(curve, rep, [g, g], 1)[1] is rho
-    assert rep.act_group(g.inverse()) is rho
-    assert builtin_rep("sl3-cotangent").act_group(g.inverse()) is rho
+    columns = [rep.column(g, k) for k in range(rep.dim)]
+    assert all(rep.column(g, k) is c for k, c in enumerate(columns))
+    assert all(builtin_rep("sl3-cotangent").column(g, k) is c for k, c in enumerate(columns))
     # products and inverses start with no images
     h = _group_elements(3)["torus"]
-    rep.act_group(h)
+    rep.column(h, 0)
     assert list(h.images) == [(False, True)]
     assert h.inverse().images == {} and (h * h).images == {}
+    explicit = HamiltonianRep(rep.algebra, rep.space, rep.rho)
+    with pytest.raises(ValidationError, match="has no structural group action"):
+        explicit.column(g, 0)
 
 
 def _counting(monkeypatch):

@@ -128,12 +128,13 @@ def test_chart_constants_equal_fresh_computations(curve_one_point, curve_two_poi
     for curve in (curve_one_point, curve_two_points, curve_half):
         for i, p in enumerate(curve.marked_points):
             t = curve.transition(i)
-            assert curve.transition_inverses[i] == t.inverse()
-            assert curve.transition_inverse_squares[i] == (t * t).inverse()
+            assert curve.twists(1)[i] == t.inverse()
+            assert curve.twists(2)[i] == (t * t).inverse()
+            assert curve.twists(0)[i] == RatFunc.const(1)
             assert curve.alpha_local(i) == localize(curve.alpha, p)
-        # computed on first read, then kept
-        assert curve.transition_inverses is curve.transition_inverses
-        assert curve.transition_inverse_squares is curve.transition_inverse_squares
+        # computed on first read per weight, then kept
+        assert curve.twists(1) is curve.twists(1)
+        assert curve.twists(2) is curve.twists(2)
         assert curve.alpha_local(0) is curve.alpha_local(0)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, coadjoint_transition
+from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group
 
 from higgsres import (
     GaussRat,
@@ -18,7 +18,9 @@ from higgsres import (
     rep_validate,
 )
 from higgsres.hamiltonian import SymplecticSpace
-from higgsres.matrices import adjugate, block_diag, mat_eq, mat_from, mat_neg, mat_transpose, mat_vec
+from higgsres.lie import Coadjoint, MatrixLieAlgebra, bracket_terms
+from higgsres.matrices import adjugate, block_diag, mat_eq, mat_from, mat_neg, mat_transpose
+from higgsres.moduli import derive_prime, derive_prime_dot
 from higgsres.solver import CocycleRecipe, GdotRecipe, SeedStream, random_cocycle, random_loop_algebra
 
 U = RatFunc.x()
@@ -57,9 +59,9 @@ def test_inf_action_base_cases():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
     e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
-    assert rep.inf_action(basis_element(sl2, "F"), e1) == e2
-    assert rep.inf_action(basis_element(sl2, "E"), e1).is_zero()
-    assert rep.inf_action(U * basis_element(sl2, "H"), e1) == U * e1
+    assert inf_action(rep, basis_element(sl2, "F"), e1) == e2
+    assert inf_action(rep, basis_element(sl2, "E"), e1).is_zero()
+    assert inf_action(rep, U * basis_element(sl2, "H"), e1) == U * e1
 
 
 def test_moment_of_first_unit_vector():
@@ -113,26 +115,55 @@ def test_dmoment_of_unit_vectors_matches_bilinear_oracle():
         assert pairing(got, basis_element(sl2, lab)) == RatFunc.const(want)
 
 
-def test_equivariance(rep):
+def _pulled(curve, i, entries):
+    return [curve.chart(i).pull(e) for e in entries]
+
+
+def test_equivariance(rep, curve_two_points):
+    """mu(rho(g)^-1 x) = g^-1 mu(x) g pointwise, and through the shared
+    transport of ``moduli`` on a curve: s'_i and sdot'_i equal the dense
+    rule T_i^-1 rho(g_i)^-1 pull(s) and T_i^-1 rho(g_i)^-1 pull(sdot) -
+    rho(gdot_i) s'_i, and the coadjoint transport of mu(s) and dmu_s(sdot),
+    twisted by T_i^-2, gives mu(s'_i) and dmu_(s'_i)(sdot'_i)."""
+    curve = curve_two_points
+    coadjoint = Coadjoint(rep.algebra)
     rng = SeedStream("equivariance", rep.name)
     n = rep.algebra.n
     for trial in range(8):
         sub = rng.child(trial)
         g = random_cocycle(n, CocycleRecipe(), sub.child("g"))
         x = _random_vector(rep, sub.child("x"))
-        lhs = rep.moment(XVector(mat_vec(rep.act_group(g.inverse()), x.coords)))
+        lhs = rep.moment(XVector(mat_vec(rho_group(rep, g.inverse()), x.coords)))
         rhs = coadjoint_transition(g, rep.moment(x))
         assert lhs == rhs
+
+        gs = [g] * curve.n_points
+        x_dot = _random_vector(rep, sub.child("x_dot"))
+        g_dot = [random_loop_algebra(rep.algebra, GdotRecipe(), sub.child("g_dot", i)) for i in range(curve.n_points)]
+        s_prime = derive_prime(curve, rep, gs, x.coords)
+        actions = [rep.inf_action_terms(xi, s) for xi, s in zip(g_dot, s_prime)]
+        s_prime_dot = derive_prime_dot(curve, rep, gs, x_dot.coords, actions)
+        phi_prime = derive_prime(curve, coadjoint, gs, rep.moment(x).coeffs)
+        brackets = [bracket_terms(xi, phi) for xi, phi in zip(g_dot, phi_prime)]
+        phi_prime_dot = derive_prime_dot(curve, coadjoint, gs, rep.dmoment(x, x_dot).coeffs, brackets)
+        rho_inv = rho_group(rep, g.inverse())
+        for i in range(curve.n_points):
+            t_inv = curve.transition(i).inverse()
+            want = XVector([t_inv * c for c in mat_vec(rho_inv, _pulled(curve, i, x.coords))])
+            assert s_prime[i] == want
+            moved = XVector([t_inv * c for c in mat_vec(rho_inv, _pulled(curve, i, x_dot.coords))])
+            assert s_prime_dot[i] == moved - inf_action(rep, g_dot[i], want)
+            assert rep.moment(s_prime[i]) == phi_prime[i]
+            assert rep.dmoment(s_prime[i], s_prime_dot[i]) == phi_prime_dot[i]
 
 
 @pytest.mark.parametrize(
     "name", ["sl2-standard", "sl2-standard-x2", "sl2-standard-x3", "sl3-cotangent", "sl4-cotangent"]
 )
 def test_block_sums_match_the_family_constructions(name):
-    """rho(xi) and rho(g), both built from ``blocks``, equal the formulas
-    of each family: diag(xi, ..., xi) and diag(g, ..., g) for K standard
-    planes (g itself for one), diag(xi, -xi^T) and diag(g, g^-T) for the
-    cotangent, with g^-1 the adjugate of g (det g = 1)."""
+    """rho(xi) and omega, both built from ``blocks``, equal the formulas of
+    each family: diag(xi, ..., xi) and K standard planes [[0, 1], [-1, 0]],
+    or diag(xi, -xi^T) and [[0, I], [-I, 0]] for the cotangent."""
     rep = builtin_rep(name)
     alg = rep.algebra
     cotangent = name.endswith("-cotangent")
@@ -140,16 +171,45 @@ def test_block_sums_match_the_family_constructions(name):
     for lab, xi in zip(alg.labels, alg.basis):
         want = block_diag(xi, mat_neg(mat_transpose(xi))) if cotangent else block_diag(*([xi] * copies))
         assert mat_eq(rep.rho[lab], want)
-    rng = SeedStream("block-sums", name)
+    n = alg.n
+    if cotangent:
+        omega = [[(j == k + n) - (k == j + n) for j in range(2 * n)] for k in range(2 * n)]
+    else:
+        omega = block_diag(*([mat_from([[0, 1], [-1, 0]])] * copies))
+    assert mat_eq(rep.space.omega, mat_from(omega))
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2-standard", "sl2-standard-x2", "sl2-standard-x3", "sl3-cotangent", "sl2", "sl3"]
+)
+def test_columns_are_those_of_the_dense_inverse_image(name):
+    """On seeded random cocycles, ``column(g, k)`` is the non-zero entries
+    of column k of rho(g)^-1 by the dense oracle: diag(g^-1, ..., g^-1)
+    for K standard planes and diag(g^-1, g^T) for the cotangent, with
+    g^-1 the adjugate of g (det g = 1); on the coadjoint side (sl2, sl3)
+    the coordinates of g^-1 b_k g.  A built-in representation keeps its
+    columns on g, under its blocks."""
+    coadjoint = "-" not in name
+    rep = Coadjoint(MatrixLieAlgebra.sl(int(name[2:]))) if coadjoint else builtin_rep(name)
+    alg = rep.algebra
+    rng = SeedStream("rep-columns", name)
     for trial in range(6):
         g = random_cocycle(alg.n, CocycleRecipe(), rng.child(trial))
-        if cotangent:
-            want = block_diag(g.mat, mat_transpose(adjugate(g.mat)))
+        if coadjoint:
+            dense = [coadjoint_transition(g, alg.coadjoint(b)).coeffs for b in alg.basis]
         else:
-            want = block_diag(*([g.mat] * copies))
-        assert mat_eq(rep.act_group(g), want)
-        if copies == 1 and not cotangent:
-            assert rep.act_group(g) is g.mat
+            g_inv = adjugate(g.mat)
+            if name.endswith("-cotangent"):
+                blocks = [g_inv, mat_transpose(g.mat)]
+            else:
+                blocks = [g_inv] * (int(name.rpartition("-x")[2]) if "-x" in name else 1)
+            dense = mat_transpose(block_diag(*blocks))
+        assert rep.dim == len(dense)
+        for k, column in enumerate(dense):
+            assert rep.column(g, k) == tuple((r, x) for r, x in enumerate(column) if not x.is_zero())
+            assert rep.column(g, k) is rep.column(g, k)
+        if not coadjoint:
+            assert list(g.images) == [rep.blocks]
 
 
 def test_moment_condition(rep):
@@ -160,7 +220,7 @@ def test_moment_condition(rep):
         xi = random_loop_algebra(rep.algebra, GdotRecipe(), sub.child("xi"))
         eta = random_loop_algebra(rep.algebra, GdotRecipe(), sub.child("eta"))
         lhs = pairing(rep.moment(x), bracket(xi, eta))
-        rhs = rep.space.pair(rep.inf_action(xi, x), rep.inf_action(eta, x))
+        rhs = rep.space.pair(inf_action(rep, xi, x), inf_action(rep, eta, x))
         assert lhs == rhs
 
 
@@ -172,7 +232,7 @@ def test_omega_invariance(rep):
         g = random_cocycle(n, CocycleRecipe(), sub.child("g"))
         u = _random_vector(rep, sub.child("u"))
         v = _random_vector(rep, sub.child("v"))
-        gm = rep.act_group(g)
+        gm = rho_group(rep, g)
         gu = XVector(mat_vec(gm, u.coords))
         gv = XVector(mat_vec(gm, v.coords))
         assert rep.space.pair(gu, gv) == rep.space.pair(u, v)

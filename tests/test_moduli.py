@@ -129,10 +129,11 @@ def test_pushforward_with_regular_gdot_is_pure_transition(base_point, rep):
     sl2 = rep.algebra
     t = make_y_tangent(base_point, [zero_element(sl2)], XVector([1, 0]))
     ht = pushforward_tangent(t)
-    from higgsres.moduli import derive_phi_prime
+    from higgsres.lie import Coadjoint
+    from higgsres.moduli import derive_prime
 
-    want = derive_phi_prime(
-        base_point.curve, sl2, base_point.g, ht.phi_circ_dot
+    want = derive_prime(
+        base_point.curve, Coadjoint(sl2), base_point.g, ht.phi_circ_dot.coeffs
     )
     assert ht.phi_prime_dot[0] == want[0]
 

@@ -1,4 +1,6 @@
-"""Every function, method and class defined in ``src/higgsres`` has a reader.
+"""Every function, method and class defined in ``src/higgsres`` has a
+reader, and so has every name a module there imports and every field of
+a dataclass there.
 
 An ``ast`` walk collects the names the package defines (functions,
 methods and classes at any depth; dunders are exempt, because Python
@@ -15,6 +17,13 @@ The check goes by name, so it cannot catch a dead method that shares its
 name with a live one: ``AffineSpace.particular`` had no reader once
 sampling read coefficients, but ``TwistedSystem.particular`` had, and
 this check passed it.
+
+An import is read when the importing module reads the name; an
+``__init__.py`` re-exports what it imports, and ``from __future__``
+imports are directives, so both are exempt.  A dataclass field is read
+when a module of the package or of the benchmark loads an attribute of
+that name or names it inside a string (``STATS_COLUMNS`` names ``rows``
+and ``cols`` that way).
 """
 
 import ast
@@ -70,6 +79,44 @@ def _read_names() -> set:
     return names
 
 
+def _imports(tree: ast.Module):
+    """(bound name, line) of each name the module imports, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield item.target.id, f"{path.relative_to(ROOT)}:{item.lineno} {node.name}"
+
+
+def _field_reads(tree: ast.Module):
+    """Every attribute loaded and every identifier in a non-docstring string."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            yield from _IDENTIFIER.findall(node.value)
+
+
 def test_every_definition_has_a_reader():
     read = _read_names()
     unread = [f"{where} {name}" for name, where in _definitions() if name not in read]
@@ -83,3 +130,43 @@ def test_the_walk_sees_reads_in_code_and_strings():
         'def f():\n    """g"""\n    h = k.m\n    return "solver.solve_system"\n'
     )
     assert set(_reads(tree)) == {"k", "m", "solver", "solve_system"}
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        read = set(_reads(tree))
+        unread += [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in _imports(tree) if name not in read]
+    assert not unread, "imported in src/higgsres but never read there:\n" + "\n".join(unread)
+
+
+def test_every_dataclass_field_has_a_reader():
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        read.update(_field_reads(_parse(path)))
+    unread = [f"{where}.{name}" for name, where in _dataclass_fields() if name not in read]
+    assert not unread, "dataclass fields that no module in src/higgsres or perfbench reads:\n" + "\n".join(unread)
+
+
+def test_the_import_and_field_walks_see_what_they_check():
+    """An import read in an annotation counts and one only re-bound does
+    not; a field loaded or named in a string counts, and one only
+    assigned or met as a plain name does not."""
+    tree = ast.parse(
+        "from __future__ import annotations\nimport a.b\nfrom c import d, e as f\n"
+        "def g(x: d) -> None:\n    a.h = 1\n"
+    )
+    read = set(_reads(tree))
+    assert [(name, name in read) for name, _ in _imports(tree)] == [("a", True), ("d", True), ("f", False)]
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass R:\n    x: int = 0\n    y: int = 0\n    w: int = 0\n    v: int = 0\n"
+        "r.x\nr.w = 1\nv\nprint('y z')\n"
+    )
+    assert _is_dataclass(tree.body[0])
+    read = set(_field_reads(tree))
+    assert [(item.target.id, item.target.id in read) for item in tree.body[0].body] == [
+        ("x", True), ("y", True), ("w", False), ("v", False)
+    ]

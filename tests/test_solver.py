@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     DenseElimination,
+    FrameRep,
     basis_element,
     basis_values,
     coadjoint_transition,
@@ -14,9 +15,12 @@ from helpers import (
     dense_rows,
     entry_higgs_rhs,
     entry_higgs_system,
+    inf_action,
     monomial_vectors,
     particular_value,
+    rho_group,
     sample,
+    sparse_column,
     sparse_rows,
     sparse_vector,
     zero_element,
@@ -36,6 +40,7 @@ from higgsres import (
     RatFunc,
     ShapeError,
     XVector,
+    YPoint,
     builtin_rep,
     identity_check,
     load_scenario,
@@ -44,8 +49,8 @@ from higgsres import (
     pullback_omega,
 )
 from higgsres import _kernels as K
-from higgsres import solver, suites
-from higgsres.lie import MatrixLieAlgebra, elementary, torus
+from higgsres import moduli, solver, suites
+from higgsres.lie import Coadjoint, MatrixLieAlgebra, elementary, torus
 from higgsres.linalg import Elimination
 from higgsres.matrices import identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
@@ -55,8 +60,6 @@ from higgsres.solver import (
     SeedStream,
     SolverBounds,
     TwistedSystem,
-    _higgs_frame,
-    _section_frame,
     _shift_powers,
     assemble,
     build_higgs_field_space,
@@ -64,12 +67,11 @@ from higgsres.solver import (
     build_section_space,
     build_tangent_space,
     candidate_functions,
-    higgs_rhs,
+    polar_rhs,
     random_cocycle,
     random_loop_algebra,
     sample_affine,
     sample_vector,
-    section_rhs,
 )
 from higgsres.suites import build_instance
 
@@ -324,10 +326,11 @@ def _combine_by_loop(functions, dim, vec):
     return out
 
 
-def _check_assembly(curve, candidates, dim, frame, weight):
-    """assemble and TwistedSystem against the per-candidate oracle; returns
-    the system."""
-    keys, rows, nonzeros = assemble(candidates, dim, frame, weight)
+def _check_assembly(curve, candidates, frame, weight):
+    """assemble and TwistedSystem, on a frame given entry by entry, against
+    the per-candidate oracle; returns the system."""
+    dim = len(frame[0])
+    keys, rows, nonzeros = assemble(candidates, [[sparse_column(c) for c in disk] for disk in frame], weight)
     ncols = dim * candidates.size
     oracle = _per_candidate_assembly(curve, candidates, dim, frame, weight)
     assert (keys, dense_rows(rows, ncols)) == oracle
@@ -335,7 +338,7 @@ def _check_assembly(curve, candidates, dim, frame, weight):
     # the rows hold their non-zeros only, and nothing else
     assert not any(K.gq_is_zero(t) for row in rows for t in row.values())
     assert nonzeros == sum(len(row) for row in rows)
-    system = TwistedSystem(candidates, dim, frame, weight, list)
+    system = TwistedSystem(candidates, FrameRep(frame, weight), range(curve.n_points))
     assert system.counts["rows"] == len(keys)
     assert system.counts["nonzeros"] == nonzeros
     return system
@@ -350,6 +353,16 @@ def _check_tables(curve, candidates):
         keys, rows = _per_candidate_assembly(curve, candidates, 1, frame, w)
         assert sorted((t, e, x) for (_, _, e), row in zip(keys, rows) for t, x in enumerate(row)
                       if not K.gq_is_zero(x)) == sorted(columns)
+
+
+def _dense_frames(rep, g):
+    """(representation, frame) on each side, each frame column by the dense
+    oracles: column k of rho(g_i)^-1 = rho(g_i^-1) on the section side,
+    the coordinates of g_i^-1 b_k g_i on the Higgs side."""
+    algebra = rep.algebra
+    section = [tuple(zip(*rho_group(rep, g_i.inverse()))) for g_i in g]
+    higgs = [[coadjoint_transition(g_i, algebra.coadjoint(b)).coeffs for b in algebra.basis] for g_i in g]
+    return (rep, section), (Coadjoint(algebra), higgs)
 
 
 def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_two_points):
@@ -371,11 +384,13 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             sub = rng.child(c, rep_name, b)
             n = rep.algebra.n
             g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
-            for dim, frame, weight in (
-                (rep.space.dim, _section_frame(curve, rep, g), 1),
-                (rep.algebra.dim, _higgs_frame(rep.algebra, g), 2),
-            ):
-                system = _check_assembly(curve, candidates, dim, frame, weight)
+            for side, frame in _dense_frames(rep, g):
+                # the library's frame is the oracle's
+                assert [[side.column(g_i, k) for k in range(side.dim)] for g_i in g] == [
+                    [sparse_column(c) for c in disk] for disk in frame
+                ]
+                system = _check_assembly(curve, candidates, frame, side.weight)
+                dim = side.dim
                 functions = candidates.functions
                 null = DenseElimination.of(system.elimination).null_basis
                 assert basis_values(system) == [_combine_by_loop(functions, dim, v) for v in null]
@@ -412,7 +427,7 @@ def test_assembly_tables_serve_any_monomial_and_any_base():
         candidates = candidate_functions(curve, SolverBounds(degree=3, pole_order=2))
         frame = [_frame_entries() for _ in range(curve.n_points)]
         for weight in (1, 2):
-            _check_assembly(curve, candidates, 3, frame, weight)
+            _check_assembly(curve, candidates, frame, weight)
         _check_tables(curve, candidates)
         # u^40 is regular on every disk: an entry with no polar columns
         assert all(candidates.tables[(i, w, 40)] == () for i in range(curve.n_points) for w in (1, 2))
@@ -476,14 +491,14 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     rng = SeedStream("combine-gcds")
     g = [random_cocycle(3, CocycleRecipe(), rng.child(i)) for i in range(curve.n_points)]
     candidates = candidate_functions(curve, SolverBounds(3, 2))
-    dim = rep.space.dim
-    system = TwistedSystem(candidates, dim, _section_frame(curve, rep, g), 1, list)
+    dim = rep.dim
+    system = TwistedSystem(candidates, rep, g)
     vec = [rng.gauss() for _ in range(dim * candidates.size)]
     calls = _count_gcds(monkeypatch)
     combined = system._combine(sparse_vector(vec))
     by_dot = calls[0]
     by_loop = _combine_by_loop(candidates.functions, dim, vec)
-    assert combined == by_loop
+    assert list(combined.coords) == by_loop
     assert 0 < by_dot <= calls[0] - by_dot
 
 
@@ -503,16 +518,17 @@ def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
     assert calls[0] == 0
 
 
-def _record_calls(monkeypatch, name):
-    """The argument tuples of every call of HamiltonianRep.<name>."""
+def _record_calls(monkeypatch, owner, name, method=True):
+    """The argument tuples of every call of owner.<name>, a method of
+    HamiltonianRep (its self left out) or a function of a module."""
     calls = []
-    method = getattr(HamiltonianRep, name)
+    function = getattr(owner, name)
 
-    def recorded(self, *args):
-        calls.append(args)
-        return method(self, *args)
+    def recorded(*args):
+        calls.append(args[1:] if method else args)
+        return function(*args)
 
-    monkeypatch.setattr(HamiltonianRep, name, recorded)
+    monkeypatch.setattr(owner, name, recorded)
     return calls
 
 
@@ -524,26 +540,26 @@ def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
     scenario = load_scenario(str(fixtures_dir / "f3.json"))
     rng = SeedStream("disk-values")
     build_instance(scenario, rng.child(0))
-    actions = _record_calls(monkeypatch, "inf_action")
-    terms = _record_calls(monkeypatch, "inf_action_terms")
-    moments = _record_calls(monkeypatch, "moment_values")
-    dmoments = _record_calls(monkeypatch, "dmoment_values")
+    actions = _record_calls(monkeypatch, moduli, "disk_actions", method=False)
+    terms = _record_calls(monkeypatch, HamiltonianRep, "inf_action_terms")
+    moments = _record_calls(monkeypatch, HamiltonianRep, "moment_values")
+    dmoments = _record_calls(monkeypatch, HamiltonianRep, "dmoment_values")
     inst = build_instance(scenario, rng.child(1))
     p, (t1, t2) = inst.point, inst.tangents
     n = scenario.curve.n_points
     solves = 2 + inst.tangent_retries
     assert inst.tangent_retries  # an infeasible solve is counted too
-    assert len(actions) == 2 * n
+    assert len(actions) == 2
     assert len(terms) == n * (solves + 2)
     for t in (t1, t2):
+        assert sum(g_dot is t.g_dot and disk is p.s_prime for _, g_dot, disk in actions) == 1
         for i in range(n):
             key = (t.g_dot[i], p.s_prime[i])
-            assert sum(a is key[0] and x is key[1] for a, x in actions) == 1
             assert sum(a is key[0] and x is key[1] for a, x in terms) == 2
     assert not moments and not dmoments
     assert pullback_omega(p, t1, t2).is_zero()
     assert identity_check(p, t1, t2).ok
-    assert len(actions) == 2 * n
+    assert len(actions) == 2
     for s in p.s_prime:
         assert sum(x is s for (x,) in moments) == 1
     # mu(s'_i) is the folded quadratic form, not dmu_(s'_i)(s'_i) / 2
@@ -683,13 +699,18 @@ def _random_point(side, rep, curve, bounds, rng):
     if side == "section":
         space = build_section_space(curve, rep, g, bounds)
         point = make_y_point(curve, rep, g, sample_vector(space, rng.child("s")), space)
-        frame, weight = _section_frame(curve, rep, g), 1
     else:
         space = build_higgs_field_space(curve, algebra, g, bounds)
         point = make_higgs_point(curve, algebra, g, sample_vector(space, rng.child("phi")), space)
-        frame, weight = _higgs_frame(algebra, g), 2
-    keys, rows, _ = assemble(space.candidates, space.ncoords, frame, weight)
+    frame = [[space.rep.column(g_i, k) for k in range(space.rep.dim)] for g_i in g]
+    keys, rows, _ = assemble(space.candidates, frame, space.rep.weight)
     return point, space, dict(zip(keys, rows))
+
+
+def _rhs(point, g_dot):
+    """``polar_rhs`` at a section or Higgs-field point."""
+    disk = point.s_prime if isinstance(point, YPoint) else point.phi_prime
+    return polar_rhs(point.rep, g_dot, disk)
 
 
 def _tangent_rhs(side, point, g_dot):
@@ -698,7 +719,7 @@ def _tangent_rhs(side, point, g_dot):
     commutator [gdot_i, phi'_i] (the rows of the Higgs frame)."""
     n = point.curve.n_points
     if side == "section":
-        return [point.rep.inf_action(g_dot[i], point.s_prime[i]).coords for i in range(n)]
+        return [inf_action(point.rep, g_dot[i], point.s_prime[i]).coords for i in range(n)]
     algebra = point.algebra
     return [
         tuple(algebra.expand_in_basis(commutator(g_dot[i].mat, point.phi_prime[i].mat)))
@@ -754,8 +775,7 @@ def test_factor_once_matches_one_shot_solve(
                     assert system.null_vectors == [sparse_vector(v) for v in null]
                     assert basis_values(system) == [system._combine(sparse_vector(v)) for v in null]
                     rhs = _polar_rhs(germs)
-                    builder = section_rhs if side == "section" else higgs_rhs
-                    assert _nonzero(builder(point, g_dot)) == rhs
+                    assert _nonzero(_rhs(point, g_dot)) == rhs
                     # the factored solve gives the one-shot solution's coefficients
                     assert system.particular(rhs) == (None if part is None else sparse_vector(part))
                     try:
@@ -814,7 +834,7 @@ def test_coordinate_rows_match_the_entry_row_oracle(curve_one_point, curve_two_p
                         for i in range(curve.n_points)
                     ]
                     rhs = entry_higgs_rhs(point, g_dot)
-                    part = system.particular(higgs_rhs(point, g_dot))
+                    part = system.particular(_rhs(point, g_dot))
                     assert part == oracle.particular(rhs)
                     kinds["feasible" if part is not None else "infeasible"] += 1
                     kinds["no row"] += any(
@@ -837,11 +857,9 @@ def _three_point_curve():
 
 @pytest.mark.parametrize("side", ["section", "higgs"])
 def test_polar_rhs_matches_window_of_the_full_germs(curve_two_points, side):
-    """section_rhs and higgs_rhs read the polar coefficients of
-    rho(gdot_i) s'_i and [gdot_i, phi'_i] off windows of the factors;
-    the oracle forms each germ whole (the dense commutator on the Higgs
-    side) and expands it."""
-    builder = section_rhs if side == "section" else higgs_rhs
+    """polar_rhs reads the polar coefficients of rho(gdot_i) s'_i and
+    [gdot_i, phi'_i] off windows of the factors; the oracle forms each
+    germ whole (the dense commutator on the Higgs side) and expands it."""
     bounds = SolverBounds(2, 2)
     finite = nonzero = 0
     for curve in (curve_two_points, _three_point_curve()):
@@ -866,7 +884,7 @@ def test_polar_rhs_matches_window_of_the_full_germs(curve_two_points, side):
                     coeffs[d % algebra.dim] = (U + 2) / (U ** 2 * (U - 3))
                     g_dot[0] = algebra.element_from(coeffs)
                 germs = _tangent_rhs(side, point, g_dot)
-                assert _nonzero(builder(point, g_dot)) == _polar_rhs(germs)
+                assert _nonzero(_rhs(point, g_dot)) == _polar_rhs(germs)
                 finite += any(g._k < 0 and g.valuation() is not None and g.valuation() < 0
                               for disk in germs for g in disk)
                 nonzero += any(_polar_rhs(germs))
@@ -904,10 +922,8 @@ def _memo_sides(side, curve, rep, g, system, rng):
     in no row of any system."""
     if side == "section":
         point = make_y_point(curve, rep, g, sample_vector(system, rng.child("s")), system)
-        builder = section_rhs
     else:
         point = make_higgs_point(curve, rep.algebra, g, sample_vector(system, rng.child("phi")), system)
-        builder = higgs_rhs
     sides = []
     for d in range(8):
         sub = rng.child("g_dot", d)
@@ -915,7 +931,7 @@ def _memo_sides(side, curve, rep, g, system, rng):
             random_loop_algebra(rep.algebra, GdotRecipe(pole_order=8), sub.child(i))
             for i in range(curve.n_points)
         ]
-        sides.append(builder(point, g_dot))
+        sides.append(_rhs(point, g_dot))
     sides.append([{0: {-99: K.GQ_ONE}}] + [{}] * (curve.n_points - 1))
     return sides
 
@@ -1079,20 +1095,22 @@ def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])
 def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
     """Each entry of g's table of conjugates is g^-1 b_a g by the dense
-    oracle, as its non-zero coordinates (the transport's) and as all of
-    its coordinates (the Higgs frame's), which give back the oracle's
+    oracle, as its non-zero coordinates, which the transport and the Higgs
+    frame read (``Coadjoint.column``) and which give back the oracle's
     matrix; it is formed once per index."""
     g = _group_elements()[name]
     algebra = MatrixLieAlgebra.sl(3)
-    frame = _higgs_frame(algebra, [g])[0]
     for a, b in enumerate(algebra.basis):
         column = g.conjugate(algebra, a)
         assert g.conjugate(algebra, a) is column
         assert g.conjugate(MatrixLieAlgebra.sl(3), a) is column
+        assert Coadjoint(algebra).column(g, a) is column
         want = coadjoint_transition(g, algebra.coadjoint(b))
         assert column == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
-        assert frame[a] == tuple(want.coeffs)
-        assert algebra.combination(frame[a]) == want.mat
+        coords = [RatFunc.const(0)] * algebra.dim
+        for k, c in column:
+            coords[k] = c
+        assert algebra.combination(coords) == want.mat
     assert sorted(g._columns) == list(range(algebra.dim))
     # products and inverses start with an empty table
     assert (g * g)._columns == {}
