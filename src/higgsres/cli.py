@@ -204,33 +204,37 @@ def cmd_check_cartan(scenario: Scenario, args, report: Report):
 
 
 def _trial_stats(records) -> list:
-    return [
-        {"trial": rec.index, **{name: getattr(rec, name) for name in STATS_COLUMNS}}
-        for rec in records
-    ]
+    """One row per record: its ``STATS_COLUMNS``, the rows, columns, rank
+    and non-zeros read off its section system's ``counts``."""
+    out = []
+    for rec in records:
+        values = {**vars(rec), **rec.system.counts}
+        out.append({"trial": rec.index, **{name: values[name] for name in STATS_COLUMNS}})
+    return out
 
 
 def cmd_random_suite(scenario: Scenario, args, report: Report):
     elapsed = _timer()
     records = run_random_suite(scenario, args.seed, args.trials)
     for rec in records:
+        status = "pass" if rec.ok else "fail"
         detail = (
             f"dim={rec.section_dim} attempts={rec.bundle_attempts} "
             f"identity={'ok' if rec.identity_ok else 'BROKEN'}"
         )
+        if rec.vacuous and rec.ok:
+            # a zero section passes every check, so it verifies nothing
+            status = "info"
+            detail = f"vacuous: section space of dimension 0 after {rec.bundle_attempts} bundles"
         if rec.residual_texts:
             detail += " residuals: " + "; ".join(rec.residual_texts)
-        report.add(
-            f"trial-{rec.index:03d}",
-            "pass" if rec.ok else "fail",
-            value=format_gauss(rec.pullback),
-            detail=detail,
-        )
+        report.add(f"trial-{rec.index:03d}", status, value=format_gauss(rec.pullback), detail=detail)
+    vacuous = sum(1 for r in records if r.vacuous)
     report.add(
         "all-pullbacks-zero",
         "pass" if all(r.pullback.is_zero() for r in records) else "fail",
         value=str(sum(1 for r in records if r.pullback.is_zero())),
-        detail=f"of {len(records)} trials",
+        detail=f"of {len(records)} trials" + (f", {vacuous} vacuous" if vacuous else ""),
         time_ms=elapsed(),
     )
     report.add(

@@ -429,12 +429,18 @@ class RatFunc:
         return self._n[j], j - self._k
 
     def valuation(self) -> int | None:
-        """ord at 0 (negative for a pole); None for the zero function."""
+        """ord at 0 (negative for a pole); None for the zero function.
+
+        A Laurent germ n/u^k with k > 0 is canonical only with n(0) != 0,
+        so its order is -k at once.
+        """
         if not self._n:
             return None
+        if self._k > 0:
+            return -self._k
         vn = next(k for k, t in enumerate(self._n) if not K.gq_is_zero(t))
-        if self._k >= 0:
-            return vn - self._k
+        if self._k == 0:
+            return vn
         vd = next(k for k, t in enumerate(self._d) if not K.gq_is_zero(t))
         return vn - vd
 

@@ -28,8 +28,8 @@ terms, for a caller that needs only part of the sum (the solver reads
 their polar coefficients).
 
 ``moduli`` and ``solver`` read a representation's ``dim``, twist
-``weight`` (1: K^(1/2)), ``column``, ``inf_action_terms`` and ``value``,
-which ``lie.Coadjoint`` offers for Higgs fields too.
+``weight`` (1: K^(1/2)), ``column``, ``row_orders``, ``inf_action_terms``
+and ``value``, which ``lie.Coadjoint`` offers for Higgs fields too.
 
 Built-in representations are block sums of the defining representation
 C^N of sl_N and its dual, one N x N diagonal block each
@@ -148,14 +148,6 @@ class XVector:
     def __repr__(self):
         return f"XVector([{', '.join(c.to_text('z') for c in self.coords)}])"
 
-    @classmethod
-    def zero(cls, dim: int) -> "XVector":
-        return cls([_ZERO] * dim)
-
-    @classmethod
-    def unit(cls, dim: int, k: int) -> "XVector":
-        return cls([RatFunc.const(1 if j == k else 0) for j in range(dim)])
-
 
 class SymplecticSpace:
     """An even-dimensional space with an invertible antisymmetric form."""
@@ -257,6 +249,18 @@ class HamiltonianRep:
                 for j in range(n)
             )
         return columns[k]
+
+    def row_orders(self, g: LoopGroupElement) -> list[int]:
+        """The least order at u = 0 of the entries of each row of rho(g):
+        a row of g on a plain block, a column of g^-1 on a dual one, where
+        rho(g) = g^-T; read off the matrices ``column`` forms."""
+        n = self.algebra.n
+        g_inv = g.inverse().mat
+        return [
+            min(x.valuation() for x in ((row[j] for row in g_inv) if dual else g.mat[j]) if x)
+            for dual in self.blocks
+            for j in range(n)
+        ]
 
     # -- operations ----------------------------------------------------------
 

@@ -524,6 +524,19 @@ class Coadjoint:
         """The non-zero coordinates (r, value) of g^-1 b_k g."""
         return g.conjugate(self.algebra, k)
 
+    def row_orders(self, g: LoopGroupElement) -> list[int]:
+        """The least order at u = 0 of the entries of each row of rho(g):
+        column k of rho(g) is g b_k g^-1, the conjugates of g^-1, formed
+        once per element and kept."""
+        g_inv = g.inverse()
+        orders = [None] * self.dim
+        for k in range(self.dim):
+            for r, x in g_inv.conjugate(self.algebra, k):
+                v = x.valuation()
+                if orders[r] is None or v < orders[r]:
+                    orders[r] = v
+        return orders
+
     def inf_action_terms(self, xi: LoopAlgebraElement, phi: CoadjointElement) -> list[list]:
         """The ``field.dot`` terms of each coordinate of [xi, phi]."""
         return bracket_terms(xi, phi)

@@ -1,7 +1,9 @@
 """Exact linear algebra over Q(i): the one eliminator of the package.
 
 Systems are given sparse, each row as the dict ``{column: triple}`` of
-its non-zero GaussRat triples.  The matrix alone is brought to reduced
+its non-zero GaussRat triples, with the ascending list of the columns
+of the unknowns: a system may use any subset of a wider column space,
+and its vectors keep those column indices.  The matrix alone is brought to reduced
 row echelon form by sparse Gauss-Jordan elimination on those non-zeros
 (``_kernels.zi_echelon``), with a deterministic pivot order; the kernel
 returns its steps.  The null basis is read off the reduced rows.  One
@@ -30,7 +32,10 @@ class Elimination:
     """One Gauss-Jordan elimination of a matrix A, kept for many right sides.
 
     ``matrix`` is the list of the rows of A as ``{column: triple}`` dicts
-    of their non-zeros, and is left as it is.  The rows are eliminated
+    of their non-zeros, and is left as it is; ``columns`` lists the
+    columns of the unknowns in ascending order, and the rows have their
+    non-zeros there only.  A column that is not a pivot is free, and
+    ``ncols`` is the number of columns.  The rows are eliminated
     alone, and the kernel's steps (per pivot: its row, column and inverse,
     and the rows cleared with their factors) are kept.  A right side is
     replayed through the steps as if it had been a column of the
@@ -47,12 +52,12 @@ class Elimination:
 
     __slots__ = ("nrows", "ncols", "null_basis", "_steps", "_pivot_rows")
 
-    def __init__(self, matrix, ncols: int):
+    def __init__(self, matrix, columns):
         self.nrows = len(matrix)
-        self.ncols = ncols
+        self.ncols = len(columns)
         # the kernel reduces these copies of the rows in place
         rows = [dict(row) for row in matrix]
-        self._steps = K.zi_echelon(rows, ncols)
+        self._steps = K.zi_echelon(rows, columns[-1] + 1 if columns else 0)
         # pivot row -> pivot column
         self._pivot_rows = {r: c for r, c, *_ in self._steps}
 
@@ -61,7 +66,7 @@ class Elimination:
         # row is zero in every other pivot column.  The vectors are kept
         # in ascending free-column order.
         pivot_cols = set(self._pivot_rows.values())
-        basis = {f: {f: _ONE} for f in range(ncols) if f not in pivot_cols}
+        basis = {f: {f: _ONE} for f in columns if f not in pivot_cols}
         for r, c in self._pivot_rows.items():
             for f, t in rows[r].items():
                 if f != c:
@@ -92,8 +97,8 @@ class Elimination:
 def solve_system(elimination: Elimination, ncols: int, rhs_list=()):
     """Nullspace basis and particular solutions of A x = b over Q(i).
 
-    ``elimination`` is the ``Elimination`` of A and ``ncols`` its column
-    count; ``rhs_list`` a list of sparse right-hand-side columns (see
+    ``elimination`` is the ``Elimination`` of A and ``ncols`` the number
+    of its columns; ``rhs_list`` a list of sparse right-hand-side columns (see
     ``Elimination.solve``).  Returns (null_basis, parts) where each basis
     vector is the dict ``{column: GaussRat}`` of its non-zeros, in
     ascending order of its free column, and parts[k] is the particular

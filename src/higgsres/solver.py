@@ -33,11 +33,21 @@ Factor once, then solve many: a ``TwistedSystem`` is the section space
 of one bundle.  It assembles the conditions (``assemble``), each row
 the dict of its non-zeros, and eliminates them once, exactly over Q(i)
 (``linalg.Elimination``: sparse Gauss-Jordan on the non-zeros, a
-deterministic pivot order, the steps kept).  The candidate space keeps
+deterministic pivot order, the steps kept).  Only the candidate columns
+a section can use are assembled: a global section x with regular disk
+data has ord_i x_k >= w*ord T_i + the least order in row k of rho(g_i),
+and at a marked infinity and a marked 0 the candidates have pairwise
+distinct orders, so each coordinate k keeps one range of exponents t.
+Every solution lies in those columns, so the null vectors and the
+solutions with free coordinates 0 are those of the system of all
+candidates; a tangent whose right side has deeper poles widens the
+ranges first.  A bundle with no column left is neither assembled nor
+eliminated.  The candidate space keeps
 the last system factored at each twist weight, so a build whose frame
 equals the last one's, entry by entry, reuses its rows and elimination:
 a scenario's fixed bundle is assembled and eliminated once per curve,
-bounds and weight, however often its space is built.  Only candidate
+bounds and weight, and again only when a tangent widens it, however
+often its space is built.  Only candidate
 coefficients leave the solver: the sections are sparse null vectors, a
 tangent space is the system and a particular solution's coefficients,
 and the one place that forms a value of the bundle's side is
@@ -159,20 +169,26 @@ class CandidateSpace:
 
     ``disks[i]`` is what assembly reads at marked point i: the twisted
     bases ``{w: pull_i(1/D) * T_i^-w}`` for the twist weights w = 1
-    (sections) and w = 2 (Higgs fields), the top exponent of the
-    windows, and the shift powers of ``_shift_powers`` (None at
-    infinity).  ``tables`` holds, under the key (i, w, m), the polar
-    columns of u^m times the twisted base, built on first use by
+    (sections) and w = 2 (Higgs fields), and the shift powers of
+    ``_shift_powers`` (None at infinity).  ``orders`` names the disks
+    where the candidates have pairwise distinct orders, as (i, s, c,
+    ord_i T_i) with ord_i f_t = s*t + c: a marked infinity (s = -1,
+    c = deg D) and a marked 0 (s = 1, c = -P); at any other finite
+    marked point every f_t has order -P.  ``tables`` holds, under the
+    key (i, w, m), the polar columns of u^m times the twisted base and
+    where each exponent t starts among them, built on first use by
     ``monomial_columns``; it grows only with the exponents m that occur.
     ``factored`` holds, per weight w, the last system factored at that
-    weight (``TwistedSystem``): its frame, row index, elimination and
-    non-zero count.  It is one entry per weight, replaced on every
-    system whose frame differs, and is matched by value, never by id.
+    weight (``TwistedSystem``): its frame, floors, depths, column
+    ranges, row index and elimination.  It is one entry per weight, replaced on
+    every system whose frame differs and on every widening, and is
+    matched by value, never by id.
     """
 
     functions: tuple
     bounds: SolverBounds
     disks: tuple
+    orders: tuple
     tables: dict = field(default_factory=dict)
     factored: dict = field(default_factory=dict)
 
@@ -181,14 +197,22 @@ class CandidateSpace:
         return len(self.functions)
 
     def monomial_columns(self, i: int, weight: int, m: int) -> tuple:
-        """The polar columns (t, e, coefficient) of u^m * pull_i(1/D) * T_i^-weight."""
+        """(columns, starts): the polar columns (t, e, coefficient) of
+        u^m * pull_i(1/D) * T_i^-weight in ascending t, and starts[t] the
+        index of the first column of exponent t or above."""
         key = (i, weight, m)
-        columns = self.tables.get(key)
-        if columns is None:
-            bases, top, powers = self.disks[i]
+        table = self.tables.get(key)
+        if table is None:
+            bases, powers = self.disks[i]
             h = bases[weight] * RatFunc.monomial(GQ_ONE, m)
-            columns = self.tables[key] = tuple(_polar_columns(h, top, powers, self.size))
-        return columns
+            columns = tuple(_polar_columns(h, powers, 0, self.size - 1))
+            starts = [0] * (self.size + 1)
+            for t, _, _ in columns:
+                starts[t + 1] += 1
+            for t in range(self.size):
+                starts[t + 1] += starts[t]
+            table = self.tables[key] = (columns, starts)
+        return table
 
 
 def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSpace:
@@ -206,16 +230,19 @@ def candidate_functions(curve: MarkedCurve, bounds: SolverBounds) -> CandidateSp
     if any(p.is_infinity for p in curve.marked_points):
         t_max += bounds.degree
     functions = [RatFunc([K.GQ_ZERO] * t + [K.GQ_ONE], den) for t in range(t_max + 1)]
-    size = len(functions)
     disks = []
+    orders = []
     for i, p in enumerate(curve.marked_points):
         base = curve.chart(i).pull(functions[0])
         bases = {w: base * curve.twists(w)[i] for w in (1, 2)}
+        disks.append((bases, None if p.is_infinity else _shift_powers(p.value, len(functions))))
         if p.is_infinity:
-            disks.append((bases, size - 2, None))
-        else:
-            disks.append((bases, -1, _shift_powers(p.value, size)))
-    space = curve.candidate_spaces[bounds] = CandidateSpace(tuple(functions), bounds, tuple(disks))
+            orders.append((i, -1, len(den) - 1, curve.transition(i).valuation()))
+        elif p.value.is_zero():
+            orders.append((i, 1, -bounds.pole_order, curve.transition(i).valuation()))
+    space = curve.candidate_spaces[bounds] = CandidateSpace(
+        tuple(functions), bounds, tuple(disks), tuple(orders)
+    )
     return space
 
 
@@ -246,14 +273,16 @@ def _shift_powers(a: GaussRat, size: int) -> list:
     return powers
 
 
-def _finite_columns(lo: int, window: list, powers: list):
-    """(t, e, coefficient) of the polar part of (u + a)^t h, h = sum window[m] u^(lo+m).
+def _finite_columns(v: int, window: list, powers: list, lo: int, hi: int):
+    """(t, e, coefficient) of the polar part of (u + a)^t h for lo <= t <= hi,
+    h = sum window[m] u^(v+m).
 
     The window runs to u^-1, so it holds every coefficient of h that
-    reaches a negative exponent: the coefficient at lo + m is
+    reaches a negative exponent: the coefficient at v + m is
     sum_j C(t,j) a^(t-j) window[m - j].
     """
-    for t, terms in enumerate(powers):
+    for t in range(lo, hi + 1):
+        terms = powers[t]
         for m in range(len(window)):
             acc = K.GQ_ZERO
             for j, c in terms:
@@ -263,35 +292,36 @@ def _finite_columns(lo: int, window: list, powers: list):
                 if not K.gq_is_zero(x):
                     acc = K.gq_add(acc, K.gq_mul(c, x))
             if not K.gq_is_zero(acc):
-                yield t, lo + m, acc
+                yield t, v + m, acc
 
 
-def _infinite_columns(lo: int, window: list, size: int):
-    """(t, e, coefficient) of the polar part of u^-t h, h = sum window[s] u^(lo+s).
+def _infinite_columns(v: int, window: list, lo: int, hi: int):
+    """(t, e, coefficient) of the polar part of u^-t h for lo <= t <= hi,
+    h = sum window[s] u^(v+s).
 
-    The window runs to u^(size-2), the highest exponent that the largest
-    shift t = size - 1 brings below 0.
+    The window runs to u^(hi-1), the highest exponent that the largest
+    shift t = hi brings below 0.
     """
-    for t in range(size):
-        for s in range(t - lo):
+    for t in range(lo, hi + 1):
+        for s in range(t - v):
             x = window[s]
             if not K.gq_is_zero(x):
-                yield t, lo + s - t, x
+                yield t, v + s - t, x
 
 
-def _polar_columns(h: RatFunc, top: int, powers, size: int):
+def _polar_columns(h: RatFunc, powers, lo: int, hi: int):
     """(t, e, coefficient) of the polar part of candidate t's column
-    z^t * D * h at the disk: (u + a)^t h at a finite point (``powers``),
-    u^-t h at infinity (``powers`` None)."""
-    window = _window(h, top)
+    z^t * D * h at the disk, lo <= t <= hi: (u + a)^t h at a finite point
+    (``powers``), u^-t h at infinity (``powers`` None)."""
+    window = _window(h, hi - 1 if powers is None else -1)
     if window is None:
         return ()
     if powers is None:
-        return _infinite_columns(*window, size)
-    return _finite_columns(*window, powers)
+        return _infinite_columns(*window, lo, hi)
+    return _finite_columns(*window, powers, lo, hi)
 
 
-def assemble(candidates: CandidateSpace, frame, weight: int):
+def assemble(candidates: CandidateSpace, frame, weight: int, ranges):
     """(row keys, sparse rows, non-zero count) of the regularity conditions.
 
     ``frame[i][k]`` holds the non-zero untwisted local coordinates
@@ -301,7 +331,9 @@ def assemble(candidates: CandidateSpace, frame, weight: int):
     sum_{k,t} c_kt f_t e_k is a global section when every transported
     germ is regular at u = 0: one linear condition per polar
     coefficient, keyed (disk, coordinate, exponent), the keys sorted.
-    Column k * size + t belongs to the candidate f_t e_k.  Each row is
+    Column k * size + t belongs to the candidate f_t e_k, and only the
+    exponents ``ranges[k] = (lo, hi)`` of coordinate k are assembled
+    (none when lo > hi).  Each row is
     the dict ``{column: triple}`` of its non-zeros, and the non-zero
     count is the sum of their sizes.  A monomial entry c*u^m reads its
     columns from the space's table for (disk, weight, m), scaled by c;
@@ -311,17 +343,21 @@ def assemble(candidates: CandidateSpace, frame, weight: int):
     size = candidates.size
     rows = {}
     nonzeros = 0
-    for i, (disk, (bases, top, powers)) in enumerate(zip(frame, candidates.disks)):
+    for i, (disk, (bases, powers)) in enumerate(zip(frame, candidates.disks)):
         base = bases[weight]
         for k, entries in enumerate(disk):
+            lo, hi = ranges[k]
+            if lo > hi:
+                continue
             offset = k * size
             for row, entry in entries:
                 monomial = entry.as_monomial()
                 if monomial is None:
-                    c, columns = K.GQ_ONE, tuple(_polar_columns(base * entry, top, powers, size))
+                    c, columns = K.GQ_ONE, tuple(_polar_columns(base * entry, powers, lo, hi))
                 else:
                     c, m = monomial
-                    columns = candidates.monomial_columns(i, weight, m)
+                    table, starts = candidates.monomial_columns(i, weight, m)
+                    columns = table[starts[lo]:starts[hi + 1]]
                 unit = c == K.GQ_ONE
                 for t, e, triple in columns:
                     key = (i, row, e)
@@ -334,9 +370,14 @@ def assemble(candidates: CandidateSpace, frame, weight: int):
     return keys, [rows[key] for key in keys], nonzeros
 
 
+# the elimination of a system with no column: no row, no null vector
+_NO_COLUMNS = Elimination([], ())
+
+
 class TwistedSystem:
     """The global sections of one twisted bundle: its regularity conditions
-    (``assemble``), eliminated once, and the null vectors they leave.
+    (``assemble``) on the candidates a section can use, eliminated once,
+    and the null vectors they leave.
 
     ``assemble`` reads the frame, the columns ``rep.column`` of
     rho(g_i)^-1, and ``rep.weight``.  ``rep.value`` turns ``rep.dim``
@@ -347,32 +388,99 @@ class TwistedSystem:
     ``particular`` solves for the coefficients of a candidate with
     prescribed polar parts against the stored elimination.
 
+    Certified columns.  A section x with regular disk data has
+    pull_i(x_k) = T_i^w sum_j rho(g_i)[k][j] x'_j, so ord_i x_k is at
+    least w*ord T_i + the least order in row k of rho(g_i)
+    (``rep.row_orders``): coordinate k's floor at disk i, kept in
+    ``floors`` for each disk of ``candidates.orders``.  There the
+    candidates have pairwise distinct orders, so a combination has the
+    least order of its terms, and coordinate k can use only the
+    exponents t whose f_t reaches the floor: one range ``ranges[k] =
+    (lo, hi)`` over all such disks.  Only those columns are assembled and
+    eliminated, keeping their indices k * size + t.  Every solution lies
+    in them; given the columns it may use, a column is free exactly when
+    it is free in the system of all candidates, so the null vectors, the
+    dimension and the solution with free coordinates 0 are those of that
+    system.  A tangent's right side b_i with polar exponents down to -d
+    lowers the floors of disk i by d (the solution x has
+    pull_i(x) = T_i^w rho(g_i) (regular + b_i)); ``lowered`` holds the
+    depth by which each disk's floors are lowered so far, and
+    ``particular`` deepens it, factoring the widened system once and
+    keeping it.  ``counts`` describe the system of all candidates,
+    assembled on first read and not eliminated.
+
     A system whose frame equals, entry by entry (exact ``RatFunc``
     equality), the frame of the last system of the same weight on the
     same candidate space (``CandidateSpace.factored``) shares that
-    system's row index and elimination and skips ``assemble`` and the
-    elimination; any other system factors its own and replaces the
-    entry.  The frame's length per disk carries ``rep.dim``.  Sharing is
-    safe because neither is changed after construction: a solve replays
-    the steps on a copy of its column, and nothing writes to the row
-    index or to ``null_vectors`` (the elimination's ``null_basis``).
+    system's floors, depths, ranges, row index and elimination, and
+    skips ``assemble`` and the elimination; any other system factors its
+    own and replaces the entry, as a widening does.  The frame's length
+    per disk carries ``rep.dim``.  Sharing is safe because none of them
+    is changed after construction: a solve replays the steps on a copy
+    of its column, a widening replaces them whole, and nothing writes to
+    the row index or to ``null_vectors`` (the elimination's
+    ``null_basis``).
     """
 
-    __slots__ = ("candidates", "rep", "_row_index", "elimination", "null_vectors", "nonzeros")
+    __slots__ = (
+        "candidates", "rep", "frame", "floors", "lowered", "ranges", "_row_index", "elimination",
+        "null_vectors", "_counts",
+    )
 
     def __init__(self, candidates: CandidateSpace, rep, g):
         self.candidates = candidates
         self.rep = rep
+        self._counts = None
         frame = [[rep.column(g_i, k) for k in range(rep.dim)] for g_i in g]
         last = candidates.factored.get(rep.weight)
         if last is not None and last[0] == frame:
-            _, self._row_index, self.elimination, self.nonzeros = last
+            self.frame, self.floors, self.lowered, self.ranges, self._row_index, self.elimination = last
         else:
-            keys, matrix, self.nonzeros = assemble(candidates, frame, rep.weight)
-            self._row_index = {key: r for r, key in enumerate(keys)}
-            self.elimination = Elimination(matrix, rep.dim * candidates.size)
-            candidates.factored[rep.weight] = (frame, self._row_index, self.elimination, self.nonzeros)
+            self.frame = frame
+            self.floors = [
+                [rep.weight * tau + v for v in rep.row_orders(g[i])]
+                for i, _, _, tau in candidates.orders
+            ]
+            self.ranges = None
+            self._factor((0,) * len(candidates.orders))
         self.null_vectors, _ = solve_system(self.elimination, self.elimination.ncols)
+
+    def _factor(self, lowered: tuple):
+        """Assemble and eliminate the columns coordinate k may use with the
+        floors lowered by ``lowered`` (none of either when no column is
+        left, and neither again when the columns stay the same), and keep
+        them as the candidate space's last system of this weight.
+
+        Coordinate k keeps the exponents t whose f_t reaches its lowered
+        floor at each disk (i, s, c, _) of ``candidates.orders``, where
+        ord_i f_t = s*t + c: t >= floor - c at a marked 0 (s = 1), and
+        t <= c - floor at infinity (s = -1)."""
+        candidates = self.candidates
+        size = candidates.size
+        ranges = []
+        for k in range(self.rep.dim):
+            lo, hi = 0, size - 1
+            for (_, s, c, _), floor, d in zip(candidates.orders, self.floors, lowered):
+                b = floor[k] - d
+                if s > 0:
+                    if b - c > lo:
+                        lo = b - c
+                elif c - b < hi:
+                    hi = c - b
+            ranges.append((lo, hi))
+        if ranges != self.ranges:
+            columns = [k * size + t for k, (lo, hi) in enumerate(ranges) for t in range(lo, hi + 1)]
+            if columns:
+                keys, matrix, _ = assemble(candidates, self.frame, self.rep.weight, ranges)
+                self._row_index = {key: r for r, key in enumerate(keys)}
+                self.elimination = Elimination(matrix, columns)
+            else:
+                self._row_index, self.elimination = {}, _NO_COLUMNS
+            self.ranges = ranges
+        self.lowered = lowered
+        candidates.factored[self.rep.weight] = (
+            self.frame, self.floors, lowered, ranges, self._row_index, self.elimination
+        )
 
     @property
     def dim(self) -> int:
@@ -384,14 +492,17 @@ class TwistedSystem:
 
     @property
     def counts(self) -> dict:
-        """The rows, columns, rank and non-zero entries of the system's matrix."""
-        e = self.elimination
-        return {
-            "rows": e.nrows,
-            "cols": e.ncols,
-            "rank": e.ncols - self.dim,
-            "nonzeros": self.nonzeros,
-        }
+        """The rows, columns, rank and non-zero entries of the matrix of all
+        candidates, assembled on first read and not eliminated; its rank
+        is its column count less ``dim``."""
+        if self._counts is None:
+            size = self.candidates.size
+            keys, _, nonzeros = assemble(
+                self.candidates, self.frame, self.rep.weight, [(0, size - 1)] * self.rep.dim
+            )
+            cols = self.rep.dim * size
+            self._counts = {"rows": len(keys), "cols": cols, "rank": cols - self.dim, "nonzeros": nonzeros}
+        return self._counts
 
     def _combine(self, vec):
         """The value of the candidate sum_{k,t} c_kt f_t e_k; ``vec`` is the
@@ -409,11 +520,24 @@ class TwistedSystem:
 
         ``rhs[i]`` maps a coordinate of the frame (a row) to the polar
         coefficients ``{e: triple}``, e < 0, prescribed there; zero
-        triples are skipped.  Returns the solution with free coefficients
-        0 as its coefficients ``{k * size + t: GaussRat}``, or None when
-        there is none: some polar coefficient of rhs lies in no row of
-        the system, or rhs is not in the column space of A.
+        triples are skipped.  At each disk of ``candidates.orders`` the
+        least exponent -d lowers the floors by d, and the system is
+        widened first when that is deeper than ``lowered``.  Returns the
+        solution with free coefficients 0 as its coefficients
+        ``{k * size + t: GaussRat}``, or None when there is none: some
+        polar coefficient of rhs lies in no row of the system, or rhs is
+        not in the column space of A.
         """
+        lowered = list(self.lowered)
+        for j, (i, _, _, _) in enumerate(self.candidates.orders):
+            for coefficients in rhs[i].values():
+                for e, triple in coefficients.items():
+                    # triple[0] or triple[1]: the triple is not zero
+                    if -e > lowered[j] and (triple[0] or triple[1]):
+                        lowered[j] = -e
+        lowered = tuple(lowered)
+        if lowered != self.lowered:
+            self._factor(lowered)
         nrows = self.elimination.nrows
         column = {}
         for i, disk in enumerate(rhs):

@@ -36,6 +36,7 @@ from .moduli import (
 from .scenario import Scenario
 from .solver import (
     SeedStream,
+    TwistedSystem,
     build_higgs_field_space,
     build_higgs_tangent_space,
     build_section_space,
@@ -197,22 +198,29 @@ def random_higgs_pair(scenario: Scenario, rng: SeedStream):
 
 @dataclass
 class TrialRecord:
+    """One theorem trial; ``system`` is its section system, whose
+    ``counts`` the ``--stats`` rows read."""
+
     index: int
     section_dim: int
     bundle_attempts: int
     tangent_retries: int
+    system: TwistedSystem
     pullback: GaussRat = GQ_ZERO
     identity_ok: bool = False
     residual_texts: list = field(default_factory=list)
-    rows: int = 0
-    cols: int = 0
-    rank: int = 0
-    nonzeros: int = 0
     residue_points: int = 0
 
     @property
     def ok(self) -> bool:
         return self.pullback.is_zero() and self.identity_ok
+
+    @property
+    def vacuous(self) -> bool:
+        """The trial's section space has dimension 0 (every bundle drawn
+        was rejected), so its section is 0 and its checks hold whatever
+        the arithmetic."""
+        return self.section_dim == 0
 
 
 def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
@@ -226,7 +234,7 @@ def run_random_suite(scenario: Scenario, seed: int, trials: int) -> list:
             section_dim=inst.section_dim,
             bundle_attempts=inst.bundle_attempts,
             tangent_retries=inst.tangent_retries,
-            **inst.point.system.counts,
+            system=inst.point.system,
         )
         t1, t2 = inst.tangents
         rec.pullback = pullback_omega(inst.point, t1, t2)
@@ -249,10 +257,7 @@ class CorruptRecord:
     section_dim: int
     bundle_attempts: int
     tangent_retries: int
-    rows: int
-    cols: int
-    rank: int
-    nonzeros: int
+    system: TwistedSystem
     residue_points: int
 
 
@@ -303,7 +308,7 @@ def run_corrupt_suite(scenario: Scenario, seed: int, trials: int) -> list:
                 section_dim=inst.section_dim,
                 bundle_attempts=inst.bundle_attempts,
                 tangent_retries=inst.tangent_retries,
-                **inst.point.system.counts,
+                system=inst.point.system,
                 residue_points=_nonzero_count(identity_check(inst.point, t1, t2).alpha_residues),
             )
         )

@@ -17,8 +17,8 @@ takes: Omega by its formed integrand, the adjugate by cofactors and
 sampling summed as values, with the value views of a solver space
 (``basis_values``, ``particular_value``), which the solver no longer
 hands out; the dense structure constants; the coordinate terms of a
-matrix given by its entries' terms; and the matrix builders only tests
-read (``zeros``, ``mat_scale``)."""
+matrix given by its entries' terms; and the matrix and vector builders only tests
+read (``zeros``, ``mat_scale``, ``zero_vector``, ``unit_vector``)."""
 
 from __future__ import annotations
 
@@ -86,16 +86,30 @@ class FrameRep:
     Build the system over the disk indices, ``TwistedSystem(candidates,
     FrameRep(frame, weight), range(n))``: ``column(i, k)`` is
     ``frame[i][k]``'s non-zero entries.  Its values are lists unless
-    ``value`` says otherwise."""
+    ``value`` says otherwise.
 
-    def __init__(self, frame, weight: int, value=list):
+    ``inverse[i]``, when given, is the dense matrix rho(g_i) whose inverse
+    the frame of disk i is, and ``row_orders`` reads the least order of
+    each of its rows; without it every row is bounded by an order below
+    that of every candidate, so the solver keeps every column."""
+
+    # below ord f_t for every candidate of any bounds used here
+    NO_FLOOR = -(10**6)
+
+    def __init__(self, frame, weight: int, value=list, inverse=None):
         self.frame = frame
         self.weight = weight
         self.value = value
+        self.inverse = inverse
         self.dim = len(frame[0])
 
     def column(self, i: int, k: int) -> tuple:
         return sparse_column(self.frame[i][k])
+
+    def row_orders(self, i: int) -> list:
+        if self.inverse is None:
+            return [self.NO_FLOOR] * self.dim
+        return [min(x.valuation() for x in row if not x.is_zero()) for row in self.inverse[i]]
 
 
 def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
@@ -150,6 +164,15 @@ def zeros(nrows: int, ncols: int) -> Matrix:
 def mat_scale(c, a: Matrix) -> Matrix:
     c = as_entry(c)
     return tuple(tuple(c * x for x in row) for row in a)
+
+
+def zero_vector(dim: int) -> XVector:
+    return XVector([RatFunc.const(0)] * dim)
+
+
+def unit_vector(dim: int, k: int) -> XVector:
+    """The k-th standard basis vector of a symplectic space of dimension dim."""
+    return XVector([RatFunc.const(1 if j == k else 0) for j in range(dim)])
 
 
 def zero_element(algebra: MatrixLieAlgebra) -> LoopAlgebraElement:
@@ -472,7 +495,7 @@ class DenseElimination:
     dense matrix, or ``of`` an existing ``Elimination``."""
 
     def __init__(self, matrix, ncols: int):
-        self.elimination = Elimination(sparse_rows(matrix), ncols)
+        self.elimination = Elimination(sparse_rows(matrix), range(ncols))
 
     @classmethod
     def of(cls, elimination: Elimination) -> "DenseElimination":

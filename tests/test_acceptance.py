@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group, zero_element
+from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group, unit_vector, zero_element
 
 from higgsres import (
     GaussRat,
@@ -210,7 +210,7 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
         vals[lab] = Fraction(1, 2) * omega2(cols, (1, 0))
     assert vals == {"E": 0, "H": 0, "F": Fraction(-1, 2)}
     # trace-form solve: <mu, F> = -1/2 forces the E-coefficient -1/2
-    mu = rep.moment(XVector.unit(2, 0))
+    mu = rep.moment(unit_vector(2, 0))
     if mu != GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0]):
         ok = False
 

@@ -355,6 +355,30 @@ def test_laurent_trivial_cases():
     assert _window(zero, -1, 2) == [0] * 4
 
 
+def test_laurent_valuation_reads_the_denominator():
+    """A Laurent germ n/u^k with k > 0, however it was built (operators
+    with cancellation, a quotient reduced by its gcd, the chart moves, an
+    inverse, a monomial), is canonical only with n(0) != 0: its valuation
+    is -k, the first non-zero coefficient of its expansion."""
+    u = RatFunc.x()
+    i = GaussRat(0, 1)
+    germs = [
+        u ** -3,
+        (u ** -2 + u) * 3,
+        (u ** -2 + u ** -1) - u ** -2,
+        RatFunc([0, 0, 1, i], [0, 0, 0, 0, 0, 1]),
+        RatFunc([1, 2, 0, 5]).invert_variable(),
+        (u ** 2 * (2 + i)).inverse(),
+        RatFunc.monomial(2 + i, -4),
+        (u ** -1 - i) * (u ** -2 + 1),
+    ]
+    for f in germs:
+        assert f._k > 0
+        window = _naive_window(f, -8, 0)
+        first = next(e for e, c in zip(range(-8, 1), window) if not c.is_zero())
+        assert f.valuation() == first == -f._k
+
+
 def test_non_laurent_window_edges():
     """The series-division window of n/d with d not a power of u: starting
     below the order v at 0, lying wholly below it, one coefficient, and a

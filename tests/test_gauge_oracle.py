@@ -20,7 +20,7 @@ unchanged.
 """
 
 import pytest
-from helpers import DenseElimination
+from helpers import dense_vector
 
 from higgsres import GaussRat, RatFunc, SolverBounds, builtin_rep, load_scenario
 from higgsres.lie import LoopAlgebraElement, elementary, pairing
@@ -90,8 +90,10 @@ def _polynomial_gauge(n, rng):
 
 
 def _dense_null_basis(system):
-    """The system's null vectors as dense lists, one entry per column."""
-    return DenseElimination.of(system.elimination).null_basis
+    """The system's null vectors as dense lists, one entry per candidate
+    column, those the solver did not assemble included."""
+    ncols = system.rep.dim * system.candidates.size
+    return [dense_vector(v, ncols) for v in system.null_vectors]
 
 
 def _null_bases(curve, rep, g):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group
+from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group, unit_vector, zero_vector
 
 from higgsres import (
     GaussRat,
@@ -58,7 +58,7 @@ def test_broken_rep_is_reported():
 def test_inf_action_base_cases():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
-    e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
+    e1, e2 = unit_vector(2, 0), unit_vector(2, 1)
     assert inf_action(rep, basis_element(sl2, "F"), e1) == e2
     assert inf_action(rep, basis_element(sl2, "E"), e1).is_zero()
     assert inf_action(rep, U * basis_element(sl2, "H"), e1) == U * e1
@@ -69,7 +69,7 @@ def test_moment_of_first_unit_vector():
     # and solve the 3x3 trace-form system with plain Fractions
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
-    e1 = XVector.unit(2, 0)
+    e1 = unit_vector(2, 0)
 
     def omega(u, v):
         return u[0] * v[1] - u[1] * v[0]
@@ -89,7 +89,7 @@ def test_moment_of_first_unit_vector():
 
 
 def test_moment_degenerate_cases(rep):
-    zero = XVector.zero(rep.space.dim)
+    zero = zero_vector(rep.space.dim)
     assert rep.moment(zero).is_zero()
     rng = SeedStream("moment-scale", rep.name)
     x = _random_vector(rep, rng)
@@ -101,13 +101,13 @@ def test_dmoment_euler_identity(rep):
     rng = SeedStream("euler", rep.name)
     x = _random_vector(rep, rng)
     assert rep.dmoment(x, x) == 2 * rep.moment(x)
-    assert rep.dmoment(XVector.zero(rep.space.dim), x).is_zero()
+    assert rep.dmoment(zero_vector(rep.space.dim), x).is_zero()
 
 
 def test_dmoment_of_unit_vectors_matches_bilinear_oracle():
     rep = builtin_rep("sl2-standard")
     sl2 = rep.algebra
-    e1, e2 = XVector.unit(2, 0), XVector.unit(2, 1)
+    e1, e2 = unit_vector(2, 0), unit_vector(2, 1)
     got = rep.dmoment(e1, e2)
     # oracle: omega(rho(xi) e1, e2) on the basis: E -> 0, H -> 1, F -> -...
     # rho(E)e1 = 0; rho(H)e1 = e1, omega(e1, e2) = 1; rho(F)e1 = e2, omega(e2,e2)=0

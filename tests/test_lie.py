@@ -1,7 +1,7 @@
 """Lie algebra structure, pairings, and transition actions."""
 
 import pytest
-from helpers import basis_element, coadjoint_transition, dual_values, dualize, inf_action, structure, zero_element
+from helpers import basis_element, coadjoint_transition, dual_values, dualize, inf_action, structure, unit_vector, zero_element
 
 from higgsres import (
     CoadjointElement,
@@ -277,7 +277,7 @@ def test_span_membership_messages(sl2):
 
 def test_one_notion_of_same_algebra():
     # distinct objects of one algebra compare, add and act alike
-    from higgsres import XVector, builtin_rep
+    from higgsres import builtin_rep
 
     a, b = MatrixLieAlgebra.sl(2), MatrixLieAlgebra.sl(2)
     x, y = a.element(a.basis[0]), b.element(b.basis[0])
@@ -285,9 +285,9 @@ def test_one_notion_of_same_algebra():
     assert x == y and (x - y).is_zero()
     assert bracket(x, y).is_zero()
     rep = builtin_rep("sl2-standard")
-    e2 = XVector.unit(2, 1)
+    e2 = unit_vector(2, 1)
     own = rep.algebra.element(rep.algebra.basis[0])
-    assert inf_action(rep, y, e2) == inf_action(rep, own, e2) == XVector.unit(2, 0)
+    assert inf_action(rep, y, e2) == inf_action(rep, own, e2) == unit_vector(2, 0)
     c = MatrixLieAlgebra.sl(3)
     z = c.element(c.basis[0])
     assert x != z and z != x

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from helpers import basis_element, gauge_transform_y_point, gauge_transform_y_tangent, zero_element
+from helpers import basis_element, gauge_transform_y_point, gauge_transform_y_tangent, zero_element, zero_vector
 
 from higgsres import (
     GaussRat,
@@ -79,18 +79,18 @@ def test_trivial_cocycle_rejects_constant_section(curve_one_point, rep):
 
 
 def test_zero_section_always_valid(curve_one_point, rep, twisted_bundle):
-    p = make_y_point(curve_one_point, rep, twisted_bundle, XVector.zero(2))
+    p = make_y_point(curve_one_point, rep, twisted_bundle, zero_vector(2))
     assert all(s.is_zero() for s in p.s_prime)
 
 
 def test_tangent_examples(base_point, rep):
     sl2 = rep.algebra
-    t1 = make_y_tangent(base_point, [basis_element(sl2, "F")], XVector.zero(2))
+    t1 = make_y_tangent(base_point, [basis_element(sl2, "F")], zero_vector(2))
     # sdot' = -rho(F)(1,0) = -(0,1)
     assert t1.s_prime_dot[0] == XVector([0, -1])
     t2 = make_y_tangent(base_point, [zero_element(sl2)], XVector([1, 0]))
     assert t2.s_prime_dot[0] == XVector([1, 0])
-    t3 = make_y_tangent(base_point, [zero_element(sl2)], XVector.zero(2))
+    t3 = make_y_tangent(base_point, [zero_element(sl2)], zero_vector(2))
     assert t3.s_prime_dot[0].is_zero()
 
 
@@ -103,7 +103,7 @@ def test_higgs_image_of_base_point(base_point, rep):
 
 
 def test_higgs_image_degenerate_cases(curve_one_point, rep, twisted_bundle):
-    zero_point = make_y_point(curve_one_point, rep, twisted_bundle, XVector.zero(2))
+    zero_point = make_y_point(curve_one_point, rep, twisted_bundle, zero_vector(2))
     assert higgs_from_y(zero_point).phi_circ.is_zero()
     scaled = make_y_point(curve_one_point, rep, twisted_bundle, XVector([3, 0]))
     sl2 = rep.algebra
@@ -114,12 +114,12 @@ def test_higgs_image_degenerate_cases(curve_one_point, rep, twisted_bundle):
 
 def test_pushforward_tangent_values(base_point, rep):
     sl2 = rep.algebra
-    t = make_y_tangent(base_point, [basis_element(sl2, "F")], XVector.zero(2))
+    t = make_y_tangent(base_point, [basis_element(sl2, "F")], zero_vector(2))
     ht = pushforward_tangent(t)
     assert ht.phi_circ_dot.is_zero()
     # dmu_(1,0)(0,-1) pairs as omega(rho(xi)(1,0), (0,-1)) on the basis
     assert ht.phi_prime_dot[0] == rep.dmoment(XVector([1, 0]), XVector([0, -1]))
-    zero_t = make_y_tangent(base_point, [zero_element(sl2)], XVector.zero(2))
+    zero_t = make_y_tangent(base_point, [zero_element(sl2)], zero_vector(2))
     assert pushforward_tangent(zero_t).phi_prime_dot[0].is_zero()
 
 
@@ -264,7 +264,7 @@ def test_regular_data_gives_zero_residues(zero_higgs_point, rep):
 
 def test_pullback_vanishes_on_reference_tangents(base_point, rep):
     sl2 = rep.algebra
-    t1 = make_y_tangent(base_point, [basis_element(sl2, "F")], XVector.zero(2))
+    t1 = make_y_tangent(base_point, [basis_element(sl2, "F")], zero_vector(2))
     t2 = make_y_tangent(base_point, [zero_element(sl2)], XVector([1, 0]))
     assert pullback_omega(base_point, t1, t2).is_zero()
     assert pullback_omega(base_point, t1, t1).is_zero()

@@ -270,6 +270,35 @@ stats (20 trials):
 """
 
 
+def test_cli_random_suite_reports_a_vacuous_trial_as_info(fixtures_dir, capsys):
+    """f2 seed 2 trial 32 rejects all 8 bundles it draws, so its section is
+    0 and its checks hold vacuously: the trial is info, not pass, and the
+    summary names the count; the verdict and exit code stay those of the
+    checks."""
+    args = ["random-suite", _fixture(fixtures_dir, "f2.json"), "--seed", "2", "--trials", "33"]
+    assert main(args + ["--format", "json", "--stats"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["trial-032"] == {
+        "name": "trial-032",
+        "status": "info",
+        "value": "0",
+        "detail": "vacuous: section space of dimension 0 after 8 bundles",
+    }
+    trials = [c for name, c in checks.items() if name.startswith("trial-")]
+    assert [c["status"] for c in trials] == ["pass"] * 32 + ["info"]
+    assert checks["all-pullbacks-zero"]["detail"] == "of 33 trials, 1 vacuous"
+    assert checks["all-pullbacks-zero"]["status"] == "pass"
+    assert payload["verdict"] == "pass" and payload["counts"]["info"] == 1
+    row = payload["stats"]["trials"][32]
+    assert (row["section_dim"], row["bundle_attempts"]) == (0, 8)
+    # a run without vacuous trials keeps the summary as it was
+    assert main(args[:-1] + ["32", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    summary = next(c for c in payload["checks"] if c["name"] == "all-pullbacks-zero")
+    assert summary["detail"] == "of 32 trials" and payload["counts"]["info"] == 0
+
+
 def test_cli_random_suite_stats_block_f1_seed1(fixtures_dir, capsys):
     args = ["random-suite", _fixture(fixtures_dir, "f1.json"), "--seed", "1"]
     assert main(args) == 0

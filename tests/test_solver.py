@@ -24,6 +24,7 @@ from helpers import (
     sparse_rows,
     sparse_vector,
     zero_element,
+    zero_vector,
 )
 from test_field import _naive_window
 from test_sparse_elimination import _column
@@ -326,11 +327,15 @@ def _combine_by_loop(functions, dim, vec):
     return out
 
 
-def _check_assembly(curve, candidates, frame, weight):
-    """assemble and TwistedSystem, on a frame given entry by entry, against
-    the per-candidate oracle; returns the system."""
+def _check_assembly(curve, candidates, frame, weight, inverse=None):
+    """assemble of every candidate column and TwistedSystem, on a frame
+    given entry by entry (and rho(g_i) as ``inverse``, when known),
+    against the per-candidate oracle: the rows, and the system's counts
+    and null vectors against the oracle matrix's.  Returns the system and
+    the oracle's dense null basis."""
     dim = len(frame[0])
-    keys, rows, nonzeros = assemble(candidates, [[sparse_column(c) for c in disk] for disk in frame], weight)
+    full = [(0, candidates.size - 1)] * dim
+    keys, rows, nonzeros = assemble(candidates, [[sparse_column(c) for c in disk] for disk in frame], weight, full)
     ncols = dim * candidates.size
     oracle = _per_candidate_assembly(curve, candidates, dim, frame, weight)
     assert (keys, dense_rows(rows, ncols)) == oracle
@@ -338,31 +343,41 @@ def _check_assembly(curve, candidates, frame, weight):
     # the rows hold their non-zeros only, and nothing else
     assert not any(K.gq_is_zero(t) for row in rows for t in row.values())
     assert nonzeros == sum(len(row) for row in rows)
-    system = TwistedSystem(candidates, FrameRep(frame, weight), range(curve.n_points))
-    assert system.counts["rows"] == len(keys)
-    assert system.counts["nonzeros"] == nonzeros
-    return system
+    system = TwistedSystem(candidates, FrameRep(frame, weight, inverse=inverse), range(curve.n_points))
+    null = DenseElimination(oracle[1], ncols).null_basis
+    assert system.counts == {"rows": len(keys), "cols": ncols, "rank": ncols - len(null), "nonzeros": nonzeros}
+    assert system.null_vectors == [sparse_vector(v) for v in null]
+    return system, null
 
 
 def _check_tables(curve, candidates):
     """Every table entry (i, w, m) holds the polar columns of
     u^m * pull_i(1/D) * T_i^-w, read off the oracle's expansion."""
-    for (i, w, m), columns in candidates.tables.items():
+    for (i, w, m), (columns, starts) in candidates.tables.items():
         frame = [[(RatFunc.const(0),)]] * curve.n_points
         frame[i] = [(U**m,)]
         keys, rows = _per_candidate_assembly(curve, candidates, 1, frame, w)
         assert sorted((t, e, x) for (_, _, e), row in zip(keys, rows) for t, x in enumerate(row)
                       if not K.gq_is_zero(x)) == sorted(columns)
+        # in ascending t, and starts[t] counts the columns below t
+        exponents = [t for t, _, _ in columns]
+        assert exponents == sorted(exponents)
+        assert starts == [sum(1 for e in exponents if e < t) for t in range(candidates.size + 1)]
 
 
 def _dense_frames(rep, g):
-    """(representation, frame) on each side, each frame column by the dense
-    oracles: column k of rho(g_i)^-1 = rho(g_i^-1) on the section side,
-    the coordinates of g_i^-1 b_k g_i on the Higgs side."""
+    """(representation, frame, rho(g_i) per disk) on each side, by the
+    dense oracles: column k of rho(g_i)^-1 = rho(g_i^-1) and rho(g_i) on
+    the section side, the coordinates of g_i^-1 b_k g_i and of
+    g_i b_k g_i^-1 (column k of rho(g_i)) on the Higgs side."""
     algebra = rep.algebra
     section = [tuple(zip(*rho_group(rep, g_i.inverse()))) for g_i in g]
     higgs = [[coadjoint_transition(g_i, algebra.coadjoint(b)).coeffs for b in algebra.basis] for g_i in g]
-    return (rep, section), (Coadjoint(algebra), higgs)
+    higgs_inverse = [
+        tuple(zip(*(coadjoint_transition(g_i.inverse(), algebra.coadjoint(b)).coeffs for b in algebra.basis)))
+        for g_i in g
+    ]
+    return (rep, section, [rho_group(rep, g_i) for g_i in g]), (Coadjoint(algebra), higgs, higgs_inverse)
 
 
 def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_two_points):
@@ -384,15 +399,17 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             sub = rng.child(c, rep_name, b)
             n = rep.algebra.n
             g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
-            for side, frame in _dense_frames(rep, g):
-                # the library's frame is the oracle's
+            for side, frame, inverse in _dense_frames(rep, g):
+                # the library's frame and row orders are the oracle's
                 assert [[side.column(g_i, k) for k in range(side.dim)] for g_i in g] == [
                     [sparse_column(c) for c in disk] for disk in frame
                 ]
-                system = _check_assembly(curve, candidates, frame, side.weight)
+                assert [side.row_orders(g_i) for g_i in g] == [
+                    FrameRep(frame, side.weight, inverse=inverse).row_orders(i) for i in range(len(g))
+                ]
+                system, null = _check_assembly(curve, candidates, frame, side.weight, inverse)
                 dim = side.dim
                 functions = candidates.functions
-                null = DenseElimination.of(system.elimination).null_basis
                 assert basis_values(system) == [_combine_by_loop(functions, dim, v) for v in null]
                 assert system.dim == len(null)
                 vec = [sub.gauss() for _ in range(dim * len(functions))]
@@ -430,7 +447,7 @@ def test_assembly_tables_serve_any_monomial_and_any_base():
             _check_assembly(curve, candidates, frame, weight)
         _check_tables(curve, candidates)
         # u^40 is regular on every disk: an entry with no polar columns
-        assert all(candidates.tables[(i, w, 40)] == () for i in range(curve.n_points) for w in (1, 2))
+        assert all(candidates.tables[(i, w, 40)][0] == () for i in range(curve.n_points) for w in (1, 2))
         # one entry per (disk, weight, exponent of a monomial entry)
         monomials = {-3, -2, 0, 2, 40, -1}
         assert set(candidates.tables) == {
@@ -439,7 +456,9 @@ def test_assembly_tables_serve_any_monomial_and_any_base():
 
 
 def _fresh_candidates(curve, bounds):
-    """(functions, per-disk data) built the way every system build once did."""
+    """(functions, per-disk data, orders) built the way every system build
+    once did, with (disk, s, c, ord T) for ord f_t = s*t + c at a marked
+    infinity and at a marked 0."""
     den = RatFunc(1)
     for p in curve.marked_points:
         if not p.is_infinity:
@@ -448,12 +467,18 @@ def _fresh_candidates(curve, bounds):
     functions = tuple(RatFunc([0] * t + [1], den.num) for t in range(t_max + 1))
     size = len(functions)
     disks = []
+    orders = []
     for i, p in enumerate(curve.marked_points):
         base = curve.chart(i).pull(functions[0])
         bases = {w: base * curve.transition(i) ** -w for w in (1, 2)}
-        top = size - 2 if p.is_infinity else -1
-        disks.append((bases, top, None if p.is_infinity else _shift_powers(p.value, size)))
-    return functions, tuple(disks)
+        disks.append((bases, None if p.is_infinity else _shift_powers(p.value, size)))
+        # f_t = z^t / D: ord_inf f_t = deg D - t, ord_0 f_t = t - P
+        tau = curve.transition(i).valuation()
+        if p.is_infinity:
+            orders.append((i, -1, len(den.num) - 1, tau))
+        elif p.value.is_zero():
+            orders.append((i, 1, -bounds.pole_order, tau))
+    return functions, tuple(disks), tuple(orders)
 
 
 def test_candidate_space_built_once_per_curve_and_bounds(curve_one_point, curve_two_points):
@@ -465,7 +490,8 @@ def test_candidate_space_built_once_per_curve_and_bounds(curve_one_point, curve_
             spaces[bounds] = candidate_functions(curve, bounds)
             equal = SolverBounds(bounds.degree, bounds.pole_order)
             assert candidate_functions(curve, equal) is spaces[bounds]
-            assert (spaces[bounds].functions, spaces[bounds].disks) == _fresh_candidates(curve, bounds)
+            space = spaces[bounds]
+            assert (space.functions, space.disks, space.orders) == _fresh_candidates(curve, bounds)
         assert spaces[SolverBounds(3, 2)] is not spaces[SolverBounds(2, 3)]
     # the space belongs to the curve, not to its points
     bounds = SolverBounds(3, 2)
@@ -633,7 +659,7 @@ def test_sampling_empty_space_gives_zero_and_draws_nothing(curve_one_point, rep_
     )
     assert space.dim == 0
     rng = SeedStream(1)
-    assert sample_vector(space, rng) == XVector.zero(2)
+    assert sample_vector(space, rng) == zero_vector(2)
     assert rng._counter == 0
 
 
@@ -682,7 +708,7 @@ def _one_shot(system, rows, rhs):
         for row, germ in enumerate(germs):
             for e, triple in _polar(germ):
                 effect[(i, row, e)] = triple
-    ncols = system.elimination.ncols
+    ncols = system.rep.dim * system.candidates.size
     keys = sorted(set(rows) | set(effect))
     matrix = dense_rows([rows.get(k, {}) for k in keys], ncols)
     b = [effect.get(k, _triple(0)) for k in keys]
@@ -703,7 +729,8 @@ def _random_point(side, rep, curve, bounds, rng):
         space = build_higgs_field_space(curve, algebra, g, bounds)
         point = make_higgs_point(curve, algebra, g, sample_vector(space, rng.child("phi")), space)
     frame = [[space.rep.column(g_i, k) for k in range(space.rep.dim)] for g_i in g]
-    keys, rows, _ = assemble(space.candidates, frame, space.rep.weight)
+    full = [(0, space.candidates.size - 1)] * space.rep.dim
+    keys, rows, _ = assemble(space.candidates, frame, space.rep.weight, full)
     return point, space, dict(zip(keys, rows))
 
 
@@ -771,7 +798,6 @@ def test_factor_once_matches_one_shot_solve(
                     ]
                     germs = _tangent_rhs(side, point, g_dot)
                     matrix, vector, null, part, extra = _one_shot(system, rows, germs)
-                    assert DenseElimination.of(system.elimination).null_basis == null
                     assert system.null_vectors == [sparse_vector(v) for v in null]
                     assert basis_values(system) == [system._combine(sparse_vector(v)) for v in null]
                     rhs = _polar_rhs(germs)
@@ -800,7 +826,7 @@ def test_factor_once_matches_one_shot_solve(
                         full = [row + [t] for row, t in zip(matrix, vector)]
                         assert _rank(full) == _rank(matrix) + 1
                         kinds["cokernel"] += 1
-                dense = dense_rows(rows.values(), system.elimination.ncols)
+                dense = dense_rows(rows.values(), system.rep.dim * system.candidates.size)
                 for v in null:
                     assert all(x.is_zero() for x in _apply(dense, v))
     assert all(kinds.values()), kinds
@@ -826,7 +852,7 @@ def test_coordinate_rows_match_the_entry_row_oracle(curve_one_point, curve_two_p
                 assert system.dim == oracle.dim
                 assert basis_values(system) == basis_values(oracle)
                 assert system.counts["rank"] == oracle.counts["rank"]
-                assert system.elimination.nrows < oracle.elimination.nrows
+                assert system.counts["rows"] < oracle.counts["rows"]
                 for d in range(4):
                     sub = rng.child("bundle", b, "g_dot", d)
                     g_dot = [
@@ -997,34 +1023,47 @@ def test_section_and_higgs_builds_never_share(fixtures_dir):
 @pytest.mark.parametrize("fixture, side", [("f1.json", "section"), ("f2.json", "higgs")])
 def test_tangent_solves_leave_the_shared_elimination_unchanged(fixtures_dir, fixture, side):
     """Many tangent solves through one system, then a build that shares its
-    elimination: the steps, pivots, null basis and row index still equal
-    those of a build on a fresh curve object."""
+    elimination.  The solves widen the system but change no elimination
+    in place: the first one's steps, pivots, null basis and row index
+    still equal those of a build on a fresh curve object, the widened one
+    equals that build's after the same solves, and every build answers
+    with the same null vectors."""
     scenario = load_scenario(str(fixtures_dir / fixture))
     curve, rep, g, bounds = scenario.curve, scenario.rep, scenario.bundle, scenario.bounds
     system = _build(side, curve, rep, g, bounds)
+    first, first_index = system.elimination, system._row_index
     sides = _memo_sides(side, curve, rep, g, system, SeedStream("memo", "solves", fixture))
     for _ in range(4):
         for b in sides:
             system.particular(b)
+    assert system.elimination is not first
     again = _build(side, curve, rep, g, bounds)
     assert again.elimination is system.elimination
     other = load_scenario(str(fixtures_dir / fixture))
     fresh = _build(side, other.curve, rep, g, bounds)
+    own = fresh.elimination
+    assert first._steps == own._steps and first._pivot_rows == own._pivot_rows
+    assert first.null_basis == own.null_basis and first_index == fresh._row_index
+    for b in sides:
+        fresh.particular(b)
     shared, own = system.elimination, fresh.elimination
     assert shared._steps == own._steps and shared._pivot_rows == own._pivot_rows
-    assert shared.null_basis == own.null_basis and again.null_vectors == own.null_basis
-    assert system._row_index == fresh._row_index
+    assert shared.null_basis == own.null_basis and system._row_index == fresh._row_index
+    assert again.null_vectors == system.null_vectors == first.null_basis
 
 
 def test_random_higgs_pair_factors_the_f2_bundle_once(fixtures_dir, monkeypatch):
-    """20 seed-1 cartan pairs on f2's one bundle construct one elimination."""
+    """20 seed-1 cartan pairs on f2's one bundle construct four
+    eliminations: the bundle's certified columns, then three widenings for
+    tangent right sides with deeper poles, each kept for the pairs after
+    it and holding every column of the one before."""
     made = []
 
     class Counting(Elimination):
         __slots__ = ()
 
-        def __init__(self, matrix, ncols):
-            super().__init__(matrix, ncols)
+        def __init__(self, matrix, columns):
+            super().__init__(matrix, columns)
             made.append(self)
 
     monkeypatch.setattr(solver, "Elimination", Counting)
@@ -1032,7 +1071,9 @@ def test_random_higgs_pair_factors_the_f2_bundle_once(fixtures_dir, monkeypatch)
     root = SeedStream("cartan-suite", 1)
     for t in range(20):
         suites.random_higgs_pair(scenario, root.child("trial", t))
-    assert len(made) == 1
+    assert len(made) == 4
+    widths = [e.ncols for e in made]
+    assert widths == sorted(set(widths))
 
 
 def _group_elements():

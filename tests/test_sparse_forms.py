@@ -9,7 +9,7 @@ the builders must draw from their stream exactly as before.
 """
 
 import pytest
-from helpers import basis_element, dualize, inf_action, mat_vec, zero_element
+from helpers import basis_element, dualize, inf_action, mat_vec, unit_vector, zero_element
 
 from higgsres import (
     GaussRat,
@@ -239,7 +239,7 @@ def test_moment_values_are_half_the_dmoment_values(name):
 def test_sparse_forms_keep_their_errors(name):
     rep = REPS[name]()
     dim = rep.space.dim
-    good, short, long = XVector.unit(dim, 0), XVector.unit(dim - 1, 0), XVector.unit(dim + 1, 0)
+    good, short, long = unit_vector(dim, 0), unit_vector(dim - 1, 0), unit_vector(dim + 1, 0)
     xi = rep.algebra.element(rep.algebra.basis[0])
     for bad in (short, long):
         with pytest.raises(ShapeError):
