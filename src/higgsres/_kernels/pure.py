@@ -2,10 +2,11 @@
 
 These functions are the hot inner loops of the library: scalar arithmetic
 in Q(i), dense polynomial arithmetic over Q(i) (sums of products of
-Laurent polynomials n/x^k included), truncated power-series
-division, and sparse Gauss-Jordan elimination over Q(i) with the replay
-of its steps on further columns.  They are the only arithmetic backend;
-every result is exact.
+Laurent polynomials n/x^k included), the monic gcd by one Euclidean
+loop over monic remainders, truncated power-series division, and sparse
+Gauss-Jordan elimination over Q(i) with the replay of its steps on
+further columns.  They are the only arithmetic backend; every result is
+exact.
 
 Representations (plain tuples, lists and dicts):
 
@@ -239,32 +240,13 @@ def p_monic(p):
     return out, lead
 
 
-def _low_order(p, cap):
-    """Exponent of the lowest nonzero coefficient of p, capped at cap.
-
-    The zero polynomial has infinite order, so it gives cap.
-    """
-    for j in range(min(len(p), cap)):
-        if p[j][0] != 0 or p[j][1] != 0:
-            return j
-    return cap
-
-
 def p_gcd(p, q):
-    """Monic gcd over Q(i).
-
-    A monomial argument ``c*x^k`` gives ``x^j`` directly, with ``j`` the
-    order of the other argument at 0 capped at ``k``; every other input
-    goes through the Euclidean algorithm.
-    """
-    for m, other in ((q, p), (p, q)):
-        k = len(m) - 1
-        if k >= 0 and _low_order(m, k) == k:
-            return [GQ_ZERO] * _low_order(other, k) + [GQ_ONE]
-    a, b = list(p), list(q)
+    """Monic gcd over Q(i), by the Euclidean algorithm with each remainder
+    made monic, which keeps its coefficients from swelling."""
+    a, b = p_monic(p)[0], p_monic(q)[0]
     while b:
-        a, b = b, p_divmod(a, b)[1]
-    return p_monic(a)[0]
+        a, b = b, p_monic(p_divmod(a, b)[1])[0]
+    return a
 
 
 def p_shift(p, t):

@@ -208,10 +208,10 @@ class RatFunc:
     operators build the reduced result directly from the numerators (see
     ``_laurent``), and a product with a constant scales the other
     operand's numerator.  Every other sum, product or quotient goes
-    through ``__init__``, which divides by the gcd and makes the
-    denominator monic.  ``_k`` is that k,
-    or -1 when the denominator is not a power of u; it is set with ``_n``
-    and ``_d`` and never changes.
+    through ``__init__``, which divides both by their monic gcd (one
+    Euclidean loop, ``p_gcd``), whatever its form, and makes the
+    denominator monic.  ``_k`` is that k, or -1 when the denominator is
+    not a power of u; it is set with ``_n`` and ``_d`` and never changes.
     """
 
     __slots__ = ("_n", "_d", "_k")
@@ -224,11 +224,7 @@ class RatFunc:
             self._n, self._d, self._k = [], [K.GQ_ONE], 0
             return
         g = K.p_gcd(n, d)
-        j = len(g) - 1
-        if j and _u_power(g) == j:
-            # g = u^j: drop the low j coefficients, all zero
-            n, d = n[j:], d[j:]
-        elif j:
+        if len(g) > 1:
             n = K.p_divmod(n, g)[0]
             d = K.p_divmod(d, g)[0]
         d, lead = K.p_monic(d)
@@ -257,16 +253,6 @@ class RatFunc:
         if m >= 0:
             return cls._raw([K.GQ_ZERO] * m + [c._t], [K.GQ_ONE])
         return cls._raw([c._t], [K.GQ_ZERO] * -m + [K.GQ_ONE])
-
-    @property
-    def num(self) -> tuple:
-        """The numerator's coefficients as GaussRat, low to high."""
-        return tuple(GaussRat.from_triple(t) for t in self._n)
-
-    @property
-    def den(self) -> tuple:
-        """The monic denominator's coefficients as GaussRat, low to high."""
-        return tuple(GaussRat.from_triple(t) for t in self._d)
 
     def is_zero(self) -> bool:
         return not self._n

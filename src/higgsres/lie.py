@@ -249,12 +249,6 @@ class MatrixLieAlgebra:
             coeffs[a] = dot((w, values[b], _ONE) for b, w in row)
         return CoadjointElement._trusted(self, coeffs)
 
-    def element(self, mat) -> "LoopAlgebraElement":
-        return LoopAlgebraElement(self, mat)
-
-    def coadjoint(self, mat) -> "CoadjointElement":
-        return CoadjointElement(self, mat)
-
     def element_from(self, coeffs: Sequence) -> "LoopAlgebraElement":
         """The loop-algebra element with these coordinates, which it keeps;
         its matrix is their ``combination``, in the span by construction."""

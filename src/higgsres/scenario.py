@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any
 
 from .curve import MarkedCurve, curve_validate
@@ -34,14 +34,17 @@ from .solver import CocycleRecipe, GdotRecipe, SolverBounds
 
 @dataclass
 class SuiteRecipe:
-    """Knobs of the randomized suites; all scenario-overridable."""
+    """Knobs of the randomized suites; all scenario-overridable.
+
+    An integer knob is non-negative, or at least its ``minimum``.
+    """
 
     cocycle: CocycleRecipe = field(default_factory=CocycleRecipe)
     g_dot: GdotRecipe = field(default_factory=GdotRecipe)
     min_section_dim: int = 1
-    max_attempts: int = 8
+    max_attempts: int = field(default=8, metadata={"minimum": 1})
     sample_num: int = 2
-    sample_den: int = 2
+    sample_den: int = field(default=2, metadata={"minimum": 1})
 
 
 @dataclass
@@ -269,55 +272,61 @@ def _parse_bundle(block: Any, curve: MarkedCurve, n: int, path: str) -> list:
     raise ParseError("bundle kind must be 'explicit' or 'word'", f"{path}.kind")
 
 
+def _expect_fields(block: Any, cls, path: str, what: str) -> None:
+    """A dict whose every key names a field of the dataclass cls: a
+    misspelled knob is an error, not its default."""
+    _expect(block, dict, path, what)
+    names = [f.name for f in fields(cls)]
+    for key in block:
+        if key not in names:
+            raise ParseError(f"unknown key {key!r}, expected one of {', '.join(names)}", f"{path}.{key}")
+
+
 def _parse_bounds(block: Any, path: str) -> SolverBounds:
     if block is None:
         return SolverBounds()
-    _expect(block, dict, path, "a bounds block")
-    values = {}
-    for key in ("degree", "pole_order"):
-        value = block.get(key, getattr(SolverBounds, key))
+    _expect_fields(block, SolverBounds, path, "a bounds block")
+    for key, value in block.items():
         if not (_is_int(value) and value >= 0):
             raise ParseError("bounds must be non-negative integers", f"{path}.{key}")
-        values[key] = value
-    return SolverBounds(**values)
+    return SolverBounds(**block)
 
 
-def _parse_suite(block: Any, path: str) -> SuiteRecipe:
+def _parse_recipe(block: Any, cls, path: str):
+    """The recipe dataclass cls (the suite's or one nested in it) from its block.
+
+    A field whose default is a recipe reads a nested block, null for its
+    defaults; every other field is an integer, non-negative or at least
+    the ``minimum`` in its metadata (a range error is invalid data).
+    """
     if block is None:
-        return SuiteRecipe()
-    _expect(block, dict, path, "a suite block")
-
-    def integer(key, value, location):
+        return cls()
+    _expect_fields(block, cls, path, "a recipe block")
+    values = {}
+    for f in fields(cls):
+        if f.name not in block:
+            continue
+        value, location = block[f.name], f"{path}.{f.name}"
+        if is_dataclass(f.default_factory):
+            values[f.name] = _parse_recipe(value, f.default_factory, location)
+            continue
         if not _is_int(value):
-            raise ParseError(f"{key} must be an integer", location)
-        # attempt counts, denominators and the numerator bound of the
-        # non-zero draws must be positive, the rest non-negative
-        minimum = 1 if key in ("max_attempts", "max_den", "max_num", "sample_den") else 0
+            raise ParseError(f"{f.name} must be an integer", location)
+        minimum = f.metadata.get("minimum", 0)
         if value < minimum:
             raise ValidationError(f"{location} must be at least {minimum}, got {value}")
-        return value
+        values[f.name] = value
+    return cls(**values)
 
-    def sub(name, cls, defaults):
-        b = block.get(name)
-        if b is None:
-            return cls()
-        _expect(b, dict, f"{path}.{name}", "a recipe block")
-        return cls(
-            **{
-                key: integer(key, b[key], f"{path}.{name}.{key}")
-                for key in defaults
-                if key in b
-            }
-        )
 
-    recipe = SuiteRecipe(
-        cocycle=sub("cocycle", CocycleRecipe, ("length", "max_exponent", "torus_amplitude", "max_num", "max_den")),
-        g_dot=sub("g_dot", GdotRecipe, ("terms", "pole_order", "degree", "max_num", "max_den")),
-    )
-    for key in ("min_section_dim", "max_attempts", "sample_num", "sample_den"):
-        if key in block:
-            setattr(recipe, key, integer(key, block[key], f"{path}.{key}"))
-    return recipe
+def _parse_constant_matrix(rows: Any, n: int, what: str, path: str) -> list:
+    """An n x n matrix of constants: a representation does not vary with z."""
+    mat = _parse_matrix(rows, n, "z", path)
+    for i, row in enumerate(mat):
+        for j, e in enumerate(row):
+            if not e.is_constant():
+                raise ParseError(f"{what} entries must be constants", f"{path}[{i}][{j}]")
+    return mat
 
 
 def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
@@ -339,19 +348,15 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
     algebra = sl(n)
     omega_rows = _expect(block.get("omega"), list, f"{path}.omega", "an omega matrix")
     dim = len(omega_rows)
-    omega = _parse_matrix(omega_rows, dim, "z", f"{path}.omega")
-    for i, row in enumerate(omega):
-        for j, e in enumerate(row):
-            if not e.is_constant():
-                raise ParseError("omega entries must be constants", f"{path}.omega[{i}][{j}]")
+    omega = mat_from(_parse_constant_matrix(omega_rows, dim, "omega", f"{path}.omega"))
     with _invalid(f"{path}.omega: "):
-        space = SymplecticSpace(mat_from(omega))
+        space = SymplecticSpace(omega)
     rho_block = _expect(block.get("rho"), dict, f"{path}.rho", "a label->matrix mapping")
     rho = {}
     for lab in algebra.labels:
         if lab not in rho_block:
             raise ParseError(f"missing rho matrix for basis element {lab!r}", f"{path}.rho")
-        rho[lab] = mat_from(_parse_matrix(rho_block[lab], dim, "z", f"{path}.rho[{lab!r}]"))
+        rho[lab] = mat_from(_parse_constant_matrix(rho_block[lab], dim, "rho", f"{path}.rho[{lab!r}]"))
     with _invalid(f"{path}: "):
         return HamiltonianRep(algebra, space, rho, name=block.get("name", f"{alg_name}-explicit"))
 
@@ -452,7 +457,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     bundle = _parse_bundle(raw.get("bundle"), curve, rep.algebra.n, "bundle")
     bounds = _parse_bounds(raw.get("bounds"), "bounds")
-    suite = _parse_suite(raw.get("suite"), "suite")
+    suite = _parse_recipe(raw.get("suite"), SuiteRecipe, "suite")
 
     return Scenario(
         name=name,

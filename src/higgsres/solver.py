@@ -665,24 +665,30 @@ def sample_affine(space: AffineSpace, rng: SeedStream, max_num: int = 2, max_den
 
 @dataclass(frozen=True)
 class CocycleRecipe:
-    """Word-length/exponent knobs for random determinant-1 cocycles."""
+    """Word-length/exponent knobs for random determinant-1 cocycles.
+
+    The bounds of the non-zero draws are at least their ``minimum``.
+    """
 
     length: int = 3
     max_exponent: int = 1
     torus_amplitude: int = 1
-    max_num: int = 2
-    max_den: int = 1
+    max_num: int = field(default=2, metadata={"minimum": 1})
+    max_den: int = field(default=1, metadata={"minimum": 1})
 
 
 @dataclass(frozen=True)
 class GdotRecipe:
-    """Shape of random loop-algebra elements for tangent directions."""
+    """Shape of random loop-algebra elements for tangent directions.
+
+    The bounds of the non-zero draws are at least their ``minimum``.
+    """
 
     terms: int = 2
     pole_order: int = 2
     degree: int = 1
-    max_num: int = 2
-    max_den: int = 1
+    max_num: int = field(default=2, metadata={"minimum": 1})
+    max_den: int = field(default=1, metadata={"minimum": 1})
 
 
 def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupElement:

@@ -2,7 +2,8 @@
 dense image rho(g) and the formed action rho(xi) x of a built-in
 representation, the matrix-vector product, stand-in representations
 that hand ``TwistedSystem`` a frame given entry by entry, seeded
-sampling, named Lie-algebra elements, monomial candidate vectors and the
+sampling, a ``RatFunc``'s coefficients as ``GaussRat`` (``numerator``,
+``denominator``), named Lie-algebra elements, monomial candidate vectors and the
 coadjoint transition; the dense oracles of the coordinate forms in
 ``lie``: the matrix commutator, the trace-form pairing and the pairings
 with the basis read off a matrix; the entry form of the bracket
@@ -145,6 +146,16 @@ def sample(space, seed, max_num: int = 2, max_den: int = 2):
     if isinstance(space, list):
         return value_sample_vector(space, rng, max_num, max_den)
     return sample_vector(space, rng, max_num, max_den)
+
+
+def numerator(f: RatFunc) -> tuple:
+    """The numerator's coefficients as GaussRat, low to high."""
+    return tuple(GaussRat.from_triple(t) for t in f._n)
+
+
+def denominator(f: RatFunc) -> tuple:
+    """The monic denominator's coefficients as GaussRat, low to high."""
+    return tuple(GaussRat.from_triple(t) for t in f._d)
 
 
 def label_index(algebra: MatrixLieAlgebra, label: str) -> int:
@@ -423,7 +434,7 @@ def entry_higgs_frame(algebra: MatrixLieAlgebra, g) -> list:
     exponent in place of the n^2 - 1 coordinates of ``lie.Coadjoint.column``."""
     return [
         [
-            tuple(e for row in coadjoint_transition(g_i, algebra.coadjoint(b)).mat for e in row)
+            tuple(e for row in coadjoint_transition(g_i, CoadjointElement(algebra, b)).mat for e in row)
             for b in algebra.basis
         ]
         for g_i in g

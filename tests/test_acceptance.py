@@ -15,6 +15,7 @@ import pytest
 from helpers import basis_element, coadjoint_transition, inf_action, mat_vec, rho_group, unit_vector, zero_element
 
 from higgsres import (
+    CoadjointElement,
     GaussRat,
     Jet2,
     LoopGroupElement,
@@ -211,18 +212,18 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
     assert vals == {"E": 0, "H": 0, "F": Fraction(-1, 2)}
     # trace-form solve: <mu, F> = -1/2 forces the E-coefficient -1/2
     mu = rep.moment(unit_vector(2, 0))
-    if mu != GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0]):
+    if mu != GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0]):
         ok = False
 
     # Omega fixture -1; oracle: expand the trace and extract the residue:
     # integrand -tr(E u^-1 F) du = -u^-1 tr(EF) du, residue -1
-    zero = sl2.coadjoint([[0, 0], [0, 0]])
+    zero = CoadjointElement(sl2, [[0, 0], [0, 0]])
     hp = make_higgs_point(curve_one_point, sl2, bundle, zero)
     from higgsres import make_higgs_tangent
 
     t1 = make_higgs_tangent(hp, [U.inverse() * basis_element(sl2, "F")], zero)
-    t2 = make_higgs_tangent(hp, [zero_element(sl2)], sl2.coadjoint(sl2.basis[0]))
-    trace_ef = pairing(sl2.coadjoint(sl2.basis[0]), basis_element(sl2, "F"))
+    t2 = make_higgs_tangent(hp, [zero_element(sl2)], CoadjointElement(sl2, sl2.basis[0]))
+    trace_ef = pairing(CoadjointElement(sl2, sl2.basis[0]), basis_element(sl2, "F"))
     assert trace_ef == RatFunc.const(1)
     oracle_omega = -(U.inverse() * trace_ef).laurent_coefficient(-1)
     assert oracle_omega == GaussRat(-1)
@@ -231,7 +232,7 @@ def test_acceptance_06_derived_fixtures(curve_one_point):
 
     # Lambda fixture -1/2 on ambient data; oracle: tr(EF) = 1, residue of
     # -1/2 u^-1 tr(EF) du
-    phi = GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
+    phi = GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0])
     lp = make_higgs_point(curve_one_point, sl2, bundle, phi)
     lt = ambient_higgs_tangent(
         lp, [U.inverse() * basis_element(sl2, "F")], zero, [zero]

@@ -23,7 +23,7 @@ from helpers import coadjoint_transition, rho_group
 
 from higgsres import _kernels as K
 from higgsres import load_scenario
-from higgsres.lie import Coadjoint
+from higgsres.lie import Coadjoint, CoadjointElement
 from higgsres.linalg import Elimination
 from higgsres.moduli import make_higgs_point, make_y_point
 from higgsres.solver import (
@@ -46,7 +46,7 @@ def _dense_rho(rep, g_i):
     Higgs side the matrix whose column k is the coordinates of g_i b_k g_i^-1."""
     if isinstance(rep, Coadjoint):
         algebra = rep.algebra
-        columns = [coadjoint_transition(g_i.inverse(), algebra.coadjoint(b)).coeffs for b in algebra.basis]
+        columns = [coadjoint_transition(g_i.inverse(), CoadjointElement(algebra, b)).coeffs for b in algebra.basis]
         return list(zip(*columns))
     return rho_group(rep, g_i)
 

@@ -34,7 +34,7 @@ from higgsres import (
     make_higgs_point,
 )
 from higgsres import matrices
-from higgsres.lie import Coadjoint, MatrixLieAlgebra, elementary, torus
+from higgsres.lie import Coadjoint, CoadjointElement, MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import mat_add
 from higgsres.moduli import (
     HiggsPoint,
@@ -98,7 +98,7 @@ def _coadjoint(algebra, rng, sparse: bool):
 def _oracle(curve, g, i, phi):
     """T_i^-2 g_i^-1 pull_i(phi) g_i by dense matrix products."""
     chart = curve.chart(i)
-    pulled = phi.algebra.coadjoint(tuple(tuple(chart.pull(e) for e in row) for row in phi.mat))
+    pulled = CoadjointElement(phi.algebra, tuple(tuple(chart.pull(e) for e in row) for row in phi.mat))
     t2_inv = curve.transition(i) ** -2
     return tuple(tuple(t2_inv * e for e in row) for row in coadjoint_transition(g[i], pulled).mat)
 
@@ -161,7 +161,7 @@ def _pole_at_inf(algebra, entries: dict):
     rows = [[ZERO] * n for _ in range(n)]
     for (r, c), e in entries.items():
         rows[r][c] = e
-    return algebra.coadjoint(rows)
+    return CoadjointElement(algebra, rows)
 
 
 @pytest.mark.parametrize(
@@ -250,5 +250,5 @@ def test_pullback_runs_no_matrix_product_and_no_trace_check(fixtures_dir, monkey
     # the guard itself counts: a dense product and a trace check are seen
     g = instances[0].point.g[0]
     g * g
-    scenario.rep.algebra.coadjoint(scenario.rep.algebra.basis[0])
+    CoadjointElement(scenario.rep.algebra, scenario.rep.algebra.basis[0])
     assert counts == {"mat_mul": 1, "trace": 1}

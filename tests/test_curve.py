@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import denominator, numerator
 
 from higgsres import (
     GaussRat,
@@ -100,7 +101,7 @@ def test_residue_theorem_for_twisted_forms(curve_two_points):
 def test_transition_consistency_survives_renormalization(curve_one_point):
     # the same transition written with a removable factor
     t = curve_one_point.transition(0)
-    assert (t.num, t.den) == ((0, 1), (1,))
+    assert (numerator(t), denominator(t)) == ((0, 1), (1,))
     messy = RatFunc([0, 2, 1], [2, 1])  # u as (2u + u^2)/(2 + u)
     curve = MarkedCurve([INFINITY], curve_one_point.alpha, [messy])
     assert curve_validate(curve) == []

@@ -18,7 +18,7 @@ from higgsres import (
     rep_validate,
 )
 from higgsres.hamiltonian import SymplecticSpace
-from higgsres.lie import Coadjoint, MatrixLieAlgebra, bracket_terms
+from higgsres.lie import Coadjoint, CoadjointElement, MatrixLieAlgebra, bracket_terms
 from higgsres.matrices import adjugate, block_diag, mat_eq, mat_from, mat_neg, mat_transpose
 from higgsres.moduli import derive_prime, derive_prime_dot
 from higgsres.solver import CocycleRecipe, GdotRecipe, SeedStream, random_cocycle, random_loop_algebra
@@ -85,7 +85,7 @@ def test_moment_of_first_unit_vector():
     assert c == {"E": Fraction(-1, 2), "H": 0, "F": 0}
     # so mu(e1) = -1/2 E as a trace-form matrix
     mu = rep.moment(e1)
-    assert mu == GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
+    assert mu == GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0])
 
 
 def test_moment_degenerate_cases(rep):
@@ -196,7 +196,7 @@ def test_columns_are_those_of_the_dense_inverse_image(name):
     for trial in range(6):
         g = random_cocycle(alg.n, CocycleRecipe(), rng.child(trial))
         if coadjoint:
-            dense = [coadjoint_transition(g, alg.coadjoint(b)).coeffs for b in alg.basis]
+            dense = [coadjoint_transition(g, CoadjointElement(alg, b)).coeffs for b in alg.basis]
         else:
             g_inv = adjugate(g.mat)
             if name.endswith("-cotangent"):

@@ -62,14 +62,14 @@ def test_bracket_with_loop_coefficients(sl2):
 
 def test_trace_pairing_values(sl2):
     E, H, F = (basis_element(sl2, l) for l in "EHF")
-    cE, cH = sl2.coadjoint(sl2.basis[0]), sl2.coadjoint(sl2.basis[1])
+    cE, cH = CoadjointElement(sl2, sl2.basis[0]), CoadjointElement(sl2, sl2.basis[1])
     assert pairing(cE, F) == RatFunc.const(1)
     assert pairing(cH, H) == RatFunc.const(2)
     assert pairing(cE, E) == RatFunc.const(0)
 
 
 def test_coadjoint_transition_examples(sl2):
-    cE = sl2.coadjoint(sl2.basis[0])
+    cE = CoadjointElement(sl2, sl2.basis[0])
     assert coadjoint_transition(LoopGroupElement.identity(2), cE) == cE
     g = torus(2, [-1, 1])
     assert coadjoint_transition(g, cE) == (U * U) * cE
@@ -82,7 +82,7 @@ def test_pairing_invariance_under_transition(sl2):
         g = random_cocycle(2, CocycleRecipe(), sub.child("g"))
         phi_raw = random_loop_algebra(sl2, GdotRecipe(), sub.child("phi"))
         xi = random_loop_algebra(sl2, GdotRecipe(), sub.child("xi"))
-        phi = sl2.coadjoint(phi_raw.mat)
+        phi = CoadjointElement(sl2, phi_raw.mat)
         ginv = g.inverse()
         xi_conj = LoopAlgebraElement(sl2, mat_mul(mat_mul(ginv.mat, xi.mat), g.mat))
         assert pairing(coadjoint_transition(g, phi), xi_conj) == pairing(phi, xi)
@@ -105,8 +105,8 @@ def test_jacobi_identity(sl3):
 
 def test_dualize_examples(sl2):
     one = RatFunc.const(1)
-    assert dualize(sl2, {"F": one}) == sl2.coadjoint(sl2.basis[0])
-    assert dualize(sl2, {"E": one}) == sl2.coadjoint(sl2.basis[2])
+    assert dualize(sl2, {"F": one}) == CoadjointElement(sl2, sl2.basis[0])
+    assert dualize(sl2, {"E": one}) == CoadjointElement(sl2, sl2.basis[2])
     assert dualize(sl2, {}).is_zero()
 
 
@@ -122,7 +122,7 @@ def test_dualize_solves_gram_system(sl3):
 def test_dualize_round_trip(sl2):
     rng = SeedStream("dualize-rt")
     raw = random_loop_algebra(sl2, GdotRecipe(), rng)
-    phi = sl2.coadjoint(raw.mat)
+    phi = CoadjointElement(sl2, raw.mat)
     values = {lab: pairing(phi, basis_element(sl2, lab)) for lab in sl2.labels}
     assert dualize(sl2, values) == phi
 
@@ -185,7 +185,7 @@ def test_dual_values_inverts_dualize(n):
         assert mat_eq(back.mat, mat)
         # the pairings of each basis element, read by the trace
         for lab, v in zip(algebra.labels, dual_values(algebra, mat)):
-            assert v == pairing(algebra.coadjoint(mat), basis_element(algebra, lab))
+            assert v == pairing(CoadjointElement(algebra, mat), basis_element(algebra, lab))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -222,7 +222,7 @@ def test_membership_checks(sl2):
     with pytest.raises(NotInAlgebra):
         LoopAlgebraElement(sl2, mat_from([[1, 0], [0, 1]]))  # nonzero trace
     with pytest.raises(ShapeError):
-        pairing(sl2.coadjoint(sl2.basis[0]), basis_element(MatrixLieAlgebra.sl(3), "E12"))
+        pairing(CoadjointElement(sl2, sl2.basis[0]), basis_element(MatrixLieAlgebra.sl(3), "E12"))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +231,16 @@ def test_membership_checks(sl2):
 
 
 def test_algebra_and_coadjoint_values_never_compare_equal(sl2):
-    xi, phi = sl2.element(sl2.basis[0]), sl2.coadjoint(sl2.basis[0])
+    xi, phi = LoopAlgebraElement(sl2, sl2.basis[0]), CoadjointElement(sl2, sl2.basis[0])
     assert xi.mat == phi.mat
     assert xi != phi and phi != xi
-    assert xi == sl2.element(sl2.basis[0]) and phi == sl2.coadjoint(sl2.basis[0])
+    assert xi == LoopAlgebraElement(sl2, sl2.basis[0]) and phi == CoadjointElement(sl2, sl2.basis[0])
 
 
-@pytest.mark.parametrize("make", ["element", "coadjoint"])
-def test_span_arithmetic_keeps_the_class(sl2, make):
-    x = getattr(sl2, make)(sl2.basis[0])
-    y = getattr(sl2, make)(sl2.basis[1])
-    cls = type(x)
+@pytest.mark.parametrize("cls", [LoopAlgebraElement, CoadjointElement], ids=["element", "coadjoint"])
+def test_span_arithmetic_keeps_the_class(sl2, cls):
+    x = cls(sl2, sl2.basis[0])
+    y = cls(sl2, sl2.basis[1])
     results = {
         "x + y": (x + y, [[1, 1], [0, -1]]),
         "x - y": (x - y, [[-1, 1], [0, 1]]),
@@ -257,10 +256,10 @@ def test_span_arithmetic_keeps_the_class(sl2, make):
 
 
 def test_span_element_reprs(sl2):
-    assert repr(sl2.element([[1, U], [0, -1]])) == "LoopAlgebraElement((u)*E + (1)*H)"
-    assert repr(sl2.coadjoint([[1, U], [0, -1]])) == "CoadjointElement((u)*E^ + (1)*H^)"
+    assert repr(LoopAlgebraElement(sl2, [[1, U], [0, -1]])) == "LoopAlgebraElement((u)*E + (1)*H)"
+    assert repr(CoadjointElement(sl2, [[1, U], [0, -1]])) == "CoadjointElement((u)*E^ + (1)*H^)"
     assert repr(zero_element(sl2)) == "LoopAlgebraElement(0)"
-    assert repr(sl2.coadjoint([[0, 0], [0, 0]])) == "CoadjointElement(0)"
+    assert repr(CoadjointElement(sl2, [[0, 0], [0, 0]])) == "CoadjointElement(0)"
 
 
 def test_span_membership_messages(sl2):
@@ -280,16 +279,16 @@ def test_one_notion_of_same_algebra():
     from higgsres import builtin_rep
 
     a, b = MatrixLieAlgebra.sl(2), MatrixLieAlgebra.sl(2)
-    x, y = a.element(a.basis[0]), b.element(b.basis[0])
+    x, y = LoopAlgebraElement(a, a.basis[0]), LoopAlgebraElement(b, b.basis[0])
     assert a is not b
     assert x == y and (x - y).is_zero()
     assert bracket(x, y).is_zero()
     rep = builtin_rep("sl2-standard")
     e2 = unit_vector(2, 1)
-    own = rep.algebra.element(rep.algebra.basis[0])
+    own = LoopAlgebraElement(rep.algebra, rep.algebra.basis[0])
     assert inf_action(rep, y, e2) == inf_action(rep, own, e2) == unit_vector(2, 0)
     c = MatrixLieAlgebra.sl(3)
-    z = c.element(c.basis[0])
+    z = LoopAlgebraElement(c, c.basis[0])
     assert x != z and z != x
     with pytest.raises(ShapeError):
         x + z

@@ -19,6 +19,7 @@ from higgsres import GaussRat, RatFunc, ShapeError
 from higgsres import _kernels as K
 from higgsres.field import dot, polar_dot
 from higgsres.lie import (
+    CoadjointElement,
     LoopAlgebraElement,
     MatrixLieAlgebra,
     bracket,
@@ -80,7 +81,7 @@ def test_coordinate_forms_match_dense_oracles(n, sparse):
     for _ in range(8):
         x = algebra.element_from(_coeffs(algebra, rng, sparse))
         # the same element through the validating constructor
-        y = algebra.element(algebra.combination(_coeffs(algebra, rng, sparse)))
+        y = LoopAlgebraElement(algebra, algebra.combination(_coeffs(algebra, rng, sparse)))
         phi = algebra.coadjoint_from(_coeffs(algebra, rng, not sparse))
         m = _matrix(n, rng)
 
@@ -107,8 +108,8 @@ def test_element_from_keeps_its_coordinates():
     coeffs = [0, U, 0, 2, 0, 0, 0, U ** -1]
     xi = sl3.element_from(coeffs)
     assert xi.coeffs == [RatFunc.const(c) if isinstance(c, int) else c for c in coeffs]
-    assert xi == sl3.element(sl3.combination(coeffs))
-    assert xi.coeffs == sl3.element(xi.mat).coeffs
+    assert xi == LoopAlgebraElement(sl3, sl3.combination(coeffs))
+    assert xi.coeffs == LoopAlgebraElement(sl3, xi.mat).coeffs
     phi = sl3.coadjoint_from(coeffs)
     assert phi.mat == xi.mat and phi.coeffs == xi.coeffs
     # results of arithmetic read their coordinates off the matrix
@@ -132,7 +133,7 @@ def test_coordinate_forms_leave_structure_unbuilt():
     sl9 = MatrixLieAlgebra.sl(9)
     rng = random.Random("sl9")
     x, y = (sl9.element_from(_coeffs(sl9, rng, True)) for _ in range(2))
-    phi = sl9.coadjoint(sl9.basis[5])
+    phi = CoadjointElement(sl9, sl9.basis[5])
     bracket(x, y)
     bracket(x, bracket(x, y))
     coadjoint_bracket(phi, x)
@@ -165,13 +166,13 @@ def test_bracket_table_matches_dense_commutator(n):
 def test_mixed_sizes_rejected():
     sl2, sl3 = MatrixLieAlgebra.sl(2), MatrixLieAlgebra.sl(3)
     with pytest.raises(ShapeError):
-        bracket(sl2.element(sl2.basis[0]), sl3.element(sl3.basis[0]))
+        bracket(LoopAlgebraElement(sl2, sl2.basis[0]), LoopAlgebraElement(sl3, sl3.basis[0]))
     with pytest.raises(ShapeError):
-        coadjoint_bracket(sl3.coadjoint(sl3.basis[0]), sl2.element(sl2.basis[0]))
+        coadjoint_bracket(CoadjointElement(sl3, sl3.basis[0]), LoopAlgebraElement(sl2, sl2.basis[0]))
     with pytest.raises(ShapeError):
-        bracket_terms(sl3.coadjoint(sl3.basis[0]), sl2.element(sl2.basis[0]))
+        bracket_terms(CoadjointElement(sl3, sl3.basis[0]), LoopAlgebraElement(sl2, sl2.basis[0]))
     with pytest.raises(ShapeError):
-        ad_terms(sl2.element(sl2.basis[0]), sl3.basis[0])
+        ad_terms(LoopAlgebraElement(sl2, sl2.basis[0]), sl3.basis[0])
 
 
 def _nonzero_polar(h: RatFunc) -> dict:

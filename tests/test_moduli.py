@@ -7,6 +7,7 @@ import pytest
 from helpers import basis_element, gauge_transform_y_point, gauge_transform_y_tangent, zero_element, zero_vector
 
 from higgsres import (
+    CoadjointElement,
     GaussRat,
     IrregularSection,
     LoopGroupElement,
@@ -97,7 +98,7 @@ def test_tangent_examples(base_point, rep):
 def test_higgs_image_of_base_point(base_point, rep):
     sl2 = rep.algebra
     h = higgs_from_y(base_point)
-    minus_half_e = GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
+    minus_half_e = GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0])
     assert h.phi_circ == minus_half_e
     assert h.phi_prime[0] == minus_half_e
 
@@ -107,9 +108,7 @@ def test_higgs_image_degenerate_cases(curve_one_point, rep, twisted_bundle):
     assert higgs_from_y(zero_point).phi_circ.is_zero()
     scaled = make_y_point(curve_one_point, rep, twisted_bundle, XVector([3, 0]))
     sl2 = rep.algebra
-    assert higgs_from_y(scaled).phi_circ == GaussRat(Fraction(-9, 2)) * sl2.coadjoint(
-        sl2.basis[0]
-    )
+    assert higgs_from_y(scaled).phi_circ == GaussRat(Fraction(-9, 2)) * CoadjointElement(sl2, sl2.basis[0])
 
 
 def test_pushforward_tangent_values(base_point, rep):
@@ -147,7 +146,7 @@ def test_pushforward_with_regular_gdot_is_pure_transition(base_point, rep):
 def zero_higgs_point(curve_one_point, rep, twisted_bundle):
     sl2 = rep.algebra
     return make_higgs_point(
-        curve_one_point, sl2, twisted_bundle, sl2.coadjoint([[0, 0], [0, 0]])
+        curve_one_point, sl2, twisted_bundle, CoadjointElement(sl2, [[0, 0], [0, 0]])
     )
 
 
@@ -157,14 +156,14 @@ def test_omega_reference_value(zero_higgs_point, rep):
     t1 = make_higgs_tangent(
         zero_higgs_point,
         [U.inverse() * basis_element(sl2, "F")],
-        sl2.coadjoint([[0, 0], [0, 0]]),
+        CoadjointElement(sl2, [[0, 0], [0, 0]]),
     )
     t2 = make_higgs_tangent(
-        zero_higgs_point, [zero_element(sl2)], sl2.coadjoint(sl2.basis[0])
+        zero_higgs_point, [zero_element(sl2)], CoadjointElement(sl2, sl2.basis[0])
     )
     # oracle: phidot'_2 = u^-2 g^-1 E g = E; integrand
     # -tr(E u^-1 F) du has residue -tr(EF) = -1
-    assert t2.phi_prime_dot[0] == sl2.coadjoint(sl2.basis[0])
+    assert t2.phi_prime_dot[0] == CoadjointElement(sl2, sl2.basis[0])
     value = symplectic_omega(zero_higgs_point, t1, t2)
     assert value == GaussRat(-1)
     assert symplectic_omega(zero_higgs_point, t1, t1).is_zero()
@@ -208,10 +207,10 @@ def test_lambda_reference_value(curve_one_point, rep, twisted_bundle):
     ambient triples and evaluates through the same residue path.
     """
     sl2 = rep.algebra
-    phi = GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
+    phi = GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0])
     point = make_higgs_point(curve_one_point, sl2, twisted_bundle, phi)
     assert point.phi_prime[0] == phi
-    zero = sl2.coadjoint([[0, 0], [0, 0]])
+    zero = CoadjointElement(sl2, [[0, 0], [0, 0]])
     t = ambient_higgs_tangent(
         point, [U.inverse() * basis_element(sl2, "F")], zero, [zero]
     )
@@ -248,11 +247,11 @@ def test_lambda_linearity(zero_higgs_point, rep):
 def test_regular_data_gives_zero_residues(zero_higgs_point, rep):
     sl2 = rep.algebra
     t = make_higgs_tangent(
-        zero_higgs_point, [basis_element(sl2, "H")], sl2.coadjoint(sl2.basis[0])
+        zero_higgs_point, [basis_element(sl2, "H")], CoadjointElement(sl2, sl2.basis[0])
     )
     assert liouville_lambda(zero_higgs_point, t).is_zero()
     t2 = make_higgs_tangent(
-        zero_higgs_point, [basis_element(sl2, "E")], sl2.coadjoint([[0, 0], [0, 0]])
+        zero_higgs_point, [basis_element(sl2, "E")], CoadjointElement(sl2, [[0, 0], [0, 0]])
     )
     assert symplectic_omega(zero_higgs_point, t, t2).is_zero()
 
@@ -363,10 +362,10 @@ def test_cartan_reference_terms(zero_higgs_point, rep):
     t1 = make_higgs_tangent(
         zero_higgs_point,
         [U.inverse() * basis_element(sl2, "F")],
-        sl2.coadjoint([[0, 0], [0, 0]]),
+        CoadjointElement(sl2, [[0, 0], [0, 0]]),
     )
     t2 = make_higgs_tangent(
-        zero_higgs_point, [zero_element(sl2)], sl2.coadjoint(sl2.basis[0])
+        zero_higgs_point, [zero_element(sl2)], CoadjointElement(sl2, sl2.basis[0])
     )
     res = cartan_check(zero_higgs_point, t1, t2)
     # jet-path oracle: only the second slot differentiates to a residue:
@@ -451,11 +450,11 @@ def ctx(curve_one_point, rep, twisted_bundle, base_point, zero_higgs_point):
         y=base_point,
         h=zero_higgs_point,
         zero=[zero_element(sl2)],
-        phi0=sl2.coadjoint([[0, 0], [0, 0]]),
-        h_mat=sl2.coadjoint([[1, 0], [0, -1]]),
-        h_off=sl2.coadjoint([[OFF, 0], [0, -OFF]]),
-        sl3_zero=sl3.coadjoint([[0] * 3] * 3),
-        sl3_off=sl3.coadjoint([[OFF, 0, 0], [0, -OFF, 0], [0, 0, 0]]),
+        phi0=CoadjointElement(sl2, [[0, 0], [0, 0]]),
+        h_mat=CoadjointElement(sl2, [[1, 0], [0, -1]]),
+        h_off=CoadjointElement(sl2, [[OFF, 0], [0, -OFF]]),
+        sl3_zero=CoadjointElement(sl3, [[0] * 3] * 3),
+        sl3_off=CoadjointElement(sl3, [[OFF, 0, 0], [0, -OFF, 0], [0, 0, 0]]),
     )
 
 

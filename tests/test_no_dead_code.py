@@ -5,13 +5,17 @@ a dataclass there.
 An ``ast`` walk collects the names the package defines (functions,
 methods and classes at any depth; dunders are exempt, because Python
 calls them) and the names that the package and the benchmark scripts
-(``perfbench/*.py``) read: every identifier loaded, every attribute
-loaded, and every identifier inside a string that is not a docstring
-(the benchmark's tracer names what it wraps as ``"solver.solve_system"``).
-A definition, an assignment and an import are not reads, except that a
-name imported by ``higgsres/__init__.py`` is the package's interface and
-counts as read.  Tests are not readers: a name only a test reads belongs
-in ``tests/helpers.py``.
+(``perfbench/*.py``) read.  Outside a class, a definition is read by
+every identifier loaded, every attribute loaded, and every identifier
+inside a string that is not a docstring (the benchmark's tracer names
+what it wraps as ``"solver.solve_system"``).  A definition inside a
+class is read only through an attribute: an attribute load of its name,
+or a string that is exactly its name or a dotted path ending in it.  A
+parameter or a word of a message that happens to share a method's name
+does not read it.  A definition, an assignment and an import are not
+reads, except that a name imported by ``higgsres/__init__.py`` is the
+package's interface and counts as read.  Tests are not readers: a name
+only a test reads belongs in ``tests/helpers.py``.
 
 The check goes by name, so it cannot catch a dead method that shares its
 name with a live one: ``AffineSpace.particular`` had no reader once
@@ -33,11 +37,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "higgsres"
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DOTTED = re.compile(r"(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _reader_paths() -> list:
+    return sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _docstrings(tree: ast.Module) -> set:
@@ -62,16 +71,32 @@ def _reads(tree: ast.Module):
             yield from _IDENTIFIER.findall(node.value)
 
 
+def _member_reads(tree: ast.Module):
+    """Every attribute loaded, and the last part of every non-docstring
+    string that is a name or a dotted path."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            dotted = _DOTTED.fullmatch(node.value)
+            if dotted:
+                yield dotted.group(1)
+
+
 def _definitions():
+    """(name, where, in a class) of each definition, dunders aside."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        members = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, _DEFINITIONS) and not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name, f"{path.relative_to(ROOT)}:{node.lineno}"
+                yield node.name, f"{path.relative_to(ROOT)}:{node.lineno}", id(node) in members
 
 
 def _read_names() -> set:
     names = set()
-    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in _reader_paths():
         names.update(_reads(_parse(path)))
     for node in ast.walk(_parse(PACKAGE / "__init__.py")):
         if isinstance(node, ast.ImportFrom):
@@ -119,7 +144,14 @@ def _field_reads(tree: ast.Module):
 
 def test_every_definition_has_a_reader():
     read = _read_names()
-    unread = [f"{where} {name}" for name, where in _definitions() if name not in read]
+    member_read = set()
+    for path in _reader_paths():
+        member_read.update(_member_reads(_parse(path)))
+    unread = [
+        f"{where} {name}"
+        for name, where, member in _definitions()
+        if name not in (member_read if member else read)
+    ]
     assert not unread, "defined in src/higgsres but read by no module there or in perfbench:\n" + "\n".join(unread)
 
 
@@ -130,6 +162,17 @@ def test_the_walk_sees_reads_in_code_and_strings():
         'def f():\n    """g"""\n    h = k.m\n    return "solver.solve_system"\n'
     )
     assert set(_reads(tree)) == {"k", "m", "solver", "solve_system"}
+
+
+def test_the_member_walk_sees_only_attributes():
+    """A method is read by an attribute load or a string naming it, bare
+    or as a dotted path, and not by a plain name, a parameter or a word
+    of a message."""
+    tree = ast.parse(
+        'def f(num):\n    """g"""\n    h = k.m\n    raise E("an algebra element")\n'
+        '    return num, "solver.solve_system", "p"\n'
+    )
+    assert set(_member_reads(tree)) == {"m", "solve_system", "p"}
 
 
 def test_every_import_is_read():
@@ -145,7 +188,7 @@ def test_every_import_is_read():
 
 def test_every_dataclass_field_has_a_reader():
     read = set()
-    for path in sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in _reader_paths():
         read.update(_field_reads(_parse(path)))
     unread = [f"{where}.{name}" for name, where in _dataclass_fields() if name not in read]
     assert not unread, "dataclass fields that no module in src/higgsres or perfbench reads:\n" + "\n".join(unread)

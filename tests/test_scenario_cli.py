@@ -439,6 +439,11 @@ def test_higgs_pair_instances_are_pinned(fixtures_dir):
     assert got == PINNED_CARTAN_TERMS
 
 
+Z_DEPENDENT_RHO = {
+    "E": [["0", "z"], ["0", "0"]],
+    "H": [["1", "0"], ["0", "-1"]],
+    "F": [["0", "0"], ["1/z", "0"]],
+}
 SL2_DIAG = [["1/u", "0"], ["0", "u"]]
 SL2_ZERO = [["0", "0"], ["0", "0"]]
 # a scenario path that names a directory
@@ -507,6 +512,14 @@ def word_bundle(factor):
         # the scenario path itself cannot be read (no keys: value is the file)
         ((), A_DIRECTORY, 2, "error: cannot read scenario: [Errno 21] Is a directory"),
         ((), b'{"name": "f\xe9"}', 2, "error: cannot read scenario: 'utf-8' codec can't decode"),
+        # a misspelled recipe key is an error, not its default
+        (("bounds", "degre"), 10, 2, "unknown key 'degre', expected one of degree, pole_order (at bounds.degre)"),
+        (("suite", "max_attempt"), 8, 2, "suite.max_attempt"),
+        (("suite", "cocycle", "lenght"), 3, 2, "suite.cocycle.lenght"),
+        (("suite", "g_dot", "term"), 2, 2, "suite.g_dot.term"),
+        # E = z e12 and F = 1/z e21 close up as sl2 at each z, but rho must be constant
+        (("representation",), dict(EXPLICIT_REP, rho=Z_DEPENDENT_RHO), 2,
+         "rho entries must be constants (at representation.rho['E'][0][1])"),
     ],
 )
 def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):

@@ -17,6 +17,7 @@ from helpers import (
     entry_higgs_system,
     inf_action,
     monomial_vectors,
+    numerator,
     particular_value,
     rho_group,
     sample,
@@ -51,7 +52,7 @@ from higgsres import (
 )
 from higgsres import _kernels as K
 from higgsres import moduli, solver, suites
-from higgsres.lie import Coadjoint, MatrixLieAlgebra, elementary, torus
+from higgsres.lie import Coadjoint, CoadjointElement, MatrixLieAlgebra, elementary, torus
 from higgsres.linalg import Elimination
 from higgsres.matrices import identity
 from higgsres.moduli import make_higgs_point, make_higgs_tangent
@@ -372,9 +373,9 @@ def _dense_frames(rep, g):
     g_i b_k g_i^-1 (column k of rho(g_i)) on the Higgs side."""
     algebra = rep.algebra
     section = [tuple(zip(*rho_group(rep, g_i.inverse()))) for g_i in g]
-    higgs = [[coadjoint_transition(g_i, algebra.coadjoint(b)).coeffs for b in algebra.basis] for g_i in g]
+    higgs = [[coadjoint_transition(g_i, CoadjointElement(algebra, b)).coeffs for b in algebra.basis] for g_i in g]
     higgs_inverse = [
-        tuple(zip(*(coadjoint_transition(g_i.inverse(), algebra.coadjoint(b)).coeffs for b in algebra.basis)))
+        tuple(zip(*(coadjoint_transition(g_i.inverse(), CoadjointElement(algebra, b)).coeffs for b in algebra.basis)))
         for g_i in g
     ]
     return (rep, section, [rho_group(rep, g_i) for g_i in g]), (Coadjoint(algebra), higgs, higgs_inverse)
@@ -463,8 +464,8 @@ def _fresh_candidates(curve, bounds):
     for p in curve.marked_points:
         if not p.is_infinity:
             den = den * RatFunc([-p.value, 1]) ** bounds.pole_order
-    t_max = len(den.num) - 1 + (bounds.degree if INFINITY in curve.marked_points else 0)
-    functions = tuple(RatFunc([0] * t + [1], den.num) for t in range(t_max + 1))
+    t_max = len(numerator(den)) - 1 + (bounds.degree if INFINITY in curve.marked_points else 0)
+    functions = tuple(RatFunc([0] * t + [1], numerator(den)) for t in range(t_max + 1))
     size = len(functions)
     disks = []
     orders = []
@@ -475,7 +476,7 @@ def _fresh_candidates(curve, bounds):
         # f_t = z^t / D: ord_inf f_t = deg D - t, ord_0 f_t = t - P
         tau = curve.transition(i).valuation()
         if p.is_infinity:
-            orders.append((i, -1, len(den.num) - 1, tau))
+            orders.append((i, -1, len(numerator(den)) - 1, tau))
         elif p.value.is_zero():
             orders.append((i, 1, -bounds.pole_order, tau))
     return functions, tuple(disks), tuple(orders)
@@ -529,19 +530,43 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
 
 
 def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
-    scenario = load_scenario(str(fixtures_dir / "f1.json"))
-    rng = SeedStream("warm-trial")
+    """Once its curve's constants are built, a trial of each benchmark
+    workload asks for no gcd: a theorem trial on f1 and on f3, and a
+    Higgs pair with its Cartan check on f2."""
 
-    def trial(t):
-        inst = build_instance(scenario, rng.child(t))
-        t1, t2 = inst.tangents
-        assert pullback_omega(inst.point, t1, t2).is_zero()
-        assert identity_check(inst.point, t1, t2).ok
+    def theorem(name):
+        scenario = load_scenario(str(fixtures_dir / name))
+        rng = SeedStream("warm-trial")
 
-    trial(0)
+        def trial(t):
+            inst = build_instance(scenario, rng.child(t))
+            t1, t2 = inst.tangents
+            assert pullback_omega(inst.point, t1, t2).is_zero()
+            assert identity_check(inst.point, t1, t2).ok
+
+        return trial
+
+    def cartan(name):
+        scenario = load_scenario(str(fixtures_dir / name))
+        rng = SeedStream("warm-pair")
+
+        def trial(t):
+            point, (t1, t2) = suites.random_higgs_pair(scenario, rng.child(t))
+            assert moduli.cartan_check(point, t1, t2).ok
+
+        return trial
+
+    workloads = [theorem("f1.json"), theorem("f3.json"), cartan("f2.json")]
+    for trial in workloads:
+        trial(0)
     calls = _count_gcds(monkeypatch)
-    trial(1)
-    assert calls[0] == 0
+    warm = []
+    for trial in workloads:
+        before = calls[0]
+        for t in range(1, 6):
+            trial(t)
+        warm.append(calls[0] - before)
+    assert warm == [0, 0, 0]
 
 
 def _record_calls(monkeypatch, owner, name, method=True):
@@ -679,7 +704,7 @@ def test_higgs_field_space_matches_transition(curve_one_point, twisted_bundle):
 
 def test_higgs_tangent_space_solutions_are_valid(curve_one_point, twisted_bundle):
     sl2 = builtin_rep("sl2-standard").algebra
-    phi = GaussRat(Fraction(-1, 2)) * sl2.coadjoint(sl2.basis[0])
+    phi = GaussRat(Fraction(-1, 2)) * CoadjointElement(sl2, sl2.basis[0])
     point = make_higgs_point(curve_one_point, sl2, twisted_bundle, phi)
     rng = SeedStream("higgs-tangent")
     for trial in range(5):
@@ -1146,7 +1171,7 @@ def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
         assert g.conjugate(algebra, a) is column
         assert g.conjugate(MatrixLieAlgebra.sl(3), a) is column
         assert Coadjoint(algebra).column(g, a) is column
-        want = coadjoint_transition(g, algebra.coadjoint(b))
+        want = coadjoint_transition(g, CoadjointElement(algebra, b))
         assert column == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
         coords = [RatFunc.const(0)] * algebra.dim
         for k, c in column:

@@ -23,7 +23,7 @@ from higgsres import (
     pairing,
     rep_validate,
 )
-from higgsres.lie import LoopGroupElement, MatrixLieAlgebra, elementary, torus
+from higgsres.lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, elementary, torus
 from higgsres.matrices import mat_from, mat_mul, mat_transpose
 from higgsres.solver import (
     CocycleRecipe,
@@ -202,8 +202,8 @@ def test_sparse_forms_match_dense_oracle(name):
         rng = SeedStream("sparse-forms", name, trial)
         laurent = trial % 2 == 0
         x, v = _vector(rep, rng, laurent), _vector(rep, rng, laurent)
-        xi = algebra.element(algebra.combination(_coefficients(algebra, rng, laurent)))
-        phi = algebra.coadjoint(algebra.combination(_coefficients(algebra, rng, not laurent)))
+        xi = LoopAlgebraElement(algebra, algebra.combination(_coefficients(algebra, rng, laurent)))
+        phi = CoadjointElement(algebra, algebra.combination(_coefficients(algebra, rng, not laurent)))
         assert rep.moment(x) == dense_moment(rep, x)
         assert rep.dmoment(x, v) == dense_dmoment(rep, x, v)
         assert rep.space.pair(x, v) == dense_pair(rep.space, x, v)
@@ -240,7 +240,7 @@ def test_sparse_forms_keep_their_errors(name):
     rep = REPS[name]()
     dim = rep.space.dim
     good, short, long = unit_vector(dim, 0), unit_vector(dim - 1, 0), unit_vector(dim + 1, 0)
-    xi = rep.algebra.element(rep.algebra.basis[0])
+    xi = LoopAlgebraElement(rep.algebra, rep.algebra.basis[0])
     for bad in (short, long):
         with pytest.raises(ShapeError):
             rep.moment(bad)
@@ -254,9 +254,9 @@ def test_sparse_forms_keep_their_errors(name):
             inf_action(rep, xi, bad)
     other = MatrixLieAlgebra.sl(rep.algebra.n + 1)
     with pytest.raises(NotInAlgebra):
-        inf_action(rep, other.element(other.basis[0]), good)
+        inf_action(rep, LoopAlgebraElement(other, other.basis[0]), good)
     with pytest.raises(ShapeError):
-        pairing(other.coadjoint(other.basis[0]), xi)
+        pairing(CoadjointElement(other, other.basis[0]), xi)
 
 
 def test_builders_match_dense_oracle():
