@@ -171,12 +171,13 @@ def p_dot(terms):
     a unit c of 1 or -1 takes no product.
 
     ``terms`` is a non-empty list; c is a scalar, p and q are non-zero
-    polynomials and k >= 0.  K is the largest k, and each product is
-    added into one numerator over x^K, shifted up by K - k.  The
-    coefficients are summed as unreduced (a, b, d) and normalised once
-    at the end, so a sum pays one gcd per coefficient, and none where
-    every denominator is 1.  The numerator has no trailing zeros; its
-    low zeros, which x^K may share, are left to the caller.
+    polynomials and k is any integer.  K is the largest k, or 0 when
+    every k is negative, and each product is added into one numerator
+    over x^K, shifted up by K - k.  The coefficients are summed as
+    unreduced (a, b, d) and normalised once at the end, so a sum pays
+    one gcd per coefficient, and none where every denominator is 1.
+    The numerator has no trailing zeros; its low zeros, which x^K may
+    share, are left to the caller.
     """
     top = size = 0
     for _, p, q, k in terms:

@@ -43,10 +43,11 @@ def _strip_marked_factors(poly: list, points) -> list:
 class MarkedCurve:
     """P^1 with marked points, the trivializing form alpha, and twists T_i.
 
-    The twists T_i^-w and the coefficients a_i(u) are computed on first
-    read and kept; ``candidate_spaces`` holds the solver's candidate
-    space for each ``SolverBounds`` value, built on first use.  A curve
-    is not mutated after construction, so neither goes stale.
+    The twists T_i^-w (also as monomials, ``laurent_twists``) and the
+    coefficients a_i(u) are computed on first read and kept;
+    ``candidate_spaces`` holds the solver's candidate space for each
+    ``SolverBounds`` value, built on first use.  A curve is not mutated
+    after construction, so none of them goes stale.
     """
 
     def __init__(self, marked_points, alpha, transitions):
@@ -68,6 +69,7 @@ class MarkedCurve:
         ]
         self.candidate_spaces: dict = {}
         self._twists: dict = {}
+        self._laurent_twists: dict = {}
         self._zero_marked = any(not p.is_infinity and p.value.is_zero() for p in points)
 
     @property
@@ -85,6 +87,20 @@ class MarkedCurve:
         out = self._twists.get(weight)
         if out is None:
             out = self._twists[weight] = [t ** -weight for t in self.transitions]
+        return out
+
+    def laurent_twists(self, weight: int) -> list:
+        """(c, m, at_infinity) at each marked 0 or infinity whose twist
+        T_i^-weight is a monomial c*u^m (c a scalar triple), None at every
+        other point; formed once.  There the chart pull and the twist of a
+        Laurent germ are a reversal (at infinity) and a shift of its
+        numerator (``moduli._transport``)."""
+        out = self._laurent_twists.get(weight)
+        if out is None:
+            out = self._laurent_twists[weight] = [
+                None if mono is None or not (p.is_infinity or p.value.is_zero()) else (*mono, p.is_infinity)
+                for p, mono in zip(self.marked_points, (t.as_monomial() for t in self.twists(weight)))
+            ]
         return out
 
     @cached_property

@@ -28,8 +28,11 @@ numerator with the smaller k by |k1 - k2| zeros, and both then strip
 the min(ord_0 n, k) low zeros that u^k shares with n.  ``dot`` sums
 many products at once: it adds each into one numerator over the largest
 power of u and reduces once, and a single product with a one-coefficient
-factor is a scale of the other factor; ``polar_dot`` reads only the
-coefficients of such a sum below u^0, off windows of the factors.
+factor is a scale of the other factor.  ``kernel_dot`` is that sum on
+numerators given directly, so a caller can fold a monomial factor c*u^m
+into a term's scalar and pole order without forming the product as a
+germ.  ``polar_dot`` reads only the coefficients of such a sum below
+u^0, off windows of the factors.
 Division and inversion by a monomial c*u^m, the chart pull at infinity
 and reading Laurent coefficients (a slice of n) take the same short
 cut.  The canonical form is unique, so both paths give identical values.
@@ -250,9 +253,18 @@ class RatFunc:
     @classmethod
     def monomial(cls, c: "GaussRat", m: int) -> "RatFunc":
         """c * x^m for a non-zero c and any integer m."""
-        if m >= 0:
-            return cls._raw([K.GQ_ZERO] * m + [c._t], [K.GQ_ONE])
-        return cls._raw([c._t], [K.GQ_ZERO] * -m + [K.GQ_ONE])
+        return cls.laurent({m: c._t})
+
+    @classmethod
+    def laurent(cls, coeffs: dict) -> "RatFunc":
+        """sum c*x^e over {e: c}, each c a non-zero scalar triple and e any
+        integer: the numerator runs from x^min(lo, 0) to the top exponent,
+        over x^-lo when the lowest exponent lo is negative."""
+        if not coeffs:
+            return _ZERO
+        lo = min(min(coeffs), 0)
+        n = [coeffs.get(e, K.GQ_ZERO) for e in range(lo, max(coeffs) + 1)]
+        return cls._raw(n, [K.GQ_ZERO] * -lo + [K.GQ_ONE])
 
     def is_zero(self) -> bool:
         return not self._n
@@ -592,15 +604,12 @@ def dot(terms) -> RatFunc:
     """The sum of c*x*y over the terms (c, x, y): x and y are RatFunc, c
     is a GaussRat or a RatFunc.
 
-    A sum with one non-zero term whose c is a scalar and one of whose
-    factors has a single coefficient, a*u^-k, is the other factor's
-    numerator scaled by a*c, over u^k times its denominator; that takes
-    one ``p_scale`` when k = 0 or the other factor is Laurent.  When
-    every non-zero term has Laurent factors and a scalar c, the products
-    are added into one numerator over the largest power of u by the
-    ``p_dot`` kernel and reduced once; otherwise the terms are summed
-    with the operators.  All give the value the operators would.  A sum
-    with no non-zero term is the shared zero.
+    When every non-zero term has Laurent factors and a scalar c, the sum
+    is ``kernel_dot`` over their numerators.  Otherwise one non-zero term
+    with a scalar c and a constant factor is the other factor's numerator
+    scaled, over its denominator, and any other sum is summed with the
+    operators.  All give the value the operators would.  A sum with no
+    non-zero term is the shared zero.
     """
     items = []
     laurent = True
@@ -610,19 +619,38 @@ def dot(terms) -> RatFunc:
             laurent = laurent and x._k >= 0 and y._k >= 0 and type(c) is GaussRat
     if not items:
         return _ZERO
+    if laurent:
+        return kernel_dot([(c._t, x._n, y._n, x._k + y._k) for c, x, y in items])
     if len(items) == 1 and type(items[0][0]) is GaussRat:
         c, x, y = items[0]
-        scaled = _scaled_product(c._t, x, y)
-        if scaled is None:
-            scaled = _scaled_product(c._t, y, x)
-        if scaled is not None:
-            return scaled
-    if laurent:
-        return _laurent(*K.p_dot([(c._t, x._n, y._n, x._k + y._k) for c, x, y in items]))
+        if y.is_constant():
+            x, y = y, x
+        if x.is_constant():
+            return y._scaled(K.gq_mul(c._t, x._n[0]))
     acc = _ZERO
     for c, x, y in items:
         acc = acc + x * y * c
     return acc
+
+
+def kernel_dot(terms: list) -> RatFunc:
+    """The sum of c*p*q/u^k over the ``p_dot`` terms (c, p, q, k): c a
+    scalar triple, p and q non-zero numerators and k any integer, so a
+    factor may be given as a numerator with its pole order and a monomial
+    scale folded into c and k.  The products are added into one numerator
+    over the largest power of u and reduced once; a single product with a
+    one-coefficient factor is a scale of the other (``p_scale``), and no
+    terms is the shared zero."""
+    if len(terms) == 1:
+        c, p, q, k = terms[0]
+        if len(q) == 1:
+            p, q = q, p
+        if len(p) == 1:
+            n = K.p_scale(K.gq_mul(c, p[0]), q)
+            if k >= 0 or not n:
+                return _laurent(n, k)
+            return RatFunc._raw([K.GQ_ZERO] * -k + n, [K.GQ_ONE])
+    return _laurent(*K.p_dot(terms)) if terms else _ZERO
 
 
 def polar_dot(terms) -> dict:
@@ -681,22 +709,6 @@ def residue_dot(terms) -> GaussRat:
         for a in range(max(0, top - len(ny) + 1), min(len(nx), top + 1)):
             acc = K.gq_add(acc, K.gq_mul(c._t, K.gq_mul(nx[a], ny[top - a])))
     return GaussRat.from_triple(acc)
-
-
-def _scaled_product(c: tuple, s: RatFunc, o: RatFunc) -> RatFunc | None:
-    """c*s*o for a single-coefficient Laurent s = a*u^-k, as a*c times o
-    (a unit c of 1 or -1 takes no product), or None when s is not one or
-    the product needs a gcd (k > 0 and o is not Laurent)."""
-    if len(s._n) != 1 or s._k < 0 or (s._k and o._k < 0):
-        return None
-    a = s._n[0]
-    scale = a if c == K.GQ_ONE else K.gq_neg(a) if c == K.GQ_MINUS_ONE else K.gq_mul(c, a)
-    if K.gq_is_zero(scale):
-        return _ZERO
-    n = K.p_scale(scale, o._n)
-    if o._k < 0:
-        return RatFunc._raw(n, list(o._d))
-    return _laurent(n, s._k + o._k)
 
 
 # the operands a Jet2 treats as jets with zero e1, e2 and e1*e2 components

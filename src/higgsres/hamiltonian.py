@@ -18,6 +18,10 @@ non-zero entries (i, j, c): omega(u, v) = sum c u_i v_j over omega, and
 is summed over Q_a folded once onto the pairs i <= j (``_folded``): a
 quadratic form sees only the symmetric part of its matrix, so the fold
 is exact also for an explicit rho outside sp(omega), where Q_a is not.
+Each family of forms (omega; the Q_a; their folds) is indexed by row at
+construction (``_by_row``), so a sum visits only the entries of the
+non-zero u_i, keeps those with a non-zero v_j, and takes one ``dot`` per
+form with a term left (``_form_values``).
 ``dmoment_values`` and ``moment_values`` return these pairings in label
 order; ``dmoment`` and ``moment`` turn them into the coordinates of
 coadjoint values in closed form (``coadjoint_from_pairings``), with no
@@ -85,9 +89,28 @@ def _sparse(m: Matrix) -> tuple:
     )
 
 
-def _bilinear(entries: tuple, u: tuple, v: tuple) -> RatFunc:
-    """sum c u_i v_j over the entries (i, j, c) of a sparse form."""
-    return dot((c, u[i], v[j]) for i, j, c in entries)
+def _by_row(forms: list, dim: int) -> tuple:
+    """The entries (a, j, c) of a family of sparse forms, a the index of
+    the form and (i, j, c) its entry, grouped by row i < dim."""
+    rows = [[] for _ in range(dim)]
+    for a, entries in enumerate(forms):
+        for i, j, c in entries:
+            rows[i].append((a, j, c))
+    return tuple(map(tuple, rows))
+
+
+def _form_values(rows: tuple, count: int, u: tuple, v: tuple) -> list[RatFunc]:
+    """sum c u_i v_j over the entries (i, j, c) of each of the ``count``
+    forms of a family indexed by row (``_by_row``), over the non-zero u_i
+    and v_j only: one ``dot`` per form with a non-zero term."""
+    terms = [[] for _ in range(count)]
+    for x, row in zip(u, rows):
+        if x._n:
+            for a, j, c in row:
+                y = v[j]
+                if y._n:
+                    terms[a].append((c, x, y))
+    return [dot(t) if t else _ZERO for t in terms]
 
 
 def _folded(entries: tuple) -> tuple:
@@ -162,7 +185,7 @@ class SymplecticSpace:
             raise ValidationError("omega is not antisymmetric")
         if det(self.omega).is_zero():
             raise ValidationError("omega is singular")
-        self._entries = _sparse(self.omega)
+        self._rows = _by_row([_sparse(self.omega)], n)
 
     def check(self, *vectors: XVector):
         """Raise ShapeError unless every vector has the space's dimension."""
@@ -172,7 +195,7 @@ class SymplecticSpace:
     def pair(self, u: XVector, v: XVector) -> RatFunc:
         """omega(u, v) with RatFunc coordinates."""
         self.check(u, v)
-        return _bilinear(self._entries, u.coords, v.coords)
+        return _form_values(self._rows, 1, u.coords, v.coords)[0]
 
     def __repr__(self):
         return f"SymplecticSpace(dim={self.dim})"
@@ -219,10 +242,12 @@ class HamiltonianRep:
         for lab, m in self.rho.items():
             if shape(m) != (space.dim, space.dim):
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
-        # per label, in label order: the entries of rho(xi_a), Q_a = rho(xi_a)^T omega and its fold
+        # per label, in label order: the entries of rho(xi_a); the entries
+        # of Q_a = rho(xi_a)^T omega and of its fold, by row (``_by_row``)
         self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
-        self._forms = [_sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels]
-        self._quadratic = [_folded(q) for q in self._forms]
+        forms = [_sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels]
+        self._forms = _by_row(forms, self.dim)
+        self._quadratic = _by_row([_folded(q) for q in forms], self.dim)
 
     # -- group action ------------------------------------------------------
 
@@ -283,13 +308,13 @@ class HamiltonianRep:
     def dmoment_values(self, x: XVector, v: XVector) -> list[RatFunc]:
         """<dmu_x(v), xi_a> = x^T Q_a v for each basis label, in label order."""
         self.space.check(x, v)
-        return [_bilinear(q, x.coords, v.coords) for q in self._forms]
+        return _form_values(self._forms, self.algebra.dim, x.coords, v.coords)
 
     def moment_values(self, x: XVector) -> list[RatFunc]:
         """<mu(x), xi_a> = 1/2 x^T Q_a x for each basis label, in label
         order, one sum over the folded form of Q_a (pairs i <= j)."""
         self.space.check(x)
-        return [_bilinear(q, x.coords, x.coords) for q in self._quadratic]
+        return _form_values(self._quadratic, self.algebra.dim, x.coords, x.coords)
 
     def moment(self, x: XVector) -> CoadjointElement:
         """mu(x), the coadjoint value with the pairings ``moment_values(x)``."""

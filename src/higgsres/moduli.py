@@ -17,9 +17,9 @@ Higgs data is the same rule for the coadjoint representation
     phi'_i    = T_i^-2 g_i^-1 phi g_i,
     phidot'_i = T_i^-2 g_i^-1 phidot g_i - [gdot_i, phi'_i].
 
-One transport serves both sides (``transport_terms``, ``derive_prime``,
-``derive_prime_dot``, ``disk_actions``), written against the interface
-that ``hamiltonian.HamiltonianRep`` and ``lie.Coadjoint`` share.
+One transport serves both sides (``derive_prime``, ``derive_prime_dot``,
+both through ``_transport``, and ``disk_actions``), written against the
+interface that ``hamiltonian.HamiltonianRep`` and ``lie.Coadjoint`` share.
 
 On Higgs data two residue pairings are defined per marked point and
 summed: the tautological 1-form
@@ -62,12 +62,18 @@ value is built from its coordinates,
     x'_i = T_i^-w sum_k pull_i(x_k) rho(g_i)^-1 e_k,
 
 summed over the non-zero coordinates x_k only, each column read off g_i
-(``transport_terms``): on the Higgs side from g_i's table of conjugates
+(``rep.column``): on the Higgs side from g_i's table of conjugates
 (``LoopGroupElement.conjugate``).  phidot'_i adds the terms of
 -[gdot_i, phi'_i] to the same sums, read from the bracket table over the
 non-zero coordinates of both (``lie.bracket_terms``), and sdot'_i adds
--rho(gdot_i) s'_i, formed once per tangent.  So no matrix is formed, no
-dense product runs and no transported value is checked for trace 0 again.
+-rho(gdot_i) s'_i, formed once per tangent.  Each coordinate is one sum
+(``_transport``): at a marked 0 or infinity whose twist T_i^-w is a
+monomial c*u^m, every disk of the shipped fixtures, one
+``field.kernel_dot`` whose terms take the chart pull, the twist, the
+column entry and the negated action terms straight from the factors'
+numerators, so no germ is formed before the sum.  So no matrix is
+formed, no dense product runs and no transported value is checked for
+trace 0 again.
 ``cartan_check``'s jets pair coordinates too, over the non-zero
 coordinates of the fixed gdot_i, and Omega and its jet recomputation
 share one bracket per disk.  Omega and lambda read each residue off the
@@ -78,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _kernels as K
 from .curve import MarkedCurve
 from .errors import (
     EquivarianceBroken,
@@ -86,7 +93,7 @@ from .errors import (
     RegularityViolation,
     ShapeError,
 )
-from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot, residue_dot
+from .field import GQ_ONE, GQ_ZERO, GaussRat, Jet2, RatFunc, dot, kernel_dot, residue_dot
 from .hamiltonian import HamiltonianRep, XVector
 from .lie import (
     Coadjoint,
@@ -227,27 +234,71 @@ class HiggsTangent:
 # ---------------------------------------------------------------------------
 
 
-def transport_terms(curve: MarkedCurve, rep, g, i: int, x) -> list[list]:
-    """The ``field.dot`` terms of each coordinate of T_i^-w rho(g_i)^-1 x,
-    w = ``rep.weight``, x given by its coordinates in the global
-    coordinate z: T_i^-w pull_i(x_k) times each non-zero entry of column
-    k of rho(g_i)^-1 (``rep.column``), read for the non-zero x_k only."""
+def _transport(curve: MarkedCurve, rep, g, i: int, x, action=()) -> list:
+    """The coordinates of T_i^-w rho(g_i)^-1 x, w = ``rep.weight``, less
+    the sums of the ``field.dot`` terms ``action[r]`` of each coordinate
+    r, x given by its coordinates in the global coordinate z.
+
+    Each coordinate is one sum: T_i^-w pull_i(x_k) times each non-zero
+    entry of column k of rho(g_i)^-1 (``rep.column``), for the non-zero
+    x_k only, and the action's terms negated.  Where the twist is a
+    monomial c*u^m (``MarkedCurve.laurent_twists``) and the factors are
+    Laurent with scalar weights, it is one ``kernel_dot`` over their
+    numerators: the chart pull (none at 0, a reversed numerator at
+    infinity) and the twist fold into each term's scalar and pole order.
+    Anywhere else the germs T_i^-w pull_i(x_k) are formed and summed by
+    ``field.dot``; both give the same canonical value.
+    """
+    terms = _laurent_terms(curve.laurent_twists(rep.weight)[i], rep, g[i], x, action)
+    if terms is not None:
+        return [kernel_dot(t) for t in terms]
     chart = curve.chart(i)
     twist = curve.twists(rep.weight)[i]
-    terms = [[] for _ in range(rep.dim)]
+    terms = [[(-c, a, b) for c, a, b in own] for own in action] or [[] for _ in range(rep.dim)]
     for k, c in enumerate(x):
         if c.is_zero():
             continue
         y = twist * chart.pull(c)
         for r, v in rep.column(g[i], k):
             terms[r].append((GQ_ONE, y, v))
+    return [dot(t) for t in terms]
+
+
+def _laurent_terms(twist, rep, g, x, action) -> list | None:
+    """The ``kernel_dot`` terms of each coordinate of ``_transport`` at a
+    disk whose ``laurent_twists`` entry is ``twist``, (c, m, at_infinity),
+    or None when that is None, a non-zero factor is not Laurent or a
+    weight is not a scalar."""
+    if twist is None:
+        return None
+    scale, m, at_infinity = twist
+    terms = [[] for _ in range(rep.dim)]
+    for own, sums in zip(terms, action):
+        for c, a, b in sums:
+            if a._n and b._n:
+                if a._k < 0 or b._k < 0 or type(c) is not GaussRat:
+                    return None
+                own.append((K.gq_neg(c._t), a._n, b._n, a._k + b._k))
+    for k, c in enumerate(x):
+        n, e = c._n, c._k
+        if not n:
+            continue
+        if e < 0:
+            return None
+        if at_infinity:
+            # n(1/u) u^e = rev(n) / u^(deg n - e)
+            n, e = K.p_norm(n[::-1]), len(n) - 1 - e
+        for r, v in rep.column(g, k):
+            if v._k < 0:
+                return None
+            terms[r].append((scale, n, v._n, e - m + v._k))
     return terms
 
 
 def derive_prime(curve, rep, g, x) -> list:
     """x'_i = T_i^-w rho(g_i)^-1 x at every marked point, x given by its
     coordinates (no regularity check)."""
-    return [rep.value([dot(t) for t in transport_terms(curve, rep, g, i, x)]) for i in range(curve.n_points)]
+    return [rep.value(_transport(curve, rep, g, i, x)) for i in range(curve.n_points)]
 
 
 def disk_actions(rep, g_dot, disk) -> list:
@@ -259,14 +310,9 @@ def derive_prime_dot(curve, rep, g, x_dot, actions) -> list:
     """xdot'_i = T_i^-w rho(g_i)^-1 xdot - rho(gdot_i) x'_i at every marked
     point, xdot given by its coordinates and ``actions[i]`` by the
     ``field.dot`` terms of each coordinate of rho(gdot_i) x'_i.  Each
-    coordinate is one sum: the transport's terms and the action's, negated."""
-    out = []
-    for i in range(curve.n_points):
-        terms = transport_terms(curve, rep, g, i, x_dot)
-        for own, action in zip(terms, actions[i]):
-            own.extend((-c, a, b) for c, a, b in action)
-        out.append(rep.value([dot(t) for t in terms]))
-    return out
+    coordinate is one sum (``_transport``): the transport's terms and the
+    action's, negated."""
+    return [rep.value(_transport(curve, rep, g, i, x_dot, actions[i])) for i in range(curve.n_points)]
 
 
 def _sdot_prime(base: YPoint, actions, s_circ_dot) -> list[XVector]:

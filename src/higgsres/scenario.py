@@ -124,6 +124,21 @@ def _expect(obj: Any, types, path: str, what: str):
     return obj
 
 
+def _expect_keys(block: Any, names, path: str, what: str) -> None:
+    """A dict whose every key is one of ``names``: a misspelled key is an
+    error at ``<path>.<key>`` (at ``<key>`` on the top level), not a
+    silently ignored entry or a default."""
+    _expect(block, dict, path, what)
+    for key in block:
+        if key not in names:
+            where = f"{path}.{key}" if path else key
+            raise ParseError(f"unknown key {key!r}, expected one of {', '.join(names)}", where)
+
+
+def _field_names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
 def _parse_rf(text: Any, var: str, path: str) -> RatFunc:
     _expect(text, str, path, "a rational-function string")
     try:
@@ -214,7 +229,7 @@ def _parse_g_dot(block: Any, curve: MarkedCurve, algebra, path: str) -> list:
 
 
 def _parse_curve(block: Any, path: str) -> MarkedCurve:
-    _expect(block, dict, path, "a curve block")
+    _expect_keys(block, ("marked_points", "alpha", "transitions"), path, "a curve block")
     pts_raw = _expect(block.get("marked_points"), list, f"{path}.marked_points", "a list of points")
     if not pts_raw:
         raise ParseError("at least one marked point is required", f"{path}.marked_points")
@@ -234,12 +249,14 @@ def _parse_word_factor(factor: Any, n: int, path: str) -> LoopGroupElement:
     _expect(factor, dict, path, "a generator word factor")
     kind = factor.get("type")
     if kind == "torus":
+        _expect_keys(factor, ("type", "exponents"), path, "a generator word factor")
         exps = _expect(factor.get("exponents"), list, f"{path}.exponents", "a list of ints")
         if len(exps) != n or not all(_is_int(e) for e in exps):
             raise ParseError(f"expected {n} integer exponents", f"{path}.exponents")
         with _invalid(f"{path}.exponents: "):
             return torus(n, exps)
     if kind == "elementary":
+        _expect_keys(factor, ("type", "j", "k", "coeff"), path, "a generator word factor")
         j = _expect_int(factor.get("j"), f"{path}.j")
         k = _expect_int(factor.get("k"), f"{path}.k")
         if not (1 <= j <= n and 1 <= k <= n and j != k):
@@ -256,12 +273,14 @@ def _parse_bundle(block: Any, curve: MarkedCurve, n: int, path: str) -> list:
     kind = block.get("kind", "explicit")
     out = []
     if kind == "explicit":
+        _expect_keys(block, ("kind", "matrices"), path, "a bundle block")
         for rows, where in _per_point(block.get("matrices"), curve.marked_points, f"{path}.matrices", "bundle matrix"):
             rows = _parse_matrix(rows, n, "u", where)
             with _invalid(f"{where}: "):
                 out.append(LoopGroupElement(rows))
         return out
     if kind == "word":
+        _expect_keys(block, ("kind", "words"), path, "a bundle block")
         for factors, where in _per_point(block.get("words"), curve.marked_points, f"{path}.words", "bundle word"):
             _expect(factors, list, where, "a list of factors")
             g = LoopGroupElement.identity(n)
@@ -272,20 +291,10 @@ def _parse_bundle(block: Any, curve: MarkedCurve, n: int, path: str) -> list:
     raise ParseError("bundle kind must be 'explicit' or 'word'", f"{path}.kind")
 
 
-def _expect_fields(block: Any, cls, path: str, what: str) -> None:
-    """A dict whose every key names a field of the dataclass cls: a
-    misspelled knob is an error, not its default."""
-    _expect(block, dict, path, what)
-    names = [f.name for f in fields(cls)]
-    for key in block:
-        if key not in names:
-            raise ParseError(f"unknown key {key!r}, expected one of {', '.join(names)}", f"{path}.{key}")
-
-
 def _parse_bounds(block: Any, path: str) -> SolverBounds:
     if block is None:
         return SolverBounds()
-    _expect_fields(block, SolverBounds, path, "a bounds block")
+    _expect_keys(block, _field_names(SolverBounds), path, "a bounds block")
     for key, value in block.items():
         if not (_is_int(value) and value >= 0):
             raise ParseError("bounds must be non-negative integers", f"{path}.{key}")
@@ -301,7 +310,7 @@ def _parse_recipe(block: Any, cls, path: str):
     """
     if block is None:
         return cls()
-    _expect_fields(block, cls, path, "a recipe block")
+    _expect_keys(block, _field_names(cls), path, "a recipe block")
     values = {}
     for f in fields(cls):
         if f.name not in block:
@@ -336,6 +345,7 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
     section transport (the Y-side) additionally needs a group action,
     which only the built-in block sums provide.
     """
+    _expect_keys(block, ("algebra", "omega", "rho", "name"), path, "an explicit representation block")
     alg_name = block.get("algebra")
     if not (isinstance(alg_name, str) and alg_name.startswith("sl")):
         raise ParseError("explicit representation needs algebra 'slN'", f"{path}.algebra")
@@ -365,9 +375,11 @@ def _parse_section(block: Any, dim: int, curve: MarkedCurve) -> SectionData:
     _expect(block, dict, "section", "a section block")
     kind = block.get("kind")
     if kind == "explicit":
+        _expect_keys(block, ("kind", "coords"), "section", "a section block")
         return SectionData(vector=_parse_vector(block.get("coords"), dim, curve, "section.coords"))
     if kind != "solve":
         raise ParseError("section kind must be 'solve' or 'explicit'", "section.kind")
+    _expect_keys(block, ("kind", "seed"), "section", "a section block")
     return SectionData(seed=_expect_int(block.get("seed", 0), "section.seed"))
 
 
@@ -376,7 +388,7 @@ def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> l
     out = []
     for k, block in enumerate(blocks):
         path = f"y_tangents[{k}]"
-        _expect(block, dict, path, "a tangent block")
+        _expect_keys(block, ("kind", "seed", "g_dot", "s_circ_dot"), path, "a tangent block")
         tangent = YTangentData(seed=_expect_int(block.get("seed", k), f"{path}.seed"))
         if block.get("g_dot") is not None:
             tangent.g_dot = _parse_g_dot(block["g_dot"], curve, rep.algebra, f"{path}.g_dot")
@@ -389,7 +401,7 @@ def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> l
 def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> HiggsData | None:
     if block is None:
         return None
-    _expect(block, dict, "higgs", "a higgs block")
+    _expect_keys(block, ("phi_circ", "bundle", "tangents"), "higgs", "a higgs block")
     phi_circ = _parse_global_element(block.get("phi_circ"), algebra, curve, "higgs.phi_circ")
     if "bundle" in block:
         bundle = _parse_bundle(block["bundle"], curve, algebra.n, "higgs.bundle")
@@ -398,6 +410,9 @@ def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> Higgs
     for k, tb in enumerate(blocks):
         path = f"higgs.tangents[{k}]"
         _expect(tb, dict, path, "a higgs tangent block")
+        # only an ambient tangent reads its disk values
+        keys = ("g_dot", "phi_circ_dot", "ambient") + (("phi_prime_dot",) if tb.get("ambient") else ())
+        _expect_keys(tb, keys, path, "a higgs tangent block")
         tangent = HiggsTangentData(
             _parse_g_dot(tb.get("g_dot"), curve, algebra, f"{path}.g_dot"),
             _parse_global_element(tb.get("phi_circ_dot"), algebra, curve, f"{path}.phi_circ_dot"),
@@ -414,6 +429,12 @@ def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> Higgs
     return HiggsData(phi_circ, bundle, tangents)
 
 
+_TOP_LEVEL = (
+    "field", "name", "representation", "curve", "bundle", "bounds",
+    "section", "y_tangents", "higgs", "forms", "suite",
+)
+
+
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and fully validate a scenario document.
 
@@ -427,6 +448,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             f"invalid JSON: {exc.msg}", location=f"{source}:{exc.lineno}:{exc.colno}"
         ) from None
     _expect(raw, dict, source, "a JSON object")
+    _expect_keys(raw, _TOP_LEVEL, "", "a JSON object")
 
     field_tag = raw.get("field", "gauss-rational")
     if field_tag != "gauss-rational":

@@ -85,7 +85,6 @@ from .errors import Infeasible
 from .field import GQ_ONE, GaussRat, RatFunc, dot, polar_dot
 from .lie import Coadjoint, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra
 from .linalg import Elimination, solve_system
-from .matrices import identity
 from .moduli import HiggsPoint, YPoint
 
 _ZERO = RatFunc.const(0)
@@ -696,8 +695,11 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
 
     Each generator right-multiplies the word as a column operation:
     diag(u^e) scales column k by u^e_k, I + c E_jk adds c col_j to col_k.
+    The entries are kept as their non-zero coefficients {exponent: triple}
+    while the word is multiplied out, and each becomes a germ once
+    (``RatFunc.laurent``).
     """
-    rows = [list(row) for row in identity(n)]
+    rows = [[{0: K.GQ_ONE} if j == k else {} for k in range(n)] for j in range(n)]
     has_torus = False
     for step in range(recipe.length):
         kind = rng.choice(["torus", "elementary", "elementary"])
@@ -712,20 +714,28 @@ def random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupE
             if k >= j:
                 k += 1
             m = rng.randint(-recipe.max_exponent, recipe.max_exponent)
-            c = RatFunc.monomial(rng.nonzero_gauss(recipe.max_num, recipe.max_den), m)
+            c = rng.nonzero_gauss(recipe.max_num, recipe.max_den)._t
             for row in rows:
-                row[k - 1] = row[k - 1] + c * row[j - 1]
+                target = row[k - 1]
+                for e, t in row[j - 1].items():
+                    t = K.gq_mul(c, t)
+                    if e + m in target:
+                        t = K.gq_add(target[e + m], t)
+                    if K.gq_is_zero(t):
+                        del target[e + m]
+                    else:
+                        target[e + m] = t
     if not has_torus:
         # guarantee a nontrivial twist so section spaces are interesting
         _scale_columns(rows, [1] + [0] * (n - 2) + [-1])
-    return LoopGroupElement(rows, check=False)
+    return LoopGroupElement([[RatFunc.laurent(x) for x in row] for row in rows], check=False)
 
 
 def _scale_columns(rows: list, exponents: Sequence[int]):
-    """Right-multiply rows by diag(u^e_1, ..., u^e_n), in place."""
-    powers = [RatFunc.monomial(GQ_ONE, e) for e in exponents]
+    """Right-multiply rows by diag(u^e_1, ..., u^e_n), in place: each
+    entry's exponents shift by its column's e."""
     for row in rows:
-        row[:] = [x * p if e else x for x, p, e in zip(row, powers, exponents)]
+        row[:] = [{d + e: t for d, t in x.items()} if e else x for x, e in zip(row, exponents)]
 
 
 def random_loop_algebra(

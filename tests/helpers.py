@@ -19,7 +19,13 @@ sampling summed as values, with the value views of a solver space
 (``basis_values``, ``particular_value``), which the solver no longer
 hands out; the dense structure constants; the coordinate terms of a
 matrix given by its entries' terms; and the matrix and vector builders only tests
-read (``zeros``, ``mat_scale``, ``zero_vector``, ``unit_vector``)."""
+read (``zeros``, ``mat_scale``, ``zero_vector``, ``unit_vector``).  Also the
+transport and the cocycle words as they were before the transport folded
+the chart pull and the twist into ``p_dot`` terms and the words were
+multiplied on coefficients: each T_i^-w pull_i(x_k) formed as a germ
+and summed by ``dot`` (``transport_terms``, ``germ_derive_prime``,
+``germ_derive_prime_dot``), and each generator applied with ``RatFunc``
+products (``product_random_cocycle``)."""
 
 from __future__ import annotations
 
@@ -42,11 +48,12 @@ from higgsres.lie import (
     pairing,
 )
 from higgsres.linalg import Elimination
-from higgsres.matrices import Matrix, _minor, as_entry, block_diag, det, mat_mul, mat_transpose, shape
+from higgsres.matrices import Matrix, _minor, as_entry, block_diag, det, identity, mat_mul, mat_transpose, shape
 from higgsres.moduli import HiggsPoint, HiggsTangent, YPoint, YTangent, make_y_point, make_y_tangent
 from higgsres.solver import (
     AffineSpace,
     CandidateSpace,
+    CocycleRecipe,
     SeedStream,
     TwistedSystem,
     candidate_functions,
@@ -563,3 +570,74 @@ def dense_zi_echelon(rows, npivot):
         steps.append((piv, col, inv, targets))
     rows[:] = sparse
     return steps
+
+
+def transport_terms(curve, rep, g, i: int, x) -> list[list]:
+    """The ``field.dot`` terms of each coordinate of T_i^-w rho(g_i)^-1 x,
+    w = ``rep.weight``, x given by its coordinates in the global
+    coordinate z: the germ T_i^-w pull_i(x_k) times each non-zero entry
+    of column k of rho(g_i)^-1 (``rep.column``), read for the non-zero
+    x_k only."""
+    chart = curve.chart(i)
+    twist = curve.twists(rep.weight)[i]
+    terms = [[] for _ in range(rep.dim)]
+    for k, c in enumerate(x):
+        if c.is_zero():
+            continue
+        y = twist * chart.pull(c)
+        for r, v in rep.column(g[i], k):
+            terms[r].append((GQ_ONE, y, v))
+    return terms
+
+
+def germ_derive_prime(curve, rep, g, x) -> list:
+    """x'_i = T_i^-w rho(g_i)^-1 x at every marked point, one ``dot`` of
+    the germ terms ``transport_terms`` per coordinate."""
+    return [rep.value([dot(t) for t in transport_terms(curve, rep, g, i, x)]) for i in range(curve.n_points)]
+
+
+def germ_derive_prime_dot(curve, rep, g, x_dot, actions) -> list:
+    """xdot'_i = T_i^-w rho(g_i)^-1 xdot - rho(gdot_i) x'_i at every marked
+    point, ``actions[i]`` the ``field.dot`` terms of each coordinate of
+    rho(gdot_i) x'_i: the germ terms of the transport and the action's,
+    negated, in one ``dot`` per coordinate."""
+    out = []
+    for i in range(curve.n_points):
+        terms = transport_terms(curve, rep, g, i, x_dot)
+        for own, action in zip(terms, actions[i]):
+            own.extend((-c, a, b) for c, a, b in action)
+        out.append(rep.value([dot(t) for t in terms]))
+    return out
+
+
+def product_random_cocycle(n: int, recipe: CocycleRecipe, rng: SeedStream) -> LoopGroupElement:
+    """``solver.random_cocycle`` with the same draws, each generator applied
+    to the word's entries with ``RatFunc`` products: diag(u^e) multiplies
+    column k by u^e_k, I + c E_jk adds c u^m col_j to col_k."""
+
+    def scale_columns(exponents):
+        powers = [RatFunc.monomial(GQ_ONE, e) for e in exponents]
+        for row in rows:
+            row[:] = [x * p if e else x for x, p, e in zip(row, powers, exponents)]
+
+    rows = [list(row) for row in identity(n)]
+    has_torus = False
+    for _ in range(recipe.length):
+        kind = rng.choice(["torus", "elementary", "elementary"])
+        if kind == "torus":
+            has_torus = True
+            exps = [rng.randint(-recipe.torus_amplitude, recipe.torus_amplitude) for _ in range(n - 1)]
+            exps.append(-sum(exps))
+            scale_columns(exps)
+        else:
+            j = rng.randint(1, n)
+            k = rng.randint(1, n - 1)
+            if k >= j:
+                k += 1
+            m = rng.randint(-recipe.max_exponent, recipe.max_exponent)
+            c = RatFunc.monomial(rng.nonzero_gauss(recipe.max_num, recipe.max_den), m)
+            for row in rows:
+                row[k - 1] = row[k - 1] + c * row[j - 1]
+    if not has_torus:
+        scale_columns([1] + [0] * (n - 2) + [-1])
+    return LoopGroupElement(rows, check=False)

@@ -23,11 +23,11 @@ from test_sparse_forms import REPS
 
 from higgsres import GaussRat, HamiltonianRep, RatFunc, ShapeError, XVector, builtin_rep
 from higgsres import _kernels as kernels
-from higgsres import field, hamiltonian
+from higgsres import field
 from higgsres._kernels import pure
 from higgsres.field import GQ_ONE, _u_power, dot
 from higgsres.lie import CoadjointElement, LoopAlgebraElement, pairing
-from higgsres.matrices import mat_mul, mat_sub
+from higgsres.matrices import mat_mul, mat_sub, mat_transpose
 from higgsres.solver import SeedStream, _window
 
 U = RatFunc.x()
@@ -99,6 +99,11 @@ def _old_mat_vec(a, v):
 def _old_pairing(phi, xi):
     pairs = zip(phi.mat, zip(*xi.mat))
     return sum((x * y for row, col in pairs for x, y in zip(row, col)), ZERO)
+
+
+def _old_entries(m):
+    """The non-zero entries (i, j, c) of a matrix, the form the forms were kept in."""
+    return [(i, j, c) for i, row in enumerate(m) for j, c in enumerate(row) if not c.is_zero()]
 
 
 def _old_bilinear(entries, u, v):
@@ -394,13 +399,21 @@ def test_forms_and_pairing_match_old_loops(name):
     rng = random.Random(name)
     if name == "z-dependent":
         assert any(isinstance(c, RatFunc) for entries in rep._rho for _, _, c in entries)
-    for _ in range(3):
-        x, y = (XVector([_entry(rng) for _ in range(rep.space.dim)]) for _ in range(2))
+    omega = rep.space.omega
+    forms = [_old_entries(mat_mul(mat_transpose(rep.rho[lab]), omega)) for lab in algebra.labels]
+    half = GaussRat(Fraction(1, 2))
+    for trial in range(6):
+        # every third coordinate zero in the later trials: the row index skips them
+        x, y = (
+            XVector([ZERO if trial > 2 and rng.randrange(3) == 0 else _entry(rng) for _ in range(rep.space.dim)])
+            for _ in range(2)
+        )
         coeffs = [_entry(rng) for _ in range(algebra.dim)]
         xi = LoopAlgebraElement(algebra, algebra.combination(coeffs))
         phi = CoadjointElement(algebra, algebra.combination(coeffs[::-1]))
-        for q in [rep.space._entries, *rep._forms]:
-            assert hamiltonian._bilinear(q, x.coords, y.coords) == _old_bilinear(q, x.coords, y.coords)
+        assert rep.space.pair(x, y) == _old_bilinear(_old_entries(omega), x.coords, y.coords)
+        assert rep.dmoment_values(x, y) == [_old_bilinear(q, x.coords, y.coords) for q in forms]
+        assert rep.moment_values(x) == [_old_bilinear(q, x.coords, x.coords) * half for q in forms]
         assert inf_action(rep, xi, x) == _old_inf_action(rep, xi, x)
         assert pairing(phi, xi) == _old_pairing(phi, xi)
 

@@ -517,6 +517,26 @@ def word_bundle(factor):
         (("suite", "max_attempt"), 8, 2, "suite.max_attempt"),
         (("suite", "cocycle", "lenght"), 3, 2, "suite.cocycle.lenght"),
         (("suite", "g_dot", "term"), 2, 2, "suite.g_dot.term"),
+        # and so is a misspelled key of any other block, at <block>.<key>
+        (("bounds_",), {}, 2, "unknown key 'bounds_', expected one of field, name, representation"),
+        (("curve", "alfa"), "-1", 2, "curve.alfa"),
+        (("bundle", "matrix"), {}, 2, "unknown key 'matrix', expected one of kind, matrices (at bundle.matrix)"),
+        # a word reads its words only
+        (("bundle",), dict(word_bundle({"type": "torus", "exponents": [-1, 1]}), matrices={}), 2,
+         "bundle.matrices"),
+        (("bundle",), word_bundle({"type": "torus", "exponents": [-1, 1], "exponent": 1}), 2,
+         "bundle.words['inf'][0].exponent"),
+        (("bundle",), word_bundle({"type": "elementary", "j": 1, "k": 2, "coeff": "u", "scale": "2"}), 2,
+         "bundle.words['inf'][0].scale"),
+        (("section", "sed"), 5, 2, "unknown key 'sed', expected one of kind, seed (at section.sed)"),
+        # an explicit section reads no seed
+        (("section",), {"kind": "explicit", "coords": ["1", "0"], "seed": 5}, 2, "section.seed"),
+        (("y_tangents", 0, "sede"), 1, 2, "y_tangents[0].sede"),
+        (("higgs", "phicirc"), SL2_ZERO, 2, "higgs.phicirc"),
+        (("higgs", "tangents", 0, "gdot"), {"inf": SL2_ZERO}, 2, "higgs.tangents[0].gdot"),
+        # a tangent that is not ambient reads no disk values
+        (("higgs", "tangents", 0, "phi_prime_dot"), {"inf": SL2_ZERO}, 2, "higgs.tangents[0].phi_prime_dot"),
+        (("representation",), dict(EXPLICIT_REP, nmae="x"), 2, "representation.nmae"),
         # E = z e12 and F = 1/z e21 close up as sl2 at each z, but rho must be constant
         (("representation",), dict(EXPLICIT_REP, rho=Z_DEPENDENT_RHO), 2,
          "rho entries must be constants (at representation.rho['E'][0][1])"),

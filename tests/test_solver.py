@@ -529,10 +529,10 @@ def test_combine_reaches_no_more_gcds_than_the_running_sum(monkeypatch):
     assert 0 < by_dot <= calls[0] - by_dot
 
 
-def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
-    """Once its curve's constants are built, a trial of each benchmark
-    workload asks for no gcd: a theorem trial on f1 and on f3, and a
-    Higgs pair with its Cartan check on f2."""
+def _warm_workloads(fixtures_dir) -> list:
+    """One trial function per benchmark workload, each run once (warm):
+    a theorem trial on f1 and on f3, and a Higgs pair with its Cartan
+    check on f2."""
 
     def theorem(name):
         scenario = load_scenario(str(fixtures_dir / name))
@@ -559,14 +559,59 @@ def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
     workloads = [theorem("f1.json"), theorem("f3.json"), cartan("f2.json")]
     for trial in workloads:
         trial(0)
-    calls = _count_gcds(monkeypatch)
+    return workloads
+
+
+def _warm_counts(workloads, calls) -> list:
+    """The growth of calls[0] over trials 1-5 of each workload."""
     warm = []
     for trial in workloads:
         before = calls[0]
         for t in range(1, 6):
             trial(t)
         warm.append(calls[0] - before)
-    assert warm == [0, 0, 0]
+    return warm
+
+
+def test_warm_trial_asks_for_no_gcd(fixtures_dir, monkeypatch):
+    """Once its curve's constants are built, a trial of each benchmark
+    workload asks for no gcd: a theorem trial on f1 and on f3, and a
+    Higgs pair with its Cartan check on f2."""
+    workloads = _warm_workloads(fixtures_dir)
+    assert _warm_counts(workloads, _count_gcds(monkeypatch)) == [0, 0, 0]
+
+
+def test_warm_transport_asks_for_no_p_mul(fixtures_dir, monkeypatch):
+    """``derive_prime`` and ``derive_prime_dot`` ask for no ``p_mul`` in a
+    warm trial of any benchmark workload: the chart pull and the twist of
+    each coordinate fold into the ``p_dot`` terms of its sum instead of
+    being multiplied into a germ first.  Both transports run in every
+    workload (cartan-f2 runs only the Higgs side)."""
+    workloads = _warm_workloads(fixtures_dir)
+    inside, entered, calls = [0], [0], [0]
+
+    def within(fn):
+        def wrapped(*args):
+            inside[0] += 1
+            entered[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+
+        return wrapped
+
+    for name in ("derive_prime", "derive_prime_dot"):
+        monkeypatch.setattr(moduli, name, within(getattr(moduli, name)))
+    p_mul = K.p_mul
+
+    def counted(p, q):
+        calls[0] += inside[0] > 0
+        return p_mul(p, q)
+
+    monkeypatch.setattr(K, "p_mul", counted)
+    assert _warm_counts(workloads, calls) == [0, 0, 0]
+    assert entered[0] >= 3 * 5
 
 
 def _record_calls(monkeypatch, owner, name, method=True):

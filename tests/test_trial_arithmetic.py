@@ -42,7 +42,7 @@ from higgsres import (
 from higgsres import _kernels as K
 from higgsres import matrices
 from higgsres.curve import MarkedCurve
-from higgsres.field import _scaled_product, dot, residue_dot
+from higgsres.field import dot, residue_dot
 from higgsres.lie import pairing
 from higgsres.moduli import make_higgs_point, make_higgs_tangent, make_y_point
 from higgsres.solver import (
@@ -325,4 +325,4 @@ def test_unit_scalar_kernels_match_gq_mul():
             assert K.p_dot([(c._t, p, q, k)]) == K.p_dot([(K.GQ_ONE, scaled, q, k)])
             s = RatFunc.monomial(rng.nonzero_gauss(), -rng.randint(0, 2))
             o = RatFunc(p, [K.GQ_ZERO] * rng.randint(0, 2) + [K.GQ_ONE])
-            assert _scaled_product(c._t, s, o) == s * o * c
+            assert dot([(c, s, o)]) == s * o * c
