@@ -525,7 +525,7 @@ def _kernel_coeffs(value) -> list:
         t = _triple_from(value)
         return [] if K.gq_is_zero(t) else [t]
     if isinstance(value, (list, tuple)):
-        return K.p_norm([c if type(c) is tuple else _triple_from(c) for c in value])
+        return K.p_norm([t if type(t) is tuple else _triple_from(t) for t in value])
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
@@ -602,31 +602,24 @@ _ZERO = RatFunc._raw([], [K.GQ_ONE])
 
 def dot(terms) -> RatFunc:
     """The sum of c*x*y over the terms (c, x, y): x and y are RatFunc, c
-    is a GaussRat or a RatFunc.
+    is a GaussRat.
 
-    When every non-zero term has Laurent factors and a scalar c, the sum
-    is ``kernel_dot`` over their numerators.  Otherwise one non-zero term
-    with a scalar c and a constant factor is the other factor's numerator
-    scaled, over its denominator, and any other sum is summed with the
-    operators.  All give the value the operators would.  A sum with no
-    non-zero term is the shared zero.
+    When every non-zero term has Laurent factors, the sum is
+    ``kernel_dot`` over their numerators; any other sum is summed with
+    the operators, where a constant factor scales the other one.  Both
+    give the value the operators would.  A sum with no non-zero term is
+    the shared zero.
     """
     items = []
     laurent = True
     for c, x, y in terms:
         if x._n and y._n:
             items.append((c, x, y))
-            laurent = laurent and x._k >= 0 and y._k >= 0 and type(c) is GaussRat
+            laurent = laurent and x._k >= 0 and y._k >= 0
     if not items:
         return _ZERO
     if laurent:
         return kernel_dot([(c._t, x._n, y._n, x._k + y._k) for c, x, y in items])
-    if len(items) == 1 and type(items[0][0]) is GaussRat:
-        c, x, y = items[0]
-        if y.is_constant():
-            x, y = y, x
-        if x.is_constant():
-            return y._scaled(K.gq_mul(c._t, x._n[0]))
     acc = _ZERO
     for c, x, y in items:
         acc = acc + x * y * c
@@ -655,22 +648,19 @@ def kernel_dot(terms: list) -> RatFunc:
 
 def polar_dot(terms) -> dict:
     """The coefficients {e: triple} at exponents e < 0 of dot(terms), read
-    without forming the sum; an exponent may map to zero.
+    without forming the sum, each c a GaussRat; an exponent may map to
+    zero.
 
     The coefficient of u^e in x*y is sum x_p y_q over p + q = e, with p at
     least ord_0 x and q at least ord_0 y.  So for e < 0 it needs only x's
     window from ord_0 x to -1 - ord_0 y and y's window from ord_0 y to
     -1 - ord_0 x, whatever the valuations and whether or not x and y are
-    Laurent.  A RatFunc coefficient c is multiplied into x first.
+    Laurent.
     """
     acc = {}
     for c, x, y in terms:
         if not (x._n and y._n):
             continue
-        if type(c) is not GaussRat:
-            x, c = x * c, GQ_ONE
-            if not x._n:
-                continue
         vx, vy = x.valuation(), y.valuation()
         size = -(vx + vy)
         if size <= 0:
@@ -694,15 +684,15 @@ def polar_dot(terms) -> dict:
 
 def residue_dot(terms) -> GaussRat:
     """The coefficient of u^-1 in dot(terms), read off the factors without
-    forming the sum: for Laurent factors x = n_x/u^kx, y = n_y/u^ky and a
-    scalar c it is c * sum_a n_x[a] n_y[kx + ky - 1 - a]; any other term
-    reads it off ``polar_dot``'s windows."""
+    forming the sum: for Laurent factors x = n_x/u^kx, y = n_y/u^ky it is
+    c * sum_a n_x[a] n_y[kx + ky - 1 - a]; any other term reads it off
+    ``polar_dot``'s windows."""
     acc = K.GQ_ZERO
     for c, x, y in terms:
         nx, ny = x._n, y._n
         if not (nx and ny):
             continue
-        if x._k < 0 or y._k < 0 or type(c) is not GaussRat:
+        if x._k < 0 or y._k < 0:
             acc = K.gq_add(acc, polar_dot(((c, x, y),)).get(-1, K.GQ_ZERO))
             continue
         top = x._k + y._k - 1

@@ -1,7 +1,10 @@
 """Linear symplectic spaces with Hamiltonian actions and their moment maps.
 
 A representation stores the algebra action on basis elements only and is
-extended RatFunc-linearly.  The moment map is fixed to the standard
+extended RatFunc-linearly.  It is a linear symplectic representation:
+every entry of omega and of each rho(xi_a) is a constant (ValidationError
+otherwise), and only a bundle's transitions vary with z, so every form
+entry below is a GaussRat.  The moment map is fixed to the standard
 quadratic normalization
 
     <mu(x), xi> = 1/2 * omega(rho(xi) x, x),
@@ -32,8 +35,8 @@ terms, for a caller that needs only part of the sum (the solver reads
 their polar coefficients).
 
 ``moduli`` and ``solver`` read a representation's ``dim``, twist
-``weight`` (1: K^(1/2)), ``column``, ``row_orders``, ``inf_action_terms``
-and ``value``, which ``lie.Coadjoint`` offers for Higgs fields too.
+``weight`` (1: K^(1/2)), ``column``, ``inf_action_terms`` and ``value``,
+which ``lie.Coadjoint`` offers for Higgs fields too.
 
 Built-in representations are block sums of the defining representation
 C^N of sl_N and its dual, one N x N diagonal block each
@@ -58,7 +61,7 @@ import re
 from typing import Sequence
 
 from .errors import NotInAlgebra, ShapeError, ValidationError
-from .field import GaussRat, RatFunc, dot
+from .field import GQ_ZERO, GaussRat, RatFunc, dot
 from .lie import CoadjointElement, LoopAlgebraElement, LoopGroupElement, MatrixLieAlgebra, same_algebra, sl
 from .matrices import (
     Matrix,
@@ -79,14 +82,14 @@ _ZERO = RatFunc.const(0)
 _HALF = GaussRat.from_triple((1, 0, 2))
 
 
-def _sparse(m: Matrix) -> tuple:
-    """The non-zero entries (i, j, c) of m, a constant c as its GaussRat."""
-    return tuple(
-        (i, j, c.constant_value() if c.is_constant() else c)
-        for i, row in enumerate(m)
-        for j, c in enumerate(row)
-        if not c.is_zero()
-    )
+def _sparse(m: Matrix, name: str) -> tuple:
+    """The non-zero entries (i, j, c) of the matrix ``name``, each c its
+    constant GaussRat; ValidationError if an entry varies with z."""
+    for i, row in enumerate(m):
+        for j, c in enumerate(row):
+            if not c.is_constant():
+                raise ValidationError(f"{name} entry ({i}, {j}) varies with z")
+    return tuple((i, j, c.constant_value()) for i, row in enumerate(m) for j, c in enumerate(row) if c)
 
 
 def _by_row(forms: list, dim: int) -> tuple:
@@ -119,8 +122,8 @@ def _folded(entries: tuple) -> tuple:
     halves = {}
     for i, j, c in entries:
         key = (min(i, j), max(i, j))
-        halves[key] = halves.get(key, _ZERO) + c * _HALF
-    return tuple((i, j, c.constant_value() if c.is_constant() else c) for (i, j), c in sorted(halves.items()) if c)
+        halves[key] = halves.get(key, GQ_ZERO) + c * _HALF
+    return tuple((i, j, c) for (i, j), c in sorted(halves.items()) if c)
 
 
 class XVector:
@@ -185,7 +188,7 @@ class SymplecticSpace:
             raise ValidationError("omega is not antisymmetric")
         if det(self.omega).is_zero():
             raise ValidationError("omega is singular")
-        self._rows = _by_row([_sparse(self.omega)], n)
+        self._rows = _by_row([_sparse(self.omega, "omega")], n)
 
     def check(self, *vectors: XVector):
         """Raise ShapeError unless every vector has the space's dimension."""
@@ -244,8 +247,8 @@ class HamiltonianRep:
                 raise ShapeError(f"rho({lab}) is not {space.dim}x{space.dim}")
         # per label, in label order: the entries of rho(xi_a); the entries
         # of Q_a = rho(xi_a)^T omega and of its fold, by row (``_by_row``)
-        self._rho = [_sparse(self.rho[lab]) for lab in algebra.labels]
-        forms = [_sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega)) for lab in algebra.labels]
+        self._rho = [_sparse(self.rho[lab], f"rho({lab})") for lab in algebra.labels]
+        forms = [_sparse(mat_mul(mat_transpose(self.rho[lab]), space.omega), f"Q({lab})") for lab in algebra.labels]
         self._forms = _by_row(forms, self.dim)
         self._quadratic = _by_row([_folded(q) for q in forms], self.dim)
 
@@ -274,18 +277,6 @@ class HamiltonianRep:
                 for j in range(n)
             )
         return columns[k]
-
-    def row_orders(self, g: LoopGroupElement) -> list[int]:
-        """The least order at u = 0 of the entries of each row of rho(g):
-        a row of g on a plain block, a column of g^-1 on a dual one, where
-        rho(g) = g^-T; read off the matrices ``column`` forms."""
-        n = self.algebra.n
-        g_inv = g.inverse().mat
-        return [
-            min(x.valuation() for x in ((row[j] for row in g_inv) if dual else g.mat[j]) if x)
-            for dual in self.blocks
-            for j in range(n)
-        ]
 
     # -- operations ----------------------------------------------------------
 

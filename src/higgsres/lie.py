@@ -41,11 +41,11 @@ coordinates determine each other in closed form
 (``MatrixLieAlgebra.pairings``, ``coadjoint_from_pairings``), through
 that same trace form and the inverse Cartan matrix.
 
-A loop-group element keeps the non-zero coordinates of g^-1 b_a g per
-basis index a, summed on first use from outer products of a column of
-g^-1 and a row of g (``LoopGroupElement.conjugate``).  They are the
-columns of the coadjoint representation (``Coadjoint``), which the
-transport of ``moduli`` and the frames of ``solver`` read.
+The columns of the coadjoint representation (``Coadjoint.column``) are
+the non-zero coordinates of g^-1 b_a g, summed on first use from outer
+products of a column of g^-1 and a row of g and kept in the group
+element's ``images`` under the basis index a.  The transport of
+``moduli`` and the frames and floors of ``solver`` read them.
 
 Loop-algebra elements drawn at random have one or two non-zero
 coordinates, so these cost a few products where the dense matrix forms
@@ -271,16 +271,15 @@ def sl(n: int) -> MatrixLieAlgebra:
 class LoopGroupElement:
     """An n x n matrix of rational functions with determinant 1.
 
-    Its inverse, the conjugates g^-1 b_a g of the sl_n basis
-    (``conjugate``, one per index a) and the columns of rho(g)^-1 under
-    the built-in representations (``images``, kept by
-    ``HamiltonianRep.column`` under their block sums) are formed on
+    Its inverse and the columns of rho(g)^-1 (``images``: kept by
+    ``HamiltonianRep.column`` under a built-in representation's block
+    sum, by ``Coadjoint.column`` under each basis index) are formed on
     first use and kept; products and inverses start with none of them.
     An inverse links back to its element weakly, so the two form no
     reference cycle and are freed as soon as they are unused.
     """
 
-    __slots__ = ("mat", "n", "_inverse", "_inverse_of", "_columns", "images", "__weakref__")
+    __slots__ = ("mat", "n", "_inverse", "_inverse_of", "images", "__weakref__")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -289,7 +288,6 @@ class LoopGroupElement:
             raise ShapeError("group element must be square")
         self.n = n
         self._inverse = self._inverse_of = None
-        self._columns = {}
         self.images = {}
         if check and det(self.mat) != _ONE:
             raise ValidationError("loop group element has determinant != 1")
@@ -304,7 +302,6 @@ class LoopGroupElement:
         out.mat = mat
         out.n = n
         out._inverse = out._inverse_of = None
-        out._columns = {}
         out.images = {}
         return out
 
@@ -326,41 +323,6 @@ class LoopGroupElement:
                 inv = self._inverse = LoopGroupElement._bare(adjugate(self.mat), self.n)
                 inv._inverse_of = weakref.ref(self)
         return inv
-
-    def conjugate(self, algebra: MatrixLieAlgebra, a: int) -> tuple:
-        """The non-zero coordinates of g^-1 b_a g as (index, value) pairs,
-        formed on first use for each basis index a and kept.
-
-        g^-1 e_rc g is the outer product of column r of g^-1 and row c of
-        g, so each entry is one sum, over the one or two signed units e_rc
-        of b_a, of products of non-zero entries only; entry (n-1, n-1),
-        which no coordinate reads, gets none.  The coordinates are read off
-        the entries (``MatrixLieAlgebra.coordinates``: H_j = H_(j-1) + d_j),
-        so each entry's products are formed once.  The basis of sl_n is the
-        same for every ``MatrixLieAlgebra`` of this n, so the one table
-        serves them all.
-        """
-        if algebra.n != self.n:
-            raise ShapeError(f"conjugating sl{algebra.n} by an {self.n}x{self.n} element")
-        column = self._columns.get(a)
-        if column is None:
-            g, g_inv = self.mat, self.inverse().mat
-            last = (self.n - 1, self.n - 1)
-            terms = {}
-            for r, c, s in algebra.units[a]:
-                left = [(p, row[r]) for p, row in enumerate(g_inv) if not row[r].is_zero()]
-                sign = _SIGNS[s]
-                for q, y in enumerate(g[c]):
-                    if not y.is_zero():
-                        for p, x in left:
-                            if (p, q) != last:
-                                terms.setdefault((p, q), []).append((sign, x, y))
-            entries = [[_ZERO] * self.n for _ in range(self.n)]
-            for (p, q), t in terms.items():
-                entries[p][q] = dot(t)
-            coords = algebra.coordinates(entries)
-            column = self._columns[a] = tuple((k, v) for k, v in enumerate(coords) if not v.is_zero())
-        return column
 
     def __eq__(self, other):
         if not isinstance(other, LoopGroupElement):
@@ -504,7 +466,8 @@ def bracket(x: LoopAlgebraElement, y: LoopAlgebraElement) -> LoopAlgebraElement:
 class Coadjoint:
     """The coadjoint representation of sl_n, with the interface of
     ``hamiltonian.HamiltonianRep`` that ``moduli`` and ``solver`` read:
-    rho(g)^-1 phi = g^-1 phi g, rho(xi) phi = [xi, phi], and a Higgs
+    rho(g)^-1 phi = g^-1 phi g (``column``), rho(xi) phi = [xi, phi]
+    (``inf_action_terms``, the terms of ``bracket_terms``), and a Higgs
     field is a section of the coadjoint bundle twisted by K (weight 2).
     """
 
@@ -515,25 +478,42 @@ class Coadjoint:
         self.dim = algebra.dim
 
     def column(self, g: LoopGroupElement, k: int) -> tuple:
-        """The non-zero coordinates (r, value) of g^-1 b_k g."""
-        return g.conjugate(self.algebra, k)
+        """The non-zero coordinates (r, value) of g^-1 b_k g, formed on first
+        use for each index k and kept in ``g.images`` under k.
 
-    def row_orders(self, g: LoopGroupElement) -> list[int]:
-        """The least order at u = 0 of the entries of each row of rho(g):
-        column k of rho(g) is g b_k g^-1, the conjugates of g^-1, formed
-        once per element and kept."""
-        g_inv = g.inverse()
-        orders = [None] * self.dim
-        for k in range(self.dim):
-            for r, x in g_inv.conjugate(self.algebra, k):
-                v = x.valuation()
-                if orders[r] is None or v < orders[r]:
-                    orders[r] = v
-        return orders
+        g^-1 e_rc g is the outer product of column r of g^-1 and row c of
+        g, so each entry is one sum, over the one or two signed units e_rc
+        of b_k, of products of non-zero entries only; entry (n-1, n-1),
+        which no coordinate reads, gets none.  The coordinates are read off
+        the entries (``MatrixLieAlgebra.coordinates``: H_j = H_(j-1) + d_j),
+        so each entry's products are formed once.  The basis of sl_n is the
+        same for every ``MatrixLieAlgebra`` of this n, so the one table
+        serves them all.
+        """
+        algebra = self.algebra
+        if g.n != algebra.n:
+            raise ShapeError(f"conjugating sl{algebra.n} by an {g.n}x{g.n} element")
+        column = g.images.get(k)
+        if column is None:
+            g_inv = g.inverse().mat
+            last = (g.n - 1, g.n - 1)
+            terms = {}
+            for r, c, s in algebra.units[k]:
+                left = [(p, row[r]) for p, row in enumerate(g_inv) if not row[r].is_zero()]
+                sign = _SIGNS[s]
+                for q, y in enumerate(g.mat[c]):
+                    if not y.is_zero():
+                        for p, x in left:
+                            if (p, q) != last:
+                                terms.setdefault((p, q), []).append((sign, x, y))
+            entries = [[_ZERO] * g.n for _ in range(g.n)]
+            for (p, q), t in terms.items():
+                entries[p][q] = dot(t)
+            coords = algebra.coordinates(entries)
+            column = g.images[k] = tuple((a, v) for a, v in enumerate(coords) if not v.is_zero())
+        return column
 
-    def inf_action_terms(self, xi: LoopAlgebraElement, phi: CoadjointElement) -> list[list]:
-        """The ``field.dot`` terms of each coordinate of [xi, phi]."""
-        return bracket_terms(xi, phi)
+    inf_action_terms = staticmethod(bracket_terms)
 
     def value(self, coords: Sequence) -> CoadjointElement:
         return self.algebra.coadjoint_from(coords)

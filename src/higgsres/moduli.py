@@ -62,8 +62,8 @@ value is built from its coordinates,
     x'_i = T_i^-w sum_k pull_i(x_k) rho(g_i)^-1 e_k,
 
 summed over the non-zero coordinates x_k only, each column read off g_i
-(``rep.column``): on the Higgs side from g_i's table of conjugates
-(``LoopGroupElement.conjugate``).  phidot'_i adds the terms of
+(``rep.column``, kept in ``g_i.images``): on the Higgs side the
+conjugates g_i^-1 b_k g_i.  phidot'_i adds the terms of
 -[gdot_i, phi'_i] to the same sums, read from the bracket table over the
 non-zero coordinates of both (``lie.bracket_terms``), and sdot'_i adds
 -rho(gdot_i) s'_i, formed once per tangent.  Each coordinate is one sum
@@ -71,7 +71,8 @@ non-zero coordinates of both (``lie.bracket_terms``), and sdot'_i adds
 monomial c*u^m, every disk of the shipped fixtures, one
 ``field.kernel_dot`` whose terms take the chart pull, the twist, the
 column entry and the negated action terms straight from the factors'
-numerators, so no germ is formed before the sum.  So no matrix is
+numerators, so no germ is formed before the sum.  Every weight is a
+scalar, because a representation's entries are constants.  So no matrix is
 formed, no dense product runs and no transported value is checked for
 trace 0 again.
 ``cartan_check``'s jets pair coordinates too, over the non-zero
@@ -243,7 +244,7 @@ def _transport(curve: MarkedCurve, rep, g, i: int, x, action=()) -> list:
     entry of column k of rho(g_i)^-1 (``rep.column``), for the non-zero
     x_k only, and the action's terms negated.  Where the twist is a
     monomial c*u^m (``MarkedCurve.laurent_twists``) and the factors are
-    Laurent with scalar weights, it is one ``kernel_dot`` over their
+    Laurent, it is one ``kernel_dot`` over their
     numerators: the chart pull (none at 0, a reversed numerator at
     infinity) and the twist fold into each term's scalar and pole order.
     Anywhere else the germs T_i^-w pull_i(x_k) are formed and summed by
@@ -267,8 +268,7 @@ def _transport(curve: MarkedCurve, rep, g, i: int, x, action=()) -> list:
 def _laurent_terms(twist, rep, g, x, action) -> list | None:
     """The ``kernel_dot`` terms of each coordinate of ``_transport`` at a
     disk whose ``laurent_twists`` entry is ``twist``, (c, m, at_infinity),
-    or None when that is None, a non-zero factor is not Laurent or a
-    weight is not a scalar."""
+    or None when that is None or a non-zero factor is not Laurent."""
     if twist is None:
         return None
     scale, m, at_infinity = twist
@@ -276,7 +276,7 @@ def _laurent_terms(twist, rep, g, x, action) -> list | None:
     for own, sums in zip(terms, action):
         for c, a, b in sums:
             if a._n and b._n:
-                if a._k < 0 or b._k < 0 or type(c) is not GaussRat:
+                if a._k < 0 or b._k < 0:
                     return None
                 own.append((K.gq_neg(c._t), a._n, b._n, a._k + b._k))
     for k, c in enumerate(x):

@@ -367,8 +367,9 @@ def _parse_explicit_rep(block: dict, path: str) -> HamiltonianRep:
         if lab not in rho_block:
             raise ParseError(f"missing rho matrix for basis element {lab!r}", f"{path}.rho")
         rho[lab] = mat_from(_parse_constant_matrix(rho_block[lab], dim, "rho", f"{path}.rho[{lab!r}]"))
+    name = _expect(block.get("name", f"{alg_name}-explicit"), str, f"{path}.name", "a string")
     with _invalid(f"{path}: "):
-        return HamiltonianRep(algebra, space, rho, name=block.get("name", f"{alg_name}-explicit"))
+        return HamiltonianRep(algebra, space, rho, name=name)
 
 
 def _parse_section(block: Any, dim: int, curve: MarkedCurve) -> SectionData:
@@ -389,6 +390,8 @@ def _parse_y_tangents(blocks: Any, curve: MarkedCurve, rep: HamiltonianRep) -> l
     for k, block in enumerate(blocks):
         path = f"y_tangents[{k}]"
         _expect_keys(block, ("kind", "seed", "g_dot", "s_circ_dot"), path, "a tangent block")
+        if block.get("kind", "random") != "random":
+            raise ParseError("y tangent kind must be 'random'", f"{path}.kind")
         tangent = YTangentData(seed=_expect_int(block.get("seed", k), f"{path}.seed"))
         if block.get("g_dot") is not None:
             tangent.g_dot = _parse_g_dot(block["g_dot"], curve, rep.algebra, f"{path}.g_dot")
@@ -411,13 +414,14 @@ def _parse_higgs(block: Any, curve: MarkedCurve, algebra, bundle: list) -> Higgs
         path = f"higgs.tangents[{k}]"
         _expect(tb, dict, path, "a higgs tangent block")
         # only an ambient tangent reads its disk values
-        keys = ("g_dot", "phi_circ_dot", "ambient") + (("phi_prime_dot",) if tb.get("ambient") else ())
+        ambient = _expect(tb.get("ambient", False), bool, f"{path}.ambient", "true or false")
+        keys = ("g_dot", "phi_circ_dot", "ambient") + (("phi_prime_dot",) if ambient else ())
         _expect_keys(tb, keys, path, "a higgs tangent block")
         tangent = HiggsTangentData(
             _parse_g_dot(tb.get("g_dot"), curve, algebra, f"{path}.g_dot"),
             _parse_global_element(tb.get("phi_circ_dot"), algebra, curve, f"{path}.phi_circ_dot"),
         )
-        if tb.get("ambient"):
+        if ambient:
             # disk values given explicitly: ambient-space tangent data
             tangent.phi_prime_dot = [
                 _parse_element(CoadjointElement, rows, algebra, "u", where)
@@ -455,7 +459,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ValidationError(
             f"unsupported field {field_tag!r}; this build is exact over Q(i)"
         )
-    name = raw.get("name", source)
+    name = _expect(raw.get("name", source), str, "name", "a string")
 
     rep_block = raw.get("representation", "sl2-standard")
     if isinstance(rep_block, str):

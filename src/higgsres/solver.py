@@ -36,8 +36,10 @@ the dict of its non-zeros, and eliminates them once, exactly over Q(i)
 deterministic pivot order, the steps kept).  Only the candidate columns
 a section can use are assembled: a global section x with regular disk
 data has ord_i x_k >= w*ord T_i + the least order in row k of rho(g_i),
-and at a marked infinity and a marked 0 the candidates have pairwise
-distinct orders, so each coordinate k keeps one range of exponents t.
+read off the columns ``rep.column`` of g_i^-1, because rho(g_i^-1)^-1 =
+rho(g_i) (``_row_orders``).  At a marked infinity and a marked 0 the
+candidates have pairwise distinct orders, so each coordinate k keeps
+one range of exponents t.
 Every solution lies in those columns, so the null vectors and the
 solutions with free coordinates 0 are those of the system of all
 candidates; a tangent whose right side has deeper poles widens the
@@ -373,6 +375,17 @@ def assemble(candidates: CandidateSpace, frame, weight: int, ranges):
 _NO_COLUMNS = Elimination([], ())
 
 
+def _row_orders(rep, g) -> list[int]:
+    """The least order at u = 0 of the entries of each row of rho(g), read
+    off the columns of rho(g^-1)^-1 = rho(g) (``rep.column`` of g^-1)."""
+    g_inv = g.inverse()
+    orders = [[] for _ in range(rep.dim)]
+    for k in range(rep.dim):
+        for r, x in rep.column(g_inv, k):
+            orders[r].append(x.valuation())
+    return list(map(min, orders))
+
+
 class TwistedSystem:
     """The global sections of one twisted bundle: its regularity conditions
     (``assemble``) on the candidates a section can use, eliminated once,
@@ -390,7 +403,7 @@ class TwistedSystem:
     Certified columns.  A section x with regular disk data has
     pull_i(x_k) = T_i^w sum_j rho(g_i)[k][j] x'_j, so ord_i x_k is at
     least w*ord T_i + the least order in row k of rho(g_i)
-    (``rep.row_orders``): coordinate k's floor at disk i, kept in
+    (``_row_orders``): coordinate k's floor at disk i, kept in
     ``floors`` for each disk of ``candidates.orders``.  There the
     candidates have pairwise distinct orders, so a combination has the
     least order of its terms, and coordinate k can use only the
@@ -437,7 +450,7 @@ class TwistedSystem:
         else:
             self.frame = frame
             self.floors = [
-                [rep.weight * tau + v for v in rep.row_orders(g[i])]
+                [rep.weight * tau + v for v in _row_orders(rep, g[i])]
                 for i, _, _, tau in candidates.orders
             ]
             self.ranges = None

@@ -19,7 +19,7 @@ sampling summed as values, with the value views of a solver space
 (``basis_values``, ``particular_value``), which the solver no longer
 hands out; the dense structure constants; the coordinate terms of a
 matrix given by its entries' terms; and the matrix and vector builders only tests
-read (``zeros``, ``mat_scale``, ``zero_vector``, ``unit_vector``).  Also the
+read (``zeros``, ``zero_vector``, ``unit_vector``).  Also the
 transport and the cocycle words as they were before the transport folded
 the chart pull and the twist into ``p_dot`` terms and the words were
 multiplied on coefficients: each T_i^-w pull_i(x_k) formed as a germ
@@ -88,21 +88,33 @@ def sparse_column(entries) -> tuple:
     return tuple((r, e) for r, e in enumerate(entries) if not e.is_zero())
 
 
+class FrameDisk:
+    """Disk i as a group element of ``FrameRep``; its ``inverse()`` is the
+    same disk flagged ``inverted``."""
+
+    def __init__(self, i: int, inverted: bool = False):
+        self.i = i
+        self.inverted = inverted
+
+    def inverse(self) -> "FrameDisk":
+        return FrameDisk(self.i, not self.inverted)
+
+
 class FrameRep:
     """A stand-in representation that hands ``TwistedSystem`` a frame
     given entry by entry, ``frame[i][k]`` for disk i and basis element k.
-    Build the system over the disk indices, ``TwistedSystem(candidates,
-    FrameRep(frame, weight), range(n))``: ``column(i, k)`` is
-    ``frame[i][k]``'s non-zero entries.  Its values are lists unless
-    ``value`` says otherwise.
+    Build the system over its disks, ``TwistedSystem(candidates, rep,
+    rep.disks)``: ``column(disk, k)`` is ``frame[i][k]``'s non-zero
+    entries.  Its values are lists unless ``value`` says otherwise.
 
     ``inverse[i]``, when given, is the dense matrix rho(g_i) whose inverse
-    the frame of disk i is, and ``row_orders`` reads the least order of
-    each of its rows; without it every row is bounded by an order below
-    that of every candidate, so the solver keeps every column."""
+    the frame of disk i is, and the inverted disk's columns, which the
+    solver's floors read, are its columns; without it each is one entry
+    of an order below that of every candidate, so the solver keeps every
+    column."""
 
     # below ord f_t for every candidate of any bounds used here
-    NO_FLOOR = -(10**6)
+    NO_FLOOR = RatFunc.monomial(GQ_ONE, -1000)
 
     def __init__(self, frame, weight: int, value=list, inverse=None):
         self.frame = frame
@@ -110,14 +122,14 @@ class FrameRep:
         self.value = value
         self.inverse = inverse
         self.dim = len(frame[0])
+        self.disks = [FrameDisk(i) for i in range(len(frame))]
 
-    def column(self, i: int, k: int) -> tuple:
-        return sparse_column(self.frame[i][k])
-
-    def row_orders(self, i: int) -> list:
+    def column(self, disk: FrameDisk, k: int) -> tuple:
+        if not disk.inverted:
+            return sparse_column(self.frame[disk.i][k])
         if self.inverse is None:
-            return [self.NO_FLOOR] * self.dim
-        return [min(x.valuation() for x in row if not x.is_zero()) for row in self.inverse[i]]
+            return ((k, self.NO_FLOOR),)
+        return sparse_column(row[k] for row in self.inverse[disk.i])
 
 
 def gauge_transform_y_point(p: YPoint, h: LoopGroupElement) -> YPoint:
@@ -177,11 +189,6 @@ def basis_element(algebra: MatrixLieAlgebra, label: str) -> LoopAlgebraElement:
 
 def zeros(nrows: int, ncols: int) -> Matrix:
     return tuple(tuple(RatFunc.const(0) for _ in range(ncols)) for _ in range(nrows))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = as_entry(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def zero_vector(dim: int) -> XVector:
@@ -452,7 +459,7 @@ def entry_higgs_system(curve, algebra: MatrixLieAlgebra, g, bounds) -> TwistedSy
     """``solver.build_higgs_field_space`` on the entry frame."""
     candidates = candidate_functions(curve, bounds)
     rep = FrameRep(entry_higgs_frame(algebra, g), 2, algebra.coadjoint_from)
-    return TwistedSystem(candidates, rep, range(len(g)))
+    return TwistedSystem(candidates, rep, rep.disks)
 
 
 def entry_higgs_rhs(point: HiggsPoint, g_dot) -> list[dict]:
@@ -510,16 +517,10 @@ class DenseElimination:
     """An ``Elimination`` with dense rows in and dense vectors out, for the
     checks written against dense matrices: ``null_basis`` and ``solve``
     give lists of GaussRat with one entry per column.  Built from a
-    dense matrix, or ``of`` an existing ``Elimination``."""
+    dense matrix."""
 
     def __init__(self, matrix, ncols: int):
         self.elimination = Elimination(sparse_rows(matrix), range(ncols))
-
-    @classmethod
-    def of(cls, elimination: Elimination) -> "DenseElimination":
-        out = cls.__new__(cls)
-        out.elimination = elimination
-        return out
 
     @property
     def null_basis(self) -> list:

@@ -275,3 +275,15 @@ def test_zero_dimensional_symplectic_space_rejected():
         SymplecticSpace([])
     with pytest.raises(ValidationError, match="non-zero size"):
         builtin_rep("sl2-standard-x0")
+
+
+def test_z_dependent_entries_rejected():
+    """A representation is linear symplectic: an omega or rho entry that
+    varies with z is refused, so every form weight is a scalar."""
+    base = builtin_rep("sl2-standard")
+    with pytest.raises(ValidationError, match=r"omega entry \(0, 1\) varies with z"):
+        SymplecticSpace([[0, U], [-U, 0]])
+    rho = dict(base.rho, H=mat_from([[U, 0], [0, -U]]))
+    with pytest.raises(ValidationError, match=r"rho\(H\) entry \(0, 0\) varies with z"):
+        HamiltonianRep(base.algebra, base.space, rho)
+    assert all(type(c) is GaussRat for entries in base._rho for _, _, c in entries)

@@ -190,8 +190,6 @@ def test_polar_dot_matches_window_of_the_sum():
         terms = []
         for _ in range(rng.randint(1, 3)):
             c = GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
-            if rng.randrange(5) == 0:
-                c = _germ(rng)  # a RatFunc coefficient is multiplied in first
             terms.append((c, _germ(rng), _germ(rng)))
         got = {e: t for e, t in polar_dot(terms).items() if not K.gq_is_zero(t)}
         assert all(e < 0 for e in polar_dot(terms))

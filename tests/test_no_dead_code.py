@@ -17,6 +17,10 @@ reads, except that a name imported by ``higgsres/__init__.py`` is the
 package's interface and counts as read.  Tests are not readers: a name
 only a test reads belongs in ``tests/helpers.py``.
 
+The same rules hold for ``tests/helpers.py``, whose readers are the
+modules of ``tests``: every name defined there at module level or in a
+class is read by some test module.
+
 The check goes by name, so it cannot catch a dead method that shares its
 name with a live one: ``AffineSpace.particular`` had no reader once
 sampling read coefficients, but ``TwistedSystem.particular`` had, and
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "higgsres"
+TESTS = ROOT / "tests"
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _DOTTED = re.compile(r"(?:[A-Za-z_]\w*\.)*([A-Za-z_]\w*)")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -84,9 +89,9 @@ def _member_reads(tree: ast.Module):
                 yield dotted.group(1)
 
 
-def _definitions():
-    """(name, where, in a class) of each definition, dunders aside."""
-    for path in sorted(PACKAGE.rglob("*.py")):
+def _definitions(paths):
+    """(name, where, in a class) of each definition in ``paths``, dunders aside."""
+    for path in paths:
         tree = _parse(path)
         members = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
         for node in ast.walk(tree):
@@ -94,14 +99,23 @@ def _definitions():
                 yield node.name, f"{path.relative_to(ROOT)}:{node.lineno}", id(node) in members
 
 
-def _read_names() -> set:
-    names = set()
-    for path in _reader_paths():
-        names.update(_reads(_parse(path)))
-    for node in ast.walk(_parse(PACKAGE / "__init__.py")):
-        if isinstance(node, ast.ImportFrom):
-            names.update(alias.asname or alias.name for alias in node.names)
-    return names
+def _unread(defined, readers, exports=()) -> list:
+    """Each definition in ``defined`` that no module of ``readers`` reads,
+    a name the modules ``exports`` import counting as read."""
+    read, member_read = set(), set()
+    for path in readers:
+        tree = _parse(path)
+        read.update(_reads(tree))
+        member_read.update(_member_reads(tree))
+    for path in exports:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.asname or alias.name for alias in node.names)
+    return [
+        f"{where} {name}"
+        for name, where, member in _definitions(defined)
+        if name not in (member_read if member else read)
+    ]
 
 
 def _imports(tree: ast.Module):
@@ -143,16 +157,13 @@ def _field_reads(tree: ast.Module):
 
 
 def test_every_definition_has_a_reader():
-    read = _read_names()
-    member_read = set()
-    for path in _reader_paths():
-        member_read.update(_member_reads(_parse(path)))
-    unread = [
-        f"{where} {name}"
-        for name, where, member in _definitions()
-        if name not in (member_read if member else read)
-    ]
+    unread = _unread(sorted(PACKAGE.rglob("*.py")), _reader_paths(), [PACKAGE / "__init__.py"])
     assert not unread, "defined in src/higgsres but read by no module there or in perfbench:\n" + "\n".join(unread)
+
+
+def test_every_test_helper_has_a_reader():
+    unread = _unread([TESTS / "helpers.py"], sorted(TESTS.glob("*.py")))
+    assert not unread, "defined in tests/helpers.py but read by no test module:\n" + "\n".join(unread)
 
 
 def test_the_walk_sees_reads_in_code_and_strings():

@@ -540,6 +540,13 @@ def word_bundle(factor):
         # E = z e12 and F = 1/z e21 close up as sl2 at each z, but rho must be constant
         (("representation",), dict(EXPLICIT_REP, rho=Z_DEPENDENT_RHO), 2,
          "rho entries must be constants (at representation.rho['E'][0][1])"),
+        # ambient is a JSON boolean, the name a string, and a y tangent's kind is random
+        (("higgs", "tangents", 0, "ambient"), "no", 2, "expected true or false (at higgs.tangents[0].ambient)"),
+        (("higgs", "tangents", 1, "ambient"), 0, 2, "higgs.tangents[1].ambient"),
+        (("name",), ["x"], 2, "expected a string (at name)"),
+        (("representation",), dict(EXPLICIT_REP, name=["x"]), 2, "expected a string (at representation.name)"),
+        (("y_tangents", 0, "kind"), 7, 2, "y tangent kind must be 'random' (at y_tangents[0].kind)"),
+        (("y_tangents", 1, "kind"), "explicit", 2, "y_tangents[1].kind"),
     ],
 )
 def test_malformed_scenario_exit_code(tmp_path, fixtures_dir, capsys, keys, value, code, where):

@@ -344,7 +344,8 @@ def _check_assembly(curve, candidates, frame, weight, inverse=None):
     # the rows hold their non-zeros only, and nothing else
     assert not any(K.gq_is_zero(t) for row in rows for t in row.values())
     assert nonzeros == sum(len(row) for row in rows)
-    system = TwistedSystem(candidates, FrameRep(frame, weight, inverse=inverse), range(curve.n_points))
+    rep = FrameRep(frame, weight, inverse=inverse)
+    system = TwistedSystem(candidates, rep, rep.disks)
     null = DenseElimination(oracle[1], ncols).null_basis
     assert system.counts == {"rows": len(keys), "cols": ncols, "rank": ncols - len(null), "nonzeros": nonzeros}
     assert system.null_vectors == [sparse_vector(v) for v in null]
@@ -401,12 +402,12 @@ def test_window_assembly_matches_per_candidate_products(curve_one_point, curve_t
             n = rep.algebra.n
             g = [random_cocycle(n, CocycleRecipe(), sub.child(i)) for i in range(curve.n_points)]
             for side, frame, inverse in _dense_frames(rep, g):
-                # the library's frame and row orders are the oracle's
+                # the library's frame, and the columns of rho(g_i) its floors read, are the oracle's
                 assert [[side.column(g_i, k) for k in range(side.dim)] for g_i in g] == [
                     [sparse_column(c) for c in disk] for disk in frame
                 ]
-                assert [side.row_orders(g_i) for g_i in g] == [
-                    FrameRep(frame, side.weight, inverse=inverse).row_orders(i) for i in range(len(g))
+                assert [[side.column(g_i.inverse(), k) for k in range(side.dim)] for g_i in g] == [
+                    [sparse_column(c) for c in zip(*rho)] for rho in inverse
                 ]
                 system, null = _check_assembly(curve, candidates, frame, side.weight, inverse)
                 dim = side.dim
@@ -1205,26 +1206,29 @@ def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
 
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])
 def test_conjugated_basis_is_the_untwisted_higgs_transport(name):
-    """Each entry of g's table of conjugates is g^-1 b_a g by the dense
-    oracle, as its non-zero coordinates, which the transport and the Higgs
-    frame read (``Coadjoint.column``) and which give back the oracle's
-    matrix; it is formed once per index."""
+    """Each column of the coadjoint representation is g^-1 b_a g by the
+    dense oracle, as its non-zero coordinates, which the transport and the
+    Higgs frame read (``Coadjoint.column``) and which give back the
+    oracle's matrix; it is formed once per index and kept in ``g.images``
+    under the index, beside a section representation's table."""
     g = _group_elements()[name]
     algebra = MatrixLieAlgebra.sl(3)
+    rep = Coadjoint(algebra)
     for a, b in enumerate(algebra.basis):
-        column = g.conjugate(algebra, a)
-        assert g.conjugate(algebra, a) is column
-        assert g.conjugate(MatrixLieAlgebra.sl(3), a) is column
-        assert Coadjoint(algebra).column(g, a) is column
+        column = rep.column(g, a)
+        assert rep.column(g, a) is column
+        assert Coadjoint(MatrixLieAlgebra.sl(3)).column(g, a) is column
         want = coadjoint_transition(g, CoadjointElement(algebra, b))
         assert column == tuple((k, c) for k, c in enumerate(want.coeffs) if not c.is_zero())
         coords = [RatFunc.const(0)] * algebra.dim
         for k, c in column:
             coords[k] = c
         assert algebra.combination(coords) == want.mat
-    assert sorted(g._columns) == list(range(algebra.dim))
+    assert sorted(g.images) == list(range(algebra.dim))
+    builtin_rep("sl3-cotangent").column(g, 0)
+    assert list(g.images) == [*range(algebra.dim), (False, True)]
     # products and inverses start with an empty table
-    assert (g * g)._columns == {}
-    assert g.inverse()._columns == {}
+    assert (g * g).images == {}
+    assert g.inverse().images == {}
     with pytest.raises(ShapeError):
-        g.conjugate(MatrixLieAlgebra.sl(2), 0)
+        Coadjoint(MatrixLieAlgebra.sl(2)).column(g, 0)

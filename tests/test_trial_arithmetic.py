@@ -155,8 +155,7 @@ def test_residue_dot_on_laurent_operands():
 
 def test_residue_dot_on_germs_at_a_finite_point_other_than_zero():
     """At the marked point 1 of P^1 marked at {0, 1, inf}, the germs of
-    functions with poles at 0 and 1 are not Laurent; a RatFunc c goes
-    through the same windows."""
+    functions with poles at 0 and 1 are not Laurent."""
     curve = MarkedCurve(
         [P1Point.finite(0), P1Point.finite(1), INFINITY], OneForm(RatFunc.const(-1)), [U, U, U]
     )
@@ -172,8 +171,7 @@ def test_residue_dot_on_germs_at_a_finite_point_other_than_zero():
 
         terms = []
         for _ in range(rng.randint(1, 4)):
-            c = germ() if rng.randint(0, 3) == 0 else _scalar(rng)
-            terms.append((c, germ(), rng.choice([germ(), _laurent(rng)])))
+            terms.append((_scalar(rng), germ(), rng.choice([germ(), _laurent(rng)])))
         nonlaurent += sum(x._k < 0 for _, x, _ in terms)
         want = dot(terms).laurent_coefficient(-1)
         assert residue_dot(terms) == want
