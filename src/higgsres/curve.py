@@ -17,8 +17,6 @@ it is part of the curve description rather than derived.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import _kernels as K
 from .errors import ValidationError
 from .field import RatFunc
@@ -43,11 +41,12 @@ def _strip_marked_factors(poly: list, points) -> list:
 class MarkedCurve:
     """P^1 with marked points, the trivializing form alpha, and twists T_i.
 
-    The twists T_i^-w (also as monomials, ``laurent_twists``) and the
-    coefficients a_i(u) are computed on first read and kept;
-    ``candidate_spaces`` holds the solver's candidate space for each
-    ``SolverBounds`` value, built on first use.  A curve is not mutated
-    after construction, so none of them goes stale.
+    The coefficients a_i(u) are formed when the curve is built.  The
+    twists T_i^-w (also as monomials, ``laurent_twists``) are computed on
+    first read and kept; ``candidate_spaces`` holds the solver's
+    candidate space for each ``SolverBounds`` value, built on first use.
+    A curve is not mutated after construction, so none of them goes
+    stale.
     """
 
     def __init__(self, marked_points, alpha, transitions):
@@ -71,6 +70,7 @@ class MarkedCurve:
         self._twists: dict = {}
         self._laurent_twists: dict = {}
         self._zero_marked = any(not p.is_infinity and p.value.is_zero() for p in points)
+        self._alpha_locals: list[RatFunc] = [localize(self.alpha, p) for p in points]
 
     @property
     def n_points(self) -> int:
@@ -102,10 +102,6 @@ class MarkedCurve:
                 for p, mono in zip(self.marked_points, (t.as_monomial() for t in self.twists(weight)))
             ]
         return out
-
-    @cached_property
-    def _alpha_locals(self) -> list:
-        return [localize(self.alpha, p) for p in self.marked_points]
 
     def alpha_local(self, i: int) -> RatFunc:
         """The coefficient a_i(u) with alpha = a_i(u) du at marked point i."""

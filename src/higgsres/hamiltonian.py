@@ -270,7 +270,7 @@ class HamiltonianRep:
             if g.n != n:
                 raise ShapeError(f"acting on sl{n} blocks with an {g.n}x{g.n} element")
             # the rows of rho(g)^-T, whose blocks are g^-T and g
-            g_inv_t = mat_transpose(g.inverse().mat)
+            g_inv_t = mat_transpose(g.inv)
             columns = g.images[self.blocks] = tuple(
                 tuple((b * n + r, x) for r, x in enumerate((g.mat if dual else g_inv_t)[j]) if not x.is_zero())
                 for b, dual in enumerate(self.blocks)

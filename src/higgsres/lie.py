@@ -17,8 +17,9 @@ equivariant, mu(T^-1 rho(g)^-1 s) = T^-2 g^-1 mu(s) g, a fact enforced
 by the test suite.
 
 Loop-group elements are matrices of rational functions in the local disk
-coordinate with determinant identically 1; loop-algebra and coadjoint
-elements are traceless matrices of rational functions.
+coordinate with determinant identically 1, each built with its inverse
+(the adjugate); loop-algebra and coadjoint elements are traceless
+matrices of rational functions.
 
 Each span element keeps its sl_n coordinates: the ones its trace check
 reads off, or the ones it was built from (``MatrixLieAlgebra.element_from``,
@@ -55,7 +56,6 @@ cost n^3.
 from __future__ import annotations
 
 import functools
-import weakref
 from fractions import Fraction
 from typing import Sequence
 
@@ -269,17 +269,16 @@ def sl(n: int) -> MatrixLieAlgebra:
 
 
 class LoopGroupElement:
-    """An n x n matrix of rational functions with determinant 1.
+    """An n x n matrix of rational functions with determinant 1, held
+    with its inverse (``inv``, the adjugate, formed when it is built).
 
-    Its inverse and the columns of rho(g)^-1 (``images``: kept by
+    The columns of rho(g)^-1 (``images``: kept by
     ``HamiltonianRep.column`` under a built-in representation's block
     sum, by ``Coadjoint.column`` under each basis index) are formed on
     first use and kept; products and inverses start with none of them.
-    An inverse links back to its element weakly, so the two form no
-    reference cycle and are freed as soon as they are unused.
     """
 
-    __slots__ = ("mat", "n", "_inverse", "_inverse_of", "images", "__weakref__")
+    __slots__ = ("mat", "inv", "n", "images")
 
     def __init__(self, mat, check: bool = True):
         self.mat = mat_from(mat)
@@ -287,42 +286,33 @@ class LoopGroupElement:
         if n != m:
             raise ShapeError("group element must be square")
         self.n = n
-        self._inverse = self._inverse_of = None
         self.images = {}
         if check and det(self.mat) != _ONE:
             raise ValidationError("loop group element has determinant != 1")
+        # det = 1, so the inverse is the adjugate
+        self.inv = adjugate(self.mat)
 
     @classmethod
     def identity(cls, n: int) -> "LoopGroupElement":
         return cls(identity(n), check=False)
 
     @classmethod
-    def _bare(cls, mat, n: int) -> "LoopGroupElement":
+    def _bare(cls, mat, inv, n: int) -> "LoopGroupElement":
         out = cls.__new__(cls)
         out.mat = mat
+        out.inv = inv
         out.n = n
-        out._inverse = out._inverse_of = None
         out.images = {}
         return out
 
     def __mul__(self, other: "LoopGroupElement") -> "LoopGroupElement":
         if not isinstance(other, LoopGroupElement):
             return NotImplemented
-        return LoopGroupElement._bare(mat_mul(self.mat, other.mat), self.n)
+        return LoopGroupElement(mat_mul(self.mat, other.mat), check=False)
 
     def inverse(self) -> "LoopGroupElement":
-        """g^-1, computed once; while g is alive its inverse is g itself.
-
-        g keeps g^-1, and g^-1 keeps only a weak reference to g.
-        """
-        inv = self._inverse
-        if inv is None:
-            inv = self._inverse_of and self._inverse_of()
-            if inv is None:
-                # det = 1, so the inverse is the adjugate
-                inv = self._inverse = LoopGroupElement._bare(adjugate(self.mat), self.n)
-                inv._inverse_of = weakref.ref(self)
-        return inv
+        """g^-1: the two matrices of g, swapped."""
+        return LoopGroupElement._bare(self.inv, self.mat, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, LoopGroupElement):
@@ -495,7 +485,7 @@ class Coadjoint:
             raise ShapeError(f"conjugating sl{algebra.n} by an {g.n}x{g.n} element")
         column = g.images.get(k)
         if column is None:
-            g_inv = g.inverse().mat
+            g_inv = g.inv
             last = (g.n - 1, g.n - 1)
             terms = {}
             for r, c, s in algebra.units[k]:

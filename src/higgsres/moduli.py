@@ -41,11 +41,11 @@ Disk objects are rational germs; regularity at u = 0 is an exact
 valuation check, and all the equalities below are syntactic equalities
 of reduced rational functions.
 
-Each disk value is formed once, on the object it belongs to.  A YPoint
-keeps s'_i, the solver's section system of its bundle, and mu(s'_i) as
-its pairings with the basis (formed on first read); a YTangent keeps
-sdot'_i and rho(gdot_i) s'_i; a HiggsPoint phi'_i and a HiggsTangent
-phidot'_i.  The pushforward and ``identity_check`` read these values
+Each disk value is formed once, when the object it belongs to is built.
+A YPoint keeps s'_i, the solver's section system of its bundle, and
+mu(s'_i) as its pairings with the basis; a YTangent keeps sdot'_i and
+rho(gdot_i) s'_i; a HiggsPoint phi'_i and a HiggsTangent phidot'_i.
+The pushforward and ``identity_check`` read these values
 instead of recomputing them, and the pushforward compares each direct
 moment image with the transported one through their pairings with the
 basis, which determine a traceless matrix.  The tangent solves read
@@ -121,11 +121,11 @@ class YPoint:
     ``system`` is the section space of the bundle g (``solver.TwistedSystem``),
     kept for the tangent solves at this point (None until one is built).
     ``mu_prime[i]`` is mu(s'_i) as its pairings <mu(s'_i), xi_a> in label
-    order (``HamiltonianRep.moment_values``), formed on first read and
-    then shared by the pushforward and the identity check.
+    order (``HamiltonianRep.moment_values``), formed when the point is
+    built and shared by the pushforward and the identity check.
     """
 
-    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime", "system", "_mu_prime")
+    __slots__ = ("curve", "rep", "g", "s_circ", "s_prime", "system", "mu_prime")
 
     def __init__(self, curve, rep, g, s_circ, s_prime, system=None):
         self.curve: MarkedCurve = curve
@@ -134,13 +134,7 @@ class YPoint:
         self.s_circ: XVector = s_circ
         self.s_prime: list[XVector] = s_prime
         self.system = system
-        self._mu_prime = None
-
-    @property
-    def mu_prime(self) -> list[list[RatFunc]]:
-        if self._mu_prime is None:
-            self._mu_prime = [self.rep.moment_values(s) for s in self.s_prime]
-        return self._mu_prime
+        self.mu_prime: list[list[RatFunc]] = [rep.moment_values(s) for s in s_prime]
 
     def __eq__(self, other):
         if not isinstance(other, YPoint):
@@ -159,25 +153,17 @@ class YTangent:
     """A first-order deformation (gdot_i, sdot, sdot'_i) of a YPoint.
 
     ``actions[i]`` is rho(gdot_i) s'_i, the disk term of sdot'_i that
-    comes from moving the bundle.  ``make_y_tangent`` forms it once;
-    a tangent built without it forms it from ``base`` and ``g_dot`` on
-    first read.
+    comes from moving the bundle, formed once by the tangent's builder.
     """
 
-    __slots__ = ("base", "g_dot", "s_circ_dot", "s_prime_dot", "_actions")
+    __slots__ = ("base", "g_dot", "s_circ_dot", "s_prime_dot", "actions")
 
-    def __init__(self, base, g_dot, s_circ_dot, s_prime_dot, actions=None):
+    def __init__(self, base, g_dot, s_circ_dot, s_prime_dot, actions):
         self.base: YPoint = base
         self.g_dot: list[LoopAlgebraElement] = g_dot
         self.s_circ_dot: XVector = s_circ_dot
         self.s_prime_dot: list[XVector] = s_prime_dot
-        self._actions = actions
-
-    @property
-    def actions(self) -> list[XVector]:
-        if self._actions is None:
-            self._actions = disk_actions(self.base.rep, self.g_dot, self.base.s_prime)
-        return self._actions
+        self.actions: list[XVector] = actions
 
     def __repr__(self):
         return f"YTangent(base={self.base!r})"
@@ -417,11 +403,10 @@ def validate_y_tangent(t: YTangent) -> list[HiggsresError]:
 
 
 def unchecked_y_tangent(base, g_dot, s_circ_dot, s_prime_dot) -> YTangent:
-    """Build a tangent without validation (negative-control suites only).
-
-    Its ``actions`` are formed from ``base`` and ``g_dot`` on first read.
-    """
-    return YTangent(base, g_dot, s_circ_dot, s_prime_dot)
+    """Build a tangent without validation (negative-control suites only),
+    with the actions rho(gdot_i) s'_i of ``base`` and ``g_dot``."""
+    actions = disk_actions(base.rep, g_dot, base.s_prime)
+    return YTangent(base, g_dot, s_circ_dot, s_prime_dot, actions)
 
 
 def _check_size(algebra, value, what) -> None:

@@ -81,8 +81,7 @@ INFINITY = P1Point.infinity()
 class LocalChart:
     """The substitution u = z - a (finite a) or u = 1/z (infinity).
 
-    ``pull`` rewrites a function of z as a function of u; ``jacobian``
-    is dz/du as a RatFunc in u.
+    ``pull`` rewrites a function of z as a function of u.
     """
 
     point: P1Point
@@ -94,12 +93,6 @@ class LocalChart:
         if a.is_zero():
             return f
         return f.shift(a)
-
-    def jacobian(self) -> RatFunc:
-        if self.point.is_infinity:
-            # z = 1/u, dz = -u^-2 du
-            return -RatFunc(1, [0, 0, 1])
-        return RatFunc.const(1)
 
 
 class OneForm:
@@ -138,10 +131,10 @@ class OneForm:
 
 def localize(form: OneForm, p: P1Point) -> RatFunc:
     """h(u) with form = h(u) du in the local coordinate at p."""
-    chart = LocalChart(p)
-    pulled = chart.pull(form.coeff)
+    pulled = LocalChart(p).pull(form.coeff)
     if p.is_infinity:
-        return pulled * chart.jacobian()
+        # z = 1/u, dz = -u^-2 du
+        return pulled * -RatFunc(1, [0, 0, 1])
     return pulled
 
 

@@ -329,6 +329,23 @@ def test_identity_detects_corruption(base_point, rep):
     assert not report.ok
 
 
+def test_validate_y_tangent_reports_each_violation(base_point):
+    """A pole of sdot away from the marked points, and a pole of sdot' at
+    u = 0, are each reported; the corrupt suite perturbs sdot' by u^0 or
+    u^1 only, so it reaches neither."""
+    t = _feasible_tangent(base_point, SeedStream("validate-violations"))
+    assert validate_y_tangent(t) == []
+    pole = XVector([c + 1 / (RatFunc.x() - 1) for c in t.s_circ_dot.coords])
+    errors = validate_y_tangent(unchecked_y_tangent(base_point, t.g_dot, pole, t.s_prime_dot))
+    assert isinstance(errors[0], RegularityViolation)
+    assert str(errors[0]) == "sdot has a pole away from the marked points"
+    polar = [t.s_prime_dot[0] + XVector([U ** -1, 0])]
+    errors = validate_y_tangent(unchecked_y_tangent(base_point, t.g_dot, t.s_circ_dot, polar))
+    assert [type(e) for e in errors] == [RegularityViolation, IrregularSection]
+    assert str(errors[0]) == "sdot'_0 does not satisfy the deformation equation"
+    assert (errors[1].point_index, errors[1].order, errors[1].what) == (0, 1, "sdot'")
+
+
 def test_unchecked_tangent_forms_the_validated_actions(fixtures_dir):
     scenario = load_scenario(str(fixtures_dir / "f3.json"))
     one = RatFunc.const(1)

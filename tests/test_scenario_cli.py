@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from higgsres import ParseError, ValidationError, parse_scenario
+from higgsres import ParseError, ValidationError, parse_scenario, suites
 from higgsres.cli import main, run
+from higgsres.field import RatFunc
+from higgsres.moduli import IdentityReport
 from higgsres.scenario import load_scenario
 
 
@@ -220,6 +222,19 @@ def test_cli_random_suite_small(fixtures_dir, capsys):
     trials = [c for c in payload["checks"] if c["name"].startswith("trial-")]
     assert len(trials) == 3
     assert all(c["value"] == "0" for c in trials)
+
+
+def test_cli_random_suite_reports_a_broken_identity(fixtures_dir, capsys, monkeypatch):
+    """A trial whose identity report has a non-zero residual fails with
+    its residuals in the detail, the identity verdict fails, and the run
+    exits 1."""
+    broken = IdentityReport(residuals=[RatFunc.x()])
+    monkeypatch.setattr(suites, "identity_check", lambda p, t1, t2: broken)
+    assert run(["random-suite", _fixture(fixtures_dir, "f1.json"), "--trials", "1"])[0] == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[:2] == ["trial-000", "FAIL"]
+    assert lines[1].endswith("identity=BROKEN residuals: u]")
+    assert lines[3].split() == ["all-identities-hold", "FAIL"]
 
 
 def test_cli_corrupt_suite_detects(fixtures_dir, capsys):
@@ -477,6 +492,9 @@ def word_bundle(factor):
         (("representation",), dict(EXPLICIT_REP, omega=[]), 3, "representation.omega"),
         # a negative power of zero divides by zero
         (("curve", "alpha"), "0^-1", 2, "curve.alpha, column 5"),
+        # the curve invariants cannot hold with a zero alpha or a zero twist
+        (("curve", "alpha"), "0", 3, "alpha is identically zero"),
+        (("curve", "transitions", "inf"), "0", 3, "transition T at inf is zero"),
         (("forms",), ["1/z", "z*(z-z)^-2"], 2, "forms[1], column 11"),
         # the missing rho is found before any structure constant of sl9 is built
         (("representation",), dict(EXPLICIT_REP, algebra="sl9", rho={}), 2, "representation.rho"),

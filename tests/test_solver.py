@@ -632,8 +632,8 @@ def _record_calls(monkeypatch, owner, name, method=True):
 def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
     """rho(gdot_i) s'_i is formed once per accepted tangent, by
     make_y_tangent (the tangent solves read only its polar coefficients
-    off the terms), and mu(s'_i) once per point, however many checks read
-    them."""
+    off the terms), and mu(s'_i) once per point, by make_y_point, however
+    many checks read them."""
     scenario = load_scenario(str(fixtures_dir / "f3.json"))
     rng = SeedStream("disk-values")
     build_instance(scenario, rng.child(0))
@@ -653,7 +653,10 @@ def test_trial_forms_each_disk_value_once(fixtures_dir, monkeypatch):
         for i in range(n):
             key = (t.g_dot[i], p.s_prime[i])
             assert sum(a is key[0] and x is key[1] for a, x in terms) == 2
-    assert not moments and not dmoments
+    # make_y_point formed mu(s'_i), and no check forms it again
+    for s in p.s_prime:
+        assert sum(x is s for (x,) in moments) == 1
+    assert not dmoments
     assert pullback_omega(p, t1, t2).is_zero()
     assert identity_check(p, t1, t2).ok
     assert len(actions) == 2
@@ -1156,25 +1159,14 @@ def _group_elements():
 
 
 @pytest.mark.parametrize("name", ["torus", "elementary", "product"])
-def test_inverse_is_computed_once_and_knows_its_inverse(name):
+def test_inverse_holds_the_two_matrices_swapped(name):
+    """g is built with g^-1, and g.inverse() shares both matrices, swapped."""
     g = _group_elements()[name]
     inv = g.inverse()
-    assert g.inverse() is inv
-    assert inv.inverse() is g
+    assert inv.mat is g.inv and inv.inv is g.mat
     one = LoopGroupElement.identity(3)
     assert g * inv == one and inv * g == one
     assert (g * inv).mat == identity(3)
-
-
-def test_inverse_links_back_weakly():
-    """g keeps g^-1 and g^-1 only a weak reference to g: once g is gone,
-    g^-1 computes its inverse afresh, and gets the same matrix."""
-    g = _group_elements()["product"]
-    mat, inv = g.mat, g.inverse()
-    del g
-    again = inv.inverse()
-    assert again.mat == mat
-    assert inv.inverse() is again and again.inverse() is inv
 
 
 def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
@@ -1191,8 +1183,8 @@ def test_theorem_trials_leave_no_group_element_in_cycles(fixtures_dir):
             root = SeedStream("random-suite", 1)
             for t in range(4):
                 g = build_instance(scenario, root.child("trial", t)).point.g
-                # the back-link still answers while the element is alive
-                assert all(g_i.inverse().inverse() is g_i for g_i in g)
+                # an inverse shares the element's matrices and links to no element
+                assert all(g_i.inverse().inverse().mat is g_i.mat for g_i in g)
         del g
         gc.collect()
         cyclic = [x for x in gc.garbage if isinstance(x, LoopGroupElement)]

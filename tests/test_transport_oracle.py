@@ -9,7 +9,8 @@ anywhere else.  Both are checked against the germ transport they
 replaced (``helpers.germ_derive_prime``, ``germ_derive_prime_dot``): on
 the section, tangent and Higgs data of seeded f1, f2 and f3 instances,
 on the curve marked at {0, 1, inf} whose twists are not monomials, and
-on the curve marked at {0, inf} with germs that have a pole at z = 1.
+on the curve marked at {0, inf} (f2's) with germs that have a pole at
+z = 1, or with a bundle whose inverse has a pole at u = 1.
 ``solver.random_cocycle`` multiplies its word out on coefficient lists;
 it is checked against the word multiplied with ``RatFunc`` products
 (``helpers.product_random_cocycle``), with draws wide enough that column
@@ -22,7 +23,18 @@ from fractions import Fraction
 import pytest
 from helpers import germ_derive_prime, germ_derive_prime_dot, product_random_cocycle
 
-from higgsres import INFINITY, GaussRat, MarkedCurve, OneForm, P1Point, RatFunc, builtin_rep, load_scenario
+from higgsres import (
+    INFINITY,
+    GaussRat,
+    LoopGroupElement,
+    MarkedCurve,
+    OneForm,
+    P1Point,
+    RatFunc,
+    builtin_rep,
+    elementary,
+    load_scenario,
+)
 from higgsres import _kernels as K
 from higgsres import moduli
 from higgsres.field import GQ_ONE, _u_power
@@ -120,9 +132,9 @@ def _curve_0_1_inf() -> MarkedCurve:
     )
 
 
-def _germ(rng: random.Random) -> RatFunc:
-    """0, a Laurent polynomial in z, or one over (z - 1)."""
-    kind = rng.randrange(4)
+def _germ(rng: random.Random, at_one: bool = True) -> RatFunc:
+    """0, a Laurent polynomial in z, or (``at_one``) one over (z - 1)."""
+    kind = rng.randrange(4) if at_one else rng.choice((0, 2, 3))
     if kind == 0:
         return RatFunc.const(0)
     c = GaussRat(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)), rng.randint(-1, 1))
@@ -130,12 +142,15 @@ def _germ(rng: random.Random) -> RatFunc:
     return f / (Z - 1) if kind == 1 else f
 
 
-@pytest.mark.parametrize("curve_name", ["0-inf", "0-1-inf"])
+@pytest.mark.parametrize("curve_name", ["0-inf", "0-1-inf", "0-inf-non-laurent"])
 @pytest.mark.parametrize("rep_name", ["sl2-standard", "sl3-cotangent"])
 def test_transports_off_the_folded_path_match_the_germ_oracle(curve_name, rep_name):
     """On {0, 1, inf} every disk forms its germs; on {0, inf} a germ with
-    a pole at z = 1 sends its disk to the germs too, and the rest fold."""
-    curve = _curve_0_inf() if curve_name == "0-inf" else _curve_0_1_inf()
+    a pole at z = 1 sends its disk to the germs too, and so does, on
+    Laurent germs, the bundle I + 1/(u-1) E_12 at 0 (the identity at
+    infinity), whose inverse has the entry -1/(u-1); the rest fold."""
+    curve = _curve_0_1_inf() if curve_name == "0-1-inf" else _curve_0_inf()
+    non_laurent = curve_name == "0-inf-non-laurent"
     sums = {"kernel_dot": 0, "dot": 0}
     rep = builtin_rep(rep_name)
     algebra = rep.algebra
@@ -143,15 +158,18 @@ def test_transports_off_the_folded_path_match_the_germ_oracle(curve_name, rep_na
     rng = random.Random(f"off-path-{curve_name}-{rep_name}")
     for trial in range(10):
         stream = SeedStream("off-path", curve_name, rep_name, trial)
-        g = [random_cocycle(algebra.n, CocycleRecipe(), stream.child("g", i)) for i in range(curve.n_points)]
+        if non_laurent:
+            g = [elementary(algebra.n, 1, 2, 1 / (U - 1)), LoopGroupElement.identity(algebra.n)]
+        else:
+            g = [random_cocycle(algebra.n, CocycleRecipe(), stream.child("g", i)) for i in range(curve.n_points)]
         g_dot = [random_loop_algebra(algebra, recipe, stream.child("gdot", i)) for i in range(curve.n_points)]
         for side in (rep, Coadjoint(algebra)):
-            x = [_germ(rng) for _ in range(side.dim)]
+            x = [_germ(rng, not non_laurent) for _ in range(side.dim)]
             disk = derive_prime(curve, side, g, x)
             actions = [side.inf_action_terms(xi, v) for xi, v in zip(g_dot, disk)]
-            _check(curve, side, g, [_germ(rng) for _ in range(side.dim)], actions, sums)
+            _check(curve, side, g, [_germ(rng, not non_laurent) for _ in range(side.dim)], actions, sums)
     assert sums["dot"] > 0
-    assert (sums["kernel_dot"] > 0) == (curve_name == "0-inf")
+    assert (sums["kernel_dot"] > 0) == (curve_name != "0-1-inf")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
